@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt bench-smoke faults-smoke multiuser-smoke obs-smoke network-smoke perf-smoke live-smoke bench-profile bench-profile-city bench-snapshot bench-gate ci
+.PHONY: all build test race lint vet fmt bench-smoke obs-smoke live-smoke bench-check bench-profile ci
 
 all: build
 
@@ -17,13 +17,18 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the suite under the race detector (short mode; the parallel
-## experiment engine is exercised with multiple workers either way), plus
-## a full-mode pass over the intra-experiment sharding tests — the
-## cross-batch worker pool and the byte-identity contracts it must keep.
+## race: the suite under the race detector in short mode — every test but
+## the five that honour -short, so the fault-injection, shared-cell and city
+## subsystems are raced here — plus a full-mode pass over the experiment
+## engine's sharding tests (the cross-batch worker pool, the byte-identity
+## contracts it must keep, and the two multi-user tests -short skips) and
+## one raced pass of the pipelined city epoch loop at 1/2/4/8 persistent
+## workers. The two full-scale city acceptance tests honour -short too and
+## run in plain `make test`.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch' ./internal/experiments
+	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch|MultiUserMeasured' ./internal/experiments
+	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network
 
 ## lint: gofmt cleanliness (vet is its own target so the CI matrix can
 ## report formatting and analysis failures independently).
@@ -42,29 +47,11 @@ fmt:
 	gofmt -w .
 
 ## bench-smoke: run every benchmark exactly once (no -run tests) to catch
-## bit-rot in the figure-regeneration and engine-scaling benchmarks.
+## bit-rot in the figure-regeneration and engine-scaling benchmarks, with
+## -benchmem so the allocation-sensitive ones leave numbers in the log next
+## to the TestPerf* gates that `make test` enforces.
 bench-smoke:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
-
-## faults-smoke: the fault-injection subsystem under the race detector —
-## scripted disturbance scenarios, the FBCC diag-staleness watchdog, and
-## the parallel-engine byte-identity contract with faults enabled. Fault
-## tests follow the TestFault* naming convention across packages.
-faults-smoke:
-	$(GO) test -race -run 'Fault' ./internal/faults/... ./internal/lte \
-		./internal/netsim ./internal/ratecontrol ./internal/session \
-		./internal/experiments
-
-## multiuser-smoke: the shared-cell subsystem under the race detector —
-## the multi-UE PF scheduler, RunShared determinism at any concurrency,
-## fairness splits, and the multiuser experiment's byte-identity across
-## worker counts. Covers Test{PF,Cell,RunShared,MultiUser}* plus the
-## 1/2/4/8-user scaling benchmark.
-multiuser-smoke:
-	$(GO) test -race -run 'PF|Cell|RunShared|MultiUser|JainFairness' \
-		./internal/lte ./internal/netsim ./internal/session \
-		./internal/metrics ./internal/experiments
-	$(GO) test -bench 'SharedCellUsers' -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
 ## obs-smoke: the observability subsystem under the race detector —
 ## nil-probe safety, episode semantics on the busy cell, JSONL schema,
@@ -109,33 +96,6 @@ obs-smoke:
 		|| { echo "obs-smoke: -from-bin -view episodes empty"; exit 1; }; \
 	echo "obs-smoke: ok"
 
-## network-smoke: the multi-cell city subsystem under the race detector —
-## lockstep shard advance at several worker counts with byte-identity of
-## results and obs event streams, emergent handover + watchdog recovery,
-## the grid-walk geometry, and the city experiment table, plus one raced
-## pass of the pipelined epoch loop at every worker tier the scaling
-## benchmark covers (1/2/4/8 persistent workers). The full-scale
-## (100 cells × 1000 UEs) acceptance run honors -short and therefore runs
-## in plain `make test`, not here.
-network-smoke:
-	$(GO) test -race -short -run 'City|GridWalk' ./internal/network
-	$(GO) test -race -run 'NetworkCityTable' ./internal/experiments
-	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network
-
-## perf-smoke: the hot-path allocation gates (TestPerf* across packages:
-## zero-alloc Eq. 1 matrix lookups, the zero-alloc binary event encoder,
-## memoized Result summaries, the end-to-end per-session allocation
-## budget) followed by one pass of the allocation-sensitive benchmarks
-## with -benchmem, so a regression shows both as a red gate and as
-## numbers in the log.
-perf-smoke:
-	$(GO) test -run 'TestPerf' ./internal/compress ./internal/obs \
-		./internal/session .
-	$(GO) test -bench 'Obs|SharedCell|ModeMatrix|SessionAllocs' \
-		-benchtime 1x -benchmem -run '^$$' ./internal/compress .
-	$(GO) test -bench 'EventEncode|ShardAggMerge' \
-		-benchtime 1x -benchmem -run '^$$' ./internal/obs
-
 ## live-smoke: the real-transport backend under the race detector — the
 ## wire codec fuzz corpus, the jitter buffer, the sender transport's
 ## synthesized diag feed and the wall-clock scheduler — then a real ~2 s
@@ -155,35 +115,20 @@ bench-profile:
 		-cpuprofile profiles/cpu.pprof -memprofile profiles/mem.pprof
 	@echo "profiles written to ./profiles (inspect with: go tool pprof profiles/cpu.pprof)"
 
-## bench-profile-city: profile the city perf-trajectory scenario in
-## isolation — the epoch loop, SoA UE engine and scheduler hot path,
-## without the paper-experiment harness around it. Profiles land in
-## ./profiles; CI uploads them as an artifact from the bench-snapshot job.
-bench-profile-city:
-	@mkdir -p profiles
-	$(GO) run ./cmd/poi360-bench -scenario city-64c-256ue-10s -bench-reps 3 \
-		-json profiles/city-snapshot.json \
-		-cpuprofile profiles/city-cpu.pprof -memprofile profiles/city-mem.pprof
-	@echo "profiles written to ./profiles (inspect with: go tool pprof profiles/city-cpu.pprof)"
-
-## bench-snapshot: measure the perf-trajectory scenarios and write a
-## snapshot stamped with the current short commit hash (BENCH_<sha>.json).
-## CI uploads it as a build artifact so the repo accumulates a
-## machine-readable performance history; to move the committed baseline,
-## copy a snapshot over BENCH_baseline.json.
-bench-snapshot:
-	$(GO) run ./cmd/poi360-bench -json "BENCH_$$(git rev-parse --short HEAD).json"
-
-## bench-gate: measure the perf-trajectory scenarios and gate them against
-## the committed baseline. Fails on >10% calibrated-time regression or >5%
-## allocation growth on any scenario (see internal/perftraj).
-bench-gate:
-	$(GO) run ./cmd/poi360-bench -gate BENCH_baseline.json
+## bench-check: keep the repository's one performance ledger working. The
+## benchmark is a module of its own, which the root `go test ./...` never
+## enters, so an API change here could break it unnoticed: vet it, run its
+## tests, and run every workload, invariant and layer driver once (seconds).
+## Measuring is `bash benchmark/run.sh -workload all`; see benchmark/README.md.
+bench-check:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
+	bash benchmark/run.sh -check
 
 ## ci: the umbrella target the GitHub workflow fans out over. Runs every
 ## target even after a failure and reports the full list of failed targets
 ## in the trailer, so one red gate doesn't hide another.
-CI_TARGETS := build lint vet test race bench-smoke faults-smoke multiuser-smoke obs-smoke network-smoke perf-smoke live-smoke bench-gate
+CI_TARGETS := build lint vet test race bench-smoke obs-smoke live-smoke bench-check
 ci:
 	@failed=""; \
 	for t in $(CI_TARGETS); do \

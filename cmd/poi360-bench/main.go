@@ -11,21 +11,9 @@
 //	poi360-bench -list                   # list experiment IDs
 //	poi360-bench -cpuprofile cpu.pprof   # write a CPU profile of the run
 //	poi360-bench -memprofile mem.pprof   # write a heap profile at exit
-//	poi360-bench -json out.json          # measure the perf-trajectory scenarios,
-//	                                     # write a versioned snapshot, exit
-//	poi360-bench -gate BENCH_baseline.json  # measure and gate against a baseline
-//	poi360-bench -json out.json -scenario city-64c-256ue-10s \
-//	    -cpuprofile cpu.pprof            # profile one scenario in isolation
 //
-// -json and -gate run the committed internal/perftraj benchmark scenarios
-// instead of the paper experiments; they compose (measure once, write the
-// snapshot, then gate). The gate exits 1 and prints one line per tolerance
-// violation; see `make bench-gate` / `make bench-snapshot`. A full -json
-// run additionally sweeps the city scenario across worker counts and
-// reports speedup and parallel efficiency per count (the `parallel` block
-// of the snapshot; never gated). -cpuprofile/-memprofile apply to whichever
-// mode runs, so they compose with -scenario for single-hot-path profiles
-// (`make bench-profile-city`).
+// Speed is not measured here: the repository's one performance ledger is
+// benchmark/ (see benchmark/README.md).
 //
 // Sessions of a batch run on a bounded worker pool (default GOMAXPROCS);
 // for a fixed -seed the printed tables are byte-identical at any -workers.
@@ -44,43 +32,34 @@ import (
 	"time"
 
 	"poi360"
-	"poi360/internal/perftraj"
 	"poi360/internal/trace"
 )
 
 func main() {
 	// All work happens in run so deferred cleanup — most importantly
 	// pprof.StopCPUProfile and the heap-profile write — runs on every
-	// exit path, including gate failures.
+	// exit path, including a failed experiment.
 	os.Exit(run())
 }
 
 func run() int {
 	var (
-		expID     = flag.String("experiment", "all", "experiment ID (see -list) or 'all'")
-		quick     = flag.Bool("quick", false, "shrink sessions for a fast pass")
-		seed      = flag.Int64("seed", 0, "seed offset for all sessions")
-		users     = flag.Int("users", 0, "override number of user profiles (1-5)")
-		repeats   = flag.Int("repeats", 0, "override per-user session repeats")
-		secs      = flag.Int("session-seconds", 0, "override per-session duration")
-		csvDir    = flag.String("csv", "", "directory to dump raw curve CSVs into")
-		list      = flag.Bool("list", false, "list experiment IDs and exit")
-		verbose   = flag.Bool("v", false, "print per-session progress")
-		workers   = flag.Int("workers", 0, "max concurrent sessions per batch (0 = GOMAXPROCS, 1 = sequential; output is identical either way for a fixed -seed)")
-		obsOn     = flag.Bool("obs", false, "collect FBCC congestion-episode telemetry and print a per-experiment episode table (does not change any experiment output)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
-		jsonOut   = flag.String("json", "", "measure the perf-trajectory scenarios and write a versioned JSON snapshot here (skips the experiments)")
-		gate      = flag.String("gate", "", "measure the perf-trajectory scenarios and gate them against this baseline snapshot; exit 1 on regression")
-		scenario  = flag.String("scenario", "", "restrict -json/-gate to one perf-trajectory scenario by name (e.g. for profiling a single hot path)")
-		benchReps = flag.Int("bench-reps", 5, "repetitions per perf-trajectory scenario (min wall time wins)")
+		expID   = flag.String("experiment", "all", "experiment ID (see -list) or 'all'")
+		quick   = flag.Bool("quick", false, "shrink sessions for a fast pass")
+		seed    = flag.Int64("seed", 0, "seed offset for all sessions")
+		users   = flag.Int("users", 0, "override number of user profiles (1-5)")
+		repeats = flag.Int("repeats", 0, "override per-user session repeats")
+		secs    = flag.Int("session-seconds", 0, "override per-session duration")
+		csvDir  = flag.String("csv", "", "directory to dump raw curve CSVs into")
+		list    = flag.Bool("list", false, "list experiment IDs and exit")
+		verbose = flag.Bool("v", false, "print per-session progress")
+		workers = flag.Int("workers", 0, "max concurrent sessions per batch (0 = GOMAXPROCS, 1 = sequential; output is identical either way for a fixed -seed)")
+		obsOn   = flag.Bool("obs", false, "collect FBCC congestion-episode telemetry and print a per-experiment episode table (does not change any experiment output)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	)
 	flag.Parse()
 
-	// Profiling is wired up before the trajectory/experiment split so
-	// -cpuprofile/-memprofile capture whichever mode runs — in particular
-	// `-scenario city-64c-256ue-10s -cpuprofile ...` profiles the city
-	// engine's epoch loop in isolation (see `make bench-profile-city`).
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -107,10 +86,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *jsonOut != "" || *gate != "" {
-		return perfTrajectory(*jsonOut, *gate, *scenario, *benchReps)
 	}
 
 	if *list {
@@ -183,81 +158,6 @@ func run() int {
 		fmt.Printf("\n    (%s in %.1fs)\n\n", e.ID, time.Since(t0).Seconds())
 	}
 	fmt.Printf("completed %d experiments in %.1fs\n", len(todo), time.Since(start).Seconds())
-	return 0
-}
-
-// perfTrajectory measures the committed benchmark scenarios and then
-// writes a snapshot (-json), gates against a baseline (-gate), or both.
-// A non-empty scenario name restricts the run to that one scenario —
-// profiling mode, where gating against the full baseline makes no sense
-// (the gate would flag every other scenario as missing), so -scenario
-// composes with -json only.
-func perfTrajectory(jsonOut, gate, scenario string, reps int) int {
-	scens := perftraj.Scenarios()
-	if scenario != "" {
-		if gate != "" {
-			fmt.Fprintln(os.Stderr, "-scenario cannot be combined with -gate (a partial run would fail the full baseline)")
-			return 2
-		}
-		var picked []perftraj.Scenario
-		for _, sc := range scens {
-			if sc.Name == scenario {
-				picked = append(picked, sc)
-			}
-		}
-		if len(picked) == 0 {
-			fmt.Fprintf(os.Stderr, "unknown scenario %q; committed scenarios:\n", scenario)
-			for _, sc := range scens {
-				fmt.Fprintf(os.Stderr, "  %s\n", sc.Name)
-			}
-			return 2
-		}
-		scens = picked
-	}
-	snap, err := perftraj.MeasureScenarios(scens, reps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-		return 1
-	}
-	if jsonOut != "" && scenario == "" {
-		// Full-snapshot runs also record how the city epoch loop scales
-		// with workers. Informational, never gated: the results are
-		// byte-identical at any worker count, so this measures barrier
-		// and scheduling cost only.
-		prs, err := perftraj.MeasureCityParallel([]int{1, 2, 4, 8}, reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-			return 1
-		}
-		snap.Parallel = prs
-	}
-	perftraj.Fprint(os.Stdout, snap)
-	for _, pr := range snap.Parallel {
-		fmt.Printf("parallel %-24s workers=%d %14d ns/op  speedup %.2fx  efficiency %.0f%%\n",
-			pr.Scenario, pr.Workers, pr.NsPerOp, pr.Speedup, 100*pr.Efficiency)
-	}
-	if jsonOut != "" {
-		if err := perftraj.Write(jsonOut, snap); err != nil {
-			fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	if gate != "" {
-		baseline, err := perftraj.Read(gate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "perf trajectory: %v\n", err)
-			return 1
-		}
-		if regs := perftraj.Compare(baseline, snap, perftraj.DefaultTolerance); len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "bench gate FAILED against %s:\n", gate)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
-			}
-			return 1
-		}
-		fmt.Printf("bench gate passed against %s\n", gate)
-	}
 	return 0
 }
 

@@ -131,7 +131,7 @@ func TestConduitMaskMemoizedBitIdentical(t *testing.T) {
 }
 
 // TestPerfModeMatrixZeroAlloc is the CI allocation gate for the per-frame
-// compress path (make perf-smoke): once a controller is constructed,
+// compress path: once a controller is constructed,
 // producing the Eq. 1 matrix for a frame must allocate nothing at all.
 func TestPerfModeMatrixZeroAlloc(t *testing.T) {
 	g := projection.DefaultGrid

@@ -257,15 +257,6 @@ func (p *progressBuffer) emit(i int, line string) {
 	}
 }
 
-// batchSlot holds one session's outcome until the deterministic fold.
-// (Congestion episodes no longer ride the slot: each instrumented session
-// streams into its batch's ShardAgg under its grid index, so the engine
-// retains no event stream at all.)
-type batchSlot struct {
-	res *session.Result
-	err error
-}
-
 // batchLabel names a batch for the experiment-level episode table: the
 // scheme/controller/network triple plus whatever distinguishes the cell and
 // script from the defaults.
@@ -336,7 +327,7 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 		base.StatsWarmup = batchWarmup
 		prepared[b] = base
 	}
-	slots := make([]batchSlot, total)
+	results := make([]*session.Result, total)
 	var progress *progressBuffer
 	if o.Progress != nil {
 		progress = newProgressBuffer(o.Progress)
@@ -373,11 +364,10 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 		}
 		res, err := session.Run(cfg)
 		if err != nil {
-			slots[i].err = fmt.Errorf("session (user=%d, repeat=%d): %w", u, r, err)
 			progress.emit(i, "") // keep the ordered flush moving past the failed slot
-			return slots[i].err
+			return fmt.Errorf("session (user=%d, repeat=%d): %w", u, r, err)
 		}
-		slots[i].res = res
+		results[i] = res
 		if progress != nil {
 			progress.emit(i, fmt.Sprintf("  %s/%s user=%s rep=%d: PSNR %.1f dB, FR %.2f%%\n",
 				cfg.Scheme, cfg.Network, cfg.User.Name, r,
@@ -386,53 +376,15 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 		return nil
 	}
 
-	if workers := min(o.workers(), total); workers <= 1 {
-		// Sequential path: identical scheduling to the pre-parallel engine.
-		for i := 0; i < total; i++ {
-			if err := runOne(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		// Bounded pool: workers claim flattened cells from an atomic cursor.
-		var (
-			cursor  atomic.Int64
-			aborted atomic.Bool
-			wg      sync.WaitGroup
-		)
-		cursor.Store(-1)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(cursor.Add(1))
-					if i >= total || aborted.Load() {
-						return
-					}
-					if runOne(i) != nil {
-						aborted.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	if err := fanOut(o.workers(), total, runOne); err != nil {
+		return nil, err
 	}
-
 	// Deterministic fold: flattened order regardless of completion order.
-	// Error selection is deterministic too — the lowest index wins,
-	// matching what the sequential path would have reported.
-	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-	}
 	aggs := make([]*sessionAgg, len(bases))
 	for b := range bases {
 		agg := &sessionAgg{}
 		for j := 0; j < per; j++ {
-			agg.fold(slots[b*per+j].res)
+			agg.fold(results[b*per+j])
 		}
 		aggs[b] = agg
 		if o.Obs != nil && prepared[b].RC == session.RCFBCC {
@@ -444,6 +396,53 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 		}
 	}
 	return aggs, nil
+}
+
+// fanOut calls fn(i) for every i in [0, total) on min(workers, total)
+// goroutines that claim indices from a shared cursor; with one worker it is
+// a plain loop that stops at the first error. fn must write only state
+// addressed by i. After a failure no further index is handed out, and the
+// error returned is that of the lowest failing index — the one a sequential
+// run would have reported.
+func fanOut(workers, total int, fn func(i int) error) error {
+	if workers = min(workers, total); workers <= 1 {
+		for i := 0; i < total; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		errs    = make([]error, total)
+		cursor  atomic.Int64
+		aborted atomic.Bool
+		wg      sync.WaitGroup
+	)
+	cursor.Store(-1)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1))
+				if i >= total || aborted.Load() {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					aborted.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cdfSeries converts samples into an empirical CDF curve, downsampled to at

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"poi360/internal/lte"
 	"poi360/internal/metrics"
@@ -147,11 +145,7 @@ var MultiUser = Experiment{
 		}
 		repeats := o.repeats()
 		total := len(rows) * repeats
-		type slot struct {
-			results []*session.Result
-			err     error
-		}
-		slots := make([]slot, total)
+		slots := make([][]*session.Result, total)
 		var progress *progressBuffer
 		if o.Progress != nil {
 			progress = newProgressBuffer(o.Progress)
@@ -163,11 +157,10 @@ var MultiUser = Experiment{
 			mc := multiUserScenario(o, row, rp, rk.n, rk.mix)
 			results, err := session.RunShared(mc)
 			if err != nil {
-				slots[i].err = fmt.Errorf("multiuser (n=%d, mix=%s, repeat=%d): %w", rk.n, rk.mix, rp, err)
 				progress.emit(i, "")
-				return slots[i].err
+				return fmt.Errorf("multiuser (n=%d, mix=%s, repeat=%d): %w", rk.n, rk.mix, rp, err)
 			}
-			slots[i].results = results
+			slots[i] = results
 			if progress != nil {
 				shares := make([]float64, len(results))
 				for j, r := range results {
@@ -179,48 +172,15 @@ var MultiUser = Experiment{
 			return nil
 		}
 
-		if workers := min(o.workers(), total); workers <= 1 {
-			for i := 0; i < total; i++ {
-				if err := runOne(i); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			var (
-				cursor  atomic.Int64
-				aborted atomic.Bool
-				wg      sync.WaitGroup
-			)
-			cursor.Store(-1)
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1))
-						if i >= total || aborted.Load() {
-							return
-						}
-						if runOne(i) != nil {
-							aborted.Store(true)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		for i := range slots {
-			if slots[i].err != nil {
-				return nil, slots[i].err
-			}
+		if err := fanOut(o.workers(), total, runOne); err != nil {
+			return nil, err
 		}
 
 		// Deterministic fold, grid order.
 		for row, rk := range rows {
 			agg := newMultiUserAgg()
 			for rp := 0; rp < repeats; rp++ {
-				agg.fold(slots[row*repeats+rp].results)
+				agg.fold(slots[row*repeats+rp])
 			}
 			psnr := metrics.Summarize(agg.psnrs).Mean
 			tab.Add(fmt.Sprint(rk.n), rk.mix,

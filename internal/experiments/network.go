@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"poi360/internal/network"
@@ -117,11 +115,7 @@ var Network = Experiment{
 		repeats := o.repeats()
 		duration := cityDuration(o)
 		total := len(rows) * repeats
-		type slot struct {
-			res *network.Result
-			err error
-		}
-		slots := make([]slot, total)
+		slots := make([]*network.Result, total)
 		var progress *progressBuffer
 		if o.Progress != nil {
 			progress = newProgressBuffer(o.Progress)
@@ -143,59 +137,25 @@ var Network = Experiment{
 				Workers:   1,
 			})
 			if err != nil {
-				slots[i].err = fmt.Errorf("network (cells=%d, ues=%d, repeat=%d): %w", rk.cells, rk.ues, rp, err)
 				progress.emit(i, "")
-				return slots[i].err
+				return fmt.Errorf("network (cells=%d, ues=%d, repeat=%d): %w", rk.cells, rk.ues, rp, err)
 			}
-			slots[i].res = res
+			slots[i] = res
 			if progress != nil {
 				progress.emit(i, fmt.Sprintf("  %s\n", res.Summarize()))
 			}
 			return nil
 		}
 
-		if workers := min(o.workers(), total); workers <= 1 {
-			for i := 0; i < total; i++ {
-				if err := runOne(i); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			var (
-				cursor  atomic.Int64
-				aborted atomic.Bool
-				wg      sync.WaitGroup
-			)
-			cursor.Store(-1)
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1))
-						if i >= total || aborted.Load() {
-							return
-						}
-						if runOne(i) != nil {
-							aborted.Store(true)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		for i := range slots {
-			if slots[i].err != nil {
-				return nil, slots[i].err
-			}
+		if err := fanOut(o.workers(), total, runOne); err != nil {
+			return nil, err
 		}
 
 		// Deterministic fold, grid order.
 		for row, rk := range rows {
 			agg := &cityAgg{}
 			for rp := 0; rp < repeats; rp++ {
-				agg.fold(slots[row*repeats+rp].res)
+				agg.fold(slots[row*repeats+rp])
 			}
 			dwell := "static"
 			if rk.dwell > 0 {

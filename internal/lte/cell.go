@@ -289,8 +289,7 @@ func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	u := c.admit(cfg, deliver)
-	return u, nil
+	return c.admit(cfg, cfg.newRand(), deliver), nil
 }
 
 // AttachUE admits a UE to a running cell (handover re-attach): unlike
@@ -302,20 +301,26 @@ func (c *Cell) AttachUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return c.admit(cfg, deliver), nil
+	return c.admit(cfg, cfg.newRand(), deliver), nil
 }
 
-// admit appends the UE row shared by AddUE and AttachUE.
-func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
-	src := cfg.Src
-	if src == nil {
-		src = rand.NewSource(cfg.Seed)
+// newRand returns the UE's own draw stream: cfg.Src, or one seeded from
+// cfg.Seed.
+func (cfg UEConfig) newRand() *rand.Rand {
+	if cfg.Src != nil {
+		return rand.New(cfg.Src)
 	}
+	return rand.New(rand.NewSource(cfg.Seed))
+}
+
+// admit appends a UE row drawing from rng: a stream of its own for AddUE and
+// AttachUE, the cell's for NewUplink.
+func (c *Cell) admit(cfg UEConfig, rng *rand.Rand, deliver func(Packet)) *UE {
 	u := &UE{
 		cell:    c,
 		id:      len(c.ues),
 		cfg:     cfg,
-		rng:     rand.New(src),
+		rng:     rng,
 		deliver: deliver,
 		// A video sender's backlog is tens of MTU-sized packets; start at
 		// that scale so the steady state never pays append's regrowth.
@@ -371,24 +376,6 @@ func (c *Cell) DetachUE(u *UE) int {
 		}
 	}
 	return dropped
-}
-
-// addLegacyUE admits a UE that shares the cell's RNG — the legacy
-// single-user Uplink consumed one stream for both the capacity process and
-// the grant draws, and the 1-UE compatibility path preserves that stream
-// exactly.
-func (c *Cell) addLegacyUE(cfg UEConfig, deliver func(Packet)) *UE {
-	u := &UE{cell: c, id: len(c.ues), cfg: cfg, rng: c.rng, deliver: deliver}
-	c.ues = append(c.ues, u)
-	c.soa.add(cfg, c.sfIndex)
-	c.active = append(c.active, int32(u.id))
-	if cap(c.order) < len(c.ues) {
-		c.order = make([]int, len(c.ues))
-	}
-	if due := c.sfIndex + int64(c.soa.diagEvery[u.id]); due < c.diagNext {
-		c.diagNext = due
-	}
-	return u
 }
 
 // Start schedules the subframe timer. It must be called exactly once,

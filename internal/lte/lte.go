@@ -197,7 +197,7 @@ func NewUplink(clk simclock.Scheduler, cfg Config, deliver func(Packet)) (*Uplin
 	if err != nil {
 		return nil, err
 	}
-	ue := cell.addLegacyUE(cfg.ueConfig(), deliver)
+	ue := cell.admit(cfg.ueConfig(), cell.rng, deliver)
 	return &Uplink{cell: cell, ue: ue}, nil
 }
 

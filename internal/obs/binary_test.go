@@ -287,7 +287,7 @@ func FuzzEventBinaryRoundTrip(f *testing.F) {
 	})
 }
 
-// TestPerfEventEncodeZeroAlloc is the perf-smoke gate on the warm encode
+// TestPerfEventEncodeZeroAlloc is the allocation gate on the warm encode
 // path: appending an event to a buffer with spare capacity must not
 // allocate.
 func TestPerfEventEncodeZeroAlloc(t *testing.T) {

@@ -130,16 +130,20 @@ func NewReplayer(agg *ShardAgg) *Replayer { return &Replayer{agg: agg} }
 // stream is unrecoverable.
 func (r *Replayer) Feed(p []byte) error {
 	r.pending = append(r.pending, p...)
+	// Records are consumed by offset and the unconsumed tail is moved to the
+	// front once per Feed: compacting after every record is quadratic in
+	// the records a Feed completes.
+	off := 0
 	for {
-		rec, n, err := r.dec.Next(r.pending)
-		if errors.Is(err, ErrBinShort) {
-			return nil
-		}
+		rec, n, err := r.dec.Next(r.pending[off:])
 		if err != nil {
+			r.pending = append(r.pending[:0], r.pending[off:]...)
+			if errors.Is(err, ErrBinShort) {
+				return nil
+			}
 			return err
 		}
-		rest := r.pending[n:]
-		r.pending = append(r.pending[:0], rest...)
+		off += n
 		switch rec.Tag {
 		case RecEvent:
 			r.records++

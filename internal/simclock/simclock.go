@@ -86,11 +86,8 @@ type periodic struct {
 // create one with New.
 type Clock struct {
 	now time.Duration
-	seq uint64
-	// slab is the event arena; heap and free hold indices into it.
-	slab []event
-	heap []int32
-	free []int32
+	// arena holds the heap events; its seq is shared with the ticker lane.
+	arena
 	// periodics is the ticker lane. Entries are removed (swap-delete) only
 	// after their final pending occurrence has been consumed; stop
 	// functions capture the *periodic, so reordering is safe.
@@ -101,13 +98,11 @@ type Clock struct {
 	// so the lane scan runs once per ticker fire instead of once per event.
 	pmin   *periodic
 	pdirty bool
-	// handlers dispatches typed event codes; index 0 is unused.
-	handlers []func(any)
 }
 
 // New returns a Clock positioned at virtual time zero with no pending events.
 func New() *Clock {
-	return &Clock{handlers: make([]func(any), 1, 8)}
+	return &Clock{arena: newArena()}
 }
 
 // Now reports the current virtual time (elapsed since simulation start).
@@ -139,27 +134,40 @@ func (h Handle) Cancel() {
 	}
 }
 
-// cancelEvent implements handleOwner for the simulation clock.
-func (c *Clock) cancelEvent(idx int32, gen uint32) {
-	if c.slab[idx].gen == gen {
-		c.slab[idx].canceled = true
-	}
+// arena is the event store both Scheduler backends are built on: the slab,
+// the (at, seq) min-heap of slab indices, the free list and the typed-code
+// handler table. Clock and Wall embed it by value, so the dispatch path
+// reaches it without a pointer hop; what differs between them — Clock's
+// panic on a past deadline, Wall's clamp, mutex and wake signal — stays in
+// the owner.
+type arena struct {
+	seq uint64
+	// slab holds the events; heap and free hold indices into it.
+	slab []event
+	heap []int32
+	free []int32
+	// handlers dispatches typed event codes; index 0 is unused.
+	handlers []func(any)
+}
+
+func newArena() arena {
+	return arena{handlers: make([]func(any), 1, 8)}
 }
 
 // less orders slab indices by (time, sequence).
-func (c *Clock) less(a, b int32) bool {
-	ea, eb := &c.slab[a], &c.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func (a *arena) less(x, y int32) bool {
+	ex, ey := &a.slab[x], &a.slab[y]
+	if ex.at != ey.at {
+		return ex.at < ey.at
 	}
-	return ea.seq < eb.seq
+	return ex.seq < ey.seq
 }
 
-func (c *Clock) siftUp(j int) {
-	h := c.heap
+func (a *arena) siftUp(j int) {
+	h := a.heap
 	for j > 0 {
 		parent := (j - 1) / 2
-		if !c.less(h[j], h[parent]) {
+		if !a.less(h[j], h[parent]) {
 			break
 		}
 		h[j], h[parent] = h[parent], h[j]
@@ -167,8 +175,8 @@ func (c *Clock) siftUp(j int) {
 	}
 }
 
-func (c *Clock) siftDown(j int) {
-	h := c.heap
+func (a *arena) siftDown(j int) {
+	h := a.heap
 	n := len(h)
 	for {
 		l := 2*j + 1
@@ -176,10 +184,10 @@ func (c *Clock) siftDown(j int) {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && c.less(h[r], h[l]) {
+		if r := l + 1; r < n && a.less(h[r], h[l]) {
 			m = r
 		}
-		if !c.less(h[m], h[j]) {
+		if !a.less(h[m], h[j]) {
 			break
 		}
 		h[j], h[m] = h[m], h[j]
@@ -187,67 +195,126 @@ func (c *Clock) siftDown(j int) {
 	}
 }
 
-func (c *Clock) push(i int32) {
-	c.heap = append(c.heap, i)
-	c.siftUp(len(c.heap) - 1)
-}
-
 // pop removes and returns the slab index of the minimum heap event. The
 // caller must ensure the heap is non-empty.
-func (c *Clock) pop() int32 {
-	h := c.heap
+func (a *arena) pop() int32 {
+	h := a.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	c.heap = h[:n]
+	a.heap = h[:n]
 	if n > 0 {
-		c.siftDown(0)
+		a.siftDown(0)
 	}
 	return top
 }
 
-// alloc takes an event slot from the free list (or grows the slab) and
-// stamps the scheduling metadata shared by every schedule path.
-func (c *Clock) alloc(at time.Duration) int32 {
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
-	}
+// add takes an event slot from the free list (or grows the slab), stamps it
+// with (at, next sequence number) and the callback — exactly one of fn,
+// pfn and code is set; pfn and coded events carry arg — and pushes it onto
+// the heap. It returns the slot and the generation a Handle to it carries.
+func (a *arena) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) (int32, uint32) {
 	var i int32
-	if n := len(c.free); n > 0 {
-		i = c.free[n-1]
-		c.free = c.free[:n-1]
+	if n := len(a.free); n > 0 {
+		i = a.free[n-1]
+		a.free = a.free[:n-1]
 	} else {
-		c.slab = append(c.slab, event{})
-		i = int32(len(c.slab) - 1)
+		a.slab = append(a.slab, event{})
+		i = int32(len(a.slab) - 1)
 	}
-	e := &c.slab[i]
+	e := &a.slab[i]
 	e.at = at
-	e.seq = c.seq
-	c.seq++
-	return i
+	e.seq = a.seq
+	a.seq++
+	e.fn, e.pfn, e.arg, e.code = fn, pfn, arg, code
+	a.heap = append(a.heap, i)
+	a.siftUp(len(a.heap) - 1)
+	return i, e.gen
 }
 
 // recycle returns a consumed slot to the arena. The generation bump
 // invalidates any outstanding Handle to the finished incarnation.
-func (c *Clock) recycle(i int32) {
-	e := &c.slab[i]
+func (a *arena) recycle(i int32) {
+	e := &a.slab[i]
 	e.fn = nil
 	e.pfn = nil
 	e.arg = nil
 	e.code = 0
 	e.canceled = false
 	e.gen++
-	c.free = append(c.free, i)
+	a.free = append(a.free, i)
 }
 
-// Schedule runs fn at absolute virtual time at. Scheduling in the past
-// panics: it indicates a logic error in the caller, and silently reordering
-// time would corrupt every downstream measurement.
+// take consumes the minimum heap event: it copies the callback out (a typed
+// code resolved to its handler) and recycles the slot, so the callback's own
+// scheduling can reuse it immediately. The caller runs pfn(arg) if pfn is
+// non-nil and fn() otherwise, unless the event was canceled.
+func (a *arena) take() (fn func(), pfn func(any), arg any, canceled bool) {
+	i := a.pop()
+	e := &a.slab[i]
+	fn, pfn, arg, canceled = e.fn, e.pfn, e.arg, e.canceled
+	if e.code != 0 {
+		pfn = a.handlers[e.code]
+	}
+	a.recycle(i)
+	return fn, pfn, arg, canceled
+}
+
+// cancel marks the event in slot idx canceled if it is still the
+// incarnation gen names; canceled events stay in the heap until popped.
+func (a *arena) cancel(idx int32, gen uint32) {
+	if a.slab[idx].gen == gen {
+		a.slab[idx].canceled = true
+	}
+}
+
+// live counts the non-canceled events in the heap.
+func (a *arena) live() int {
+	n := 0
+	for _, i := range a.heap {
+		if !a.slab[i].canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// newCode registers h in the handler table.
+func (a *arena) newCode(h func(any)) Code {
+	if h == nil {
+		panic("simclock: nil code handler")
+	}
+	if len(a.handlers) > math.MaxUint8 {
+		panic("simclock: event code space exhausted")
+	}
+	a.handlers = append(a.handlers, h)
+	return Code(len(a.handlers) - 1)
+}
+
+// checkCode panics unless newCode issued code.
+func (a *arena) checkCode(code Code) {
+	if code == 0 || int(code) >= len(a.handlers) {
+		panic(fmt.Sprintf("simclock: schedule of unregistered code %d", code))
+	}
+}
+
+// cancelEvent implements handleOwner for the simulation clock.
+func (c *Clock) cancelEvent(idx int32, gen uint32) { c.cancel(idx, gen) }
+
+// add schedules one heap event. Scheduling in the past panics: it indicates
+// a logic error in the caller, and silently reordering time would corrupt
+// every downstream measurement.
+func (c *Clock) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) Handle {
+	if at < c.now {
+		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
+	}
+	i, gen := c.arena.add(at, fn, pfn, arg, code)
+	return Handle{c, i, gen}
+}
+
+// Schedule runs fn at absolute virtual time at (panics if at is in the past).
 func (c *Clock) Schedule(at time.Duration, fn func()) Handle {
-	i := c.alloc(at)
-	c.slab[i].fn = fn
-	c.push(i)
-	return Handle{c, i, c.slab[i].gen}
+	return c.add(at, fn, nil, nil, 0)
 }
 
 // SchedulePayload runs fn(arg) at absolute virtual time at. It is the
@@ -256,41 +323,20 @@ func (c *Clock) Schedule(at time.Duration, fn func()) Handle {
 // recycled event slot, so steady-state per-packet scheduling performs zero
 // allocations beyond whatever boxing arg itself required.
 func (c *Clock) SchedulePayload(at time.Duration, fn func(any), arg any) Handle {
-	i := c.alloc(at)
-	e := &c.slab[i]
-	e.pfn = fn
-	e.arg = arg
-	c.push(i)
-	return Handle{c, i, e.gen}
+	return c.add(at, nil, fn, arg, 0)
 }
 
 // NewCode registers h as a typed event handler and returns its Code.
 // Coded events store one byte in the event slot instead of a function
 // value; use ScheduleCode to schedule them. Codes are per-clock; a clock
 // supports up to 255.
-func (c *Clock) NewCode(h func(any)) Code {
-	if h == nil {
-		panic("simclock: nil code handler")
-	}
-	if len(c.handlers) > math.MaxUint8 {
-		panic("simclock: event code space exhausted")
-	}
-	c.handlers = append(c.handlers, h)
-	return Code(len(c.handlers) - 1)
-}
+func (c *Clock) NewCode(h func(any)) Code { return c.newCode(h) }
 
 // ScheduleCode runs the handler registered for code with arg at absolute
 // virtual time at.
 func (c *Clock) ScheduleCode(at time.Duration, code Code, arg any) Handle {
-	if code == 0 || int(code) >= len(c.handlers) {
-		panic(fmt.Sprintf("simclock: schedule of unregistered code %d", code))
-	}
-	i := c.alloc(at)
-	e := &c.slab[i]
-	e.code = code
-	e.arg = arg
-	c.push(i)
-	return Handle{c, i, e.gen}
+	c.checkCode(code)
+	return c.add(at, nil, nil, arg, code)
 }
 
 // ScheduleAfter runs fn after delay d (d < 0 is treated as 0).
@@ -355,20 +401,13 @@ func (c *Clock) skipCanceled() {
 	}
 }
 
-// fireHeap consumes the minimum heap event: copy the callback out, recycle
-// the slot (so the callback's own scheduling can reuse it immediately), and
-// dispatch.
+// fireHeap consumes and dispatches the minimum heap event; next has
+// already skipped canceled ones.
 func (c *Clock) fireHeap() {
-	i := c.pop()
-	e := &c.slab[i]
-	fn, pfn, arg, code := e.fn, e.pfn, e.arg, e.code
-	c.recycle(i)
-	switch {
-	case code != 0:
-		c.handlers[code](arg)
-	case pfn != nil:
+	fn, pfn, arg, _ := c.take()
+	if pfn != nil {
 		pfn(arg)
-	default:
+	} else {
 		fn()
 	}
 }
@@ -466,11 +505,5 @@ done:
 // Pending reports the number of live (non-cancelled) events in the queue,
 // counting each active ticker's pending occurrence.
 func (c *Clock) Pending() int {
-	n := len(c.periodics)
-	for _, i := range c.heap {
-		if !c.slab[i].canceled {
-			n++
-		}
-	}
-	return n
+	return len(c.periodics) + c.live()
 }

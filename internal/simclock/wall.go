@@ -1,8 +1,6 @@
 package simclock
 
 import (
-	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,13 +25,10 @@ import (
 type Wall struct {
 	start time.Time
 
-	mu       sync.Mutex
-	seq      uint64
-	slab     []event
-	heap     []int32
-	free     []int32
-	handlers []func(any)
-	stopped  bool
+	// mu guards the arena and stopped.
+	mu sync.Mutex
+	arena
+	stopped bool
 
 	// wake interrupts the run loop's sleep when a new earliest event or a
 	// stop arrives; buffered so signalers never block.
@@ -44,85 +39,24 @@ type Wall struct {
 // of the call. Run must be invoked — once, on the goroutine that should own
 // the callbacks — for scheduled events to fire.
 func NewWall() *Wall {
-	return &Wall{
-		start:    time.Now(),
-		handlers: make([]func(any), 1, 8),
-		wake:     make(chan struct{}, 1),
-	}
+	return &Wall{start: time.Now(), arena: newArena(), wake: make(chan struct{}, 1)}
 }
 
 // Now reports the monotonic elapsed time since construction.
 func (w *Wall) Now() time.Duration { return time.Since(w.start) }
 
-// less orders slab indices by (time, sequence); callers hold w.mu.
-func (w *Wall) less(a, b int32) bool {
-	ea, eb := &w.slab[a], &w.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-func (w *Wall) siftUp(j int) {
-	h := w.heap
-	for j > 0 {
-		parent := (j - 1) / 2
-		if !w.less(h[j], h[parent]) {
-			break
-		}
-		h[j], h[parent] = h[parent], h[j]
-		j = parent
-	}
-}
-
-func (w *Wall) siftDown(j int) {
-	h := w.heap
-	n := len(h)
-	for {
-		l := 2*j + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && w.less(h[r], h[l]) {
-			m = r
-		}
-		if !w.less(h[m], h[j]) {
-			break
-		}
-		h[j], h[m] = h[m], h[j]
-		j = m
-	}
-}
-
-// alloc takes a slot, stamps (at, seq), and pushes it; callers hold w.mu.
-// Past deadlines clamp to now so the event fires on the next loop pass.
-func (w *Wall) alloc(at time.Duration) int32 {
+// add schedules one event; callers hold w.mu. A past deadline clamps to now
+// so the event fires on the next loop pass, and a new heap minimum wakes the
+// run loop, whose sleep it may shorten.
+func (w *Wall) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) Handle {
 	if now := w.Now(); at < now {
 		at = now
 	}
-	var i int32
-	if n := len(w.free); n > 0 {
-		i = w.free[n-1]
-		w.free = w.free[:n-1]
-	} else {
-		w.slab = append(w.slab, event{})
-		i = int32(len(w.slab) - 1)
-	}
-	e := &w.slab[i]
-	e.at = at
-	e.seq = w.seq
-	w.seq++
-	return i
-}
-
-func (w *Wall) push(i int32) {
-	w.heap = append(w.heap, i)
-	w.siftUp(len(w.heap) - 1)
-	// A new heap minimum may shorten the loop's sleep.
+	i, gen := w.arena.add(at, fn, pfn, arg, code)
 	if w.heap[0] == i {
 		w.signal()
 	}
+	return Handle{w, i, gen}
 }
 
 func (w *Wall) signal() {
@@ -132,38 +66,11 @@ func (w *Wall) signal() {
 	}
 }
 
-func (w *Wall) pop() int32 {
-	h := w.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	w.heap = h[:n]
-	if n > 0 {
-		w.siftDown(0)
-	}
-	return top
-}
-
-func (w *Wall) recycle(i int32) {
-	e := &w.slab[i]
-	e.fn = nil
-	e.pfn = nil
-	e.arg = nil
-	e.code = 0
-	e.canceled = false
-	e.gen++
-	w.free = append(w.free, i)
-}
-
 // Schedule runs fn at absolute elapsed time at (clamped to now if past).
 func (w *Wall) Schedule(at time.Duration, fn func()) Handle {
 	w.mu.Lock()
-	i := w.alloc(at)
-	w.slab[i].fn = fn
-	gen := w.slab[i].gen
-	w.push(i)
-	w.mu.Unlock()
-	return Handle{w, i, gen}
+	defer w.mu.Unlock()
+	return w.add(at, fn, nil, nil, 0)
 }
 
 // ScheduleAfter runs fn after delay d (d < 0 is treated as 0).
@@ -177,46 +84,24 @@ func (w *Wall) ScheduleAfter(d time.Duration, fn func()) Handle {
 // SchedulePayload runs fn(arg) at absolute elapsed time at.
 func (w *Wall) SchedulePayload(at time.Duration, fn func(any), arg any) Handle {
 	w.mu.Lock()
-	i := w.alloc(at)
-	e := &w.slab[i]
-	e.pfn = fn
-	e.arg = arg
-	gen := e.gen
-	w.push(i)
-	w.mu.Unlock()
-	return Handle{w, i, gen}
+	defer w.mu.Unlock()
+	return w.add(at, nil, fn, arg, 0)
 }
 
 // NewCode registers h as a typed event handler and returns its Code.
 func (w *Wall) NewCode(h func(any)) Code {
-	if h == nil {
-		panic("simclock: nil code handler")
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.handlers) > math.MaxUint8 {
-		panic("simclock: event code space exhausted")
-	}
-	w.handlers = append(w.handlers, h)
-	return Code(len(w.handlers) - 1)
+	return w.newCode(h)
 }
 
 // ScheduleCode runs the handler registered for code with arg at absolute
 // elapsed time at.
 func (w *Wall) ScheduleCode(at time.Duration, code Code, arg any) Handle {
 	w.mu.Lock()
-	if code == 0 || int(code) >= len(w.handlers) {
-		w.mu.Unlock()
-		panic(fmt.Sprintf("simclock: schedule of unregistered code %d", code))
-	}
-	i := w.alloc(at)
-	e := &w.slab[i]
-	e.code = code
-	e.arg = arg
-	gen := e.gen
-	w.push(i)
-	w.mu.Unlock()
-	return Handle{w, i, gen}
+	defer w.mu.Unlock()
+	w.checkCode(code)
+	return w.add(at, nil, nil, arg, code)
 }
 
 // wallTicker is the shared state of one Ticker registration.
@@ -260,9 +145,7 @@ func (w *Wall) Ticker(period time.Duration, fn func()) (stop func()) {
 // cancelEvent implements handleOwner for the wall clock.
 func (w *Wall) cancelEvent(idx int32, gen uint32) {
 	w.mu.Lock()
-	if w.slab[idx].gen == gen {
-		w.slab[idx].canceled = true
-	}
+	w.cancel(idx, gen)
 	w.mu.Unlock()
 }
 
@@ -270,13 +153,7 @@ func (w *Wall) cancelEvent(idx int32, gen uint32) {
 func (w *Wall) Pending() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := 0
-	for _, i := range w.heap {
-		if !w.slab[i].canceled {
-			n++
-		}
-	}
-	return n
+	return w.live()
 }
 
 // Stop makes Run return as soon as possible. Events still in the heap are
@@ -303,25 +180,14 @@ func (w *Wall) Run(until time.Duration) {
 		now := w.Now()
 		// Fire every due event before considering sleep.
 		if len(w.heap) > 0 && w.slab[w.heap[0]].at <= now {
-			i := w.pop()
-			e := &w.slab[i]
-			fn, pfn, arg, code := e.fn, e.pfn, e.arg, e.code
-			canceled := e.canceled
-			w.recycle(i)
-			var handler func(any)
-			if code != 0 {
-				handler = w.handlers[code]
-			}
+			fn, pfn, arg, canceled := w.take()
 			w.mu.Unlock()
-			if !canceled {
-				switch {
-				case handler != nil:
-					handler(arg)
-				case pfn != nil:
-					pfn(arg)
-				default:
-					fn()
-				}
+			switch {
+			case canceled:
+			case pfn != nil:
+				pfn(arg)
+			default:
+				fn()
 			}
 			continue
 		}

@@ -27,8 +27,8 @@ import (
 // expression, so the approximation domain is exactly the precomputed one.
 //
 // The kernel is deterministic (tables are a pure function of σ) but NOT
-// bit-identical to the Acos/Exp reference; swapping it into ROI-PSNR is a
-// versioned trajectory change (perftraj.SnapshotVersion, DESIGN.md §18).
+// bit-identical to the Acos/Exp reference; swapping it into ROI-PSNR was a
+// declared trajectory change (DESIGN.md §18).
 
 const (
 	// foveaCMin is the lower edge of the interpolated domain: cos(120°).

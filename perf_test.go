@@ -1,5 +1,4 @@
-// Allocation-budget gates and benchmarks for the hot path (make
-// perf-smoke). The budgets encode the zero-alloc-hot-path architecture of
+// Allocation-budget gates and benchmarks for the hot path. The budgets encode the zero-alloc-hot-path architecture of
 // DESIGN.md §13: memoized Eq. 1 matrices, the simclock event arena, and
 // per-session scratch buffers. A regression that reintroduces per-frame or
 // per-event allocation trips these gates in CI long before it shows up as

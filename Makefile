@@ -98,13 +98,17 @@ obs-smoke:
 
 ## live-smoke: the real-transport backend under the race detector — the
 ## wire codec fuzz corpus, the jitter buffer, the sender transport's
-## synthesized diag feed and the wall-clock scheduler — then a real ~2 s
-## FBCC session between a sender and a receiver process over loopback UDP
-## (scripts/live_smoke.sh), with both processes enforcing minimum media
-## and feedback progress.
+## synthesized diag feed, the wall-clock scheduler, and the live wiring of
+## the session halves on virtual time (a whole call, forged peers) — then
+## two real ~2 s
+## sessions, one under FBCC and one under GCC, between a sender and a
+## receiver process over loopback UDP (scripts/live_smoke.sh), with both
+## processes enforcing minimum media and feedback progress and the script
+## checking that the JSON summaries keep their keys.
 live-smoke:
 	$(GO) test -race ./internal/realnet ./internal/simclock
 	$(GO) test -race -run 'Wire|Reassembler' ./internal/rtp
+	$(GO) test -race -run 'LiveCall|Forged' ./internal/session
 	sh scripts/live_smoke.sh
 
 ## bench-profile: rerun the headline session benchmark under the CPU and

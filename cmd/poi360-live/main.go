@@ -1,10 +1,14 @@
 // Command poi360-live runs one half of a live POI360 session over a real
 // UDP network path — the real-transport backend behind the same seam the
 // simulator drives (internal/realnet, DESIGN.md §16). One process per
-// endpoint: the receiver listens and feeds reports back over the reverse
-// channel; the sender runs the full encode → pace → wire pipeline with
-// FBCC (diagnostics synthesized from the reports) or plain GCC, so the two
+// endpoint, each running the very component the simulator composes into a
+// session: the receiver feeds a session.Viewer from the socket and returns
+// its feedback in the reverse-channel reports; the sender attaches a
+// session.Sender to the wall clock and the UDP transport, with FBCC
+// (diagnostics synthesized from the reports) or plain GCC, so the two
 // controllers can be A/B'd over an actual network instead of the model.
+// What is left here is flags, sockets, the clock-offset shim and the
+// summaries.
 //
 // Usage examples:
 //
@@ -24,17 +28,14 @@ import (
 	"os"
 	"time"
 
-	"poi360/internal/compress"
-	"poi360/internal/headmotion"
-	"poi360/internal/lte"
 	"poi360/internal/metrics"
+	"poi360/internal/netsim"
 	"poi360/internal/obs"
 	"poi360/internal/projection"
-	"poi360/internal/ratecontrol"
 	"poi360/internal/realnet"
 	"poi360/internal/rtp"
+	"poi360/internal/session"
 	"poi360/internal/simclock"
-	"poi360/internal/video"
 )
 
 func main() {
@@ -68,11 +69,56 @@ func main() {
 	}
 }
 
-// gccPacingFactor mirrors the session's pacing headroom over the video
-// bitrate when the transport loop is GCC-driven.
-const gccPacingFactor = 1.5
+// clockOffset is the one piece of endpoint logic live mode adds: the two
+// processes' clocks share no epoch, so a peer timestamp is moved onto the
+// local clock by the smallest (local − peer) difference seen so far — the
+// clock offset plus the path's minimum one-way delay. What the endpoint
+// then reads as a delay is the spread above that minimum, which is what
+// congestion adds and quality feels.
+type clockOffset struct {
+	min      time.Duration
+	seen     bool
+	frameSeq int // media: the frame whose capture instant is already local
+}
 
-// senderSummary is the sender's exit report.
+// local observes one (peer timestamp, local receipt instant) pair and
+// returns the timestamp on the local clock.
+func (c *clockOffset) local(peer, now time.Duration) time.Duration {
+	if d := now - peer; !c.seen || d < c.min {
+		c.min, c.seen = d, true
+	}
+	return peer + c.min
+}
+
+// media moves a released packet's send and capture instants onto the
+// local clock. Packets of one frame share one frame record and are
+// released back to back, so the capture instant is translated once.
+func (c *clockOffset) media(pkt *rtp.Packet, arrived time.Duration) {
+	pkt.SentAt = c.local(pkt.SentAt, arrived)
+	if pkt.FrameSeq != c.frameSeq {
+		c.frameSeq = pkt.FrameSeq
+		pkt.Frame.Capture += c.min
+	}
+}
+
+// newBus builds a bus that accumulates counters and histograms without
+// event retention, so it stays O(1) no matter how long the endpoint runs.
+func newBus() *obs.Bus {
+	bus := obs.NewBus()
+	bus.DisableRetention()
+	return bus
+}
+
+// last returns the most recent sample of a rate trace.
+func last(samples []metrics.TimedSample) float64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	return samples[len(samples)-1].V
+}
+
+// senderSummary is the sender's exit report. Frame, drop and rate-control
+// numbers cover the steady-state window (session.Config.StatsWarmup).
 type senderSummary struct {
 	Role        string `json:"role"`
 	RC          string `json:"rc"`
@@ -96,123 +142,84 @@ type senderSummary struct {
 }
 
 func runSender(addr string, duration time.Duration, rcName string, rtt time.Duration, seed int64, expectReports int) error {
+	rc := session.RCFBCC
+	switch rcName {
+	case "fbcc":
+	case "gcc":
+		rc = session.RCGCC
+	default:
+		return fmt.Errorf("-rc must be gcc or fbcc, got %q", rcName)
+	}
 	link, err := realnet.Dial(addr)
 	if err != nil {
 		return err
 	}
 	defer link.Close()
 	wall := simclock.NewWall()
+	bus := newBus()
 
-	vcfg := video.DefaultConfig()
-	vcfg.Seed = seed
-	g := vcfg.Grid
-	source := video.NewSource(vcfg)
-	controller := compress.NewAdaptive(g)
-	gccCfg := ratecontrol.DefaultGCCConfig()
-	rgcc := gccCfg.InitialRate
-
-	var fbcc *ratecontrol.FBCC
-	switch rcName {
-	case "fbcc":
-		if fbcc, err = ratecontrol.NewFBCC(ratecontrol.DefaultFBCCConfig(rtt)); err != nil {
-			return err
-		}
-	case "gcc":
-	default:
-		return fmt.Errorf("-rc must be gcc or fbcc, got %q", rcName)
+	snd, err := session.NewSender(session.Config{
+		Duration: duration,
+		RC:       rc,
+		// FBCC's hold timer reads the path's nominal RTT.
+		Path: netsim.PathProfile{Name: "live", CoreBase: rtt / 2, RevBase: rtt - rtt/2},
+		Seed: seed,
+		Obs:  bus.Probe(0),
+	})
+	if err != nil {
+		return err
 	}
+	grid := snd.Config().Video.Grid
 
-	// Counters and histograms accumulate without event retention, so the
-	// bus stays O(1) no matter how long the endpoint runs.
-	bus := obs.NewBus()
-	bus.DisableRetention()
-
-	roiBelief := g.TileAt(projection.Orientation{})
 	reports := 0
+	var offset clockOffset
 	tr := realnet.NewTransport(wall, uint32(seed)|1, link.Write, func(rep realnet.Report) {
 		reports++
-		roiBelief = rep.ROI
-		controller.ObserveMismatch(rep.Mismatch)
-		if rep.GCCRate > 0 {
-			rgcc = rep.GCCRate
-		}
-	})
-	tr.SetProbe(bus.Probe(0))
-
-	initialRate := gccPacingFactor * rgcc
-	if fbcc != nil {
-		initialRate = fbcc.RTPRate()
-	}
-	pacer := rtp.NewPacer(wall, rtp.DefaultPacerTick, initialRate, func(pkt rtp.Packet) bool {
-		p := pkt
-		return tr.Send(p.Bytes, &p)
-	})
-	if fbcc != nil {
-		tr.SetDiagListener(func(rep lte.DiagReport) {
-			fbcc.OnDiag(rep)
-			pacer.SetRate(fbcc.RTPRate())
+		snd.OnFeedback(session.Feedback{
+			ROI:         rep.ROI,
+			Orientation: grid.Center(rep.ROI),
+			Mismatch:    rep.Mismatch,
+			GCCRate:     rep.GCCRate,
+			SentAt:      offset.local(rep.SentAt, wall.Now()),
 		})
-	}
-
-	framesSent := 0
-	var lastRv float64
-	var pktScratch []rtp.Packet
-	wall.Ticker(vcfg.FrameInterval(), func() {
-		now := wall.Now()
-		frame := source.NextFrame(now)
-		matrix, mode := controller.Levels(roiBelief)
-		rv := rgcc
-		if fbcc != nil {
-			degraded := fbcc.CheckWatchdog(now)
-			rv = fbcc.VideoRate(now, rgcc)
-			fbcc.SetVideoRate(rv)
-			if degraded {
-				pacer.SetRate(gccPacingFactor * rv)
-			}
-		}
-		lastRv = rv
-		ef := video.Encode(&frame, matrix, rv/float64(vcfg.FPS), roiBelief, mode, vcfg.MaxScale)
-		pktScratch = rtp.AppendPackets(pktScratch, &ef)
-		pacer.Enqueue(pktScratch)
-		framesSent++
-		if fbcc == nil {
-			// WebRTC's default coupling: Rrtp tracks the video bitrate with
-			// modest pacing headroom (§3.3).
-			pacer.SetRate(gccPacingFactor * rv)
-		}
 	})
+	if err := snd.Attach(wall, tr); err != nil {
+		return err
+	}
 
 	go link.Pump(wall, tr.HandleDatagram)
 	wall.Run(duration)
 
-	s := senderSummary{
+	res := snd.Result()
+	emit(senderSummary{
 		Role: "sender", RC: rcName, Duration: duration.String(),
-		FramesSent: framesSent, PacketsSent: tr.SentPackets(), BytesSent: tr.SentBytes(),
-		PacerDrops: pacer.Drops(), WriteErrors: tr.WriteErrors(),
+		FramesSent: res.FramesSent, PacketsSent: tr.SentPackets(), BytesSent: tr.SentBytes(),
+		PacerDrops: res.PacketDrops, WriteErrors: tr.WriteErrors(),
 		Reports: reports, StaleRpts: tr.StaleReports(),
 		NetReports:      bus.Count(obs.NetReport),
 		ReportGapMeanMs: 1e3 * bus.Hist(obs.NetReport).Mean(),
-		VideoRate:       lastRv, RTPRate: pacer.Rate(),
+		VideoRate:       last(res.VideoRate), RTPRate: last(res.RTPRate),
+		Overuses: res.FBCCOveruses, Degraded: res.FBCCDegradations,
+	})
+	if res.BadFeedback > 0 {
+		fmt.Fprintf(os.Stderr, "poi360-live: rejected %d malformed reports\n", res.BadFeedback)
 	}
-	if fbcc != nil {
-		s.Overuses = fbcc.Overuses()
-		s.Degraded = fbcc.Degradations()
-	}
-	emit(s)
 	if expectReports > 0 && reports < expectReports {
 		return fmt.Errorf("live-smoke: %d reports arrived, expected >= %d", reports, expectReports)
 	}
 	return nil
 }
 
-// receiverSummary is the receiver's exit report.
+// receiverSummary is the receiver's exit report. Frame, delay, quality and
+// throughput numbers cover the steady-state window
+// (session.Config.StatsWarmup).
 type receiverSummary struct {
 	Role           string `json:"role"`
 	Duration       string `json:"duration"`
 	Packets        uint64 `json:"packets"`
 	Bytes          uint64 `json:"bytes"`
-	FramesComplete int64  `json:"frames_complete"`
-	FramesLost     int64  `json:"frames_lost"`
+	FramesComplete int    `json:"frames_complete"`
+	FramesLost     int    `json:"frames_lost"`
 	PacketDups     int64  `json:"packet_dups"`
 	PacketLate     int64  `json:"packet_late"`
 	SeqSkipped     int64  `json:"seq_skipped"`
@@ -243,65 +250,36 @@ func runReceiver(addr string, duration, hold time.Duration, seed int64, portfile
 		}
 	}
 	wall := simclock.NewWall()
+	bus := newBus()
 
-	vcfg := video.DefaultConfig()
-	g := vcfg.Grid
-	fov := projection.DefaultFoV
-	user := headmotion.NewStochastic(headmotion.Users[1], seed)
-	mismatch := compress.NewMismatchEstimator(g, 500*time.Millisecond)
-	gccRx, err := ratecontrol.NewGCCReceiver(ratecontrol.DefaultGCCConfig())
+	viewer, err := session.NewViewer(session.Config{
+		Duration: duration,
+		Seed:     seed,
+		// Delays are reported above the path minimum (see clockOffset), so
+		// a constant for the two phones' processing pipelines has no place
+		// in them.
+		PipelineDelay: -1,
+		Obs:           bus.Probe(0),
+	})
 	if err != nil {
 		return err
 	}
-	cs := compress.DefaultModeCs()
+	if err := viewer.Attach(wall); err != nil {
+		return err
+	}
 
-	// Delay accounting relative to the observed one-way minimum: the two
-	// processes' clocks share no epoch, so absolute one-way delays are
-	// meaningless — the spread above the minimum is what quality feels.
-	const unknown = time.Duration(1<<62 - 1)
-	minOwd := unknown
-	var lastM time.Duration
-	var delaysMs, psnrs []float64
-	var bits float64
-	var frames int64
-	reasm := rtp.NewReassembler(wall, func(cf rtp.CompletedFrame) {
-		frames++
-		now := cf.Arrived
-		owd := now - cf.Frame.Capture
-		netDelay := owd - minOwd
-		if netDelay < 0 {
-			netDelay = 0
-		}
-		actual := user.At(now)
-		psnr := cf.Frame.ROIPSNR(vcfg, actual, fov)
-		scale := cf.Frame.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		lastM = mismatch.Observe(now, g.TileAt(actual), cf.Frame.ROILevel(g, actual)/scale, netDelay)
-		delaysMs = append(delaysMs, float64(netDelay)/float64(time.Millisecond))
-		psnrs = append(psnrs, psnr)
-		bits += cf.Bits
-	})
-
-	bus := obs.NewBus()
-	bus.DisableRetention()
-
+	offset := clockOffset{frameSeq: -1}
 	rx := realnet.NewReceiver(wall, realnet.ReceiverConfig{
 		Hold:  hold,
 		Probe: bus.Probe(0),
 		Deliver: func(pkt *rtp.Packet, arrived time.Duration) {
-			ensureSpatial(pkt.Frame, g, cs)
-			owd := arrived - pkt.SentAt
-			if owd < minOwd {
-				minOwd = owd
-			}
-			gccRx.OnPacket(arrived, owd-minOwd, float64(pkt.Bytes)*8, pkt.Seq)
-			reasm.OnPacket(*pkt)
+			offset.media(pkt, arrived)
+			viewer.OnPacket(pkt)
 		},
 		SendReport: link.Write,
 		AppFeedback: func(now time.Duration) (projection.Tile, time.Duration, float64) {
-			return g.TileAt(user.At(now)), lastM, gccRx.Update(now)
+			fb := viewer.Feedback(now)
+			return fb.ROI, fb.Mismatch, fb.GCCRate
 		},
 	})
 
@@ -309,43 +287,28 @@ func runReceiver(addr string, duration, hold time.Duration, seed int64, portfile
 	wall.Run(duration)
 
 	st := rx.Stats()
-	delay := metrics.Summarize(delaysMs)
-	s := receiverSummary{
+	res := viewer.Result()
+	dups, late := viewer.Reassembly()
+	delay := res.DelaySummary()
+	emit(receiverSummary{
 		Role: "receiver", Duration: duration.String(),
 		Packets: st.Packets, Bytes: st.Bytes,
-		FramesComplete: reasm.Completed(), FramesLost: reasm.Lost(),
-		PacketDups: st.Duplicates + reasm.Duplicates(), PacketLate: st.Late + reasm.Late(),
+		FramesComplete: res.FramesDelivered, FramesLost: res.FramesLost,
+		PacketDups: st.Duplicates + dups, PacketLate: st.Late + late,
 		SeqSkipped: st.Skipped, JitterDepth: st.MaxDepth,
 		NetJitterEvents: bus.Count(obs.NetJitter),
 		Reports:         st.ReportsSent, ParseErrors: st.ParseErrors, BadSSRC: st.BadSSRC,
 		DelayP50Ms: delay.Median, DelayP90Ms: delay.P90,
-		PSNRMeanDB:    metrics.Summarize(psnrs).Mean,
-		ThroughputBps: bits / duration.Seconds(),
+		PSNRMeanDB:    res.PSNRSummary().Mean,
+		ThroughputBps: res.ThroughputSummary().Mean,
+	})
+	if res.BadPackets > 0 {
+		fmt.Fprintf(os.Stderr, "poi360-live: rejected %d malformed media packets\n", res.BadPackets)
 	}
-	emit(s)
-	if expectFrames > 0 && frames < int64(expectFrames) {
-		return fmt.Errorf("live-smoke: %d frames completed, expected >= %d", frames, expectFrames)
+	if expectFrames > 0 && res.FramesDelivered < expectFrames {
+		return fmt.Errorf("live-smoke: %d frames completed, expected >= %d", res.FramesDelivered, expectFrames)
 	}
 	return nil
-}
-
-// ensureSpatial rebuilds the frame's per-tile level matrix from the wire
-// metadata: the Eq. 1 matrix is a pure function of (grid, mode C, ROI), so
-// the receiver reconstructs bit-identical levels without the matrix ever
-// crossing the wire. Unknown modes fall back to a flat (uncompressed) map.
-func ensureSpatial(f *video.EncodedFrame, g projection.Grid, cs []float64) {
-	if f.Spatial != nil {
-		return
-	}
-	if f.Mode >= 1 && f.Mode <= len(cs) {
-		f.Spatial = []float64(compress.SharedModeMatrix(g, f.SenderROI, cs[f.Mode-1]))
-		return
-	}
-	flat := make([]float64, g.Tiles())
-	for i := range flat {
-		flat[i] = 1
-	}
-	f.Spatial = flat
 }
 
 func emit(v any) {

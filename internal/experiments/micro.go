@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"poi360/internal/headmotion"
@@ -77,18 +76,14 @@ var Fig06 = Experiment{
 	Paper: "buffer empty ≈40% of the time even though traffic exceeds the available bandwidth",
 	Run: func(o Options) (*Report, error) {
 		rep := newReport()
-		base := session.Config{
-			Network: session.Cellular,
-			Cell:    lte.ProfileCampus,
-			Scheme:  session.SchemeAdaptive,
-			RC:      session.RCGCC,
-		}
-		agg, err := runBatch(o, base)
+		// The cellular POI360 cell of the §6.1.1 grid and the GCC half of the
+		// §6.1.2 comparison: one set of runs serves all three.
+		aggs, err := memoBatches(o, []gridBatch{{scheme: session.SchemeAdaptive, network: session.Cellular, rc: session.RCGCC}})
 		if err != nil {
 			return nil, err
 		}
 		var bufs []float64
-		for _, d := range agg.Diag {
+		for _, d := range aggs[0].Diag {
 			bufs = append(bufs, float64(d.BufferBytes)/1024)
 		}
 		s := metrics.Summarize(bufs)
@@ -146,63 +141,18 @@ var Table1 = Experiment{
 	},
 }
 
-// rcKey identifies a cached rate-control batch.
-type rcKey struct {
-	rc      session.RCKind
-	quick   bool
-	seed    int64
-	dur     time.Duration
-	users   int
-	repeats int
-}
-
-// rcCache mirrors schemeCache: keyed without Options.Workers (worker
-// count never changes an aggregate), entries immutable after insertion.
-var (
-	rcMu    sync.Mutex
-	rcCache = map[rcKey]*sessionAgg{}
-)
-
-// fbccGCCBatch runs the §6.1.2 comparison: the same adaptive-compression
-// session under FBCC and under GCC. Figs. 15/16a/16b derive from the same
-// runs, as in the paper, so batches are memoized per Options; uncached
-// batches run through one shared worker pool (runBatches) so both
-// controllers' sessions interleave across every core.
+// fbccGCCBatch runs (or recalls) the §6.1.2 comparison: the same
+// adaptive-compression session under GCC and under FBCC, both controllers'
+// sessions interleaved across every core. Figs. 15/16a/16b derive from the
+// same runs, as in the paper — and the GCC half is the cellular POI360 cell
+// of the §6.1.1 grid, so it runs once for both.
 func fbccGCCBatch(o Options) (gcc, fbcc *sessionAgg, err error) {
-	rcs := []session.RCKind{session.RCGCC, session.RCFBCC}
-	keys := make([]rcKey, len(rcs))
-	aggs := make([]*sessionAgg, len(rcs))
-	var (
-		todo  []int
-		bases []session.Config
-	)
-	rcMu.Lock()
-	for i, rc := range rcs {
-		keys[i] = rcKey{rc: rc, quick: o.Quick, seed: o.Seed, dur: o.sessionTime(), users: o.users(), repeats: o.repeats()}
-		if agg, ok := rcCache[keys[i]]; ok {
-			aggs[i] = agg
-			continue
-		}
-		todo = append(todo, i)
-		bases = append(bases, session.Config{
-			Network: session.Cellular,
-			Cell:    lte.ProfileCampus,
-			Scheme:  session.SchemeAdaptive,
-			RC:      rc,
-		})
-	}
-	rcMu.Unlock()
-	if len(todo) > 0 {
-		ran, err := runBatches(o, bases)
-		if err != nil {
-			return nil, nil, err
-		}
-		rcMu.Lock()
-		for j, i := range todo {
-			aggs[i] = ran[j]
-			rcCache[keys[i]] = ran[j]
-		}
-		rcMu.Unlock()
+	aggs, err := memoBatches(o, []gridBatch{
+		{scheme: session.SchemeAdaptive, network: session.Cellular, rc: session.RCGCC},
+		{scheme: session.SchemeAdaptive, network: session.Cellular, rc: session.RCFBCC},
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return aggs[0], aggs[1], nil
 }

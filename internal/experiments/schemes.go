@@ -1,71 +1,10 @@
 package experiments
 
 import (
-	"sync"
-	"time"
-
-	"poi360/internal/lte"
 	"poi360/internal/metrics"
 	"poi360/internal/session"
 	"poi360/internal/trace"
 )
-
-// schemeKey identifies a cached compression-scheme batch.
-type schemeKey struct {
-	scheme  session.SchemeKind
-	network session.NetworkKind
-	quick   bool
-	seed    int64
-	dur     time.Duration
-	users   int
-	repeats int
-}
-
-// schemeCache memoizes batches so Figs. 11–14 derive from the same runs,
-// as in the paper. The key deliberately excludes Options.Workers: worker
-// count never changes a batch's aggregate (see runBatch), so cached
-// results are valid across parallelism settings. Cached aggregates are
-// treated as immutable after insertion.
-var (
-	schemeMu    sync.Mutex
-	schemeCache = map[schemeKey]*sessionAgg{}
-)
-
-// schemeBatch runs (or returns cached) sessions for one compression scheme
-// on one network under the §6.1.1 setup: GCC transport, campus cell, all
-// user profiles. Figs. 11–14 derive from the same runs, as in the paper.
-func schemeBatch(o Options, scheme session.SchemeKind, network session.NetworkKind) (*sessionAgg, error) {
-	key := schemeKey{
-		scheme:  scheme,
-		network: network,
-		quick:   o.Quick,
-		seed:    o.Seed,
-		dur:     o.sessionTime(),
-		users:   o.users(),
-		repeats: o.repeats(),
-	}
-	schemeMu.Lock()
-	if agg, ok := schemeCache[key]; ok {
-		schemeMu.Unlock()
-		return agg, nil
-	}
-	schemeMu.Unlock()
-
-	base := session.Config{
-		Network: network,
-		Cell:    lte.ProfileCampus,
-		Scheme:  scheme,
-		RC:      session.RCGCC, // §6.1.1 isolates compression; transport is GCC
-	}
-	agg, err := runBatch(o, base)
-	if err != nil {
-		return nil, err
-	}
-	schemeMu.Lock()
-	schemeCache[key] = agg
-	schemeMu.Unlock()
-	return agg, nil
-}
 
 var comparedSchemes = []session.SchemeKind{
 	session.SchemeAdaptive, session.SchemeConduit, session.SchemePyramid,
@@ -73,57 +12,28 @@ var comparedSchemes = []session.SchemeKind{
 
 var comparedNetworks = []session.NetworkKind{session.Wireline, session.Cellular}
 
-// prefetchSchemeBatches runs every (network, scheme) batch of the §6.1.1
-// grid that is not yet cached through one shared worker pool, so Figs.
-// 11–14 saturate every core across batch boundaries instead of running six
-// batches back to back. Subsequent schemeBatch calls hit the cache.
-func prefetchSchemeBatches(o Options) error {
-	type missing struct {
-		key     schemeKey
-		scheme  session.SchemeKind
-		network session.NetworkKind
-	}
-	var todo []missing
-	schemeMu.Lock()
+// schemeGrid runs (or recalls) the §6.1.1 setup — every compared scheme on
+// every compared network, GCC transport to isolate compression, campus
+// cell, all user profiles — through one shared worker pool, so Figs. 11–14
+// saturate every core across batch boundaries and derive from the same
+// runs, as in the paper. The result is indexed [network][scheme] in
+// comparedNetworks / comparedSchemes order.
+func schemeGrid(o Options) ([][]*sessionAgg, error) {
+	var specs []gridBatch
 	for _, net := range comparedNetworks {
 		for _, sch := range comparedSchemes {
-			key := schemeKey{
-				scheme:  sch,
-				network: net,
-				quick:   o.Quick,
-				seed:    o.Seed,
-				dur:     o.sessionTime(),
-				users:   o.users(),
-				repeats: o.repeats(),
-			}
-			if _, ok := schemeCache[key]; !ok {
-				todo = append(todo, missing{key, sch, net})
-			}
+			specs = append(specs, gridBatch{scheme: sch, network: net, rc: session.RCGCC})
 		}
 	}
-	schemeMu.Unlock()
-	if len(todo) == 0 {
-		return nil
-	}
-	bases := make([]session.Config, len(todo))
-	for i, m := range todo {
-		bases[i] = session.Config{
-			Network: m.network,
-			Cell:    lte.ProfileCampus,
-			Scheme:  m.scheme,
-			RC:      session.RCGCC, // §6.1.1 isolates compression; transport is GCC
-		}
-	}
-	aggs, err := runBatches(o, bases)
+	aggs, err := memoBatches(o, specs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	schemeMu.Lock()
-	for i, m := range todo {
-		schemeCache[m.key] = aggs[i]
+	grid := make([][]*sessionAgg, len(comparedNetworks))
+	for ni := range grid {
+		grid[ni] = aggs[ni*len(comparedSchemes) : (ni+1)*len(comparedSchemes)]
 	}
-	schemeMu.Unlock()
-	return nil
+	return grid, nil
 }
 
 // Fig11 reproduces Figs. 11a–11d: user-perceived ROI PSNR and its MOS
@@ -133,7 +43,8 @@ var Fig11 = Experiment{
 	Title: "ROI video quality under the three compression schemes",
 	Paper: "POI360 highest PSNR everywhere; on cellular Conduit/Pyramid fall 11–13 dB below; POI360 cellular MOS: 52% good + 4% excellent, Conduit none good, Pyramid 7% good",
 	Run: func(o Options) (*Report, error) {
-		if err := prefetchSchemeBatches(o); err != nil {
+		grid, err := schemeGrid(o)
+		if err != nil {
 			return nil, err
 		}
 		rep := newReport()
@@ -141,12 +52,9 @@ var Fig11 = Experiment{
 			"network", "scheme", "mean PSNR", "std")
 		mosTab := trace.New("fig11cd", "MOS PDF",
 			"network", "scheme", "Bad", "Poor", "Fair", "Good", "Excellent")
-		for _, net := range comparedNetworks {
-			for _, sch := range comparedSchemes {
-				agg, err := schemeBatch(o, sch, net)
-				if err != nil {
-					return nil, err
-				}
+		for ni, net := range comparedNetworks {
+			for si, sch := range comparedSchemes {
+				agg := grid[ni][si]
 				s := agg.PSNR()
 				psnrTab.Add(net.String(), sch.String(), trace.DB(s.Mean), trace.DB(s.Std))
 				mosTab.Add(append([]string{net.String(), sch.String()}, mosRow(agg.MOSPDF())...)...)
@@ -167,19 +75,17 @@ var Fig12 = Experiment{
 	Title: "Short-term ROI compression-level variation",
 	Paper: "small for all schemes on wireline; on cellular Conduit and Pyramid are many times less stable than POI360 (Conduit worst: 2-level oscillation)",
 	Run: func(o Options) (*Report, error) {
-		if err := prefetchSchemeBatches(o); err != nil {
+		grid, err := schemeGrid(o)
+		if err != nil {
 			return nil, err
 		}
 		rep := newReport()
 		tab := trace.New("fig12", "Std of ROI compression level in a 2 s window",
 			"network", "scheme", "mean std", "P90 std", "× POI360")
-		for _, net := range comparedNetworks {
+		for ni, net := range comparedNetworks {
 			var baseline float64
-			for _, sch := range comparedSchemes {
-				agg, err := schemeBatch(o, sch, net)
-				if err != nil {
-					return nil, err
-				}
+			for si, sch := range comparedSchemes {
+				agg := grid[ni][si]
 				s := agg.Stability()
 				if sch == session.SchemeAdaptive {
 					baseline = s.Mean
@@ -205,18 +111,16 @@ var Fig13 = Experiment{
 	Title: "360° video frame delay",
 	Paper: "POI360 lowest delay; cellular median ≈460 ms, 15% below Conduit; Pyramid highest (less aggressive compression)",
 	Run: func(o Options) (*Report, error) {
-		if err := prefetchSchemeBatches(o); err != nil {
+		grid, err := schemeGrid(o)
+		if err != nil {
 			return nil, err
 		}
 		rep := newReport()
 		tab := trace.New("fig13", "Frame delay percentiles (ms)",
 			"network", "scheme", "median", "P90", "P99")
-		for _, net := range comparedNetworks {
-			for _, sch := range comparedSchemes {
-				agg, err := schemeBatch(o, sch, net)
-				if err != nil {
-					return nil, err
-				}
+		for ni, net := range comparedNetworks {
+			for si, sch := range comparedSchemes {
+				agg := grid[ni][si]
 				d := agg.Delay()
 				tab.Add(net.String(), sch.String(), trace.Ms(d.Median), trace.Ms(d.P90), trace.Ms(d.P99))
 				rep.Measured[net.String()+"_"+sch.String()+"_median"] = d.Median
@@ -235,18 +139,16 @@ var Fig14 = Experiment{
 	Title: "Video freeze ratio",
 	Paper: "wireline: all <2% (POI360 0.6%); cellular: Conduit/Pyramid 8–17%, POI360 <3%",
 	Run: func(o Options) (*Report, error) {
-		if err := prefetchSchemeBatches(o); err != nil {
+		grid, err := schemeGrid(o)
+		if err != nil {
 			return nil, err
 		}
 		rep := newReport()
 		tab := trace.New("fig14", "Freeze ratio (delay > 600 ms or frame lost)",
 			"network", "scheme", "freeze ratio")
-		for _, net := range comparedNetworks {
-			for _, sch := range comparedSchemes {
-				agg, err := schemeBatch(o, sch, net)
-				if err != nil {
-					return nil, err
-				}
+		for ni, net := range comparedNetworks {
+			for si, sch := range comparedSchemes {
+				agg := grid[ni][si]
 				fr := agg.FreezeRatio()
 				tab.Add(net.String(), sch.String(), trace.Pct(fr))
 				rep.Measured[net.String()+"_"+sch.String()+"_fr"] = fr

@@ -10,12 +10,20 @@ import (
 	"poi360/internal/simclock"
 )
 
-// DefaultPFWindow is the averaging window of the proportional-fair
-// scheduler's per-UE served-rate EWMA. LTE eNB implementations typically
-// average over ~100 ms (a hundred 1 ms TTIs): long enough to smooth grant
-// granularity, short enough that the scheduler reacts to a UE's buffer
-// within a video frame interval.
-const DefaultPFWindow = 100 * time.Millisecond
+// pfWindow is the averaging window of the proportional-fair scheduler's
+// per-UE served-rate EWMA. LTE eNB implementations typically average over
+// ~100 ms (a hundred 1 ms TTIs): long enough to smooth grant granularity,
+// short enough that the scheduler reacts to a UE's buffer within a video
+// frame interval.
+const pfWindow = 100 * time.Millisecond
+
+// grantProb is the legacy single-UE discipline's per-subframe probability
+// of receiving a grant when the buffer is saturated (at or beyond the
+// knee); it sets the UE's scheduling period (0.33 ≈ one grant opportunity
+// per 3 ms, a typical uplink scheduling-request cadence). Each grant
+// carries one scheduling period's worth of capacity, so the expected
+// saturated rate is the cell capacity.
+const grantProb = 0.33
 
 // pfRateFloor (bits/s) bounds the PF metric's denominator so a newly
 // admitted or long-idle UE has a large-but-finite priority, which is the
@@ -31,13 +39,6 @@ type CellConfig struct {
 	// experiment) — contention between attached UEs emerges from the PF
 	// allocator instead.
 	Profile CellProfile
-	// GrantProb is the per-subframe grant probability of the legacy
-	// single-UE stochastic discipline (see Cell.subframe); multi-UE cells
-	// ignore it.
-	GrantProb float64
-	// PFWindow is the served-rate EWMA window of the PF metric
-	// (default DefaultPFWindow).
-	PFWindow time.Duration
 	// CapacityFault, when non-nil, scales the instantaneous cell capacity
 	// by its return value (scripted handover outages and capacity steps;
 	// see internal/faults). It must be a pure function of the instant so
@@ -70,21 +71,11 @@ type CellConfig struct {
 
 // DefaultCellConfig returns the calibrated cell model for a profile.
 func DefaultCellConfig(p CellProfile) CellConfig {
-	return CellConfig{
-		Profile:   p,
-		GrantProb: 0.33,
-		PFWindow:  DefaultPFWindow,
-	}
+	return CellConfig{Profile: p}
 }
 
 // Validate reports an error for incoherent cell configurations.
 func (c CellConfig) Validate() error {
-	if c.GrantProb <= 0 || c.GrantProb > 1 {
-		return fmt.Errorf("lte: GrantProb must be in (0,1], got %g", c.GrantProb)
-	}
-	if c.PFWindow < Subframe {
-		return fmt.Errorf("lte: PFWindow must be at least one subframe, got %v", c.PFWindow)
-	}
 	if c.Profile.BackgroundLoad < 0 || c.Profile.BackgroundLoad >= 1 {
 		return fmt.Errorf("lte: BackgroundLoad must be in [0,1), got %g", c.Profile.BackgroundLoad)
 	}
@@ -255,9 +246,6 @@ func (s *cellSoA) add(cfg UEConfig, sfIndex int64) {
 func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.PFWindow == 0 {
-		cfg.PFWindow = DefaultPFWindow
 	}
 	src := cfg.Src
 	if src == nil {
@@ -466,8 +454,8 @@ func (c *Cell) stochasticGrant(u *UE) {
 	if occupancy > 1 {
 		occupancy = 1
 	}
-	if u.rng.Float64() <= c.cfg.GrantProb*occupancy {
-		tbsBits := c.cap.current * subframeSec / c.cfg.GrantProb
+	if u.rng.Float64() <= grantProb*occupancy {
+		tbsBits := c.cap.current * subframeSec / grantProb
 		tbsBits *= math.Max(0.1, 1+u.rng.NormFloat64()*u.cfg.TBSNoise)
 		u.serve(tbsBits)
 	}
@@ -478,7 +466,7 @@ func (c *Cell) stochasticGrant(u *UE) {
 //
 //	metric_i = r_i / max(T_i, floor)
 //	r_i      = capacity · min(1, B_i/knee_i)   (buffer-aware, Fig. 5)
-//	T_i      = EWMA of the served rate over PFWindow
+//	T_i      = EWMA of the served rate over pfWindow
 //
 // Backlogged UEs are ranked by metric (ties to the lower UE id, so the
 // allocation is deterministic) and the subframe's transport capacity is
@@ -495,7 +483,7 @@ func (c *Cell) pfGrant() {
 	// backlogged rows. The classic shape — metric pass, waterfill, then a
 	// separate EWMA pass — walked every row twice per subframe.
 	s := &c.soa
-	alpha := float64(Subframe) / float64(c.cfg.PFWindow)
+	alpha := float64(Subframe) / float64(pfWindow)
 	k := c.pfIdle
 	c.pfIdle = 0
 	pend := c.pfPend
@@ -602,7 +590,7 @@ func (c *Cell) syncPF() {
 	c.pfIdle = 0
 	c.pfPend = false
 	s := &c.soa
-	alpha := float64(Subframe) / float64(c.cfg.PFWindow)
+	alpha := float64(Subframe) / float64(pfWindow)
 	for _, id := range c.active {
 		i := int(id)
 		e := s.ewma[i]

@@ -89,13 +89,6 @@ type Config struct {
 	BufferKneeBytes float64
 	// BufferCapBytes drops packets beyond this occupancy (modem queue cap).
 	BufferCapBytes int
-	// GrantProb is the per-subframe probability of receiving a grant when
-	// the buffer is saturated (at or beyond the knee); it sets the UE's
-	// scheduling period (0.33 ≈ one grant opportunity per 3 ms, a typical uplink
-	// scheduling-request cadence). Each grant carries one scheduling
-	// period's worth of capacity, so the expected saturated rate is the
-	// cell capacity.
-	GrantProb float64
 	// TBSNoise is the relative standard deviation of granted TBS.
 	TBSNoise float64
 	// DiagPeriod is the chipset report interval (default 40 ms).
@@ -120,7 +113,6 @@ func DefaultConfig(p CellProfile) Config {
 		Profile:         p,
 		BufferKneeBytes: 10 * 1024,
 		BufferCapBytes:  512 * 1024,
-		GrantProb:       0.33,
 		TBSNoise:        0.15,
 		DiagPeriod:      DefaultDiagPeriod,
 	}
@@ -130,8 +122,6 @@ func DefaultConfig(p CellProfile) Config {
 func (c Config) cellConfig() CellConfig {
 	return CellConfig{
 		Profile:       c.Profile,
-		GrantProb:     c.GrantProb,
-		PFWindow:      DefaultPFWindow,
 		CapacityFault: c.CapacityFault,
 	}
 }

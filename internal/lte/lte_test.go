@@ -53,8 +53,6 @@ func TestConfigValidate(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.BufferKneeBytes = 0 },
 		func(c *Config) { c.BufferCapBytes = 0 },
-		func(c *Config) { c.GrantProb = 0 },
-		func(c *Config) { c.GrantProb = 1.5 },
 		func(c *Config) { c.DiagPeriod = 0 },
 		func(c *Config) { c.Profile.BackgroundLoad = 1 },
 	}
@@ -281,7 +279,7 @@ func TestStartTwicePanics(t *testing.T) {
 
 func TestNewUplinkRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig(ProfileStrongIdle)
-	cfg.GrantProb = -1
+	cfg.BufferKneeBytes = -1
 	if _, err := NewUplink(simclock.New(), cfg, nil); err == nil {
 		t.Fatal("bad config accepted")
 	}

@@ -48,7 +48,7 @@ func stepCell(cur, cells, w int, rng *rand.Rand) int {
 // dwell draws an exponential cell dwell time with the given mean,
 // clamped below to one epoch so a UE cannot schedule two moves inside
 // the same boundary interval.
-func dwell(rng *rand.Rand, mean, epoch time.Duration) time.Duration {
+func dwell(rng *rand.Rand, mean time.Duration) time.Duration {
 	d := time.Duration(rng.ExpFloat64() * float64(mean))
 	if d < epoch {
 		d = epoch

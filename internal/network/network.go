@@ -6,7 +6,7 @@
 //
 // Each cell is a shard — its own simclock event heap plus one lte.Cell and
 // the UE endpoints currently resident on it. Shards advance in lockstep
-// epochs (Config.Epoch, default 10 ms): a worker pool drains an atomic
+// epochs (10 ms): a worker pool drains an atomic
 // cursor over the shard array, running every shard's clock to the common
 // epoch end, then a single-threaded coordinator processes the boundary in
 // UE-id order (mobility decisions, handover starts/completions, obs
@@ -20,7 +20,7 @@
 // A UE's mobility trace (deterministic grid walk, exponential dwell) picks
 // a new cell; at the next boundary the coordinator detaches it from the
 // serving cell (lte.Cell.DetachUE discards the firmware buffer), sizing an
-// outage window HandoverBase + dropped·8/TransferRate. The UE stays
+// outage window handoverBase + dropped·8/transferRate. The UE stays
 // *resident on the old shard* during the outage with its sender/receiver
 // tickers running — so an FBCC sender keeps evaluating CheckWatchdog
 // against a now-silent diag feed and degrades to its embedded GCC exactly
@@ -74,14 +74,22 @@ const (
 
 	// rtpMTU is the RTP payload size frames packetize into.
 	rtpMTU = 1200
-	// gccPacingFactor is WebRTC's pacing headroom over the target rate,
-	// applied whenever a UE paces from GCC (plain GCC UEs, and FBCC UEs
-	// while the watchdog holds them degraded).
-	gccPacingFactor = 1.5
 	// maxBacklogBytes caps the application send queue; a frame captured
 	// against a fuller backlog is dropped at capture (the real encoder
 	// would have skipped it), bounding queue growth during outages.
 	maxBacklogBytes = 256 * 1024
+
+	// epoch is the lockstep epoch length, a multiple of the LTE subframe.
+	epoch = 10 * time.Millisecond
+	// frameInterval is the capture cadence: one 30 fps frame.
+	frameInterval = time.Second / 30
+	// handoverBase is the fixed part of the handover outage — longer than
+	// the FBCC watchdog's 5×40 ms timeout, so an FBCC sender in handover
+	// always trips it.
+	handoverBase = 250 * time.Millisecond
+	// transferRate converts the firmware-buffer bytes discarded at detach
+	// into extra outage time: a 2 Mbit/s X2 transfer.
+	transferRate = 2e6
 )
 
 // RC selects a UE population's rate controller.
@@ -123,9 +131,6 @@ type Config struct {
 	// MeanDwell is the mean of the exponential cell dwell time; 0 keeps
 	// every UE static (no mobility, no handover).
 	MeanDwell time.Duration
-	// Epoch is the lockstep epoch length (default 10 ms). Must be a
-	// positive multiple of the LTE subframe.
-	Epoch time.Duration
 	// Workers bounds shard-advance parallelism (0 = GOMAXPROCS, 1 =
 	// sequential). Any value yields byte-identical results.
 	Workers int
@@ -135,18 +140,6 @@ type Config struct {
 	Profile lte.CellProfile
 	// Mix assigns rate controllers (MixSplit default).
 	Mix string
-	// Warmup excludes the startup transient from frame/throughput stats
-	// (default min(2 s, Duration/4)).
-	Warmup time.Duration
-	// FrameInterval is the capture cadence (default one 30 fps frame).
-	FrameInterval time.Duration
-	// HandoverBase is the fixed part of the handover outage (default
-	// 250 ms — longer than the FBCC watchdog's 5×40 ms timeout, so an
-	// FBCC sender in handover always trips it).
-	HandoverBase time.Duration
-	// TransferRate converts the firmware-buffer bytes discarded at
-	// detach into extra outage time (default 2 Mbit/s X2 transfer).
-	TransferRate float64
 	// Obs, when non-nil, receives NetAttach/NetDetach/NetHandover
 	// events. Only the single-threaded coordinator emits (shards run
 	// concurrently), so instrumentation cannot perturb the trajectory
@@ -173,30 +166,15 @@ type Config struct {
 	Sink *obs.BinWriter
 }
 
+// warmup is the startup transient excluded from frame/throughput stats.
+func (c Config) warmup() time.Duration { return min(2*time.Second, c.Duration/4) }
+
 func (c Config) withDefaults() Config {
-	if c.Epoch == 0 {
-		c.Epoch = 10 * time.Millisecond
-	}
 	if c.Profile.RSSdBm == 0 {
 		c.Profile = lte.ProfileCampus
 	}
 	if c.Mix == "" {
 		c.Mix = MixSplit
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 2 * time.Second
-		if q := c.Duration / 4; q < c.Warmup {
-			c.Warmup = q
-		}
-	}
-	if c.FrameInterval == 0 {
-		c.FrameInterval = time.Second / 30
-	}
-	if c.HandoverBase == 0 {
-		c.HandoverBase = 250 * time.Millisecond
-	}
-	if c.TransferRate == 0 {
-		c.TransferRate = 2e6
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -216,17 +194,11 @@ func (c Config) Validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("network: Duration must be positive, got %v", c.Duration)
 	}
-	if c.Epoch <= 0 || c.Epoch%lte.Subframe != 0 {
-		return fmt.Errorf("network: Epoch must be a positive multiple of %v, got %v", lte.Subframe, c.Epoch)
-	}
 	if c.MeanDwell < 0 {
 		return fmt.Errorf("network: MeanDwell must be non-negative, got %v", c.MeanDwell)
 	}
 	if c.Mix != MixSplit && c.Mix != MixFBCC && c.Mix != MixGCC {
 		return fmt.Errorf("network: unknown Mix %q", c.Mix)
-	}
-	if c.TransferRate <= 0 {
-		return fmt.Errorf("network: TransferRate must be positive, got %g", c.TransferRate)
 	}
 	return nil
 }
@@ -440,7 +412,7 @@ func Run(cfg Config) (*Result, error) {
 	// than a subframe, so stepping the process once per epoch loses
 	// nothing the PF scheduler can see, and removes a Gaussian draw per
 	// cell per subframe from the hot path.
-	capStride := int(cfg.Epoch / lte.Subframe)
+	capStride := int(epoch / lte.Subframe)
 	if maxStride := int(10 * time.Millisecond / lte.Subframe); capStride > maxStride {
 		capStride = maxStride
 	}
@@ -464,7 +436,7 @@ func Run(cfg Config) (*Result, error) {
 		sh := &shard{clk: clk, cell: cell}
 		n.shards[c] = sh
 		cell.Start()
-		clk.Ticker(cfg.FrameInterval, sh.tickResidents)
+		clk.Ticker(frameInterval, sh.tickResidents)
 	}
 
 	// --- Per-cell radio telemetry shards ------------------------------
@@ -516,7 +488,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var now time.Duration
 	for now < cfg.Duration {
-		end := now + cfg.Epoch
+		end := now + epoch
 		if end > cfg.Duration {
 			end = cfg.Duration
 		}
@@ -579,7 +551,7 @@ func (n *city) planMobility(now time.Duration) {
 	for _, u := range n.ues {
 		if u.mrng != nil && now >= u.nextMove {
 			next := stepCell(u.cur, n.cfg.Cells, n.gridW, u.mrng)
-			u.nextMove = now + dwell(u.mrng, n.cfg.MeanDwell, n.cfg.Epoch)
+			u.nextMove = now + dwell(u.mrng, n.cfg.MeanDwell)
 			if next != u.cur {
 				u.cur = next
 				u.stats.Moves++
@@ -635,8 +607,8 @@ func (n *city) startHandover(u *ue, now time.Duration) {
 	u.hoFrom = u.serving
 	u.serving = -1
 	u.detachAt = now
-	transfer := time.Duration(float64(dropped) * 8 / n.cfg.TransferRate * float64(time.Second))
-	u.outageUntil = now + n.cfg.HandoverBase + transfer
+	transfer := time.Duration(float64(dropped) * 8 / transferRate * float64(time.Second))
+	u.outageUntil = now + handoverBase + transfer
 	u.probe.Emit(now, obs.NetDetach, float64(u.hoFrom), float64(dropped), 0, 0)
 }
 
@@ -659,7 +631,7 @@ func (n *city) finalize() *Result {
 		Cells:       cfg.Cells,
 		UEs:         cfg.UEs,
 		Duration:    cfg.Duration,
-		Warmup:      cfg.Warmup,
+		Warmup:      cfg.warmup(),
 		MeanDwell:   cfg.MeanDwell,
 		PerUE:       make([]UEStats, cfg.UEs),
 		PerCellJain: make([]float64, cfg.Cells),
@@ -702,7 +674,7 @@ func (n *city) finalize() *Result {
 	if sentGCC > 0 {
 		res.FreezeGCC = float64(badGCC) / float64(sentGCC)
 	}
-	if measured := (cfg.Duration - cfg.Warmup).Seconds(); measured > 0 {
+	if measured := (cfg.Duration - cfg.warmup()).Seconds(); measured > 0 {
 		res.ThroughputBps /= measured
 	}
 	res.JainGlobal = metrics.JainFairness(perUEBits)

@@ -202,7 +202,6 @@ func TestCityConfigValidate(t *testing.T) {
 		{Cells: 0, UEs: 1, Duration: time.Second},
 		{Cells: 1, UEs: 0, Duration: time.Second},
 		{Cells: 1, UEs: 1},
-		{Cells: 1, UEs: 1, Duration: time.Second, Epoch: 1500 * time.Microsecond},
 		{Cells: 1, UEs: 1, Duration: time.Second, MeanDwell: -time.Second},
 		{Cells: 1, UEs: 1, Duration: time.Second, Mix: "banana"},
 	}

@@ -180,14 +180,14 @@ func (n *city) newUE(id int) (*ue, error) {
 	u.cur = int(mrng.Int63n(int64(cfg.Cells)))
 	if cfg.MeanDwell > 0 && cfg.Cells > 1 {
 		u.mrng = mrng
-		u.nextMove = dwell(mrng, cfg.MeanDwell, cfg.Epoch)
+		u.nextMove = dwell(mrng, cfg.MeanDwell)
 	}
 
 	if u.rc == RCFBCC {
 		// One-way core + reverse feedback + a capture interval on each
 		// side approximates the control loop's RTT (sizes the Eq. 6 hold
 		// and the watchdog timeout base).
-		rtt := coreBase + revDelay + 2*cfg.FrameInterval
+		rtt := coreBase + revDelay + 2*frameInterval
 		f, err := ratecontrol.NewFBCC(ratecontrol.DefaultFBCCConfig(rtt))
 		if err != nil {
 			return nil, err
@@ -277,7 +277,7 @@ func (u *ue) retire() {
 	u.fbHead = 0
 }
 
-// tick is the merged endpoint tick, run once per FrameInterval by the
+// tick is the merged endpoint tick, run once per frameInterval by the
 // resident shard's ticker: apply due reverse-path feedback, land due
 // core-path arrivals, run the sender half (capture + pacing), then the
 // receiver half (GCC estimate + feedback departure). During a handover
@@ -331,7 +331,7 @@ func (u *ue) tick(p *port) {
 // senderHalf captures one frame at the controller's video rate and drains
 // the application queue at the pacing rate.
 func (u *ue) senderHalf(p *port, now time.Duration) {
-	interval := u.cfg.FrameInterval.Seconds()
+	interval := frameInterval.Seconds()
 
 	var rv, pace float64
 	if u.fbcc != nil {
@@ -345,13 +345,13 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 		if degraded {
 			// Diag-staleness fallback: pace from the embedded GCC like a
 			// plain WebRTC sender until reports resume (§4.3.2).
-			pace = gccPacingFactor * rv
+			pace = ratecontrol.GCCPacingFactor * rv
 		} else {
 			pace = u.fbcc.RTPRate()
 		}
 	} else {
 		rv = u.rgcc
-		pace = gccPacingFactor * rv
+		pace = ratecontrol.GCCPacingFactor * rv
 	}
 
 	// Frame capture: rv bits/s for one interval, packetized at the MTU.
@@ -360,7 +360,7 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 	if frameBytes < 1 {
 		frameBytes = 1
 	}
-	counted := now >= u.cfg.Warmup
+	counted := now >= u.cfg.warmup()
 	if counted {
 		u.stats.FramesSent++
 	}

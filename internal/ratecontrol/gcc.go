@@ -14,6 +14,11 @@ import (
 	"poi360/internal/obs"
 )
 
+// GCCPacingFactor is WebRTC's pacing multiplier on the target bitrate: a
+// GCC-driven sender paces RTP this far above the video rate so a transient
+// backlog in the application-layer queue can drain.
+const GCCPacingFactor = 1.5
+
 // GCCConfig parameterizes the delay-gradient controller.
 type GCCConfig struct {
 	// Window is how many recent frames feed the trendline filter.

@@ -1,5 +1,5 @@
-// The reverse-channel report codec: the live counterpart of the in-memory
-// feedback struct the simulated session passes by value. One fixed-size
+// The reverse-channel report codec: the wire carrier of session.Feedback,
+// which the simulated session passes by value. One fixed-size
 // datagram per report interval carries the transport accounting the sender
 // needs to synthesize FBCC's diagnostic feed (cumulative received bytes and
 // packets, highest sequence seen) together with the application feedback of

@@ -2,7 +2,7 @@
 // buffer, per-frame metadata reconstruction, and the periodic reverse
 // report. Released packets come out in transport-sequence order carrying a
 // shared *video.EncodedFrame per frame — the same delivery contract the
-// simulated forward path gives session.DeliverForward.
+// simulated forward path gives session.Viewer.OnPacket.
 
 package realnet
 

@@ -1,15 +1,17 @@
 // The sender-side live transport: the netsim.Transport implementation a
-// live sender pipeline drives exactly as the simulated session drives its
-// cellular transport. Send marshals the boxed *rtp.Packet with the wire
+// live session.Sender drives exactly as a simulated one drives its cellular
+// transport. Send marshals the boxed *rtp.Packet with the wire
 // codec and writes one UDP datagram; receiver reports arriving on the
 // reverse channel keep a cumulative-ack view from which the transport
 // synthesizes the two quantities FBCC reads from the modem diag feed
 // (DESIGN.md §16): the in-flight byte estimate stands in for the firmware
 // buffer occupancy, and the per-interval delivered bits stand in for the
-// granted TBS sum. With no reports (receiver gone, reverse path dead) the
-// diag feed goes silent and FBCC's staleness watchdog degrades to GCC —
-// the same graceful-degradation path the fault scripts exercise in
-// simulation.
+// granted TBS sum. Until the first report arrives (receiver not up yet,
+// reverse path dead) the diag feed is silent and FBCC's staleness watchdog
+// degrades to GCC — the same graceful-degradation path the fault scripts
+// exercise in simulation. Once a report has arrived synthesis continues from
+// the last cumulative view, so a later report blackout reads as zero
+// delivered bits and a growing buffer, not as silence.
 
 package realnet
 
@@ -24,7 +26,7 @@ import (
 )
 
 // Transport is the sender half of the live backend. Construct with
-// NewTransport, then hand it to the sender pipeline as its
+// NewTransport, then attach a session.Sender to it as its
 // netsim.Transport. All methods must run on the scheduler goroutine
 // (Link.Pump delivers datagrams there).
 type Transport struct {
@@ -54,11 +56,6 @@ type Transport struct {
 	diagLastAcked float64
 
 	fault netsim.LinkFault
-
-	// feedbackDropped counts SendFeedback calls: the sender half has no
-	// local viewer, so a full simulated session attached here by mistake
-	// would silently lose its feedback — the counter makes that visible.
-	feedbackDropped int64
 }
 
 // NewTransport builds the sender-side transport. write sends one datagram
@@ -94,10 +91,10 @@ func (t *Transport) Send(bytes int, payload any) bool {
 	return true
 }
 
-// SendFeedback implements netsim.Transport. The sender half never
-// originates feedback (the viewer lives in the receiver process); calls
-// are counted and dropped.
-func (t *Transport) SendFeedback(any) { t.feedbackDropped++ }
+// SendFeedback implements netsim.Transport as a no-op: what attaches here
+// is a session.Sender, which never originates feedback — the viewer lives
+// in the receiver process and answers through the reports.
+func (t *Transport) SendFeedback(any) {}
 
 // AccessBufferBytes implements netsim.Transport: the in-flight estimate
 // sent − acked − lost, the live stand-in for the firmware buffer level

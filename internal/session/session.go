@@ -1,16 +1,17 @@
-// Package session wires a complete POI360 telephony session: the 360°
-// source, a spatial-compression controller, the encoder, the RTP pacer,
-// the network transport (LTE uplink + core path, or wireline), the viewer
-// with a head-motion model, and the full feedback loop (ROI, mismatch time
-// M, and GCC rate), instrumented with every metric the paper's evaluation
-// reports.
+// Package session holds the two endpoints of a POI360 call and their
+// composition. A Sender is the 360° source, a spatial-compression
+// controller, the encoder, the RTP pacer and the transport rate control; a
+// Viewer is frame reassembly, the head-motion model, the mismatch estimator
+// and receiver-side GCC; the Feedback message (ROI, mismatch time M, GCC
+// rate) closes the loop between them. A Session is the two on one clock
+// over a simulated transport (LTE uplink + core path, or wireline),
+// instrumented with every metric the paper's evaluation reports.
 package session
 
 import (
 	"fmt"
 	"time"
 
-	"poi360/internal/compress"
 	"poi360/internal/faults"
 	"poi360/internal/headmotion"
 	"poi360/internal/lte"
@@ -18,7 +19,6 @@ import (
 	"poi360/internal/netsim"
 	"poi360/internal/obs"
 	"poi360/internal/projection"
-	"poi360/internal/ratecontrol"
 	"poi360/internal/rtp"
 	"poi360/internal/simclock"
 	"poi360/internal/video"
@@ -272,6 +272,11 @@ type Result struct {
 	// StaleFeedback counts reverse-path messages discarded by the
 	// feedback-staleness guard (held mode instead of integrating garbage).
 	StaleFeedback int
+	// BadFeedback counts feedback messages the sender rejected (ROI outside
+	// the tile grid, or a rate that is not positive) and BadPackets media
+	// packets the viewer rejected (sender ROI outside the grid, or a scale
+	// below 1). Both stay zero unless the input crossed a real network.
+	BadFeedback, BadPackets int
 	// DiagStalled counts modem diagnostic reports suppressed by the fault
 	// script (cellular only).
 	DiagStalled int64
@@ -338,84 +343,29 @@ func (r *Result) LevelStability() []float64 {
 // (memoized like DelaySummary).
 func (r *Result) ThroughputSummary() metrics.Summary { return r.thrptSummary.Of(r.Throughput) }
 
-// gccPacingFactor is WebRTC's pacing multiplier on the target bitrate,
-// allowing the application-layer queue to drain after transients.
-const gccPacingFactor = 1.5
-
 // obsEventsPerSecond is the event-stream capacity hint per simulated
-// second used when a session reserves bus storage at Attach: roughly one
+// second used when a sender reserves bus storage at Attach: roughly one
 // grant per subframe opportunity plus diag/GCC/frame-lifecycle events of a
 // busy cellular FBCC session. A hint, not a bound — heavier scripts just
 // fall back to append growth.
 const obsEventsPerSecond = 256
 
-// feedback is the WebRTC-data-channel message the viewer returns every
-// frame interval (§5): current ROI, the averaged mismatch time, and the
-// receiver-side GCC target rate.
-type feedback struct {
-	roi         projection.Tile
-	orientation projection.Orientation
-	m           time.Duration
-	rgcc        float64
-	sentAt      time.Duration // send instant, for the staleness guard
-}
-
-// Session is one POI360 telephony endpoint pair — the 360° source, the
-// compression controller, the encoder/pacer sender, the viewer with its
-// head-motion model, and the feedback loop — decoupled from the clock and
-// network that carry it. Build with New, then Attach to an externally
-// owned scheduler and transport — a private simulation clock, as Run does,
-// a shared cell's, as RunShared does, or any other simclock.Scheduler
-// backend — run the scheduler, and collect Result.
+// Session is one POI360 telephony endpoint pair: a Sender and a Viewer
+// built from one Config, recording into one Result and riding one
+// scheduler, with the transport's reverse path as their data channel.
+// Build with New, then Attach to an externally owned scheduler and
+// transport — a private simulation clock, as Run does, a shared cell's, as
+// RunShared does, or any other simclock.Scheduler backend — run the
+// scheduler, and collect Result. Two processes joined by a real network run
+// the halves on their own instead (cmd/poi360-live).
 //
 // A Session shares nothing with other sessions except what it is attached
 // to, so any number of sessions can ride one clock — the multi-user
 // shared-cell scenario — or each own a private clock and run concurrently
 // on different goroutines (the parallel experiment engine's contract).
 type Session struct {
-	cfg Config
-	res *Result
-
-	clk       simclock.Scheduler
-	transport netsim.Transport
-
-	// Viewer state.
-	user     headmotion.Model
-	mismatch *compress.MismatchEstimator
-	gccRx    *ratecontrol.GCCReceiver
-	lastM    time.Duration
-
-	// Sender state.
-	source     *video.Source
-	controller compress.Controller
-	fbcc       *ratecontrol.FBCC
-	predictor  *headmotion.Predictor
-	roiBelief  projection.Tile
-	rgcc       float64
-
-	// Receiver plumbing (built at Attach).
-	reasm      *rtp.Reassembler
-	pacer      *rtp.Pacer
-	secondBits float64
-
-	// Warmup-boundary snapshots for steady-state counters.
-	lostAtWarmup, sentAtWarmup, deliveredAtWarmup int
-
-	// Telemetry.
-	probe    *obs.Probe
-	lastMode int // previous adaptive mode index, -1 before the first frame
-
-	// Per-frame scratch arenas, reused across ticks so the steady-state
-	// frame loop performs no per-frame slice allocations. Callees never
-	// retain them: Pacer.Enqueue copies packets in, and ROIPSNRScratch
-	// hands the (possibly grown) tile slice back for the next frame.
-	pktScratch []rtp.Packet
-	visScratch []projection.Tile
-	// pktFree pools the boxed forward-path packets (see DeliverForward).
-	pktFree []*rtp.Packet
-
-	attached  bool
-	finalized bool
+	sender *Sender
+	viewer *Viewer
 }
 
 // newResult builds a Result with every per-sample slice preallocated to
@@ -446,396 +396,65 @@ func newResult(cfg Config) *Result {
 	}
 }
 
-// New builds a session's endpoints from cfg (applying the documented
+// New builds a session's two endpoints from cfg (applying the documented
 // defaults). The session owns no clock and no transport until Attach.
 func New(cfg Config) (*Session, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, res: newResult(cfg)}
-	g := cfg.Video.Grid
-
-	// Viewer.
-	s.user = cfg.UserModel
-	if s.user == nil {
-		s.user = headmotion.NewStochastic(cfg.User, DeriveStream(cfg.Seed, "headmotion"))
-	}
-	s.mismatch = compress.NewMismatchEstimator(g, cfg.MismatchWindow)
-	gccCfg := ratecontrol.DefaultGCCConfig()
-	s.gccRx, err = ratecontrol.NewGCCReceiver(gccCfg)
+	res := newResult(cfg)
+	viewer, err := newViewer(cfg, res)
 	if err != nil {
 		return nil, err
 	}
-
-	// Sender.
-	s.source = video.NewSource(withSeed(cfg.Video, cfg.Seed))
-	s.controller, err = makeController(cfg, g)
+	sender, err := newSender(cfg, res)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.RC == RCFBCC {
-		fcfg := ratecontrol.DefaultFBCCConfig(cfg.Path.NominalRTT())
-		if cfg.FBCCK > 0 {
-			fcfg.K = cfg.FBCCK
-			if fcfg.Slack >= fcfg.K {
-				fcfg.Slack = fcfg.K - 1
-			}
-		}
-		if cfg.FBCCHoldRTTs > 0 {
-			fcfg.HoldRTTs = cfg.FBCCHoldRTTs
-		}
-		switch {
-		case cfg.FBCCWatchdogReports > 0:
-			fcfg.WatchdogReports = cfg.FBCCWatchdogReports
-		case cfg.FBCCWatchdogReports < 0:
-			fcfg.WatchdogReports = 0 // watchdog disabled (paper prototype)
-		}
-		s.fbcc, err = ratecontrol.NewFBCC(fcfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	s.predictor = headmotion.NewPredictor(0)
-	s.roiBelief = g.TileAt(s.user.At(0))
-	s.rgcc = gccCfg.InitialRate
-
-	// Telemetry: thread the probe through the rate controllers now; the
-	// transport and fault script are wired at Attach. A nil probe leaves
-	// every emit a no-op.
-	s.probe = cfg.Obs
-	s.lastMode = -1
-	if s.probe != nil {
-		s.gccRx.SetProbe(s.probe)
-		if s.fbcc != nil {
-			s.fbcc.SetProbe(s.probe)
-		}
-	}
-	return s, nil
+	// Call set-up: the sender starts out knowing where the viewer looks.
+	sender.roiBelief = cfg.Video.Grid.TileAt(viewer.user.At(0))
+	return &Session{sender: sender, viewer: viewer}, nil
 }
 
 // Config returns the session's resolved configuration (defaults applied).
-func (s *Session) Config() Config { return s.cfg }
+func (s *Session) Config() Config { return s.sender.cfg }
 
 // DeliverForward is the transport's forward-path terminus: it must be
 // invoked (on the simulation goroutine) with each rtp.Packet payload that
 // survives the network. Wire it as the transport's deliverFwd callback.
 func (s *Session) DeliverForward(p any) {
 	pkt := p.(*rtp.Packet)
-	// GCC observes the network path per packet (RTP timestamps), as in
-	// WebRTC: one-way transport delay, excluding the app-layer queue.
-	s.gccRx.OnPacket(s.clk.Now(), s.clk.Now()-pkt.SentAt, float64(pkt.Bytes)*8, pkt.Seq)
-	s.reasm.OnPacket(*pkt)
-	s.putPkt(pkt)
-}
-
-// getPkt / putPkt run the session's forward-path packet free list. Packets
-// the transport drops after accepting them (modem buffer, queue overflow)
-// simply never come back — the pool regrows by allocation, which is rare
-// and harmless.
-func (s *Session) getPkt() *rtp.Packet {
-	if n := len(s.pktFree); n > 0 {
-		p := s.pktFree[n-1]
-		s.pktFree = s.pktFree[:n-1]
-		return p
-	}
-	return new(rtp.Packet)
-}
-
-func (s *Session) putPkt(p *rtp.Packet) {
-	*p = rtp.Packet{} // drop the frame reference while pooled
-	s.pktFree = append(s.pktFree, p)
+	s.viewer.OnPacket(pkt)
+	s.sender.recycle(pkt)
 }
 
 // DeliverFeedback is the reverse-path terminus: it must be invoked with
 // each feedback payload arriving at the sender. Wire it as the
 // transport's deliverRev callback.
-func (s *Session) DeliverFeedback(p any) {
-	fb := p.(feedback)
-	now := s.clk.Now()
-	// Feedback-staleness guard: a message that spent too long on the
-	// reverse path describes a viewer state the session has moved past.
-	// Integrating its M into the mode controller or adopting its ROI
-	// would steer on garbage — hold the last belief instead and wait
-	// for a fresh message (the degradation the fault scripts probe).
-	if s.cfg.FeedbackStaleAfter > 0 && now-fb.sentAt > s.cfg.FeedbackStaleAfter {
-		s.res.StaleFeedback++
-		s.probe.Emit(now, obs.FeedbackStale, (now - fb.sentAt).Seconds(), 0, 0, 0)
-		return
-	}
-	if !s.cfg.Faults.ROIFrozen(now) {
-		s.roiBelief = fb.roi
-		s.predictor.Observe(now, fb.orientation)
-	}
-	s.controller.ObserveMismatch(fb.m)
-	s.rgcc = fb.rgcc
-}
+func (s *Session) DeliverFeedback(p any) { s.sender.OnFeedback(p.(Feedback)) }
 
-// Attach binds the session to an externally owned scheduler and transport
-// and registers every periodic activity (sender frames, viewer feedback,
-// pacing, diagnostics, throughput sampling, warmup snapshots) on clk. The
-// transport's forward and reverse deliveries must already be wired to
-// DeliverForward / DeliverFeedback. Attach must be called exactly once,
-// before the clock runs.
+// Attach binds both endpoints to an externally owned scheduler and
+// transport and starts the viewer's feedback loop over the transport's
+// reverse path. The transport's forward and reverse deliveries must
+// already be wired to DeliverForward / DeliverFeedback. Attach must be
+// called exactly once, before the clock runs.
 func (s *Session) Attach(clk simclock.Scheduler, transport netsim.Transport) error {
-	if s.attached {
-		return fmt.Errorf("session: Attach called twice")
+	if err := s.sender.Attach(clk, transport); err != nil {
+		return err
 	}
-	s.attached = true
-	s.clk = clk
-	s.transport = transport
-	cfg := s.cfg
-	res := s.res
-	g := cfg.Video.Grid
-
-	if !cfg.Faults.Empty() {
-		transport.SetFeedbackFault(cfg.Faults.FeedbackFate)
-	}
-
-	// Telemetry: hand the probe to the transport stack (type-asserted so
-	// the Transport interface stays unchanged — the same pattern Result
-	// uses for DiagStalled) and mark the fault script's windows. Both are
-	// pure observation: with Obs nil neither happens, and with Obs set the
-	// simulated trajectory is identical.
-	if s.probe != nil {
-		if tp, ok := transport.(interface{ SetProbe(*obs.Probe) }); ok {
-			tp.SetProbe(s.probe)
-		}
-		if !cfg.Faults.Empty() {
-			cfg.Faults.Announce(clk, s.probe)
-		}
-		// Reserve bus storage up front: a busy cellular session emits on
-		// the order of obsEventsPerSecond events per second (grants, diag,
-		// GCC deltas, frame lifecycle), and reserving once removes the
-		// per-Emit append-growth bytes the session benchmarks measured.
-		s.probe.Grow(int(cfg.Duration/time.Second+1) * obsEventsPerSecond)
-	}
-
-	// --- Receiver reassembly ------------------------------------------
-	s.reasm = rtp.NewReassembler(clk, func(cf rtp.CompletedFrame) {
-		now := cf.Arrived
-		delay := now - cf.Frame.Capture + cfg.PipelineDelay
-		actual := s.user.At(now)
-		var psnr float64
-		psnr, s.visScratch = cf.Frame.ROIPSNRScratch(cfg.Video, actual, cfg.FoV, s.visScratch)
-		level := cf.Frame.ROILevel(g, actual)
-		spatial := level / cf.Frame.Scale
-
-		if now >= cfg.StatsWarmup {
-			res.FrameDelays = append(res.FrameDelays, delay)
-			res.ROIPSNRs = append(res.ROIPSNRs, psnr)
-			res.ROILevels = append(res.ROILevels, metrics.TimedSample{At: now, V: level})
-			s.secondBits += cf.Bits
-		}
-
-		s.probe.Emit(now, obs.FrameDisplay,
-			float64(delay)/float64(time.Millisecond), psnr, level, 0)
-
-		if cfg.FrameHook != nil {
-			cfg.FrameHook(cf.Frame, g.TileAt(actual), psnr)
-		}
-
-		// Eq. 2's dv floor uses the network one-way delay: the constant
-		// processing pipeline is not something mode switching can react
-		// to, and folding it in would pin the controller at conservative
-		// modes regardless of network state.
-		netDelay := delay - cfg.PipelineDelay
-		if netDelay < 0 {
-			netDelay = 0
-		}
-		s.lastM = s.mismatch.Observe(now, g.TileAt(actual), spatial, netDelay)
+	// Same cadence as frames (§5).
+	clk.Ticker(s.sender.cfg.Video.FrameInterval(), func() {
+		transport.SendFeedback(s.viewer.Feedback(clk.Now()))
 	})
-
-	// --- Pacer --------------------------------------------------------
-	initialRate := s.rgcc
-	if s.fbcc != nil {
-		initialRate = s.fbcc.RTPRate()
-	}
-	s.pacer = rtp.NewPacer(clk, rtp.DefaultPacerTick, initialRate, func(pkt rtp.Packet) bool {
-		// Box a pooled pointer instead of the packet value: the interface
-		// conversion for a value payload allocates once per packet, and the
-		// forward path delivers each payload at most once (faults install
-		// only on the reverse link), so DeliverForward can recycle it.
-		p := s.getPkt()
-		*p = pkt
-		if !transport.Send(p.Bytes, p) {
-			s.putPkt(p)
-			return false
-		}
-		return true
-	})
-
-	// --- Modem diagnostics → FBCC + traces -----------------------------
-	transport.SetDiagListener(func(rep lte.DiagReport) {
-		dur := time.Duration(rep.Subframes) * lte.Subframe
-		rate := 0.0
-		if dur > 0 {
-			rate = rep.SumTBSBits / dur.Seconds()
-		}
-		if rep.At >= cfg.StatsWarmup {
-			res.Diag = append(res.Diag, DiagSample{At: rep.At, BufferBytes: rep.BufferBytes, TBSRate: rate})
-		}
-		if s.fbcc != nil {
-			s.fbcc.OnDiag(rep)
-			if !cfg.DisableRTPLoop {
-				s.pacer.SetRate(s.fbcc.RTPRate())
-			}
-		}
-	})
-
-	// --- Sender frame loop ---------------------------------------------
-	frameInterval := cfg.Video.FrameInterval()
-	clk.Ticker(frameInterval, s.senderFrame)
-
-	// --- Viewer feedback loop (same cadence as frames, §5) --------------
-	clk.Ticker(frameInterval, func() {
-		now := clk.Now()
-		actual := s.user.At(now)
-		fb := feedback{
-			roi:         g.TileAt(actual),
-			orientation: actual,
-			m:           s.lastM,
-			rgcc:        s.gccRx.Update(now),
-			sentAt:      now,
-		}
-		if now >= cfg.StatsWarmup {
-			res.Mismatch = append(res.Mismatch, metrics.TimedSample{At: now, V: fb.m.Seconds()})
-		}
-		transport.SendFeedback(fb)
-	})
-
-	// --- Per-second throughput sampling ---------------------------------
-	// The warmup gate is >= like every other stats gate in this file
-	// (frame and diag recording above), so a warmup aligned exactly on a
-	// sampling tick includes that tick everywhere or nowhere — not a
-	// mixture.
-	clk.Ticker(time.Second, func() {
-		if clk.Now() >= cfg.StatsWarmup {
-			res.Throughput = append(res.Throughput, s.secondBits)
-		}
-		s.secondBits = 0
-	})
-
-	// Snapshot cumulative counters at the warmup boundary so loss/delivery
-	// statistics cover the same steady-state window as everything else.
-	clk.Schedule(cfg.StatsWarmup, func() {
-		s.lostAtWarmup = int(s.reasm.Lost())
-		s.deliveredAtWarmup = int(s.reasm.Completed())
-		s.sentAtWarmup = res.FramesSent
-	})
-	return nil
-}
-
-// senderFrame runs once per frame interval: capture, compress around the
-// current ROI belief, encode against the rate controller's budget, and
-// hand the packets to the pacer.
-func (s *Session) senderFrame() {
-	cfg := s.cfg
-	now := s.clk.Now()
-	frame := s.source.NextFrame(now)
-	roiUsed := s.roiBelief
-	if cfg.ROIPrediction {
-		// Aim the matrix at where the viewer will be looking when this
-		// frame is displayed (one pipeline + core-path delay ahead),
-		// bounded by the predictor's reliable horizon.
-		target := now + cfg.PipelineDelay + cfg.Path.CoreBase
-		roiUsed = cfg.Video.Grid.TileAt(s.predictor.Predict(target))
-	}
-	matrix, mode := s.controller.Levels(roiUsed)
-
-	rv := s.rgcc
-	if s.fbcc != nil {
-		degraded := s.fbcc.CheckWatchdog(now)
-		rv = s.fbcc.VideoRate(now, s.rgcc)
-		s.fbcc.SetVideoRate(rv)
-		if degraded && !cfg.DisableRTPLoop {
-			// Diag-staleness fallback: with the modem feed silent the
-			// Eq. 7 loop gets no updates, so the pacer follows the
-			// embedded GCC exactly as a plain WebRTC sender would,
-			// until reports resume and OnDiag re-arms the loop.
-			s.pacer.SetRate(gccPacingFactor * rv)
-		}
-	}
-	budget := rv / float64(cfg.Video.FPS)
-	ef := video.Encode(&frame, matrix, budget, roiUsed, mode, cfg.Video.MaxScale)
-	// Packetize into the session's scratch arena; Pacer.Enqueue copies the
-	// packets, so the arena is free for reuse on the next frame tick.
-	s.pktScratch = rtp.AppendPackets(s.pktScratch, &ef)
-	pkts := s.pktScratch
-	s.pacer.Enqueue(pkts)
-	s.res.FramesSent++
-
-	if s.probe != nil {
-		if mode != s.lastMode && s.lastMode >= 0 {
-			s.probe.Emit(now, obs.ModeSwitch, float64(s.lastMode), float64(mode), 0, 0)
-		}
-		s.probe.Emit(now, obs.FrameEncode, float64(mode), rv, ef.Bits, 0)
-		s.probe.Emit(now, obs.FrameSend, ef.Bits, float64(len(pkts)), s.pacer.Rate(), 0)
-	}
-	s.lastMode = mode
-
-	switch {
-	case s.fbcc == nil:
-		// WebRTC's default: RTP sending rate tracks the video bitrate
-		// (§3.3) — the behaviour that starves the firmware buffer. The
-		// real pacer applies a modest pacing factor so a transient
-		// backlog in the video buffer can drain.
-		s.pacer.SetRate(gccPacingFactor * rv)
-	case cfg.DisableRTPLoop:
-		// Ablation: strictly match Rrtp to Rv as §3.3 describes —
-		// no sweet-spot steering, no pacing headroom.
-		s.pacer.SetRate(rv)
-	}
-
-	if now >= cfg.StatsWarmup {
-		s.res.VideoRate = append(s.res.VideoRate, metrics.TimedSample{At: now, V: rv})
-		s.res.RTPRate = append(s.res.RTPRate, metrics.TimedSample{At: now, V: s.pacer.Rate()})
-		s.res.Modes = append(s.res.Modes, metrics.TimedSample{At: now, V: float64(mode)})
-	}
+	return s.viewer.Attach(clk)
 }
 
 // Result finalizes and returns the session's measurements. Call it after
 // the attached clock has run to the session's Duration; it is idempotent.
 func (s *Session) Result() *Result {
-	if s.finalized {
-		return s.res
-	}
-	s.finalized = true
-	res := s.res
-	res.FramesSent -= s.sentAtWarmup
-	res.FramesDelivered = int(s.reasm.Completed()) - s.deliveredAtWarmup
-	res.FramesLost = int(s.reasm.Lost()) - s.lostAtWarmup
-	res.PacketDrops = s.pacer.Drops()
-	if s.fbcc != nil {
-		res.FBCCOveruses = s.fbcc.Overuses()
-		res.FBCCDegradations = s.fbcc.Degradations()
-	}
-	if ds, ok := s.transport.(interface{ DiagStalled() int64 }); ok {
-		res.DiagStalled = ds.DiagStalled()
-	}
-	// Registry gauges: the session's headline numbers at finalize, so a
-	// bus table doubles as a one-glance session summary.
-	if s.probe != nil {
-		s.probe.SetGauge("frames_sent", float64(res.FramesSent))
-		s.probe.SetGauge("frames_delivered", float64(res.FramesDelivered))
-		s.probe.SetGauge("frames_lost", float64(res.FramesLost))
-		s.probe.SetGauge("packet_drops", float64(res.PacketDrops))
-		s.probe.SetGauge("freeze_ratio", res.FreezeRatio())
-		// Summarize directly (not via the memoized PSNRSummary /
-		// ThroughputSummary): the gauge path runs only on traced sessions,
-		// and warming the caches here would make a traced Result's
-		// unexported cache fields differ from an untraced one's — breaking
-		// the obs acceptance contract that observability leaves the Result
-		// deeply identical.
-		s.probe.SetGauge("psnr_mean_db", metrics.Summarize(res.ROIPSNRs).Mean)
-		s.probe.SetGauge("throughput_mean_bps", metrics.Summarize(res.Throughput).Mean)
-		s.probe.SetGauge("stale_feedback", float64(res.StaleFeedback))
-		if s.fbcc != nil {
-			s.probe.SetGauge("fbcc_overuses", float64(res.FBCCOveruses))
-			s.probe.SetGauge("fbcc_degradations", float64(res.FBCCDegradations))
-		}
-	}
-	return res
+	s.sender.Result()
+	return s.viewer.Result()
 }
 
 // Run executes a session to completion and returns its measurements. It
@@ -856,7 +475,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = s.cfg
+	cfg = s.Config()
 	clk := simclock.New()
 
 	var transport netsim.Transport
@@ -884,37 +503,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	clk.Run(cfg.Duration)
 	return s.Result(), nil
-}
-
-func withSeed(v video.Config, seed int64) video.Config {
-	v.Seed = DeriveStream(seed, "video")
-	return v
-}
-
-func makeController(cfg Config, g projection.Grid) (compress.Controller, error) {
-	switch cfg.Scheme {
-	case SchemeAdaptive:
-		if len(cfg.AdaptiveCs) > 0 || cfg.AdaptiveQuantum > 0 {
-			cs := cfg.AdaptiveCs
-			if len(cs) == 0 {
-				cs = compress.DefaultModeCs()
-			}
-			q := cfg.AdaptiveQuantum
-			if q <= 0 {
-				q = compress.ModeQuantum
-			}
-			return compress.NewAdaptiveWith(g, cs, q), nil
-		}
-		return compress.NewAdaptive(g), nil
-	case SchemeConduit:
-		return compress.NewConduit(g), nil
-	case SchemePyramid:
-		return compress.NewPyramid(g), nil
-	case SchemeFixed:
-		return compress.NewFixed(g, cfg.FixedC), nil
-	default:
-		return nil, fmt.Errorf("session: unknown scheme %d", cfg.Scheme)
-	}
 }
 
 // DefaultVideo returns the default video configuration used by sessions,

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt bench-smoke obs-smoke live-smoke bench-check bench-profile ci
+.PHONY: all build test race lint vet fmt bench-smoke obs-smoke live-smoke bench-check escape-check bench-profile ci
 
 all: build
 
@@ -56,9 +56,11 @@ bench-smoke:
 ## obs-smoke: the observability subsystem under the race detector —
 ## nil-probe safety, episode semantics on the busy cell, JSONL schema,
 ## the binary codec round-trip (including the fuzz seed corpus), the
-## streaming shard aggregation, and the byte-identity of instrumented
-## experiment reports — then an end-to-end CLI pass: one FBCC session on
-## the busy cell (with a capacity-step fault so congestion episodes
+## streaming shard aggregation, the enabled-emit contract (no allocation
+## on emit, spill or replay; the exact bucket rule; non-finite fields),
+## and the byte-identity of instrumented experiment reports — then an
+## end-to-end CLI pass: one FBCC session on the busy cell (with a
+## capacity-step fault so congestion episodes
 ## actually fire inside 60 s), run once through -obs (JSONL) and once
 ## through -obs-bin (binary), checking that every JSONL line parses, the
 ## episode stats are non-empty, the two printouts agree, and
@@ -66,7 +68,7 @@ bench-smoke:
 ## JSONL bytes. Also runs the Emit-cost benchmarks once, which fail
 ## loudly if the nil-probe path ever starts allocating.
 obs-smoke:
-	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|BinWriter|FinishSpill' \
+	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|BinWriter|FinishSpill|EmitZeroAlloc|BucketOf|NonFinite' \
 		./internal/obs ./internal/experiments
 	$(GO) test -run 'FuzzEventBinaryRoundTrip' ./internal/obs
 	$(GO) test -bench 'Obs(Disabled|Enabled)$$' -benchtime 1x -run '^$$' .
@@ -129,10 +131,18 @@ bench-check:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh -check
 
+## escape-check: no new heap-escaping local in the per-event packages
+## (obs, lte, simclock, network, ratecontrol, rtp, netsim). Diffs the
+## compiler's `moved to heap` diagnostics, keyed by file and variable,
+## against scripts/escape_allow.txt; a new key fails with the offending
+## line. An escaping local on an emit path is one allocation per event.
+escape-check:
+	sh scripts/escape_check.sh
+
 ## ci: the umbrella target the GitHub workflow fans out over. Runs every
 ## target even after a failure and reports the full list of failed targets
 ## in the trailer, so one red gate doesn't hide another.
-CI_TARGETS := build lint vet test race bench-smoke obs-smoke live-smoke bench-check
+CI_TARGETS := build lint vet test race bench-smoke obs-smoke live-smoke bench-check escape-check
 ci:
 	@failed=""; \
 	for t in $(CI_TARGETS); do \

@@ -276,7 +276,7 @@ func dumpObsBin(bus *poi360.TelemetryBus, agg *poi360.TelemetryShardAgg, bw *poi
 	bus.FinishSpill()
 	if err := bw.Err(); err != nil {
 		f.Close()
-		return fmt.Errorf("obs-bin: %w", err)
+		return fmt.Errorf("obs-bin: %w (%d bytes reached %s, %d dropped)", err, bw.Bytes(), path, bw.Dropped())
 	}
 	if err := f.Close(); err != nil {
 		return err

@@ -144,8 +144,8 @@ type Config struct {
 	// events. Only the single-threaded coordinator emits (shards run
 	// concurrently), so instrumentation cannot perturb the trajectory
 	// and the event stream is deterministic. A caller that set the bus
-	// spilling (Bus.SpillTo — conventionally shard -1) gets it flushed at
-	// every epoch barrier alongside the radio shards.
+	// spilling (Bus.SpillTo — conventionally shard -1) gets it flushed and
+	// synced at every epoch barrier alongside the radio shards.
 	Obs *obs.Bus
 
 	// Agg, when non-nil, turns on per-cell radio telemetry (lte.grant /
@@ -160,9 +160,9 @@ type Config struct {
 	// Sink, when non-nil, streams the per-cell radio telemetry (and, when
 	// Obs spills to the same sink, the coordinator stream) to a binary
 	// .pbt writer: every shard's pending buffer is flushed at each epoch
-	// barrier, single-threaded, in shard-id order — the file bytes are
-	// identical at any Workers and memory stays bounded by one epoch's
-	// emissions per shard.
+	// barrier, single-threaded, in shard-id order, and the sink is synced
+	// once after the sweep — the file bytes are identical at any Workers
+	// and memory stays bounded by one epoch's emissions per shard.
 	Sink *obs.BinWriter
 }
 
@@ -527,10 +527,13 @@ func Run(cfg Config) (*Result, error) {
 
 // flushTelemetry hands every spilling bus's pending buffer to the shared
 // sink — coordinator stream first (shard -1), then radio shards in cell
-// order. Runs only on the coordinator goroutine (the epoch barrier), so
-// the stream's flush interleaving is a function of the configuration
-// alone, never of worker scheduling. Untelemetered runs skip the sweep
-// entirely (the common benchmark configuration has neither bus).
+// order — and then syncs the sink, so a barrier costs the underlying
+// writer one Write however many shards flushed, and a tailing reader
+// still sees every epoch as it closes. Runs only on the coordinator
+// goroutine (the epoch barrier), so the stream's flush interleaving is a
+// function of the configuration alone, never of worker scheduling.
+// Untelemetered runs skip the sweep entirely (the common benchmark
+// configuration has neither bus).
 func (n *city) flushTelemetry() {
 	if n.cfg.Obs == nil && n.radio == nil {
 		return
@@ -539,6 +542,8 @@ func (n *city) flushTelemetry() {
 	for _, rb := range n.radio {
 		rb.Flush()
 	}
+	n.cfg.Sink.Sync()
+	n.cfg.Obs.Sync() // a no-op unless Obs spills to a sink of its own
 }
 
 // planMobility advances every mobility trace to the epoch end, in UE-id

@@ -2,6 +2,9 @@ package network
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 	"time"
 
@@ -112,6 +115,73 @@ func TestCityBinaryTelemetryByteIdentity(t *testing.T) {
 	}
 	if st := decoded.Summary(); st != refEps {
 		t.Fatalf("decoded episode summary differs: %+v vs %+v", st, refEps)
+	}
+}
+
+// cityBudgetStreamSHA256 is the P6T stream of cityBudgetRun, byte for byte
+// as the tree before the allocation-free emit path wrote it: making
+// telemetry cheaper must not add, drop, reorder or re-encode one record.
+const cityBudgetStreamSHA256 = "a6e4f5f3fbe60be9c5a51a67cc22e56bdfc42fd20de62fd1fc3beff601e3b57c"
+
+// cityBudgetRun runs a 16-cell / 64-UE / 2 s city, silent or with the
+// city-telemetry wiring (a ShardAgg plus a binary sink over a hashing
+// discard writer), and reports what the run allocated and the stream's
+// digest.
+func cityBudgetRun(t *testing.T, workers int, telemetry bool) (allocBytes, allocObjects uint64, digest string) {
+	t.Helper()
+	cfg := Config{
+		Cells:     16,
+		UEs:       64,
+		Duration:  2 * time.Second,
+		Seed:      7,
+		MeanDwell: time.Second,
+		Workers:   workers,
+	}
+	stream := sha256.New()
+	var bw *obs.BinWriter
+	if telemetry {
+		bw = obs.NewBinWriter(stream)
+		cfg.Agg = obs.NewShardAgg()
+		cfg.Sink = bw
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run(workers=%d, telemetry=%v): %v", workers, telemetry, err)
+	}
+	runtime.ReadMemStats(&after)
+	if telemetry {
+		if err := bw.Err(); err != nil || bw.Bytes() == 0 {
+			t.Fatalf("telemetry sink: %d bytes, err %v", bw.Bytes(), err)
+		}
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs,
+		hex.EncodeToString(stream.Sum(nil))
+}
+
+// TestCityTelemetryAllocBudget is the city-level half of the emit
+// contract (TestPerfEmitZeroAlloc in internal/obs is the per-event half):
+// switching Agg and Sink on may cost the per-shard buses and buffers, not
+// an allocation per event. Before the emit path stopped escaping its
+// Event, this configuration allocated 3.95× the bytes and 25.8× the objects
+// of the silent run.
+func TestCityTelemetryAllocBudget(t *testing.T) {
+	silentBytes, silentObjects, _ := cityBudgetRun(t, 1, false)
+	loudBytes, loudObjects, digest := cityBudgetRun(t, 1, true)
+	t.Logf("silent %d B / %d objects, telemetered %d B / %d objects (×%.2f, ×%.2f)",
+		silentBytes, silentObjects, loudBytes, loudObjects,
+		float64(loudBytes)/float64(silentBytes), float64(loudObjects)/float64(silentObjects))
+	if limit := silentBytes + silentBytes/4; loudBytes > limit {
+		t.Errorf("telemetered city allocated %d B, budget 1.25 × %d = %d", loudBytes, silentBytes, limit)
+	}
+	if limit := silentObjects + silentObjects*15/100; loudObjects > limit {
+		t.Errorf("telemetered city allocated %d objects, budget 1.15 × %d = %d", loudObjects, silentObjects, limit)
+	}
+	if digest != cityBudgetStreamSHA256 {
+		t.Errorf("workers=1 stream digest %s, want %s", digest, cityBudgetStreamSHA256)
+	}
+	if _, _, digest4 := cityBudgetRun(t, 4, true); digest4 != cityBudgetStreamSHA256 {
+		t.Errorf("workers=4 stream digest %s, want %s", digest4, cityBudgetStreamSHA256)
 	}
 }
 

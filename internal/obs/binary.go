@@ -189,102 +189,115 @@ type BinRecord struct {
 type EventDecoder struct {
 	headerDone bool
 	shard      int32
-	last       map[int32]time.Duration
+	// at is the current shard's chain; parked holds the chains of the
+	// shards switched away from. A shard changes only at a marker, so the
+	// per-event path touches no map.
+	at     time.Duration
+	parked map[int32]time.Duration
 }
 
-// Next decodes the next record from b, returning the record and how many
-// bytes it consumed. ErrBinShort (with n == 0) means b ends mid-record:
+// Next decodes the next record from b into rec (every field is
+// overwritten), returning how many bytes it consumed. Decoding into
+// caller-owned storage keeps the per-record path free of allocation and
+// of ~100-byte copies. ErrBinShort (with n == 0) means b ends mid-record:
 // retry with more bytes. Any other error wraps ErrBinCorrupt and the
-// stream is unrecoverable.
-func (d *EventDecoder) Next(b []byte) (BinRecord, int, error) {
+// stream is unrecoverable; rec is then unspecified.
+func (d *EventDecoder) Next(b []byte, rec *BinRecord) (int, error) {
 	if !d.headerDone {
 		if len(b) < 4 {
-			return BinRecord{}, 0, ErrBinShort
+			return 0, ErrBinShort
 		}
 		if b[0] != binMagic0 || b[1] != binMagic1 || b[2] != binMagic2 {
-			return BinRecord{}, 0, fmt.Errorf("%w: bad magic %q", ErrBinCorrupt, b[:3])
+			return 0, fmt.Errorf("%w: bad magic %q", ErrBinCorrupt, b[:3])
 		}
 		if b[3] != BinVersion {
-			return BinRecord{}, 0, fmt.Errorf("%w: unsupported version %d", ErrBinCorrupt, b[3])
+			return 0, fmt.Errorf("%w: unsupported version %d", ErrBinCorrupt, b[3])
 		}
 		d.headerDone = true
-		return BinRecord{Tag: RecHeader}, 4, nil
+		*rec = BinRecord{Tag: RecHeader}
+		return 4, nil
 	}
 	body, hn := binary.Uvarint(b)
 	if hn == 0 {
-		return BinRecord{}, 0, ErrBinShort
+		return 0, ErrBinShort
 	}
 	if hn < 0 || body == 0 || body > maxBinBody {
-		return BinRecord{}, 0, fmt.Errorf("%w: record length %d", ErrBinCorrupt, body)
+		return 0, fmt.Errorf("%w: record length %d", ErrBinCorrupt, body)
 	}
 	if len(b) < hn+int(body) {
-		return BinRecord{}, 0, ErrBinShort
+		return 0, ErrBinShort
 	}
-	rec, err := d.decodeBody(b[hn : hn+int(body)])
-	if err != nil {
-		return BinRecord{}, 0, err
+	if err := d.decodeBody(b[hn:hn+int(body)], rec); err != nil {
+		return 0, err
 	}
-	return rec, hn + int(body), nil
+	return hn + int(body), nil
 }
 
-func (d *EventDecoder) decodeBody(body []byte) (BinRecord, error) {
+func (d *EventDecoder) decodeBody(body []byte, rec *BinRecord) error {
 	tag, rest := body[0], body[1:]
 	switch {
 	case tag < uint8(NumKinds):
-		return d.decodeEvent(Kind(tag), rest)
+		return d.decodeEvent(Kind(tag), rest, rec)
 	case tag == tagShard:
 		shard, n := binary.Varint(rest)
 		if n <= 0 || n != len(rest) || shard < math.MinInt32 || shard > math.MaxInt32 {
-			return BinRecord{}, fmt.Errorf("%w: shard marker body", ErrBinCorrupt)
+			return fmt.Errorf("%w: shard marker body", ErrBinCorrupt)
 		}
-		d.shard = int32(shard)
-		return BinRecord{Tag: RecShard, Shard: d.shard}, nil
+		if int32(shard) != d.shard {
+			if d.parked == nil {
+				d.parked = map[int32]time.Duration{}
+			}
+			d.parked[d.shard] = d.at
+			d.shard = int32(shard)
+			d.at = d.parked[d.shard]
+		}
+		*rec = BinRecord{Tag: RecShard, Shard: d.shard}
+		return nil
 	case tag == tagGauge:
 		nameLen, n := binary.Uvarint(rest)
 		if n <= 0 || nameLen == 0 || nameLen > maxGaugeName {
-			return BinRecord{}, fmt.Errorf("%w: gauge name length", ErrBinCorrupt)
+			return fmt.Errorf("%w: gauge name length", ErrBinCorrupt)
 		}
 		if len(rest) != n+int(nameLen)+8 {
-			return BinRecord{}, fmt.Errorf("%w: gauge body size", ErrBinCorrupt)
+			return fmt.Errorf("%w: gauge body size", ErrBinCorrupt)
 		}
 		name := string(rest[n : n+int(nameLen)])
 		bits := binary.LittleEndian.Uint64(rest[n+int(nameLen):])
-		return BinRecord{Tag: RecGauge, Shard: d.shard, Name: name, Value: math.Float64frombits(bits)}, nil
+		*rec = BinRecord{Tag: RecGauge, Shard: d.shard, Name: name, Value: math.Float64frombits(bits)}
+		return nil
 	default:
-		return BinRecord{}, fmt.Errorf("%w: unknown record tag 0x%02x", ErrBinCorrupt, tag)
+		return fmt.Errorf("%w: unknown record tag 0x%02x", ErrBinCorrupt, tag)
 	}
 }
 
-func (d *EventDecoder) decodeEvent(k Kind, rest []byte) (BinRecord, error) {
+func (d *EventDecoder) decodeEvent(k Kind, rest []byte, rec *BinRecord) error {
 	sub, n := binary.Varint(rest)
 	if n <= 0 || sub < math.MinInt32 || sub > math.MaxInt32 {
-		return BinRecord{}, fmt.Errorf("%w: %s sub", ErrBinCorrupt, k)
+		return fmt.Errorf("%w: %s sub", ErrBinCorrupt, k)
 	}
 	rest = rest[n:]
 	delta, n := binary.Varint(rest)
 	if n <= 0 {
-		return BinRecord{}, fmt.Errorf("%w: %s timestamp delta", ErrBinCorrupt, k)
+		return fmt.Errorf("%w: %s timestamp delta", ErrBinCorrupt, k)
 	}
 	rest = rest[n:]
-	at := d.last[d.shard] + time.Duration(delta)
+	at := d.at + time.Duration(delta)
 	if at < 0 {
-		return BinRecord{}, fmt.Errorf("%w: %s timestamp went negative", ErrBinCorrupt, k)
+		return fmt.Errorf("%w: %s timestamp went negative", ErrBinCorrupt, k)
 	}
 	if len(rest) != 8*int(fieldCount[k]) {
-		return BinRecord{}, fmt.Errorf("%w: %s field payload %dB (want %dB)",
+		return fmt.Errorf("%w: %s field payload %dB (want %dB)",
 			ErrBinCorrupt, k, len(rest), 8*int(fieldCount[k]))
 	}
-	if d.last == nil {
-		d.last = map[int32]time.Duration{}
-	}
-	d.last[d.shard] = at
+	d.at = at
 	var vals [4]float64
 	for i := 0; i < int(fieldCount[k]); i++ {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
 	}
-	return BinRecord{
+	*rec = BinRecord{
 		Tag:   RecEvent,
 		Shard: d.shard,
 		Event: Event{At: at, Kind: k, Sub: int32(sub), A: vals[0], B: vals[1], C: vals[2], D: vals[3]},
-	}, nil
+	}
+	return nil
 }

@@ -37,7 +37,8 @@ func decodeAll(t *testing.T, buf []byte) []BinRecord {
 	var dec EventDecoder
 	var out []BinRecord
 	for len(buf) > 0 {
-		rec, n, err := dec.Next(buf)
+		var rec BinRecord
+		n, err := dec.Next(buf, &rec)
 		if err != nil {
 			t.Fatalf("Next: %v (with %d bytes left)", err, len(buf))
 		}
@@ -130,10 +131,11 @@ func TestBinaryDecoderShortThenComplete(t *testing.T) {
 
 	// A truncated prefix must report ErrBinShort without consuming bytes.
 	var dec EventDecoder
-	if _, n, err := dec.Next(buf[:2]); !errors.Is(err, ErrBinShort) || n != 0 {
+	var rec BinRecord
+	if n, err := dec.Next(buf[:2], &rec); !errors.Is(err, ErrBinShort) || n != 0 {
 		t.Fatalf("truncated header: n=%d err=%v, want ErrBinShort", n, err)
 	}
-	if _, n, err := dec.Next(buf[:len(buf)-1]); err != nil && !errors.Is(err, ErrBinShort) {
+	if n, err := dec.Next(buf[:len(buf)-1], &rec); err != nil && !errors.Is(err, ErrBinShort) {
 		t.Fatalf("unexpected error on prefix: n=%d err=%v", n, err)
 	}
 
@@ -199,8 +201,9 @@ func TestBinaryDecoderRejectsCorrupt(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mut(append([]byte(nil), valid...))
 			var dec EventDecoder
+			var rec BinRecord
 			for len(buf) > 0 {
-				_, n, err := dec.Next(buf)
+				n, err := dec.Next(buf, &rec)
 				if err != nil {
 					if !errors.Is(err, ErrBinCorrupt) {
 						t.Fatalf("want ErrBinCorrupt, got %v", err)
@@ -258,8 +261,9 @@ func FuzzEventBinaryRoundTrip(f *testing.F) {
 		var dec EventDecoder
 		rest := buf
 		var got *Event
+		var rec BinRecord
 		for len(rest) > 0 {
-			rec, n, err := dec.Next(rest)
+			n, err := dec.Next(rest, &rec)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -386,30 +390,125 @@ func TestBusSpillAutoFlushBounds(t *testing.T) {
 	}
 }
 
-type failWriter struct{ after int }
+// failWriter accepts `after` writes, then fails every later one after
+// taking `partial` bytes of it.
+type failWriter struct {
+	after, partial int
+	calls          int
+}
 
 func (f *failWriter) Write(p []byte) (int, error) {
+	f.calls++
 	if f.after <= 0 {
-		return 0, errors.New("disk full")
+		return f.partial, errors.New("disk full")
 	}
 	f.after--
 	return len(p), nil
 }
 
 func TestBinWriterLatchesFirstError(t *testing.T) {
-	bw := NewBinWriter(&failWriter{after: 1}) // header succeeds, payload fails
+	fw := &failWriter{after: 1, partial: 3} // first Sync lands, second fails 3 bytes in
+	bw := NewBinWriter(fw)
 	b := NewBus()
 	b.SpillTo(bw, 0, 0)
 	p := b.Probe(0)
 	p.Emit(0, LTEGrant, 1, 0, 0, 0)
+	b.Sync()
+	if bw.Err() != nil || bw.Dropped() != 0 {
+		t.Fatalf("healthy sync: err=%v dropped=%d", bw.Err(), bw.Dropped())
+	}
+	landed := bw.Bytes()
+
+	p.Emit(time.Millisecond, LTEGrant, 2, 0, 0, 0)
 	b.Flush()
+	unit := bw.Bytes() - landed
+	if fw.calls != 1 || unit == 0 {
+		t.Fatalf("Flush alone reached the writer (%d writes) or buffered nothing (%d B)", fw.calls, unit)
+	}
+	bw.Sync()
 	if bw.Err() == nil {
 		t.Fatalf("write error not latched")
 	}
-	p.Emit(time.Millisecond, LTEGrant, 2, 0, 0, 0)
-	b.Flush() // must not panic or clear the error
+	if got, want := bw.Bytes(), landed+3; got != want {
+		t.Fatalf("Bytes after the failed write = %d, want %d", got, want)
+	}
+	if got, want := bw.Dropped(), unit-3; got != want {
+		t.Fatalf("Dropped after the failed write = %d, want %d", got, want)
+	}
+
+	p.Emit(2*time.Millisecond, LTEGrant, 3, 0, 0, 0)
+	b.Sync() // must not panic, clear the error, or touch the dead writer
 	if bw.Err() == nil {
 		t.Fatalf("latched error lost")
+	}
+	if fw.calls != 2 {
+		t.Fatalf("dead writer written to again (%d writes)", fw.calls)
+	}
+	if got := bw.Dropped(); got <= unit-3 || bw.Bytes() != landed+3 {
+		t.Fatalf("bytes flushed into a dead sink not counted: dropped=%d bytes=%d", got, bw.Bytes())
+	}
+}
+
+// writeLog records the size of every Write it receives.
+type writeLog struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+func TestBinWriterOneWritePerSync(t *testing.T) {
+	// Three shards flushing at every barrier reach the writer as one Write
+	// per Sync, header inside the first, and the bytes are those of the
+	// same flushes written through unbuffered.
+	var w writeLog
+	bw := NewBinWriter(&w)
+	var buses []*Bus
+	for id := int32(0); id < 3; id++ {
+		b := NewBus()
+		b.SpillTo(bw, id, 0)
+		buses = append(buses, b)
+	}
+	var want []byte
+	want = AppendBinaryHeader(want)
+	const epochs = 4
+	for epoch := 0; epoch < epochs; epoch++ {
+		for id, b := range buses {
+			feedShard(b, int32(id), 4)
+			want = append(want, b.binbuf...)
+			b.Flush()
+		}
+		if got := len(w.sizes); got != epoch {
+			t.Fatalf("epoch %d: %d writes before Sync, want %d", epoch, got, epoch)
+		}
+		bw.Sync()
+		bw.Sync() // nothing pending: no empty Write
+		if w.Len() != len(want) {
+			t.Fatalf("epoch %d: %d bytes visible after Sync, want %d", epoch, w.Len(), len(want))
+		}
+	}
+	if len(w.sizes) != epochs {
+		t.Fatalf("%d writes for %d syncs", len(w.sizes), epochs)
+	}
+	if !bytes.Equal(w.Bytes(), want) || bw.Bytes() != int64(len(want)) {
+		t.Fatalf("coalesced stream differs from the flushed units (%d vs %d B)", w.Len(), len(want))
+	}
+
+	// Past binSyncAt the buffer drains on its own.
+	big := buses[0]
+	p := big.Probe(0)
+	for i := 0; len(w.sizes) == epochs; i++ {
+		if i > 1<<20 {
+			t.Fatalf("buffer never drained without Sync")
+		}
+		p.Emit(time.Duration(i)*time.Millisecond, LTEGrant, float64(i), 0, 0, 0)
+		big.Flush()
+	}
+	if last := w.sizes[len(w.sizes)-1]; last < binSyncAt || last > binSyncAt+64 {
+		t.Fatalf("self-sync wrote %d bytes, want just past %d", last, binSyncAt)
 	}
 }
 
@@ -434,8 +533,9 @@ func TestFinishSpillGaugesSortedAndOnce(t *testing.T) {
 	// Re-decode raw records to see gauge order on the wire.
 	var dec EventDecoder
 	buf := file.Bytes()
+	var rec BinRecord
 	for len(buf) > 0 {
-		rec, n, err := dec.Next(buf)
+		n, err := dec.Next(buf, &rec)
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}

@@ -21,6 +21,15 @@
 // nil *Probe returns before touching memory. BenchmarkObsDisabled holds
 // this at 0 allocs/op.
 //
+// # Emit contract when enabled
+//
+// An enabled Emit — retaining into a Grow-reserved slice, feeding a
+// ShardAgg observer, or spilling into a warm buffer — allocates nothing
+// and calls no libm function: the event is built in bus-owned storage and
+// the histogram bucket is read from the float's exponent bits.
+// TestPerfEmitZeroAlloc holds the first half, `make escape-check` keeps
+// the next escaping local out of review.
+//
 // # Concurrency
 //
 // A Bus belongs to one simulation clock's goroutine (one session, or one
@@ -64,8 +73,11 @@ type Bus struct {
 
 	// onEvent, when set, sees every emitted event (all kinds, regardless
 	// of keep filtering) in emission order — the streaming-aggregation
-	// hook (ShardAgg binds its episode tracker here).
+	// hook (ShardAgg binds its episode tracker here). The pointer is to
+	// cur, which the next emission overwrites: an observer copies what it
+	// keeps and must not emit on the same bus.
 	onEvent func(*Event)
+	cur     Event
 
 	// Spill state (see sink.go): when sink is non-nil, kept events are
 	// binary-encoded into binbuf instead of retained, and Flush hands the
@@ -115,18 +127,22 @@ func (b *Bus) record(at time.Duration, k Kind, sub int32, a, v, c, d float64) {
 	if b.onEvent == nil && !b.keep[k] {
 		return
 	}
-	e := Event{At: at, Kind: k, Sub: sub, A: a, B: v, C: c, D: d}
+	// The event is built in bus-owned storage: a local whose address goes
+	// to the observer (an opaque func value) would be heap-allocated per
+	// event. TestPerfEmitZeroAlloc and scripts/escape_check.sh hold this.
+	e := &b.cur
+	*e = Event{At: at, Kind: k, Sub: sub, A: a, B: v, C: c, D: d}
 	if b.onEvent != nil {
-		b.onEvent(&e)
+		b.onEvent(e)
 	}
 	if !b.keep[k] {
 		return
 	}
 	switch {
 	case b.sink != nil:
-		b.spill(&e)
+		b.spill(e)
 	case b.retain:
-		b.events = append(b.events, e)
+		b.events = append(b.events, *e)
 	}
 }
 
@@ -184,7 +200,8 @@ func (b *Bus) Ingest(e *Event) { b.record(e.At, e.Kind, e.Sub, e.A, e.B, e.C, e.
 
 // observe registers fn to see every emitted event (all kinds, regardless
 // of keep filtering) in emission order. One observer per bus; ShardAgg
-// binds its per-shard episode tracker here.
+// binds its per-shard episode tracker here. fn must not retain the
+// *Event past the call (it points into the bus).
 func (b *Bus) observe(fn func(*Event)) { b.onEvent = fn }
 
 // absorb merges src's registry into b: counts and histograms add, gauges

@@ -8,12 +8,14 @@ import (
 )
 
 // histBuckets is the number of power-of-two buckets; bucket i covers
-// values in [2^(i-1), 2^i) for i > 0, bucket 0 covers (-inf, 1).
+// values in [2^(i-1), 2^i) for i > 0 (the top bucket is open-ended and
+// takes +Inf), bucket 0 covers (-inf, 1) and NaN.
 const histBuckets = 48
 
 // Histogram is a fixed-footprint log2 histogram with exact count, sum,
-// min and max. The zero value is ready to use; Observe never allocates,
-// so histograms can sit on the event-emit path.
+// min and max. The zero value is ready to use; Observe never allocates
+// and calls no libm function, so histograms can sit on the event-emit
+// path.
 type Histogram struct {
 	buckets [histBuckets]int64
 	n       int64
@@ -35,11 +37,16 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[bucketOf(v)]++
 }
 
+// bucketOf reads the bucket off the IEEE-754 exponent: a finite v ≥ 1 is
+// 1.m × 2^e with e = biased exponent − 1023, which puts it in
+// [2^e, 2^(e+1)) — bucket e+1, exactly, with no logarithm to round.
+// +Inf carries the largest exponent and clamps into the top bucket; the
+// negated comparison sends NaN (and everything below 1) to bucket 0.
 func bucketOf(v float64) int {
-	if v < 1 || math.IsNaN(v) {
+	if !(v >= 1) {
 		return 0
 	}
-	b := int(math.Floor(math.Log2(v))) + 1
+	b := int(math.Float64bits(v)>>52&0x7ff) - 1023 + 1
 	if b >= histBuckets {
 		b = histBuckets - 1
 	}

@@ -116,8 +116,16 @@ type Replayer struct {
 	buses   map[int32]*Bus
 	pending []byte
 	records int64
+	// rec is the record being replayed, decoded in place: a local would be
+	// heap-allocated per record, since its Event's address goes to OnEvent.
+	rec BinRecord
+	// cur is the current shard's bus, nil from a shard marker until the
+	// next data record looks it up (see shardBus).
+	cur *Bus
 
-	// OnEvent, when set, sees every decoded event in stream order.
+	// OnEvent, when set, sees every decoded event in stream order. The
+	// *Event is the replayer's own storage, overwritten by the next
+	// record: copy what outlives the call.
 	OnEvent func(shard int32, e *Event)
 }
 
@@ -134,8 +142,9 @@ func (r *Replayer) Feed(p []byte) error {
 	// front once per Feed: compacting after every record is quadratic in
 	// the records a Feed completes.
 	off := 0
+	rec := &r.rec
 	for {
-		rec, n, err := r.dec.Next(r.pending[off:])
+		n, err := r.dec.Next(r.pending[off:], rec)
 		if err != nil {
 			r.pending = append(r.pending[:0], r.pending[off:]...)
 			if errors.Is(err, ErrBinShort) {
@@ -145,17 +154,28 @@ func (r *Replayer) Feed(p []byte) error {
 		}
 		off += n
 		switch rec.Tag {
+		case RecShard:
+			r.cur = nil
 		case RecEvent:
 			r.records++
-			r.bus(rec.Shard).Ingest(&rec.Event)
+			r.shardBus().Ingest(&rec.Event)
 			if r.OnEvent != nil {
 				r.OnEvent(rec.Shard, &rec.Event)
 			}
 		case RecGauge:
 			r.records++
-			r.bus(rec.Shard).SetGauge(rec.Name, rec.Value)
+			r.shardBus().SetGauge(rec.Name, rec.Value)
 		}
 	}
+}
+
+// shardBus returns the bus of the shard the record in r.rec belongs to,
+// looking it up once per shard marker rather than once per event.
+func (r *Replayer) shardBus() *Bus {
+	if r.cur == nil {
+		r.cur = r.bus(r.rec.Shard)
+	}
+	return r.cur
 }
 
 func (r *Replayer) bus(shard int32) *Bus {

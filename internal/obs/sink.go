@@ -12,43 +12,73 @@ import (
 	"sort"
 )
 
-// BinWriter owns one binary telemetry stream: it writes the 4-byte header
-// before the first payload, counts bytes, and latches the first write
-// error (telemetry must never abort a simulation mid-run — callers check
-// Err once, after the run). Writes are not synchronized; the city flushes
-// all shard buffers from its single-threaded barrier.
+// BinWriter owns one binary telemetry stream: it puts the 4-byte header
+// before the first payload, coalesces the flushes of many buses into one
+// Write per Sync, counts bytes, and latches the first write error
+// (telemetry must never abort a simulation mid-run — callers check Err
+// once, after the run). Nothing is synchronized; the city flushes all
+// shard buffers and syncs from its single-threaded barrier.
 type BinWriter struct {
-	w          io.Writer
-	err        error
-	n          int64
-	headerDone bool
+	w       io.Writer
+	err     error
+	n       int64
+	dropped int64
+	// buf holds the flushed bytes not yet handed to w. A city barrier
+	// flushes every shard — thousands of sub-kilobyte units per simulated
+	// second — and an unbuffered *os.File would take a syscall for each.
+	buf []byte
 }
+
+// binSyncAt is the pending size past which write syncs on its own, so the
+// coalescing buffer stays bounded between explicit Syncs.
+const binSyncAt = 64 << 10
 
 // NewBinWriter wraps w as a binary telemetry sink.
 func NewBinWriter(w io.Writer) *BinWriter { return &BinWriter{w: w} }
 
 func (bw *BinWriter) write(p []byte) {
-	if bw.err != nil || len(p) == 0 {
+	if len(p) == 0 {
 		return
 	}
-	if !bw.headerDone {
-		bw.headerDone = true
-		var hdr [4]byte
-		if _, err := bw.w.Write(AppendBinaryHeader(hdr[:0])); err != nil {
-			bw.err = err
-			return
-		}
-		bw.n += 4
+	if bw.err != nil {
+		bw.dropped += int64(len(p))
+		return
 	}
-	n, err := bw.w.Write(p)
-	bw.n += int64(n)
-	if err != nil {
-		bw.err = err
+	if bw.n == 0 {
+		bw.buf = AppendBinaryHeader(bw.buf)
+		bw.n = 4
+	}
+	bw.buf = append(bw.buf, p...)
+	bw.n += int64(len(p))
+	if len(bw.buf) >= binSyncAt {
+		bw.Sync()
 	}
 }
 
-// Bytes reports how many bytes have been written (header included).
+// Sync hands everything flushed so far to the underlying writer in one
+// Write. A tailing reader sees the stream advance at each Sync: the city
+// syncs once per epoch barrier, after its shard sweep. Safe on nil.
+func (bw *BinWriter) Sync() {
+	if bw == nil || len(bw.buf) == 0 {
+		return
+	}
+	n, err := bw.w.Write(bw.buf)
+	if err != nil {
+		lost := int64(len(bw.buf) - n)
+		bw.err = err
+		bw.n -= lost
+		bw.dropped += lost
+	}
+	bw.buf = bw.buf[:0]
+}
+
+// Bytes reports how many bytes the stream holds (header included): handed
+// to the writer, or flushed and waiting for the next Sync.
 func (bw *BinWriter) Bytes() int64 { return bw.n }
+
+// Dropped reports how many flushed bytes never reached the writer: the
+// unwritten part of the Write that failed and everything flushed since.
+func (bw *BinWriter) Dropped() int64 { return bw.dropped }
 
 // Err reports the latched first write error, if any.
 func (bw *BinWriter) Err() error { return bw.err }
@@ -61,6 +91,7 @@ func (bw *BinWriter) Err() error { return bw.err }
 // reaches that many bytes; 0 leaves flushing entirely to explicit Flush
 // calls — the city flushes every shard at its 10 ms clock barriers, in
 // shard-id order, so the file is byte-identical at any worker count.
+// Flushed bytes reach w's writer at the next Sync.
 func (b *Bus) SpillTo(w *BinWriter, shard int32, autoFlush int) {
 	b.sink = w
 	b.shard = shard
@@ -71,8 +102,8 @@ func (b *Bus) SpillTo(w *BinWriter, shard int32, autoFlush int) {
 	}
 }
 
-// Flush writes the pending binary buffer (if any) to the sink. Safe on a
-// nil or non-spilling bus.
+// Flush moves the pending binary buffer (if any) into the sink's stream.
+// Safe on a nil or non-spilling bus.
 func (b *Bus) Flush() {
 	if b == nil || b.sink == nil || len(b.binbuf) == 0 {
 		return
@@ -81,9 +112,19 @@ func (b *Bus) Flush() {
 	b.binbuf = b.binbuf[:0]
 }
 
-// FinishSpill spills the bus's gauges (sorted by name, once) and flushes
-// everything pending. Call after the run; safe on a nil or non-spilling
-// bus.
+// Sync flushes the bus and syncs its sink, so everything emitted so far
+// is in the underlying writer. Safe on a nil or non-spilling bus.
+func (b *Bus) Sync() {
+	if b == nil {
+		return
+	}
+	b.Flush()
+	b.sink.Sync()
+}
+
+// FinishSpill spills the bus's gauges (sorted by name, once), then
+// flushes and syncs everything pending. Call after the run; safe on a nil
+// or non-spilling bus.
 func (b *Bus) FinishSpill() {
 	if b == nil || b.sink == nil {
 		return
@@ -100,7 +141,7 @@ func (b *Bus) FinishSpill() {
 			b.binbuf = AppendGauge(b.binbuf, name, b.gauges[name])
 		}
 	}
-	b.Flush()
+	b.Sync()
 }
 
 // binPending opens a flush unit: the first record after every flush is

@@ -316,8 +316,10 @@ type TelemetryAgg = obs.ExperimentAgg
 func NewTelemetryAgg() *TelemetryAgg { return obs.NewExperimentAgg() }
 
 // TelemetryBinWriter owns one binary (.pbt) telemetry stream: it writes
-// the stream header before the first payload, counts bytes, and latches
-// the first write error. Point a bus at it with
+// the stream header before the first payload, coalesces flushes into one
+// Write per Sync (FinishSpill and every city epoch barrier sync), counts
+// bytes written and bytes a failed writer dropped, and latches the first
+// write error. Point a bus at it with
 // TelemetryBus.SpillTo(w, shard, autoFlush) — kept events then stream to
 // the writer instead of accumulating in memory — or hand it to
 // CityConfig.Sink to stream a whole city's radio telemetry.

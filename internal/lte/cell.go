@@ -141,6 +141,14 @@ func (c UEConfig) Validate() error {
 // with AddUE. Create with NewCell, attach UEs, then Start. All callbacks
 // run on the simulation clock's goroutine.
 //
+// A started cell with no attached UE sleeps: it holds no subframe ticker
+// and costs nothing until the next AttachUE (or a capacity read) replays
+// the subframes it slept through — for an empty cell those are only the
+// capacity process and the subframe counter, whose state and draws depend
+// on nothing outside the cell, so the replay is exact (DESIGN.md §15).
+// Cells whose UEs are all admitted before Start and never detached — every
+// session and shared-cell use — never sleep.
+//
 // Scheduling disciplines:
 //
 //   - With exactly one UE the cell keeps the calibrated stochastic grant
@@ -165,6 +173,10 @@ type Cell struct {
 	order   []int // scratch: PF ranking of backlogged UEs per subframe
 	cap     capacityProcess
 	started bool
+	// stop cancels the subframe ticker; nil while the cell sleeps (started,
+	// no attached UE — see wake). startAt anchors the subframe grid.
+	stop    func()
+	startAt time.Duration
 
 	// active lists the attached (non-detached) rows in ascending id order.
 	// Rows are never deleted — UE ids index the SoA — but a city cell with
@@ -285,6 +297,9 @@ func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 // UEs between cells mid-simulation. The new UE starts with fresh PF/EWMA
 // and diag state (a handed-over UE is a newcomer to the target scheduler)
 // and is picked up by the next subframe's allocation.
+//
+// The attach that wakes a sleeping cell (started, no attached UE) must come
+// between clock runs, at an instant of the cell's subframe grid: see settle.
 func (c *Cell) AttachUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -317,11 +332,14 @@ func (c *Cell) admit(cfg UEConfig, rng *rand.Rand, deliver func(Packet)) *UE {
 	if z, ok := cfg.Src.(interface{ NormFloat64() float64 }); ok {
 		u.nrm = z
 	}
+	if c.started && c.stop == nil {
+		c.wake() // before sfIndex stamps the row's diagLast
+	}
 	c.ues = append(c.ues, u)
 	c.soa.add(cfg, c.sfIndex)
 	c.active = append(c.active, int32(u.id))
 	if cap(c.order) < len(c.ues) {
-		c.order = make([]int, len(c.ues))
+		c.order = append(c.order[:cap(c.order)], 0) // scratch: grow geometrically
 	}
 	if due := c.sfIndex + int64(c.soa.diagEvery[u.id]); due < c.diagNext || len(c.active) == 1 {
 		c.diagNext = due
@@ -349,7 +367,7 @@ func (c *Cell) DetachUE(u *UE) int {
 	s.diagEvery[u.id] = math.MaxInt32 // never due again (row leaves active)
 	s.ewma[u.id] = 0
 	s.pfServed[u.id] = 0
-	u.queue = u.queue[:0]
+	u.queue = nil // rows are never deleted; do not pin the backing array
 	u.qhead = 0
 	u.headServed = 0
 	u.credit = 0
@@ -363,6 +381,10 @@ func (c *Cell) DetachUE(u *UE) int {
 			break
 		}
 	}
+	if len(c.active) == 0 && c.stop != nil {
+		c.stop() // last UE gone: sleep
+		c.stop = nil
+	}
 	return dropped
 }
 
@@ -373,9 +395,38 @@ func (c *Cell) Start() {
 		panic("lte: Cell started twice")
 	}
 	c.started = true
+	c.startAt = c.clk.Now()
 	// Diag reports are emitted from the subframe loop itself so a report
 	// at t covers exactly the subframes in (t−DiagPeriod, t].
-	c.clk.Ticker(Subframe, c.subframe)
+	if len(c.active) > 0 {
+		c.stop = c.clk.Ticker(Subframe, c.subframe)
+	}
+}
+
+// settle replays the subframes a sleeping cell skipped, up to and including
+// one due at this very instant. That is what a caller between clock runs
+// sees of a ticking cell — the tick at Now has fired — and the only place
+// settle may run from: inside a clock event on a subframe instant, whether
+// that tick came first is the heap's business and cannot be replayed. It
+// is a no-op on a ticking or unstarted cell.
+func (c *Cell) settle() {
+	if c.stop != nil || !c.started {
+		return
+	}
+	for due := int64((c.clk.Now() - c.startAt) / Subframe); c.sfIndex < due; {
+		c.advance()
+	}
+}
+
+// wake ends a sleep: settle, then resume ticking. The ticker restarts in
+// phase only from an instant of the cell's own subframe grid (the city
+// attaches at epoch barriers), so anything else is a caller bug.
+func (c *Cell) wake() {
+	if (c.clk.Now()-c.startAt)%Subframe != 0 {
+		panic("lte: sleeping Cell woken off its subframe grid")
+	}
+	c.settle()
+	c.stop = c.clk.Ticker(Subframe, c.subframe)
 }
 
 // UEs reports how many UEs are attached.
@@ -383,8 +434,11 @@ func (c *Cell) UEs() int { return len(c.ues) }
 
 // CurrentCapacity reports the instantaneous saturated PHY rate in bits/s —
 // what a single backlogged UE would get with a full buffer. Exposed for
-// tests and traces.
-func (c *Cell) CurrentCapacity() float64 { return c.cap.current }
+// tests and traces. Read a sleeping cell's between clock runs: see settle.
+func (c *Cell) CurrentCapacity() float64 {
+	c.settle()
+	return c.cap.current
+}
 
 // subframe runs once per millisecond: advance the capacity process, then
 // allocate the subframe's grants under the discipline matching the cell's
@@ -395,12 +449,7 @@ func (c *Cell) CurrentCapacity() float64 { return c.cap.current }
 // decay (see bufTotal/pfIdle) — so the common idle subframe costs a few
 // counter updates regardless of population.
 func (c *Cell) subframe() {
-	if c.capCountdown == 0 {
-		c.cap.step(c.rng, time.Duration(c.capStride)*Subframe)
-		c.capCountdown = c.capStride
-	}
-	c.capCountdown--
-	c.sfIndex++
+	c.advance()
 	c.now = c.clk.Now()
 	if len(c.ues) == 1 && !c.cfg.AlwaysPF {
 		if !c.ues[0].detached {
@@ -416,6 +465,18 @@ func (c *Cell) subframe() {
 	if c.sfIndex >= c.diagNext && len(c.active) > 0 {
 		c.diagSweep()
 	}
+}
+
+// advance is the subframe head — the capacity process and the subframe
+// counter — and all that a subframe of a UE-less cell does, so settle
+// replays slept subframes through it.
+func (c *Cell) advance() {
+	if c.capCountdown == 0 {
+		c.cap.step(c.rng, time.Duration(c.capStride)*Subframe)
+		c.capCountdown = c.capStride
+	}
+	c.capCountdown--
+	c.sfIndex++
 }
 
 // diagSweep emits every due diag report and recomputes the next due
@@ -719,7 +780,7 @@ func (u *UE) ServiceRate(bufferBytes int) float64 {
 	if f > 1 {
 		f = 1
 	}
-	return u.cell.cap.current * f
+	return u.cell.CurrentCapacity() * f
 }
 
 // serve transmits up to tbsBits from the head of the firmware buffer,

@@ -1,0 +1,251 @@
+package lte
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"poi360/internal/seeds"
+	"poi360/internal/simclock"
+)
+
+// A started cell with no attached UE holds no ticker and replays the
+// subframes it slept through at the next attach or capacity read. The
+// oracle for "the replay is exact" is the same production cell kept awake
+// for the whole run by a placeholder UE that never enqueues: an
+// unbacklogged row is never ranked or granted and draws nothing, so it
+// changes nothing about the cell but len(active) — the always-ticking
+// behaviour survives only here, as the reference.
+
+// sleepOp is one step of a tape, applied between clock runs the way the
+// city's barrier applies attaches and detaches.
+type sleepOp struct {
+	at   time.Duration
+	kind byte // 'a' attach slot, 'd' detach slot, 'e' enqueue n packets on slot, 'c' read capacity
+	slot int
+	n    int
+}
+
+// playSleepTape runs tape on one cell and returns everything observable:
+// every delivery and diag report with its instant, every capacity read,
+// every detach's dropped bytes, and each residency's served bits.
+func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Duration, keepAwake bool) []string {
+	t.Helper()
+	clk := simclock.New()
+	cfg.Src = seeds.NewSource(cfg.Profile.Seed)
+	cell, err := NewCell(clk, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keepAwake {
+		ucfg := DefaultUEConfig(0)
+		ucfg.Src = seeds.NewSource(4242)
+		if _, err := cell.AddUE(ucfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cell.Start()
+
+	var log []string
+	var slots [3]*UE
+	var all []*UE
+	residency, pktID := 0, int64(0)
+	for _, op := range tape {
+		clk.Run(op.at)
+		switch op.kind {
+		case 'a':
+			r := residency
+			residency++
+			ucfg := DefaultUEConfig(0)
+			ucfg.Src = seeds.NewSource(int64(1000 + r))
+			u, err := cell.AttachUE(ucfg, func(p Packet) {
+				log = append(log, fmt.Sprintf("deliver r%d pkt %d enq %v at %v", r, p.ID, p.Enq, clk.Now()))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			u.SetDiagListener(func(rep DiagReport) {
+				log = append(log, fmt.Sprintf("diag r%d %+v", r, rep))
+			})
+			slots[op.slot] = u
+			all = append(all, u)
+		case 'd':
+			log = append(log, fmt.Sprintf("detach at %v dropped %d", op.at, cell.DetachUE(slots[op.slot])))
+			slots[op.slot] = nil
+		case 'e':
+			for k := 0; k < op.n; k++ {
+				pktID++
+				slots[op.slot].Enqueue(Packet{ID: pktID, Bytes: 200 + int(pktID*37%1000)})
+			}
+		case 'c':
+			log = append(log, fmt.Sprintf("capacity at %v = %v", op.at, cell.CurrentCapacity()))
+			if len(all) > 0 {
+				// A detached handle reads the Fig. 5 rate off the same cell.
+				log = append(log, fmt.Sprintf("service rate = %v", all[0].ServiceRate(5000)))
+			}
+		}
+	}
+	clk.Run(end)
+	for r, u := range all {
+		log = append(log, fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.Dropped()))
+	}
+	log = append(log, fmt.Sprintf("capacity at end = %v", cell.CurrentCapacity()))
+	return log
+}
+
+// randomSleepTape draws a tape over three slots whose population keeps
+// returning to zero. Most instants sit on the subframe grid (barriers do);
+// some do not, except an attach that wakes the cell, which must. It reports
+// how many attaches found the cell empty.
+func randomSleepTape(seed int64, end time.Duration) (tape []sleepOp, wakes int) {
+	rng := rand.New(rand.NewSource(seed))
+	var attached [3]bool
+	pop := 0
+	var at time.Duration
+	for {
+		at += time.Duration(1+rng.Intn(150)) * Subframe
+		if rng.Intn(8) == 0 {
+			at += time.Duration(rng.Intn(int(Subframe)))
+		}
+		if at >= end {
+			return tape, wakes
+		}
+		slot := rng.Intn(len(attached))
+		switch r := rng.Intn(10); {
+		case r < 2:
+			tape = append(tape, sleepOp{at: at, kind: 'c'})
+		case !attached[slot] && (r < 5 || pop == 0):
+			if pop == 0 {
+				wakes++
+				at = (at + Subframe - 1).Truncate(Subframe)
+			}
+			attached[slot] = true
+			pop++
+			tape = append(tape, sleepOp{at: at, kind: 'a', slot: slot}, sleepOp{at: at, kind: 'e', slot: slot, n: 1 + rng.Intn(30)})
+		case attached[slot] && r < 7:
+			attached[slot] = false
+			pop--
+			tape = append(tape, sleepOp{at: at, kind: 'd', slot: slot})
+		case attached[slot]:
+			tape = append(tape, sleepOp{at: at, kind: 'e', slot: slot, n: 1 + rng.Intn(40)})
+		}
+	}
+}
+
+func TestSleepingCellMatchesTickingCell(t *testing.T) {
+	const end = 12 * time.Second
+	ms := time.Millisecond
+	fault := func(now time.Duration) float64 {
+		if now >= 3*time.Second && now < 5*time.Second {
+			return 0.3
+		}
+		return 1
+	}
+	tapes := map[string][]sleepOp{
+		// The last UE detaches and another attaches at the same instant.
+		"handoff-same-instant": {
+			{at: 0, kind: 'a', slot: 0}, {at: 0, kind: 'e', slot: 0, n: 20},
+			{at: 700 * ms, kind: 'd', slot: 0}, {at: 700 * ms, kind: 'a', slot: 1}, {at: 700 * ms, kind: 'e', slot: 1, n: 20},
+			{at: 900 * ms, kind: 'd', slot: 1}, {at: 2 * time.Second, kind: 'c'},
+		},
+		// The cell slept the whole run so far: started empty, woken late.
+		"wake-after-sleeping-since-start": {
+			{at: 4321 * ms, kind: 'a', slot: 2}, {at: 4321 * ms, kind: 'e', slot: 2, n: 60},
+			{at: 4400 * ms, kind: 'e', slot: 2, n: 60},
+		},
+		// Between two subframes a ticking cell admits and loses UEs and a
+		// sleeping one is read; only the wake itself is bound to the grid.
+		"off-grid-around-a-sleep": {
+			{at: 0, kind: 'a', slot: 0}, {at: 10*ms + 400*time.Microsecond, kind: 'a', slot: 1},
+			{at: 10*ms + 400*time.Microsecond, kind: 'e', slot: 1, n: 30}, {at: 10*ms + 700*time.Microsecond, kind: 'd', slot: 0},
+			{at: 300*ms + 900*time.Microsecond, kind: 'd', slot: 1}, {at: 2000*ms + 100*time.Microsecond, kind: 'c'},
+			{at: 2001 * ms, kind: 'a', slot: 2}, {at: 2001 * ms, kind: 'e', slot: 2, n: 30},
+		},
+		// Reads alone settle a sleeping cell, repeatedly.
+		"capacity-reads-while-asleep": {
+			{at: 1 * ms, kind: 'c'}, {at: 1500 * ms, kind: 'c'}, {at: 1500 * ms, kind: 'c'}, {at: 3999*ms + 1, kind: 'c'},
+			{at: 6 * time.Second, kind: 'a', slot: 0}, {at: 6 * time.Second, kind: 'e', slot: 0, n: 10}, {at: 6100 * ms, kind: 'd', slot: 0},
+			{at: 9 * time.Second, kind: 'c'},
+		},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		tape, wakes := randomSleepTape(seed, end)
+		if wakes < 3 {
+			t.Fatalf("random tape %d wakes the cell %d times; fix the generator", seed, wakes)
+		}
+		tapes[fmt.Sprintf("random-%d", seed)] = tape
+	}
+
+	for name, tape := range tapes {
+		for _, stride := range []int{1, 10} {
+			for _, faulted := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/stride-%d/fault-%v", name, stride, faulted), func(t *testing.T) {
+					prof := ProfileBusy
+					prof.SpeedMph = 30 // fades and outages draw from the cell's stream too
+					prof.Seed = 77
+					cfg := CellConfig{Profile: prof, AlwaysPF: true, CapacityStride: stride}
+					if faulted {
+						cfg.CapacityFault = fault
+					}
+					want := playSleepTape(t, cfg, tape, end, true)
+					got := playSleepTape(t, cfg, tape, end, false)
+					if len(want) < 3 {
+						t.Fatalf("reference observed only %d things", len(want))
+					}
+					for i := 0; i < len(want) && i < len(got); i++ {
+						if got[i] != want[i] {
+							t.Fatalf("observation %d:\n sleeping: %s\n  ticking: %s", i, got[i], want[i])
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("sleeping cell observed %d things, ticking cell %d", len(got), len(want))
+					}
+				})
+			}
+		}
+	}
+}
+
+// The ticker can only restart in phase from an instant of the cell's grid.
+func TestSleepingCellWokenOffGridPanics(t *testing.T) {
+	clk := simclock.New()
+	cell, err := NewCell(clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell.Start()
+	clk.Run(2*time.Millisecond + 400*time.Microsecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AttachUE woke a sleeping cell between two subframes without panicking")
+		}
+	}()
+	cell.AttachUE(DefaultUEConfig(1), nil)
+}
+
+// A cell that sleeps holds nothing on the clock.
+func TestSleepingCellSchedulesNothing(t *testing.T) {
+	clk := simclock.New()
+	cell, err := NewCell(clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell.Start()
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("empty started cell holds %d pending events", n)
+	}
+	u, err := cell.AttachUE(DefaultUEConfig(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := clk.Pending(); n != 1 {
+		t.Fatalf("woken cell holds %d pending events, want its ticker", n)
+	}
+	clk.Run(50 * time.Millisecond)
+	cell.DetachUE(u)
+	clk.Run(60 * time.Millisecond) // consumes the stopped ticker's last occurrence
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("cell went back to sleep holding %d pending events", n)
+	}
+}

@@ -7,13 +7,19 @@
 // Each cell is a shard — its own simclock event heap plus one lte.Cell and
 // the UE endpoints currently resident on it. Shards advance in lockstep
 // epochs (10 ms): a worker pool drains an atomic
-// cursor over the shard array, running every shard's clock to the common
-// epoch end, then a single-threaded coordinator processes the boundary in
+// cursor over the awake shards — those with at least one resident endpoint
+// — running each one's clock to the common epoch end, then a
+// single-threaded coordinator processes the boundary in
 // UE-id order (mobility decisions, handover starts/completions, obs
 // emission). Because each UE's entire state is touched only by events on
 // its resident shard's clock during an epoch, and only by the coordinator
 // at barriers, the report is byte-identical at any Workers value — the
 // same ordered-fold discipline as the experiment engine's runBatches.
+//
+// A shard nobody resides on is dormant: no epoch touches it, its cell
+// sleeps (see lte.Cell), and the barrier that next attaches a UE to it
+// first runs its clock to the present. The run's cost follows the
+// population, not the grid (DESIGN.md §15).
 //
 // # Handover state machine
 //
@@ -50,6 +56,7 @@ package network
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,10 +338,12 @@ type city struct {
 	shards []*shard
 	ues    []*ue
 	gridW  int
-	// order is the shard visit order for epoch advance — heaviest
-	// (most-resident) shards first, so under a worker pool the slowest
-	// shard starts earliest and the barrier tail shrinks. Reordered only
-	// at barriers; contents never affect results, only wall time.
+	// order is the awake list — the shards with at least one resident,
+	// the only ones an epoch advances — in visit order: heaviest
+	// (most-resident) first, so under a worker pool the slowest shard
+	// starts earliest and the barrier tail shrinks. Mutated only at
+	// barriers (attach wakes a shard, the retire that empties one drops
+	// it); visit order never affects results, only wall time.
 	order []int32
 	pool  *epochPool
 	// radio holds the per-cell telemetry buses (nil unless Config.Agg or
@@ -456,6 +465,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// --- UEs: mobility stream, controller mix, initial attachment -----
+	n.order = make([]int32, 0, len(n.shards))
 	n.ues = make([]*ue, cfg.UEs)
 	for i := range n.ues {
 		u, err := n.newUE(i)
@@ -478,10 +488,6 @@ func Run(cfg Config) (*Result, error) {
 	// handover state machine strictly after the barrier, where it mutates
 	// residencies. The fold order (UE id) and every draw are unchanged by
 	// the overlap, so results stay byte-identical at any Workers.
-	n.order = make([]int32, len(n.shards))
-	for i := range n.order {
-		n.order[i] = int32(i)
-	}
 	if w := min(cfg.Workers, len(n.shards)); w > 1 {
 		n.pool = newEpochPool(n, w)
 		defer n.pool.stop()
@@ -578,7 +584,7 @@ func (n *city) applyBoundary(now time.Duration) {
 	}
 }
 
-// reorderShards sorts the shard visit order by resident count, heaviest
+// reorderShards sorts the awake list by resident count, heaviest
 // first (id ascending on ties): under a worker pool the most loaded
 // shards start earliest, so the epoch's critical path is not a heavy
 // shard picked up last. Pure wall-time scheduling — results are
@@ -619,6 +625,11 @@ func (n *city) startHandover(u *ue, now time.Duration) {
 
 func (n *city) completeHandover(u *ue, now time.Duration) {
 	u.retire()
+	if len(n.shards[u.hoFrom].residents) == 0 {
+		// Nobody left on the old shard: it goes dormant.
+		k := slices.Index(n.order, int32(u.hoFrom))
+		n.order = slices.Delete(n.order, k, k+1)
+	}
 	outage := now - u.detachAt
 	if err := n.attach(u, u.cur, now, true); err != nil {
 		// AttachUE only fails on config validation, which passed at

@@ -11,14 +11,19 @@ import (
 // contract: one config, any Workers value, byte-identical results — and
 // attaching a telemetry bus must not perturb the trajectory.
 func TestCityByteIdentityAcrossWorkers(t *testing.T) {
-	base := Config{
+	dense := Config{
 		Cells:     9,
 		UEs:       24,
 		Duration:  6 * time.Second,
 		Seed:      7,
 		MeanDwell: 1500 * time.Millisecond,
 	}
+	for name, base := range map[string]Config{"dense": dense, "sparse": citySparseFixture()} {
+		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base) })
+	}
+}
 
+func cityByteIdentityAcrossWorkers(t *testing.T, base Config) {
 	run := func(workers int, bus *obs.Bus) *Result {
 		cfg := base
 		cfg.Workers = workers

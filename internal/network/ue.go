@@ -81,11 +81,14 @@ type feedback struct {
 // rate control) and the receiver half (arrival bookkeeping, GCC feedback)
 // of a single uplink video call, resident on one shard at a time.
 //
-// Endpoints are deliberately allocation-free in steady state: the
-// application queue, the pending-frame window, and the arrival/feedback
-// rings all reuse their backing arrays, and the three per-UE RNG streams
-// (mobility, core path, modem) are 8-byte SplitMix slots that a handover
-// reseeds in place instead of reallocating.
+// Endpoints do not churn memory. The application queue, the pending-frame
+// window, and the arrival/feedback queues reclaim their consumed prefix
+// before they would grow (see reclaim), so a queue allocates only when its
+// live backlog sets a new record and nothing allocates once backlogs have
+// peaked — which, in a static city whose senders fill their firmware
+// buffers, takes minutes (TestCitySteadyStateAllocFree). The three per-UE
+// RNG streams (mobility, core path, modem) are 8-byte SplitMix slots that
+// a handover reseeds in place instead of reallocating.
 type ue struct {
 	id  int
 	rc  RC
@@ -154,8 +157,10 @@ func (n *city) newUE(id int) (*ue, error) {
 		cfg:     cfg,
 		pathSrc: seeds.NewSource(0),
 		lteSrc:  seeds.NewSource(0),
-		// Ring capacities sized for steady state (a frame's worth of
-		// packets in flight, one feedback epoch) so appends never regrow.
+		// Initial capacities cover an uncongested sender (a frame's worth
+		// of packets in flight, one feedback epoch, the ⌈revDelay/frame⌉+1
+		// estimates in flight); a queue regrows only when its live backlog
+		// outgrows them, as pend does while a firmware buffer fills up.
 		appq: make([]appPkt, 0, 32),
 		arrQ: make([]arrival, 0, 32),
 		fbQ:  make([]feedback, 0, 8),
@@ -213,6 +218,13 @@ func (n *city) newUE(id int) (*ue, error) {
 // at t=0, handover completion at barriers).
 func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	sh := n.shards[cell]
+	if len(sh.residents) == 0 {
+		// Dormant shard: bring its clock to the barrier — the frame ticks
+		// it skipped fire as the no-ops they were, keeping the ticker's
+		// phase — before the cell wakes against clk.Now().
+		sh.clk.Run(now)
+		n.order = append(n.order, int32(cell))
+	}
 	grid := seeds.Grid(n.cfg.Seed, cell, u.id, u.attachSeq)
 	u.attachSeq++
 	u.pathSrc.Seed(seeds.Stream(grid, "path"))
@@ -293,10 +305,6 @@ func (u *ue) tick(p *port) {
 		u.rgcc = u.fbQ[u.fbHead].rate
 		u.fbHead++
 	}
-	if u.fbHead == len(u.fbQ) {
-		u.fbQ = u.fbQ[:0]
-		u.fbHead = 0
-	}
 
 	// Core-path arrivals due by now, in arrival order (the ring is
 	// monotone), before the receiver half reads the GCC window.
@@ -314,18 +322,24 @@ func (u *ue) tick(p *port) {
 			}
 		}
 	}
-	if u.arrHead == len(u.arrQ) {
-		u.arrQ = u.arrQ[:0]
-		u.arrHead = 0
-	} else if u.arrHead > 64 && u.arrHead*2 > len(u.arrQ) {
-		u.arrQ = u.arrQ[:copy(u.arrQ, u.arrQ[u.arrHead:])]
-		u.arrHead = 0
-	}
 
 	u.senderHalf(p, now)
 
 	r := u.gccRx.Update(now)
+	u.fbQ, u.fbHead = reclaim(u.fbQ, u.fbHead)
 	u.fbQ = append(u.fbQ, feedback{due: now + revDelay, rate: r})
+}
+
+// reclaim drops q's consumed prefix q[:head] once the queue has drained or
+// the next append would otherwise grow the backing array, returning the
+// queue and its new head. Every endpoint queue appends through it, so none
+// outgrows its high-water live size however long the residency (the rules
+// lte.UE applies to the firmware queue). Values and order are untouched.
+func reclaim[T any](q []T, head int) ([]T, int) {
+	if head > 0 && (head == len(q) || len(q) == cap(q)) {
+		return q[:copy(q, q[head:])], 0
+	}
+	return q, head
 }
 
 // senderHalf captures one frame at the controller's video rate and drains
@@ -365,12 +379,14 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 		u.stats.FramesSent++
 	}
 	if u.appqBytes <= maxBacklogBytes {
+		u.pend, u.pendHead = reclaim(u.pend, u.pendHead)
 		u.pend = append(u.pend, pendFrame{id: u.frameID, capture: now, bits: bits, counted: counted})
 		for off := 0; off < frameBytes; off += rtpMTU {
 			sz := frameBytes - off
 			if sz > rtpMTU {
 				sz = rtpMTU
 			}
+			u.appq, u.apphead = reclaim(u.appq, u.apphead)
 			u.appq = append(u.appq, appPkt{frame: u.frameID, bytes: sz, last: off+rtpMTU >= frameBytes})
 			u.appqBytes += sz
 		}
@@ -406,10 +422,6 @@ func (u *ue) drain(p *port, now time.Duration) {
 			u.dropPend(pkt.frame)
 		}
 	}
-	if u.apphead > 64 && u.apphead*2 > len(u.appq) {
-		u.appq = u.appq[:copy(u.appq, u.appq[u.apphead:])]
-		u.apphead = 0
-	}
 }
 
 // deliver runs on the shard's clock when a packet clears the air
@@ -430,6 +442,7 @@ func (p *port) deliver(pkt lte.Packet) {
 		arr = p.lastArr
 	}
 	p.lastArr = arr
+	u.arrQ, u.arrHead = reclaim(u.arrQ, u.arrHead)
 	u.arrQ = append(u.arrQ, arrival{arr: arr, capture: e.capture, bits: e.bits, counted: e.counted})
 }
 
@@ -441,10 +454,6 @@ func (u *ue) takePend(id int64) (pendFrame, bool) {
 			e := u.pend[i]
 			if i == u.pendHead {
 				u.pendHead++
-				if u.pendHead > 64 && u.pendHead*2 > len(u.pend) {
-					u.pend = u.pend[:copy(u.pend, u.pend[u.pendHead:])]
-					u.pendHead = 0
-				}
 			} else {
 				copy(u.pend[i:], u.pend[i+1:])
 				u.pend = u.pend[:len(u.pend)-1]

@@ -165,7 +165,7 @@ func NewFBCC(cfg FBCCConfig) (*FBCC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &FBCC{cfg: cfg, rtpRate: cfg.InitialRTP()}
+	f := &FBCC{cfg: cfg, rtpRate: cfg.InitialRTP(), tbsWindow: make([]lte.DiagReport, 0, cfg.BandwidthWindow)}
 	f.sweet.init(cfg.InitialTargetBuffer)
 	return f, nil
 }
@@ -199,9 +199,13 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	f.haveLast = true
 
 	// --- Eq. 4 window -------------------------------------------------
-	f.tbsWindow = append(f.tbsWindow, rep)
-	if len(f.tbsWindow) > f.cfg.BandwidthWindow {
-		f.tbsWindow = f.tbsWindow[len(f.tbsWindow)-f.cfg.BandwidthWindow:]
+	if w := f.tbsWindow; len(w) == f.cfg.BandwidthWindow {
+		// Slide in place on the one backing array, oldest first: Eq. 4/5
+		// are float sums and must keep adding in report order.
+		copy(w, w[1:])
+		w[len(w)-1] = rep
+	} else {
+		f.tbsWindow = append(w, rep)
 	}
 
 	// Sweet-spot learning happens on every report.

@@ -396,8 +396,8 @@ func runSharedCell(base poi360.SessionConfig, n int, bus *poi360.TelemetryBus) e
 	return nil
 }
 
-// runCity runs the multi-cell city simulation: -cells LTE cells in
-// lockstep, -users UE endpoints with grid-walk mobility, handovers
+// runCity runs the multi-cell city simulation: -cells LTE cells as
+// event shards, -users UE endpoints with grid-walk mobility, handovers
 // emerging wherever a trace crosses a cell border. The printout is a pure
 // function of the flags at any -workers.
 func runCity(cells, ues int, duration, mobility time.Duration, seed int64, workers int, rc, obsOut, obsBin string) error {

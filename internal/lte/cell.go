@@ -61,8 +61,8 @@ type CellConfig struct {
 	// CapacityStride coarsens the capacity process to one step every
 	// CapacityStride subframes (stepping by stride·1 ms, so OU drift,
 	// burst and fade hazards cover the same wall time). 0 or 1 keeps the
-	// per-subframe stepping of the session model. The city layer steps its
-	// cells once per 10 ms epoch: background load and busy bursts move on
+	// per-subframe stepping of the session model. The city layer holds each
+	// draw for 10 subframes: background load and busy bursts move on
 	// 100 ms+ timescales, grants still draw against the held capacity
 	// every subframe, and the per-subframe Norm/Uniform draws of several
 	// hundred cells were a top-five row of the city CPU profile.

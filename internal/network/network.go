@@ -5,21 +5,24 @@
 // # Shard/merge discipline
 //
 // Each cell is a shard — its own simclock event heap plus one lte.Cell and
-// the UE endpoints currently resident on it. Shards advance in lockstep
-// epochs (10 ms): a worker pool drains an atomic
-// cursor over the awake shards — those with at least one resident endpoint
-// — running each one's clock to the common epoch end, then a
-// single-threaded coordinator processes the boundary in
-// UE-id order (mobility decisions, handover starts/completions, obs
-// emission). Because each UE's entire state is touched only by events on
-// its resident shard's clock during an epoch, and only by the coordinator
-// at barriers, the report is byte-identical at any Workers value — the
-// same ordered-fold discipline as the experiment engine's runBatches.
+// the UE endpoints currently resident on it. A single-threaded coordinator
+// visits a barrier every 10 ms and processes it in UE-id order (mobility
+// decisions, handover starts/completions, obs emission). Shards interact
+// only there, so a shard's clock runs on demand: the coordinator brings a
+// shard to barrier T — alone or through a worker pool draining an atomic
+// cursor over that barrier's due list — only if something at T is about to
+// touch it: a handover detaching from it, retiring from it or attaching to
+// it, the per-barrier flush of its telemetry bus, or the end of the run.
+// An untouched shard lags and later covers the gap in one clock run.
+// Because each UE's entire state is touched only by events on its resident
+// shard's clock between barriers, and only by the coordinator at barriers,
+// when a shard runs cannot show in the report, which is byte-identical at
+// any Workers value — the same ordered-fold discipline as the experiment
+// engine's runBatches.
 //
-// A shard nobody resides on is dormant: no epoch touches it, its cell
-// sleeps (see lte.Cell), and the barrier that next attaches a UE to it
-// first runs its clock to the present. The run's cost follows the
-// population, not the grid (DESIGN.md §15).
+// A shard nobody resides on is never due — not even at the end of the run
+// — and its cell sleeps (see lte.Cell). The run's cost follows the
+// population and its handovers, not the grid (DESIGN.md §15).
 //
 // # Handover state machine
 //
@@ -54,6 +57,7 @@
 package network
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -79,6 +83,13 @@ const (
 	coreJitterStd = 10 * time.Millisecond
 	revDelay      = 80 * time.Millisecond
 
+	// capacityStride is how many subframes a city cell holds one draw of
+	// its fading/capacity process: the OU correlation time (≈200 ms for
+	// the campus profile) is far longer than 10 ms, so the coarser step
+	// loses nothing the PF scheduler can see, and removes a Gaussian draw
+	// per cell per subframe from the hot path.
+	capacityStride = 10
+
 	// rtpMTU is the RTP payload size frames packetize into.
 	rtpMTU = 1200
 	// maxBacklogBytes caps the application send queue; a frame captured
@@ -86,7 +97,8 @@ const (
 	// would have skipped it), bounding queue growth during outages.
 	maxBacklogBytes = 256 * 1024
 
-	// epoch is the lockstep epoch length, a multiple of the LTE subframe.
+	// epoch is the barrier spacing, a multiple of the LTE subframe: the
+	// grid on which handovers start and complete.
 	epoch = 10 * time.Millisecond
 	// frameInterval is the capture cadence: one 30 fps frame.
 	frameInterval = time.Second / 30
@@ -138,8 +150,9 @@ type Config struct {
 	// MeanDwell is the mean of the exponential cell dwell time; 0 keeps
 	// every UE static (no mobility, no handover).
 	MeanDwell time.Duration
-	// Workers bounds shard-advance parallelism (0 = GOMAXPROCS, 1 =
-	// sequential). Any value yields byte-identical results.
+	// Workers bounds how many of a barrier's due shards advance in
+	// parallel (0 = GOMAXPROCS, 1 = sequential). Any value yields
+	// byte-identical results.
 	Workers int
 	// Profile is the radio environment of every cell (default
 	// lte.ProfileCampus); each cell's capacity process gets its own
@@ -320,6 +333,8 @@ type shard struct {
 	cell      *lte.Cell
 	links     []*lte.UE // one per residency, for per-cell fairness
 	residents []*port   // live residencies, mutated only at barriers
+	// dueAt is the last barrier whose due list holds this shard (touch).
+	dueAt time.Duration
 }
 
 // tickResidents is the shard's endpoint tick: one pass over the resident
@@ -338,27 +353,23 @@ type city struct {
 	shards []*shard
 	ues    []*ue
 	gridW  int
-	// order is the awake list — the shards with at least one resident,
-	// the only ones an epoch advances — in visit order: heaviest
-	// (most-resident) first, so under a worker pool the slowest shard
-	// starts earliest and the barrier tail shrinks. Mutated only at
-	// barriers (attach wakes a shard, the retire that empties one drops
-	// it); visit order never affects results, only wall time.
-	order []int32
-	pool  *epochPool
+	// due is the scratch list of the shards the current barrier touches,
+	// the only ones step brings to it: written by the coordinator, read by
+	// the pool. Its order never affects results, only wall time.
+	due  []int32
+	pool *epochPool
 	// radio holds the per-cell telemetry buses (nil unless Config.Agg or
 	// Config.Sink enabled them). Each bus is touched only by its shard's
-	// clock goroutine during an epoch and only by the coordinator at
+	// clock goroutine during an advance and only by the coordinator at
 	// barriers — the same isolation discipline as the shards themselves.
 	radio []*obs.Bus
 }
 
-// epochPool is the persistent shard-advance worker pool. The previous
-// engine spawned Workers goroutines per 10 ms epoch — 100 spawn/join
-// cycles per simulated second; the pool parks its workers on per-worker
-// command channels between epochs instead, so a barrier costs Workers
-// channel operations. Shard trajectories are independent within an epoch
-// (the package invariant), so cursor scheduling cannot leak into results.
+// epochPool is the persistent shard-advance worker pool: its workers park
+// on per-worker command channels between barriers, so an advance costs
+// Workers channel operations rather than Workers goroutine spawns. Due
+// shards' trajectories are independent up to the barrier (the package
+// invariant), so cursor scheduling cannot leak into results.
 type epochPool struct {
 	n      *city
 	cmds   []chan time.Duration
@@ -379,25 +390,33 @@ func (p *epochPool) work(cmd chan time.Duration) {
 	for end := range cmd {
 		for {
 			k := int(p.cursor.Add(1)) - 1
-			if k >= len(p.n.order) {
+			if k >= len(p.n.due) {
 				break
 			}
-			p.n.shards[p.n.order[k]].clk.Run(end)
+			p.n.shards[p.n.due[k]].clk.Run(end)
 		}
 		p.wg.Done()
 	}
 }
 
-// launch releases every worker on the current epoch; wait is the barrier.
-func (p *epochPool) launch(end time.Duration) {
+// run brings every shard on the due list to end and returns when all are
+// there, longest catch-up (residents × lag) first so that the advance
+// does not end on one worker finishing a long shard alone. The coordinator
+// wrote the list before the channel sends and does not touch it again
+// until wg.Wait returns.
+func (p *epochPool) run(end time.Duration) {
+	pending := func(c int32) int64 {
+		sh := p.n.shards[c]
+		return int64(len(sh.residents)) * int64(end-sh.clk.Now())
+	}
+	slices.SortFunc(p.n.due, func(a, b int32) int { return cmp.Compare(pending(b), pending(a)) })
 	p.cursor.Store(0)
 	p.wg.Add(len(p.cmds))
 	for _, c := range p.cmds {
 		c <- end
 	}
+	p.wg.Wait()
 }
-
-func (p *epochPool) wait() { p.wg.Wait() }
 
 func (p *epochPool) stop() {
 	for _, c := range p.cmds {
@@ -407,6 +426,30 @@ func (p *epochPool) stop() {
 
 // Run executes one city simulation to completion.
 func Run(cfg Config) (*Result, error) {
+	n, err := newCity(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if n.pool != nil {
+		defer n.pool.stop()
+	}
+	for now := time.Duration(0); now < n.cfg.Duration; {
+		now = n.step(now)
+	}
+
+	// Seal the spill streams: gauges (none today on city buses) and any
+	// pending bytes, coordinator first, then shards in id order.
+	n.cfg.Obs.FinishSpill()
+	for _, rb := range n.radio {
+		rb.FinishSpill()
+	}
+
+	return n.finalize(), nil
+}
+
+// newCity builds the city at t = 0, every UE admitted. The caller stops
+// the worker pool, if Workers > 1 gave it one.
+func newCity(cfg Config) (*city, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -416,15 +459,7 @@ func Run(cfg Config) (*Result, error) {
 
 	// --- Shards: one clock + one AlwaysPF cell per grid slot ----------
 	n.shards = make([]*shard, cfg.Cells)
-	// Fading/capacity is held for up to 10 ms of subframes per draw: the
-	// OU correlation time (≈200 ms for the campus profile) is far longer
-	// than a subframe, so stepping the process once per epoch loses
-	// nothing the PF scheduler can see, and removes a Gaussian draw per
-	// cell per subframe from the hot path.
-	capStride := int(epoch / lte.Subframe)
-	if maxStride := int(10 * time.Millisecond / lte.Subframe); capStride > maxStride {
-		capStride = maxStride
-	}
+	n.due = make([]int32, 0, cfg.Cells)
 	for c := range n.shards {
 		prof := cfg.Profile
 		prof.Seed = seeds.Stream(seeds.Grid(cfg.Seed, c, 0, 0), "cell")
@@ -436,7 +471,7 @@ func Run(cfg Config) (*Result, error) {
 		// cells, math/rand's per-source 5 KB table was a top cache-miss
 		// row of the city profile (see seeds.SplitMix).
 		cellCfg.Src = seeds.NewSource(prof.Seed)
-		cellCfg.CapacityStride = capStride
+		cellCfg.CapacityStride = capacityStride
 		clk := simclock.New()
 		cell, err := lte.NewCell(clk, cellCfg)
 		if err != nil {
@@ -465,7 +500,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// --- UEs: mobility stream, controller mix, initial attachment -----
-	n.order = make([]int32, 0, len(n.shards))
 	n.ues = make([]*ue, cfg.UEs)
 	for i := range n.ues {
 		u, err := n.newUE(i)
@@ -479,56 +513,66 @@ func Run(cfg Config) (*Result, error) {
 		u.stats.HomeCell = u.cur
 	}
 
-	// --- Lockstep epochs ----------------------------------------------
-	//
-	// The barrier is split in two: planMobility advances the mobility
-	// traces (coordinator-exclusive state — u.mrng, u.cur, u.nextMove,
-	// u.stats.Moves — none of it readable by shard events), so under a
-	// worker pool it overlaps the shard advance; applyBoundary runs the
-	// handover state machine strictly after the barrier, where it mutates
-	// residencies. The fold order (UE id) and every draw are unchanged by
-	// the overlap, so results stay byte-identical at any Workers.
 	if w := min(cfg.Workers, len(n.shards)); w > 1 {
 		n.pool = newEpochPool(n, w)
-		defer n.pool.stop()
 	}
-	var now time.Duration
-	for now < cfg.Duration {
-		end := now + epoch
-		if end > cfg.Duration {
-			end = cfg.Duration
-		}
-		final := end >= cfg.Duration
-		if n.pool != nil {
-			n.pool.launch(end)
-			if !final {
-				n.planMobility(end)
-			}
-			n.pool.wait()
-		} else {
-			if !final {
-				n.planMobility(end)
-			}
-			for _, k := range n.order {
-				n.shards[k].clk.Run(end)
-			}
-		}
-		now = end
-		if !final {
-			n.applyBoundary(now)
-			n.reorderShards()
-		}
-		n.flushTelemetry()
-	}
+	return n, nil
+}
 
-	// Seal the spill streams: gauges (none today on city buses) and any
-	// pending bytes, coordinator first, then shards in id order.
-	cfg.Obs.FinishSpill()
-	for _, rb := range n.radio {
-		rb.FinishSpill()
+// step takes the city from the barrier at now to the next one and returns
+// its time. It runs to that barrier only the shards something there is
+// about to touch; any other clock stays put and covers the gap in one Run
+// when a later barrier touches its shard — the same events in the same
+// order as running it barrier by barrier. planMobility goes first: it
+// settles where each UE wants to be, which decides the handovers.
+func (n *city) step(now time.Duration) time.Duration {
+	end := min(now+epoch, n.cfg.Duration)
+	final := end == n.cfg.Duration
+	n.due = n.due[:0]
+	if !final {
+		n.planMobility(end)
+		n.fold(end, n.touchStart, n.touchComplete)
 	}
+	if final || n.radio != nil {
+		// The end of the run, and the flush below (it hands every radio
+		// bus's bytes to the sink barrier by barrier), touch every shard
+		// with a resident: a city with radio buses advances in lockstep.
+		for c, sh := range n.shards {
+			if len(sh.residents) > 0 {
+				n.touch(c, end)
+			}
+		}
+	}
+	if n.pool != nil && len(n.due) > 1 {
+		n.pool.run(end)
+	} else {
+		for _, c := range n.due {
+			n.shards[c].clk.Run(end)
+		}
+	}
+	if !final {
+		n.fold(end, n.startHandover, n.completeHandover)
+	}
+	n.flushTelemetry()
+	return end
+}
 
-	return n.finalize(), nil
+// touch puts a shard on the due list of the barrier at end, once.
+func (n *city) touch(cell int, end time.Duration) {
+	if sh := n.shards[cell]; sh.dueAt != end {
+		sh.dueAt = end
+		n.due = append(n.due, int32(cell))
+	}
+}
+
+// touchStart and touchComplete mark the shards startHandover and
+// completeHandover reach into: the one detached from; the one retired
+// from and the one attached to (the same, if the UE walked back).
+func (n *city) touchStart(u *ue, end time.Duration) { n.touch(u.serving, end) }
+
+func (n *city) touchComplete(u *ue, end time.Duration) {
+	n.touch(u.hoFrom, end)
+	n.touch(u.cur, end)
 }
 
 // flushTelemetry hands every spilling bus's pending buffer to the shared
@@ -552,12 +596,10 @@ func (n *city) flushTelemetry() {
 	n.cfg.Obs.Sync() // a no-op unless Obs spills to a sink of its own
 }
 
-// planMobility advances every mobility trace to the epoch end, in UE-id
-// order. It touches only coordinator-exclusive fields, so the caller may
-// run it concurrently with the shard advance of the same epoch — the
-// trace tells the coordinator where the UE *wants* to be; the handover
-// machinery that acts on it (applyBoundary) still runs strictly at the
-// barrier.
+// planMobility advances every mobility trace to the barrier, in UE-id
+// order. It touches only coordinator-exclusive fields: the trace tells the
+// coordinator where the UE *wants* to be; the handover machinery that acts
+// on it (fold) runs once the shards it touches have caught up.
 func (n *city) planMobility(now time.Duration) {
 	for _, u := range n.ues {
 		if u.mrng != nil && now >= u.nextMove {
@@ -571,43 +613,19 @@ func (n *city) planMobility(now time.Duration) {
 	}
 }
 
-// applyBoundary is the single-threaded epoch barrier: the handover state
-// machine in UE-id order (the deterministic fold).
-func (n *city) applyBoundary(now time.Duration) {
+// fold is the single-threaded barrier's handover state machine, in UE-id
+// order (the deterministic fold). Which UEs it moves depends on their
+// coordinator-written fields alone, so step's two passes — marking the
+// shards each move touches, then, with those caught up to now, making the
+// moves — cannot disagree.
+func (n *city) fold(now time.Duration, start, complete func(*ue, time.Duration)) {
 	for _, u := range n.ues {
 		switch {
 		case u.serving >= 0 && u.serving != u.cur:
-			n.startHandover(u, now)
+			start(u, now)
 		case u.serving < 0 && now >= u.outageUntil:
-			n.completeHandover(u, now)
+			complete(u, now)
 		}
-	}
-}
-
-// reorderShards sorts the awake list by resident count, heaviest
-// first (id ascending on ties): under a worker pool the most loaded
-// shards start earliest, so the epoch's critical path is not a heavy
-// shard picked up last. Pure wall-time scheduling — results are
-// independent of visit order. Insertion sort: the order is nearly sorted
-// across consecutive epochs (populations move one UE at a time).
-func (n *city) reorderShards() {
-	if n.pool == nil {
-		return
-	}
-	ord := n.order
-	for i := 1; i < len(ord); i++ {
-		k := ord[i]
-		ck := len(n.shards[k].residents)
-		j := i - 1
-		for j >= 0 {
-			cj := len(n.shards[ord[j]].residents)
-			if cj > ck || (cj == ck && ord[j] < k) {
-				break
-			}
-			ord[j+1] = ord[j]
-			j--
-		}
-		ord[j+1] = k
 	}
 }
 
@@ -625,11 +643,6 @@ func (n *city) startHandover(u *ue, now time.Duration) {
 
 func (n *city) completeHandover(u *ue, now time.Duration) {
 	u.retire()
-	if len(n.shards[u.hoFrom].residents) == 0 {
-		// Nobody left on the old shard: it goes dormant.
-		k := slices.Index(n.order, int32(u.hoFrom))
-		n.order = slices.Delete(n.order, k, k+1)
-	}
 	outage := now - u.detachAt
 	if err := n.attach(u, u.cur, now, true); err != nil {
 		// AttachUE only fails on config validation, which passed at

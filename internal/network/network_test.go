@@ -11,15 +11,20 @@ import (
 // contract: one config, any Workers value, byte-identical results — and
 // attaching a telemetry bus must not perturb the trajectory.
 func TestCityByteIdentityAcrossWorkers(t *testing.T) {
-	dense := Config{
+	for name, base := range map[string]Config{"dense": cityDenseFixture(), "sparse": citySparseFixture()} {
+		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base) })
+	}
+}
+
+// cityDenseFixture is the UEs ≫ cells identity fixture: every shard is
+// populated all run long and a few handovers are in flight at any instant.
+func cityDenseFixture() Config {
+	return Config{
 		Cells:     9,
 		UEs:       24,
 		Duration:  6 * time.Second,
 		Seed:      7,
 		MeanDwell: 1500 * time.Millisecond,
-	}
-	for name, base := range map[string]Config{"dense": dense, "sparse": citySparseFixture()} {
-		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base) })
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"time"
 )
 
-// TestCityFingerprintsPinned pins sha256(Fingerprint()) of seven cities as
-// the tree read them before cells learned to sleep (recorded on commit
-// 3d5ef30). A sleeping cell and a dormant shard are pure wall-time
-// optimisations: not one bit of any trajectory may move, at any Workers.
+// TestCityFingerprintsPinned pins sha256(Fingerprint()) of eight cities:
+// seven as the tree read them before cells learned to sleep (recorded on
+// commit 3d5ef30), the high-churn one before shards ran on demand (commit
+// b571c46). A sleeping cell, a dormant shard and a lagging shard are pure
+// wall-time optimisations: not one bit of any trajectory may move, at any
+// Workers.
 func TestCityFingerprintsPinned(t *testing.T) {
 	ms := time.Millisecond
 	cases := []struct {
@@ -38,6 +40,8 @@ func TestCityFingerprintsPinned(t *testing.T) {
 			false, "de3a25a3d908e09f89a6c75fd47403533062c3017b12e134bbb396b5f4f3f5f6"},
 		{Config{Cells: 1024, UEs: 256, Duration: 10 * time.Second, Seed: 12345, MeanDwell: 3 * time.Second}, []int{1, 4},
 			true, "6de353100a272e28a407cb043208c2ba37ee1a218e0643e63d0a2f7228c64c26"},
+		{cityChurnFixture(), []int{1, 3},
+			false, "33e530e26d94433c58a216190fe6f27bca4deb53cc908c05b532aad8471dcfba"},
 	}
 	for _, tc := range cases {
 		for _, w := range tc.workers {

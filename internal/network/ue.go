@@ -215,16 +215,12 @@ func (n *city) newUE(id int) (*ue, error) {
 // row (fresh PF/EWMA state under per-residency seeds), a new port, and a
 // slot on the shard's resident list, whose shard-level ticker drives the
 // endpoint. Called only from the single-threaded coordinator (admission
-// at t=0, handover completion at barriers).
+// at t=0, handover completion at barriers), with the shard's clock at now:
+// the cell wakes against clk.Now(), and on a shard that had no resident the
+// frame ticks it skipped have fired as the no-ops they were, keeping the
+// ticker's phase.
 func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	sh := n.shards[cell]
-	if len(sh.residents) == 0 {
-		// Dormant shard: bring its clock to the barrier — the frame ticks
-		// it skipped fire as the no-ops they were, keeping the ticker's
-		// phase — before the cell wakes against clk.Now().
-		sh.clk.Run(now)
-		n.order = append(n.order, int32(cell))
-	}
 	grid := seeds.Grid(n.cfg.Seed, cell, u.id, u.attachSeq)
 	u.attachSeq++
 	u.pathSrc.Seed(seeds.Stream(grid, "path"))

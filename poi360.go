@@ -72,7 +72,7 @@ type MultiSessionConfig = session.MultiConfig
 func RunSharedCell(mc MultiSessionConfig) ([]*SessionResult, error) { return session.RunShared(mc) }
 
 // CityConfig describes a multi-cell city simulation: hundreds of LTE
-// cells advancing in lockstep epochs, thousands of lightweight UE
+// cells as event shards run on demand, thousands of lightweight UE
 // endpoints running the real FBCC/GCC controllers, and grid-walk mobility
 // traces whose cell crossings trigger emergent handovers (detach, sized
 // outage, watchdog degradation, re-attach, recovery). Deterministic for a

@@ -99,7 +99,9 @@ obs-smoke:
 	echo "obs-smoke: ok"
 
 ## live-smoke: the real-transport backend under the race detector — the
-## wire codec fuzz corpus, the jitter buffer, the sender transport's
+## fuzz corpora of the media and report codecs, the jitter buffer against
+## its always-heap oracle, the per-packet allocation gates and the pooled
+## socket reader, the sender transport's
 ## synthesized diag feed, the wall-clock scheduler, and the live wiring of
 ## the session halves on virtual time (a whole call, forged peers) — then
 ## two real ~2 s

@@ -185,7 +185,11 @@ type GCCReceiver struct {
 	growElapsed time.Duration
 	growFactor  float64
 
-	seqs []seqObs // recent packet sequence numbers for loss estimation
+	// seqs[seqHead:] is the loss window: the packet sequence numbers of
+	// the last RateWindow. Expiry advances seqHead; the consumed prefix is
+	// slid out only when the next append would otherwise grow the array.
+	seqs    []seqObs
+	seqHead int
 
 	// probe, when non-nil, receives detector-verdict (gcc.usage) and
 	// AIMD state-transition (gcc.state) telemetry (internal/obs).
@@ -268,31 +272,29 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 // number, enabling the loss-based controller (RTCP-receiver-report style).
 func (g *GCCReceiver) OnPacket(arrival, delay time.Duration, bits float64, seq int64) {
 	g.OnFrame(arrival, delay, bits)
-	g.seqs = append(g.seqs, seqObs{arrival: arrival, seq: seq})
-	cut := 0
-	for cut < len(g.seqs) && arrival-g.seqs[cut].arrival > g.cfg.RateWindow {
-		cut++
+	if g.seqHead > 0 && len(g.seqs) == cap(g.seqs) {
+		g.seqs = g.seqs[:copy(g.seqs, g.seqs[g.seqHead:])]
+		g.seqHead = 0
 	}
-	if cut > 0 {
-		// Compact in place instead of re-slicing the front away: the
-		// backing array stays put, so append never chases a walking
-		// window across fresh allocations.
-		n := copy(g.seqs, g.seqs[cut:])
-		g.seqs = g.seqs[:n]
+	g.seqs = append(g.seqs, seqObs{arrival: arrival, seq: seq})
+	// The entry just appended never expires, so the scan ends inside seqs.
+	for arrival-g.seqs[g.seqHead].arrival > g.cfg.RateWindow {
+		g.seqHead++
 	}
 }
 
 // LossRatio estimates the fraction of packets lost over the rate window
 // from sequence-number gaps.
 func (g *GCCReceiver) LossRatio() float64 {
-	if len(g.seqs) < 2 {
+	win := g.seqs[g.seqHead:]
+	if len(win) < 2 {
 		return 0
 	}
-	span := g.seqs[len(g.seqs)-1].seq - g.seqs[0].seq + 1
+	span := win[len(win)-1].seq - win[0].seq + 1
 	if span <= 0 {
 		return 0
 	}
-	lost := span - int64(len(g.seqs))
+	lost := span - int64(len(win))
 	if lost <= 0 {
 		return 0
 	}

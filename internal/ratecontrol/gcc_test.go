@@ -2,6 +2,8 @@ package ratecontrol
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -156,5 +158,109 @@ func TestGCCNeedsFramesForSlope(t *testing.T) {
 	g.OnFrame(0, time.Second, 1e5)
 	if g.Usage() != Normal {
 		t.Fatal("single frame should not trigger")
+	}
+}
+
+// copyingLossWindow is GCCReceiver's loss window as it was before the head
+// index: append, scan the expired prefix from the front, slide the rest
+// home on every packet. TestGCCLossWindowMatchesCopyingReference holds the
+// production window to it.
+type copyingLossWindow struct {
+	seqs   []seqObs
+	window time.Duration
+}
+
+func (w *copyingLossWindow) add(arrival time.Duration, seq int64) {
+	w.seqs = append(w.seqs, seqObs{arrival: arrival, seq: seq})
+	cut := 0
+	for cut < len(w.seqs) && arrival-w.seqs[cut].arrival > w.window {
+		cut++
+	}
+	if cut > 0 {
+		w.seqs = w.seqs[:copy(w.seqs, w.seqs[cut:])]
+	}
+}
+
+// lossTape draws packet arrivals: steady pacing, same-instant bursts, a
+// dense run longer than the rate window, idle gaps beyond it, gaps that put
+// the oldest entry exactly on the window boundary, and lossy or reordered
+// sequence numbers.
+func lossTape(rng *rand.Rand, window time.Duration, n int) (arrivals []time.Duration, seqs []int64) {
+	now, seq := time.Duration(0), int64(0)
+	for len(arrivals) < n {
+		run := 1
+		switch d := rng.Intn(40); {
+		case d == 0:
+			now += window + time.Duration(rng.Intn(3))*time.Millisecond // everything expires
+		case d == 1 && len(arrivals) > 0:
+			// The oldest entry still inside the window lands exactly on its
+			// edge (kept: the predicate is a strict >).
+			i := len(arrivals) - 1
+			for i > 0 && now-arrivals[i-1] <= window {
+				i--
+			}
+			now = max(now, arrivals[i]+window)
+		case d == 2:
+			run = 1200 + rng.Intn(600) // a dense run outlasting the window
+		case d < 8:
+			// same instant
+		default:
+			now += time.Duration(1+rng.Intn(12)) * time.Millisecond
+		}
+		for ; run > 0; run-- {
+			switch d := rng.Intn(30); {
+			case d == 0:
+				seq += 2 + rng.Int63n(5) // loss
+			case d == 1:
+				seq-- // reordered
+			default:
+				seq++
+			}
+			arrivals = append(arrivals, now)
+			seqs = append(seqs, seq)
+			if run > 1 {
+				now += time.Millisecond
+			}
+		}
+	}
+	return arrivals, seqs
+}
+
+func TestGCCLossWindowMatchesCopyingReference(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, ref := newGCC(t), newGCC(t)
+		win := &copyingLossWindow{window: got.cfg.RateWindow}
+		arrivals, seqs := lossTape(rng, got.cfg.RateWindow, 6000)
+		peak := 0
+		for i, at := range arrivals {
+			delay := time.Duration(rng.Intn(40)) * time.Millisecond
+			head, length, capacity := got.seqHead, len(got.seqs), cap(got.seqs)
+			got.OnPacket(at, delay, 9600, seqs[i])
+			if cap(got.seqs) != capacity && (head != 0 || length != capacity) {
+				t.Fatalf("seed %d pkt %d: seqs grew %d -> %d with head %d, len %d (room to reclaim)",
+					seed, i, capacity, cap(got.seqs), head, length)
+			}
+			// The reference is the same controller reading the copying window.
+			ref.OnFrame(at, delay, 9600)
+			win.add(at, seqs[i])
+			ref.seqs, ref.seqHead = win.seqs, 0
+			peak = max(peak, len(win.seqs))
+
+			if live := got.seqs[got.seqHead:]; !slices.Equal(live, win.seqs) {
+				t.Fatalf("seed %d pkt %d @%v: live window has %d entries, reference %d", seed, i, at, len(live), len(win.seqs))
+			}
+			if g, w := got.LossRatio(), ref.LossRatio(); g != w {
+				t.Fatalf("seed %d pkt %d @%v: LossRatio %v, reference %v", seed, i, at, g, w)
+			}
+			if g, w := got.Update(at), ref.Update(at); g != w {
+				t.Fatalf("seed %d pkt %d @%v: Update %v, reference %v", seed, i, at, g, w)
+			}
+		}
+		// Growth stops once the window has peaked: the array never holds
+		// more than append's doubling of the largest live window.
+		if c := cap(got.seqs); c > 2*peak+4 {
+			t.Fatalf("seed %d: cap(seqs) = %d for a peak window of %d", seed, c, peak)
+		}
 	}
 }

@@ -47,8 +47,8 @@ type Report struct {
 	SentAt time.Duration
 
 	// Transport accounting, cumulative since the receiver started.
-	CumBytes   uint64 // wire bytes of accepted media datagrams
-	CumPackets uint64 // accepted media datagrams
+	CumBytes   uint64 // wire bytes of accepted media datagrams, each sequence once
+	CumPackets uint64 // accepted media datagrams, each sequence once
 	HighestSeq int64  // highest transport sequence seen; -1 before any
 
 	// Application feedback (§5).
@@ -110,8 +110,10 @@ func ParseReport(b []byte) (Report, error) {
 	if hi > math.MaxInt64 {
 		return r, fmt.Errorf("%w: highest sequence %d", ErrReportRange, hi)
 	}
-	// Note CumPackets may exceed HighestSeq+1: it counts accepted datagrams,
-	// and a duplicating network delivers more datagrams than sequences.
+	// CumPackets is not checked against HighestSeq+1: Receiver counts each
+	// sequence once (duplicates and late arrivals are not acked), but the
+	// codec does not police its peer, and the sender treats a surplus as
+	// nothing lost.
 	r.HighestSeq = int64(hi) - 1
 	r.ROI = projection.Tile{I: int(b[40]), J: int(b[41])}
 	if b[42] != 0 || b[43] != 0 {

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -133,4 +134,34 @@ func TestReportMediaDisambiguation(t *testing.T) {
 	if b[0]>>6 == 2 {
 		t.Error("report magic collides with the RTP version bits")
 	}
+}
+
+// FuzzReportRoundTrip: whatever ParseReport accepts re-marshals to the same
+// 56 bytes and re-parses to the same Report, and no input panics — the
+// sender parses this codec straight off a socket.
+func FuzzReportRoundTrip(f *testing.F) {
+	rep := testReport()
+	f.Add(rep.AppendTo(nil))
+	f.Add((&Report{HighestSeq: -1}).AppendTo(nil))
+	f.Add(make([]byte, ReportLen))
+	f.Add([]byte{ReportMagic, reportVersion})
+	f.Add(append(rep.AppendTo(nil), 0))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := ParseReport(b)
+		if err != nil {
+			return // rejected is fine; panicking is not
+		}
+		out := got.AppendTo(nil)
+		if !bytes.Equal(out, b) {
+			t.Fatalf("re-marshal differs:\n got %x\nwant %x", out, b)
+		}
+		again, err := ParseReport(out)
+		if err != nil {
+			t.Fatalf("re-parse of re-marshal failed: %v", err)
+		}
+		if again != got {
+			t.Fatalf("round-trip skew:\n got %+v\nwant %+v", again, got)
+		}
+	})
 }

@@ -1,11 +1,12 @@
 // The receive-side jitter buffer: a sequence-ordered hold stage between
 // the socket and the reassembler that absorbs UDP reordering. The policy
 // is time-based (DESIGN.md §16): an in-order packet is released the moment
-// it arrives — the common path adds zero latency — while an out-of-order
-// packet waits up to Hold for the gap before it to fill. When the hold
-// expires with the gap still open, the missing sequences are declared
-// skipped (the sequence-gap tracker) and delivery resumes, so one lost
-// datagram stalls the pipeline for at most Hold.
+// it arrives — the common path adds zero latency, and when nothing is held
+// it touches neither the heap, the membership map nor a timer — while an
+// out-of-order packet waits up to Hold for the gap before it to fill. When
+// the hold expires with the gap still open, the missing sequences are
+// declared skipped (the sequence-gap tracker) and delivery resumes, so one
+// lost datagram stalls the pipeline for at most Hold.
 
 package realnet
 
@@ -70,17 +71,28 @@ func NewJitterBuffer(clk simclock.Scheduler, hold time.Duration, deliver func(rt
 	return jb
 }
 
-// Push ingests one parsed packet.
-func (jb *JitterBuffer) Push(h rtp.WireHeader) {
+// Push ingests one parsed packet and reports whether the buffer accepted
+// it: false for a late arrival or a duplicate, which is dropped and counted.
+func (jb *JitterBuffer) Push(h rtp.WireHeader) bool {
 	if jb.started && h.Seq < jb.next {
 		jb.late++
 		jb.probe.Emit(jb.clk.Now(), obs.NetJitter, 1, 0, 0, 0)
-		return
+		return false
+	}
+	if jb.started && h.Seq == jb.next && len(jb.heap) == 0 {
+		// The owed sequence arriving with nothing held: pushing it would
+		// pop it straight back and arm no timer, so release it directly.
+		// With anything held it must go through drain — its successors may
+		// be waiting behind it. (The stream's first packet takes the heap
+		// path below, which is what puts MaxDepth at 1.)
+		jb.next++
+		jb.deliver(h, jb.clk.Now())
+		return true
 	}
 	if _, dup := jb.buffered[h.Seq]; dup {
 		jb.dups++
 		jb.probe.Emit(jb.clk.Now(), obs.NetJitter, 0, 1, 0, 0)
-		return
+		return false
 	}
 	if !jb.started {
 		// Lock the stream to the first arrival: if it was itself reordered,
@@ -100,6 +112,7 @@ func (jb *JitterBuffer) Push(h rtp.WireHeader) {
 		// at worst a stale timer fires into an already-drained buffer.
 		jb.clk.ScheduleCode(jb.heap[0].due, jb.code, nil)
 	}
+	return true
 }
 
 // drain releases every packet that is either in order or past its hold,

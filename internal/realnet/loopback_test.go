@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,5 +87,78 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	}
 	if tr.WriteErrors() != 0 {
 		t.Errorf("sender write errors: %d", tr.WriteErrors())
+	}
+}
+
+// TestPumpRecyclesReadBuffers: the socket edge does not allocate a read
+// buffer (and a closure) per datagram. A 1000-datagram burst over loopback,
+// paced by a window well inside the socket buffer so nothing is dropped,
+// must cost far less than one 2 KiB buffer each; what is left is net's
+// source address and the wall clock's sleep timers.
+func TestPumpRecyclesReadBuffers(t *testing.T) {
+	const burst, window = 1000, 32
+	wall := simclock.NewWall()
+	rxLink, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer rxLink.Close()
+	txLink, err := Dial(rxLink.LocalAddr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer txLink.Close()
+
+	inflight := make(chan struct{}, window) // semaphore: datagrams written, not yet handled
+	var handled, payload int
+	go rxLink.Pump(wall, func(b []byte) {
+		handled++
+		payload += len(b)
+		<-inflight
+	})
+	done := make(chan struct{})
+	go func() {
+		wall.Run(time.Minute)
+		close(done)
+	}()
+
+	deadline := time.After(20 * time.Second) // one timer: per-send ones would be counted below
+	acquire := func() {
+		select {
+		case inflight <- struct{}{}:
+		case <-deadline:
+			t.Fatal("loopback datagram lost or pump stalled")
+		}
+	}
+	datagram := make([]byte, rtp.WireHeaderLen+rtp.MTU)
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			acquire()
+			if err := txLink.Write(datagram); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		for i := 0; i < window; i++ { // every slot ours: all handled
+			acquire()
+		}
+		for i := 0; i < window; i++ {
+			<-inflight
+		}
+	}
+	send(2 * window) // warm the free list and the scheduler's arena
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(burst)
+	runtime.ReadMemStats(&after)
+	wall.Stop()
+	<-done
+
+	if want := 2*window + burst; handled != want || payload != want*len(datagram) {
+		t.Fatalf("handled %d datagrams / %d bytes, want %d / %d", handled, payload, want, want*len(datagram))
+	}
+	perDatagram := (after.TotalAlloc - before.TotalAlloc) / burst
+	t.Logf("%d B allocated per received datagram", perDatagram)
+	if perDatagram >= 512 {
+		t.Fatalf("%d B allocated per received datagram, want < 512 (a fresh read buffer is 2048)", perDatagram)
 	}
 }

@@ -43,7 +43,14 @@ type Link struct {
 
 	mu    sync.Mutex
 	peer  *net.UDPAddr
-	learn bool // listening side: adopt the first datagram's source
+	learn bool        // listening side: adopt the first datagram's source
+	free  []*datagram // read buffers Pump's handler has finished with
+}
+
+// datagram is one read buffer on its way from Pump to the handler and back.
+type datagram struct {
+	n   int
+	buf [maxDatagram]byte
 }
 
 // Dial opens a sender-role link towards addr (host:port).
@@ -95,11 +102,29 @@ func (l *Link) Write(b []byte) error {
 // scheduler goroutine — the same single-goroutine discipline the simulated
 // transports get for free. It must be given a concurrency-safe scheduler
 // (simclock.Wall); the simulated Clock is single-goroutine and tests feed
-// handlers directly instead. Pump returns when the socket is closed.
+// handlers directly instead. Read buffers are recycled through the link's
+// free list, so the slice handle receives is only valid during the call:
+// a handler parses it into values (both HandleDatagram methods do) or
+// copies what it keeps. Pump returns when the socket is closed.
 func (l *Link) Pump(sched *simclock.Wall, handle func([]byte)) {
+	deliver := func(arg any) {
+		d := arg.(*datagram)
+		handle(d.buf[:d.n])
+		l.mu.Lock()
+		l.free = append(l.free, d)
+		l.mu.Unlock()
+	}
 	for {
-		buf := make([]byte, maxDatagram)
-		n, addr, err := l.conn.ReadFromUDP(buf)
+		var d *datagram
+		l.mu.Lock()
+		if n := len(l.free); n > 0 {
+			d, l.free = l.free[n-1], l.free[:n-1]
+		}
+		l.mu.Unlock()
+		if d == nil {
+			d = new(datagram)
+		}
+		n, addr, err := l.conn.ReadFromUDP(d.buf[:])
 		if err != nil {
 			return // closed (or unrecoverable): the session is over
 		}
@@ -108,8 +133,8 @@ func (l *Link) Pump(sched *simclock.Wall, handle func([]byte)) {
 			l.peer = addr
 			l.mu.Unlock()
 		}
-		b := buf[:n]
-		sched.ScheduleAfter(0, func() { handle(b) })
+		d.n = n
+		sched.SchedulePayload(sched.Now(), deliver, d)
 	}
 }
 

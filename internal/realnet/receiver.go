@@ -39,8 +39,9 @@ type ReceiverConfig struct {
 	// Deliver receives each released packet in sequence order, with its
 	// receipt instant (receiver clock). Packets of one frame share one
 	// *video.EncodedFrame, so per-frame state (a reconstructed Spatial
-	// matrix, say) can hang off the frame. The pointee is only valid
-	// within the call. Required.
+	// matrix, say) can hang off the frame. The *rtp.Packet is receiver-
+	// owned storage reused across calls: it is only valid within the call,
+	// so copy it (*pkt) to keep it. Required.
 	Deliver func(pkt *rtp.Packet, arrived time.Duration)
 	// SendReport writes one report datagram to the sender (Link.Write).
 	// Nil disables reporting (deterministic tests drive reports manually).
@@ -65,12 +66,15 @@ type Receiver struct {
 	badSSRC    int64
 	parseErrs  int64
 
-	// Cumulative accounting for reports.
+	// Cumulative accounting for reports: datagrams the jitter buffer
+	// accepted (a late arrival or duplicate is not received twice), and the
+	// highest sequence any parsed datagram carried.
 	recvBytes  uint64
 	recvPkts   uint64
 	highestSeq int64
 
 	frames map[int]*video.EncodedFrame
+	pkt    rtp.Packet // the delivered packet view, rebuilt per release
 
 	reportSeq  uint32
 	reportErrs int64
@@ -118,12 +122,14 @@ func (r *Receiver) HandleDatagram(b []byte) {
 		r.badSSRC++
 		return
 	}
-	r.recvBytes += uint64(len(b))
-	r.recvPkts++
 	if h.Seq > r.highestSeq {
 		r.highestSeq = h.Seq
 	}
-	r.jb.Push(h)
+	// Acked on acceptance, not at release: a held packet has arrived.
+	if r.jb.Push(h) {
+		r.recvBytes += uint64(len(b))
+		r.recvPkts++
+	}
 }
 
 // release is the jitter buffer's delivery point: rebuild the packet view
@@ -142,7 +148,7 @@ func (r *Receiver) release(h rtp.WireHeader, arrived time.Duration) {
 			}
 		}
 	}
-	pkt := rtp.Packet{
+	r.pkt = rtp.Packet{
 		FrameSeq: h.FrameSeq,
 		Index:    h.Index,
 		Count:    h.Count,
@@ -151,7 +157,7 @@ func (r *Receiver) release(h rtp.WireHeader, arrived time.Duration) {
 		SentAt:   h.SentAt,
 		Seq:      h.Seq,
 	}
-	r.cfg.Deliver(&pkt, arrived)
+	r.cfg.Deliver(&r.pkt, arrived)
 }
 
 // reportTick emits one reverse report.

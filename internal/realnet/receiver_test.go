@@ -53,6 +53,44 @@ func TestReceiverDeliversSharedFrame(t *testing.T) {
 	}
 }
 
+// TestReceiverDuplicatesNotAcked: a datagram the network delivered twice is
+// received once. Counting it twice would inflate CumBytes/CumPackets in
+// every later report and sink the sender's in-flight estimate for good.
+func TestReceiverDuplicatesNotAcked(t *testing.T) {
+	clk := simclock.New()
+	var delivered []int64
+	r := NewReceiver(clk, ReceiverConfig{
+		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
+	})
+	wire := wireFrame(0, 6, 0, 42)
+	for _, d := range wire[:3] {
+		if len(d) != 164 {
+			t.Fatalf("datagram is %d bytes, want 164", len(d))
+		}
+		r.HandleDatagram(d)
+		r.HandleDatagram(d) // the duplicate finds its sequence already released
+	}
+	st := r.Stats()
+	if st.Packets != 3 || st.Bytes != 492 || st.Late != 3 || st.HighestSeq != 2 {
+		t.Fatalf("after 3 datagrams delivered twice: %+v, want Packets 3, Bytes 492, Late 3, HighestSeq 2", st)
+	}
+	// A duplicate of a sequence still held behind a gap is not acked either,
+	// but the held packet itself is — on arrival, not at release.
+	r.HandleDatagram(wire[5])
+	r.HandleDatagram(wire[5])
+	st = r.Stats()
+	if st.Packets != 4 || st.Bytes != 656 || st.Duplicates != 1 || st.HighestSeq != 5 {
+		t.Fatalf("held packet and its duplicate: %+v, want Packets 4, Bytes 656, Duplicates 1, HighestSeq 5", st)
+	}
+	if !equalSeqs(delivered, []int64{0, 1, 2}) {
+		t.Fatalf("delivered %v before the hold expires, want [0 1 2]", delivered)
+	}
+	clk.Run(100 * time.Millisecond)
+	if !equalSeqs(delivered, []int64{0, 1, 2, 5}) {
+		t.Fatalf("delivered %v, want [0 1 2 5]", delivered)
+	}
+}
+
 func TestReceiverSSRCValidation(t *testing.T) {
 	clk := simclock.New()
 	var n int

@@ -136,6 +136,46 @@ func TestTransportLossVacatesInflight(t *testing.T) {
 	}
 }
 
+// TestTransportInflightIgnoresDuplicates: the in-flight estimate FBCC steers
+// is the same whether or not the network duplicated the datagrams that got
+// through. Ten packets are sent, the last four are still in flight when the
+// report leaves; once with every delivered datagram doubled.
+func TestTransportInflightIgnoresDuplicates(t *testing.T) {
+	inflight := func(copies int) int {
+		clk := simclock.New()
+		var tr *Transport
+		rx := NewReceiver(clk, ReceiverConfig{
+			Deliver:    func(*rtp.Packet, time.Duration) {},
+			SendReport: func(b []byte) error { tr.HandleDatagram(b); return nil },
+		})
+		sent := 0
+		tr = NewTransport(clk, 1, func(b []byte) error {
+			if sent++; sent <= 6 {
+				for i := 0; i < copies; i++ {
+					rx.HandleDatagram(b)
+				}
+			}
+			return nil
+		}, nil)
+		for i := int64(0); i < 10; i++ {
+			pkt := mediaPacket(i, int(i))
+			tr.Send(pkt.Bytes, pkt)
+		}
+		clk.Run(100 * time.Millisecond)
+		if !tr.Reports() {
+			t.Fatal("no report reached the sender")
+		}
+		return tr.AccessBufferBytes()
+	}
+	clean, duplicated := inflight(1), inflight(2)
+	if want := 4 * (rtp.WireHeaderLen + rtp.MTU); clean != want {
+		t.Fatalf("in-flight %d on the clean path, want %d (4 packets)", clean, want)
+	}
+	if duplicated != clean {
+		t.Fatalf("in-flight %d when every datagram arrives twice, %d when once", duplicated, clean)
+	}
+}
+
 func TestTransportFeedbackFaultGatesReports(t *testing.T) {
 	clk := simclock.New()
 	var got []Report

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"poi360/internal/projection"
@@ -88,7 +89,9 @@ func wireTimestamp(capture time.Duration) uint32 {
 // AppendWire marshals p as one wire packet — header plus p.Bytes of
 // zero-valued media payload — appended to dst, and returns the grown
 // slice. It is the zero-alloc marshal path: with dst capacity already at
-// WireHeaderLen+p.Bytes nothing is allocated. Fields that cannot be
+// WireHeaderLen+p.Bytes nothing is allocated and the payload costs one
+// clear of the reused bytes, so a packet marshals in about the time it
+// parses. Fields that cannot be
 // represented (negative or >16-bit counts, a tile outside a byte, a
 // negative capture instant) panic with ErrWireMarshal: the sender pipeline
 // never produces them, so hitting one is a programming error upstream.
@@ -126,19 +129,12 @@ func (p *Packet) AppendWire(dst []byte, ssrc uint32) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.scale())))
 	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.jitter())))
 	dst = binary.BigEndian.AppendUint16(dst, 0) // reserved, must be zero
-	// Synthetic media payload: the declared size in zero bytes. Zero even
-	// on a reused buffer, so the padding region is deterministic.
-	if n := p.Bytes; n > 0 {
-		old := len(dst)
-		if cap(dst)-old < n {
-			dst = append(dst, make([]byte, n)...)
-		} else {
-			dst = dst[:old+n]
-			for i := old; i < old+n; i++ {
-				dst[i] = 0
-			}
-		}
-	}
+	// Synthetic media payload: the declared size in zero bytes. Cleared
+	// (one memclr) even on a reused buffer, so the padding region is
+	// deterministic whatever the buffer held before.
+	old := len(dst)
+	dst = slices.Grow(dst, p.Bytes)[:old+p.Bytes]
+	clear(dst[old:])
 	return dst
 }
 

@@ -89,6 +89,39 @@ func TestWireMarshalZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestWireMarshalZeroesDirtyBuffer: the synthetic payload is zero whatever
+// the reused buffer held — including past its previous length — and the
+// datagram still round-trips.
+func TestWireMarshalZeroesDirtyBuffer(t *testing.T) {
+	pkt, _ := wireTestPacket()
+	buf := make([]byte, WireHeaderLen+MTU+64)
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	for _, bytes := range []int{MTU, 1, 0, 700} {
+		pkt.Bytes = bytes
+		b := pkt.AppendWire(buf[:0], 7)
+		if &b[0] != &buf[0] {
+			t.Fatalf("Bytes=%d: warm buffer was reallocated", bytes)
+		}
+		for i, v := range b[WireHeaderLen:] {
+			if v != 0 {
+				t.Fatalf("Bytes=%d: payload byte %d = %#02x, want 0", bytes, i, v)
+			}
+		}
+		h, err := ParseWire(b)
+		if err != nil {
+			t.Fatalf("Bytes=%d: ParseWire: %v", bytes, err)
+		}
+		if h.Bytes != bytes || h.Seq != pkt.Seq || h.SSRC != 7 {
+			t.Fatalf("Bytes=%d: header %+v skewed", bytes, h)
+		}
+		for i := range b { // dirty it again for the next size
+			b[i] = 0xFF
+		}
+	}
+}
+
 // TestWireCorruptRejected drives the strict-unmarshal contract: every
 // truncation and every field corruption is rejected with an error — and
 // none of them panics.
@@ -219,4 +252,31 @@ func FuzzPacketWireRoundTrip(f *testing.F) {
 			t.Fatalf("round-trip header skew:\n got %+v\nwant %+v", h2, h)
 		}
 	})
+}
+
+// The per-packet cost of the live wire codec (DESIGN.md §16): a full-MTU
+// packet marshalled into a warm buffer, and parsed back.
+func BenchmarkWireMarshal(b *testing.B) {
+	pkt, _ := wireTestPacket()
+	buf := make([]byte, 0, WireHeaderLen+MTU)
+	b.ReportAllocs()
+	b.SetBytes(int64(WireHeaderLen + MTU))
+	for i := 0; i < b.N; i++ {
+		buf = pkt.AppendWire(buf[:0], 1)
+	}
+}
+
+var benchHeader WireHeader
+
+func BenchmarkWireParse(b *testing.B) {
+	pkt, _ := wireTestPacket()
+	wire := pkt.AppendWire(nil, 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h, err := ParseWire(wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchHeader = h
+	}
 }

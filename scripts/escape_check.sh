@@ -19,7 +19,7 @@ export LC_ALL=C # sort and comm must agree on the collation
 cd "$(dirname "$0")/.."
 allow=scripts/escape_allow.txt
 pkgs="./internal/obs ./internal/lte ./internal/simclock ./internal/network
-./internal/ratecontrol ./internal/rtp ./internal/netsim"
+./internal/ratecontrol ./internal/rtp ./internal/netsim ./internal/realnet"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -21,13 +21,18 @@ test:
 ## the five that honour -short, so the fault-injection, shared-cell and city
 ## subsystems are raced here — plus a full-mode pass over the experiment
 ## engine's sharding tests (the cross-batch worker pool, the byte-identity
-## contracts it must keep, and the two multi-user tests -short skips) and
-## one raced pass of the pipelined city epoch loop at 1/2/4/8 persistent
-## workers. The two full-scale city acceptance tests honour -short too and
-## run in plain `make test`.
+## contracts it must keep, and the two multi-user tests -short skips), two
+## more passes of the city's epoch-barrier tests with GOMAXPROCS 1 and 2 in
+## the environment — the hand-off's yield path and its park path raced on
+## one P and on two, whatever the runner's core count (-count=1: the test
+## cache does not key on GOMAXPROCS) — and one raced pass of the city epoch
+## loop at 1/2/4/8 workers. The two full-scale city acceptance tests honour
+## -short too and run in plain `make test`.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch|MultiUserMeasured' ./internal/experiments
+	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
+	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network
 
 ## lint: gofmt cleanliness (vet is its own target so the CI matrix can

@@ -9,7 +9,7 @@
 // visits a barrier every 10 ms and processes it in UE-id order (mobility
 // decisions, handover starts/completions, obs emission). Shards interact
 // only there, so a shard's clock runs on demand: the coordinator brings a
-// shard to barrier T — alone or through a worker pool draining an atomic
+// shard to barrier T — alone or with helper goroutines draining an atomic
 // cursor over that barrier's due list — only if something at T is about to
 // touch it: a handover detaching from it, retiring from it or attaching to
 // it, the per-barrier flush of its telemetry bus, or the end of the run.
@@ -150,9 +150,10 @@ type Config struct {
 	// MeanDwell is the mean of the exponential cell dwell time; 0 keeps
 	// every UE static (no mobility, no handover).
 	MeanDwell time.Duration
-	// Workers bounds how many of a barrier's due shards advance in
-	// parallel (0 = GOMAXPROCS, 1 = sequential). Any value yields
-	// byte-identical results.
+	// Workers is how many goroutines advance a barrier's due shards: the
+	// coordinator plus Workers−1 helpers, which wait by yielding and park
+	// after about a millisecond without a barrier (0 = GOMAXPROCS, 1 = no
+	// goroutine started). Any value yields byte-identical results.
 	Workers int
 	// Profile is the radio environment of every cell (default
 	// lte.ProfileCampus); each cell's capacity process gets its own
@@ -358,6 +359,8 @@ type city struct {
 	// the pool. Its order never affects results, only wall time.
 	due  []int32
 	pool *epochPool
+	// Tallies of step's barriers, the pooled ones, and due-list lengths.
+	barriers, pooled, dueSum int64
 	// radio holds the per-cell telemetry buses (nil unless Config.Agg or
 	// Config.Sink enabled them). Each bus is touched only by its shard's
 	// clock goroutine during an advance and only by the coordinator at
@@ -365,63 +368,101 @@ type city struct {
 	radio []*obs.Bus
 }
 
-// epochPool is the persistent shard-advance worker pool: its workers park
-// on per-worker command channels between barriers, so an advance costs
-// Workers channel operations rather than Workers goroutine spawns. Due
-// shards' trajectories are independent up to the barrier (the package
-// invariant), so cursor scheduling cannot leak into results.
+// parkAfterYields bounds a helper's wait by yielding. At ≈ 0.1 µs a yield
+// with nothing else runnable it is about a millisecond — a few barrier
+// spacings of a busy city (≈ 0.3 ms) — after which the helper parks, so a
+// static city, a slow sink or the end of a run stop costing a core. Swept on
+// city-par: 50 parks at every barrier again; 500 to 50 000 read alike.
+const parkAfterYields = 10000
+
+// epochPool is the barrier's hand-off: Workers−1 helpers and the coordinator
+// itself drain an atomic cursor over city.due. The coordinator publishes an
+// advance by bumping gen and collects it when left reads zero; both sides
+// wait by yielding, so no thread sleeps in the kernel between barriers a
+// fraction of a millisecond apart. Atomics are sequentially consistent: a
+// helper that saw the new gen sees all the coordinator wrote before it, and
+// the coordinator that saw zero all the helpers did. Due shards are
+// independent up to the barrier (the package invariant), so who runs which
+// cannot leak into results.
 type epochPool struct {
-	n      *city
-	cmds   []chan time.Duration
-	cursor atomic.Int64
-	wg     sync.WaitGroup
+	n       *city
+	helpers int32
+	end     time.Duration // barrier of the current generation
+	quit    bool          // the current generation is the last
+	cursor  atomic.Int64
+	gen     atomic.Uint64
+	left    atomic.Int32 // helpers still in the current generation
+	mu      sync.Mutex   // a gen bump holds it, and so does a helper deciding to park
+	wake    sync.Cond
+	parked  int // helpers in wake.Wait, under mu (tests wait on it)
 }
 
 func newEpochPool(n *city, workers int) *epochPool {
-	p := &epochPool{n: n, cmds: make([]chan time.Duration, workers)}
-	for i := range p.cmds {
-		p.cmds[i] = make(chan time.Duration)
-		go p.work(p.cmds[i])
+	p := &epochPool{n: n, helpers: int32(workers - 1)}
+	p.wake.L = &p.mu
+	for range p.helpers {
+		go p.help()
 	}
 	return p
 }
 
-func (p *epochPool) work(cmd chan time.Duration) {
-	for end := range cmd {
-		for {
-			k := int(p.cursor.Add(1)) - 1
-			if k >= len(p.n.due) {
-				break
+func (p *epochPool) help() {
+	for seen, quit := uint64(0), false; !quit; seen++ {
+		for spins := 0; p.gen.Load() == seen; spins++ {
+			if spins < parkAfterYields {
+				runtime.Gosched()
+				continue
 			}
-			p.n.shards[p.n.due[k]].clk.Run(end)
+			// Under mu no bump falls between the re-check and the wait.
+			p.mu.Lock()
+			p.parked++
+			for p.gen.Load() == seen {
+				p.wake.Wait()
+			}
+			p.parked--
+			p.mu.Unlock()
 		}
-		p.wg.Done()
+		p.drain()
+		quit = p.quit
+		p.left.Add(-1)
+	}
+}
+
+func (p *epochPool) drain() {
+	for k := p.cursor.Add(1) - 1; k < int64(len(p.n.due)); k = p.cursor.Add(1) - 1 {
+		p.n.shards[p.n.due[k]].clk.Run(p.end)
 	}
 }
 
 // run brings every shard on the due list to end and returns when all are
 // there, longest catch-up (residents × lag) first so that the advance
-// does not end on one worker finishing a long shard alone. The coordinator
-// wrote the list before the channel sends and does not touch it again
-// until wg.Wait returns.
+// does not end on one goroutine finishing a long shard alone. All a helper
+// reads is written before gen moves; no shard is touched until left is zero.
 func (p *epochPool) run(end time.Duration) {
 	pending := func(c int32) int64 {
 		sh := p.n.shards[c]
 		return int64(len(sh.residents)) * int64(end-sh.clk.Now())
 	}
 	slices.SortFunc(p.n.due, func(a, b int32) int { return cmp.Compare(pending(b), pending(a)) })
+	p.end = end
 	p.cursor.Store(0)
-	p.wg.Add(len(p.cmds))
-	for _, c := range p.cmds {
-		c <- end
+	p.left.Store(p.helpers)
+	p.mu.Lock()
+	p.gen.Add(1)
+	p.mu.Unlock()
+	p.wake.Broadcast()
+	p.drain()
+	for p.left.Load() != 0 {
+		runtime.Gosched()
 	}
-	p.wg.Wait()
 }
 
+// stop publishes an empty last generation, which wakes any parked helper,
+// and returns once every helper has counted itself out of it and is exiting.
 func (p *epochPool) stop() {
-	for _, c := range p.cmds {
-		close(c)
-	}
+	p.quit = true
+	p.n.due = p.n.due[:0]
+	p.run(0)
 }
 
 // Run executes one city simulation to completion.
@@ -430,13 +471,17 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return n.run(), nil
+}
+
+// run steps the city to its end, joins the pool and folds the result.
+func (n *city) run() *Result {
 	if n.pool != nil {
 		defer n.pool.stop()
 	}
 	for now := time.Duration(0); now < n.cfg.Duration; {
 		now = n.step(now)
 	}
-
 	// Seal the spill streams: gauges (none today on city buses) and any
 	// pending bytes, coordinator first, then shards in id order.
 	n.cfg.Obs.FinishSpill()
@@ -444,11 +489,11 @@ func Run(cfg Config) (*Result, error) {
 		rb.FinishSpill()
 	}
 
-	return n.finalize(), nil
+	return n.finalize()
 }
 
 // newCity builds the city at t = 0, every UE admitted. The caller stops
-// the worker pool, if Workers > 1 gave it one.
+// the pool, if Workers > 1 gave it one.
 func newCity(cfg Config) (*city, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -543,7 +588,10 @@ func (n *city) step(now time.Duration) time.Duration {
 			}
 		}
 	}
+	n.barriers++
+	n.dueSum += int64(len(n.due))
 	if n.pool != nil && len(n.due) > 1 {
+		n.pooled++
 		n.pool.run(end)
 	} else {
 		for _, c := range n.due {

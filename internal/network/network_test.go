@@ -12,7 +12,7 @@ import (
 // attaching a telemetry bus must not perturb the trajectory.
 func TestCityByteIdentityAcrossWorkers(t *testing.T) {
 	for name, base := range map[string]Config{"dense": cityDenseFixture(), "sparse": citySparseFixture()} {
-		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base) })
+		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base, 2, 4, 8) })
 	}
 }
 
@@ -28,7 +28,9 @@ func cityDenseFixture() Config {
 	}
 }
 
-func cityByteIdentityAcrossWorkers(t *testing.T, base Config) {
+// cityByteIdentityAcrossWorkers holds base's fingerprint and coordinator
+// event stream at each of the given worker counts to the Workers 1 run.
+func cityByteIdentityAcrossWorkers(t *testing.T, base Config, parallel ...int) {
 	run := func(workers int, bus *obs.Bus) *Result {
 		cfg := base
 		cfg.Workers = workers
@@ -47,7 +49,7 @@ func cityByteIdentityAcrossWorkers(t *testing.T, base Config) {
 		t.Fatalf("identity fixture produced no handovers; weaken nothing — fix the config")
 	}
 
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range parallel {
 		bus := obs.NewBus()
 		got := run(workers, bus)
 		if fp := got.Fingerprint(); fp != want {
@@ -65,7 +67,7 @@ func cityByteIdentityAcrossWorkers(t *testing.T, base Config) {
 	}
 
 	// Observation must not steer: the un-instrumented run matches too.
-	if fp := run(4, nil).Fingerprint(); fp != want {
+	if fp := run(parallel[0], nil).Fingerprint(); fp != want {
 		t.Fatalf("running without obs changed the result:\n--- with ---\n%s\n--- without ---\n%s", want, fp)
 	}
 }

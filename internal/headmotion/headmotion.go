@@ -10,10 +10,10 @@ package headmotion
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"poi360/internal/projection"
+	"poi360/internal/seeds"
 )
 
 // Model yields the viewer's orientation at a virtual time. Implementations
@@ -73,7 +73,7 @@ func UserByName(name string) (Profile, error) {
 // Stochastic is a seeded dwell/turn head-motion process.
 type Stochastic struct {
 	p   Profile
-	rng *rand.Rand
+	rng *seeds.SplitMix
 
 	cur projection.Orientation
 	t   time.Duration // time up to which state is advanced
@@ -98,7 +98,7 @@ type Stochastic struct {
 func NewStochastic(p Profile, seed int64) *Stochastic {
 	s := &Stochastic{
 		p:   p,
-		rng: rand.New(rand.NewSource(seed)),
+		rng: seeds.NewSource(seed),
 		cur: projection.Orientation{Yaw: 180, Pitch: 0},
 	}
 	s.scheduleDwell(0)

@@ -3,10 +3,10 @@ package lte
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"poi360/internal/obs"
+	"poi360/internal/seeds"
 	"poi360/internal/simclock"
 )
 
@@ -51,13 +51,9 @@ type CellConfig struct {
 	// residency; the default keeps the legacy bit-exact stochastic path
 	// for 1-UE cells.
 	AlwaysPF bool
-	// Src, when non-nil, supplies the cell's uniform randomness (capacity
-	// process and, on legacy 1-UE cells, the shared grant stream) instead
-	// of the default math/rand source seeded from Profile.Seed. The city
-	// layer passes seeds.SplitMix here: 8 bytes of stream state per cell
-	// instead of a 5 KB lagged-Fibonacci table. nil preserves the legacy
-	// source bit-exactly.
-	Src rand.Source
+	// Src is the capacity process's generator; nil means
+	// seeds.NewSource(Profile.Seed).
+	Src *seeds.SplitMix
 	// CapacityStride coarsens the capacity process to one step every
 	// CapacityStride subframes (stepping by stride·1 ms, so OU drift,
 	// burst and fade hazards cover the same wall time). 0 or 1 keeps the
@@ -98,15 +94,11 @@ type UEConfig struct {
 	DiagPeriod time.Duration
 	// Seed drives the UE's grant/TBS randomness.
 	Seed int64
-	// Src, when non-nil, supplies the UE's grant/TBS randomness instead of
-	// a fresh math/rand source seeded from Seed (which Src callers leave
-	// zero). The city layer reuses one 8-byte seeds.SplitMix per UE slot
-	// across re-attachments — reseeding is a single store, where seeding a
-	// lagged-Fibonacci table per residency was ~13% of the city profile. A
+	// Src is the UE's grant/TBS generator; nil means seeds.NewSource(Seed).
+	// The city layer reseeds one per UE slot for each residency: a
 	// detached UE's row never draws again (detached rows are excluded from
-	// scheduling), so handing the same source to the next residency cannot
-	// interleave streams. nil preserves the legacy source bit-exactly.
-	Src rand.Source
+	// scheduling), so the next residency cannot interleave streams with it.
+	Src *seeds.SplitMix
 	// DiagFault, when non-nil, suppresses the diagnostic report due at the
 	// given instant when it returns true (a stalled chipset diag feed).
 	DiagFault func(at time.Duration) bool
@@ -167,7 +159,7 @@ func (c UEConfig) Validate() error {
 type Cell struct {
 	clk simclock.Scheduler
 	cfg CellConfig
-	rng *rand.Rand
+	rng *seeds.SplitMix
 
 	ues     []*UE
 	order   []int // scratch: PF ranking of backlogged UEs per subframe
@@ -259,14 +251,14 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	src := cfg.Src
-	if src == nil {
-		src = rand.NewSource(cfg.Profile.Seed)
+	rng := cfg.Src
+	if rng == nil {
+		rng = seeds.NewSource(cfg.Profile.Seed)
 	}
 	c := &Cell{
 		clk:       clk,
 		cfg:       cfg,
-		rng:       rand.New(src),
+		rng:       rng,
 		capStride: cfg.CapacityStride,
 		diagNext:  math.MaxInt64,
 	}
@@ -289,7 +281,7 @@ func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return c.admit(cfg, cfg.newRand(), deliver), nil
+	return c.admit(cfg, deliver), nil
 }
 
 // AttachUE admits a UE to a running cell (handover re-attach): unlike
@@ -304,21 +296,16 @@ func (c *Cell) AttachUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return c.admit(cfg, cfg.newRand(), deliver), nil
+	return c.admit(cfg, deliver), nil
 }
 
-// newRand returns the UE's own draw stream: cfg.Src, or one seeded from
-// cfg.Seed.
-func (cfg UEConfig) newRand() *rand.Rand {
-	if cfg.Src != nil {
-		return rand.New(cfg.Src)
+// admit appends a UE row drawing from its own stream, cfg.Src or one seeded
+// from cfg.Seed.
+func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
+	rng := cfg.Src
+	if rng == nil {
+		rng = seeds.NewSource(cfg.Seed)
 	}
-	return rand.New(rand.NewSource(cfg.Seed))
-}
-
-// admit appends a UE row drawing from rng: a stream of its own for AddUE and
-// AttachUE, the cell's for NewUplink.
-func (c *Cell) admit(cfg UEConfig, rng *rand.Rand, deliver func(Packet)) *UE {
 	u := &UE{
 		cell:    c,
 		id:      len(c.ues),
@@ -328,9 +315,6 @@ func (c *Cell) admit(cfg UEConfig, rng *rand.Rand, deliver func(Packet)) *UE {
 		// A video sender's backlog is tens of MTU-sized packets; start at
 		// that scale so the steady state never pays append's regrowth.
 		queue: make([]Packet, 0, 32),
-	}
-	if z, ok := cfg.Src.(interface{ NormFloat64() float64 }); ok {
-		u.nrm = z
 	}
 	if c.started && c.stop == nil {
 		c.wake() // before sfIndex stamps the row's diagLast
@@ -615,13 +599,7 @@ func (c *Cell) pfGrant() {
 			continue
 		}
 		remaining -= tbs
-		var nv float64
-		if u.nrm != nil {
-			nv = u.nrm.NormFloat64()
-		} else {
-			nv = u.rng.NormFloat64()
-		}
-		noise := 1 + nv*u.cfg.TBSNoise
+		noise := 1 + u.rng.NormFloat64()*u.cfg.TBSNoise
 		if noise < 0.1 {
 			noise = 0.1
 		}
@@ -673,16 +651,9 @@ type UE struct {
 	cell    *Cell
 	id      int
 	cfg     UEConfig
-	rng     *rand.Rand
+	rng     *seeds.SplitMix
 	deliver func(Packet)
 	onDiag  func(DiagReport)
-
-	// nrm, when non-nil, samples the TBS noise directly from the UE's
-	// source (seeds.SplitMix ships a native ziggurat), skipping rand.Rand's
-	// per-variate interface dispatch in the grant loop. Only sources that
-	// implement NormFloat64 opt in — the legacy seeded paths keep rand.Rand
-	// and stay bit-exact.
-	nrm interface{ NormFloat64() float64 }
 
 	// Firmware buffer: FIFO with partial-packet service. queue[qhead:] is
 	// the live window; serve advances qhead instead of re-slicing the front

@@ -15,9 +15,9 @@ package lte
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
+	"poi360/internal/seeds"
 	"poi360/internal/simclock"
 )
 
@@ -133,7 +133,7 @@ func (c Config) ueConfig() UEConfig {
 		BufferCapBytes:  c.BufferCapBytes,
 		TBSNoise:        c.TBSNoise,
 		DiagPeriod:      c.DiagPeriod,
-		Seed:            c.Profile.Seed,
+		Seed:            seeds.Stream(c.Profile.Seed, "grant"),
 		DiagFault:       c.DiagFault,
 	}
 }
@@ -174,11 +174,9 @@ type Uplink struct {
 }
 
 // NewUplink builds a 1-UE cell on clk that calls deliver for each packet
-// that finishes transmission over the air. deliver may be nil.
-//
-// The cell's capacity process and the UE's grant draws share one RNG
-// stream seeded from cfg.Profile.Seed, preserving the exact trajectory of
-// the pre-Cell single-user model.
+// that finishes transmission over the air. deliver may be nil. The cell's
+// capacity process draws from cfg.Profile.Seed, the UE's grants from
+// seeds.Stream(cfg.Profile.Seed, "grant").
 func NewUplink(clk simclock.Scheduler, cfg Config, deliver func(Packet)) (*Uplink, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -187,7 +185,7 @@ func NewUplink(clk simclock.Scheduler, cfg Config, deliver func(Packet)) (*Uplin
 	if err != nil {
 		return nil, err
 	}
-	ue := cell.admit(cfg.ueConfig(), cell.rng, deliver)
+	ue := cell.admit(cfg.ueConfig(), deliver)
 	return &Uplink{cell: cell, ue: ue}, nil
 }
 
@@ -309,7 +307,7 @@ func (cp *capacityProcess) recompute() {
 	cp.current = c
 }
 
-func (cp *capacityProcess) step(rng *rand.Rand, dt time.Duration) {
+func (cp *capacityProcess) step(rng *seeds.SplitMix, dt time.Duration) {
 	cp.now += dt
 	if dt != cp.lastDt {
 		// Hoist the dt-dependent coefficients; the groupings match the

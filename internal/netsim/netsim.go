@@ -9,7 +9,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"poi360/internal/lte"
@@ -28,7 +27,7 @@ type LinkFault func(now time.Duration) (drop, dup bool, extra time.Duration)
 // preserving FIFO order (a later send never overtakes an earlier one).
 type DelayLink struct {
 	clk       simclock.Scheduler
-	rng       *rand.Rand
+	rng       *seeds.SplitMix
 	base      time.Duration
 	jitterStd time.Duration
 	spikeProb float64
@@ -58,7 +57,7 @@ func NewDelayLink(clk simclock.Scheduler, seed int64, base, jitterStd time.Durat
 	}
 	return &DelayLink{
 		clk:       clk,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       seeds.NewSource(seed),
 		base:      base,
 		jitterStd: jitterStd,
 		spikeProb: spikeProb,
@@ -222,7 +221,7 @@ func (q *Queue) SetRate(rateBps float64) {
 // on-periods (packets at Rate) and off-periods, both exponential.
 type CrossTraffic struct {
 	clk     simclock.Scheduler
-	rng     *rand.Rand
+	rng     *seeds.SplitMix
 	q       *Queue
 	rateBps float64
 	meanOn  time.Duration
@@ -235,7 +234,7 @@ type CrossTraffic struct {
 func NewCrossTraffic(clk simclock.Scheduler, seed int64, q *Queue, rateBps float64, meanOn, meanOff time.Duration) *CrossTraffic {
 	ct := &CrossTraffic{
 		clk:     clk,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     seeds.NewSource(seed),
 		q:       q,
 		rateBps: rateBps,
 		meanOn:  meanOn,

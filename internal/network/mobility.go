@@ -1,8 +1,9 @@
 package network
 
 import (
-	"math/rand"
 	"time"
+
+	"poi360/internal/seeds"
 )
 
 // The city lays its cells on a ⌈√C⌉-wide row-major grid; cell c sits at
@@ -23,7 +24,7 @@ func gridWidth(cells int) int {
 // no valid neighbor (a 1-cell city) the UE stays put. Exactly one rng
 // draw per call keeps the mobility stream's consumption independent of
 // the UE's position, so traces replay identically across code paths.
-func stepCell(cur, cells, w int, rng *rand.Rand) int {
+func stepCell(cur, cells, w int, rng *seeds.SplitMix) int {
 	x, y := cur%w, cur/w
 	var opts [4]int
 	n := 0
@@ -38,17 +39,17 @@ func stepCell(cur, cells, w int, rng *rand.Rand) int {
 	add(x+1, y)
 	add(x, y-1)
 	add(x, y+1)
-	k := rng.Intn(4)
+	k := int(rng.Float64() * float64(n))
 	if n == 0 {
 		return cur
 	}
-	return opts[k%n]
+	return opts[k]
 }
 
 // dwell draws an exponential cell dwell time with the given mean,
 // clamped below to one epoch so a UE cannot schedule two moves inside
 // the same boundary interval.
-func dwell(rng *rand.Rand, mean time.Duration) time.Duration {
+func dwell(rng *seeds.SplitMix, mean time.Duration) time.Duration {
 	d := time.Duration(rng.ExpFloat64() * float64(mean))
 	if d < epoch {
 		d = epoch

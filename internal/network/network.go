@@ -512,10 +512,6 @@ func newCity(cfg Config) (*city, error) {
 		// A city cell's discipline must not flip between the legacy
 		// stochastic path and PF as its population churns through 1.
 		cellCfg.AlwaysPF = true
-		// City cells draw from 8-byte SplitMix streams: with hundreds of
-		// cells, math/rand's per-source 5 KB table was a top cache-miss
-		// row of the city profile (see seeds.SplitMix).
-		cellCfg.Src = seeds.NewSource(prof.Seed)
 		cellCfg.CapacityStride = capacityStride
 		clk := simclock.New()
 		cell, err := lte.NewCell(clk, cellCfg)

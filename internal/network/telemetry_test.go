@@ -123,10 +123,10 @@ func cityBinaryTelemetryByteIdentity(t *testing.T, fixture Config) {
 	}
 }
 
-// cityBudgetStreamSHA256 is the P6T stream of cityBudgetRun, byte for byte
-// as the tree before the allocation-free emit path wrote it: making
+// cityBudgetStreamSHA256 is the P6T stream of cityBudgetRun, re-recorded
+// when every stream moved to seeds.SplitMix drawn directly: making
 // telemetry cheaper must not add, drop, reorder or re-encode one record.
-const cityBudgetStreamSHA256 = "a6e4f5f3fbe60be9c5a51a67cc22e56bdfc42fd20de62fd1fc3beff601e3b57c"
+const cityBudgetStreamSHA256 = "2dc8da037c42ec07b7a91a358566f7a279852d9d5185a6d264a27281425a57e4"
 
 // cityBudgetRun runs a 16-cell / 64-UE / 2 s city, silent or with the
 // city-telemetry wiring (a ShardAgg plus a binary sink over a hashing

@@ -2,7 +2,6 @@ package network
 
 import (
 	"math"
-	"math/rand"
 	"time"
 
 	"poi360/internal/lte"
@@ -95,7 +94,7 @@ type ue struct {
 	cfg *Config
 
 	// mobility trace (nil mrng = static UE)
-	mrng     *rand.Rand
+	mrng     *seeds.SplitMix
 	cur      int // trace position (target cell)
 	nextMove time.Duration
 
@@ -181,8 +180,8 @@ func (n *city) newUE(id int) (*ue, error) {
 
 	// The mobility stream also places the UE: its first draw is the home
 	// cell, so the population spreads deterministically over the grid.
-	mrng := rand.New(seeds.NewSource(seeds.Stream(seeds.Grid(cfg.Seed, 0, id, 0), "mobility")))
-	u.cur = int(mrng.Int63n(int64(cfg.Cells)))
+	mrng := seeds.NewSource(seeds.Stream(seeds.Grid(cfg.Seed, 0, id, 0), "mobility"))
+	u.cur = int(mrng.Float64() * float64(cfg.Cells))
 	if cfg.MeanDwell > 0 && cfg.Cells > 1 {
 		u.mrng = mrng
 		u.nextMove = dwell(mrng, cfg.MeanDwell)

@@ -3,21 +3,17 @@ package seeds
 import "math"
 
 // Ziggurat sampling of the standard normal (Marsaglia & Tsang 2000),
-// specialized to SplitMix. The city simulation draws a normal variate for
-// every granted TBS and every core-path packet jitter — millions per run —
-// and routing those through math/rand's generic *Rand costs an interface
-// dispatch plus a 32-bit draw per variate on top of the algorithm itself.
-// Sampling directly from the 64-bit SplitMix stream removes the dispatch
-// and halves the uniform draws (one Uint64 yields both the candidate and
-// the layer index).
+// specialized to SplitMix: one Uint64 yields both the signed 32-bit
+// candidate and the 7-bit layer index, so the common case costs one draw
+// and one multiply. The simulator draws a normal variate for every
+// granted TBS and every core-path packet jitter — millions per run.
 //
 // The tables are generated at init from the standard recurrence rather
 // than embedded: layer 127 is pinned at x=R with the tail area folded in
 // (V = area of each layer), and x_{i-1} = f⁻¹(V/x_i + f(x_i)) walks the
-// layers down to the cap. The draws differ from math/rand's NormFloat64
-// (different layer count and bit budget), which is why only the
-// version-gated city streams use it — the bit-exact session paths keep
-// rand.Rand (see SplitMix doc).
+// layers down to the cap. The draws are not math/rand's (different layer
+// count and bit budget); the seeds tests hold both samplers to the same
+// distribution.
 const (
 	zigR = 3.442619855899 // rightmost layer edge
 	zigV = 9.91256303526217e-3
@@ -48,11 +44,6 @@ func init() {
 	}
 }
 
-// Float64 returns a uniform variate in [0,1) from the stream (53 bits).
-func (s *SplitMix) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
 // NormFloat64 returns a standard normal variate from the stream.
 func (s *SplitMix) NormFloat64() float64 {
 	for {
@@ -71,8 +62,8 @@ func (s *SplitMix) NormFloat64() float64 {
 		if i == 0 {
 			// Tail beyond R: Marsaglia's exponential-rejection tail sample.
 			for {
-				ex := -math.Log(1-s.Float64()) / zigR
-				ey := -math.Log(1 - s.Float64())
+				ex := s.ExpFloat64() / zigR
+				ey := s.ExpFloat64()
 				if ey+ey >= ex*ex {
 					if j > 0 {
 						return zigR + ex

@@ -1,6 +1,8 @@
-// Package seeds is the single source of per-component randomness seeds.
+// Package seeds is the single source of per-component randomness: the
+// seed derivations below and SplitMix, the one generator every stream
+// draws from.
 //
-// Every RNG in the simulator ultimately derives from one session (or
+// Every stream in the simulator ultimately derives from one session (or
 // batch) base seed. Before this package, components offset the base by
 // small ad-hoc constants (`seed+1`, `+3`, `+7`, `+101`, `+202`), which is
 // a collision class: two sessions whose base seeds differ by one of those

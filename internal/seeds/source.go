@@ -1,37 +1,31 @@
 package seeds
 
-import "math/rand"
+import "math"
 
-// SplitMix is a rand.Source64 backed by the SplitMix64 generator (Steele
-// et al., OOPSLA'14): an 8-byte counter advanced by the golden gamma and
-// passed through the same finalizer Derive/Grid/Stream use. It exists for
-// the population-scale layers (the multi-cell city), where math/rand's
-// default lagged-Fibonacci source is the wrong trade: each source carries
-// a 607-word (≈5 KB) state table whose seeding costs hundreds of draws
-// and whose working set evicts the simulation's own hot state — with
-// thousands of per-residency streams, RNG seeding and RNG cache misses
-// were the two largest rows of the city CPU profile. SplitMix64 seeds in
-// one store, keeps the whole stream in 8 bytes, and passes the usual
-// statistical batteries; wrapped in rand.New it drives the standard
-// library's ziggurat/rejection algorithms unchanged, so draw *quality*
-// and draw *algorithms* match the legacy streams — only the underlying
-// uniform source differs.
+// SplitMix is the simulator's one random generator: the SplitMix64
+// stream (Steele et al., OOPSLA'14), an 8-byte counter advanced by the
+// golden gamma and passed through the same finalizer Derive/Grid/Stream
+// use. Every stochastic component — LTE capacity and TBS noise, head
+// motion, content and path jitter, cross traffic, city mobility — draws
+// from its own *SplitMix, seeded from a Stream/Grid derivation, and calls
+// its methods directly. Seeding is one store and the whole state is 8
+// bytes, so thousands of per-residency streams cost nothing to create or
+// to keep cache-resident.
 //
-// The single-session paths keep their lagged-Fibonacci streams bit-exact;
-// SplitMix is opt-in per stream (lte.UEConfig.Src / lte.CellConfig.Src,
-// the city layer's mobility and core-path streams).
+// Bounded integers are drawn as int(Float64()·n): exactly one draw per
+// call whatever n is, so a stream's consumption never depends on the
+// value being drawn.
 type SplitMix struct {
 	s uint64
 }
 
-// NewSource returns a *SplitMix seeded with seed, ready for rand.New.
+// NewSource returns a *SplitMix seeded with seed.
 func NewSource(seed int64) *SplitMix {
 	return &SplitMix{s: uint64(seed)}
 }
 
 // Seed resets the stream. Reseeding is a single store, which is what lets
-// a long-lived residency slot reuse one source across re-attachments
-// instead of allocating a fresh 5 KB table per handover.
+// a long-lived residency slot reuse one generator across re-attachments.
 func (s *SplitMix) Seed(seed int64) { s.s = uint64(seed) }
 
 // Uint64 advances the counter by the golden gamma and finalizes it —
@@ -48,7 +42,11 @@ func (s *SplitMix) Uint64() uint64 {
 	return x
 }
 
-// Int63 implements rand.Source.
-func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
+// Float64 returns a uniform variate in [0,1) from the stream (53 bits).
+func (s *SplitMix) Float64() float64 {
+	return float64(s.Uint64()>>11) / (1 << 53)
+}
 
-var _ rand.Source64 = (*SplitMix)(nil)
+// ExpFloat64 returns an exponential variate with rate 1, by inverting the
+// CDF of one uniform draw.
+func (s *SplitMix) ExpFloat64() float64 { return -math.Log(1 - s.Float64()) }

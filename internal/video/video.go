@@ -13,10 +13,10 @@ package video
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"poi360/internal/projection"
+	"poi360/internal/seeds"
 )
 
 // Config describes the synthetic 360° source and quality model.
@@ -107,7 +107,7 @@ func (f *Frame) RawBits() float64 {
 // traffic with spatially non-uniform, slowly wandering content complexity.
 type Source struct {
 	cfg  Config
-	rng  *rand.Rand
+	rng  *seeds.SplitMix
 	seq  int
 	geom *projection.Geometry
 	// Content hotspot (a region with more detail/motion) drifting in yaw.
@@ -127,7 +127,7 @@ func NewSource(cfg Config) *Source {
 	}
 	return &Source{
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      seeds.NewSource(cfg.Seed),
 		geom:     projection.GeomFor(cfg.Grid),
 		hotYaw:   90,
 		hotDrift: 12, // degrees per second

@@ -60,7 +60,8 @@ bench-smoke:
 
 ## obs-smoke: the observability subsystem under the race detector —
 ## nil-probe safety, episode semantics on the busy cell, JSONL schema,
-## the binary codec round-trip (including the fuzz seed corpus), the
+## the binary codec round-trip (the fuzz seed corpus, then 15 s of
+## coverage-guided fuzzing), the
 ## streaming shard aggregation, the enabled-emit contract (no allocation
 ## on emit, spill or replay; the exact bucket rule; non-finite fields),
 ## and the byte-identity of instrumented experiment reports — then an
@@ -76,6 +77,7 @@ obs-smoke:
 	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|BinWriter|FinishSpill|EmitZeroAlloc|BucketOf|NonFinite' \
 		./internal/obs ./internal/experiments
 	$(GO) test -run 'FuzzEventBinaryRoundTrip' ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzEventBinaryRoundTrip$$' -fuzztime 15s ./internal/obs
 	$(GO) test -bench 'Obs(Disabled|Enabled)$$' -benchtime 1x -run '^$$' .
 	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
 	$(GO) run ./cmd/poi360-sim -rc fbcc -cell busy -faults capacity-step \
@@ -104,7 +106,8 @@ obs-smoke:
 	echo "obs-smoke: ok"
 
 ## live-smoke: the real-transport backend under the race detector — the
-## fuzz corpora of the media and report codecs, the jitter buffer against
+## fuzz corpora of the media and report codecs (then 15 s of
+## coverage-guided fuzzing of each), the jitter buffer against
 ## its always-heap oracle, the per-packet allocation gates and the pooled
 ## socket reader, the sender transport's
 ## synthesized diag feed, the wall-clock scheduler, and the live wiring of
@@ -117,6 +120,8 @@ obs-smoke:
 live-smoke:
 	$(GO) test -race ./internal/realnet ./internal/simclock
 	$(GO) test -race -run 'Wire|Reassembler' ./internal/rtp
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketWireRoundTrip$$' -fuzztime 15s ./internal/rtp
+	$(GO) test -run '^$$' -fuzz '^FuzzReportRoundTrip$$' -fuzztime 15s ./internal/realnet
 	$(GO) test -race -run 'LiveCall|Forged' ./internal/session
 	sh scripts/live_smoke.sh
 

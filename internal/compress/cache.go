@@ -24,9 +24,10 @@ import (
 // # Determinism contract
 //
 // Memoized matrices are bit-identical (==, not approximately equal) to
-// ModeMatrix's output: each distance d computes the same
-// math.Min(LevelCap, math.Pow(C, float64(d))) expression the direct path
-// evaluates, once, and every tile at distance d shares that value.
+// the output of ModeMatrix, the direct-computation oracle in the tests:
+// each distance d computes the same math.Min(LevelCap, math.Pow(C,
+// float64(d))) expression the direct path evaluates, once, and every tile
+// at distance d shares that value.
 // TestSharedMatrixBitIdentical pins this per element.
 //
 // # Ownership

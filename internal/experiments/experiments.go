@@ -510,8 +510,8 @@ func fanOut(workers, total int, fn func(i int) error) error {
 	return nil
 }
 
-// cdfSeries converts samples into an empirical CDF curve, downsampled to at
-// most 200 points.
+// cdfSeries converts samples into an empirical CDF curve, downsampled to
+// every step-th point plus the final (max, 1) point — at most 201 points.
 func cdfSeries(name string, samples []float64) trace.Series {
 	s := trace.Series{Name: name}
 	pts := metrics.CDF(samples)
@@ -522,8 +522,9 @@ func cdfSeries(name string, samples []float64) trace.Series {
 	for i := 0; i < len(pts); i += step {
 		s.Append(pts[i].X, pts[i].P)
 	}
-	last := pts[len(pts)-1]
-	s.Append(last.X, last.P)
+	if last := len(pts) - 1; last%step != 0 {
+		s.Append(pts[last].X, pts[last].P)
+	}
 	return s
 }
 

@@ -291,3 +291,35 @@ func TestNetworkCityTable(t *testing.T) {
 		}
 	}
 }
+
+// cdfSeries keeps every step-th CDF point and ends on (max, 1) exactly
+// once, whether or not the stride lands on the last sample.
+func TestCDFSeriesEndsOnceOnMax(t *testing.T) {
+	for _, n := range []int{1, 3, 100, 200, 201, 599, 1000} {
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = float64((i*7919)%n) + 0.5 // a permutation of distinct values
+		}
+		s := cdfSeries("x", samples)
+		if len(s.X) == 0 || len(s.X) > 201 {
+			t.Fatalf("n=%d: %d points, want 1..201", n, len(s.X))
+		}
+		for i := 1; i < len(s.X); i++ {
+			if s.X[i] < s.X[i-1] {
+				t.Fatalf("n=%d: X decreases at point %d: %v < %v", n, i, s.X[i], s.X[i-1])
+			}
+		}
+		max := float64(n-1) + 0.5
+		ends := 0
+		for i := range s.X {
+			if s.X[i] == max && s.Y[i] == 1 {
+				ends++
+			}
+		}
+		last := len(s.X) - 1
+		if ends != 1 || s.X[last] != max || s.Y[last] != 1 {
+			t.Fatalf("n=%d: final point (%v, %v), (max, 1) appears %d times, want once at the end",
+				n, s.X[last], s.Y[last], ends)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"poi360/internal/faults"
 	"poi360/internal/lte"
 	"poi360/internal/metrics"
@@ -83,14 +80,4 @@ var FaultsTable = Experiment{
 		rep.Tables = append(rep.Tables, tab)
 		return rep, nil
 	},
-}
-
-// FaultScenarioScript builds the disturbance script for a named fault
-// scenario at the given duration — shared by the CLIs so `-faults handover`
-// means the same timeline everywhere.
-func FaultScenarioScript(name string, duration time.Duration) (faults.Script, error) {
-	if duration <= 0 {
-		return faults.Script{}, fmt.Errorf("experiments: fault scenario %q needs a positive duration", name)
-	}
-	return faults.MakeScenario(name, duration)
 }

@@ -278,37 +278,6 @@ func (r *Running) Std() float64 {
 	return math.Sqrt(r.m2 / float64(r.n))
 }
 
-// EWMA is an exponentially weighted moving average; zero value invalid,
-// create with NewEWMA.
-type EWMA struct {
-	alpha float64
-	val   float64
-	init  bool
-}
-
-// NewEWMA creates an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha tracks faster.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("metrics: EWMA alpha %g out of (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds one observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.val = x
-		e.init = true
-		return x
-	}
-	e.val += e.alpha * (x - e.val)
-	return e.val
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.val }
-
 // JainFairness returns Jain's fairness index (Σx)² / (n·Σx²) of a
 // non-negative allocation — 1 when every user gets the same share, 1/n
 // when one user gets everything. It is the standard fairness measure for

@@ -191,32 +191,6 @@ func TestRunningMatchesSummarize(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Add(10) != 10 {
-		t.Fatal("first sample should seed")
-	}
-	if got := e.Add(20); got != 15 {
-		t.Fatalf("EWMA = %v, want 15", got)
-	}
-	if e.Value() != 15 {
-		t.Fatal("Value mismatch")
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("alpha %v did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
 // Property: percentile is monotone in p.
 func TestPropertyPercentileMonotone(t *testing.T) {
 	xs := []float64{5, 1, 9, 3, 7, 2}

@@ -1,8 +1,8 @@
 // Package netsim composes the end-to-end network path of a POI360 session
 // beyond the LTE uplink: core-network propagation with jitter and latency
 // spikes, rate-limited droptail queues (wireline bottlenecks, congested
-// middle segments), cross traffic, and the reverse path that carries ROI and
-// congestion feedback. It provides two ready transports — cellular (LTE
+// middle segments), and the reverse path that carries ROI and congestion
+// feedback. It provides two ready transports — cellular (LTE
 // uplink bottleneck, the paper's main scenario) and wireline (the campus
 // baseline used for comparison in §6.1).
 package netsim
@@ -215,62 +215,6 @@ func (q *Queue) SetRate(rateBps float64) {
 		panic("netsim: queue rate must be positive")
 	}
 	q.rateBps = rateBps
-}
-
-// CrossTraffic injects bursty competing load into a Queue: alternating
-// on-periods (packets at Rate) and off-periods, both exponential.
-type CrossTraffic struct {
-	clk     simclock.Scheduler
-	rng     *seeds.SplitMix
-	q       *Queue
-	rateBps float64
-	meanOn  time.Duration
-	meanOff time.Duration
-	on      bool
-}
-
-// NewCrossTraffic starts an on/off source into q. A zero meanOff keeps the
-// source always on.
-func NewCrossTraffic(clk simclock.Scheduler, seed int64, q *Queue, rateBps float64, meanOn, meanOff time.Duration) *CrossTraffic {
-	ct := &CrossTraffic{
-		clk:     clk,
-		rng:     seeds.NewSource(seed),
-		q:       q,
-		rateBps: rateBps,
-		meanOn:  meanOn,
-		meanOff: meanOff,
-	}
-	ct.on = true
-	ct.scheduleFlip()
-	clk.Ticker(5*time.Millisecond, ct.emit)
-	return ct
-}
-
-func (ct *CrossTraffic) scheduleFlip() {
-	var mean time.Duration
-	if ct.on {
-		mean = ct.meanOn
-	} else {
-		mean = ct.meanOff
-	}
-	if mean <= 0 {
-		return // never flips
-	}
-	d := time.Duration(ct.rng.ExpFloat64() * float64(mean))
-	ct.clk.ScheduleAfter(d, func() {
-		ct.on = !ct.on
-		ct.scheduleFlip()
-	})
-}
-
-func (ct *CrossTraffic) emit() {
-	if !ct.on {
-		return
-	}
-	bytes := int(ct.rateBps * 0.005 / 8)
-	if bytes > 0 {
-		ct.q.Send(bytes, nil)
-	}
 }
 
 // PathProfile describes the wide-area segments of a session path.

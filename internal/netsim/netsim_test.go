@@ -122,33 +122,6 @@ func TestQueueInvalidPanics(t *testing.T) {
 	NewQueue(simclock.New(), 0, 10, nil)
 }
 
-func TestCrossTrafficLoadsQueue(t *testing.T) {
-	clk := simclock.New()
-	delivered := 0
-	q := NewQueue(clk, 10e6, 1<<20, func(any) { delivered++ })
-	NewCrossTraffic(clk, 5, q, 2e6, time.Hour, 0) // always on
-	clk.Run(time.Second)
-	if delivered < 100 {
-		t.Fatalf("cross traffic delivered only %d messages", delivered)
-	}
-}
-
-func TestCrossTrafficOnOff(t *testing.T) {
-	clk := simclock.New()
-	sent := 0
-	q := NewQueue(clk, 10e6, 1<<20, func(any) { sent++ })
-	NewCrossTraffic(clk, 6, q, 2e6, 100*time.Millisecond, 100*time.Millisecond)
-	clk.Run(10 * time.Second)
-	// Roughly half duty cycle: strictly fewer sends than an always-on source.
-	alwaysOn := 10_000 / 5 // ticks in 10s
-	if sent >= alwaysOn {
-		t.Fatalf("on/off source sent %d ≥ always-on %d", sent, alwaysOn)
-	}
-	if sent == 0 {
-		t.Fatal("on/off source sent nothing")
-	}
-}
-
 func TestCellularTransportEndToEnd(t *testing.T) {
 	clk := simclock.New()
 	var fwd, rev []any

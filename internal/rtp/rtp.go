@@ -32,17 +32,11 @@ type Packet struct {
 	Seq int64
 }
 
-// Packetize splits an encoded frame into MTU-sized packets. Every frame
-// yields at least one packet.
-func Packetize(f *video.EncodedFrame) []Packet {
-	return AppendPackets(nil, f)
-}
-
-// AppendPackets is Packetize with a caller-owned destination: packets are
-// appended to dst[:0] and the (possibly grown) slice is returned. The
-// pacer's Enqueue copies packets into its own queue, so a sender can reuse
-// one scratch slice per frame instead of allocating a packet list every
-// capture tick.
+// AppendPackets splits an encoded frame into MTU-sized packets (every
+// frame yields at least one), appended to dst[:0]; the (possibly grown)
+// slice is returned. The pacer's Enqueue copies packets into its own queue,
+// so a sender can reuse one scratch slice per frame instead of allocating
+// a packet list every capture tick.
 func AppendPackets(dst []Packet, f *video.EncodedFrame) []Packet {
 	bytes := int(f.Bits / 8)
 	if bytes < 1 {

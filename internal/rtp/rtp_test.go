@@ -17,7 +17,7 @@ func frameOfBits(seq int, bits float64) *video.EncodedFrame {
 
 func TestPacketizeSizes(t *testing.T) {
 	f := frameOfBits(0, 8*float64(MTU*2+100))
-	pkts := Packetize(f)
+	pkts := AppendPackets(nil, f)
 	if len(pkts) != 3 {
 		t.Fatalf("packet count %d, want 3", len(pkts))
 	}
@@ -34,7 +34,7 @@ func TestPacketizeSizes(t *testing.T) {
 }
 
 func TestPacketizeTinyFrame(t *testing.T) {
-	pkts := Packetize(frameOfBits(1, 4))
+	pkts := AppendPackets(nil, frameOfBits(1, 4))
 	if len(pkts) != 1 || pkts[0].Bytes != 1 {
 		t.Fatalf("tiny frame: %+v", pkts)
 	}
@@ -45,7 +45,7 @@ func TestPacketizeTinyFrame(t *testing.T) {
 func TestPropertyPacketize(t *testing.T) {
 	f := func(kb uint16) bool {
 		bytes := int(kb) + 1
-		pkts := Packetize(frameOfBits(0, float64(bytes*8)))
+		pkts := AppendPackets(nil, frameOfBits(0, float64(bytes*8)))
 		sum := 0
 		for _, p := range pkts {
 			if p.Bytes <= 0 || p.Bytes > MTU {
@@ -68,7 +68,7 @@ func TestPacerRateLimits(t *testing.T) {
 		return true
 	})
 	// 5 Mbit of queued packets at 1 Mbps → ~1 Mbit sent per second.
-	p.Enqueue(Packetize(frameOfBits(0, 5e6)))
+	p.Enqueue(AppendPackets(nil, frameOfBits(0, 5e6)))
 	clk.Run(time.Second)
 	if sentBits < 0.9e6 || sentBits > 1.15e6 {
 		t.Fatalf("sent %v bits in 1s at 1Mbps", sentBits)
@@ -85,7 +85,7 @@ func TestPacerSetRate(t *testing.T) {
 		sentBits += float64(pkt.Bytes) * 8
 		return true
 	})
-	p.Enqueue(Packetize(frameOfBits(0, 10e6)))
+	p.Enqueue(AppendPackets(nil, frameOfBits(0, 10e6)))
 	clk.Run(time.Second)
 	first := sentBits
 	p.SetRate(4e6)
@@ -107,7 +107,7 @@ func TestPacerSetRate(t *testing.T) {
 func TestPacerSendFailureCountsDrop(t *testing.T) {
 	clk := simclock.New()
 	p := NewPacer(clk, DefaultPacerTick, 10e6, func(Packet) bool { return false })
-	p.Enqueue(Packetize(frameOfBits(0, 8e4)))
+	p.Enqueue(AppendPackets(nil, frameOfBits(0, 8e4)))
 	clk.Run(time.Second)
 	if p.Drops() == 0 {
 		t.Fatal("drops not counted")
@@ -141,7 +141,7 @@ func TestPacerStampsSentAt(t *testing.T) {
 		return true
 	})
 	clk.Run(100 * time.Millisecond)
-	p.Enqueue(Packetize(frameOfBits(7, 800)))
+	p.Enqueue(AppendPackets(nil, frameOfBits(7, 800)))
 	clk.Run(200 * time.Millisecond)
 	if got.FrameSeq != 7 {
 		t.Fatal("packet not sent")
@@ -156,7 +156,7 @@ func TestReassemblerCompletesFrame(t *testing.T) {
 	var done []CompletedFrame
 	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
 	f := frameOfBits(3, 8*float64(3*MTU))
-	pkts := Packetize(f)
+	pkts := AppendPackets(nil, f)
 	for i, p := range pkts {
 		p.SentAt = time.Duration(i) * time.Millisecond
 		clk.Run(time.Duration(i+1) * 10 * time.Millisecond)
@@ -182,10 +182,10 @@ func TestReassemblerAbandonsOlderPartials(t *testing.T) {
 	var done []CompletedFrame
 	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
 	// Frame 0: 2 packets, only the first arrives (second dropped).
-	f0 := Packetize(frameOfBits(0, 8*float64(2*MTU)))
+	f0 := AppendPackets(nil, frameOfBits(0, 8*float64(2*MTU)))
 	r.OnPacket(f0[0])
 	// Frame 1 completes.
-	f1 := Packetize(frameOfBits(1, 800))
+	f1 := AppendPackets(nil, frameOfBits(1, 800))
 	r.OnPacket(f1[0])
 	if len(done) != 1 || done[0].Frame.Seq != 1 {
 		t.Fatalf("done: %+v", done)
@@ -212,7 +212,7 @@ func TestPacerDrainsExactly(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		f := frameOfBits(i, 1e5)
 		want += math.Ceil(1e5/8) * 8 // packetizer rounds to whole bytes
-		p.Enqueue(Packetize(f))
+		p.Enqueue(AppendPackets(nil, f))
 	}
 	clk.Run(time.Second)
 	if p.QueueBits() != 0 {
@@ -226,6 +226,6 @@ func TestPacerDrainsExactly(t *testing.T) {
 func BenchmarkPacketize(b *testing.B) {
 	f := frameOfBits(0, 1e5)
 	for i := 0; i < b.N; i++ {
-		Packetize(f)
+		AppendPackets(nil, f)
 	}
 }

@@ -6,9 +6,9 @@ import "math"
 // stream (Steele et al., OOPSLA'14), an 8-byte counter advanced by the
 // golden gamma and passed through the same finalizer Derive/Grid/Stream
 // use. Every stochastic component — LTE capacity and TBS noise, head
-// motion, content and path jitter, cross traffic, city mobility — draws
-// from its own *SplitMix, seeded from a Stream/Grid derivation, and calls
-// its methods directly. Seeding is one store and the whole state is 8
+// motion, content and path jitter, city mobility — draws from its own
+// *SplitMix, seeded from a Stream/Grid derivation, and calls its methods
+// directly. Seeding is one store and the whole state is 8
 // bytes, so thousands of per-residency streams cost nothing to create or
 // to keep cache-resident.
 //

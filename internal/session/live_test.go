@@ -197,7 +197,7 @@ func TestLiveCallWatchdogTripsAndRecovers(t *testing.T) {
 // hostile peer could write: ParseReport accepts any ROI byte pair, and an
 // off-grid tile used to reach the Eq. 1 matrix index on the next frame.
 func TestSenderRejectsForgedReports(t *testing.T) {
-	grid := session.DefaultVideo().Grid
+	grid := video.DefaultConfig().Grid
 	cases := []struct {
 		name string
 		roi  projection.Tile
@@ -255,7 +255,7 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 // any non-negative scale. Mode labels outside the Eq. 1 set stay legal —
 // the two-level and pyramid schemes carry none — and read as uncompressed.
 func TestViewerRejectsForgedPackets(t *testing.T) {
-	grid := session.DefaultVideo().Grid
+	grid := video.DefaultConfig().Grid
 	cases := []struct {
 		name  string
 		roi   projection.Tile

@@ -338,25 +338,9 @@ func (s *Sender) Result() *Result {
 	return res
 }
 
-// modeCs is the Eq. 1 mode set both halves index with the frame's mode
-// label: the ablation override, or the paper's default.
-func modeCs(cfg Config) []float64 {
-	if len(cfg.AdaptiveCs) > 0 {
-		return cfg.AdaptiveCs
-	}
-	return compress.DefaultModeCs()
-}
-
 func makeController(cfg Config, g projection.Grid) (compress.Controller, error) {
 	switch cfg.Scheme {
 	case SchemeAdaptive:
-		if len(cfg.AdaptiveCs) > 0 || cfg.AdaptiveQuantum > 0 {
-			q := cfg.AdaptiveQuantum
-			if q <= 0 {
-				q = compress.ModeQuantum
-			}
-			return compress.NewAdaptiveWith(g, modeCs(cfg), q), nil
-		}
 		return compress.NewAdaptive(g), nil
 	case SchemeConduit:
 		return compress.NewConduit(g), nil

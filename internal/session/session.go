@@ -18,7 +18,6 @@ import (
 	"poi360/internal/metrics"
 	"poi360/internal/netsim"
 	"poi360/internal/obs"
-	"poi360/internal/projection"
 	"poi360/internal/rtp"
 	"poi360/internal/simclock"
 	"poi360/internal/video"
@@ -89,7 +88,6 @@ type Config struct {
 	Path    netsim.PathProfile // zero value → default for the network kind
 
 	Video video.Config // zero value → video.DefaultConfig()
-	FoV   projection.FoV
 
 	Scheme SchemeKind
 	FixedC float64 // for SchemeFixed
@@ -100,9 +98,6 @@ type Config struct {
 	UserModel headmotion.Model   // optional explicit head-motion model
 
 	Seed int64
-
-	// MismatchWindow is the sliding window averaging M (default 500 ms).
-	MismatchWindow time.Duration
 
 	// PipelineDelay is the constant capture→encode plus decode→display
 	// processing latency added to the measured frame delay (the prototype's
@@ -125,11 +120,6 @@ type Config struct {
 	// interactive latency; the abl-predict experiment measures that.
 	ROIPrediction bool
 
-	// FrameHook, when set, is invoked for every displayed frame with the
-	// frame, the viewer's gaze tile at display time, and the measured ROI
-	// PSNR. Intended for instrumentation and tests.
-	FrameHook func(f *video.EncodedFrame, gaze projection.Tile, psnr float64)
-
 	// Faults is the scripted disturbance timeline for this session: diag
 	// stalls, reverse-feedback drop/duplicate/delay windows, handover-style
 	// outages, capacity steps, and ROI-belief freezes (internal/faults).
@@ -147,11 +137,9 @@ type Config struct {
 	FeedbackStaleAfter time.Duration
 
 	// Ablation knobs (zero values keep the paper's design).
-	AdaptiveCs      []float64     // override mode set
-	AdaptiveQuantum time.Duration // override 200 ms quantum
-	FBCCK           int           // override Eq. 3 K
-	FBCCHoldRTTs    float64       // override the 2-RTT hold
-	DisableRTPLoop  bool          // FBCC without the Eq. 7 sweet-spot loop
+	FBCCK          int     // override Eq. 3 K
+	FBCCHoldRTTs   float64 // override the 2-RTT hold
+	DisableRTPLoop bool    // FBCC without the Eq. 7 sweet-spot loop
 
 	// FBCCWatchdogReports overrides the diag-staleness watchdog window
 	// (N reports of silence before FBCC degrades to its embedded GCC).
@@ -182,9 +170,6 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.Video.Validate(); err != nil {
 		return c, err
 	}
-	if c.FoV == (projection.FoV{}) {
-		c.FoV = projection.DefaultFoV
-	}
 	if c.Path.Name == "" {
 		if c.Network == Cellular {
 			c.Path = netsim.CellularPath
@@ -197,9 +182,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.User.Name == "" {
 		c.User = headmotion.Users[1]
-	}
-	if c.MismatchWindow <= 0 {
-		c.MismatchWindow = 500 * time.Millisecond
 	}
 	if c.PipelineDelay == 0 {
 		c.PipelineDelay = 250 * time.Millisecond
@@ -468,8 +450,7 @@ func (s *Session) Result() *Result {
 // clock, RNGs, transports, and controllers from cfg and shares nothing
 // with other runs (the parallel experiment engine relies on this). For a
 // given cfg — including Seed — the returned Result is deeply identical
-// across runs. Callers supplying a FrameHook that touches shared state
-// must synchronize it themselves when running sessions concurrently.
+// across runs.
 func Run(cfg Config) (*Result, error) {
 	s, err := New(cfg)
 	if err != nil {
@@ -504,7 +485,3 @@ func Run(cfg Config) (*Result, error) {
 	clk.Run(cfg.Duration)
 	return s.Result(), nil
 }
-
-// DefaultVideo returns the default video configuration used by sessions,
-// exposed so callers can tweak measurement parameters.
-func DefaultVideo() video.Config { return video.DefaultConfig() }

@@ -14,6 +14,9 @@ import (
 	"poi360/internal/simclock"
 )
 
+// mismatchWindow is the sliding window the viewer averages M over.
+const mismatchWindow = 500 * time.Millisecond
+
 // Viewer is the viewing phone of §5: frame reassembly, the head-motion
 // model standing in for the person wearing the headset, per-frame ROI
 // quality and delay measurement, the mismatch estimator behind M, and the
@@ -59,7 +62,7 @@ func NewViewer(cfg Config) (*Viewer, error) {
 // newViewer builds the viewer on an already resolved cfg, recording into
 // res (a Session shares one Result between its two halves).
 func newViewer(cfg Config, res *Result) (*Viewer, error) {
-	v := &Viewer{cfg: cfg, res: res, probe: cfg.Obs, cs: modeCs(cfg), flat: make([]float64, cfg.Video.Grid.Tiles())}
+	v := &Viewer{cfg: cfg, res: res, probe: cfg.Obs, cs: compress.DefaultModeCs(), flat: make([]float64, cfg.Video.Grid.Tiles())}
 	for i := range v.flat {
 		v.flat[i] = 1
 	}
@@ -67,7 +70,7 @@ func newViewer(cfg Config, res *Result) (*Viewer, error) {
 	if v.user == nil {
 		v.user = headmotion.NewStochastic(cfg.User, DeriveStream(cfg.Seed, "headmotion"))
 	}
-	v.mismatch = compress.NewMismatchEstimator(cfg.Video.Grid, cfg.MismatchWindow)
+	v.mismatch = compress.NewMismatchEstimator(cfg.Video.Grid, mismatchWindow)
 	var err error
 	v.gccRx, err = ratecontrol.NewGCCReceiver(ratecontrol.DefaultGCCConfig())
 	if err != nil {
@@ -140,7 +143,7 @@ func (v *Viewer) display(cf rtp.CompletedFrame) {
 	delay := now - cf.Frame.Capture + cfg.PipelineDelay
 	actual := v.user.At(now)
 	var psnr float64
-	psnr, v.visScratch = cf.Frame.ROIPSNRScratch(cfg.Video, actual, cfg.FoV, v.visScratch)
+	psnr, v.visScratch = cf.Frame.ROIPSNRScratch(cfg.Video, actual, projection.DefaultFoV, v.visScratch)
 	level := cf.Frame.ROILevel(g, actual)
 	spatial := level / cf.Frame.Scale
 
@@ -159,10 +162,6 @@ func (v *Viewer) display(cf rtp.CompletedFrame) {
 
 	v.probe.Emit(now, obs.FrameDisplay,
 		float64(delay)/float64(time.Millisecond), psnr, level, 0)
-
-	if cfg.FrameHook != nil {
-		cfg.FrameHook(cf.Frame, g.TileAt(actual), psnr)
-	}
 
 	// Eq. 2's dv floor uses the network one-way delay: the constant
 	// processing pipeline is not something mode switching can react

@@ -5,13 +5,14 @@ import (
 	"time"
 )
 
-// The typed-code dispatch path (NewCode/ScheduleCode) replaced per-event
-// closures on the engine's hot paths. Its contract is exact equivalence:
-// for any scheduling workload, coded events fire in the same order, at the
-// same virtual times, as the closure-based events they replaced. This
-// property test drives both dispatch styles through an identical randomized
-// workload — bursts, ties, cancellations, handler-spawned events, tickers
-// competing with the heap — and requires the firing logs to match
+// The typed-code dispatch path (NewCode/ScheduleCode) and the periodic
+// ticker lane are both shortcuts with an exact-equivalence contract: for
+// any scheduling workload, coded events fire in the same order, at the same
+// virtual times, as closure events, and lane tickers fire exactly where
+// self-re-arming heap closures would. This property test drives three runs
+// through an identical randomized workload — bursts, ties, cancellations,
+// handler-spawned events, tickers competing with the heap and scheduling
+// into their own next tick — and requires the firing logs to match
 // event-for-event.
 
 type firedEvent struct {
@@ -19,8 +20,18 @@ type firedEvent struct {
 	tag int
 }
 
-// goldenRunner drives one clock through the workload. The schedule
-// indirection is the only difference between the two runs under test.
+// goldenMode selects how a run schedules its events and its tickers.
+type goldenMode int
+
+const (
+	closuresOnLane   goldenMode = iota // Schedule closures, lane tickers
+	codesOnLane                        // ScheduleCode events, lane tickers
+	closuresOnlyHeap                   // Schedule closures, heap tickers
+)
+
+// goldenRunner drives one clock through the workload. The schedule and
+// ticker indirections are the only differences between the runs under
+// test.
 type goldenRunner struct {
 	c        *Clock
 	schedule func(at time.Duration, tag int) Handle
@@ -68,12 +79,38 @@ func (r *goldenRunner) fire(tag int) {
 	}
 }
 
+// heapTicker is the reference a lane ticker must equal: a closure that
+// re-arms itself through the heap after fn returns, consuming one sequence
+// number at registration and one per re-arm. Stopping sets a flag; the
+// pending occurrence then fires as a no-op.
+func heapTicker(c *Clock, period time.Duration, fn func()) (stop func()) {
+	stopped := false
+	var arm func()
+	arm = func() {
+		c.ScheduleAfter(period, func() {
+			if stopped {
+				return
+			}
+			fn()
+			if !stopped {
+				arm()
+			}
+		})
+	}
+	arm()
+	return func() { stopped = true }
+}
+
 // runGoldenWorkload executes the workload on a fresh clock, returning the
-// firing log. useCodes selects typed-code dispatch; otherwise closures.
-func runGoldenWorkload(seed uint64, useCodes bool) []firedEvent {
+// firing log.
+func runGoldenWorkload(seed uint64, mode goldenMode) []firedEvent {
 	c := New()
 	r := &goldenRunner{c: c, rng: seed}
-	if useCodes {
+	ticker := c.Ticker
+	if mode == closuresOnlyHeap {
+		ticker = func(period time.Duration, fn func()) func() { return heapTicker(c, period, fn) }
+	}
+	if mode == codesOnLane {
 		code := c.NewCode(func(arg any) { r.fire(arg.(int)) })
 		r.schedule = func(at time.Duration, tag int) Handle {
 			return c.ScheduleCode(at, code, tag)
@@ -84,11 +121,20 @@ func runGoldenWorkload(seed uint64, useCodes bool) []firedEvent {
 		}
 	}
 
-	// Periodic lane competing with the heap: one free-running ticker and
-	// one that stops itself mid-run (tags are negative to stay disjoint
-	// from heap-event tags).
-	c.Ticker(700*time.Microsecond, func() { r.log = append(r.log, firedEvent{c.Now(), -1}) })
-	r.stopTick = c.Ticker(900*time.Microsecond, func() {
+	// Tickers competing with the heap: one free-running ticker that, every
+	// third tick, schedules an event tied with its own next tick (which
+	// must fire after that event: the re-arm takes its sequence number
+	// only after the callback returns), and one that stops itself mid-run
+	// (tags are negative to stay disjoint from heap-event tags).
+	free := 0
+	ticker(700*time.Microsecond, func() {
+		r.log = append(r.log, firedEvent{c.Now(), -1})
+		if free++; free%3 == 0 && r.spawned < 4000 {
+			r.spawned++
+			r.handles = append(r.handles, r.schedule(c.Now()+700*time.Microsecond, r.spawned))
+		}
+	})
+	r.stopTick = ticker(900*time.Microsecond, func() {
 		r.log = append(r.log, firedEvent{c.Now(), -2})
 		r.ticks++
 		if r.ticks == 40 {
@@ -108,18 +154,25 @@ func runGoldenWorkload(seed uint64, useCodes bool) []firedEvent {
 
 func TestCodedDispatchMatchesClosureGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2463534242, 88172645463325252} {
-		closure := runGoldenWorkload(seed, false)
-		coded := runGoldenWorkload(seed, true)
+		closure := runGoldenWorkload(seed, closuresOnLane)
 		if len(closure) < 200 {
 			t.Fatalf("seed %d: workload degenerate, only %d events fired", seed, len(closure))
 		}
-		if len(closure) != len(coded) {
-			t.Fatalf("seed %d: closure run fired %d events, coded run %d", seed, len(closure), len(coded))
-		}
-		for i := range closure {
-			if closure[i] != coded[i] {
-				t.Fatalf("seed %d: event %d diverged: closure (%v, tag %d) vs coded (%v, tag %d)",
-					seed, i, closure[i].at, closure[i].tag, coded[i].at, coded[i].tag)
+		for _, other := range []struct {
+			name string
+			log  []firedEvent
+		}{
+			{"coded", runGoldenWorkload(seed, codesOnLane)},
+			{"heap-ticker", runGoldenWorkload(seed, closuresOnlyHeap)},
+		} {
+			if len(closure) != len(other.log) {
+				t.Fatalf("seed %d: closure run fired %d events, %s run %d", seed, len(closure), other.name, len(other.log))
+			}
+			for i := range closure {
+				if closure[i] != other.log[i] {
+					t.Fatalf("seed %d: event %d diverged: closure (%v, tag %d) vs %s (%v, tag %d)",
+						seed, i, closure[i].at, closure[i].tag, other.name, other.log[i].at, other.log[i].tag)
+				}
 			}
 		}
 	}

@@ -32,7 +32,7 @@ type Scheduler interface {
 	// allocation on the scheduling path.
 	SchedulePayload(at time.Duration, fn func(any), arg any) Handle
 	// NewCode registers h as a typed event handler; ScheduleCode then
-	// schedules (code, payload) pairs with one-byte dispatch.
+	// schedules (code, payload) pairs without a closure.
 	NewCode(h func(any)) Code
 	// ScheduleCode runs the handler registered for code with arg at
 	// absolute time at.

@@ -19,14 +19,14 @@
 // the generation of the slot it cancels, so a stale handle to a recycled
 // slot is a no-op exactly like a handle to a fired event).
 //
-// # Typed event codes
+// # One event form
 //
-// Hot paths that schedule the same callback thousands of times per second
-// (packet deliveries on network links) register the callback once with
-// NewCode and then schedule (code, payload) pairs with ScheduleCode: the
-// event slot stores a one-byte code instead of a function value, and
-// dispatch is a table lookup. Closure scheduling (Schedule / ScheduleAfter)
-// remains available for cold paths.
+// Every heap event is a (func(any), argument) pair. SchedulePayload stores
+// its pair as given; Schedule stores its closure as the argument of one
+// static trampoline, callFunc (a func value is pointer-shaped, so boxing it
+// allocates nothing); ScheduleCode resolves its code to the registered
+// handler when the event is scheduled. Dispatch is therefore one indirect
+// call, whichever way the event was scheduled.
 //
 // # Periodic lane
 //
@@ -35,10 +35,15 @@
 // Ticker occupies one slot in a small "periodic lane"; the run loop merges
 // the lane with the heap by (time, sequence), and a fired ticker reuses its
 // lane slot for the next occurrence instead of a heap push/pop pair. Lane
-// entries consume sequence numbers at exactly the points the old
-// closure-based ticker did (one at registration, one after each callback
+// entries consume sequence numbers at exactly the points a self-re-arming
+// heap closure would (one at registration, one after each callback
 // returns), so the merged firing order is bit-identical to scheduling every
-// tick through the heap.
+// tick through the heap (TestCodedDispatchMatchesClosureGolden holds the
+// lane to such closures). The lane stays because it is measurably faster:
+// a prototype that made every tick a self-re-arming heap event was
+// bit-identical but ran the session-grid benchmark 21 % slower (shared-cell
+// 6 %) — most of a session's events are ticks, and a lane fire is one slot
+// update where a heap tick is a push and a pop.
 package simclock
 
 import (
@@ -48,27 +53,27 @@ import (
 )
 
 // Code identifies a callback registered with NewCode. The zero Code is
-// reserved for closure events.
+// never issued.
 type Code uint8
 
-// event is a scheduled callback. Events compare by time, then by insertion
-// sequence so simultaneous events run in the order they were scheduled.
-// Exactly one of fn / pfn / code identifies the callback; pfn and coded
-// events carry their argument in arg so payload deliveries (network links)
-// schedule without a closure allocation.
+// event is a scheduled callback fn(arg). Events compare by time, then by
+// insertion sequence so simultaneous events run in the order they were
+// scheduled.
 type event struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
-	pfn func(any)
+	fn  func(any)
 	arg any
 	// gen distinguishes incarnations of a recycled event slot; Handles
 	// remember the generation they were issued for.
-	gen  uint32
-	code Code
+	gen uint32
 	// canceled events stay in the heap but are skipped when popped.
 	canceled bool
 }
+
+// callFunc is the trampoline a closure event dispatches through: Schedule
+// stores the closure itself as the event's argument.
+func callFunc(f any) { f.(func())() }
 
 // periodic is one Ticker's lane slot: the pending occurrence (at, seq) plus
 // the rescheduling state. A stopped entry keeps its pending occurrence
@@ -210,10 +215,10 @@ func (a *arena) pop() int32 {
 }
 
 // add takes an event slot from the free list (or grows the slab), stamps it
-// with (at, next sequence number) and the callback — exactly one of fn,
-// pfn and code is set; pfn and coded events carry arg — and pushes it onto
-// the heap. It returns the slot and the generation a Handle to it carries.
-func (a *arena) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) (int32, uint32) {
+// with (at, next sequence number) and the callback fn(arg), and pushes it
+// onto the heap. It returns the slot and the generation a Handle to it
+// carries.
+func (a *arena) add(at time.Duration, fn func(any), arg any) (int32, uint32) {
 	var i int32
 	if n := len(a.free); n > 0 {
 		i = a.free[n-1]
@@ -226,7 +231,7 @@ func (a *arena) add(at time.Duration, fn func(), pfn func(any), arg any, code Co
 	e.at = at
 	e.seq = a.seq
 	a.seq++
-	e.fn, e.pfn, e.arg, e.code = fn, pfn, arg, code
+	e.fn, e.arg = fn, arg
 	a.heap = append(a.heap, i)
 	a.siftUp(len(a.heap) - 1)
 	return i, e.gen
@@ -237,27 +242,21 @@ func (a *arena) add(at time.Duration, fn func(), pfn func(any), arg any, code Co
 func (a *arena) recycle(i int32) {
 	e := &a.slab[i]
 	e.fn = nil
-	e.pfn = nil
 	e.arg = nil
-	e.code = 0
 	e.canceled = false
 	e.gen++
 	a.free = append(a.free, i)
 }
 
-// take consumes the minimum heap event: it copies the callback out (a typed
-// code resolved to its handler) and recycles the slot, so the callback's own
-// scheduling can reuse it immediately. The caller runs pfn(arg) if pfn is
-// non-nil and fn() otherwise, unless the event was canceled.
-func (a *arena) take() (fn func(), pfn func(any), arg any, canceled bool) {
+// take consumes the minimum heap event: it copies the callback out and
+// recycles the slot, so the callback's own scheduling can reuse it
+// immediately. The caller runs fn(arg) unless the event was canceled.
+func (a *arena) take() (fn func(any), arg any, canceled bool) {
 	i := a.pop()
 	e := &a.slab[i]
-	fn, pfn, arg, canceled = e.fn, e.pfn, e.arg, e.canceled
-	if e.code != 0 {
-		pfn = a.handlers[e.code]
-	}
+	fn, arg, canceled = e.fn, e.arg, e.canceled
 	a.recycle(i)
-	return fn, pfn, arg, canceled
+	return fn, arg, canceled
 }
 
 // cancel marks the event in slot idx canceled if it is still the
@@ -304,17 +303,17 @@ func (c *Clock) cancelEvent(idx int32, gen uint32) { c.cancel(idx, gen) }
 // add schedules one heap event. Scheduling in the past panics: it indicates
 // a logic error in the caller, and silently reordering time would corrupt
 // every downstream measurement.
-func (c *Clock) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) Handle {
+func (c *Clock) add(at time.Duration, fn func(any), arg any) Handle {
 	if at < c.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
-	i, gen := c.arena.add(at, fn, pfn, arg, code)
+	i, gen := c.arena.add(at, fn, arg)
 	return Handle{c, i, gen}
 }
 
 // Schedule runs fn at absolute virtual time at (panics if at is in the past).
 func (c *Clock) Schedule(at time.Duration, fn func()) Handle {
-	return c.add(at, fn, nil, nil, 0)
+	return c.add(at, callFunc, fn)
 }
 
 // SchedulePayload runs fn(arg) at absolute virtual time at. It is the
@@ -323,20 +322,19 @@ func (c *Clock) Schedule(at time.Duration, fn func()) Handle {
 // recycled event slot, so steady-state per-packet scheduling performs zero
 // allocations beyond whatever boxing arg itself required.
 func (c *Clock) SchedulePayload(at time.Duration, fn func(any), arg any) Handle {
-	return c.add(at, nil, fn, arg, 0)
+	return c.add(at, fn, arg)
 }
 
-// NewCode registers h as a typed event handler and returns its Code.
-// Coded events store one byte in the event slot instead of a function
-// value; use ScheduleCode to schedule them. Codes are per-clock; a clock
-// supports up to 255.
+// NewCode registers h as a typed event handler and returns its Code; use
+// ScheduleCode to schedule it. Codes are per-clock; a clock supports up to
+// 255.
 func (c *Clock) NewCode(h func(any)) Code { return c.newCode(h) }
 
 // ScheduleCode runs the handler registered for code with arg at absolute
 // virtual time at.
 func (c *Clock) ScheduleCode(at time.Duration, code Code, arg any) Handle {
 	c.checkCode(code)
-	return c.add(at, nil, nil, arg, code)
+	return c.add(at, c.handlers[code], arg)
 }
 
 // ScheduleAfter runs fn after delay d (d < 0 is treated as 0).
@@ -404,12 +402,8 @@ func (c *Clock) skipCanceled() {
 // fireHeap consumes and dispatches the minimum heap event; next has
 // already skipped canceled ones.
 func (c *Clock) fireHeap() {
-	fn, pfn, arg, _ := c.take()
-	if pfn != nil {
-		pfn(arg)
-	} else {
-		fn()
-	}
+	fn, arg, _ := c.take()
+	fn(arg)
 }
 
 // firePeriodic consumes a lane entry's pending occurrence. A stopped entry

@@ -48,11 +48,11 @@ func (w *Wall) Now() time.Duration { return time.Since(w.start) }
 // add schedules one event; callers hold w.mu. A past deadline clamps to now
 // so the event fires on the next loop pass, and a new heap minimum wakes the
 // run loop, whose sleep it may shorten.
-func (w *Wall) add(at time.Duration, fn func(), pfn func(any), arg any, code Code) Handle {
+func (w *Wall) add(at time.Duration, fn func(any), arg any) Handle {
 	if now := w.Now(); at < now {
 		at = now
 	}
-	i, gen := w.arena.add(at, fn, pfn, arg, code)
+	i, gen := w.arena.add(at, fn, arg)
 	if w.heap[0] == i {
 		w.signal()
 	}
@@ -70,7 +70,7 @@ func (w *Wall) signal() {
 func (w *Wall) Schedule(at time.Duration, fn func()) Handle {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.add(at, fn, nil, nil, 0)
+	return w.add(at, callFunc, fn)
 }
 
 // ScheduleAfter runs fn after delay d (d < 0 is treated as 0).
@@ -85,7 +85,7 @@ func (w *Wall) ScheduleAfter(d time.Duration, fn func()) Handle {
 func (w *Wall) SchedulePayload(at time.Duration, fn func(any), arg any) Handle {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.add(at, nil, fn, arg, 0)
+	return w.add(at, fn, arg)
 }
 
 // NewCode registers h as a typed event handler and returns its Code.
@@ -101,7 +101,7 @@ func (w *Wall) ScheduleCode(at time.Duration, code Code, arg any) Handle {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.checkCode(code)
-	return w.add(at, nil, nil, arg, code)
+	return w.add(at, w.handlers[code], arg)
 }
 
 // wallTicker is the shared state of one Ticker registration.
@@ -112,6 +112,11 @@ type wallTicker struct {
 	fn      func()
 	stopped atomic.Bool
 }
+
+// fireWallTicker is the static callback every wallTicker re-arms with: a
+// *wallTicker boxes into the event's argument without allocating, where
+// the method value t.fire would escape to the heap on every tick.
+func fireWallTicker(t any) { t.(*wallTicker).fire() }
 
 func (t *wallTicker) fire() {
 	if t.stopped.Load() {
@@ -128,7 +133,7 @@ func (t *wallTicker) fire() {
 	if now := t.w.Now(); t.at < now {
 		t.at = now
 	}
-	t.w.Schedule(t.at, t.fire)
+	t.w.SchedulePayload(t.at, fireWallTicker, t)
 }
 
 // Ticker invokes fn every period until the returned stop function is
@@ -138,7 +143,7 @@ func (w *Wall) Ticker(period time.Duration, fn func()) (stop func()) {
 		panic("simclock: ticker period must be positive")
 	}
 	t := &wallTicker{w: w, period: period, at: w.Now() + period, fn: fn}
-	w.Schedule(t.at, t.fire)
+	w.SchedulePayload(t.at, fireWallTicker, t)
 	return func() { t.stopped.Store(true) }
 }
 
@@ -166,10 +171,11 @@ func (w *Wall) Stop() {
 }
 
 // Run executes events as their deadlines arrive until elapsed time reaches
-// until or Stop is called, sleeping between deadlines. Callbacks run on the
-// calling goroutine. It returns when the deadline passes — pending events
-// beyond it stay queued.
+// until or Stop is called, sleeping between deadlines on one reused timer.
+// Callbacks run on the calling goroutine. It returns when the deadline
+// passes — pending events beyond it stay queued.
 func (w *Wall) Run(until time.Duration) {
+	var timer *time.Timer
 	for {
 		w.mu.Lock()
 		if w.stopped {
@@ -180,14 +186,10 @@ func (w *Wall) Run(until time.Duration) {
 		now := w.Now()
 		// Fire every due event before considering sleep.
 		if len(w.heap) > 0 && w.slab[w.heap[0]].at <= now {
-			fn, pfn, arg, canceled := w.take()
+			fn, arg, canceled := w.take()
 			w.mu.Unlock()
-			switch {
-			case canceled:
-			case pfn != nil:
-				pfn(arg)
-			default:
-				fn()
+			if !canceled {
+				fn(arg)
 			}
 			continue
 		}
@@ -208,11 +210,23 @@ func (w *Wall) Run(until time.Duration) {
 			continue
 		default:
 		}
-		timer := time.NewTimer(next - now)
+		if timer == nil {
+			timer = time.NewTimer(next - now)
+		} else {
+			timer.Reset(next - now)
+		}
 		select {
 		case <-timer.C:
 		case <-w.wake:
-			timer.Stop()
+			// Pre-Go 1.23 timer rules (go.mod says 1.22): a timer that
+			// fired before Stop has left its tick in the channel, and
+			// Reset would not clear it — drain it here.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,32 @@ func TestWallTicker(t *testing.T) {
 	w.Run(w.Now() + 30*time.Millisecond)
 	if ticks.Load() != n {
 		t.Fatalf("ticker fired after stop: %d -> %d", n, ticks.Load())
+	}
+}
+
+// TestWallTickAllocFree holds the live scheduler's steady state to no
+// allocation per tick: the ticker re-arms through SchedulePayload with a
+// static callback (a method value would escape on every re-arm) and Run
+// sleeps on one reused timer instead of a new one per sleep.
+func TestWallTickAllocFree(t *testing.T) {
+	w := NewWall()
+	ticks := 0
+	stop := w.Ticker(time.Millisecond, func() { ticks++ })
+	defer stop()
+	w.Run(w.Now() + 20*time.Millisecond) // warm-up: slab, heap, timer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	warm := ticks
+	w.Run(w.Now() + 100*time.Millisecond)
+	runtime.ReadMemStats(&after)
+	n := ticks - warm
+	if n < 20 {
+		t.Fatalf("only %d ticks of a 1 ms ticker in 100 ms", n)
+	}
+	perTick := float64(after.Mallocs-before.Mallocs) / float64(n)
+	t.Logf("%d ticks, %.3f allocations per tick", n, perTick)
+	if perTick >= 0.1 {
+		t.Fatalf("%.3f allocations per tick over %d ticks, want < 0.1", perTick, n)
 	}
 }
 

@@ -80,21 +80,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// WriteCSV emits the table (header + rows) as CSV.
-func (t *Table) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 // Series is a named curve: (X[i], Y[i]) points.
 type Series struct {
 	Name string

@@ -29,18 +29,6 @@ func TestTableAddWrongArity(t *testing.T) {
 	tab.Add("only-one")
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := New("t", "x", "a", "b")
-	tab.Add("1", "2")
-	var b strings.Builder
-	if err := tab.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "a,b\n1,2\n" {
-		t.Fatalf("csv = %q", b.String())
-	}
-}
-
 func TestSeriesCSV(t *testing.T) {
 	s1 := Series{Name: "s1"}
 	s1.Append(1, 2)

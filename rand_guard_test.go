@@ -1,6 +1,7 @@
 package poi360
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -56,5 +57,94 @@ func TestNoMathRandOutsideTests(t *testing.T) {
 	}
 	if checked < 50 {
 		t.Fatalf("checked only %d non-test files; is the walk rooted at the module?", checked)
+	}
+}
+
+// TestInternalAPIHasCallers keeps internal/ free of orphans: every exported
+// top-level func, type, var or const declared in a non-test file under
+// internal/ must be named by an identifier in some non-test file of the
+// module or of the nested benchmark/ module, outside its own declaration.
+// Names are matched as plain identifiers, so the check errs toward "used".
+// A helper only tests call belongs in a _test.go file of its package.
+func TestInternalAPIHasCallers(t *testing.T) {
+	type decl struct {
+		pos        string
+		name       string
+		start, end token.Pos
+	}
+	fset := token.NewFileSet()
+	var decls []decl
+	uses := map[string][]token.Pos{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name] = append(uses[id.Name], id.Pos())
+			}
+			return true
+		})
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return nil
+		}
+		add := func(id *ast.Ident, node ast.Node) {
+			if id.IsExported() {
+				decls = append(decls, decl{fset.Position(id.Pos()).String(), f.Name.Name + "." + id.Name, node.Pos(), node.End()})
+			}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, d)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name, spec)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id, spec)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) < 100 {
+		t.Fatalf("found only %d exported declarations under internal/; is the walk rooted at the module?", len(decls))
+	}
+	for _, d := range decls {
+		name := d.name[strings.IndexByte(d.name, '.')+1:]
+		used := false
+		for _, p := range uses[name] {
+			if p < d.start || p >= d.end {
+				used = true
+				break
+			}
+		}
+		if !used {
+			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a _test.go file", d.pos, d.name)
+		}
 	}
 }

@@ -59,50 +59,44 @@ bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
 ## obs-smoke: the observability subsystem under the race detector —
-## nil-probe safety, episode semantics on the busy cell, JSONL schema,
-## the binary codec round-trip (the fuzz seed corpus, then 15 s of
-## coverage-guided fuzzing), the
-## streaming shard aggregation, the enabled-emit contract (no allocation
-## on emit, spill or replay; the exact bucket rule; non-finite fields),
-## and the byte-identity of instrumented experiment reports — then an
-## end-to-end CLI pass: one FBCC session on the busy cell (with a
-## capacity-step fault so congestion episodes
-## actually fire inside 60 s), run once through -obs (JSONL) and once
-## through -obs-bin (binary), checking that every JSONL line parses, the
-## episode stats are non-empty, the two printouts agree, and
-## poi360-trace -from-bin decodes the binary stream back to the exact
-## JSONL bytes. Also runs the Emit-cost benchmarks once, which fail
-## loudly if the nil-probe path ever starts allocating.
+## nil-probe safety, episode semantics on the busy cell, the JSONL
+## rendering, the P6T codec round-trip and the replayer on cut and hostile
+## input (the fuzz seed corpora, then 15 s of coverage-guided fuzzing of
+## each target), the streaming shard aggregation, the enabled-emit
+## contract (no allocation on emit, spill or replay; the exact bucket
+## rule; non-finite fields), the byte-identity of instrumented experiment
+## reports and poi360-trace's write-error handling — then an end-to-end
+## CLI pass over the one trace format: one FBCC session on the busy cell
+## (with a capacity-step fault so congestion episodes actually fire
+## inside 60 s) streamed through -obs, checking that the episode stats are
+## non-empty, that poi360-trace decodes the file into well-formed JSONL
+## lines, and that its -view episodes line is the one the simulator
+## printed. Also runs the Emit-cost benchmarks once, which fail loudly if
+## the nil-probe path ever starts allocating.
+JSONL_LINE := ^\{"t":[0-9]+(\.[0-9]+)?,"kind":"[a-z0-9_.]+","sub":-?[0-9]+(,"[a-z0-9_]+":-?[0-9]+(\.[0-9]+)?)*\}$$
 obs-smoke:
-	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|BinWriter|FinishSpill|EmitZeroAlloc|BucketOf|NonFinite' \
-		./internal/obs ./internal/experiments
-	$(GO) test -run 'FuzzEventBinaryRoundTrip' ./internal/obs
+	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|Replay|BinWriter|FinishSpill|EmitZeroAlloc|BucketOf|NonFinite|Decode' \
+		./internal/obs ./internal/experiments ./cmd/poi360-trace
+	$(GO) test -run 'Fuzz(EventBinaryRoundTrip|ReplayerFeed)' ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzEventBinaryRoundTrip$$' -fuzztime 15s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayerFeed$$' -fuzztime 15s ./internal/obs
 	$(GO) test -bench 'Obs(Disabled|Enabled)$$' -benchtime 1x -run '^$$' .
 	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
-	$(GO) run ./cmd/poi360-sim -rc fbcc -cell busy -faults capacity-step \
-		-duration 60s -seed 1 -obs "$$out/events.jsonl" > "$$out/sim.txt" \
+	$(GO) build -o "$$out" ./cmd/poi360-sim ./cmd/poi360-trace || exit 1; \
+	"$$out/poi360-sim" -rc fbcc -cell busy -faults capacity-step \
+		-duration 60s -seed 1 -obs "$$out/f.pbt" > "$$out/sim.txt" \
 		|| { cat "$$out/sim.txt"; exit 1; }; \
 	cat "$$out/sim.txt"; \
-	test -s "$$out/events.jsonl" || { echo "obs-smoke: empty JSONL"; exit 1; }; \
-	bad="$$(grep -cv '^{.*}$$' "$$out/events.jsonl" || true)"; \
-	[ "$$bad" = "0" ] || { echo "obs-smoke: $$bad malformed JSONL lines"; exit 1; }; \
-	grep -E 'episodes: [1-9][0-9]* congestion' "$$out/sim.txt" >/dev/null \
+	grep -E '^  episodes: [1-9][0-9]* congestion' "$$out/sim.txt" >/dev/null \
 		|| { echo "obs-smoke: no congestion episodes reported"; exit 1; }; \
-	$(GO) run ./cmd/poi360-sim -rc fbcc -cell busy -faults capacity-step \
-		-duration 60s -seed 1 -obs-bin "$$out/events.pbt" > "$$out/simbin.txt" \
-		|| { cat "$$out/simbin.txt"; exit 1; }; \
-	grep -v '^  obs' "$$out/sim.txt" > "$$out/sim.flt"; \
-	grep -v '^  obs' "$$out/simbin.txt" > "$$out/simbin.flt"; \
-	cmp -s "$$out/sim.flt" "$$out/simbin.flt" \
-		|| { echo "obs-smoke: -obs and -obs-bin printouts diverge"; \
-		     diff "$$out/sim.flt" "$$out/simbin.flt"; exit 1; }; \
-	$(GO) run ./cmd/poi360-trace -from-bin "$$out/events.pbt" > "$$out/decoded.jsonl"; \
-	cmp -s "$$out/events.jsonl" "$$out/decoded.jsonl" \
-		|| { echo "obs-smoke: binary decode differs from JSONL"; exit 1; }; \
-	$(GO) run ./cmd/poi360-trace -from-bin "$$out/events.pbt" -view episodes \
-		| grep -E '^[1-9][0-9]* congestion' >/dev/null \
-		|| { echo "obs-smoke: -from-bin -view episodes empty"; exit 1; }; \
+	"$$out/poi360-trace" "$$out/f.pbt" > "$$out/events.jsonl" || exit 1; \
+	test -s "$$out/events.jsonl" || { echo "obs-smoke: empty JSONL"; exit 1; }; \
+	bad="$$(grep -cEv '$(JSONL_LINE)' "$$out/events.jsonl" || true)"; \
+	[ "$$bad" = "0" ] || { echo "obs-smoke: $$bad malformed JSONL lines"; exit 1; }; \
+	"$$out/poi360-trace" -view episodes "$$out/f.pbt" > "$$out/episodes.txt" || exit 1; \
+	sed -n 's/^  episodes: //p' "$$out/sim.txt" | cmp -s - "$$out/episodes.txt" \
+		|| { echo "obs-smoke: poi360-trace -view episodes differs from the simulator's line"; \
+		     cat "$$out/episodes.txt"; exit 1; }; \
 	echo "obs-smoke: ok"
 
 ## live-smoke: the real-transport backend under the race detector — the

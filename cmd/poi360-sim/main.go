@@ -12,19 +12,36 @@
 //	poi360-sim -rc fbcc -faults diag-stall            # scripted disturbance scenario
 //	poi360-sim -rc fbcc -faults handover -no-watchdog # paper prototype under faults
 //	poi360-sim -cells 100 -users 1000 -mobility 4s    # multi-cell city, emergent handover
-//	poi360-sim -rc fbcc -obs-bin out.pbt              # stream telemetry to a binary file
-//	poi360-sim -cells 64 -users 256 -obs-bin city.pbt # city telemetry, bounded memory
+//	poi360-sim -rc fbcc -obs out.pbt                  # stream telemetry to a P6T file
+//	poi360-sim -cells 64 -users 256 -obs city.pbt     # city telemetry, bounded memory
+//	poi360-sim -rc fbcc -cell campus -series diag     # modem diagnostics as CSV
+//	poi360-sim -cell campus -users 3 -series rates -session 1
 //
 // With -runs N the session repeats N times under collision-free derived
 // seeds (poi360.DeriveSeed), fanned out over a bounded worker pool; the
 // per-run summaries print in run order and are identical at any -workers.
+//
+// -obs streams every telemetry event to a P6T binary file with bounded
+// memory and prints the metric registry and, under FBCC, the congestion-
+// episode statistics; poi360-trace reads the file back (JSONL, registry,
+// episodes, or a live tail).
+//
+// -series replaces the summary with one of the session's time series as
+// CSV — the raw material behind the paper's time-domain plots: rates
+// (encoder rate Rv, pacing rate Rrtp, adaptive mode index), frames
+// (per-frame delay, ROI PSNR and ROI level), diag (firmware-buffer level
+// and granted TBS rate, the modem diagnostics) or mismatch (the mismatch
+// time M). Under -users N, -session k picks whose series.
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +68,9 @@ func main() {
 		faultsIn = flag.String("faults", "", "scripted disturbance scenario (see -list-faults)")
 		listF    = flag.Bool("list-faults", false, "list fault scenarios and exit")
 		noWD     = flag.Bool("no-watchdog", false, "disable FBCC's diag-staleness watchdog (paper prototype behaviour)")
-		obsOut   = flag.String("obs", "", "write telemetry events (JSONL) to this file; also prints the registry and FBCC episode stats")
-		obsBin   = flag.String("obs-bin", "", "stream telemetry to this binary file (.pbt) with bounded memory; decode with poi360-trace -from-bin")
+		obsOut   = flag.String("obs", "", "stream telemetry to this P6T file (.pbt) with bounded memory and print the registry and FBCC episode stats; read it with poi360-trace")
+		series   = flag.String("series", "", "print one time series as CSV instead of the summary: rates, frames, diag, mismatch")
+		sessIdx  = flag.Int("session", 0, "which shared-cell session's -series to print (with -users N)")
 		cells    = flag.Int("cells", 0, "run the multi-cell city simulation with this many cells; -users sets the UE population and -rc the controller mix (gcc, fbcc, or split)")
 		mobility = flag.Duration("mobility", 0, "mean cell dwell of the city's mobility traces (0 = static UEs; only with -cells)")
 	)
@@ -65,15 +83,31 @@ func main() {
 		return
 	}
 
-	if *obsOut != "" && *obsBin != "" {
-		fatal("-obs and -obs-bin are mutually exclusive (one trace format per run)")
+	if *series != "" {
+		if seriesCSV[*series] == nil {
+			fatal("unknown series %q (rates, frames, diag, mismatch)", *series)
+		}
+		if *runs > 1 || *cells > 0 || *obsOut != "" {
+			fatal("-series is incompatible with -runs, -cells and -obs (it prints one session)")
+		}
+	}
+	if *sessIdx != 0 {
+		if *series == "" {
+			fatal("-session needs -series")
+		}
+		if *sessIdx < 0 || *sessIdx >= *users {
+			fatal("-session %d outside [0, %d) (-users)", *sessIdx, *users)
+		}
+	}
+	if *obsOut != "" && *runs > 1 {
+		fatal("-obs and -runs are mutually exclusive (one trace file, one run)")
 	}
 
 	if *cells > 0 {
 		if *runs > 1 || *faultsIn != "" {
 			fatal("-cells is incompatible with -runs and -faults (city handovers are emergent, not scripted)")
 		}
-		if err := runCity(*cells, *users, *duration, *mobility, *seed, *workers, *rc, *obsOut, *obsBin); err != nil {
+		if err := runCity(*cells, *users, *duration, *mobility, *seed, *workers, *rc, *obsOut); err != nil {
 			fatal("%v", err)
 		}
 		return
@@ -150,48 +184,6 @@ func main() {
 		cfg.FBCCWatchdogReports = -1
 	}
 
-	var (
-		bus    *poi360.TelemetryBus
-		binAgg *poi360.TelemetryShardAgg
-		binW   *poi360.TelemetryBinWriter
-		binF   *os.File
-	)
-	if *obsOut != "" || *obsBin != "" {
-		if *runs > 1 {
-			fatal("-obs/-obs-bin and -runs are mutually exclusive (one trace file, one run)")
-		}
-		bus = poi360.NewTelemetryBus()
-		if *obsBin != "" {
-			f, err := os.Create(*obsBin)
-			if err != nil {
-				fatal("%v", err)
-			}
-			binF = f
-			binW = poi360.NewTelemetryBinWriter(f)
-			binAgg = poi360.NewTelemetryShardAgg()
-			// One clock, one shard: the whole scenario spills as shard 0,
-			// flushed whenever 64 KiB accumulates — bounded memory at any
-			// duration.
-			bus.DisableRetention()
-			bus.SpillTo(binW, 0, 64<<10)
-			binAgg.Bind(0, bus)
-		}
-	}
-	dumpTelemetry := func(fbcc bool) {
-		if bus == nil {
-			return
-		}
-		var err error
-		if *obsBin != "" {
-			err = dumpObsBin(bus, binAgg, binW, binF, *obsBin, fbcc)
-		} else {
-			err = dumpObs(bus, *obsOut, fbcc)
-		}
-		if err != nil {
-			fatal("%v", err)
-		}
-	}
-
 	if *users > 1 {
 		if *runs > 1 {
 			fatal("-users and -runs are mutually exclusive")
@@ -199,10 +191,26 @@ func main() {
 		if cfg.Network != poi360.Cellular {
 			fatal("-users needs the cellular network (a shared LTE cell)")
 		}
-		if err := runSharedCell(cfg, *users, bus); err != nil {
+	}
+
+	// One clock, one shard: the whole scenario spills as shard 0, flushed
+	// whenever 64 KiB accumulates — bounded memory at any duration.
+	tel, err := openTelemetry(*obsOut, 0, 64<<10)
+	if err != nil {
+		fatal("%v", err)
+	}
+
+	if *users > 1 {
+		results, err := runSharedCell(cfg, *users, tel.bus())
+		if err != nil {
 			fatal("%v", err)
 		}
-		dumpTelemetry(cfg.RC == poi360.RCFBCC)
+		if *series != "" {
+			printSeries(*series, results[*sessIdx])
+			return
+		}
+		printSharedCell(results)
+		tel.finish(cfg.RC == poi360.RCFBCC)
 		return
 	}
 
@@ -213,12 +221,16 @@ func main() {
 		return
 	}
 
-	if bus != nil {
+	if bus := tel.bus(); bus != nil {
 		cfg.Obs = bus.Probe(0)
 	}
 	res, err := poi360.RunSession(cfg)
 	if err != nil {
 		fatal("%v", err)
+	}
+	if *series != "" {
+		printSeries(*series, res)
+		return
 	}
 
 	fmt.Println(poi360.Summary(res))
@@ -241,53 +253,116 @@ func main() {
 		fmt.Printf("  MOS     : bad %.1f%%, poor %.1f%%, fair %.1f%%, good %.1f%%, excellent %.1f%%\n",
 			100*pdf[0], 100*pdf[1], 100*pdf[2], 100*pdf[3], 100*pdf[4])
 	}
-	dumpTelemetry(res.Config.RC == poi360.RCFBCC)
+	tel.finish(res.Config.RC == poi360.RCFBCC)
 }
 
-// dumpObs writes the bus's event stream as JSONL and prints the metric
-// registry plus, for FBCC sessions, the reconstructed congestion-episode
-// statistics.
-func dumpObs(bus *poi360.TelemetryBus, path string, fbcc bool) error {
+// telemetry is one -obs trace: a bus spilling P6T into the file as one
+// shard, and the streaming aggregate the registry and episode lines are
+// printed from. No event is retained in memory. The nil *telemetry (no
+// -obs) is valid and does nothing.
+type telemetry struct {
+	path string
+	f    *os.File
+	w    *poi360.TelemetryBinWriter
+	b    *poi360.TelemetryBus
+	agg  *poi360.TelemetryShardAgg
+}
+
+// openTelemetry creates path and spills a fresh bus into it as shard;
+// autoFlush is Bus.SpillTo's. An empty path means no telemetry.
+func openTelemetry(path string, shard int32, autoFlush int) (*telemetry, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := poi360.WriteTelemetryJSONL(f, bus.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("  obs     : %d events -> %s\n", bus.Len(), path)
-	fmt.Print(bus.Table())
-	if fbcc {
-		printEpisodes(poi360.SummarizeCongestionEpisodes(poi360.CongestionEpisodes(bus.Events())))
-	}
-	return nil
+	t := &telemetry{path: path, f: f, w: poi360.NewTelemetryBinWriter(f),
+		b: poi360.NewTelemetryBus(), agg: poi360.NewTelemetryShardAgg()}
+	t.b.DisableRetention()
+	t.b.SpillTo(t.w, shard, autoFlush)
+	t.agg.Bind(shard, t.b)
+	return t, nil
 }
 
-// dumpObsBin finalizes a binary telemetry stream — gauges spilled, buffers
-// flushed, file closed — and prints the streaming aggregates: the registry
-// merged across shards and, for FBCC sessions, the congestion-episode
-// statistics. Both are byte-identical to what the in-memory -obs path
-// prints, though no event was ever retained.
-func dumpObsBin(bus *poi360.TelemetryBus, agg *poi360.TelemetryShardAgg, bw *poi360.TelemetryBinWriter, f *os.File, path string, fbcc bool) error {
-	bus.FinishSpill()
-	if err := bw.Err(); err != nil {
-		f.Close()
-		return fmt.Errorf("obs-bin: %w (%d bytes reached %s, %d dropped)", err, bw.Bytes(), path, bw.Dropped())
+func (t *telemetry) bus() *poi360.TelemetryBus {
+	if t == nil {
+		return nil
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("  obs-bin : %d bytes -> %s\n", bw.Bytes(), path)
-	fmt.Print(agg.Merged().Table())
-	if fbcc {
-		printEpisodes(agg.Summary())
-	}
-	return nil
+	return t.b
 }
+
+// finish finalizes the stream — gauges spilled, buffers flushed, file
+// closed — and prints the streaming aggregates: the registry merged
+// across shards and, for FBCC sessions, the congestion-episode
+// statistics. A failed write is fatal, with the bytes it dropped.
+func (t *telemetry) finish(fbcc bool) {
+	if t == nil {
+		return
+	}
+	t.b.FinishSpill()
+	if err := t.w.Err(); err != nil {
+		t.f.Close()
+		fatal("obs: %v (%d bytes reached %s, %d dropped)", err, t.w.Bytes(), t.path, t.w.Dropped())
+	}
+	if err := t.f.Close(); err != nil {
+		fatal("%v", err)
+	}
+	fmt.Printf("  obs     : %d bytes -> %s\n", t.w.Bytes(), t.path)
+	fmt.Print(t.agg.Merged().Table())
+	if fbcc {
+		printEpisodes(t.agg.Summary())
+	}
+}
+
+// seriesCSV writes one -series of a session result: a header row, then
+// one row per sample. Rows go through csv.Writer, whose first write error
+// latches and is reported by writeSeries.
+var seriesCSV = map[string]func(w *csv.Writer, res *poi360.SessionResult){
+	"rates": func(w *csv.Writer, res *poi360.SessionResult) {
+		w.Write([]string{"t_s", "rv_bps", "rrtp_bps", "mode"})
+		for i := range res.VideoRate {
+			w.Write([]string{num(res.VideoRate[i].At.Seconds()), num(res.VideoRate[i].V), num(res.RTPRate[i].V), num(res.Modes[i].V)})
+		}
+	},
+	"frames": func(w *csv.Writer, res *poi360.SessionResult) {
+		w.Write([]string{"t_s", "delay_ms", "roi_psnr_db", "roi_level"})
+		for i := range res.ROILevels {
+			w.Write([]string{num(res.ROILevels[i].At.Seconds()),
+				num(float64(res.FrameDelays[i]) / float64(time.Millisecond)), num(res.ROIPSNRs[i]), num(res.ROILevels[i].V)})
+		}
+	},
+	"diag": func(w *csv.Writer, res *poi360.SessionResult) {
+		w.Write([]string{"t_s", "buffer_bytes", "tbs_bps"})
+		for _, d := range res.Diag {
+			w.Write([]string{num(d.At.Seconds()), strconv.Itoa(d.BufferBytes), num(d.TBSRate)})
+		}
+	},
+	"mismatch": func(w *csv.Writer, res *poi360.SessionResult) {
+		w.Write([]string{"t_s", "m_s"})
+		for _, m := range res.Mismatch {
+			w.Write([]string{num(m.At.Seconds()), num(m.V)})
+		}
+	},
+}
+
+// writeSeries writes the named series of res to out as CSV and returns
+// the first write error.
+func writeSeries(out io.Writer, name string, res *poi360.SessionResult) error {
+	w := csv.NewWriter(out)
+	seriesCSV[name](w, res)
+	w.Flush()
+	return w.Error()
+}
+
+func printSeries(name string, res *poi360.SessionResult) {
+	if err := writeSeries(os.Stdout, name, res); err != nil {
+		fatal("%v", err)
+	}
+}
+
+func num(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 
 func printEpisodes(st poi360.CongestionEpisodeStats) {
 	fmt.Printf("  episodes: %d congestion episodes (%d triggers), mean %.0f ms, max %.0f ms, mean hold %.0f ms, %d aborted, %d open\n",
@@ -363,9 +438,9 @@ func runMany(base poi360.SessionConfig, n, workers int, mosOut bool) error {
 // runSharedCell contends n copies of the base session in one shared LTE
 // cell: one simulation clock, one radio resource, per-subframe proportional-
 // fair grants. User profiles cycle through the five paper participants and
-// per-user seeds derive from -seed inside the scenario, so the printout is
+// per-user seeds derive from -seed inside the scenario, so the results are
 // a pure function of the flags.
-func runSharedCell(base poi360.SessionConfig, n int, bus *poi360.TelemetryBus) error {
+func runSharedCell(base poi360.SessionConfig, n int, bus *poi360.TelemetryBus) ([]*poi360.SessionResult, error) {
 	mc := poi360.MultiSessionConfig{
 		Duration: base.Duration,
 		Cell:     base.Cell,
@@ -380,10 +455,12 @@ func runSharedCell(base poi360.SessionConfig, n int, bus *poi360.TelemetryBus) e
 		cfg.User = poi360.Users[i%len(poi360.Users)]
 		mc.Sessions = append(mc.Sessions, cfg)
 	}
-	results, err := poi360.RunSharedCell(mc)
-	if err != nil {
-		return err
-	}
+	return poi360.RunSharedCell(mc)
+}
+
+// printSharedCell prints each shared-cell session's summary, then the
+// cell's total throughput and Jain fairness.
+func printSharedCell(results []*poi360.SessionResult) {
 	shares := make([]float64, len(results))
 	var total float64
 	for i, r := range results {
@@ -392,15 +469,14 @@ func runSharedCell(base poi360.SessionConfig, n int, bus *poi360.TelemetryBus) e
 		fmt.Printf("user %2d (%s): %s\n", i, r.Config.User.Name, poi360.Summary(r))
 	}
 	fmt.Printf("shared cell with %d users: total %.2f Mbps, Jain fairness %.3f\n",
-		n, total/1e6, poi360.JainFairness(shares))
-	return nil
+		len(results), total/1e6, poi360.JainFairness(shares))
 }
 
 // runCity runs the multi-cell city simulation: -cells LTE cells as
 // event shards, -users UE endpoints with grid-walk mobility, handovers
 // emerging wherever a trace crosses a cell border. The printout is a pure
 // function of the flags at any -workers.
-func runCity(cells, ues int, duration, mobility time.Duration, seed int64, workers int, rc, obsOut, obsBin string) error {
+func runCity(cells, ues int, duration, mobility time.Duration, seed int64, workers int, rc, obsOut string) error {
 	var mix string
 	switch rc {
 	case "gcc":
@@ -412,33 +488,15 @@ func runCity(cells, ues int, duration, mobility time.Duration, seed int64, worke
 	default:
 		return fmt.Errorf("city mode: -rc must be gcc, fbcc, or split, got %q", rc)
 	}
-	var (
-		bus    *poi360.TelemetryBus
-		binAgg *poi360.TelemetryShardAgg
-		binW   *poi360.TelemetryBinWriter
-		binF   *os.File
-	)
-	if obsOut != "" {
-		bus = poi360.NewTelemetryBus()
+	// Coordinator traffic (handovers, fault markers) spills as shard -1;
+	// per-cell radio shards 0..C-1 come from CityConfig.Sink. The city
+	// flushes every shard at its clock barriers in shard-id order, so the
+	// file is byte-identical at any -workers.
+	tel, err := openTelemetry(obsOut, -1, 0)
+	if err != nil {
+		return err
 	}
-	if obsBin != "" {
-		f, err := os.Create(obsBin)
-		if err != nil {
-			return err
-		}
-		binF = f
-		binW = poi360.NewTelemetryBinWriter(f)
-		binAgg = poi360.NewTelemetryShardAgg()
-		// Coordinator traffic (handovers, fault markers) spills as shard
-		// -1; per-cell radio shards 0..C-1 come from CityConfig.Sink. The
-		// city flushes every shard at its clock barriers in shard-id
-		// order, so the file is byte-identical at any -workers.
-		bus = poi360.NewTelemetryBus()
-		bus.DisableRetention()
-		bus.SpillTo(binW, -1, 0)
-		binAgg.Bind(-1, bus)
-	}
-	res, err := poi360.RunCity(poi360.CityConfig{
+	cc := poi360.CityConfig{
 		Cells:     cells,
 		UEs:       ues,
 		Duration:  duration,
@@ -446,10 +504,11 @@ func runCity(cells, ues int, duration, mobility time.Duration, seed int64, worke
 		MeanDwell: mobility,
 		Workers:   workers,
 		Mix:       mix,
-		Obs:       bus,
-		Agg:       binAgg,
-		Sink:      binW,
-	})
+	}
+	if tel != nil {
+		cc.Obs, cc.Agg, cc.Sink = tel.b, tel.agg, tel.w
+	}
+	res, err := poi360.RunCity(cc)
 	if err != nil {
 		return err
 	}
@@ -463,12 +522,7 @@ func runCity(cells, ues int, duration, mobility time.Duration, seed int64, worke
 	fmt.Printf("  frames  : sent %d, lost %d, frozen %d (measured after warmup %v)\n", sent, lost, frozen, res.Warmup)
 	fmt.Printf("  radio   : per-cell Jain mean %.3f over occupied cells, global Jain %.3f\n",
 		res.MeanPerCellJain(), res.JainGlobal)
-	if binW != nil {
-		return dumpObsBin(bus, binAgg, binW, binF, obsBin, false)
-	}
-	if bus != nil {
-		return dumpObs(bus, obsOut, false)
-	}
+	tel.finish(false)
 	return nil
 }
 

@@ -1,41 +1,30 @@
-// Command poi360-trace runs one session and dumps its time series as CSV —
-// the raw material behind the paper's time-domain plots: encoder rate Rv,
-// pacing rate Rrtp, firmware-buffer level, granted TBS rate, per-frame
-// delay and ROI PSNR, the mismatch time M, and the adaptive mode index.
-//
-// With -events it instead streams the session's telemetry bus as JSONL
-// (one typed, sim-clock-stamped event per line — frame encodes, FBCC
-// triggers/pins/releases, LTE grants, queue drops, fault windows), the same
-// format poi360-sim -obs writes to a file.
-//
-// With -from-bin it runs no session at all: it decodes a binary telemetry
-// stream (.pbt, written by poi360-sim -obs-bin) and renders it as JSONL
-// (default), as the merged metric registry (-view registry), or as the
-// FBCC congestion-episode summary (-view episodes). Adding -live tails a
-// file that is still being written — partial records at the tail are
-// buffered until the writer completes them — polling every -refresh until
-// -live-for elapses (0 = tail forever).
+// Command poi360-trace reads a P6T telemetry stream (.pbt, written by
+// poi360-sim -obs) and renders it: as JSONL, one typed, sim-clock-stamped
+// event per line (frame encodes, FBCC triggers/pins/releases, LTE grants
+// and diagnostics, queue drops, fault windows, handovers) — the default —
+// as the merged metric registry (-view registry), or as the FBCC
+// congestion-episode summary (-view episodes). With -live it tails a file
+// that is still being written: a partial record at the tail stays
+// buffered until the writer completes it, and the file is polled every
+// -refresh until -live-for elapses (0 = tail forever).
 //
 // Usage:
 //
-//	poi360-trace -rc fbcc -cell campus > trace.csv
-//	poi360-trace -series diag                    # only the modem diagnostics
-//	poi360-trace -rc fbcc -faults handover       # trace a disturbed session
-//	poi360-trace -users 3 -session 1             # user 1 of a 3-user shared cell
-//	poi360-trace -rc fbcc -events > events.jsonl # telemetry events as JSONL
-//	poi360-trace -from-bin out.pbt > events.jsonl
-//	poi360-trace -from-bin city.pbt -view registry
-//	poi360-trace -from-bin city.pbt -live -refresh 200ms -live-for 10s
+//	poi360-trace out.pbt > events.jsonl
+//	poi360-trace -view registry city.pbt
+//	poi360-trace -view episodes out.pbt
+//	poi360-trace -live -refresh 200ms -live-for 10s city.pbt
+//
+// A session's time series as CSV (rates, frames, diag, mismatch) come from
+// poi360-sim -series.
 package main
 
 import (
 	"bufio"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"poi360"
@@ -43,189 +32,54 @@ import (
 
 func main() {
 	var (
-		duration = flag.Duration("duration", 60*time.Second, "session length")
-		rc       = flag.String("rc", "gcc", "gcc or fbcc")
-		cell     = flag.String("cell", "campus", "strong, moderate, weak, busy, campus")
-		user     = flag.String("user", "typical", "user profile")
-		seed     = flag.Int64("seed", 1, "random seed")
-		series   = flag.String("series", "rates", "which series: rates, frames, diag, mismatch")
-		faultsIn = flag.String("faults", "", "scripted disturbance scenario (poi360-sim -list-faults)")
-		users    = flag.Int("users", 1, "contend N sessions in ONE shared cell; -session picks whose series to dump")
-		sessIdx  = flag.Int("session", 0, "which shared-cell session's series to dump (with -users)")
-		events   = flag.Bool("events", false, "dump telemetry events as JSONL instead of a CSV series")
-		fromBin  = flag.String("from-bin", "", "decode a binary telemetry stream (.pbt) instead of running a session")
-		view     = flag.String("view", "events", "what -from-bin renders: events (JSONL), registry, episodes")
-		live     = flag.Bool("live", false, "tail a still-growing -from-bin stream instead of stopping at EOF")
-		refresh  = flag.Duration("refresh", 500*time.Millisecond, "poll interval while tailing with -live")
-		liveFor  = flag.Duration("live-for", 0, "stop a -live tail after this long (0 = tail forever)")
+		view    = flag.String("view", "events", "what to render: events (JSONL), registry, episodes")
+		live    = flag.Bool("live", false, "tail a still-growing stream instead of stopping at EOF")
+		refresh = flag.Duration("refresh", 500*time.Millisecond, "poll interval while tailing with -live")
+		liveFor = flag.Duration("live-for", 0, "stop a -live tail after this long (0 = tail forever)")
 	)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: poi360-trace [flags] FILE.pbt")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-
-	if *fromBin != "" {
-		if err := decodeBinary(*fromBin, *view, *live, *refresh, *liveFor); err != nil {
-			fatal("%v", err)
-		}
-		return
+	if flag.NArg() != 1 {
+		flag.Usage()
+		os.Exit(2)
 	}
-	if *live {
-		fatal("-live needs -from-bin (it tails a binary telemetry file)")
-	}
-
-	cfg := poi360.SessionConfig{Duration: *duration, Seed: *seed, Network: poi360.Cellular}
-	switch *rc {
-	case "gcc":
-		cfg.RC = poi360.RCGCC
-	case "fbcc":
-		cfg.RC = poi360.RCFBCC
-	default:
-		fatal("unknown rc %q", *rc)
-	}
-	switch *cell {
-	case "strong":
-		cfg.Cell = poi360.CellStrongIdle
-	case "moderate":
-		cfg.Cell = poi360.CellModerate
-	case "weak":
-		cfg.Cell = poi360.CellWeak
-	case "busy":
-		cfg.Cell = poi360.CellBusy
-	case "campus":
-		cfg.Cell = poi360.CellCampus
-	default:
-		fatal("unknown cell %q", *cell)
-	}
-	u, err := poi360.UserByName(*user)
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg.User = u
-
-	if *faultsIn != "" {
-		script, err := poi360.MakeFaultScenario(*faultsIn, *duration)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg.Faults = script
-	}
-
-	var bus *poi360.TelemetryBus
-	if *events {
-		bus = poi360.NewTelemetryBus()
-	}
-
-	var res *poi360.SessionResult
-	if *users > 1 {
-		if *sessIdx < 0 || *sessIdx >= *users {
-			fatal("-session %d outside [0, %d)", *sessIdx, *users)
-		}
-		mc := poi360.MultiSessionConfig{
-			Duration: cfg.Duration,
-			Cell:     cfg.Cell,
-			Seed:     cfg.Seed,
-			Faults:   cfg.Faults, // capacity events hit the shared cell
-			Obs:      bus,
-		}
-		for i := 0; i < *users; i++ {
-			sc := cfg
-			sc.Seed = 0 // derived per user inside RunSharedCell
-			sc.User = poi360.Users[i%len(poi360.Users)]
-			mc.Sessions = append(mc.Sessions, sc)
-		}
-		results, err := poi360.RunSharedCell(mc)
-		if err != nil {
-			fatal("%v", err)
-		}
-		res = results[*sessIdx]
-	} else {
-		if *sessIdx != 0 {
-			fatal("-session needs -users > 1")
-		}
-		if bus != nil {
-			cfg.Obs = bus.Probe(0)
-		}
-		res, err = poi360.RunSession(cfg)
-		if err != nil {
-			fatal("%v", err)
-		}
-	}
-
-	if *events {
-		// JSONL event stream: every sub-stream of the bus, in emission
-		// order (for -users > 1 the "sub" field is the session index,
-		// -1 for cell-level fault markers).
-		if err := poi360.WriteTelemetryJSONL(os.Stdout, bus.Events()); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-
-	w := csv.NewWriter(os.Stdout)
-	defer w.Flush()
-
-	switch *series {
-	case "rates":
-		write(w, "t_s", "rv_bps", "rrtp_bps", "mode")
-		for i := range res.VideoRate {
-			write(w,
-				f(res.VideoRate[i].At.Seconds()),
-				f(res.VideoRate[i].V),
-				f(res.RTPRate[i].V),
-				f(res.Modes[i].V))
-		}
-	case "frames":
-		write(w, "t_s", "delay_ms", "roi_psnr_db", "roi_level")
-		for i := range res.ROILevels {
-			write(w,
-				f(res.ROILevels[i].At.Seconds()),
-				f(float64(res.FrameDelays[i])/float64(time.Millisecond)),
-				f(res.ROIPSNRs[i]),
-				f(res.ROILevels[i].V))
-		}
-	case "diag":
-		write(w, "t_s", "buffer_bytes", "tbs_bps")
-		for _, d := range res.Diag {
-			write(w, f(d.At.Seconds()), strconv.Itoa(d.BufferBytes), f(d.TBSRate))
-		}
-	case "mismatch":
-		write(w, "t_s", "m_s")
-		for _, m := range res.Mismatch {
-			write(w, f(m.At.Seconds()), f(m.V))
-		}
-	default:
-		fatal("unknown series %q", *series)
+	defer f.Close()
+	if err := decode(f, os.Stdout, *view, *live, *refresh, *liveFor); err != nil {
+		fatal("%v", err)
 	}
 }
 
-// decodeBinary replays a binary telemetry stream through the streaming
-// replayer: events render as JSONL the moment they decode, while the
-// registry and episode views come from the replayer's shard aggregate. In
-// live mode EOF means "writer not done yet": the file is re-polled every
-// refresh — a partial record at the tail stays buffered until the writer
-// completes it — and the tail stops once liveFor elapses (or never, when
-// liveFor is 0).
-func decodeBinary(path, view string, live bool, refresh, liveFor time.Duration) error {
+// decode replays a binary telemetry stream through the streaming replayer:
+// events render as JSONL the moment they decode, while the registry and
+// episode views come from the replayer's shard aggregate. In live mode EOF
+// means "writer not done yet": r is re-read every refresh — a partial
+// record at the tail stays buffered until the writer completes it — and
+// the tail stops once liveFor elapses (or never, when liveFor is 0). The
+// first error writing to w ends the decode and is returned.
+func decode(r io.Reader, w io.Writer, view string, live bool, refresh, liveFor time.Duration) error {
 	switch view {
 	case "events", "registry", "episodes":
 	default:
 		return fmt.Errorf("unknown -view %q (events, registry, episodes)", view)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
-
+	out := bufio.NewWriter(w)
 	agg := poi360.NewTelemetryShardAgg()
 	rep := poi360.NewTelemetryReplayer(agg)
+	var werr error // the first write error; OnEvent cannot return it
 	if view == "events" {
 		var line []byte
 		rep.OnEvent = func(_ int32, e *poi360.TelemetryEvent) {
-			line = poi360.AppendTelemetryEventJSON(line[:0], e)
-			line = append(line, '\n')
-			out.Write(line)
+			line = append(poi360.AppendTelemetryEventJSON(line[:0], e), '\n')
+			if _, err := out.Write(line); err != nil && werr == nil {
+				werr = err
+			}
 		}
 	}
 
@@ -235,17 +89,23 @@ func decodeBinary(path, view string, live bool, refresh, liveFor time.Duration) 
 	}
 	buf := make([]byte, 64<<10)
 	for {
-		n, rerr := f.Read(buf)
+		n, rerr := r.Read(buf)
 		if n > 0 {
 			if err := rep.Feed(buf[:n]); err != nil {
 				return err
+			}
+			if werr != nil {
+				return werr
 			}
 		}
 		if rerr == io.EOF {
 			if !live {
 				break
 			}
-			out.Flush() // a live consumer sees each event as it lands
+			// A live consumer sees each event as it lands.
+			if err := out.Flush(); err != nil {
+				return err
+			}
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				break
 			}
@@ -275,16 +135,8 @@ func decodeBinary(path, view string, live bool, refresh, liveFor time.Duration) 
 			1e3*st.MeanDuration.Seconds(), 1e3*st.MaxDuration.Seconds(), 1e3*st.MeanHeld.Seconds(),
 			st.Aborted, st.Incomplete)
 	}
-	return nil
+	return out.Flush()
 }
-
-func write(w *csv.Writer, cells ...string) {
-	if err := w.Write(cells); err != nil {
-		fatal("%v", err)
-	}
-}
-
-func f(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)

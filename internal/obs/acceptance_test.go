@@ -5,7 +5,6 @@ package obs_test
 // simulation layers (the import arrow points session → obs, not back).
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -140,11 +139,11 @@ func TestObsStreamDeterministic(t *testing.T) {
 		if _, err := session.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		var out bytes.Buffer
-		if err := obs.WriteJSONL(&out, bus.Events()); err != nil {
-			t.Fatal(err)
+		var out []byte
+		for _, e := range bus.Events() {
+			out = append(obs.AppendEventJSON(out, &e), '\n')
 		}
-		return out.String()
+		return string(out)
 	}
 	a, b := render(), render()
 	if a != b {

@@ -1,8 +1,9 @@
 package obs
 
-// binary.go is the production telemetry wire format: a versioned,
+// binary.go is the one telemetry file format: a versioned,
 // length-prefixed binary record stream ("P6T", .pbt files) compact enough
-// to survive city-scale event volumes where JSONL cannot (ROADMAP item 5).
+// for city-scale event volumes. JSONL is a rendering of decoded records
+// (AppendEventJSON), not a second format.
 //
 // # Stream layout
 //

@@ -1,40 +1,19 @@
 package obs
 
-import (
-	"bufio"
-	"io"
-	"strconv"
-)
+import "strconv"
 
-// WriteJSONL serializes events as JSON Lines, one object per event:
+// AppendEventJSON appends one event's JSON Lines object (no trailing
+// newline) to buf:
 //
 //	{"t":12.345678901,"kind":"fbcc.trigger","sub":0,"buffer_bytes":19456,"gamma_bytes":11832.5,"streak":10}
 //
 // "t" is the simulation instant in seconds, "kind" the dotted kind name,
 // "sub" the sub-stream id, and the remaining keys come from the kind's
 // field metadata (unused trailing values are omitted). Numbers use Go's
-// shortest-roundtrip float formatting, so the output is deterministic for
-// a deterministic stream.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	buf := make([]byte, 0, 160)
-	for i := range events {
-		buf = appendJSON(buf[:0], &events[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// AppendEventJSON appends one event's JSONL object (no trailing newline)
-// to buf — the streaming form of WriteJSONL, used by the binary decoder
-// CLI to re-render events without materializing the stream.
-func AppendEventJSON(buf []byte, e *Event) []byte { return appendJSON(buf, e) }
-
-// appendJSON appends one event's JSONL object (no trailing newline).
-func appendJSON(buf []byte, e *Event) []byte {
+// shortest-roundtrip float formatting, so a deterministic stream renders
+// deterministically. JSONL is a view of the binary stream, not a second
+// format: poi360-trace renders each event as it decodes.
+func AppendEventJSON(buf []byte, e *Event) []byte {
 	meta := &kinds[e.Kind]
 	buf = append(buf, `{"t":`...)
 	buf = strconv.AppendFloat(buf, e.At.Seconds(), 'f', -1, 64)

@@ -2,9 +2,10 @@
 // typed, sim-clock-stamped event stream emitted by the hot paths (session
 // frame pipeline, FBCC/GCC rate control, the LTE cell's grant scheduler,
 // the network links, and the fault-injection scripts), with a
-// counters/histogram registry, a JSONL sink, and a congestion-episode
-// analyzer that reconstructs FBCC's trigger → pin → 2-RTT hold → release
-// cycles (Eqs. 3–6) from the stream.
+// counters/histogram registry, one trace file format (P6T, binary.go)
+// rendered as JSONL on demand, and a congestion-episode analyzer that
+// reconstructs FBCC's trigger → pin → 2-RTT hold → release cycles
+// (Eqs. 3–6) from the stream.
 //
 // # Determinism contract
 //

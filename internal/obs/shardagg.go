@@ -109,7 +109,7 @@ func (a *ShardAgg) Summary() EpisodeStats { return SummarizeEpisodes(a.Episodes(
 // ShardAgg (and an optional per-event callback), tolerating arbitrary
 // read boundaries: feed whatever bytes are available — a trailing partial
 // record is buffered until later bytes complete it. This is the engine
-// of both `poi360-trace -from-bin` and the `-live` tailer.
+// of `poi360-trace`, whole-file and `-live`.
 type Replayer struct {
 	agg     *ShardAgg
 	dec     EventDecoder
@@ -203,9 +203,10 @@ func (r *Replayer) Records() int64 { return r.records }
 func (r *Replayer) Pending() int { return len(r.pending) }
 
 // Finish verifies the stream ended on a record boundary after a valid
-// header; a live tailer calls it once the writer is known to be done.
+// header; a live tailer calls it once the writer is known to be done. A
+// stream cut inside a record — the header included — reports ErrBinShort.
 func (r *Replayer) Finish() error {
-	if !r.dec.headerDone {
+	if !r.dec.headerDone && len(r.pending) == 0 {
 		return fmt.Errorf("%w: no stream header", ErrBinCorrupt)
 	}
 	if len(r.pending) > 0 {

@@ -2,10 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
@@ -97,7 +100,7 @@ func TestShardAggBindTwicePanics(t *testing.T) {
 // spillInterleaved spills three shards into one interleaved P6T stream
 // (round-robin flushes, like the city's barrier) and returns the live
 // aggregate beside the stream's bytes.
-func spillInterleaved(t *testing.T) (*ShardAgg, []byte) {
+func spillInterleaved(t testing.TB) (*ShardAgg, []byte) {
 	t.Helper()
 	live := NewShardAgg()
 	var file bytes.Buffer
@@ -226,6 +229,99 @@ func TestReplayerFeedChunkingInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReplayerFeed holds the tailer's contract on hostile and cut input.
+// Arbitrary bytes, and a real spilled stream cut at a fuzzed offset, are
+// fed in fuzzed chunk sizes (chunks cycles through sizes 1..256; empty
+// means one Feed). Nothing may panic; after every Feed that returns nil
+// the buffered tail stays below one maximal record, so a tailer's memory
+// is bounded even on a corrupt file; the cut stream replays exactly the
+// events of the records it holds whole, a prefix of the full sequence;
+// and Finish reports ErrBinShort exactly when the cut falls inside a
+// record (the header included).
+func FuzzReplayerFeed(f *testing.F) {
+	_, full := spillInterleaved(f)
+	// bounds[i] is the i-th record boundary of the full stream (0, the end
+	// of the header, then the end of each record); before[i] counts the
+	// events that precede it.
+	var (
+		want           []Event
+		bounds, before = []int{0}, []int{0}
+		dec            EventDecoder
+		rec            BinRecord
+	)
+	for off := 0; off < len(full); {
+		n, err := dec.Next(full[off:], &rec)
+		if err != nil {
+			f.Fatalf("reference decode at %d: %v", off, err)
+		}
+		off += n
+		if rec.Tag == RecEvent {
+			want = append(want, rec.Event)
+		}
+		bounds, before = append(bounds, off), append(before, len(want))
+	}
+	// Seeds stay short: the minimizer's cost is quadratic in an input's
+	// length, and the whole stream is already under test through cut.
+	f.Add(full[:64], uint16(len(full)), []byte(nil))
+	f.Add(full[:40], uint16(len(full)/2), []byte{0, 6, 96})
+	f.Add([]byte("P6T\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), uint16(2), []byte{3})
+	f.Add([]byte("P6T\x01\x02\xfe"), uint16(5), []byte{255})
+
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16, chunks []byte) {
+		feed := func(rep *Replayer, stream []byte) error {
+			for i := 0; len(stream) > 0; i++ {
+				n := len(stream)
+				if len(chunks) > 0 {
+					n = min(n, 1+int(chunks[i%len(chunks)]))
+				}
+				if err := rep.Feed(stream[:n]); err != nil {
+					return err
+				}
+				if p := rep.Pending(); p >= binary.MaxVarintLen64+maxBinBody {
+					t.Fatalf("%d bytes pending after a clean Feed", p)
+				}
+				stream = stream[n:]
+			}
+			return nil
+		}
+
+		// Arbitrary bytes: any error will do, but no panic, and every
+		// decoded event renders.
+		rep := NewReplayer(NewShardAgg())
+		var line []byte
+		rep.OnEvent = func(_ int32, e *Event) { line = AppendEventJSON(line[:0], e) }
+		if feed(rep, data) == nil {
+			rep.Finish()
+		}
+
+		// A real stream cut at a fuzzed offset.
+		c := int(cut) % (len(full) + 1)
+		var got []Event
+		rep = NewReplayer(NewShardAgg())
+		rep.OnEvent = func(_ int32, e *Event) { got = append(got, *e) }
+		if err := feed(rep, full[:c]); err != nil {
+			t.Fatalf("cut at %d: Feed: %v", c, err)
+		}
+		i := sort.SearchInts(bounds, c+1) - 1 // the last boundary at or before c
+		if !slices.Equal(got, want[:before[i]]) {
+			t.Fatalf("cut at %d: replayed %d events, want the first %d of %d", c, len(got), before[i], len(want))
+		}
+		err := rep.Finish()
+		switch {
+		case bounds[i] != c:
+			if !errors.Is(err, ErrBinShort) {
+				t.Fatalf("cut at %d, inside a record: Finish = %v, want ErrBinShort", c, err)
+			}
+		case c == 0:
+			if !errors.Is(err, ErrBinCorrupt) {
+				t.Fatalf("empty stream: Finish = %v, want ErrBinCorrupt", err)
+			}
+		case err != nil:
+			t.Fatalf("cut at %d, on a record boundary: Finish = %v", c, err)
+		}
+	})
 }
 
 func BenchmarkShardAggMerge(b *testing.B) {

@@ -282,12 +282,6 @@ func NewTelemetryBus(only ...TelemetryKind) *TelemetryBus { return obs.NewBus(on
 // TelemetryKindByName resolves an event name ("fbcc.trigger") to its Kind.
 func TelemetryKindByName(name string) (TelemetryKind, bool) { return obs.KindByName(name) }
 
-// WriteTelemetryJSONL streams events as one JSON object per line — the
-// poi360-sim -obs / poi360-trace -events format.
-func WriteTelemetryJSONL(w io.Writer, events []TelemetryEvent) error {
-	return obs.WriteJSONL(w, events)
-}
-
 // CongestionEpisode is one reconstructed FBCC congestion episode: Eq. 3
 // trigger through Rphy pin and 2-RTT hold to release (§4.3, Eqs. 3–6).
 type CongestionEpisode = obs.Episode
@@ -340,8 +334,8 @@ func NewTelemetryShardAgg() *TelemetryShardAgg { return obs.NewShardAgg() }
 
 // TelemetryReplayer incrementally decodes a binary telemetry stream into
 // a TelemetryShardAgg (and an optional OnEvent callback), tolerating
-// arbitrary read boundaries — the engine behind poi360-trace -from-bin
-// and its -live tailing mode.
+// arbitrary read boundaries — the engine behind poi360-trace, whole-file
+// and -live.
 type TelemetryReplayer = obs.Replayer
 
 // NewTelemetryReplayer creates a replayer feeding agg (nil when only the
@@ -356,7 +350,7 @@ func ReadTelemetryBinary(r io.Reader, agg *TelemetryShardAgg, onEvent func(shard
 }
 
 // AppendTelemetryEventJSON appends one event's JSONL object (no trailing
-// newline) to buf — the streaming form of WriteTelemetryJSONL.
+// newline) to buf: the text rendering of a decoded binary event.
 func AppendTelemetryEventJSON(buf []byte, e *TelemetryEvent) []byte {
 	return obs.AppendEventJSON(buf, e)
 }

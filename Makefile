@@ -105,7 +105,9 @@ obs-smoke:
 ## its always-heap oracle, the per-packet allocation gates and the pooled
 ## socket reader, the sender transport's
 ## synthesized diag feed, the wall-clock scheduler, and the live wiring of
-## the session halves on virtual time (a whole call, forged peers) — then
+## the session halves on virtual time (a whole call, forged peers, the seed
+## corpora of the two endpoint fuzz targets and then 15 s of fuzzing each:
+## report bytes into a Sender, media bytes into a Viewer) — then
 ## two real ~2 s
 ## sessions, one under FBCC and one under GCC, between a sender and a
 ## receiver process over loopback UDP (scripts/live_smoke.sh), with both
@@ -116,7 +118,9 @@ live-smoke:
 	$(GO) test -race -run 'Wire|Reassembler' ./internal/rtp
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketWireRoundTrip$$' -fuzztime 15s ./internal/rtp
 	$(GO) test -run '^$$' -fuzz '^FuzzReportRoundTrip$$' -fuzztime 15s ./internal/realnet
-	$(GO) test -race -run 'LiveCall|Forged' ./internal/session
+	$(GO) test -race -run 'LiveCall|Forged|Fuzz(SenderReports|ViewerDatagrams)' ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzSenderReports$$' -fuzztime 15s ./internal/session
+	$(GO) test -run '^$$' -fuzz '^FuzzViewerDatagrams$$' -fuzztime 15s ./internal/session
 	sh scripts/live_smoke.sh
 
 ## bench-profile: rerun the headline session benchmark under the CPU and

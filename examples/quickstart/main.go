@@ -45,7 +45,7 @@ func main() {
 	d := res.DelaySummary()
 	fmt.Printf("\nFrame delay: median %.0f ms, P90 %.0f ms (freeze threshold 600 ms)\n", d.Median, d.P90)
 	fmt.Printf("Raw 4K stream is %.2f Mbps; the ROI-compressed stream averaged %.2f Mbps (%.0f%% reduction).\n",
-		res.Config.Video.RawBitsPerSec/1e6,
+		poi360.RawVideoBitsPerSec/1e6,
 		res.ThroughputSummary().Mean/1e6,
-		100*(1-res.ThroughputSummary().Mean/res.Config.Video.RawBitsPerSec))
+		100*(1-res.ThroughputSummary().Mean/poi360.RawVideoBitsPerSec))
 }

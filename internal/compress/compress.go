@@ -73,15 +73,14 @@ type Controller interface {
 
 // Adaptive is POI360's adaptive spatial compression (§4.2): K pre-defined
 // modes ordered by decreasing aggressiveness; the measured mismatch time M
-// selects the mode via im = clamp(ceil(M/Quantum), 1, K). (The paper prints
+// selects the mode via im = clamp(ceil(M/ModeQuantum), 1, K). (The paper prints
 // the selection as "max(8, ⌈M/200ms⌉)"; its surrounding text — 8 modes,
 // higher M ⇒ smoother quality drop — makes clear the index saturates at 8.)
 type Adaptive struct {
-	g       projection.Grid
-	cs      []float64 // cs[k] = C of mode k+1; decreasing
-	fams    []*ModeFamily
-	quantum time.Duration
-	mode    int // current 1-based mode index
+	g    projection.Grid
+	cs   []float64 // cs[k] = C of mode k+1; decreasing
+	fams []*ModeFamily
+	mode int // current 1-based mode index
 }
 
 // DefaultModeCs are the paper's 8 aggressiveness levels: C drawn from
@@ -94,36 +93,17 @@ func DefaultModeCs() []float64 {
 // ModeQuantum is the mismatch-time width of one mode step (200 ms, §4.2).
 const ModeQuantum = 200 * time.Millisecond
 
-// NewAdaptive builds the POI360 controller with the paper's parameters.
+// NewAdaptive builds the POI360 controller with the paper's modes.
 func NewAdaptive(g projection.Grid) *Adaptive {
-	return NewAdaptiveWith(g, DefaultModeCs(), ModeQuantum)
-}
-
-// NewAdaptiveWith builds an adaptive controller with custom modes (ordered
-// most-aggressive first) and mode quantum, for ablations.
-func NewAdaptiveWith(g projection.Grid, cs []float64, quantum time.Duration) *Adaptive {
-	if len(cs) == 0 {
-		panic("compress: adaptive controller needs at least one mode")
-	}
-	for i, c := range cs {
-		if c <= 1 {
-			panic(fmt.Sprintf("compress: mode %d constant %g must exceed 1", i+1, c))
-		}
-		if i > 0 && cs[i] >= cs[i-1] {
-			panic("compress: modes must be ordered by decreasing aggressiveness (decreasing C)")
-		}
-	}
-	if quantum <= 0 {
-		panic("compress: mode quantum must be positive")
-	}
 	// Resolve every mode's memoized matrix family once, at construction:
 	// the per-frame Levels call is then a slice index into shared
 	// read-only matrices — zero allocations on the hot path.
+	cs := DefaultModeCs()
 	fams := make([]*ModeFamily, len(cs))
 	for i, c := range cs {
 		fams[i] = FamilyFor(g, c)
 	}
-	return &Adaptive{g: g, cs: cs, fams: fams, quantum: quantum, mode: 1}
+	return &Adaptive{g: g, cs: cs, fams: fams, mode: 1}
 }
 
 // Name implements Controller.
@@ -151,7 +131,7 @@ func (a *Adaptive) Matrix(roi projection.Tile) Matrix {
 // ObserveMismatch implements Controller: selects the compression mode from
 // the measured mismatch time.
 func (a *Adaptive) ObserveMismatch(m time.Duration) {
-	im := int(math.Ceil(float64(m) / float64(a.quantum)))
+	im := int(math.Ceil(float64(m) / float64(ModeQuantum)))
 	if im < 1 {
 		im = 1
 	}

@@ -155,28 +155,6 @@ func TestAdaptiveLevelsFollowMode(t *testing.T) {
 	}
 }
 
-func TestNewAdaptiveWithValidation(t *testing.T) {
-	cases := []struct {
-		cs      []float64
-		quantum time.Duration
-	}{
-		{nil, time.Second},
-		{[]float64{1.0}, time.Second},
-		{[]float64{1.2, 1.3}, time.Second}, // increasing C: wrong order
-		{[]float64{1.5}, 0},
-	}
-	for i, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			NewAdaptiveWith(g, c.cs, c.quantum)
-		}()
-	}
-}
-
 func TestConduitTwoLevels(t *testing.T) {
 	c := NewConduit(g)
 	roi := projection.Tile{I: 6, J: 4}

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +51,9 @@ type Options struct {
 	Workers int
 	// Obs, when non-nil, collects per-batch FBCC congestion-episode
 	// statistics across every batch an experiment runs. Instrumentation is
-	// a side channel: each session gets a private bus filtered to the
-	// fbcc.* event kinds, episodes are reconstructed after the
-	// deterministic fold, and nothing reaches Report — so enabling Obs
+	// a side channel: each FBCC session gets a private retention-free bus
+	// whose episode tracker streams into the batch aggregate, and nothing
+	// reaches Report — so enabling Obs
 	// cannot change a single byte of experiment output (probes observe,
 	// never steer; see internal/obs).
 	Obs *obs.ExperimentAgg
@@ -109,14 +108,6 @@ const batchWarmup = 15 * time.Second
 // progressMu serializes all progress writes so concurrent batches (or a
 // batch and a caller sharing the same writer) never interleave bytes.
 var progressMu sync.Mutex
-
-func (o Options) progressf(format string, args ...any) {
-	if o.Progress != nil {
-		progressMu.Lock()
-		defer progressMu.Unlock()
-		fmt.Fprintf(o.Progress, format, args...)
-	}
-}
 
 // Report is the outcome of one experiment.
 type Report struct {
@@ -526,14 +517,6 @@ func cdfSeries(name string, samples []float64) trace.Series {
 		s.Append(pts[last].X, pts[last].P)
 	}
 	return s
-}
-
-// sortedCopy returns an ascending copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	return c
 }
 
 func mosRow(pdf [5]float64) []string {

@@ -14,27 +14,18 @@ import (
 // The predictor exists to test exactly that claim (see the abl-predict
 // experiment).
 type Predictor struct {
-	// MaxHorizon clamps how far ahead the extrapolation reaches; beyond
-	// ~120 ms the head's acceleration makes positions unpredictable [21].
-	MaxHorizon time.Duration
-
 	hasPrev, hasCur bool
 	prevAt, curAt   time.Duration
 	prev, cur       projection.Orientation
 }
 
-// DefaultPredictionHorizon is the reliable extrapolation limit the paper
-// cites from the Oculus head-tracking study.
-const DefaultPredictionHorizon = 120 * time.Millisecond
+// predictionHorizon clamps how far ahead the extrapolation reaches: the
+// reliable limit the paper cites from the Oculus head-tracking study —
+// beyond ~120 ms the head's acceleration makes positions unpredictable [21].
+const predictionHorizon = 120 * time.Millisecond
 
-// NewPredictor creates a motion predictor with the given horizon (0 uses
-// the default).
-func NewPredictor(maxHorizon time.Duration) *Predictor {
-	if maxHorizon <= 0 {
-		maxHorizon = DefaultPredictionHorizon
-	}
-	return &Predictor{MaxHorizon: maxHorizon}
-}
+// NewPredictor creates a motion predictor.
+func NewPredictor() *Predictor { return &Predictor{} }
 
 // Observe records one ROI feedback sample (orientation o reported at time
 // at). Samples must arrive in time order; duplicates are ignored.
@@ -48,7 +39,7 @@ func (p *Predictor) Observe(at time.Duration, o projection.Orientation) {
 
 // Predict extrapolates the orientation to target time. With fewer than two
 // samples it returns the latest observation (or the zero orientation).
-// The extrapolation distance is clamped to MaxHorizon.
+// The extrapolation distance is clamped to predictionHorizon.
 func (p *Predictor) Predict(target time.Duration) projection.Orientation {
 	if !p.hasCur {
 		return projection.Orientation{}
@@ -60,8 +51,8 @@ func (p *Predictor) Predict(target time.Duration) projection.Orientation {
 	if dt <= 0 {
 		return p.cur
 	}
-	if dt > p.MaxHorizon {
-		dt = p.MaxHorizon
+	if dt > predictionHorizon {
+		dt = predictionHorizon
 	}
 	span := (p.curAt - p.prevAt).Seconds()
 	yawVel := shortestYawDelta(p.prev.Yaw, p.cur.Yaw) / span

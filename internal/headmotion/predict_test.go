@@ -9,14 +9,14 @@ import (
 )
 
 func TestPredictorNoSamples(t *testing.T) {
-	p := NewPredictor(0)
+	p := NewPredictor()
 	if p.Predict(time.Second) != (projection.Orientation{}) {
 		t.Fatal("empty predictor should return zero orientation")
 	}
 }
 
 func TestPredictorSingleSampleHolds(t *testing.T) {
-	p := NewPredictor(0)
+	p := NewPredictor()
 	o := projection.Orientation{Yaw: 90, Pitch: 10}
 	p.Observe(time.Second, o)
 	got := p.Predict(2 * time.Second)
@@ -26,7 +26,7 @@ func TestPredictorSingleSampleHolds(t *testing.T) {
 }
 
 func TestPredictorLinearExtrapolation(t *testing.T) {
-	p := NewPredictor(time.Second) // generous horizon for the test
+	p := NewPredictor()
 	p.Observe(0, projection.Orientation{Yaw: 100})
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 110}) // 100°/s
 	got := p.Predict(200 * time.Millisecond)
@@ -36,7 +36,7 @@ func TestPredictorLinearExtrapolation(t *testing.T) {
 }
 
 func TestPredictorHorizonClamped(t *testing.T) {
-	p := NewPredictor(DefaultPredictionHorizon)
+	p := NewPredictor()
 	p.Observe(0, projection.Orientation{Yaw: 0})
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 10}) // 100°/s
 	// Ask 1 s ahead: extrapolation must stop at 120 ms → 10 + 12°.
@@ -47,7 +47,7 @@ func TestPredictorHorizonClamped(t *testing.T) {
 }
 
 func TestPredictorWrapAround(t *testing.T) {
-	p := NewPredictor(time.Second)
+	p := NewPredictor()
 	p.Observe(0, projection.Orientation{Yaw: 355})
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 5}) // +100°/s across the seam
 	got := p.Predict(200 * time.Millisecond)
@@ -57,7 +57,7 @@ func TestPredictorWrapAround(t *testing.T) {
 }
 
 func TestPredictorIgnoresStaleSamples(t *testing.T) {
-	p := NewPredictor(time.Second)
+	p := NewPredictor()
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 50})
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 90}) // duplicate timestamp: ignored
 	p.Observe(50*time.Millisecond, projection.Orientation{Yaw: 90})  // older: ignored
@@ -67,7 +67,7 @@ func TestPredictorIgnoresStaleSamples(t *testing.T) {
 }
 
 func TestPredictorPastTargetReturnsCurrent(t *testing.T) {
-	p := NewPredictor(time.Second)
+	p := NewPredictor()
 	p.Observe(0, projection.Orientation{Yaw: 0})
 	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 10})
 	if got := p.Predict(50 * time.Millisecond); got.Yaw != 10 {
@@ -76,10 +76,10 @@ func TestPredictorPastTargetReturnsCurrent(t *testing.T) {
 }
 
 func TestPredictorPitchClamped(t *testing.T) {
-	p := NewPredictor(time.Second)
+	p := NewPredictor()
 	p.Observe(0, projection.Orientation{Pitch: 80})
 	p.Observe(100*time.Millisecond, projection.Orientation{Pitch: 89})
-	got := p.Predict(800 * time.Millisecond)
+	got := p.Predict(200 * time.Millisecond) // 89° + 9°, inside the horizon
 	if got.Pitch > 90 {
 		t.Fatalf("pitch %v exceeds pole", got.Pitch)
 	}

@@ -83,15 +83,8 @@ func (c CellConfig) Validate() error {
 
 // UEConfig parameterizes one UE's modem attached to a Cell.
 type UEConfig struct {
-	// BufferKneeBytes is the firmware-buffer occupancy at which the
-	// proportional-fair uplink grant saturates (Fig. 5 knee, ≈10 KB).
-	BufferKneeBytes float64
 	// BufferCapBytes drops packets beyond this occupancy (modem queue cap).
 	BufferCapBytes int
-	// TBSNoise is the relative standard deviation of granted TBS.
-	TBSNoise float64
-	// DiagPeriod is the chipset report interval (default 40 ms).
-	DiagPeriod time.Duration
 	// Seed drives the UE's grant/TBS randomness.
 	Seed int64
 	// Src is the UE's grant/TBS generator; nil means seeds.NewSource(Seed).
@@ -107,24 +100,15 @@ type UEConfig struct {
 // DefaultUEConfig returns the calibrated modem model for one UE.
 func DefaultUEConfig(seed int64) UEConfig {
 	return UEConfig{
-		BufferKneeBytes: 10 * 1024,
-		BufferCapBytes:  512 * 1024,
-		TBSNoise:        0.15,
-		DiagPeriod:      DefaultDiagPeriod,
-		Seed:            seed,
+		BufferCapBytes: 512 * 1024,
+		Seed:           seed,
 	}
 }
 
 // Validate reports an error for incoherent UE configurations.
 func (c UEConfig) Validate() error {
-	if c.BufferKneeBytes <= 0 {
-		return fmt.Errorf("lte: BufferKneeBytes must be positive, got %g", c.BufferKneeBytes)
-	}
 	if c.BufferCapBytes <= 0 {
 		return fmt.Errorf("lte: BufferCapBytes must be positive, got %d", c.BufferCapBytes)
-	}
-	if c.DiagPeriod <= 0 || c.DiagPeriod%Subframe != 0 {
-		return fmt.Errorf("lte: DiagPeriod must be a positive multiple of %v, got %v", Subframe, c.DiagPeriod)
 	}
 	return nil
 }
@@ -220,10 +204,8 @@ type Cell struct {
 // cellSoA is the per-cell structure-of-arrays of UE hot state.
 type cellSoA struct {
 	buf       []int     // firmware-buffer occupancy, bytes
-	knee      []float64 // UEConfig.BufferKneeBytes
-	invKnee   []float64 // 1/knee, so the per-subframe occupancy is a multiply
 	diagLast  []int64   // sfIndex of the last diag report (or admission)
-	diagEvery []int32   // diag period in subframes
+	diagEvery []int32   // diag period in subframes (never, once detached)
 	diagTBS   []float64 // bits served since the last diag report
 	ewma      []float64 // PF served-rate EWMA, bits/s
 	pfMetric  []float64 // scratch: this subframe's PF metric
@@ -233,12 +215,10 @@ type cellSoA struct {
 
 // add appends one UE's row; the caller stamps diagLast with the current
 // subframe index.
-func (s *cellSoA) add(cfg UEConfig, sfIndex int64) {
+func (s *cellSoA) add(sfIndex int64) {
 	s.buf = append(s.buf, 0)
-	s.knee = append(s.knee, cfg.BufferKneeBytes)
-	s.invKnee = append(s.invKnee, 1/cfg.BufferKneeBytes)
 	s.diagLast = append(s.diagLast, sfIndex)
-	s.diagEvery = append(s.diagEvery, int32(cfg.DiagPeriod/Subframe))
+	s.diagEvery = append(s.diagEvery, int32(DefaultDiagPeriod/Subframe))
 	s.diagTBS = append(s.diagTBS, 0)
 	s.ewma = append(s.ewma, 0)
 	s.pfMetric = append(s.pfMetric, 0)
@@ -320,7 +300,7 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 		c.wake() // before sfIndex stamps the row's diagLast
 	}
 	c.ues = append(c.ues, u)
-	c.soa.add(cfg, c.sfIndex)
+	c.soa.add(c.sfIndex)
 	c.active = append(c.active, int32(u.id))
 	if cap(c.order) < len(c.ues) {
 		c.order = append(c.order[:cap(c.order)], 0) // scratch: grow geometrically
@@ -381,7 +361,7 @@ func (c *Cell) Start() {
 	c.started = true
 	c.startAt = c.clk.Now()
 	// Diag reports are emitted from the subframe loop itself so a report
-	// at t covers exactly the subframes in (t−DiagPeriod, t].
+	// at t covers exactly the subframes in (t−DefaultDiagPeriod, t].
 	if len(c.active) > 0 {
 		c.stop = c.clk.Ticker(Subframe, c.subframe)
 	}
@@ -464,7 +444,7 @@ func (c *Cell) advance() {
 }
 
 // diagSweep emits every due diag report and recomputes the next due
-// instant. Runs once per DiagPeriod per cell (not per subframe).
+// instant. Runs once per DefaultDiagPeriod per cell (not per subframe).
 func (c *Cell) diagSweep() {
 	s := &c.soa
 	next := int64(math.MaxInt64)
@@ -495,13 +475,13 @@ func (c *Cell) stochasticGrant(u *UE) {
 	if buf == 0 {
 		return
 	}
-	occupancy := float64(buf) / u.cfg.BufferKneeBytes
+	occupancy := float64(buf) / bufferKneeBytes
 	if occupancy > 1 {
 		occupancy = 1
 	}
 	if u.rng.Float64() <= grantProb*occupancy {
 		tbsBits := c.cap.current * subframeSec / grantProb
-		tbsBits *= math.Max(0.1, 1+u.rng.NormFloat64()*u.cfg.TBSNoise)
+		tbsBits *= math.Max(0.1, 1+u.rng.NormFloat64()*tbsNoise)
 		u.serve(tbsBits)
 	}
 }
@@ -510,7 +490,7 @@ func (c *Cell) stochasticGrant(u *UE) {
 // allocation per subframe.
 //
 //	metric_i = r_i / max(T_i, floor)
-//	r_i      = capacity · min(1, B_i/knee_i)   (buffer-aware, Fig. 5)
+//	r_i      = capacity · min(1, B_i/knee)     (buffer-aware, Fig. 5)
 //	T_i      = EWMA of the served rate over pfWindow
 //
 // Backlogged UEs are ranked by metric (ties to the lower UE id, so the
@@ -554,7 +534,7 @@ func (c *Cell) pfGrant() {
 		if b == 0 {
 			continue
 		}
-		occ := float64(b) * s.invKnee[i]
+		occ := float64(b) * invKnee
 		if occ > 1 {
 			occ = 1
 		}
@@ -599,7 +579,7 @@ func (c *Cell) pfGrant() {
 			continue
 		}
 		remaining -= tbs
-		noise := 1 + u.rng.NormFloat64()*u.cfg.TBSNoise
+		noise := 1 + u.rng.NormFloat64()*tbsNoise
 		if noise < 0.1 {
 			noise = 0.1
 		}
@@ -747,7 +727,7 @@ func (u *UE) DiagStalled() int64 { return u.diagStalled }
 // cell capacity. In a multi-UE cell it is the rate the UE would see with
 // the cell to itself; contention discounts it through the PF allocation.
 func (u *UE) ServiceRate(bufferBytes int) float64 {
-	f := float64(bufferBytes) / u.cfg.BufferKneeBytes
+	f := float64(bufferBytes) / bufferKneeBytes
 	if f > 1 {
 		f = 1
 	}

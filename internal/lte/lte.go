@@ -32,6 +32,17 @@ var subframeSec = Subframe.Seconds()
 // interface observed by the paper's prototype (§4.3.2: 40 ms).
 const DefaultDiagPeriod = 40 * time.Millisecond
 
+// The modem's calibration.
+const (
+	// bufferKneeBytes is the firmware-buffer occupancy at which the
+	// proportional-fair uplink grant saturates (Fig. 5 knee, ≈10 KB).
+	bufferKneeBytes = 10 * 1024
+	// invKnee turns the per-subframe occupancy into a multiply.
+	invKnee = 1.0 / bufferKneeBytes
+	// tbsNoise is the relative standard deviation of granted TBS.
+	tbsNoise = 0.15
+)
+
 // CellProfile describes the radio environment of a session. The three RSS
 // classes and three speeds correspond to the paper's §6.2 field tests.
 type CellProfile struct {
@@ -84,15 +95,8 @@ func BaseCapacity(rssDBm float64) float64 {
 // the union of one CellConfig and one UEConfig; NewUplink splits it.
 type Config struct {
 	Profile CellProfile
-	// BufferKneeBytes is the firmware-buffer occupancy at which the
-	// proportional-fair uplink grant saturates (Fig. 5 knee, ≈10 KB).
-	BufferKneeBytes float64
 	// BufferCapBytes drops packets beyond this occupancy (modem queue cap).
 	BufferCapBytes int
-	// TBSNoise is the relative standard deviation of granted TBS.
-	TBSNoise float64
-	// DiagPeriod is the chipset report interval (default 40 ms).
-	DiagPeriod time.Duration
 
 	// CapacityFault, when non-nil, scales the instantaneous cell capacity
 	// by its return value (scripted handover outages and capacity steps;
@@ -110,11 +114,8 @@ type Config struct {
 // DefaultConfig returns the calibrated uplink model for a profile.
 func DefaultConfig(p CellProfile) Config {
 	return Config{
-		Profile:         p,
-		BufferKneeBytes: 10 * 1024,
-		BufferCapBytes:  512 * 1024,
-		TBSNoise:        0.15,
-		DiagPeriod:      DefaultDiagPeriod,
+		Profile:        p,
+		BufferCapBytes: 512 * 1024,
 	}
 }
 
@@ -129,12 +130,9 @@ func (c Config) cellConfig() CellConfig {
 // ueConfig extracts the per-UE half of the legacy Config.
 func (c Config) ueConfig() UEConfig {
 	return UEConfig{
-		BufferKneeBytes: c.BufferKneeBytes,
-		BufferCapBytes:  c.BufferCapBytes,
-		TBSNoise:        c.TBSNoise,
-		DiagPeriod:      c.DiagPeriod,
-		Seed:            seeds.Stream(c.Profile.Seed, "grant"),
-		DiagFault:       c.DiagFault,
+		BufferCapBytes: c.BufferCapBytes,
+		Seed:           seeds.Stream(c.Profile.Seed, "grant"),
+		DiagFault:      c.DiagFault,
 	}
 }
 
@@ -161,7 +159,7 @@ type DiagReport struct {
 	At          time.Duration
 	BufferBytes int     // firmware buffer occupancy at report time
 	SumTBSBits  float64 // total TBS granted during the report interval
-	Subframes   int     // subframes covered (DiagPeriod / 1 ms)
+	Subframes   int     // subframes covered (DefaultDiagPeriod / 1 ms)
 }
 
 // Uplink is the legacy single-user modem + air-interface facade: a Cell

@@ -51,9 +51,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bads := []func(*Config){
-		func(c *Config) { c.BufferKneeBytes = 0 },
 		func(c *Config) { c.BufferCapBytes = 0 },
-		func(c *Config) { c.DiagPeriod = 0 },
 		func(c *Config) { c.Profile.BackgroundLoad = 1 },
 	}
 	for i, mut := range bads {
@@ -110,7 +108,7 @@ func TestBufferCapDrops(t *testing.T) {
 
 func TestServiceRateShape(t *testing.T) {
 	_, u := newTestUplink(t, ProfileStrongIdle, nil)
-	knee := u.ue.cfg.BufferKneeBytes
+	knee := float64(bufferKneeBytes)
 	half := u.ServiceRate(int(knee / 2))
 	full := u.ServiceRate(int(knee))
 	beyond := u.ServiceRate(int(knee * 3))
@@ -279,7 +277,7 @@ func TestStartTwicePanics(t *testing.T) {
 
 func TestNewUplinkRejectsBadConfig(t *testing.T) {
 	cfg := DefaultConfig(ProfileStrongIdle)
-	cfg.BufferKneeBytes = -1
+	cfg.BufferCapBytes = -1
 	if _, err := NewUplink(simclock.New(), cfg, nil); err == nil {
 		t.Fatal("bad config accepted")
 	}

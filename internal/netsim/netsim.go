@@ -289,12 +289,9 @@ type Transport interface {
 // SharedCell.Attach (one UE of a contended multi-user cell).
 type Cellular struct {
 	// UE is this transport's modem in its cell (always non-nil).
-	UE *lte.UE
-	// Uplink is the legacy single-user facade; non-nil only on the
-	// private-cell path built by NewCellular.
-	Uplink *lte.Uplink
-	core   *DelayLink
-	rev    *DelayLink
+	UE   *lte.UE
+	core *DelayLink
+	rev  *DelayLink
 }
 
 // NewCellular wires a private 1-UE LTE cell into a core-network path.
@@ -309,7 +306,6 @@ func NewCellular(clk simclock.Scheduler, lteCfg lte.Config, prof PathProfile, de
 	if err != nil {
 		return nil, err
 	}
-	c.Uplink = ul
 	c.UE = ul.UE()
 	c.rev = newRevLink(clk, lteCfg.Profile.Seed, prof, deliverRev)
 	ul.Start()

@@ -39,8 +39,8 @@
 // so stale in-flight events no-op) and re-attaches on the target cell with
 // a fresh modem row, fresh PF/EWMA state, and fresh per-residency seeds
 // from seeds.Grid(base, cell, ue, attachSeq). Diag reports resume within
-// one DiagPeriod and OnDiag clears the degradation — the recovery the
-// Result counts.
+// one lte.DefaultDiagPeriod and OnDiag clears the degradation — the
+// recovery the Result counts.
 //
 // # UE endpoints
 //
@@ -90,8 +90,6 @@ const (
 	// per cell per subframe from the hot path.
 	capacityStride = 10
 
-	// rtpMTU is the RTP payload size frames packetize into.
-	rtpMTU = 1200
 	// maxBacklogBytes caps the application send queue; a frame captured
 	// against a fuller backlog is dropped at capture (the real encoder
 	// would have skipped it), bounding queue growth during outages.
@@ -155,10 +153,6 @@ type Config struct {
 	// after about a millisecond without a barrier (0 = GOMAXPROCS, 1 = no
 	// goroutine started). Any value yields byte-identical results.
 	Workers int
-	// Profile is the radio environment of every cell (default
-	// lte.ProfileCampus); each cell's capacity process gets its own
-	// derived seed, so trajectories differ per cell.
-	Profile lte.CellProfile
 	// Mix assigns rate controllers (MixSplit default).
 	Mix string
 	// Obs, when non-nil, receives NetAttach/NetDetach/NetHandover
@@ -191,9 +185,6 @@ type Config struct {
 func (c Config) warmup() time.Duration { return min(2*time.Second, c.Duration/4) }
 
 func (c Config) withDefaults() Config {
-	if c.Profile.RSSdBm == 0 {
-		c.Profile = lte.ProfileCampus
-	}
 	if c.Mix == "" {
 		c.Mix = MixSplit
 	}
@@ -506,7 +497,9 @@ func newCity(cfg Config) (*city, error) {
 	n.shards = make([]*shard, cfg.Cells)
 	n.due = make([]int32, 0, cfg.Cells)
 	for c := range n.shards {
-		prof := cfg.Profile
+		// Every cell is a campus cell; each capacity process gets its
+		// own derived seed, so trajectories differ per cell.
+		prof := lte.ProfileCampus
 		prof.Seed = seeds.Stream(seeds.Grid(cfg.Seed, c, 0, 0), "cell")
 		cellCfg := lte.DefaultCellConfig(prof)
 		// A city cell's discipline must not flip between the legacy

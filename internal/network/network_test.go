@@ -108,7 +108,7 @@ func TestCityStaticPopulation(t *testing.T) {
 // the city layer — and that FBCC recovers once diag reports resume on
 // the target cell.
 func TestCityEmergentWatchdog(t *testing.T) {
-	bus := obs.NewBus(obs.NetDetach, obs.NetAttach, obs.NetHandover)
+	bus := obs.NewBus()
 	res, err := Run(Config{
 		Cells:     9,
 		UEs:       18,

@@ -8,6 +8,7 @@ import (
 	"poi360/internal/metrics"
 	"poi360/internal/obs"
 	"poi360/internal/ratecontrol"
+	"poi360/internal/rtp"
 	"poi360/internal/seeds"
 )
 
@@ -41,13 +42,12 @@ type appPkt struct {
 }
 
 // pendFrame tracks a captured frame until its last packet clears the air
-// interface (or is lost).
+// interface (dropPend abandons it when a packet is dropped first).
 type pendFrame struct {
 	id      int64
 	capture time.Duration
 	bits    float64
 	counted bool // captured inside the measured window
-	lost    bool
 }
 
 // arrival is one frame in flight across the core path. Core deliveries
@@ -376,13 +376,13 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 	if u.appqBytes <= maxBacklogBytes {
 		u.pend, u.pendHead = reclaim(u.pend, u.pendHead)
 		u.pend = append(u.pend, pendFrame{id: u.frameID, capture: now, bits: bits, counted: counted})
-		for off := 0; off < frameBytes; off += rtpMTU {
+		for off := 0; off < frameBytes; off += rtp.MTU {
 			sz := frameBytes - off
-			if sz > rtpMTU {
-				sz = rtpMTU
+			if sz > rtp.MTU {
+				sz = rtp.MTU
 			}
 			u.appq, u.apphead = reclaim(u.appq, u.apphead)
-			u.appq = append(u.appq, appPkt{frame: u.frameID, bytes: sz, last: off+rtpMTU >= frameBytes})
+			u.appq = append(u.appq, appPkt{frame: u.frameID, bytes: sz, last: off+rtp.MTU >= frameBytes})
 			u.appqBytes += sz
 		}
 	}
@@ -394,13 +394,13 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 	if limit := 4 * float64(maxBacklogBytes); u.credit > limit {
 		u.credit = limit
 	}
-	u.drain(p, now)
+	u.drain(p)
 }
 
 // drain moves application packets into the firmware buffer as pacing
 // credit allows. With the radio detached (or the modem queue full) the
 // packet is spent and its frame is lost.
-func (u *ue) drain(p *port, now time.Duration) {
+func (u *ue) drain(p *port) {
 	for u.apphead < len(u.appq) {
 		pkt := u.appq[u.apphead]
 		if float64(pkt.bytes) > u.credit {
@@ -413,7 +413,7 @@ func (u *ue) drain(p *port, now time.Duration) {
 		if pkt.last {
 			payload = lastOfFrame
 		}
-		if p.link == nil || !p.link.Enqueue(lte.Packet{ID: pkt.frame, Bytes: pkt.bytes, Enq: now, Payload: payload}) {
+		if p.link == nil || !p.link.Enqueue(lte.Packet{ID: pkt.frame, Bytes: pkt.bytes, Payload: payload}) {
 			u.dropPend(pkt.frame)
 		}
 	}
@@ -428,7 +428,7 @@ func (p *port) deliver(pkt lte.Packet) {
 		return
 	}
 	e, ok := u.takePend(pkt.ID)
-	if !ok || e.lost {
+	if !ok {
 		return
 	}
 	now := p.sh.clk.Now()

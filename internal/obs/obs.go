@@ -66,21 +66,19 @@ type Event struct {
 // the clock has run. Not safe for concurrent use (see the package doc).
 type Bus struct {
 	events []Event
-	keep   [NumKinds]bool
 	retain bool
 	counts [NumKinds]int64
 	hists  [NumKinds]Histogram
 	gauges map[string]float64
 
-	// onEvent, when set, sees every emitted event (all kinds, regardless
-	// of keep filtering) in emission order — the streaming-aggregation
-	// hook (ShardAgg binds its episode tracker here). The pointer is to
-	// cur, which the next emission overwrites: an observer copies what it
-	// keeps and must not emit on the same bus.
+	// onEvent, when set, sees every emitted event in emission order — the
+	// streaming-aggregation hook (ShardAgg binds its episode tracker
+	// here). The pointer is to cur, which the next emission overwrites: an
+	// observer copies what it keeps and must not emit on the same bus.
 	onEvent func(*Event)
 	cur     Event
 
-	// Spill state (see sink.go): when sink is non-nil, kept events are
+	// Spill state (see sink.go): when sink is non-nil, events are
 	// binary-encoded into binbuf instead of retained, and Flush hands the
 	// buffer to the shared BinWriter under this bus's shard marker.
 	sink          *BinWriter
@@ -91,24 +89,8 @@ type Bus struct {
 	spilledGauges bool
 }
 
-// NewBus creates a bus. With no arguments every kind is recorded; with
-// arguments only the listed kinds are appended to the event stream —
-// counters and histograms still cover everything, so a filtered bus (the
-// experiment engine records only the fbcc.* kinds) keeps its memory
-// proportional to what it analyzes.
-func NewBus(only ...Kind) *Bus {
-	b := &Bus{gauges: map[string]float64{}, retain: true}
-	if len(only) == 0 {
-		for k := range b.keep {
-			b.keep[k] = true
-		}
-	} else {
-		for _, k := range only {
-			b.keep[k] = true
-		}
-	}
-	return b
-}
+// NewBus creates a bus that records every event kind.
+func NewBus() *Bus { return &Bus{gauges: map[string]float64{}, retain: true} }
 
 // Probe returns an emit handle bound to the given sub-stream id. Handing
 // out one probe per session (or per UE) lets a shared bus attribute every
@@ -125,9 +107,6 @@ func (b *Bus) record(at time.Duration, k Kind, sub int32, a, v, c, d float64) {
 	if h := kinds[k].hist; h >= 0 {
 		b.hists[k].Observe(field(h, a, v, c, d))
 	}
-	if b.onEvent == nil && !b.keep[k] {
-		return
-	}
 	// The event is built in bus-owned storage: a local whose address goes
 	// to the observer (an opaque func value) would be heap-allocated per
 	// event. TestPerfEmitZeroAlloc and scripts/escape_check.sh hold this.
@@ -135,9 +114,6 @@ func (b *Bus) record(at time.Duration, k Kind, sub int32, a, v, c, d float64) {
 	*e = Event{At: at, Kind: k, Sub: sub, A: a, B: v, C: c, D: d}
 	if b.onEvent != nil {
 		b.onEvent(e)
-	}
-	if !b.keep[k] {
-		return
 	}
 	switch {
 	case b.sink != nil:
@@ -168,8 +144,7 @@ func (b *Bus) Events() []Event { return b.events }
 // Len reports how many events are currently recorded.
 func (b *Bus) Len() int { return len(b.events) }
 
-// Count reports how many events of kind k were emitted (including ones a
-// filtered bus did not record).
+// Count reports how many events of kind k were emitted.
 func (b *Bus) Count(k Kind) int64 { return b.counts[k] }
 
 // Hist returns the histogram of kind k's designated field (zero-valued
@@ -199,10 +174,9 @@ func (b *Bus) DisableRetention() { b.retain = false }
 // registries.
 func (b *Bus) Ingest(e *Event) { b.record(e.At, e.Kind, e.Sub, e.A, e.B, e.C, e.D) }
 
-// observe registers fn to see every emitted event (all kinds, regardless
-// of keep filtering) in emission order. One observer per bus; ShardAgg
-// binds its per-shard episode tracker here. fn must not retain the
-// *Event past the call (it points into the bus).
+// observe registers fn to see every emitted event in emission order. One
+// observer per bus; ShardAgg binds its per-shard episode tracker here. fn
+// must not retain the *Event past the call (it points into the bus).
 func (b *Bus) observe(fn func(*Event)) { b.onEvent = fn }
 
 // absorb merges src's registry into b: counts and histograms add, gauges
@@ -227,26 +201,10 @@ func (b *Bus) Reset() { b.events = b.events[:0] }
 // Grow reserves storage for about n more emitted events, so steady-state
 // recording never grows the event slice mid-run (the per-Emit append
 // amortization showed up as measurable B/op in the session benchmarks).
-// For a filtered bus the reservation is scaled by the kept-kind fraction —
-// a bus keeping 2 of NumKinds kinds records roughly that share of the
-// stream. n is a hint: under-reserving merely falls back to append growth.
+// n is a hint: under-reserving merely falls back to append growth.
 func (b *Bus) Grow(n int) {
 	if b == nil || n <= 0 || !b.retain || b.sink != nil {
 		return
-	}
-	kept := 0
-	for _, keep := range b.keep {
-		if keep {
-			kept++
-		}
-	}
-	if kept == 0 {
-		return
-	}
-	if kept < int(NumKinds) {
-		if n = n * kept / int(NumKinds); n < 1 {
-			n = 1
-		}
 	}
 	if free := cap(b.events) - len(b.events); free < n {
 		grown := make([]Event, len(b.events), len(b.events)+n)

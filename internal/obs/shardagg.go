@@ -61,13 +61,6 @@ func (a *ShardAgg) Bind(shard int32, b *Bus) {
 	b.observe(st.tracker.Observe)
 }
 
-// Shards reports the bound shard ids in ascending order.
-func (a *ShardAgg) Shards() []int32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sortedIDs()
-}
-
 func (a *ShardAgg) sortedIDs() []int32 {
 	ids := make([]int32, 0, len(a.shards))
 	for id := range a.shards {

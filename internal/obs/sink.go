@@ -1,7 +1,7 @@
 package obs
 
 // sink.go is the spill side of the production telemetry path: a Bus can
-// redirect its kept event stream to a BinWriter (the shared, header-once,
+// redirect its event stream to a BinWriter (the shared, header-once,
 // error-latching writer of one .pbt stream) instead of materializing it.
 // Many buses — the city's per-cell shards — share one BinWriter; each
 // flush is prefixed with the bus's shard marker so the decoder can
@@ -83,8 +83,8 @@ func (bw *BinWriter) Dropped() int64 { return bw.dropped }
 // Err reports the latched first write error, if any.
 func (bw *BinWriter) Err() error { return bw.err }
 
-// SpillTo redirects the bus's kept event stream to w instead of retaining
-// it: every kept event is appended, binary-encoded, to a pending buffer
+// SpillTo redirects the bus's event stream to w instead of retaining
+// it: every event is appended, binary-encoded, to a pending buffer
 // that Flush hands to w under the bus's shard marker. shard tags this
 // bus's records inside the shared stream (each spilling bus needs a
 // distinct shard id). autoFlush > 0 flushes whenever the pending buffer

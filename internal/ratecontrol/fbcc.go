@@ -10,7 +10,34 @@ import (
 	"poi360/internal/obs"
 )
 
-// FBCCConfig parameterizes Firmware-Buffer-aware Congestion Control.
+// FBCC's calibration (§4.3; the table in DESIGN.md §7).
+const (
+	// bandwidthWindow is how many diag reports form the ΣTBS window of
+	// Eq. 4 when computing the instantaneous uplink bandwidth.
+	bandwidthWindow = 10
+	// minCongestionBuffer gates the Eq. 3 detector: below this occupancy
+	// the PF scheduler still has headroom (the Fig. 5 linear region), so a
+	// growing buffer does not mean the uplink is saturated and Eq. 5's
+	// "throughput = bandwidth" identity would not hold.
+	minCongestionBuffer = 10 * 1024
+	// initialTargetBuffer seeds B* before the sweet-spot estimator has
+	// learned the knee of the buffer→TBS curve, and bounds the learned
+	// knee to [1, 3]× itself.
+	initialTargetBuffer = 8 * 1024
+	// targetMargin multiplies the learned knee so the buffer sits safely
+	// in the high-usage region (§3.3's "sweet spot").
+	targetMargin = 1.15
+	// minRTPRate / maxRTPRate clamp the Eq. 7 pacing rate; initialRTPRate
+	// is the pacing rate before any diagnostics arrive.
+	minRTPRate     = 150e3
+	maxRTPRate     = 30e6
+	initialRTPRate = 3e6
+	// minVideoRate floors the encoder rate even under deep congestion.
+	minVideoRate = 150e3
+)
+
+// FBCCConfig parameterizes Firmware-Buffer-aware Congestion Control: the
+// knobs the session ablations vary and the path's RTT.
 type FBCCConfig struct {
 	// K is the number of consecutive buffer-growth reports required by the
 	// congestion test of Eq. 3 (the paper uses 10).
@@ -21,58 +48,29 @@ type FBCCConfig struct {
 	// buffer, so a small slack keeps the detector usable. Slack 0 restores
 	// the strict test.
 	Slack int
-	// BandwidthWindow is how many diag reports form the ΣTBS window of
-	// Eq. 4 when computing the instantaneous uplink bandwidth.
-	BandwidthWindow int
 	// HoldRTTs is how long (in RTTs) the encoding rate stays pinned to the
 	// measured bandwidth after an overuse, per Eq. 6 (the paper uses 2).
 	HoldRTTs float64
 	// RTT is the nominal end-to-end round trip used for the hold.
 	RTT time.Duration
-	// MinCongestionBuffer gates the Eq. 3 detector: below this occupancy
-	// the PF scheduler still has headroom (the Fig. 5 linear region), so a
-	// growing buffer does not mean the uplink is saturated and Eq. 5's
-	// "throughput = bandwidth" identity would not hold.
-	MinCongestionBuffer float64
-	// InitialTargetBuffer seeds B* before the sweet-spot estimator has
-	// learned the knee of the buffer→TBS curve.
-	InitialTargetBuffer float64
-	// TargetMargin multiplies the learned knee so the buffer sits safely in
-	// the high-usage region (§3.3's "sweet spot").
-	TargetMargin float64
-	// MinRTPRate / MaxRTPRate clamp the Eq. 7 pacing rate.
-	MinRTPRate float64
-	MaxRTPRate float64
-	// MinVideoRate floors the encoder rate even under deep congestion.
-	MinVideoRate float64
 	// WatchdogReports arms the diag-staleness watchdog: when no diagnostic
-	// report has arrived for WatchdogReports×DiagPeriod, the controller
-	// unpins from the measured Rphy, falls back to the embedded GCC rate,
-	// and resets the Eq. 3 streak state (the feed it was built on is gone;
-	// §4.3.1's "handle congestion elsewhere" degradation). 0 disables the
-	// watchdog — the paper's prototype, which trusts the feed blindly.
+	// report has arrived for WatchdogReports × lte.DefaultDiagPeriod, the
+	// controller unpins from the measured Rphy, falls back to the embedded
+	// GCC rate, and resets the Eq. 3 streak state (the feed it was built on
+	// is gone; §4.3.1's "handle congestion elsewhere" degradation). 0
+	// disables the watchdog — the paper's prototype, which trusts the feed
+	// blindly.
 	WatchdogReports int
-	// DiagPeriod is the nominal cadence of the modem diag feed, used only
-	// by the watchdog timeout.
-	DiagPeriod time.Duration
 }
 
 // DefaultFBCCConfig returns the paper's parameters.
 func DefaultFBCCConfig(rtt time.Duration) FBCCConfig {
 	return FBCCConfig{
-		K:                   10,
-		Slack:               2,
-		BandwidthWindow:     10,
-		HoldRTTs:            2,
-		RTT:                 rtt,
-		MinCongestionBuffer: 10 * 1024,
-		InitialTargetBuffer: 8 * 1024,
-		TargetMargin:        1.15,
-		MinRTPRate:          150e3,
-		MaxRTPRate:          30e6,
-		MinVideoRate:        150e3,
-		WatchdogReports:     5,
-		DiagPeriod:          lte.DefaultDiagPeriod,
+		K:               10,
+		Slack:           2,
+		HoldRTTs:        2,
+		RTT:             rtt,
+		WatchdogReports: 5,
 	}
 }
 
@@ -84,32 +82,11 @@ func (c FBCCConfig) Validate() error {
 	if c.Slack < 0 || c.Slack >= c.K {
 		return fmt.Errorf("ratecontrol: FBCC slack %d outside [0, K)", c.Slack)
 	}
-	if c.BandwidthWindow < 1 {
-		return fmt.Errorf("ratecontrol: FBCC bandwidth window %d", c.BandwidthWindow)
-	}
 	if c.HoldRTTs <= 0 || c.RTT <= 0 {
 		return fmt.Errorf("ratecontrol: FBCC hold requires positive RTT")
 	}
-	if c.MinCongestionBuffer < 0 {
-		return fmt.Errorf("ratecontrol: FBCC min congestion buffer must be non-negative")
-	}
-	if c.InitialTargetBuffer <= 0 {
-		return fmt.Errorf("ratecontrol: FBCC initial target buffer must be positive")
-	}
-	if c.TargetMargin < 1 {
-		return fmt.Errorf("ratecontrol: FBCC target margin %g below 1", c.TargetMargin)
-	}
-	if c.MinRTPRate <= 0 || c.MaxRTPRate <= c.MinRTPRate {
-		return fmt.Errorf("ratecontrol: bad FBCC RTP bounds")
-	}
-	if c.MinVideoRate <= 0 {
-		return fmt.Errorf("ratecontrol: FBCC min video rate must be positive")
-	}
 	if c.WatchdogReports < 0 {
 		return fmt.Errorf("ratecontrol: FBCC watchdog reports must be non-negative, got %d", c.WatchdogReports)
-	}
-	if c.WatchdogReports > 0 && c.DiagPeriod <= 0 {
-		return fmt.Errorf("ratecontrol: FBCC watchdog needs a positive DiagPeriod, got %v", c.DiagPeriod)
 	}
 	return nil
 }
@@ -165,14 +142,7 @@ func NewFBCC(cfg FBCCConfig) (*FBCC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &FBCC{cfg: cfg, rtpRate: cfg.InitialRTP(), tbsWindow: make([]lte.DiagReport, 0, cfg.BandwidthWindow)}
-	f.sweet.init(cfg.InitialTargetBuffer)
-	return f, nil
-}
-
-// InitialRTP is the pacing rate before any diagnostics arrive.
-func (c FBCCConfig) InitialRTP() float64 {
-	return math.Min(3e6, c.MaxRTPRate)
+	return &FBCC{cfg: cfg, rtpRate: initialRTPRate, tbsWindow: make([]lte.DiagReport, 0, bandwidthWindow)}, nil
 }
 
 // OnDiag consumes one chipset diagnostic report. It must be called in
@@ -199,7 +169,7 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	f.haveLast = true
 
 	// --- Eq. 4 window -------------------------------------------------
-	if w := f.tbsWindow; len(w) == f.cfg.BandwidthWindow {
+	if w := f.tbsWindow; len(w) == bandwidthWindow {
 		// Slide in place on the one backing array, oldest first: Eq. 4/5
 		// are float sums and must keep adding in report order.
 		copy(w, w[1:])
@@ -215,7 +185,7 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	}
 
 	gamma := f.longTerm.Mean()
-	j := f.streak >= f.cfg.K && buf > gamma && buf >= f.cfg.MinCongestionBuffer
+	j := f.streak >= f.cfg.K && buf > gamma && buf >= minCongestionBuffer
 	if j {
 		// Overuse: measure the bandwidth (Eq. 5) and start the 2-RTT hold.
 		f.rbw = f.BandwidthEstimate()
@@ -248,11 +218,11 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	if dur > 0 {
 		adj := (f.TargetBuffer() - buf) * 8 / dur.Seconds() // bits/s correction
 		f.rtpRate += adj
-		floor := f.cfg.MinRTPRate
+		floor := minRTPRate
 		if vr := f.videoRate * 1.05; vr > floor {
 			floor = vr
 		}
-		f.rtpRate = math.Max(floor, math.Min(f.cfg.MaxRTPRate, f.rtpRate))
+		f.rtpRate = math.Max(floor, math.Min(maxRTPRate, f.rtpRate))
 	}
 }
 
@@ -299,7 +269,7 @@ func (f *FBCC) VideoRate(now time.Duration, rgcc float64) float64 {
 	} else {
 		r = rgcc
 	}
-	return math.Max(f.cfg.MinVideoRate, r)
+	return math.Max(minVideoRate, r)
 }
 
 // CheckWatchdog evaluates the diag-staleness watchdog at now and reports
@@ -338,7 +308,7 @@ func (f *FBCC) CheckWatchdog(now time.Duration) bool {
 		f.tbsWindow = f.tbsWindow[:0]
 		// Re-seed Eq. 7 so the pacing loop restarts from a sane rate when
 		// the feed returns instead of integrating from a stale one.
-		f.rtpRate = f.cfg.InitialRTP()
+		f.rtpRate = initialRTPRate
 	}
 	return true
 }
@@ -349,7 +319,7 @@ func (f *FBCC) DiagStale(now time.Duration) bool {
 	if f.cfg.WatchdogReports <= 0 {
 		return false
 	}
-	return now-f.lastDiagAt > time.Duration(f.cfg.WatchdogReports)*f.cfg.DiagPeriod
+	return now-f.lastDiagAt > time.Duration(f.cfg.WatchdogReports)*lte.DefaultDiagPeriod
 }
 
 // Degraded reports whether the watchdog currently holds the controller in
@@ -375,7 +345,7 @@ func (f *FBCC) LongTermBuffer() float64 { return f.longTerm.Mean() }
 // TargetBuffer returns B*, the sweet-spot buffer level currently targeted
 // by the Eq. 7 loop.
 func (f *FBCC) TargetBuffer() float64 {
-	return f.sweet.target() * f.cfg.TargetMargin
+	return f.sweet.target() * targetMargin
 }
 
 // sweetSpotEstimator learns the knee of the buffer→TBS curve online: the
@@ -383,14 +353,11 @@ func (f *FBCC) TargetBuffer() float64 {
 // It buckets buffer levels at 2 KB granularity and keeps an EWMA of the
 // rate per bucket.
 type sweetSpotEstimator struct {
-	buckets  [32]float64 // EWMA of rate, bucket b covers [2KB·b, 2KB·(b+1))
-	seen     [32]bool
-	fallback float64
+	buckets [32]float64 // EWMA of rate, bucket b covers [2KB·b, 2KB·(b+1))
+	seen    [32]bool
 }
 
 const sweetBucketBytes = 2048
-
-func (s *sweetSpotEstimator) init(fallback float64) { s.fallback = fallback }
 
 func (s *sweetSpotEstimator) observe(bufferBytes, rate float64) {
 	if bufferBytes <= 0 || rate <= 0 {
@@ -408,8 +375,8 @@ func (s *sweetSpotEstimator) observe(bufferBytes, rate float64) {
 	s.buckets[b] += 0.05 * (rate - s.buckets[b])
 }
 
-// target returns the learned knee in bytes, or the fallback before enough
-// of the curve has been explored.
+// target returns the learned knee in bytes, or initialTargetBuffer before
+// enough of the curve has been explored.
 func (s *sweetSpotEstimator) target() float64 {
 	max := 0.0
 	for b, r := range s.buckets {
@@ -418,7 +385,7 @@ func (s *sweetSpotEstimator) target() float64 {
 		}
 	}
 	if max == 0 {
-		return s.fallback
+		return initialTargetBuffer
 	}
 	for b, r := range s.buckets {
 		if s.seen[b] && r >= 0.9*max {
@@ -426,14 +393,14 @@ func (s *sweetSpotEstimator) target() float64 {
 			// Bound the learned knee: a low-buffer fluke must not collapse
 			// the target into the starvation region, and an outlier must
 			// not push it deep into the overuse region.
-			if knee < s.fallback {
-				knee = s.fallback
+			if knee < initialTargetBuffer {
+				knee = initialTargetBuffer
 			}
-			if knee > 3*s.fallback {
-				knee = 3 * s.fallback
+			if knee > 3*initialTargetBuffer {
+				knee = 3 * initialTargetBuffer
 			}
 			return knee
 		}
 	}
-	return s.fallback
+	return initialTargetBuffer
 }

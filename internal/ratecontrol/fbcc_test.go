@@ -29,14 +29,9 @@ func TestFBCCConfigValidate(t *testing.T) {
 		func(c *FBCCConfig) { c.K = 1 },
 		func(c *FBCCConfig) { c.Slack = -1 },
 		func(c *FBCCConfig) { c.Slack = c.K },
-		func(c *FBCCConfig) { c.BandwidthWindow = 0 },
 		func(c *FBCCConfig) { c.RTT = 0 },
 		func(c *FBCCConfig) { c.HoldRTTs = 0 },
-		func(c *FBCCConfig) { c.InitialTargetBuffer = 0 },
-		func(c *FBCCConfig) { c.TargetMargin = 0.5 },
-		func(c *FBCCConfig) { c.MinRTPRate = 0 },
-		func(c *FBCCConfig) { c.MaxRTPRate = c.MinRTPRate },
-		func(c *FBCCConfig) { c.MinVideoRate = 0 },
+		func(c *FBCCConfig) { c.WatchdogReports = -1 },
 	}
 	for i, m := range muts {
 		c := DefaultFBCCConfig(100 * time.Millisecond)
@@ -190,7 +185,7 @@ func TestFBCCVideoRateHold(t *testing.T) {
 
 func TestFBCCVideoRateFloor(t *testing.T) {
 	f := defFBCC(t)
-	if got := f.VideoRate(0, 1); got != f.cfg.MinVideoRate {
+	if got := f.VideoRate(0, 1); got != minVideoRate {
 		t.Fatalf("floor not applied: %v", got)
 	}
 }
@@ -229,7 +224,7 @@ func TestFBCCRTPRateClamped(t *testing.T) {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 0, 0))
 	}
-	if f.RTPRate() > f.cfg.MaxRTPRate {
+	if f.RTPRate() > maxRTPRate {
 		t.Fatalf("RTP rate %v exceeds cap", f.RTPRate())
 	}
 }
@@ -238,7 +233,6 @@ func TestFBCCRTPRateClamped(t *testing.T) {
 // flat curve.
 func TestSweetSpotLearnsKnee(t *testing.T) {
 	var s sweetSpotEstimator
-	s.init(8 * 1024)
 	knee := 12 * 1024.0
 	max := 4e6
 	for pass := 0; pass < 30; pass++ {
@@ -255,7 +249,6 @@ func TestSweetSpotLearnsKnee(t *testing.T) {
 
 func TestSweetSpotFallback(t *testing.T) {
 	var s sweetSpotEstimator
-	s.init(8 * 1024)
 	if s.target() != 8*1024 {
 		t.Fatalf("fallback = %v", s.target())
 	}
@@ -268,7 +261,7 @@ func TestSweetSpotFallback(t *testing.T) {
 
 func TestFBCCTargetBufferUsesMargin(t *testing.T) {
 	f := defFBCC(t)
-	want := f.cfg.InitialTargetBuffer * f.cfg.TargetMargin
+	want := initialTargetBuffer * targetMargin
 	if got := f.TargetBuffer(); math.Abs(got-want) > 1 {
 		t.Fatalf("TargetBuffer = %v, want %v", got, want)
 	}

@@ -19,32 +19,37 @@ import (
 // backlog in the application-layer queue can drain.
 const GCCPacingFactor = 1.5
 
+// GCC's calibration. GCCMinRate and GCCMaxRate bound every target rate
+// a GCCReceiver reports, so a sender can reject a report outside them.
+const (
+	GCCMinRate = 150e3
+	GCCMaxRate = 20e6
+	// gccWindow is how many recent frames feed the trendline filter.
+	gccWindow = 120
+	// gccBeta is the multiplicative decrease applied to the received rate
+	// on overuse (0.85 in GCC).
+	gccBeta = 0.85
+	// gccIncreasePerSec is the multiplicative increase factor per second
+	// in the Increase state.
+	gccIncreasePerSec = 1.25
+	// gccInitialThreshold is the starting overuse threshold for the delay
+	// slope, in ms of delay growth per second.
+	gccInitialThreshold = 80
+	// gccOveruseTime: the slope must stay above threshold this long before
+	// overuse is signalled (GCC's ~10–100 ms persistence requirement).
+	gccOveruseTime = 150 * time.Millisecond
+	// gccRateWindow measures the received throughput and the loss ratio.
+	gccRateWindow = time.Second
+	// gccWarmup disarms the overuse detector for the first instants of
+	// the session while the access-link queue primes (WebRTC's start
+	// phase).
+	gccWarmup = 1500 * time.Millisecond
+)
+
 // GCCConfig parameterizes the delay-gradient controller.
 type GCCConfig struct {
-	// Window is how many recent frames feed the trendline filter.
-	Window int
 	// InitialRate seeds the target before any feedback.
 	InitialRate float64
-	// MinRate / MaxRate clamp the target.
-	MinRate float64
-	MaxRate float64
-	// Beta is the multiplicative decrease applied to the received rate on
-	// overuse (0.85 in GCC).
-	Beta float64
-	// IncreasePerSec is the multiplicative increase factor per second in
-	// the Increase state (≈1.08 in GCC).
-	IncreasePerSec float64
-	// InitialThreshold is the starting overuse threshold for the delay
-	// slope, in ms of delay growth per second.
-	InitialThreshold float64
-	// OveruseTime: the slope must stay above threshold this long before
-	// overuse is signalled (GCC's ~10–100 ms persistence requirement).
-	OveruseTime time.Duration
-	// RateWindow measures the received throughput.
-	RateWindow time.Duration
-	// Warmup disarms the overuse detector for the first instants of the
-	// session while the access-link queue primes (WebRTC's start phase).
-	Warmup time.Duration
 	// IncrementalTrendline maintains the trendline regression sums
 	// incrementally (O(1) per frame) instead of re-scanning the whole
 	// window on every frame. The fitted slope differs from the scanned
@@ -57,39 +62,13 @@ type GCCConfig struct {
 
 // DefaultGCCConfig returns the parameters used by the evaluation.
 func DefaultGCCConfig() GCCConfig {
-	return GCCConfig{
-		Window:           120,
-		InitialRate:      1.0e6,
-		MinRate:          150e3,
-		MaxRate:          20e6,
-		Beta:             0.85,
-		IncreasePerSec:   1.25,
-		InitialThreshold: 80, // ms/s
-		OveruseTime:      150 * time.Millisecond,
-		RateWindow:       time.Second,
-		Warmup:           1500 * time.Millisecond,
-	}
+	return GCCConfig{InitialRate: 1.0e6}
 }
 
 // Validate reports an error for incoherent configurations.
 func (c GCCConfig) Validate() error {
-	if c.Window < 3 {
-		return fmt.Errorf("ratecontrol: GCC window %d too small", c.Window)
-	}
-	if c.MinRate <= 0 || c.MaxRate <= c.MinRate {
-		return fmt.Errorf("ratecontrol: bad GCC rate bounds [%g, %g]", c.MinRate, c.MaxRate)
-	}
-	if c.InitialRate < c.MinRate || c.InitialRate > c.MaxRate {
+	if c.InitialRate < GCCMinRate || c.InitialRate > GCCMaxRate {
 		return fmt.Errorf("ratecontrol: GCC initial rate %g outside bounds", c.InitialRate)
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		return fmt.Errorf("ratecontrol: GCC beta %g outside (0,1)", c.Beta)
-	}
-	if c.IncreasePerSec <= 1 {
-		return fmt.Errorf("ratecontrol: GCC increase factor %g must exceed 1", c.IncreasePerSec)
-	}
-	if c.OveruseTime <= 0 || c.RateWindow <= 0 {
-		return fmt.Errorf("ratecontrol: GCC times must be positive")
 	}
 	return nil
 }
@@ -136,7 +115,7 @@ type GCCReceiver struct {
 	cfg GCCConfig
 
 	// The frame window lives in parallel arrays (oldest first), each a
-	// fixed 2×Window backing array indexed by [fstart, fend): when an
+	// fixed 2×gccWindow backing array indexed by [fstart, fend): when an
 	// append would run off the end, the window is compacted back to the
 	// front, so steady-state operation never grows a slice (amortized one
 	// entry-copy per frame). The split is structure-of-arrays on purpose —
@@ -177,7 +156,7 @@ type GCCReceiver struct {
 	lastUpdate time.Duration
 	usage      BandwidthUsage
 
-	// growElapsed/growFactor memoize Pow(IncreasePerSec, elapsed): Update
+	// growElapsed/growFactor memoize Pow(gccIncreasePerSec, elapsed): Update
 	// runs on a fixed cadence, so elapsed is the same Duration every call
 	// and the transcendental (the costliest op of a steady-state Update)
 	// collapses to one comparison. Same arguments ⇒ same float64, so the
@@ -186,7 +165,7 @@ type GCCReceiver struct {
 	growFactor  float64
 
 	// seqs[seqHead:] is the loss window: the packet sequence numbers of
-	// the last RateWindow. Expiry advances seqHead; the consumed prefix is
+	// the last gccRateWindow. Expiry advances seqHead; the consumed prefix is
 	// slid out only when the next append would otherwise grow the array.
 	seqs    []seqObs
 	seqHead int
@@ -206,11 +185,11 @@ func NewGCCReceiver(cfg GCCConfig) (*GCCReceiver, error) {
 	}
 	return &GCCReceiver{
 		cfg:       cfg,
-		farr:      make([]time.Duration, 2*cfg.Window),
-		fbits:     make([]float64, 2*cfg.Window),
-		fx:        make([]float64, 2*cfg.Window),
-		fy:        make([]float64, 2*cfg.Window),
-		threshold: cfg.InitialThreshold,
+		farr:      make([]time.Duration, 2*gccWindow),
+		fbits:     make([]float64, 2*gccWindow),
+		fx:        make([]float64, 2*gccWindow),
+		fy:        make([]float64, 2*gccWindow),
+		threshold: gccInitialThreshold,
 		state:     stateIncrease,
 		rate:      cfg.InitialRate,
 	}, nil
@@ -252,7 +231,7 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 		g.tsy += y
 		g.tsxx += x * x
 		g.tsxy += x * y
-		if g.fend-g.fstart > g.cfg.Window {
+		if g.fend-g.fstart > gccWindow {
 			ex, ey := g.fx[g.fstart], g.fy[g.fstart]
 			g.tsx -= ex
 			g.tsy -= ey
@@ -260,10 +239,10 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 			g.tsxy -= ex * ey
 			g.fstart++
 		}
-	} else if g.fend-g.fstart > g.cfg.Window {
+	} else if g.fend-g.fstart > gccWindow {
 		g.fstart++
 	}
-	if arrival >= g.cfg.Warmup {
+	if arrival >= gccWarmup {
 		g.detect(arrival)
 	}
 }
@@ -278,7 +257,7 @@ func (g *GCCReceiver) OnPacket(arrival, delay time.Duration, bits float64, seq i
 	}
 	g.seqs = append(g.seqs, seqObs{arrival: arrival, seq: seq})
 	// The entry just appended never expires, so the scan ends inside seqs.
-	for arrival-g.seqs[g.seqHead].arrival > g.cfg.RateWindow {
+	for arrival-g.seqs[g.seqHead].arrival > gccRateWindow {
 		g.seqHead++
 	}
 }
@@ -352,7 +331,7 @@ func (g *GCCReceiver) detect(now time.Duration) {
 			g.inOveruse = true
 			g.overuseSince = now
 		}
-		if now-g.overuseSince >= g.cfg.OveruseTime {
+		if now-g.overuseSince >= gccOveruseTime {
 			g.usage = Overuse
 		}
 	case s < -g.threshold:
@@ -377,7 +356,7 @@ func (g *GCCReceiver) ReceivedRate(now time.Duration) float64 {
 	// remainder in the same index order (and under the same per-entry
 	// predicate, so a non-monotone arrival still lands in the same set)
 	// as the full scan this replaces — bit-identical result.
-	cutoff := now - g.cfg.RateWindow
+	cutoff := now - gccRateWindow
 	i, n := g.fstart, g.fend
 	if g.rskip > i {
 		i = g.rskip
@@ -388,11 +367,11 @@ func (g *GCCReceiver) ReceivedRate(now time.Duration) float64 {
 	g.rskip = i
 	var bits float64
 	for ; i < n; i++ {
-		if now-g.farr[i] <= g.cfg.RateWindow {
+		if now-g.farr[i] <= gccRateWindow {
 			bits += g.fbits[i]
 		}
 	}
-	return bits / g.cfg.RateWindow.Seconds()
+	return bits / gccRateWindow.Seconds()
 }
 
 // Update advances the AIMD state machine and returns the REMB target rate.
@@ -422,11 +401,11 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 	switch g.state {
 	case stateDecrease:
 		recv := g.ReceivedRate(now)
-		target := g.rate * g.cfg.Beta
+		target := g.rate * gccBeta
 		if recv > 0 {
 			// Decrease relative to what actually arrived, but never raise
 			// the rate on an overuse signal.
-			target = math.Min(g.cfg.Beta*recv, g.rate)
+			target = math.Min(gccBeta*recv, g.rate)
 		}
 		g.rate = target
 		// One decrease per overuse signal: reset the trendline so stale
@@ -440,7 +419,7 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 		if elapsed > 0 {
 			if elapsed != g.growElapsed {
 				g.growElapsed = elapsed
-				g.growFactor = math.Pow(g.cfg.IncreasePerSec, elapsed.Seconds())
+				g.growFactor = math.Pow(gccIncreasePerSec, elapsed.Seconds())
 			}
 			g.rate *= g.growFactor
 		}
@@ -460,7 +439,7 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 		g.rate *= 1 - 0.5*loss
 	}
 
-	g.rate = math.Max(g.cfg.MinRate, math.Min(g.cfg.MaxRate, g.rate))
+	g.rate = math.Max(GCCMinRate, math.Min(GCCMaxRate, g.rate))
 	if g.state != prevState {
 		g.probe.Emit(now, obs.GCCState, float64(g.state), g.rate, 0, 0)
 	}

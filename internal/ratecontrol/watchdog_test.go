@@ -256,14 +256,14 @@ func TestFBCCSlackResetsAfterFiring(t *testing.T) {
 }
 
 // Satellite: the learned sweet-spot knee is clamped into
-// [fallback, 3×fallback] — a low-buffer fluke cannot collapse the target
-// into starvation, an outlier cannot push it deep into overuse.
+// [fallback, 3×fallback] (fallback = initialTargetBuffer) — a low-buffer
+// fluke cannot collapse the target into starvation, an outlier cannot push
+// it deep into overuse.
 func TestSweetSpotClampsToFallbackRange(t *testing.T) {
 	fallback := 8 * 1024.0
 
 	// Knee far below fallback: plateau reached by 2 KB.
 	var low sweetSpotEstimator
-	low.init(fallback)
 	for pass := 0; pass < 30; pass++ {
 		for buf := 1024.0; buf < 30*1024; buf += 1024 {
 			low.observe(buf, 4e6*math.Min(1, buf/(2*1024)))
@@ -275,7 +275,6 @@ func TestSweetSpotClampsToFallbackRange(t *testing.T) {
 
 	// Knee far above 3×fallback: rate still growing at 60 KB.
 	var high sweetSpotEstimator
-	high.init(fallback)
 	for pass := 0; pass < 30; pass++ {
 		for buf := 1024.0; buf < 62*1024; buf += 1024 {
 			high.observe(buf, 4e6*math.Min(1, buf/(60*1024)))

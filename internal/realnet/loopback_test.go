@@ -29,11 +29,10 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	var completed int64
 	reasm := rtp.NewReassembler(rxWall, func(rtp.CompletedFrame) { completed++ })
 	rx := NewReceiver(rxWall, ReceiverConfig{
-		SSRC:        ssrc,
-		Hold:        10 * time.Millisecond,
-		ReportEvery: 20 * time.Millisecond,
-		Deliver:     func(pkt *rtp.Packet, _ time.Duration) { reasm.OnPacket(*pkt) },
-		SendReport:  rxLink.Write,
+		SSRC:       ssrc,
+		Hold:       10 * time.Millisecond,
+		Deliver:    func(pkt *rtp.Packet, _ time.Duration) { reasm.OnPacket(*pkt) },
+		SendReport: rxLink.Write,
 	})
 	go rxLink.Pump(rxWall, rx.HandleDatagram)
 

@@ -34,8 +34,6 @@ type ReceiverConfig struct {
 	SSRC uint32
 	// Hold is the jitter-buffer hold (0 = DefaultHold).
 	Hold time.Duration
-	// ReportEvery is the reverse-report cadence (0 = DefaultReportEvery).
-	ReportEvery time.Duration
 	// Deliver receives each released packet in sequence order, with its
 	// receipt instant (receiver clock). Packets of one frame share one
 	// *video.EncodedFrame, so per-frame state (a reconstructed Spatial
@@ -82,13 +80,10 @@ type Receiver struct {
 }
 
 // NewReceiver builds the receive pipeline and, when cfg.SendReport is set,
-// starts the report ticker.
+// starts the DefaultReportEvery report ticker.
 func NewReceiver(clk simclock.Scheduler, cfg ReceiverConfig) *Receiver {
 	if cfg.Deliver == nil {
 		panic("realnet: ReceiverConfig.Deliver is required")
-	}
-	if cfg.ReportEvery <= 0 {
-		cfg.ReportEvery = DefaultReportEvery
 	}
 	r := &Receiver{
 		clk:        clk,
@@ -102,7 +97,7 @@ func NewReceiver(clk simclock.Scheduler, cfg ReceiverConfig) *Receiver {
 	r.jb = NewJitterBuffer(clk, cfg.Hold, r.release)
 	r.jb.SetProbe(cfg.Probe)
 	if cfg.SendReport != nil {
-		clk.Ticker(cfg.ReportEvery, r.reportTick)
+		clk.Ticker(DefaultReportEvery, r.reportTick)
 	}
 	return r
 }

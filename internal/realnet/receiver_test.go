@@ -118,8 +118,7 @@ func TestReceiverReportsAccountAndCarryAppFeedback(t *testing.T) {
 	clk := simclock.New()
 	var reports []Report
 	r := NewReceiver(clk, ReceiverConfig{
-		ReportEvery: 40 * time.Millisecond,
-		Deliver:     func(*rtp.Packet, time.Duration) {},
+		Deliver: func(*rtp.Packet, time.Duration) {},
 		SendReport: func(b []byte) error {
 			rep, err := ParseReport(b)
 			if err != nil {

@@ -1,0 +1,138 @@
+package session_test
+
+import (
+	"testing"
+	"time"
+
+	"poi360/internal/projection"
+	"poi360/internal/ratecontrol"
+	"poi360/internal/realnet"
+	"poi360/internal/rtp"
+	"poi360/internal/session"
+	"poi360/internal/simclock"
+	"poi360/internal/video"
+)
+
+// inGCCBounds reports whether r is a rate some GCCReceiver could report.
+func inGCCBounds(r float64) bool {
+	return r >= ratecontrol.GCCMinRate && r <= ratecontrol.GCCMaxRate
+}
+
+// FuzzSenderReports feeds arbitrary report bytes through
+// realnet.Transport.HandleDatagram into a running GCC Sender, wired the
+// way TestSenderRejectsForgedReports wires it. The input is cut into
+// report-sized datagrams, one every 20 ms. Whatever arrives, nothing
+// panics, every frame on the wire is compressed around an on-grid ROI,
+// and the sender never adopts a rate outside the GCC bounds.
+func FuzzSenderReports(f *testing.F) {
+	for i, tc := range forgedReports() {
+		rep := realnet.Report{Seq: uint32(i + 1), SentAt: 100 * time.Millisecond, ROI: tc.roi, GCCRate: tc.rate}
+		f.Add(rep.AppendTo(nil))
+	}
+	grid := video.DefaultConfig().Grid
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxDatagrams = 8
+		clk := simclock.New()
+		sender, err := session.NewSender(session.Config{Duration: 400 * time.Millisecond, RC: session.RCGCC, StatsWarmup: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := realnet.NewTransport(clk, 1, func(b []byte) error {
+			h, err := rtp.ParseWire(b)
+			if err != nil {
+				t.Fatalf("sender wrote an unparseable datagram: %v", err)
+			}
+			if !grid.Contains(h.ROI) {
+				t.Fatalf("frame on the wire compressed around off-grid ROI %v", h.ROI)
+			}
+			return nil
+		}, func(rep realnet.Report) {
+			sender.OnFeedback(session.Feedback{ROI: rep.ROI, Mismatch: rep.Mismatch, GCCRate: rep.GCCRate, SentAt: rep.SentAt})
+		})
+		if err := sender.Attach(clk, tx); err != nil {
+			t.Fatal(err)
+		}
+		at := 100 * time.Millisecond
+		for n := 0; len(data) > 0 && n < maxDatagrams; n++ {
+			d := data[:min(len(data), realnet.ReportLen)]
+			data = data[len(d):]
+			clk.Schedule(at, func() { tx.HandleDatagram(d) })
+			at += 20 * time.Millisecond
+		}
+		clk.Run(400 * time.Millisecond)
+
+		res := sender.Result()
+		if len(res.VideoRate) == 0 {
+			t.Fatal("sender encoded no frame")
+		}
+		for _, s := range res.VideoRate {
+			if !inGCCBounds(s.V) {
+				t.Fatalf("sender adopted rate %v at %v, outside [%g, %g]", s.V, s.At, ratecontrol.GCCMinRate, ratecontrol.GCCMaxRate)
+			}
+		}
+	})
+}
+
+// FuzzViewerDatagrams feeds arbitrary media bytes through
+// realnet.Receiver.HandleDatagram into a Viewer, with the receiver's
+// reports built from Viewer.Feedback as cmd/poi360-live builds them.
+// Whatever arrives, nothing panics, the viewer rejects exactly the
+// packets whose frame metadata no sender produces, and every report on
+// the wire carries an on-grid ROI and a rate inside the GCC bounds.
+func FuzzViewerDatagrams(f *testing.F) {
+	for _, tc := range forgedPackets() {
+		fr := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
+		pkt := rtp.Packet{Count: 1, Bytes: 100, Frame: fr, SentAt: 20 * time.Millisecond}
+		f.Add(pkt.AppendWire(nil, 9))
+	}
+	grid := video.DefaultConfig().Grid
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk := simclock.New()
+		viewer, err := session.NewViewer(session.Config{Duration: 300 * time.Millisecond, StatsWarmup: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := viewer.Attach(clk); err != nil {
+			t.Fatal(err)
+		}
+		delivered, legal := 0, 0
+		reports := 0
+		rx := realnet.NewReceiver(clk, realnet.ReceiverConfig{
+			Deliver: func(pkt *rtp.Packet, _ time.Duration) {
+				delivered++
+				if grid.Contains(pkt.Frame.SenderROI) && pkt.Frame.Scale >= 1 {
+					legal++
+				}
+				viewer.OnPacket(pkt)
+			},
+			SendReport: func(b []byte) error {
+				rep, err := realnet.ParseReport(b)
+				if err != nil {
+					t.Fatalf("viewer wrote an unparseable report: %v", err)
+				}
+				if !grid.Contains(rep.ROI) {
+					t.Fatalf("report on the wire carries off-grid ROI %v", rep.ROI)
+				}
+				if !inGCCBounds(rep.GCCRate) {
+					t.Fatalf("report on the wire carries rate %v, outside [%g, %g]", rep.GCCRate, ratecontrol.GCCMinRate, ratecontrol.GCCMaxRate)
+				}
+				reports++
+				return nil
+			},
+			AppFeedback: func(now time.Duration) (projection.Tile, time.Duration, float64) {
+				fb := viewer.Feedback(now)
+				return fb.ROI, fb.Mismatch, fb.GCCRate
+			},
+		})
+		clk.Schedule(50*time.Millisecond, func() { rx.HandleDatagram(data) })
+		clk.Run(300 * time.Millisecond)
+
+		res := viewer.Result()
+		if res.BadPackets != delivered-legal {
+			t.Fatalf("viewer rejected %d of %d delivered packets, want the %d illegal ones", res.BadPackets, delivered, delivered-legal)
+		}
+		if delivered > 0 && reports == 0 {
+			t.Fatal("a packet was delivered but the viewer never reported")
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 
 	"poi360/internal/headmotion"
 	"poi360/internal/lte"
+	"poi360/internal/video"
 )
 
 // Frame conservation: every delivered or lost frame was sent in the same
@@ -106,7 +107,7 @@ func TestMismatchBounded(t *testing.T) {
 // Throughput can never exceed the configured raw stream rate for long.
 func TestThroughputBoundedByRawRate(t *testing.T) {
 	res := run(t, Config{Duration: 30 * time.Second, Seed: 38, Network: Wireline})
-	raw := res.Config.Video.RawBitsPerSec
+	raw := video.RawBitsPerSec
 	over := 0
 	for _, thr := range res.Throughput {
 		if thr > raw*1.05 {

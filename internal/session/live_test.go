@@ -193,24 +193,59 @@ func TestLiveCallWatchdogTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestSenderRejectsForgedReports feeds a running sender report datagrams a
-// hostile peer could write: ParseReport accepts any ROI byte pair, and an
-// off-grid tile used to reach the Eq. 1 matrix index on the next frame.
-func TestSenderRejectsForgedReports(t *testing.T) {
+// forgedReport is one report a hostile peer could write, and whether the
+// sender must reject it.
+type forgedReport struct {
+	name string
+	roi  projection.Tile
+	rate float64
+	bad  bool
+}
+
+func forgedReports() []forgedReport {
 	grid := video.DefaultConfig().Grid
-	cases := []struct {
-		name string
-		roi  projection.Tile
-		rate float64
-		bad  bool
-	}{
+	return []forgedReport{
 		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1e6, true},
 		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1e6, true},
 		{"both bytes saturated", projection.Tile{I: 255, J: 255}, 1e6, true},
 		{"zero rate", projection.Tile{I: 1, J: 1}, 0, true},
+		{"subnormal rate", projection.Tile{I: 1, J: 1}, 5e-324, true},
+		{"rate past any GCC", projection.Tile{I: 1, J: 1}, 1e300, true},
 		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 1e6, false},
 	}
-	for _, tc := range cases {
+}
+
+// forgedPacket is the frame metadata of a media datagram a hostile peer
+// could write, and whether the viewer must reject it.
+type forgedPacket struct {
+	name  string
+	roi   projection.Tile
+	scale float64
+	mode  int
+	bad   bool
+}
+
+func forgedPackets() []forgedPacket {
+	grid := video.DefaultConfig().Grid
+	return []forgedPacket{
+		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1, 3, true},
+		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1, 3, true},
+		{"off-grid without a mode", projection.Tile{I: 255, J: 255}, 1, 0, true},
+		{"scale below one", projection.Tile{I: 1, J: 1}, 0.5, 3, true},
+		{"zero scale", projection.Tile{I: 1, J: 1}, 0, 3, true},
+		{"unknown mode", projection.Tile{I: 1, J: 1}, 1, 77, false},
+		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 2, 3, false},
+	}
+}
+
+// TestSenderRejectsForgedReports feeds a running sender report datagrams a
+// hostile peer could write: ParseReport accepts any ROI byte pair, and an
+// off-grid tile used to reach the Eq. 1 matrix index on the next frame; it
+// accepts any finite non-negative rate, and a GCC sender adopting 5e-324
+// paced at ≈ 0 while its queue grew by a frame per capture.
+func TestSenderRejectsForgedReports(t *testing.T) {
+	grid := video.DefaultConfig().Grid
+	for _, tc := range forgedReports() {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
 			sender, err := session.NewSender(session.Config{Duration: time.Second})
@@ -255,23 +290,7 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 // any non-negative scale. Mode labels outside the Eq. 1 set stay legal —
 // the two-level and pyramid schemes carry none — and read as uncompressed.
 func TestViewerRejectsForgedPackets(t *testing.T) {
-	grid := video.DefaultConfig().Grid
-	cases := []struct {
-		name  string
-		roi   projection.Tile
-		scale float64
-		mode  int
-		bad   bool
-	}{
-		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1, 3, true},
-		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1, 3, true},
-		{"off-grid without a mode", projection.Tile{I: 255, J: 255}, 1, 0, true},
-		{"scale below one", projection.Tile{I: 1, J: 1}, 0.5, 3, true},
-		{"zero scale", projection.Tile{I: 1, J: 1}, 0, 3, true},
-		{"unknown mode", projection.Tile{I: 1, J: 1}, 1, 77, false},
-		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 2, 3, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range forgedPackets() {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := simclock.New()
 			viewer, err := session.NewViewer(session.Config{Duration: time.Second, StatsWarmup: -1})

@@ -111,7 +111,7 @@ func newSender(cfg Config, res *Result) (*Sender, error) {
 		}
 		s.fbcc.SetProbe(s.probe)
 	}
-	s.predictor = headmotion.NewPredictor(0)
+	s.predictor = headmotion.NewPredictor()
 	s.roiBelief = g.TileAt(projection.Orientation{})
 	s.rgcc = ratecontrol.DefaultGCCConfig().InitialRate
 	return s, nil
@@ -143,8 +143,10 @@ func (s *Sender) recycle(p *rtp.Packet) {
 func (s *Sender) OnFeedback(fb Feedback) {
 	// The message may have crossed a real network: an ROI outside the grid
 	// would index past the Eq. 1 matrix tables on the next frame, and a
-	// rate that is not positive would zero the encoder budget.
-	if !s.cfg.Video.Grid.Contains(fb.ROI) || !(fb.GCCRate > 0) {
+	// rate outside the bounds every GCCReceiver clamps to would zero the
+	// encoder budget or let the pacer queue grow without limit.
+	rateOK := fb.GCCRate >= ratecontrol.GCCMinRate && fb.GCCRate <= ratecontrol.GCCMaxRate // false for NaN
+	if !s.cfg.Video.Grid.Contains(fb.ROI) || !rateOK {
 		s.res.BadFeedback++
 		return
 	}

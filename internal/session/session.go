@@ -255,7 +255,8 @@ type Result struct {
 	// feedback-staleness guard (held mode instead of integrating garbage).
 	StaleFeedback int
 	// BadFeedback counts feedback messages the sender rejected (ROI outside
-	// the tile grid, or a rate that is not positive) and BadPackets media
+	// the tile grid, or a GCC rate outside [ratecontrol.GCCMinRate,
+	// ratecontrol.GCCMaxRate]) and BadPackets media
 	// packets the viewer rejected (sender ROI outside the grid, or a scale
 	// below 1). Both stay zero unless the input crossed a real network.
 	BadFeedback, BadPackets int

@@ -41,8 +41,10 @@ func TestRunBasicCellular(t *testing.T) {
 			t.Fatal("negative frame delay")
 		}
 	}
+	// The video quality curve spans 8–42 dB; content jitter may lift a
+	// frame at most 3 dB above its ceiling.
 	for _, p := range res.ROIPSNRs {
-		if p < res.Config.Video.PSNRMin-1 || p > res.Config.Video.PSNRMax+3+1 {
+		if p < 8-1 || p > 42+3+1 {
 			t.Fatalf("PSNR %v outside model range", p)
 		}
 	}

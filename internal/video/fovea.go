@@ -1,9 +1,6 @@
 package video
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // The foveation weight of ROI-PSNR is a Gaussian in *angular distance*:
 // w(d) = exp(−d²/2σ²) with d = acos(c)·180/π degrees, where c is the
@@ -21,8 +18,8 @@ import (
 // exp keeps every derivative finite. That smoothness is what makes a
 // cubic Hermite interpolant on a uniform grid converge at O(h⁴): with
 // 1024 segments over [−0.5, 1] the interpolation error is bounded by
-// h⁴/384·max|G⁗| ≈ 1e−8 for σ ≥ 8 (the property test pins 1e−7 across
-// the σ range the model uses). Below c = −0.5 — angular distance beyond
+// h⁴/384·max|G⁗| ≈ 1e−8 for σ ≥ 8 (the property test pins 1e−7 for
+// σ from 8 to 45 around the model's 12). Below c = −0.5 — angular distance beyond
 // 120°, far outside any FoV — the kernel falls back to the exact
 // expression, so the approximation domain is exactly the precomputed one.
 //
@@ -95,7 +92,7 @@ func (fk *foveaKernel) eval(c float64) float64 {
 	}
 	if c < foveaCMin {
 		// Beyond the interpolated domain (d > 120°): exact tail. The
-		// weight here is < 1e−21 for every σ the model uses, but falling
+		// weight here is < 1e−21 at the model's σ, but falling
 		// back keeps the kernel well-defined over the full sphere.
 		a := math.Acos(math.Max(-1, c))
 		return math.Exp(-fk.k * a * a)
@@ -114,27 +111,7 @@ func (fk *foveaKernel) eval(c float64) float64 {
 	return y0*(2*t3-3*t2+1) + m0*(t3-2*t2+t) + y1*(3*t2-2*t3) + m1*(t3-t2)
 }
 
-var (
-	foveaMu    sync.RWMutex
-	foveaCache = map[float64]*foveaKernel{}
-)
-
-// foveaFor returns the memoized kernel for sigma (building it on first
-// use). Safe for concurrent use; sessions on different goroutines share
-// the read-only tables, mirroring projection.GeomFor.
-func foveaFor(sigma float64) *foveaKernel {
-	foveaMu.RLock()
-	fk := foveaCache[sigma]
-	foveaMu.RUnlock()
-	if fk != nil {
-		return fk
-	}
-	foveaMu.Lock()
-	defer foveaMu.Unlock()
-	if fk = foveaCache[sigma]; fk != nil {
-		return fk
-	}
-	fk = newFoveaKernel(sigma)
-	foveaCache[sigma] = fk
-	return fk
-}
+// fovea is the kernel ROI-PSNR weighs visible tiles with: σ is the
+// model's one foveaSigma, so the tables are built once and shared
+// read-only by every session, as projection.GeomFor shares its geometry.
+var fovea = newFoveaKernel(foveaSigma)

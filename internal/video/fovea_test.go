@@ -9,8 +9,8 @@ import (
 )
 
 // TestFoveaKernelMatchesReference pins the fast kernel against the
-// Acos/Exp reference over a dense cosine grid, for every σ regime the
-// model uses (narrow fovea through FoV-wide). The bound is the kernel's
+// Acos/Exp reference over a dense cosine grid, for the model's σ and the
+// regimes around it (narrow fovea through FoV-wide). The bound is the kernel's
 // documented contract: the cubic Hermite interpolant on 1024 segments
 // stays within 1e−7 absolute of the reference for σ ≥ 8 (the analysis in
 // fovea.go gives ≈1e−8; the order of magnitude of slack absorbs rounding
@@ -19,7 +19,7 @@ import (
 // floating-point reassociation — far below the same bound.
 func TestFoveaKernelMatchesReference(t *testing.T) {
 	for _, sigma := range []float64{8, 12, 25, 45} {
-		fk := foveaFor(sigma)
+		fk := newFoveaKernel(sigma)
 		worst := 0.0
 		// 4e5 points cover [−1, 1] about 200× denser than the knot grid,
 		// so segment interiors — where Hermite error peaks — are sampled.
@@ -42,7 +42,7 @@ func TestFoveaKernelMatchesReference(t *testing.T) {
 // gaze center weighs exactly 1, and the interpolant reproduces its knots
 // (a Hermite spline interpolates, it does not smooth).
 func TestFoveaKernelEndpoints(t *testing.T) {
-	fk := foveaFor(12.0)
+	fk := fovea
 	if got := fk.eval(1); got != 1 {
 		t.Errorf("eval(1) = %v, want exactly 1", got)
 	}
@@ -67,7 +67,7 @@ func TestFoveaKernelEndpoints(t *testing.T) {
 // away (c decreasing from 1) across the interpolated domain — a spline
 // overshoot that broke monotonicity would misorder tile weights.
 func TestFoveaKernelMonotone(t *testing.T) {
-	fk := foveaFor(12.0)
+	fk := fovea
 	prev := fk.eval(1)
 	for i := 1; i <= 10_000; i++ {
 		c := 1 - 1.5*float64(i)/10_000
@@ -106,15 +106,15 @@ func TestROIPSNRMatchesScalarReference(t *testing.T) {
 		// Scalar reference: the pre-kernel computation, verbatim.
 		vis := g.VisibleTiles(actual, projection.DefaultFoV)
 		by, sinBp, cosBp := projection.OrientationTrig(actual)
-		twoSigmaSq := 2 * cfg.FoveaSigma * cfg.FoveaSigma
+		twoSigmaSq := 2.0 * foveaSigma * foveaSigma
 		num, den := 0.0, 0.0
 		for _, tl := range vis {
 			d := ge.TileAngularDistance(tl, by, sinBp, cosBp)
 			w := ge.AreaW[tl.J] * math.Exp(-d*d/twoSigmaSq)
-			num += w * cfg.PSNRForLevel(ef.LevelAt(g.Index(tl)))
+			num += w * psnrForLevel(ef.LevelAt(g.Index(tl)))
 			den += w
 		}
-		want := math.Max(cfg.PSNRMin, math.Min(cfg.PSNRMax+3, num/den+ef.Jitter))
+		want := math.Max(psnrMin, math.Min(psnrMax+3, num/den+ef.Jitter))
 
 		if math.Abs(got-want) > 1e-5 {
 			t.Fatalf("trial %d (yaw=%.1f pitch=%.1f): ROIPSNR=%v reference=%v (Δ=%g)",

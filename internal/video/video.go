@@ -19,21 +19,29 @@ import (
 	"poi360/internal/seeds"
 )
 
-// Config describes the synthetic 360° source and quality model.
-type Config struct {
-	Grid          projection.Grid
-	FPS           int     // frames per second
-	RawBitsPerSec float64 // raw (uncompressed-by-us, camera-encoded) stream bitrate
-	PSNRMax       float64 // dB at compression level 1
-	PSNRMin       float64 // dB floor
-	Gamma         float64 // dB lost per 10·log10 of compression level
-	ContentJitter float64 // per-frame content-difficulty noise, dB std
-	Hotspotten    bool    // content concentrates bits near moving hotspots
-	// FoveaSigma is the Gaussian width (degrees) of the foveation weight
+// The source and quality model's calibration (§5, §6.1.1).
+const (
+	// RawBitsPerSec is the raw (uncompressed-by-us, camera-encoded) 4K
+	// stream bitrate.
+	RawBitsPerSec = 12.65e6
+	// psnrMax is the PSNR at compression level 1, psnrMin its floor, and
+	// gamma the dB lost per 10·log10 of compression level.
+	psnrMax = 42
+	psnrMin = 8
+	gamma   = 1.5
+	// contentJitter is the per-frame content-difficulty noise, dB std.
+	contentJitter = 1.0
+	// foveaSigma is the Gaussian width (degrees) of the foveation weight
 	// used when measuring ROI quality: human acuity peaks at the gaze
 	// center and drops roughly quadratically with eccentricity (§2), so
 	// ROI-PSNR weighs tiles by exp(−d²/2σ²)·solidAngle.
-	FoveaSigma float64
+	foveaSigma = 12
+)
+
+// Config describes the synthetic 360° source.
+type Config struct {
+	Grid projection.Grid
+	FPS  int // frames per second
 	// MaxScale bounds the encoder's bitrate-targeted quality reduction on
 	// top of spatial compression (a VP8-class codec runs out of quantizer
 	// range): a frame cannot shrink below spatialBits/MaxScale, so schemes
@@ -45,17 +53,10 @@ type Config struct {
 // DefaultConfig matches the paper's prototype numbers.
 func DefaultConfig() Config {
 	return Config{
-		Grid:          projection.DefaultGrid,
-		FPS:           30,
-		RawBitsPerSec: 12.65e6,
-		PSNRMax:       42,
-		PSNRMin:       8,
-		Gamma:         1.5,
-		ContentJitter: 1.0,
-		Hotspotten:    true,
-		FoveaSigma:    12,
-		MaxScale:      12,
-		Seed:          1,
+		Grid:     projection.DefaultGrid,
+		FPS:      30,
+		MaxScale: 12,
+		Seed:     1,
 	}
 }
 
@@ -66,15 +67,6 @@ func (c Config) Validate() error {
 	}
 	if c.FPS <= 0 {
 		return fmt.Errorf("video: FPS must be positive, got %d", c.FPS)
-	}
-	if c.RawBitsPerSec <= 0 {
-		return fmt.Errorf("video: raw bitrate must be positive, got %g", c.RawBitsPerSec)
-	}
-	if c.PSNRMax <= c.PSNRMin {
-		return fmt.Errorf("video: PSNRMax %g must exceed PSNRMin %g", c.PSNRMax, c.PSNRMin)
-	}
-	if c.Gamma <= 0 {
-		return fmt.Errorf("video: Gamma must be positive, got %g", c.Gamma)
 	}
 	return nil
 }
@@ -150,7 +142,7 @@ func (s *Source) Config() Config { return s.cfg }
 // need to hold raw frames across captures must copy TileBits.
 func (s *Source) NextFrame(now time.Duration) Frame {
 	g := s.cfg.Grid
-	perFrame := s.cfg.RawBitsPerSec / float64(s.cfg.FPS)
+	perFrame := RawBitsPerSec / float64(s.cfg.FPS)
 
 	// Base spatial weight: solid angle of the tile (equirectangular frames
 	// oversample the poles; a real encoder spends bits roughly per content,
@@ -159,19 +151,13 @@ func (s *Source) NextFrame(now time.Duration) Frame {
 	// instead of W·H; the row-major products and accumulation order match
 	// the per-tile loop bit for bit.
 	colF := s.colF
-	if s.cfg.Hotspotten {
-		for i := 0; i < g.W; i++ {
-			d := math.Abs(projection.NormalizeYaw(s.geom.CenterYaw[i] - s.hotYaw))
-			if d > 180 {
-				d = 360 - d
-			}
-			// Up to 2× bits near the hotspot, decaying over ~90°.
-			colF[i] = 1 + math.Exp(-d*d/(2*45*45))
+	for i := 0; i < g.W; i++ {
+		d := math.Abs(projection.NormalizeYaw(s.geom.CenterYaw[i] - s.hotYaw))
+		if d > 180 {
+			d = 360 - d
 		}
-	} else {
-		for i := range colF {
-			colF[i] = 1
-		}
+		// Up to 2× bits near the hotspot, decaying over ~90°.
+		colF[i] = 1 + math.Exp(-d*d/(2*45*45))
 	}
 	total := 0.0
 	idx := 0
@@ -194,7 +180,7 @@ func (s *Source) NextFrame(now time.Duration) Frame {
 		Seq:      s.seq,
 		Capture:  now,
 		TileBits: bits,
-		Jitter:   s.rng.NormFloat64() * s.cfg.ContentJitter,
+		Jitter:   s.rng.NormFloat64() * contentJitter,
 	}
 	s.seq++
 	// Drift the hotspot with a touch of randomness.
@@ -202,14 +188,14 @@ func (s *Source) NextFrame(now time.Duration) Frame {
 	return frame
 }
 
-// PSNRForLevel maps an effective compression level (≥1) to PSNR in dB under
-// cfg's quality curve, before per-frame content jitter.
-func (c Config) PSNRForLevel(level float64) float64 {
+// psnrForLevel maps an effective compression level (≥1) to PSNR in dB
+// under the quality curve, before per-frame content jitter.
+func psnrForLevel(level float64) float64 {
 	if level < 1 {
 		level = 1
 	}
-	p := c.PSNRMax - c.Gamma*10*math.Log10(level)
-	return math.Max(c.PSNRMin, p)
+	p := psnrMax - gamma*10*math.Log10(level)
+	return math.Max(psnrMin, p)
 }
 
 // EncodedFrame is a frame after spatial compression (the per-tile level
@@ -321,17 +307,13 @@ func (ef *EncodedFrame) ROIPSNRScratch(cfg Config, actual projection.Orientation
 	g := cfg.Grid
 	ge := projection.GeomFor(g)
 	vis := ge.AppendVisibleTiles(scratch, actual, fov)
-	sigma := cfg.FoveaSigma
-	if sigma <= 0 {
-		sigma = 25
-	}
 	// The viewer-side trigonometry of the angular distance is shared by
 	// every visible tile; the tile side comes from the geometry tables,
 	// and the column cosine — the only per-tile trig input — is hoisted
 	// to one evaluation per column. The foveation weight itself comes
 	// from the fixed-grid kernel (fovea.go): no Acos/Exp per tile.
 	by, sinBp, cosBp := projection.OrientationTrig(actual)
-	fk := foveaFor(sigma)
+	fk := fovea
 	var colBuf [64]float64
 	var colCos []float64
 	if g.W <= len(colBuf) {
@@ -347,14 +329,14 @@ func (ef *EncodedFrame) ROIPSNRScratch(cfg Config, actual projection.Orientation
 			c = ge.TileCosFromCol(tl.J, math.Cos(ge.CenterYaw[tl.I]*math.Pi/180-by), sinBp, cosBp)
 		}
 		w := ge.AreaW[tl.J] * fk.eval(c)
-		num += w * cfg.PSNRForLevel(ef.LevelAt(g.Index(tl)))
+		num += w * psnrForLevel(ef.LevelAt(g.Index(tl)))
 		den += w
 	}
 	if den == 0 {
-		return cfg.PSNRMin, vis
+		return psnrMin, vis
 	}
 	p := num/den + ef.Jitter
-	return math.Max(cfg.PSNRMin, math.Min(cfg.PSNRMax+3, p)), vis
+	return math.Max(psnrMin, math.Min(psnrMax+3, p)), vis
 }
 
 // ROILevel returns the effective compression level at the viewer's actual

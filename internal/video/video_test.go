@@ -19,9 +19,6 @@ func TestConfigValidateRejects(t *testing.T) {
 	base := DefaultConfig()
 	mutations := []func(*Config){
 		func(c *Config) { c.FPS = 0 },
-		func(c *Config) { c.RawBitsPerSec = -1 },
-		func(c *Config) { c.PSNRMax = c.PSNRMin },
-		func(c *Config) { c.Gamma = 0 },
 		func(c *Config) { c.Grid = projection.Grid{} },
 	}
 	for i, m := range mutations {
@@ -45,7 +42,7 @@ func TestSourceFrameBitsMatchRawRate(t *testing.T) {
 	cfg := DefaultConfig()
 	s := NewSource(cfg)
 	f := s.NextFrame(0)
-	want := cfg.RawBitsPerSec / float64(cfg.FPS)
+	want := RawBitsPerSec / float64(cfg.FPS)
 	if math.Abs(f.RawBits()-want)/want > 1e-9 {
 		t.Fatalf("frame raw bits %v, want %v", f.RawBits(), want)
 	}
@@ -97,26 +94,24 @@ func TestNewSourcePanicsOnInvalid(t *testing.T) {
 }
 
 func TestPSNRForLevel(t *testing.T) {
-	c := DefaultConfig()
-	if got := c.PSNRForLevel(1); got != c.PSNRMax {
-		t.Fatalf("PSNR(1) = %v, want %v", got, c.PSNRMax)
+	if got := psnrForLevel(1); got != psnrMax {
+		t.Fatalf("PSNR(1) = %v, want %v", got, psnrMax)
 	}
-	if got := c.PSNRForLevel(0.5); got != c.PSNRMax {
+	if got := psnrForLevel(0.5); got != psnrMax {
 		t.Fatalf("PSNR(<1) = %v, want clamp to max", got)
 	}
-	// Level 10 costs Gamma*10 dB.
-	want := c.PSNRMax - c.Gamma*10
-	if got := c.PSNRForLevel(10); math.Abs(got-want) > 1e-9 {
+	// Level 10 costs gamma*10 dB.
+	want := psnrMax - gamma*10
+	if got := psnrForLevel(10); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("PSNR(10) = %v, want %v", got, want)
 	}
 	// Very deep compression clamps to floor.
-	if got := c.PSNRForLevel(1e9); got != c.PSNRMin {
-		t.Fatalf("PSNR(1e9) = %v, want floor %v", got, c.PSNRMin)
+	if got := psnrForLevel(1e9); got != psnrMin {
+		t.Fatalf("PSNR(1e9) = %v, want floor %v", got, psnrMin)
 	}
 }
 
 func TestPSNRMonotoneNonIncreasing(t *testing.T) {
-	c := DefaultConfig()
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 			return true
@@ -125,7 +120,7 @@ func TestPSNRMonotoneNonIncreasing(t *testing.T) {
 		if la > lb {
 			la, lb = lb, la
 		}
-		return c.PSNRForLevel(la) >= c.PSNRForLevel(lb)
+		return psnrForLevel(la) >= psnrForLevel(lb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -222,9 +217,9 @@ func TestEncodeSizeMismatchPanics(t *testing.T) {
 
 func TestROIPSNRHigherAtLowLevel(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ContentJitter = 0
 	s := NewSource(cfg)
 	f := s.NextFrame(0)
+	f.Jitter = 0
 	g := cfg.Grid
 	roi := projection.Orientation{Yaw: 180, Pitch: 0}
 	center := g.TileAt(roi)
@@ -247,7 +242,7 @@ func TestROIPSNRHigherAtLowLevel(t *testing.T) {
 	if pa <= pb {
 		t.Fatalf("ROI PSNR with high-quality ROI (%v) should beat uniform low (%v)", pa, pb)
 	}
-	if pa < cfg.PSNRMax-1 {
+	if pa < psnrMax-1 {
 		t.Fatalf("ROI at level 1 should be near max: %v", pa)
 	}
 }

@@ -152,12 +152,15 @@ var Users = headmotion.Users
 // "restless", "scanner").
 func UserByName(name string) (UserProfile, error) { return headmotion.UserByName(name) }
 
-// VideoConfig describes the synthetic 4K 360° source and quality model.
+// VideoConfig describes the synthetic 4K 360° source.
 type VideoConfig = video.Config
 
-// DefaultVideoConfig matches the paper's prototype (12.65 Mbps raw 4K,
-// 12×8 tiles, 30 fps).
+// DefaultVideoConfig matches the paper's prototype (12×8 tiles, 30 fps).
 func DefaultVideoConfig() VideoConfig { return video.DefaultConfig() }
+
+// RawVideoBitsPerSec is the bitrate of the raw 4K 360° stream the source
+// produces before ROI compression (12.65 Mbps, §6.1.1).
+const RawVideoBitsPerSec = video.RawBitsPerSec
 
 // Orientation is a viewing direction (yaw/pitch in degrees).
 type Orientation = projection.Orientation
@@ -274,10 +277,8 @@ type TelemetryProbe = obs.Probe
 // "fbcc.trigger", "lte.grant", …); see internal/obs for the full table.
 type TelemetryKind = obs.Kind
 
-// NewTelemetryBus builds a bus. With no arguments every event kind is
-// recorded; with arguments only the listed kinds are kept (counters and
-// histograms always update).
-func NewTelemetryBus(only ...TelemetryKind) *TelemetryBus { return obs.NewBus(only...) }
+// NewTelemetryBus builds a bus that records every event kind.
+func NewTelemetryBus() *TelemetryBus { return obs.NewBus() }
 
 // TelemetryKindByName resolves an event name ("fbcc.trigger") to its Kind.
 func TelemetryKindByName(name string) (TelemetryKind, bool) { return obs.KindByName(name) }
@@ -314,7 +315,7 @@ func NewTelemetryAgg() *TelemetryAgg { return obs.NewExperimentAgg() }
 // Write per Sync (FinishSpill and every city epoch barrier sync), counts
 // bytes written and bytes a failed writer dropped, and latches the first
 // write error. Point a bus at it with
-// TelemetryBus.SpillTo(w, shard, autoFlush) — kept events then stream to
+// TelemetryBus.SpillTo(w, shard, autoFlush) — events then stream to
 // the writer instead of accumulating in memory — or hand it to
 // CityConfig.Sink to stream a whole city's radio telemetry.
 type TelemetryBinWriter = obs.BinWriter

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,6 +146,107 @@ func TestInternalAPIHasCallers(t *testing.T) {
 		}
 		if !used {
 			t.Errorf("%s: %s has no caller outside tests; delete it or move it into a _test.go file", d.pos, d.name)
+		}
+	}
+}
+
+// TestConfigKnobs pins the configuration surface: the exported fields, in
+// declaration order, of every exported struct type named …Config declared
+// in a non-test file under internal/. A model parameter that no caller
+// varies is a named constant in the package that owns it (DESIGN.md §7),
+// so a new knob is a reviewed one-line change to this table.
+func TestConfigKnobs(t *testing.T) {
+	want := map[string]string{
+		"lte.CellConfig":         "Profile CapacityFault AlwaysPF Src CapacityStride",
+		"lte.Config":             "Profile BufferCapBytes CapacityFault DiagFault",
+		"lte.UEConfig":           "BufferCapBytes Seed Src DiagFault",
+		"network.Config":         "Cells UEs Duration Seed MeanDwell Workers Mix Obs Agg Sink",
+		"ratecontrol.FBCCConfig": "K Slack HoldRTTs RTT WatchdogReports",
+		"ratecontrol.GCCConfig":  "InitialRate IncrementalTrendline",
+		"realnet.ReceiverConfig": "SSRC Hold Deliver SendReport AppFeedback Probe",
+		"session.Config": "Duration Network Cell Path Video Scheme FixedC RC User UserModel Seed " +
+			"PipelineDelay StatsWarmup ROIPrediction Faults FeedbackStaleAfter FBCCK FBCCHoldRTTs " +
+			"DisableRTPLoop FBCCWatchdogReports Obs",
+		"session.MultiConfig": "Duration Cell Path Seed Faults Sessions Obs",
+		"video.Config":        "Grid FPS MaxScale Seed",
+	}
+	fset := token.NewFileSet()
+	got := map[string]string{}
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				var fields []string
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, id.Name)
+						}
+					}
+					if len(fl.Names) == 0 { // embedded: the field is named by its type
+						typ := fl.Type
+						if s, ok := typ.(*ast.StarExpr); ok {
+							typ = s.X
+						}
+						if sel, ok := typ.(*ast.SelectorExpr); ok {
+							typ = sel.Sel
+						}
+						if id, ok := typ.(*ast.Ident); ok && id.IsExported() {
+							fields = append(fields, id.Name)
+						}
+					}
+				}
+				got[f.Name.Name+"."+ts.Name.Name] = strings.Join(fields, " ")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Fatal("found no …Config structs under internal/; is the walk rooted at the module?")
+	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fields := got[name]
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s is a new config struct: %q", name, fields)
+		} else if fields != w {
+			t.Errorf("%s fields changed:\n got %q\nwant %q", name, fields, w)
+		}
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s is pinned but no longer declared", name)
 		}
 	}
 }

@@ -312,7 +312,7 @@ func (t *telemetry) finish(fbcc bool) {
 	fmt.Printf("  obs     : %d bytes -> %s\n", t.w.Bytes(), t.path)
 	fmt.Print(t.agg.Merged().Table())
 	if fbcc {
-		printEpisodes(t.agg.Summary())
+		fmt.Printf("  episodes: %s\n", t.agg.Summary())
 	}
 }
 
@@ -363,13 +363,6 @@ func printSeries(name string, res *poi360.SessionResult) {
 }
 
 func num(x float64) string { return strconv.FormatFloat(x, 'f', -1, 64) }
-
-func printEpisodes(st poi360.CongestionEpisodeStats) {
-	fmt.Printf("  episodes: %d congestion episodes (%d triggers), mean %.0f ms, max %.0f ms, mean hold %.0f ms, %d aborted, %d open\n",
-		st.Count, st.Triggers,
-		1e3*st.MeanDuration.Seconds(), 1e3*st.MaxDuration.Seconds(), 1e3*st.MeanHeld.Seconds(),
-		st.Aborted, st.Incomplete)
-}
 
 // runMany repeats the session n times under collision-free derived seeds,
 // fanned out over a bounded worker pool, then prints each run's summary in

@@ -129,11 +129,7 @@ func decode(r io.Reader, w io.Writer, view string, live bool, refresh, liveFor t
 	case "registry":
 		fmt.Fprint(out, agg.Merged().Table())
 	case "episodes":
-		st := agg.Summary()
-		fmt.Fprintf(out, "%d congestion episodes (%d triggers), mean %.0f ms, max %.0f ms, mean hold %.0f ms, %d aborted, %d open\n",
-			st.Count, st.Triggers,
-			1e3*st.MeanDuration.Seconds(), 1e3*st.MaxDuration.Seconds(), 1e3*st.MeanHeld.Seconds(),
-			st.Aborted, st.Incomplete)
+		fmt.Fprintln(out, agg.Summary())
 	}
 	return out.Flush()
 }

@@ -60,7 +60,6 @@ var (
 // once built (they are immutable after construction).
 type ModeFamily struct {
 	g    projection.Grid
-	c    float64
 	mats []Matrix // indexed by g.Index(roi); each of length g.Tiles()
 }
 
@@ -101,7 +100,7 @@ func buildFamily(g projection.Grid, C float64) *ModeFamily {
 		byDist[d] = math.Min(LevelCap, math.Pow(C, float64(d)))
 	}
 
-	f := &ModeFamily{g: g, c: C, mats: make([]Matrix, g.Tiles())}
+	f := &ModeFamily{g: g, mats: make([]Matrix, g.Tiles())}
 	backing := make([]float64, g.Tiles()*g.Tiles()) // one block, W·H matrices
 	for rj := 0; rj < g.H; rj++ {
 		for ri := 0; ri < g.W; ri++ {
@@ -124,12 +123,6 @@ func buildFamily(g projection.Grid, C float64) *ModeFamily {
 	}
 	return f
 }
-
-// C reports the family's mode constant.
-func (f *ModeFamily) C() float64 { return f.c }
-
-// Grid reports the family's grid.
-func (f *ModeFamily) Grid() projection.Grid { return f.g }
 
 // Matrix returns the shared read-only Eq. 1 matrix for ROI center roi.
 // The call performs no allocation; callers must not mutate the result.

@@ -37,30 +37,10 @@ type Matrix []float64
 // the fall-off beyond it.
 const ModePlateau = 1
 
-// CompressedFraction returns the ratio of frame bits kept by the matrix
-// when tile raw bits are proportional to weights (pass nil for uniform).
-func (m Matrix) CompressedFraction(weights []float64) float64 {
-	var kept, total float64
-	for idx, l := range m {
-		w := 1.0
-		if weights != nil {
-			w = weights[idx]
-		}
-		kept += w / l
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	return kept / total
-}
-
 // Controller chooses the spatial compression matrix for each outgoing
 // frame, given the sender's current belief of the viewer ROI, and consumes
 // the ROI-mismatch feedback that drives adaptation.
 type Controller interface {
-	// Name identifies the scheme in traces and results.
-	Name() string
 	// Levels returns the matrix for the sender's ROI belief and an opaque
 	// mode label recorded in traces (the adaptive controller's mode index).
 	// The matrix is a shared read-only view from the memoized Eq. 1 cache:
@@ -77,10 +57,8 @@ type Controller interface {
 // the selection as "max(8, ⌈M/200ms⌉)"; its surrounding text — 8 modes,
 // higher M ⇒ smoother quality drop — makes clear the index saturates at 8.)
 type Adaptive struct {
-	g    projection.Grid
-	cs   []float64 // cs[k] = C of mode k+1; decreasing
-	fams []*ModeFamily
-	mode int // current 1-based mode index
+	fams []*ModeFamily // fams[k] = the family of mode k+1; C decreasing
+	mode int           // current 1-based mode index
 }
 
 // DefaultModeCs are the paper's 8 aggressiveness levels: C drawn from
@@ -103,29 +81,14 @@ func NewAdaptive(g projection.Grid) *Adaptive {
 	for i, c := range cs {
 		fams[i] = FamilyFor(g, c)
 	}
-	return &Adaptive{g: g, cs: cs, fams: fams, mode: 1}
+	return &Adaptive{fams: fams, mode: 1}
 }
-
-// Name implements Controller.
-func (a *Adaptive) Name() string { return "POI360" }
-
-// Mode reports the current 1-based mode index.
-func (a *Adaptive) Mode() int { return a.mode }
-
-// ModeC reports the C constant of the current mode.
-func (a *Adaptive) ModeC() float64 { return a.cs[a.mode-1] }
 
 // Levels implements Controller. The returned matrix is a shared read-only
 // view from the memoized Eq. 1 family (bit-identical to ModeMatrix);
 // callers must not mutate it. The call performs no allocation.
 func (a *Adaptive) Levels(roi projection.Tile) (Matrix, int) {
 	return a.fams[a.mode-1].Matrix(roi), a.mode
-}
-
-// Matrix returns the shared read-only Eq. 1 matrix the controller would
-// use for roi in its current mode (the first return of Levels).
-func (a *Adaptive) Matrix(roi projection.Tile) Matrix {
-	return a.fams[a.mode-1].Matrix(roi)
 }
 
 // ObserveMismatch implements Controller: selects the compression mode from
@@ -135,8 +98,8 @@ func (a *Adaptive) ObserveMismatch(m time.Duration) {
 	if im < 1 {
 		im = 1
 	}
-	if im > len(a.cs) {
-		im = len(a.cs)
+	if im > len(a.fams) {
+		im = len(a.fams)
 	}
 	a.mode = im
 }
@@ -146,10 +109,7 @@ func (a *Adaptive) ObserveMismatch(m time.Duration) {
 // only that; to avoid blank regions the evaluation still sends non-ROI
 // tiles at the lowest possible quality (§6.1.1). Two levels only.
 type Conduit struct {
-	g      projection.Grid
-	ring   int
-	nonROI float64
-	fam    *cropFamily
+	fam *cropFamily
 }
 
 // ConduitCropRing is how many tile rings around the ROI tile the crop
@@ -167,16 +127,8 @@ const ConduitNonROILevel = LevelCap
 
 // NewConduit builds the Conduit benchmark controller.
 func NewConduit(g projection.Grid) *Conduit {
-	return &Conduit{
-		g:      g,
-		ring:   ConduitCropRing,
-		nonROI: ConduitNonROILevel,
-		fam:    cropFamilyFor(g, ConduitCropRing, ConduitNonROILevel),
-	}
+	return &Conduit{fam: cropFamilyFor(g, ConduitCropRing, ConduitNonROILevel)}
 }
-
-// Name implements Controller.
-func (c *Conduit) Name() string { return "Conduit" }
 
 // Levels implements Controller: the cropped ROI region at LMin, everything
 // else at the floor quality. The returned mask is a shared read-only view
@@ -193,8 +145,6 @@ func (c *Conduit) ObserveMismatch(time.Duration) {}
 // centered at the ROI with quality decaying smoothly toward the corners —
 // a fixed Eq. 1 mode with a small C, never adapted.
 type Pyramid struct {
-	g   projection.Grid
-	c   float64
 	fam *ModeFamily
 }
 
@@ -204,11 +154,8 @@ const PyramidC = 1.2
 
 // NewPyramid builds the Pyramid benchmark controller.
 func NewPyramid(g projection.Grid) *Pyramid {
-	return &Pyramid{g: g, c: PyramidC, fam: FamilyFor(g, PyramidC)}
+	return &Pyramid{fam: FamilyFor(g, PyramidC)}
 }
-
-// Name implements Controller.
-func (p *Pyramid) Name() string { return "Pyramid" }
 
 // Levels implements Controller. The returned matrix is a shared read-only
 // memoized view; callers must not mutate it.
@@ -221,10 +168,7 @@ func (p *Pyramid) ObserveMismatch(time.Duration) {}
 
 // Fixed pins one Eq. 1 mode forever — the no-mode-switch ablation.
 type Fixed struct {
-	g    projection.Grid
-	c    float64
-	fam  *ModeFamily
-	name string
+	fam *ModeFamily
 }
 
 // NewFixed builds a non-adaptive controller using constant C.
@@ -232,11 +176,8 @@ func NewFixed(g projection.Grid, c float64) *Fixed {
 	if c <= 1 {
 		panic(fmt.Sprintf("compress: fixed C %g must exceed 1", c))
 	}
-	return &Fixed{g: g, c: c, fam: FamilyFor(g, c), name: fmt.Sprintf("Fixed(C=%.2f)", c)}
+	return &Fixed{fam: FamilyFor(g, c)}
 }
-
-// Name implements Controller.
-func (f *Fixed) Name() string { return f.name }
 
 // Levels implements Controller. The returned matrix is a shared read-only
 // memoized view; callers must not mutate it.

@@ -128,8 +128,8 @@ func TestAdaptiveModeSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		a.ObserveMismatch(c.m)
-		if a.Mode() != c.want {
-			t.Errorf("M=%v → mode %d, want %d", c.m, a.Mode(), c.want)
+		if a.mode != c.want {
+			t.Errorf("M=%v → mode %d, want %d", c.m, a.mode, c.want)
 		}
 	}
 }
@@ -150,8 +150,8 @@ func TestAdaptiveLevelsFollowMode(t *testing.T) {
 	if mAgg.CompressedFraction(nil) >= mCons.CompressedFraction(nil) {
 		t.Fatal("aggressive mode should keep fewer bits than conservative")
 	}
-	if a.ModeC() != 1.1 {
-		t.Fatalf("ModeC = %v, want 1.1", a.ModeC())
+	if c := DefaultModeCs()[a.mode-1]; c != 1.1 {
+		t.Fatalf("mode C = %v, want 1.1", c)
 	}
 }
 
@@ -217,24 +217,9 @@ func TestBenchmarksDoNotAdapt(t *testing.T) {
 		m, _ := ctrl.Levels(roi)
 		for idx := range m {
 			if m[idx] != before[k][idx] {
-				t.Fatalf("%s adapted", ctrl.Name())
+				t.Fatalf("benchmark controller %d adapted", k)
 			}
 		}
-	}
-}
-
-func TestControllerNames(t *testing.T) {
-	if NewAdaptive(g).Name() != "POI360" {
-		t.Fatal("adaptive name")
-	}
-	if NewConduit(g).Name() != "Conduit" {
-		t.Fatal("conduit name")
-	}
-	if NewPyramid(g).Name() != "Pyramid" {
-		t.Fatal("pyramid name")
-	}
-	if NewFixed(g, 1.5).Name() != "Fixed(C=1.50)" {
-		t.Fatalf("fixed name %q", NewFixed(g, 1.5).Name())
 	}
 }
 

@@ -34,3 +34,21 @@ func ModeMatrix(g projection.Grid, roi projection.Tile, C float64) Matrix {
 	}
 	return m
 }
+
+// CompressedFraction returns the ratio of frame bits kept by the matrix
+// when tile raw bits are proportional to weights (pass nil for uniform).
+func (m Matrix) CompressedFraction(weights []float64) float64 {
+	var kept, total float64
+	for idx, l := range m {
+		w := 1.0
+		if weights != nil {
+			w = weights[idx]
+		}
+		kept += w / l
+		total += w
+	}
+	if total == 0 {
+		return 0
+	}
+	return kept / total
+}

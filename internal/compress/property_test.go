@@ -87,10 +87,10 @@ func TestPropertyModeMonotoneInM(t *testing.T) {
 	prev := 0
 	for ms := 0; ms <= 3000; ms += 25 {
 		a.ObserveMismatch(time.Duration(ms) * time.Millisecond)
-		if a.Mode() < prev {
-			t.Fatalf("mode decreased from %d to %d at M=%dms", prev, a.Mode(), ms)
+		if a.mode < prev {
+			t.Fatalf("mode decreased from %d to %d at M=%dms", prev, a.mode, ms)
 		}
-		prev = a.Mode()
+		prev = a.mode
 	}
 	if prev != len(DefaultModeCs()) {
 		t.Fatalf("mode never saturated: %d", prev)

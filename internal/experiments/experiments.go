@@ -268,21 +268,10 @@ func batchLabel(base session.Config) string {
 	return l
 }
 
-// runBatch runs the users × repeats session grid derived from base (Seed
-// and User varied per cell) and aggregates the results. It is runBatches
-// with a single batch; see there for the engine guarantees.
-func runBatch(o Options, base session.Config) (*sessionAgg, error) {
-	aggs, err := runBatches(o, []session.Config{base})
-	if err != nil {
-		return nil, err
-	}
-	return aggs[0], nil
-}
-
 // runBatches runs several batches' session grids through ONE bounded worker
 // pool and returns the per-batch aggregates in input order. Flattening an
 // experiment's batches into a single work list keeps every core busy across
-// batch boundaries: with B sequential runBatch calls, each batch's last
+// batch boundaries: with B sequential single-batch pools, each batch's last
 // stragglers leave workers idle B times; with one pool the only ramp-down is
 // at the very end of the experiment.
 //
@@ -291,7 +280,7 @@ func runBatch(o Options, base session.Config) (*sessionAgg, error) {
 //   - Work item i = (batch b, user u, repeat r) with i = (b·users+u)·repeats+r.
 //     Each item is an independent discrete-event simulation whose randomness
 //     derives only from its collision-free per-session seed — the same
-//     session.DeriveSeed(o.Seed, u, r) per batch as sequential runBatch
+//     session.DeriveSeed(o.Seed, u, r) per batch as sequential single-batch
 //     calls would use.
 //   - Results fold back strictly in (batch, user, repeat) order, so for a
 //     fixed Options.Seed the aggregates — and every table, CDF, and report

@@ -286,3 +286,14 @@ func TestMultiUserMeasured(t *testing.T) {
 			rep.Measured["n8/gcc_gcc_thrpt"], rep.Measured["n2/gcc_gcc_thrpt"])
 	}
 }
+
+// runBatch runs the users × repeats session grid derived from base (Seed
+// and User varied per cell) and aggregates the results. It is runBatches
+// with a single batch; see there for the engine guarantees.
+func runBatch(o Options, base session.Config) (*sessionAgg, error) {
+	aggs, err := runBatches(o, []session.Config{base})
+	if err != nil {
+		return nil, err
+	}
+	return aggs[0], nil
+}

@@ -268,9 +268,3 @@ func (sc *Scripted) At(t time.Duration) projection.Orientation {
 	}
 	return cur
 }
-
-// Static always looks in one direction.
-type Static struct{ O projection.Orientation }
-
-// At returns the fixed orientation.
-func (s Static) At(time.Duration) projection.Orientation { return s.O }

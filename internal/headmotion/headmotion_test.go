@@ -184,9 +184,12 @@ func TestScriptedEmpty(t *testing.T) {
 	}
 }
 
+// A static viewer is a one-key Scripted: it holds the key's orientation
+// before and after the key's instant.
 func TestStatic(t *testing.T) {
-	s := Static{O: projection.Orientation{Yaw: 42, Pitch: 7}}
-	if s.At(0) != s.At(time.Hour) {
+	o := projection.Orientation{Yaw: 42, Pitch: 7}
+	s := &Scripted{Keys: []Key{{At: time.Second, Orientation: o}}}
+	if s.At(0) != o || s.At(time.Hour) != o {
 		t.Fatal("static moved")
 	}
 }

@@ -118,10 +118,10 @@ func (c UEConfig) Validate() error {
 // run on the simulation clock's goroutine.
 //
 // A started cell with no attached UE sleeps: it holds no subframe ticker
-// and costs nothing until the next AttachUE (or a capacity read) replays
-// the subframes it slept through — for an empty cell those are only the
-// capacity process and the subframe counter, whose state and draws depend
-// on nothing outside the cell, so the replay is exact (DESIGN.md §15).
+// and costs nothing until the next AddUE replays the subframes it slept
+// through — for an empty cell those are only the capacity process and the
+// subframe counter, whose state and draws depend on nothing outside the
+// cell, so the replay is exact (DESIGN.md §15).
 // Cells whose UEs are all admitted before Start and never detached — every
 // session and shared-cell use — never sleep.
 //
@@ -179,14 +179,13 @@ type Cell struct {
 	// bufTotal is the summed firmware-buffer occupancy of the active rows.
 	// A multi-UE subframe with bufTotal == 0 has nothing to rank, grant or
 	// serve — the only PF state that still moves is the served-rate EWMA
-	// decay, which pfIdle defers (counted per idle subframe) and syncPF
-	// replays exactly before the next read. Between video frames most
-	// subframes are idle, so the common case collapses to two counter
-	// updates.
+	// decay, which pfIdle defers (counted per idle subframe) and the next
+	// pfGrant replays exactly. Between video frames most subframes are
+	// idle, so the common case collapses to two counter updates.
 	bufTotal int
 	pfIdle   int32
 	// pfPend marks that the last busy subframe's served-rate EWMA update
-	// is still deferred (folded into the next pfGrant pass or syncPF).
+	// is still deferred (folded into the next pfGrant pass).
 	pfPend bool
 	// now caches clk.Now() once per subframe: serve/emitDiag run only from
 	// the subframe path, and a cell serves a grant or two every millisecond
@@ -226,7 +225,7 @@ func (s *cellSoA) add(sfIndex int64) {
 	s.pfServed = append(s.pfServed, 0)
 }
 
-// NewCell builds a cell on clk. Attach UEs with AddUE before Start.
+// NewCell builds a cell on clk. Attach UEs with AddUE.
 func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -251,28 +250,17 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	return c, nil
 }
 
-// AddUE admits a UE to the cell. deliver (may be nil) is invoked for each
-// of this UE's packets that finishes transmission over the air. UEs must
-// be added before Start.
-func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
-	if c.started {
-		return nil, fmt.Errorf("lte: AddUE after Cell.Start")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return c.admit(cfg, deliver), nil
-}
-
-// AttachUE admits a UE to a running cell (handover re-attach): unlike
-// AddUE it is legal after Start, so the multi-cell network layer can move
-// UEs between cells mid-simulation. The new UE starts with fresh PF/EWMA
-// and diag state (a handed-over UE is a newcomer to the target scheduler)
-// and is picked up by the next subframe's allocation.
+// AddUE admits a UE to the cell, before or after Start. deliver (may be
+// nil) is invoked for each of this UE's packets that finishes transmission
+// over the air. After Start this is the handover re-attach the multi-cell
+// network layer uses to move UEs between cells mid-simulation: the new UE
+// starts with fresh PF/EWMA and diag state (a handed-over UE is a newcomer
+// to the target scheduler) and is picked up by the next subframe's
+// allocation.
 //
 // The attach that wakes a sleeping cell (started, no attached UE) must come
 // between clock runs, at an instant of the cell's subframe grid: see settle.
-func (c *Cell) AttachUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
+func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -317,7 +305,7 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 // the PF state is cleared so the row no longer shapes the allocation. It
 // returns the buffered bytes dropped. The row itself stays — UE ids index
 // the cell's SoA — and a detached UE must not be re-used: re-attach means
-// a fresh AttachUE on the target cell.
+// a fresh AddUE on the target cell.
 func (c *Cell) DetachUE(u *UE) int {
 	if u.cell != c || u.detached {
 		return 0
@@ -353,7 +341,7 @@ func (c *Cell) DetachUE(u *UE) int {
 }
 
 // Start schedules the subframe timer. It must be called exactly once,
-// after every AddUE and before running the clock.
+// before running the clock.
 func (c *Cell) Start() {
 	if c.started {
 		panic("lte: Cell started twice")
@@ -372,7 +360,7 @@ func (c *Cell) Start() {
 // sees of a ticking cell — the tick at Now has fired — and the only place
 // settle may run from: inside a clock event on a subframe instant, whether
 // that tick came first is the heap's business and cannot be replayed. It
-// is a no-op on a ticking or unstarted cell.
+// is a no-op on a ticking or unstarted cell. wake is its one caller.
 func (c *Cell) settle() {
 	if c.stop != nil || !c.started {
 		return
@@ -391,17 +379,6 @@ func (c *Cell) wake() {
 	}
 	c.settle()
 	c.stop = c.clk.Ticker(Subframe, c.subframe)
-}
-
-// UEs reports how many UEs are attached.
-func (c *Cell) UEs() int { return len(c.ues) }
-
-// CurrentCapacity reports the instantaneous saturated PHY rate in bits/s —
-// what a single backlogged UE would get with a full buffer. Exposed for
-// tests and traces. Read a sleeping cell's between clock runs: see settle.
-func (c *Cell) CurrentCapacity() float64 {
-	c.settle()
-	return c.cap.current
 }
 
 // subframe runs once per millisecond: advance the capacity process, then
@@ -592,38 +569,6 @@ func (c *Cell) pfGrant() {
 // multiply in the EWMA update (runs per active row per backlogged subframe).
 var invSubframeSec = 1 / subframeSec
 
-// syncPF settles the deferred PF bookkeeping (see pfGrant) outside the
-// grant path: the served-rate EWMA update of the last busy subframe, then
-// the replayed decay of any idle subframes since — each the exact
-// per-subframe update, so values are bit-identical to running the loop
-// every subframe. Called before any external ewma read; the grant path
-// folds the same settling into its metric pass. The idle replay stops
-// early once a value reaches exactly zero, which bounds pathological idle
-// stretches.
-func (c *Cell) syncPF() {
-	k := c.pfIdle
-	pend := c.pfPend
-	if k == 0 && !pend {
-		return
-	}
-	c.pfIdle = 0
-	c.pfPend = false
-	s := &c.soa
-	alpha := float64(Subframe) / float64(pfWindow)
-	for _, id := range c.active {
-		i := int(id)
-		e := s.ewma[i]
-		if pend {
-			e += alpha * (s.pfServed[i]*invSubframeSec - e)
-			s.pfServed[i] = 0
-		}
-		for j := k; j > 0 && e != 0; j-- {
-			e += alpha * (0 - e)
-		}
-		s.ewma[i] = e
-	}
-}
-
 // UE is one user equipment attached to a Cell: the firmware buffer, the
 // grant/TBS randomness, and the per-UE diagnostic interface. Obtain UEs
 // from Cell.AddUE (or via the legacy Uplink wrapper).
@@ -662,9 +607,6 @@ type UE struct {
 // transport layer wires it when a session enables observability.
 func (u *UE) SetProbe(p *obs.Probe) { u.probe = p }
 
-// ID reports the UE's index within its cell (admission order).
-func (u *UE) ID() int { return u.id }
-
 // SetDiagListener registers the consumer of this UE's 40 ms diagnostic
 // reports (FBCC's input). Only one listener is supported; later calls
 // replace it.
@@ -701,38 +643,12 @@ func (u *UE) Enqueue(p Packet) bool {
 // BufferBytes reports the instantaneous firmware-buffer occupancy.
 func (u *UE) BufferBytes() int { return u.cell.soa.buf[u.id] }
 
-// Dropped reports packets rejected at the modem queue cap.
-func (u *UE) Dropped() int64 { return u.dropped }
-
-// Detached reports whether the UE has been removed from scheduling by
-// Cell.DetachUE (handed over away from this cell).
-func (u *UE) Detached() bool { return u.detached }
-
 // TotalServedBits reports the cumulative bits transmitted over the air.
 func (u *UE) TotalServedBits() float64 { return u.totalServedBits }
-
-// ServedRate reports the PF scheduler's EWMA of this UE's served rate in
-// bits/s (zero until the cell runs a multi-UE allocation).
-func (u *UE) ServedRate() float64 {
-	u.cell.syncPF() // apply any deferred idle-subframe decay first
-	return u.cell.soa.ewma[u.id]
-}
 
 // DiagStalled reports how many diagnostic reports a scripted DiagFault has
 // suppressed so far.
 func (u *UE) DiagStalled() int64 { return u.diagStalled }
-
-// ServiceRate returns the buffer-dependent expected PHY rate: the paper's
-// Fig. 5 relation — linear in occupancy until the knee, then flat at the
-// cell capacity. In a multi-UE cell it is the rate the UE would see with
-// the cell to itself; contention discounts it through the PF allocation.
-func (u *UE) ServiceRate(bufferBytes int) float64 {
-	f := float64(bufferBytes) / bufferKneeBytes
-	if f > 1 {
-		f = 1
-	}
-	return u.cell.CurrentCapacity() * f
-}
 
 // serve transmits up to tbsBits from the head of the firmware buffer,
 // delivering packets whose last byte goes out this subframe. It returns

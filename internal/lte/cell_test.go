@@ -118,32 +118,15 @@ func TestCellDeterministic(t *testing.T) {
 	}
 }
 
-// AddUE after Start must fail: admission mid-run would disturb the
-// deterministic scheduling order.
-func TestAddUEAfterStartFails(t *testing.T) {
-	clk := simclock.New()
-	cell, err := NewCell(clk, DefaultCellConfig(ProfileCampus))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cell.AddUE(DefaultUEConfig(1), func(Packet) {}); err != nil {
-		t.Fatal(err)
-	}
-	cell.Start()
-	if _, err := cell.AddUE(DefaultUEConfig(2), func(Packet) {}); err == nil {
-		t.Fatal("AddUE after Start should fail")
-	}
-}
-
-// ServedRate exposes the PF EWMA; after a long backlogged run it must be
-// positive and finite for every UE.
+// The PF served-rate EWMA the ranking divides by must be positive and
+// finite for every UE after a long backlogged run.
 func TestServedRateFiniteAndPositive(t *testing.T) {
-	clk, _, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10})
+	clk, cell, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10})
 	clk.Run(5 * time.Second)
 	for i, u := range ues {
-		r := u.ServedRate()
+		r := cell.soa.ewma[u.id]
 		if !(r > 0) || math.IsInf(r, 0) || math.IsNaN(r) {
-			t.Fatalf("UE %d ServedRate = %g", i, r)
+			t.Fatalf("UE %d served-rate EWMA = %g", i, r)
 		}
 	}
 }
@@ -163,7 +146,7 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	var diags [2]int
 	ues := make([]*UE, 2)
 	for i := range ues {
-		u, err := cell.AttachUE(DefaultUEConfig(int64(1000+i)), nil)
+		u, err := cell.AddUE(DefaultUEConfig(int64(1000+i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +157,7 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	for _, u := range ues {
 		u := u
 		clk.Ticker(Subframe, func() {
-			if !u.Detached() {
+			if !u.detached {
 				if want := 32<<10 - u.BufferBytes(); want > 0 {
 					u.Enqueue(Packet{Bytes: want})
 				}
@@ -215,7 +198,7 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	}
 }
 
-// Handover support: AttachUE admits a UE to a running cell, and the
+// Handover support: AddUE admits a UE to a running cell, and the
 // newcomer gets scheduled and reports diags from fresh state.
 func TestCellAttachUEAfterStart(t *testing.T) {
 	clk := simclock.New()
@@ -225,13 +208,13 @@ func TestCellAttachUEAfterStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := cell.AttachUE(DefaultUEConfig(1000), nil)
+	first, err := cell.AddUE(DefaultUEConfig(1000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cell.Start()
 	clk.Ticker(Subframe, func() {
-		if !first.Detached() {
+		if !first.detached {
 			if want := 32<<10 - first.BufferBytes(); want > 0 {
 				first.Enqueue(Packet{Bytes: want})
 			}
@@ -241,9 +224,9 @@ func TestCellAttachUEAfterStart(t *testing.T) {
 	var late *UE
 	var lateDiags int
 	clk.Schedule(3*time.Second, func() {
-		u, err := cell.AttachUE(DefaultUEConfig(2000), nil)
+		u, err := cell.AddUE(DefaultUEConfig(2000), nil)
 		if err != nil {
-			t.Fatalf("AttachUE after Start: %v", err)
+			t.Fatalf("AddUE after Start: %v", err)
 		}
 		u.SetDiagListener(func(DiagReport) { lateDiags++ })
 		late = u

@@ -29,9 +29,9 @@ func TestFaultCapacityOverrideWindows(t *testing.T) {
 	clk.Ticker(10*time.Millisecond, func() {
 		switch now := clk.Now(); {
 		case now >= from && now < until:
-			inside = append(inside, u.CurrentCapacity())
+			inside = append(inside, u.cell.cap.current)
 		case now < from:
-			before = append(before, u.CurrentCapacity())
+			before = append(before, u.cell.cap.current)
 		}
 	})
 	clk.Run(5 * time.Second)
@@ -66,7 +66,7 @@ func TestFaultCapacityFactorExact(t *testing.T) {
 		}
 		u.Start()
 		var caps []float64
-		clk.Ticker(100*time.Millisecond, func() { caps = append(caps, u.CurrentCapacity()) })
+		clk.Ticker(100*time.Millisecond, func() { caps = append(caps, u.cell.cap.current) })
 		clk.Run(2 * time.Second)
 		return caps
 	}
@@ -94,7 +94,7 @@ func TestFaultDiagStallSuppressesReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []time.Duration
-	u.SetDiagListener(func(r DiagReport) { got = append(got, r.At) })
+	u.ue.SetDiagListener(func(r DiagReport) { got = append(got, r.At) })
 	u.Start()
 	clk.Run(3 * time.Second)
 
@@ -107,8 +107,8 @@ func TestFaultDiagStallSuppressesReports(t *testing.T) {
 	if len(got) != 50 {
 		t.Fatalf("got %d reports, want 50", len(got))
 	}
-	if u.DiagStalled() != 25 {
-		t.Fatalf("DiagStalled = %d, want 25", u.DiagStalled())
+	if u.ue.DiagStalled() != 25 {
+		t.Fatalf("DiagStalled = %d, want 25", u.ue.DiagStalled())
 	}
 }
 

@@ -118,7 +118,7 @@ func TestDiagContinuity(t *testing.T) {
 	}
 	var prev time.Duration
 	first := true
-	u.SetDiagListener(func(r DiagReport) {
+	u.ue.SetDiagListener(func(r DiagReport) {
 		if !first && r.At-prev != DefaultDiagPeriod {
 			t.Fatalf("diag gap: %v → %v", prev, r.At)
 		}

@@ -191,13 +191,6 @@ func NewUplink(clk simclock.Scheduler, cfg Config, deliver func(Packet)) (*Uplin
 // callers).
 func (u *Uplink) UE() *UE { return u.ue }
 
-// Cell returns the underlying 1-UE cell.
-func (u *Uplink) Cell() *Cell { return u.cell }
-
-// SetDiagListener registers the consumer of 40 ms diagnostic reports
-// (FBCC's input). Only one listener is supported; later calls replace it.
-func (u *Uplink) SetDiagListener(fn func(DiagReport)) { u.ue.SetDiagListener(fn) }
-
 // Start schedules the subframe and diagnostic timers. It must be called
 // exactly once, before running the clock.
 func (u *Uplink) Start() { u.cell.Start() }
@@ -209,24 +202,8 @@ func (u *Uplink) Enqueue(p Packet) bool { return u.ue.Enqueue(p) }
 // BufferBytes reports the instantaneous firmware-buffer occupancy.
 func (u *Uplink) BufferBytes() int { return u.ue.BufferBytes() }
 
-// Dropped reports packets rejected at the modem queue cap.
-func (u *Uplink) Dropped() int64 { return u.ue.Dropped() }
-
 // TotalServedBits reports the cumulative bits transmitted over the air.
 func (u *Uplink) TotalServedBits() float64 { return u.ue.TotalServedBits() }
-
-// CurrentCapacity reports the instantaneous saturated PHY rate in bits/s —
-// what the UE would get with a full buffer. Exposed for tests and traces.
-func (u *Uplink) CurrentCapacity() float64 { return u.cell.CurrentCapacity() }
-
-// ServiceRate returns the buffer-dependent expected PHY rate: the paper's
-// Fig. 5 relation — linear in occupancy until the knee, then flat at the
-// cell capacity.
-func (u *Uplink) ServiceRate(bufferBytes int) float64 { return u.ue.ServiceRate(bufferBytes) }
-
-// DiagStalled reports how many diagnostic reports a scripted DiagFault has
-// suppressed so far.
-func (u *Uplink) DiagStalled() int64 { return u.ue.DiagStalled() }
 
 // capacityProcess composes the stochastic influences on the cell's
 // saturated uplink rate: RSS base rate, Ornstein-Uhlenbeck background load

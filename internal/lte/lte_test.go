@@ -101,30 +101,11 @@ func TestBufferCapDrops(t *testing.T) {
 	if u.Enqueue(big) {
 		t.Fatal("over-cap packet accepted")
 	}
-	if u.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", u.Dropped())
+	if u.ue.dropped != 1 {
+		t.Fatalf("Dropped = %d, want 1", u.ue.dropped)
 	}
 }
 
-func TestServiceRateShape(t *testing.T) {
-	_, u := newTestUplink(t, ProfileStrongIdle, nil)
-	knee := float64(bufferKneeBytes)
-	half := u.ServiceRate(int(knee / 2))
-	full := u.ServiceRate(int(knee))
-	beyond := u.ServiceRate(int(knee * 3))
-	if math.Abs(half-full/2) > full*0.01 {
-		t.Fatalf("half-knee rate %v, want ~%v", half, full/2)
-	}
-	if beyond != full {
-		t.Fatalf("rate beyond knee %v, want saturation at %v", beyond, full)
-	}
-	if u.ServiceRate(0) != 0 {
-		t.Fatal("empty buffer should get zero rate")
-	}
-}
-
-// The Fig. 5 relation: with the buffer held at a level, measured throughput
-// should be ~linear below the knee and saturate above.
 func TestFig5ThroughputVsBufferLevel(t *testing.T) {
 	measure := func(level int) float64 {
 		clk := simclock.New()
@@ -163,7 +144,7 @@ func TestFig5ThroughputVsBufferLevel(t *testing.T) {
 func TestDiagReports(t *testing.T) {
 	var reports []DiagReport
 	clk, u := newTestUplink(t, ProfileStrongIdle, nil)
-	u.SetDiagListener(func(r DiagReport) { reports = append(reports, r) })
+	u.ue.SetDiagListener(func(r DiagReport) { reports = append(reports, r) })
 	clk.Ticker(10*time.Millisecond, func() { u.Enqueue(Packet{Bytes: 3000}) })
 	clk.Run(time.Second)
 	if len(reports) != 25 {
@@ -241,7 +222,7 @@ func TestMobilityIncreasesVariance(t *testing.T) {
 		}
 		u.Start()
 		var samples []float64
-		clk.Ticker(100*time.Millisecond, func() { samples = append(samples, u.CurrentCapacity()) })
+		clk.Ticker(100*time.Millisecond, func() { samples = append(samples, u.cell.cap.current) })
 		clk.Run(60 * time.Second)
 		mean, m2 := 0.0, 0.0
 		for _, s := range samples {

@@ -11,12 +11,19 @@ import (
 )
 
 // A started cell with no attached UE holds no ticker and replays the
-// subframes it slept through at the next attach or capacity read. The
+// subframes it slept through at the next attach (or capacityNow read). The
 // oracle for "the replay is exact" is the same production cell kept awake
 // for the whole run by a placeholder UE that never enqueues: an
 // unbacklogged row is never ranked or granted and draws nothing, so it
 // changes nothing about the cell but len(active) — the always-ticking
 // behaviour survives only here, as the reference.
+
+// capacityNow reads the saturated PHY rate between clock runs, replaying
+// the subframes a sleeping cell skipped first (settle).
+func (c *Cell) capacityNow() float64 {
+	c.settle()
+	return c.cap.current
+}
 
 // sleepOp is one step of a tape, applied between clock runs the way the
 // city's barrier applies attaches and detaches.
@@ -59,7 +66,7 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 			residency++
 			ucfg := DefaultUEConfig(0)
 			ucfg.Src = seeds.NewSource(int64(1000 + r))
-			u, err := cell.AttachUE(ucfg, func(p Packet) {
+			u, err := cell.AddUE(ucfg, func(p Packet) {
 				log = append(log, fmt.Sprintf("deliver r%d pkt %d enq %v at %v", r, p.ID, p.Enq, clk.Now()))
 			})
 			if err != nil {
@@ -79,18 +86,14 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 				slots[op.slot].Enqueue(Packet{ID: pktID, Bytes: 200 + int(pktID*37%1000)})
 			}
 		case 'c':
-			log = append(log, fmt.Sprintf("capacity at %v = %v", op.at, cell.CurrentCapacity()))
-			if len(all) > 0 {
-				// A detached handle reads the Fig. 5 rate off the same cell.
-				log = append(log, fmt.Sprintf("service rate = %v", all[0].ServiceRate(5000)))
-			}
+			log = append(log, fmt.Sprintf("capacity at %v = %v", op.at, cell.capacityNow()))
 		}
 	}
 	clk.Run(end)
 	for r, u := range all {
-		log = append(log, fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.Dropped()))
+		log = append(log, fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.dropped))
 	}
-	log = append(log, fmt.Sprintf("capacity at end = %v", cell.CurrentCapacity()))
+	log = append(log, fmt.Sprintf("capacity at end = %v", cell.capacityNow()))
 	return log
 }
 
@@ -218,10 +221,10 @@ func TestSleepingCellWokenOffGridPanics(t *testing.T) {
 	clk.Run(2*time.Millisecond + 400*time.Microsecond)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AttachUE woke a sleeping cell between two subframes without panicking")
+			t.Fatal("AddUE woke a sleeping cell between two subframes without panicking")
 		}
 	}()
-	cell.AttachUE(DefaultUEConfig(1), nil)
+	cell.AddUE(DefaultUEConfig(1), nil)
 }
 
 // A cell that sleeps holds nothing on the clock.
@@ -235,7 +238,7 @@ func TestSleepingCellSchedulesNothing(t *testing.T) {
 	if n := clk.Pending(); n != 0 {
 		t.Fatalf("empty started cell holds %d pending events", n)
 	}
-	u, err := cell.AttachUE(DefaultUEConfig(1), nil)
+	u, err := cell.AddUE(DefaultUEConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,22 +70,6 @@ func MOSPDF(psnrs []float64) [5]float64 {
 // as frozen (§6.1.1).
 const FreezeThreshold = 600 * time.Millisecond
 
-// FreezeRatio returns the fraction of frames whose end-to-end delay exceeds
-// threshold. Frames that never arrived should be passed as a delay beyond
-// the threshold by the caller.
-func FreezeRatio(delays []time.Duration, threshold time.Duration) float64 {
-	if len(delays) == 0 {
-		return 0
-	}
-	n := 0
-	for _, d := range delays {
-		if d > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(delays))
-}
-
 // Summary holds the order statistics of a sample.
 type Summary struct {
 	N             int
@@ -248,35 +232,21 @@ func stdOf(w []TimedSample) float64 {
 	return math.Sqrt(sq / float64(len(w)))
 }
 
-// Running accumulates streaming mean/std via Welford's algorithm. Its zero
-// value is ready to use. FBCC uses it for the long-term buffer level Γ.
+// Running accumulates a streaming mean (Welford's update). Its zero value
+// is ready to use. FBCC uses it for the long-term buffer level Γ.
 type Running struct {
 	n    int
 	mean float64
-	m2   float64
 }
 
 // Add folds one observation into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
-
-// N reports the number of observations.
-func (r *Running) N() int { return r.n }
 
 // Mean reports the running mean (0 before any observation).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Std reports the running population standard deviation.
-func (r *Running) Std() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return math.Sqrt(r.m2 / float64(r.n))
-}
 
 // JainFairness returns Jain's fairness index (Σx)² / (n·Σx²) of a
 // non-negative allocation — 1 when every user gets the same share, 1/n

@@ -54,16 +54,6 @@ func TestMOSPDFEmpty(t *testing.T) {
 	}
 }
 
-func TestFreezeRatio(t *testing.T) {
-	d := []time.Duration{100 * time.Millisecond, 700 * time.Millisecond, 601 * time.Millisecond, 600 * time.Millisecond}
-	if got := FreezeRatio(d, FreezeThreshold); got != 0.5 {
-		t.Fatalf("FreezeRatio = %v, want 0.5", got)
-	}
-	if FreezeRatio(nil, FreezeThreshold) != 0 {
-		t.Fatal("empty freeze ratio not 0")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
@@ -179,12 +169,11 @@ func TestRunningMatchesSummarize(t *testing.T) {
 			r.Add(x)
 		}
 		if len(clean) == 0 {
-			return r.N() == 0
+			return r.n == 0
 		}
 		s := Summarize(clean)
 		scale := math.Max(1, math.Abs(s.Mean))
-		return math.Abs(r.Mean()-s.Mean)/scale < 1e-6 &&
-			math.Abs(r.Std()-s.Std)/math.Max(1, s.Std) < 1e-6
+		return r.n == len(clean) && math.Abs(r.Mean()-s.Mean)/scale < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"poi360/internal/faults"
 	"poi360/internal/lte"
+	"poi360/internal/obs"
 	"poi360/internal/simclock"
 )
 
@@ -14,6 +15,8 @@ func TestFaultLinkDropWindow(t *testing.T) {
 	clk := simclock.New()
 	var got []int
 	l := NewDelayLink(clk, 1, 10*time.Millisecond, 0, 0, 0, func(p any) { got = append(got, p.(int)) })
+	bus := obs.NewBus()
+	l.SetProbe(bus.Probe(0))
 	from, until := 100*time.Millisecond, 200*time.Millisecond
 	l.SetFault(func(now time.Duration) (bool, bool, time.Duration) {
 		return now >= from && now < until, false, 0
@@ -32,8 +35,8 @@ func TestFaultLinkDropWindow(t *testing.T) {
 			t.Fatalf("message %d sent inside the drop window was delivered", v)
 		}
 	}
-	if l.FaultDropped() != 10 {
-		t.Fatalf("FaultDropped = %d, want 10", l.FaultDropped())
+	if n := bus.Count(obs.NetFaultDrop); n != 10 {
+		t.Fatalf("%d net.fault.drop events, want 10", n)
 	}
 }
 
@@ -42,6 +45,8 @@ func TestFaultLinkDuplicate(t *testing.T) {
 	clk := simclock.New()
 	var got []int
 	l := NewDelayLink(clk, 2, 5*time.Millisecond, time.Millisecond, 0, 0, func(p any) { got = append(got, p.(int)) })
+	bus := obs.NewBus()
+	l.SetProbe(bus.Probe(0))
 	l.SetFault(func(time.Duration) (bool, bool, time.Duration) { return false, true, 0 })
 	for i := 0; i < 10; i++ {
 		i := i
@@ -56,8 +61,8 @@ func TestFaultLinkDuplicate(t *testing.T) {
 			t.Fatalf("order broken at %d: %v", i, got)
 		}
 	}
-	if l.FaultDuplicated() != 10 {
-		t.Fatalf("FaultDuplicated = %d, want 10", l.FaultDuplicated())
+	if n := bus.Count(obs.NetFaultDup); n != 10 {
+		t.Fatalf("%d net.fault.dup events, want 10", n)
 	}
 }
 
@@ -91,6 +96,8 @@ func TestFaultTransportFeedbackWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bus := obs.NewBus()
+	cell.SetProbe(bus.Probe(0))
 	script := faults.Script{Events: []faults.Event{
 		{Kind: faults.FeedbackDrop, From: 0, Until: time.Hour},
 	}}
@@ -102,8 +109,8 @@ func TestFaultTransportFeedbackWiring(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("%d feedback messages leaked through a full drop window", delivered)
 	}
-	if cell.FeedbackFaultDropped() != 5 {
-		t.Fatalf("FeedbackFaultDropped = %d, want 5", cell.FeedbackFaultDropped())
+	if n := bus.Count(obs.NetFaultDrop); n != 5 {
+		t.Fatalf("%d net.fault.drop events, want 5", n)
 	}
 	cell.SetFeedbackFault(nil)
 	cell.SendFeedback(99)

@@ -87,7 +87,7 @@ func TestCrossTrafficAddsDelay(t *testing.T) {
 		// samples see the competing backlog.
 		clk.Ticker(7*time.Millisecond, func() {
 			q.Send(1200, nil)
-			sum += q.Delay()
+			sum += q.busyUntil - clk.Now() // the delay a message sent now would see
 			n++
 		})
 		clk.Run(5 * time.Second)
@@ -119,7 +119,7 @@ func TestCellularBackpressure(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("overfilling the modem buffer never rejected a packet")
 	}
-	if c.AccessBufferBytes() > cfg.BufferCapBytes {
+	if c.UE.BufferBytes() > cfg.BufferCapBytes {
 		t.Fatal("buffer exceeded its cap")
 	}
 }

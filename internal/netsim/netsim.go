@@ -38,9 +38,7 @@ type DelayLink struct {
 	code    simclock.Code
 	lastOut time.Duration
 
-	fault   LinkFault
-	dropped int64 // messages removed by the fault hook
-	duped   int64 // extra copies injected by the fault hook
+	fault LinkFault
 
 	// probe, when non-nil, receives net.fault.* telemetry (internal/obs).
 	probe *obs.Probe
@@ -72,12 +70,6 @@ func NewDelayLink(clk simclock.Scheduler, seed int64, base, jitterStd time.Durat
 // affect exactly the messages sent inside their windows.
 func (l *DelayLink) SetFault(fn LinkFault) { l.fault = fn }
 
-// FaultDropped reports messages removed by the fault hook.
-func (l *DelayLink) FaultDropped() int64 { return l.dropped }
-
-// FaultDuplicated reports extra copies injected by the fault hook.
-func (l *DelayLink) FaultDuplicated() int64 { return l.duped }
-
 // Send schedules delivery of payload after a sampled delay.
 func (l *DelayLink) Send(payload any) {
 	copies := 1
@@ -85,13 +77,11 @@ func (l *DelayLink) Send(payload any) {
 	if l.fault != nil {
 		drop, dup, ex := l.fault(l.clk.Now())
 		if drop {
-			l.dropped++
 			l.probe.Emit(l.clk.Now(), obs.NetFaultDrop, 0, 0, 0, 0)
 			return
 		}
 		if dup {
 			copies = 2
-			l.duped++
 			l.probe.Emit(l.clk.Now(), obs.NetFaultDup, 0, 0, 0, 0)
 		}
 		if ex > 0 {
@@ -194,28 +184,8 @@ func (q *Queue) Send(bytes int, payload any) bool {
 	return true
 }
 
-// Bytes reports the current queue occupancy.
-func (q *Queue) Bytes() int { return q.bytes }
-
 // Dropped reports messages rejected at the buffer cap.
 func (q *Queue) Dropped() int64 { return q.dropped }
-
-// Delay reports the queueing delay a message sent now would experience.
-func (q *Queue) Delay() time.Duration {
-	d := q.busyUntil - q.clk.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// SetRate changes the bottleneck rate for traffic enqueued from now on.
-func (q *Queue) SetRate(rateBps float64) {
-	if rateBps <= 0 {
-		panic("netsim: queue rate must be positive")
-	}
-	q.rateBps = rateBps
-}
 
 // PathProfile describes the wide-area segments of a session path.
 type PathProfile struct {
@@ -271,9 +241,6 @@ type Transport interface {
 	Send(bytes int, payload any) bool
 	// SendFeedback carries a small message from receiver to sender.
 	SendFeedback(payload any)
-	// AccessBufferBytes reports the sender-side access-link queue (the LTE
-	// firmware buffer, or the wireline access queue).
-	AccessBufferBytes() int
 	// SetDiagListener registers the LTE diag consumer. On transports
 	// without modem diagnostics it never fires.
 	SetDiagListener(func(lte.DiagReport))
@@ -332,9 +299,6 @@ func (c *Cellular) Send(bytes int, payload any) bool {
 // SendFeedback implements Transport.
 func (c *Cellular) SendFeedback(payload any) { c.rev.Send(payload) }
 
-// AccessBufferBytes implements Transport.
-func (c *Cellular) AccessBufferBytes() int { return c.UE.BufferBytes() }
-
 // SetDiagListener implements Transport.
 func (c *Cellular) SetDiagListener(fn func(lte.DiagReport)) { c.UE.SetDiagListener(fn) }
 
@@ -350,9 +314,6 @@ func (c *Cellular) SetProbe(p *obs.Probe) {
 	c.core.SetProbe(p)
 	c.rev.SetProbe(p)
 }
-
-// FeedbackFaultDropped reports feedback messages removed by the fault hook.
-func (c *Cellular) FeedbackFaultDropped() int64 { return c.rev.FaultDropped() }
 
 // DiagStalled reports diagnostic reports suppressed by a scripted
 // DiagFault on this transport's UE.
@@ -428,9 +389,6 @@ func (w *Wireline) Send(bytes int, payload any) bool { return w.q.Send(bytes, pa
 
 // SendFeedback implements Transport.
 func (w *Wireline) SendFeedback(payload any) { w.rev.Send(payload) }
-
-// AccessBufferBytes implements Transport.
-func (w *Wireline) AccessBufferBytes() int { return w.q.Bytes() }
 
 // SetDiagListener implements Transport; wireline has no modem, so the
 // listener never fires and FBCC degrades to its embedded GCC (§4.3.1,

@@ -84,32 +84,20 @@ func TestQueueDropTail(t *testing.T) {
 	if q.Dropped() != 1 {
 		t.Fatalf("Dropped = %d", q.Dropped())
 	}
-	if q.Bytes() != 1000 {
-		t.Fatalf("Bytes = %d", q.Bytes())
+	if q.bytes != 1000 {
+		t.Fatalf("Bytes = %d", q.bytes)
 	}
 }
 
 func TestQueueDelay(t *testing.T) {
 	clk := simclock.New()
 	q := NewQueue(clk, 8000, 1<<20, nil)
-	if q.Delay() != 0 {
+	if q.busyUntil != 0 {
 		t.Fatal("idle queue has delay")
 	}
 	q.Send(1000, nil) // 1s of service
-	if d := q.Delay(); d != time.Second {
+	if d := q.busyUntil - clk.Now(); d != time.Second {
 		t.Fatalf("Delay = %v, want 1s", d)
-	}
-}
-
-func TestQueueSetRate(t *testing.T) {
-	clk := simclock.New()
-	var at time.Duration
-	q := NewQueue(clk, 8000, 1<<20, func(any) { at = clk.Now() })
-	q.SetRate(16000)
-	q.Send(1000, nil)
-	clk.Run(time.Second)
-	if at != 500*time.Millisecond {
-		t.Fatalf("delivered at %v, want 500ms", at)
 	}
 }
 
@@ -156,7 +144,7 @@ func TestCellularDiagPassthrough(t *testing.T) {
 	if n != 25 {
 		t.Fatalf("diag reports = %d, want 25", n)
 	}
-	if c.AccessBufferBytes() != 0 {
+	if c.UE.BufferBytes() != 0 {
 		t.Fatal("buffer should be empty")
 	}
 }
@@ -174,7 +162,7 @@ func TestWirelineTransportEndToEnd(t *testing.T) {
 	if len(fwd) != 1 || len(rev) != 1 {
 		t.Fatalf("fwd=%v rev=%v", fwd, rev)
 	}
-	if w.AccessBufferBytes() != 0 {
+	if w.q.bytes != 0 {
 		t.Fatal("queue should have drained")
 	}
 }

@@ -682,7 +682,7 @@ func (n *city) completeHandover(u *ue, now time.Duration) {
 	u.retire()
 	outage := now - u.detachAt
 	if err := n.attach(u, u.cur, now, true); err != nil {
-		// AttachUE only fails on config validation, which passed at
+		// AddUE only fails on config validation, which passed at
 		// admission; a failure here is a programming error.
 		panic(err)
 	}

@@ -227,7 +227,7 @@ func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	p := &port{u: u, sh: sh, src: u.pathSrc, lastArr: now}
 	ucfg := lte.DefaultUEConfig(0)
 	ucfg.Src = u.lteSrc
-	link, err := sh.cell.AttachUE(ucfg, p.deliver)
+	link, err := sh.cell.AddUE(ucfg, p.deliver)
 	if err != nil {
 		return err
 	}

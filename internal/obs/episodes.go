@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -151,6 +152,15 @@ type EpisodeStats struct {
 	MeanRecovery time.Duration
 	// Recoveries is the number of gaps MeanRecovery averages over.
 	Recoveries int
+}
+
+// String is the one-line episode summary both poi360-sim and
+// poi360-trace -view episodes print.
+func (st EpisodeStats) String() string {
+	return fmt.Sprintf("%d congestion episodes (%d triggers), mean %.0f ms, max %.0f ms, mean hold %.0f ms, %d aborted, %d open",
+		st.Count, st.Triggers,
+		1e3*st.MeanDuration.Seconds(), 1e3*st.MaxDuration.Seconds(), 1e3*st.MeanHeld.Seconds(),
+		st.Aborted, st.Incomplete)
 }
 
 // SummarizeEpisodes folds episodes (in stream order, as Episodes returns

@@ -301,3 +301,13 @@ func TestExperimentAggTable(t *testing.T) {
 		t.Fatalf("rows out of AddBatch order:\n%s", s)
 	}
 }
+
+// The one episode line poi360-sim and poi360-trace -view episodes share.
+func TestEpisodeStatsString(t *testing.T) {
+	st := EpisodeStats{Count: 3, Incomplete: 1, Aborted: 1, Triggers: 7,
+		MeanDuration: 1234 * time.Millisecond, MaxDuration: 2 * time.Second, MeanHeld: 499600 * time.Microsecond}
+	want := "3 congestion episodes (7 triggers), mean 1234 ms, max 2000 ms, mean hold 500 ms, 1 aborted, 1 open"
+	if got := st.String(); got != want {
+		t.Fatalf("got  %q\nwant %q", got, want)
+	}
+}

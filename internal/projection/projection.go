@@ -213,7 +213,8 @@ type Geometry struct {
 	CenterPitch []float64
 	// AreaW[j] is Grid.AreaWeight(j).
 	AreaW []float64
-	// yawRad[i], sinPitch[j], cosPitch[j] feed TileAngularDistance.
+	// yawRad[i], sinPitch[j], cosPitch[j] feed FillColumnCos and
+	// TileCosFromCol.
 	yawRad   []float64
 	sinPitch []float64
 	cosPitch []float64
@@ -265,12 +266,9 @@ func GeomFor(g Grid) *Geometry {
 	return ge
 }
 
-// Grid returns the grid this geometry describes.
-func (ge *Geometry) Grid() Grid { return ge.g }
-
 // OrientationTrig precomputes the viewer-side terms of the spherical law of
-// cosines for TileAngularDistance: the normalized orientation's yaw in
-// radians and the sine/cosine of its pitch.
+// cosines for FillColumnCos and TileCosFromCol: the normalized
+// orientation's yaw in radians and the sine/cosine of its pitch.
 func OrientationTrig(o Orientation) (byRad, sinBp, cosBp float64) {
 	b := o.Normalized()
 	byRad = b.Yaw * math.Pi / 180
@@ -278,22 +276,12 @@ func OrientationTrig(o Orientation) (byRad, sinBp, cosBp float64) {
 	return byRad, math.Sin(bp), math.Cos(bp)
 }
 
-// TileAngularDistance returns AngularDistance(g.Center(t), b) where
-// (byRad, sinBp, cosBp) = OrientationTrig(b), reading the tile-side
-// trigonometry from the tables. Bit-identical to the general function:
-// tile centers already lie in the normalized domain, and the operand
-// grouping matches AngularDistance exactly.
-func (ge *Geometry) TileAngularDistance(t Tile, byRad, sinBp, cosBp float64) float64 {
-	c := ge.sinPitch[t.J]*sinBp + ge.cosPitch[t.J]*cosBp*math.Cos(ge.yawRad[t.I]-byRad)
-	c = math.Max(-1, math.Min(1, c))
-	return math.Acos(c) * 180 / math.Pi
-}
-
 // FillColumnCos fills dst[i] = cos(yawRad_i − byRad) for every column of
 // the grid (dst must have length ≥ W). The column term of the spherical
 // law of cosines depends only on the tile column, so a consumer scanning
 // many tiles of one orientation evaluates W cosines here instead of one
-// per tile; each entry is the exact Cos argument TileAngularDistance uses.
+// per tile; each entry is the exact Cos argument AngularDistance uses for
+// a tile center of that column.
 func (ge *Geometry) FillColumnCos(dst []float64, byRad float64) {
 	for i, yr := range ge.yawRad {
 		dst[i] = math.Cos(yr - byRad)
@@ -302,9 +290,10 @@ func (ge *Geometry) FillColumnCos(dst []float64, byRad float64) {
 
 // TileCosFromCol returns the clamped spherical cosine between the viewer
 // orientation and the center of a tile in row j whose column cosine (from
-// FillColumnCos) is colCos. It is the TileAngularDistance computation
-// stopped before the Acos — same operand grouping, same clamp — for
-// consumers (the fovea kernel) that operate on the cosine domain directly.
+// FillColumnCos) is colCos. It is AngularDistance between the tile center
+// and the orientation stopped before the Acos — same operand grouping,
+// same clamp — for consumers (the fovea kernel) that operate on the cosine
+// domain directly.
 func (ge *Geometry) TileCosFromCol(j int, colCos, sinBp, cosBp float64) float64 {
 	c := ge.sinPitch[j]*sinBp + ge.cosPitch[j]*cosBp*colCos
 	return math.Max(-1, math.Min(1, c))

@@ -322,25 +322,14 @@ func (f *FBCC) DiagStale(now time.Duration) bool {
 	return now-f.lastDiagAt > time.Duration(f.cfg.WatchdogReports)*lte.DefaultDiagPeriod
 }
 
-// Degraded reports whether the watchdog currently holds the controller in
-// its GCC fallback.
-func (f *FBCC) Degraded() bool { return f.degraded }
-
 // Degradations counts watchdog firings since start.
 func (f *FBCC) Degradations() int { return f.degradations }
 
 // RTPRate returns the Eq. 7 pacing rate.
 func (f *FBCC) RTPRate() float64 { return f.rtpRate }
 
-// Congested reports whether the detector currently signals uplink overuse
-// (J of Eq. 3, latched for the hold interval).
-func (f *FBCC) Congested() bool { return f.congested }
-
 // Overuses counts detector firings since start.
 func (f *FBCC) Overuses() int { return f.overuses }
-
-// LongTermBuffer returns Γ, the running average firmware-buffer level.
-func (f *FBCC) LongTermBuffer() float64 { return f.longTerm.Mean() }
 
 // TargetBuffer returns B*, the sweet-spot buffer level currently targeted
 // by the Eq. 7 loop.

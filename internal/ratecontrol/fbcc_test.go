@@ -52,7 +52,7 @@ func TestFBCCDetectsMonotoneGrowth(t *testing.T) {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 2000, 1.6e5))
 	}
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("flat buffer should not congest")
 	}
 	// Monotone growth through the mean.
@@ -60,7 +60,7 @@ func TestFBCCDetectsMonotoneGrowth(t *testing.T) {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 2000+i*1500, 1.6e5))
 	}
-	if !f.Congested() {
+	if !f.congested {
 		t.Fatal("monotone growth did not trigger congestion")
 	}
 	if f.Overuses() == 0 {
@@ -88,7 +88,7 @@ func TestFBCCDipsResetStreak(t *testing.T) {
 		}
 		f.OnDiag(report(at, buf, 1.6e5))
 	}
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("sawtooth should not trigger the strict detector")
 	}
 }
@@ -111,7 +111,7 @@ func TestFBCCSlackToleratesIsolatedDip(t *testing.T) {
 		}
 		f.OnDiag(report(at, buf, 1.6e5))
 	}
-	if !f.Congested() {
+	if !f.congested {
 		t.Fatal("slack detector should tolerate one dip")
 	}
 }
@@ -131,7 +131,7 @@ func TestFBCCRequiresAboveAverage(t *testing.T) {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 100+i*10, 1.6e5))
 	}
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("growth below Γ should not congest")
 	}
 }
@@ -169,7 +169,7 @@ func TestFBCCVideoRateHold(t *testing.T) {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 2000+i*2000, 1.2e5))
 	}
-	if !f.Congested() {
+	if !f.congested {
 		t.Fatal("setup failed to congest")
 	}
 	rgcc := 5e6
@@ -271,7 +271,7 @@ func TestFBCCLongTermBuffer(t *testing.T) {
 	f := defFBCC(t)
 	f.OnDiag(report(40*time.Millisecond, 1000, 1e5))
 	f.OnDiag(report(80*time.Millisecond, 3000, 1e5))
-	if got := f.LongTermBuffer(); got != 2000 {
+	if got := f.longTerm.Mean(); got != 2000 {
 		t.Fatalf("Γ = %v, want 2000", got)
 	}
 }

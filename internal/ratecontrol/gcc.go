@@ -346,9 +346,6 @@ func (g *GCCReceiver) detect(now time.Duration) {
 	}
 }
 
-// Usage reports the current detector verdict.
-func (g *GCCReceiver) Usage() BandwidthUsage { return g.usage }
-
 // ReceivedRate measures the incoming throughput over the configured window.
 func (g *GCCReceiver) ReceivedRate(now time.Duration) float64 {
 	// Arrivals are (near-)monotone, so the out-of-window frames are a
@@ -445,6 +442,3 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 	}
 	return g.rate
 }
-
-// Rate returns the last computed target without advancing the state.
-func (g *GCCReceiver) Rate() float64 { return g.rate }

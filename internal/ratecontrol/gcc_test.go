@@ -44,17 +44,17 @@ func TestBandwidthUsageString(t *testing.T) {
 // target): the detector stays normal and the rate grows past its start.
 func TestGCCIncreaseOnStableDelay(t *testing.T) {
 	g := newGCC(t)
-	r0 := g.Rate()
+	r0 := g.rate
 	var rate float64
 	for i := 0; i < 600; i++ {
 		now := time.Duration(i) * 33 * time.Millisecond
-		g.OnFrame(now, 80*time.Millisecond, g.Rate()/30)
+		g.OnFrame(now, 80*time.Millisecond, g.rate/30)
 		if i%3 == 0 {
 			rate = g.Update(now)
 		}
 	}
-	if g.Usage() != Normal {
-		t.Fatalf("usage = %v, want normal", g.Usage())
+	if g.usage != Normal {
+		t.Fatalf("usage = %v, want normal", g.usage)
 	}
 	if rate <= r0 {
 		t.Fatalf("rate %v did not grow from %v", rate, r0)
@@ -70,7 +70,7 @@ func TestGCCOveruseDecreases(t *testing.T) {
 	now := time.Duration(0)
 	for i := 0; i < 60; i++ {
 		now = time.Duration(i) * 33 * time.Millisecond
-		g.OnFrame(now, 80*time.Millisecond, g.Rate()/30)
+		g.OnFrame(now, 80*time.Millisecond, g.rate/30)
 		g.Update(now)
 	}
 	var after, beforeDecrease float64
@@ -78,11 +78,11 @@ func TestGCCOveruseDecreases(t *testing.T) {
 	for i := 0; i < 200 && !sawOveruse; i++ {
 		now += 33 * time.Millisecond
 		delay := 80*time.Millisecond + time.Duration(i)*12*time.Millisecond // ~360 ms/s slope
-		g.OnFrame(now, delay, g.Rate()/30)
-		if g.Usage() == Overuse {
+		g.OnFrame(now, delay, g.rate/30)
+		if g.usage == Overuse {
 			sawOveruse = true
 		}
-		beforeDecrease = g.Rate()
+		beforeDecrease = g.rate
 		after = g.Update(now)
 	}
 	if !sawOveruse {
@@ -102,8 +102,8 @@ func TestGCCUnderuseHolds(t *testing.T) {
 		delay := 800*time.Millisecond - time.Duration(i)*10*time.Millisecond
 		g.OnFrame(now, delay, 100e3)
 	}
-	if g.Usage() != Underuse {
-		t.Fatalf("usage = %v, want underuse", g.Usage())
+	if g.usage != Underuse {
+		t.Fatalf("usage = %v, want underuse", g.usage)
 	}
 	r1 := g.Update(now)
 	r2 := g.Update(now + 100*time.Millisecond)
@@ -122,11 +122,11 @@ func TestGCCRateClamped(t *testing.T) {
 		g.OnFrame(now, 50*time.Millisecond, 1e6)
 		g.Update(now)
 	}
-	if g.Rate() > GCCMaxRate {
-		t.Fatalf("rate %v exceeds max %v", g.Rate(), GCCMaxRate)
+	if g.rate > GCCMaxRate {
+		t.Fatalf("rate %v exceeds max %v", g.rate, GCCMaxRate)
 	}
-	if g.Rate() != GCCMaxRate {
-		t.Fatalf("rate %v should have reached max %v", g.Rate(), GCCMaxRate)
+	if g.rate != GCCMaxRate {
+		t.Fatalf("rate %v should have reached max %v", g.rate, GCCMaxRate)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestGCCReceivedRate(t *testing.T) {
 func TestGCCNeedsFramesForSlope(t *testing.T) {
 	g := newGCC(t)
 	g.OnFrame(0, time.Second, 1e5)
-	if g.Usage() != Normal {
+	if g.usage != Normal {
 		t.Fatal("single frame should not trigger")
 	}
 }

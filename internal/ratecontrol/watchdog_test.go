@@ -21,7 +21,7 @@ func congest(t *testing.T, f *FBCC) time.Duration {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 2000+i*2000, 1.2e5))
 	}
-	if !f.Congested() {
+	if !f.congested {
 		t.Fatal("setup failed to congest")
 	}
 	return at
@@ -61,8 +61,8 @@ func TestFaultWatchdogRecoversToGCCWithinTwoTimeouts(t *testing.T) {
 	if recovered < 0 || recovered > 2*timeout {
 		t.Fatalf("watchdog FBCC recovered after %v, want within %v", recovered, 2*timeout)
 	}
-	if f.Degradations() != 1 || !f.Degraded() {
-		t.Fatalf("degradations = %d, degraded = %v", f.Degradations(), f.Degraded())
+	if f.Degradations() != 1 || !f.degraded {
+		t.Fatalf("degradations = %d, degraded = %v", f.Degradations(), f.degraded)
 	}
 
 	// Watchdog disabled: still pinned to the stale Rphy at 2× the timeout
@@ -92,7 +92,7 @@ func TestFaultWatchdogRearmsOnFreshDiag(t *testing.T) {
 	if !f.CheckWatchdog(staleAt) {
 		t.Fatal("watchdog did not fire after a 10 s stall")
 	}
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("degradation must clear the congestion latch")
 	}
 	if f.BandwidthEstimate() != 0 {
@@ -100,7 +100,7 @@ func TestFaultWatchdogRearmsOnFreshDiag(t *testing.T) {
 	}
 	// Reports resume.
 	f.OnDiag(report(staleAt+40*time.Millisecond, 3000, 1.2e5))
-	if f.Degraded() {
+	if f.degraded {
 		t.Fatal("fresh report did not clear the degraded latch")
 	}
 	if f.CheckWatchdog(staleAt + 80*time.Millisecond) {
@@ -161,7 +161,7 @@ func TestFBCCHoldBoundaryInstantConsistent(t *testing.T) {
 	// …and a diag report at the same instant must clear the latch, so both
 	// views of the boundary agree.
 	f.OnDiag(report(hold, 100, 1.2e5))
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("OnDiag at holdUntil left the congestion latch set")
 	}
 	if r := f.VideoRate(hold, rgcc); r != rgcc {
@@ -199,7 +199,7 @@ func TestFBCCFlatSamplesConsumeSlack(t *testing.T) {
 		}
 		feed(buf)
 	}
-	if f.Congested() {
+	if f.congested {
 		t.Fatal("two flat samples with Slack=1 should have reset the streak")
 	}
 	// A single flat sample inside a fresh run is absorbed by slack.
@@ -235,8 +235,8 @@ func TestFBCCSlackResetsAfterFiring(t *testing.T) {
 		}
 		feed(buf)
 	}
-	if !f.Congested() || f.Overuses() != 1 {
-		t.Fatalf("setup: congested=%v overuses=%d", f.Congested(), f.Overuses())
+	if !f.congested || f.Overuses() != 1 {
+		t.Fatalf("setup: congested=%v overuses=%d", f.congested, f.Overuses())
 	}
 	if f.slackUsed != 0 || f.streak != 0 {
 		t.Fatalf("firing must reset streak state: slackUsed=%d streak=%d", f.slackUsed, f.streak)

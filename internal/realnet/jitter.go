@@ -135,9 +135,6 @@ func (jb *JitterBuffer) drain() {
 	}
 }
 
-// Buffered reports packets currently held.
-func (jb *JitterBuffer) Buffered() int { return len(jb.heap) }
-
 // Late reports packets dropped because their sequence was already released.
 func (jb *JitterBuffer) Late() int64 { return jb.late }
 

@@ -123,7 +123,7 @@ func newJBSide(hold time.Duration, reference bool) *jbSide {
 	jb.SetProbe(s.bus.Probe(0))
 	s.push = jb.Push
 	s.state = func() [5]int64 {
-		return [5]int64{int64(jb.Buffered()), jb.Late(), jb.Duplicates(), jb.Skipped(), int64(jb.MaxDepth())}
+		return [5]int64{int64(len(jb.heap)), jb.Late(), jb.Duplicates(), jb.Skipped(), int64(jb.MaxDepth())}
 	}
 	return s
 }

@@ -77,7 +77,7 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	if reports < 3 {
 		t.Errorf("sender accepted %d reports, want >= 3", reports)
 	}
-	if !tr.Reports() {
+	if !tr.haveReport {
 		t.Error("sender never saw a report")
 	}
 	st := rx.Stats()

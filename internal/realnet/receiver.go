@@ -21,6 +21,13 @@ import (
 // fresh accounting.
 const DefaultReportEvery = 40 * time.Millisecond
 
+// maxDropout is how far ahead of the highest accepted sequence a datagram
+// may jump (RFC 3550 A.1's MAX_DROPOUT). A datagram further ahead is
+// discarded unless the next datagram is its successor, which resyncs the
+// stream to it: one forged datagram cannot move the jitter buffer's floor
+// past every genuine packet behind it.
+const maxDropout = 3000
+
 // frameCacheMax bounds the frame-metadata cache; when exceeded, frames
 // more than frameCachePrune behind the newest are dropped.
 const (
@@ -63,10 +70,12 @@ type Receiver struct {
 	ssrcLocked bool
 	badSSRC    int64
 	parseErrs  int64
+	farAhead   int64 // datagrams discarded as more than maxDropout ahead
+	badSeq     int64 // the successor of the last such datagram
 
 	// Cumulative accounting for reports: datagrams the jitter buffer
 	// accepted (a late arrival or duplicate is not received twice), and the
-	// highest sequence any parsed datagram carried.
+	// highest sequence among them.
 	recvBytes  uint64
 	recvPkts   uint64
 	highestSeq int64
@@ -91,6 +100,7 @@ func NewReceiver(clk simclock.Scheduler, cfg ReceiverConfig) *Receiver {
 		ssrc:       cfg.SSRC,
 		ssrcLocked: cfg.SSRC != 0,
 		highestSeq: -1,
+		badSeq:     -1,
 		frames:     map[int]*video.EncodedFrame{},
 		scratch:    make([]byte, 0, ReportLen),
 	}
@@ -117,13 +127,18 @@ func (r *Receiver) HandleDatagram(b []byte) {
 		r.badSSRC++
 		return
 	}
-	if h.Seq > r.highestSeq {
-		r.highestSeq = h.Seq
+	if r.highestSeq >= 0 && h.Seq-r.highestSeq > maxDropout && h.Seq != r.badSeq {
+		r.farAhead++
+		r.badSeq = h.Seq + 1
+		return
 	}
 	// Acked on acceptance, not at release: a held packet has arrived.
 	if r.jb.Push(h) {
 		r.recvBytes += uint64(len(b))
 		r.recvPkts++
+		if h.Seq > r.highestSeq {
+			r.highestSeq = h.Seq
+		}
 	}
 }
 
@@ -183,9 +198,10 @@ type ReceiverStats struct {
 	SSRC        uint32
 	Bytes       uint64 // accepted media wire bytes
 	Packets     uint64 // accepted media datagrams
-	HighestSeq  int64  // highest transport sequence seen (-1: none)
+	HighestSeq  int64  // highest accepted transport sequence (-1: none)
 	BadSSRC     int64  // datagrams rejected by SSRC validation
 	ParseErrors int64  // datagrams rejected by the wire codec
+	FarAhead    int64  // datagrams discarded as more than 3000 sequences ahead
 	Late        int64  // jitter buffer: sequence already released
 	Duplicates  int64  // jitter buffer: sequence already buffered
 	Skipped     int64  // jitter buffer: sequences abandoned at hold expiry
@@ -203,6 +219,7 @@ func (r *Receiver) Stats() ReceiverStats {
 		HighestSeq:  r.highestSeq,
 		BadSSRC:     r.badSSRC,
 		ParseErrors: r.parseErrs,
+		FarAhead:    r.farAhead,
 		Late:        r.jb.Late(),
 		Duplicates:  r.jb.Duplicates(),
 		Skipped:     r.jb.Skipped(),

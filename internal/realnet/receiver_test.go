@@ -169,3 +169,76 @@ func TestReceiverReportsWaitForPeer(t *testing.T) {
 		t.Fatal("ErrNoPeer ticks not counted")
 	}
 }
+
+// scheduleSeqs delivers one single-packet frame per sequence, from the
+// given instant on at one per millisecond.
+func scheduleSeqs(clk *simclock.Clock, r *Receiver, from time.Duration, seqs ...int64) {
+	for i, seq := range seqs {
+		d := wireFrame(int(seq), 1, seq, 42)[0]
+		clk.Schedule(from+time.Duration(i)*time.Millisecond, func() { r.HandleDatagram(d) })
+	}
+}
+
+// TestReceiverDiscardsFarAheadSequence: one datagram whose sequence is far
+// ahead of the stream cannot end the call. Accepted, it would be held for
+// Hold and then move the jitter buffer's floor past every genuine sequence
+// before it, so each genuine packet after that would arrive "late".
+func TestReceiverDiscardsFarAheadSequence(t *testing.T) {
+	clk := simclock.New()
+	var delivered []int64
+	r := NewReceiver(clk, ReceiverConfig{
+		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
+	})
+	genuine := make([]int64, 120)
+	for i := range genuine {
+		genuine[i] = int64(i)
+	}
+	scheduleSeqs(clk, r, 0, genuine[:30]...)
+	scheduleSeqs(clk, r, 30*time.Millisecond, 30+1<<20) // forged
+	scheduleSeqs(clk, r, 31*time.Millisecond, genuine[30:]...)
+	clk.Run(time.Second)
+
+	st := r.Stats()
+	if len(delivered) != len(genuine) || st.Late != 0 || st.Skipped != 0 {
+		t.Fatalf("delivered %d of %d genuine packets, %d late, %d skipped", len(delivered), len(genuine), st.Late, st.Skipped)
+	}
+	for i, seq := range delivered {
+		if seq != genuine[i] {
+			t.Fatalf("delivery %d is sequence %d, want %d", i, seq, genuine[i])
+		}
+	}
+	if st.HighestSeq != 119 || st.FarAhead != 1 {
+		t.Fatalf("HighestSeq %d, FarAhead %d; want 119, 1", st.HighestSeq, st.FarAhead)
+	}
+}
+
+// TestReceiverResyncsOnFarAheadSuccessor: a far-ahead datagram followed by
+// its successor is a sender that restarted its sequence (RFC 3550 A.1), and
+// the stream follows it: every packet after the first of the new run is
+// delivered in order, none late.
+func TestReceiverResyncsOnFarAheadSuccessor(t *testing.T) {
+	clk := simclock.New()
+	var delivered []int64
+	r := NewReceiver(clk, ReceiverConfig{
+		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
+	})
+	const base = 1 << 20
+	var restarted []int64
+	for seq := int64(base); seq < base+20; seq++ {
+		restarted = append(restarted, seq)
+	}
+	scheduleSeqs(clk, r, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	scheduleSeqs(clk, r, 10*time.Millisecond, restarted...)
+	clk.Run(time.Second)
+
+	st := r.Stats()
+	tail := restarted[1:]
+	if len(delivered) < len(tail) || st.Late != 0 || st.HighestSeq != base+19 {
+		t.Fatalf("delivered %v, %d late, HighestSeq %d", delivered, st.Late, st.HighestSeq)
+	}
+	for i, seq := range delivered[len(delivered)-len(tail):] {
+		if seq != tail[i] {
+			t.Fatalf("after the restart delivered %v, want it to end in %v", delivered, tail)
+		}
+	}
+}

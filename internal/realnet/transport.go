@@ -39,6 +39,7 @@ type Transport struct {
 	// Forward-path accounting.
 	sentBytes uint64 // cumulative wire bytes written
 	sentPkts  uint64
+	sentSeq   int64 // highest transport sequence written; -1 before any
 	writeErrs int64
 
 	// Reverse-path state from receiver reports.
@@ -69,6 +70,7 @@ func NewTransport(clk simclock.Scheduler, ssrc uint32, write func([]byte) error,
 		write:    write,
 		ssrc:     ssrc,
 		scratch:  make([]byte, 0, maxDatagram),
+		sentSeq:  -1,
 		onReport: onReport,
 	}
 	clk.Ticker(lte.DefaultDiagPeriod, t.diagTick)
@@ -88,6 +90,9 @@ func (t *Transport) Send(bytes int, payload any) bool {
 	}
 	t.sentBytes += uint64(len(t.scratch))
 	t.sentPkts++
+	if pkt.Seq > t.sentSeq {
+		t.sentSeq = pkt.Seq
+	}
 	return true
 }
 
@@ -96,11 +101,11 @@ func (t *Transport) Send(bytes int, payload any) bool {
 // in the receiver process and answers through the reports.
 func (t *Transport) SendFeedback(any) {}
 
-// AccessBufferBytes implements netsim.Transport: the in-flight estimate
-// sent − acked − lost, the live stand-in for the firmware buffer level
-// FBCC steers (Eq. 7). Before the first report it grows with sent bytes,
-// exactly like a buffer nothing is draining.
-func (t *Transport) AccessBufferBytes() int {
+// inFlight is the in-flight estimate sent − acked − lost, the live
+// stand-in for the firmware buffer level FBCC steers (Eq. 7). Before the
+// first report it grows with sent bytes, exactly like a buffer nothing is
+// draining.
+func (t *Transport) inFlight() int {
 	inflight := float64(t.sentBytes) - t.ackedBytes
 	if inflight < 0 {
 		return 0
@@ -126,10 +131,13 @@ func (t *Transport) SetProbe(p *obs.Probe) { t.probe = p }
 func (t *Transport) SetFeedbackFault(fn netsim.LinkFault) { t.fault = fn }
 
 // HandleDatagram ingests one reverse-channel datagram (scheduler
-// goroutine; wire it as the sender Pump's handler).
+// goroutine; wire it as the sender Pump's handler). A report that acks
+// more bytes, packets or sequences than Send has written is rejected like
+// a malformed one: accepted, it would pin the cumulative ack view — which
+// never regresses — above everything sent for the rest of the call.
 func (t *Transport) HandleDatagram(b []byte) {
 	rep, err := ParseReport(b)
-	if err != nil {
+	if err != nil || rep.CumBytes > t.sentBytes || rep.CumPackets > t.sentPkts || rep.HighestSeq > t.sentSeq {
 		t.parseErrs++
 		return
 	}
@@ -176,11 +184,14 @@ func (t *Transport) applyReport(rep Report) {
 	if lost := float64(rep.HighestSeq+1) - float64(rep.CumPackets); lost > 0 && rep.CumPackets > 0 {
 		acked += lost * float64(rep.CumBytes) / float64(rep.CumPackets)
 	}
+	if sent := float64(t.sentBytes); acked > sent { // the loss estimate cannot ack more than was sent
+		acked = sent
+	}
 	if acked > t.ackedBytes { // cumulative view never regresses
 		t.ackedBytes = acked
 	}
 	t.probe.Emit(now, obs.NetReport,
-		float64(rep.Seq), gap.Seconds(), float64(t.AccessBufferBytes()), t.ackedBytes*8)
+		float64(rep.Seq), gap.Seconds(), float64(t.inFlight()), t.ackedBytes*8)
 	if t.onReport != nil {
 		t.onReport(rep)
 	}
@@ -198,7 +209,7 @@ func (t *Transport) diagTick() {
 	}
 	t.diag(lte.DiagReport{
 		At:          t.clk.Now(),
-		BufferBytes: t.AccessBufferBytes(),
+		BufferBytes: t.inFlight(),
 		SumTBSBits:  delta * 8,
 		Subframes:   int(lte.DefaultDiagPeriod / lte.Subframe),
 	})
@@ -213,13 +224,11 @@ func (t *Transport) SentBytes() uint64 { return t.sentBytes }
 // WriteErrors reports socket-level send failures.
 func (t *Transport) WriteErrors() int64 { return t.writeErrs }
 
-// Reports reports whether at least one receiver report has been accepted.
-func (t *Transport) Reports() bool { return t.haveReport }
-
 // StaleReports reports reverse-channel reports dropped as reordered.
 func (t *Transport) StaleReports() int64 { return t.staleRpts }
 
-// ParseErrors reports reverse-channel datagrams rejected by the codec.
+// ParseErrors reports reverse-channel datagrams rejected by the codec or
+// as acking more than was sent.
 func (t *Transport) ParseErrors() int64 { return t.parseErrs }
 
 var _ netsim.Transport = (*Transport)(nil)

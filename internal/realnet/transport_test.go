@@ -43,7 +43,7 @@ func TestTransportSendMarshalsWire(t *testing.T) {
 	if tr.SentPackets() != 1 || tr.SentBytes() != uint64(len(wire[0])) {
 		t.Fatalf("accounting: %d pkts / %d bytes", tr.SentPackets(), tr.SentBytes())
 	}
-	if got := tr.AccessBufferBytes(); got != len(wire[0]) {
+	if got := tr.inFlight(); got != len(wire[0]) {
 		t.Fatalf("in-flight %d before any ack, want %d", got, len(wire[0]))
 	}
 }
@@ -70,7 +70,7 @@ func TestTransportReportDrivesInflightAndDiag(t *testing.T) {
 		rep := Report{Seq: 1, SentAt: 30 * time.Millisecond,
 			CumBytes: uint64(6 * wireBytes), CumPackets: 6, HighestSeq: 5}
 		tr.HandleDatagram(rep.AppendTo(nil))
-		if got, want := tr.AccessBufferBytes(), 4*wireBytes; got != want {
+		if got, want := tr.inFlight(), 4*wireBytes; got != want {
 			t.Errorf("in-flight %d after ack, want %d", got, want)
 		}
 	})
@@ -101,6 +101,8 @@ func TestTransportStaleAndCorruptReports(t *testing.T) {
 	var got []Report
 	tr := NewTransport(clk, 1, func([]byte) error { return nil },
 		func(rep Report) { got = append(got, rep) })
+	pkt := mediaPacket(0, 0) // reports may ack only what was sent
+	tr.Send(pkt.Bytes, pkt)
 
 	fresh := Report{Seq: 5, CumBytes: 100, CumPackets: 1, HighestSeq: 0}
 	tr.HandleDatagram(fresh.AppendTo(nil))
@@ -131,7 +133,7 @@ func TestTransportLossVacatesInflight(t *testing.T) {
 	// missing below 9 count as vacated at the stream's mean size.
 	rep := Report{Seq: 1, CumBytes: uint64(8 * wireBytes), CumPackets: 8, HighestSeq: 9}
 	tr.HandleDatagram(rep.AppendTo(nil))
-	if got := tr.AccessBufferBytes(); got != 0 {
+	if got := tr.inFlight(); got != 0 {
 		t.Fatalf("in-flight %d with loss acked, want 0", got)
 	}
 }
@@ -162,10 +164,10 @@ func TestTransportInflightIgnoresDuplicates(t *testing.T) {
 			tr.Send(pkt.Bytes, pkt)
 		}
 		clk.Run(100 * time.Millisecond)
-		if !tr.Reports() {
+		if !tr.haveReport {
 			t.Fatal("no report reached the sender")
 		}
-		return tr.AccessBufferBytes()
+		return tr.inFlight()
 	}
 	clean, duplicated := inflight(1), inflight(2)
 	if want := 4 * (rtp.WireHeaderLen + rtp.MTU); clean != want {
@@ -181,6 +183,8 @@ func TestTransportFeedbackFaultGatesReports(t *testing.T) {
 	var got []Report
 	tr := NewTransport(clk, 1, func([]byte) error { return nil },
 		func(rep Report) { got = append(got, rep) })
+	pkt := mediaPacket(0, 0) // reports may ack only what was sent
+	tr.Send(pkt.Bytes, pkt)
 	dropAll := func(time.Duration) (bool, bool, time.Duration) { return true, false, 0 }
 	tr.SetFeedbackFault(dropAll)
 	rep := Report{Seq: 1}
@@ -193,5 +197,37 @@ func TestTransportFeedbackFaultGatesReports(t *testing.T) {
 	tr.HandleDatagram(rep.AppendTo(nil))
 	if len(got) != 1 {
 		t.Fatalf("delivered %d reports after clearing the fault, want 1", len(got))
+	}
+}
+
+// TestTransportRejectsOverAckingReport: a report that acks more bytes,
+// packets or sequences than were sent is rejected. Accepted, it would pin
+// the cumulative ack view — which never regresses — above everything sent,
+// and the synthesized firmware buffer would read 0 for the rest of the call.
+func TestTransportRejectsOverAckingReport(t *testing.T) {
+	clk := simclock.New()
+	tr := NewTransport(clk, 1, func([]byte) error { return nil }, nil)
+	for i := int64(0); i < 10; i++ {
+		pkt := mediaPacket(i, int(i))
+		tr.Send(pkt.Bytes, pkt)
+	}
+	wireBytes := rtp.WireHeaderLen + rtp.MTU
+	for _, forged := range []Report{
+		{Seq: 1, CumBytes: 1 << 40, CumPackets: 1, HighestSeq: 0},
+		{Seq: 2, CumBytes: uint64(wireBytes), CumPackets: 1 << 20, HighestSeq: 0},
+		{Seq: 3, CumBytes: uint64(wireBytes), CumPackets: 1, HighestSeq: 1 << 20},
+	} {
+		tr.HandleDatagram(forged.AppendTo(nil))
+	}
+	if tr.ParseErrors() != 3 || tr.haveReport {
+		t.Fatalf("%d of 3 over-acking reports rejected, report accepted: %v", tr.ParseErrors(), tr.haveReport)
+	}
+	if got, want := tr.inFlight(), 10*wireBytes; got != want {
+		t.Fatalf("in-flight %d after forged reports, want %d", got, want)
+	}
+	honest := Report{Seq: 4, CumBytes: uint64(6 * wireBytes), CumPackets: 6, HighestSeq: 5}
+	tr.HandleDatagram(honest.AppendTo(nil))
+	if got, want := tr.inFlight(), 4*wireBytes; got != want {
+		t.Fatalf("in-flight %d after an honest report, want %d", got, want)
 	}
 }

@@ -118,9 +118,6 @@ func (p *Pacer) Enqueue(pkts []Packet) {
 	}
 }
 
-// QueueBits reports the application-layer video-buffer occupancy in bits.
-func (p *Pacer) QueueBits() float64 { return p.queued }
-
 // Drops reports packets rejected by the transport at send time.
 func (p *Pacer) Drops() int64 { return p.drops }
 

@@ -73,8 +73,8 @@ func TestPacerRateLimits(t *testing.T) {
 	if sentBits < 0.9e6 || sentBits > 1.15e6 {
 		t.Fatalf("sent %v bits in 1s at 1Mbps", sentBits)
 	}
-	if math.Abs(p.QueueBits()-(5e6-sentBits)) > 1 {
-		t.Fatalf("queue accounting: %v", p.QueueBits())
+	if math.Abs(p.queued-(5e6-sentBits)) > 1 {
+		t.Fatalf("queue accounting: %v", p.queued)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestPacerSendFailureCountsDrop(t *testing.T) {
 	if p.Drops() == 0 {
 		t.Fatal("drops not counted")
 	}
-	if p.QueueBits() != 0 {
+	if p.queued != 0 {
 		t.Fatal("dropped packets should leave the queue")
 	}
 }
@@ -215,8 +215,8 @@ func TestPacerDrainsExactly(t *testing.T) {
 		p.Enqueue(AppendPackets(nil, f))
 	}
 	clk.Run(time.Second)
-	if p.QueueBits() != 0 {
-		t.Fatalf("queue not drained: %v", p.QueueBits())
+	if p.queued != 0 {
+		t.Fatalf("queue not drained: %v", p.queued)
 	}
 	if bits != want {
 		t.Fatalf("sent %v bits, want %v", bits, want)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"poi360/internal/obs"
 	"poi360/internal/projection"
 	"poi360/internal/ratecontrol"
 	"poi360/internal/realnet"
@@ -23,10 +24,11 @@ func inGCCBounds(r float64) bool {
 // way TestSenderRejectsForgedReports wires it. The input is cut into
 // report-sized datagrams, one every 20 ms. Whatever arrives, nothing
 // panics, every frame on the wire is compressed around an on-grid ROI,
-// and the sender never adopts a rate outside the GCC bounds.
+// the transport never counts more bytes acked than it has sent, and the
+// sender never adopts a rate outside the GCC bounds.
 func FuzzSenderReports(f *testing.F) {
 	for i, tc := range forgedReports() {
-		rep := realnet.Report{Seq: uint32(i + 1), SentAt: 100 * time.Millisecond, ROI: tc.roi, GCCRate: tc.rate}
+		rep := realnet.Report{Seq: uint32(i + 1), SentAt: 100 * time.Millisecond, ROI: tc.roi, GCCRate: tc.rate, CumBytes: tc.cumBytes}
 		f.Add(rep.AppendTo(nil))
 	}
 	grid := video.DefaultConfig().Grid
@@ -37,6 +39,8 @@ func FuzzSenderReports(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bus := obs.NewBus()
+		sent := 0.0
 		tx := realnet.NewTransport(clk, 1, func(b []byte) error {
 			h, err := rtp.ParseWire(b)
 			if err != nil {
@@ -45,10 +49,16 @@ func FuzzSenderReports(f *testing.F) {
 			if !grid.Contains(h.ROI) {
 				t.Fatalf("frame on the wire compressed around off-grid ROI %v", h.ROI)
 			}
+			sent += float64(len(b))
 			return nil
 		}, func(rep realnet.Report) {
+			// The net.report event just emitted carries the acked view in bits.
+			if ev := bus.Events(); ev[len(ev)-1].D > 8*sent {
+				t.Fatalf("report %d left %g bytes acked of %g sent", rep.Seq, ev[len(ev)-1].D/8, sent)
+			}
 			sender.OnFeedback(session.Feedback{ROI: rep.ROI, Mismatch: rep.Mismatch, GCCRate: rep.GCCRate, SentAt: rep.SentAt})
 		})
+		tx.SetProbe(bus.Probe(0))
 		if err := sender.Attach(clk, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +92,7 @@ func FuzzSenderReports(f *testing.F) {
 func FuzzViewerDatagrams(f *testing.F) {
 	for _, tc := range forgedPackets() {
 		fr := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
-		pkt := rtp.Packet{Count: 1, Bytes: 100, Frame: fr, SentAt: 20 * time.Millisecond}
+		pkt := rtp.Packet{Count: 1, Bytes: 100, Frame: fr, SentAt: 20 * time.Millisecond, Seq: tc.seq}
 		f.Add(pkt.AppendWire(nil, 9))
 	}
 	grid := video.DefaultConfig().Grid

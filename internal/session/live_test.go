@@ -196,45 +196,55 @@ func TestLiveCallWatchdogTripsAndRecovers(t *testing.T) {
 // forgedReport is one report a hostile peer could write, and whether the
 // sender must reject it.
 type forgedReport struct {
-	name string
-	roi  projection.Tile
-	rate float64
-	bad  bool
+	name     string
+	roi      projection.Tile
+	rate     float64
+	cumBytes uint64 // media bytes the report acks
+	bad      bool
 }
 
 func forgedReports() []forgedReport {
 	grid := video.DefaultConfig().Grid
 	return []forgedReport{
-		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1e6, true},
-		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1e6, true},
-		{"both bytes saturated", projection.Tile{I: 255, J: 255}, 1e6, true},
-		{"zero rate", projection.Tile{I: 1, J: 1}, 0, true},
-		{"subnormal rate", projection.Tile{I: 1, J: 1}, 5e-324, true},
-		{"rate past any GCC", projection.Tile{I: 1, J: 1}, 1e300, true},
-		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 1e6, false},
+		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1e6, 0, true},
+		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1e6, 0, true},
+		{"both bytes saturated", projection.Tile{I: 255, J: 255}, 1e6, 0, true},
+		{"zero rate", projection.Tile{I: 1, J: 1}, 0, 0, true},
+		{"subnormal rate", projection.Tile{I: 1, J: 1}, 5e-324, 0, true},
+		{"rate past any GCC", projection.Tile{I: 1, J: 1}, 1e300, 0, true},
+		{"acks more than was sent", projection.Tile{I: 1, J: 1}, 1e6, 1 << 40, true},
+		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 1e6, 0, false},
 	}
 }
 
-// forgedPacket is the frame metadata of a media datagram a hostile peer
-// could write, and whether the viewer must reject it.
+// forgedPacket is the frame metadata and transport sequence of a media
+// datagram a hostile peer could write, and whether the viewer must reject
+// it.
 type forgedPacket struct {
 	name  string
 	roi   projection.Tile
 	scale float64
 	mode  int
+	seq   int64
 	bad   bool
 }
+
+// farAheadSeq is a sequence no sender reaches within a call: the receiver
+// discards a datagram that far ahead of the stream before the viewer
+// sees it.
+const farAheadSeq = 1 << 20
 
 func forgedPackets() []forgedPacket {
 	grid := video.DefaultConfig().Grid
 	return []forgedPacket{
-		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1, 3, true},
-		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1, 3, true},
-		{"off-grid without a mode", projection.Tile{I: 255, J: 255}, 1, 0, true},
-		{"scale below one", projection.Tile{I: 1, J: 1}, 0.5, 3, true},
-		{"zero scale", projection.Tile{I: 1, J: 1}, 0, 3, true},
-		{"unknown mode", projection.Tile{I: 1, J: 1}, 1, 77, false},
-		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 2, 3, false},
+		{"column past the grid", projection.Tile{I: grid.W, J: 0}, 1, 3, 0, true},
+		{"row past the grid", projection.Tile{I: 0, J: grid.H}, 1, 3, 0, true},
+		{"off-grid without a mode", projection.Tile{I: 255, J: 255}, 1, 0, 0, true},
+		{"scale below one", projection.Tile{I: 1, J: 1}, 0.5, 3, 0, true},
+		{"zero scale", projection.Tile{I: 1, J: 1}, 0, 3, 0, true},
+		{"sequence far ahead", projection.Tile{I: 1, J: 1}, 1, 3, farAheadSeq, true},
+		{"unknown mode", projection.Tile{I: 1, J: 1}, 1, 77, 0, false},
+		{"well-formed", projection.Tile{I: grid.W - 1, J: grid.H - 1}, 2, 3, 0, false},
 	}
 }
 
@@ -242,7 +252,10 @@ func forgedPackets() []forgedPacket {
 // hostile peer could write: ParseReport accepts any ROI byte pair, and an
 // off-grid tile used to reach the Eq. 1 matrix index on the next frame; it
 // accepts any finite non-negative rate, and a GCC sender adopting 5e-324
-// paced at ≈ 0 while its queue grew by a frame per capture.
+// paced at ≈ 0 while its queue grew by a frame per capture; and a report
+// acking more than was sent used to pin the synthesized firmware buffer
+// at 0 for the rest of the call. The transport rejects the last kind, the
+// sender the others.
 func TestSenderRejectsForgedReports(t *testing.T) {
 	grid := video.DefaultConfig().Grid
 	for _, tc := range forgedReports() {
@@ -267,13 +280,13 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 				t.Fatal(err)
 			}
 			clk.Schedule(200*time.Millisecond, func() {
-				rep := realnet.Report{Seq: 1, SentAt: clk.Now(), ROI: tc.roi, GCCRate: tc.rate}
+				rep := realnet.Report{Seq: 1, SentAt: clk.Now(), ROI: tc.roi, GCCRate: tc.rate, CumBytes: tc.cumBytes}
 				tx.HandleDatagram(rep.AppendTo(nil))
 			})
 			clk.Run(time.Second)
 
-			if got := sender.Result().BadFeedback; (got == 1) != tc.bad {
-				t.Fatalf("BadFeedback = %d, want rejected = %v", got, tc.bad)
+			if bad, rejected := int64(sender.Result().BadFeedback), tx.ParseErrors(); (bad+rejected == 1) != tc.bad {
+				t.Fatalf("BadFeedback = %d, transport rejected %d, want rejected = %v", bad, rejected, tc.bad)
 			}
 			if !tc.bad && wireROI != tc.roi {
 				t.Fatalf("accepted report did not steer the ROI: frames carry %v, want %v", wireROI, tc.roi)
@@ -285,10 +298,13 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 	}
 }
 
-// TestViewerRejectsForgedPackets feeds a viewer media datagrams whose
-// metadata no sender produces: rtp.ParseWire accepts any ROI byte pair and
-// any non-negative scale. Mode labels outside the Eq. 1 set stay legal —
-// the two-level and pyramid schemes carry none — and read as uncompressed.
+// TestViewerRejectsForgedPackets feeds a viewer, after one legal frame,
+// media datagrams whose metadata no sender produces: rtp.ParseWire accepts
+// any ROI byte pair and any non-negative scale. Mode labels outside the
+// Eq. 1 set stay legal — the two-level and pyramid schemes carry none —
+// and read as uncompressed. A frame whose sequence jumps far ahead never
+// reaches the viewer: the receiver discards its first datagram, and the
+// second alone (a resync) completes no frame.
 func TestViewerRejectsForgedPackets(t *testing.T) {
 	for _, tc := range forgedPackets() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,20 +320,32 @@ func TestViewerRejectsForgedPackets(t *testing.T) {
 				Deliver: func(pkt *rtp.Packet, _ time.Duration) { viewer.OnPacket(pkt) },
 			})
 			clk.Schedule(50*time.Millisecond, func() {
-				f := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
+				legal := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: 1, SenderROI: projection.Tile{I: 1, J: 1}, Mode: 3}
+				f := &video.EncodedFrame{Seq: 1, Capture: 43 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
 				for i := 0; i < 2; i++ {
-					pkt := rtp.Packet{Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: 20 * time.Millisecond, Seq: int64(i)}
+					pkt := rtp.Packet{Index: i, Count: 2, Bytes: 100, Frame: legal, SentAt: 20 * time.Millisecond, Seq: int64(i)}
+					rx.HandleDatagram(pkt.AppendWire(nil, 9))
+				}
+				for i := 0; i < 2; i++ {
+					pkt := rtp.Packet{FrameSeq: 1, Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: 45 * time.Millisecond, Seq: 2 + tc.seq + int64(i)}
 					rx.HandleDatagram(pkt.AppendWire(nil, 9))
 				}
 			})
 			clk.Run(time.Second)
 
 			res := viewer.Result()
-			if tc.bad && (res.BadPackets != 2 || res.FramesDelivered != 0) {
-				t.Fatalf("forged frame: %d packets rejected, %d frames displayed", res.BadPackets, res.FramesDelivered)
+			wantBad := 0
+			if tc.bad && tc.seq != farAheadSeq {
+				wantBad = 2
 			}
-			if !tc.bad && (res.BadPackets != 0 || res.FramesDelivered != 1 || len(res.ROIPSNRs) != 1) {
+			if tc.bad && (res.BadPackets != wantBad || res.FramesDelivered != 1) {
+				t.Fatalf("forged frame: %d packets rejected (want %d), %d frames displayed", res.BadPackets, wantBad, res.FramesDelivered)
+			}
+			if !tc.bad && (res.BadPackets != 0 || res.FramesDelivered != 2 || len(res.ROIPSNRs) != 2) {
 				t.Fatalf("legal frame: %d packets rejected, %d frames displayed", res.BadPackets, res.FramesDelivered)
+			}
+			if far := rx.Stats().FarAhead; far != 0 != (tc.seq == farAheadSeq) {
+				t.Fatalf("receiver discarded %d datagrams as far ahead", far)
 			}
 		})
 	}

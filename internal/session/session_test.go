@@ -164,7 +164,7 @@ func TestStaticViewerConvergesToTopQuality(t *testing.T) {
 	res := run(t, Config{
 		Duration:  20 * time.Second,
 		Seed:      6,
-		UserModel: headmotion.Static{},
+		UserModel: &headmotion.Scripted{Keys: []headmotion.Key{{}}}, // one key: a fixed gaze
 	})
 	// With a static ROI the sender's belief is always right; late-session
 	// frames should be near the quality ceiling permitted by the bitrate.

@@ -10,8 +10,8 @@ import (
 // any scheduling workload, coded events fire in the same order, at the same
 // virtual times, as closure events, and lane tickers fire exactly where
 // self-re-arming heap closures would. This property test drives three runs
-// through an identical randomized workload — bursts, ties, cancellations,
-// handler-spawned events, tickers competing with the heap and scheduling
+// through an identical randomized workload — bursts, ties, handler-spawned
+// events, tickers competing with the heap and scheduling
 // into their own next tick — and requires the firing logs to match
 // event-for-event.
 
@@ -34,9 +34,8 @@ const (
 // test.
 type goldenRunner struct {
 	c        *Clock
-	schedule func(at time.Duration, tag int) Handle
+	schedule func(at time.Duration, tag int)
 	log      []firedEvent
-	handles  []Handle
 	rng      uint64
 	spawned  int
 	ticks    int
@@ -62,18 +61,12 @@ func (r *goldenRunner) fire(tag int) {
 		delay := time.Duration(r.rand()%500) * time.Microsecond
 		for i := 0; i < n && r.spawned < maxSpawned; i++ {
 			r.spawned++
-			h := r.schedule(r.c.Now()+delay, r.spawned)
-			r.handles = append(r.handles, h)
-		}
-	case 2: // cancel a random pending handle (double-cancel is legal)
-		if len(r.handles) > 0 {
-			r.handles[r.rand()%uint64(len(r.handles))].Cancel()
+			r.schedule(r.c.Now()+delay, r.spawned)
 		}
 	case 3: // spawn one far-future event
 		if r.spawned < maxSpawned {
 			r.spawned++
-			at := r.c.Now() + time.Duration(r.rand()%50)*time.Millisecond
-			r.handles = append(r.handles, r.schedule(at, r.spawned))
+			r.schedule(r.c.Now()+time.Duration(r.rand()%50)*time.Millisecond, r.spawned)
 		}
 	default: // no follow-on work
 	}
@@ -112,13 +105,9 @@ func runGoldenWorkload(seed uint64, mode goldenMode) []firedEvent {
 	}
 	if mode == codesOnLane {
 		code := c.NewCode(func(arg any) { r.fire(arg.(int)) })
-		r.schedule = func(at time.Duration, tag int) Handle {
-			return c.ScheduleCode(at, code, tag)
-		}
+		r.schedule = func(at time.Duration, tag int) { c.ScheduleCode(at, code, tag) }
 	} else {
-		r.schedule = func(at time.Duration, tag int) Handle {
-			return c.Schedule(at, func() { r.fire(tag) })
-		}
+		r.schedule = func(at time.Duration, tag int) { c.Schedule(at, func() { r.fire(tag) }) }
 	}
 
 	// Tickers competing with the heap: one free-running ticker that, every
@@ -131,7 +120,7 @@ func runGoldenWorkload(seed uint64, mode goldenMode) []firedEvent {
 		r.log = append(r.log, firedEvent{c.Now(), -1})
 		if free++; free%3 == 0 && r.spawned < 4000 {
 			r.spawned++
-			r.handles = append(r.handles, r.schedule(c.Now()+700*time.Microsecond, r.spawned))
+			r.schedule(c.Now()+700*time.Microsecond, r.spawned)
 		}
 	})
 	r.stopTick = ticker(900*time.Microsecond, func() {
@@ -145,8 +134,7 @@ func runGoldenWorkload(seed uint64, mode goldenMode) []firedEvent {
 	// Seed burst, including exact timestamp ties.
 	for i := 0; i < 50; i++ {
 		r.spawned++
-		at := time.Duration(i%17) * 300 * time.Microsecond
-		r.handles = append(r.handles, r.schedule(at, r.spawned))
+		r.schedule(time.Duration(i%17)*300*time.Microsecond, r.spawned)
 	}
 	c.Run(80 * time.Millisecond)
 	return r.log

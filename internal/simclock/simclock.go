@@ -14,10 +14,9 @@
 // queue is a binary heap of int32 slab indices, so sift operations move
 // 4-byte integers instead of pointers and incur no GC write barriers, and
 // fired slots are recycled through a free list so steady-state scheduling
-// allocates nothing. Recycling is invisible to callers — event order, FIFO
-// tie-breaking and Handle.Cancel semantics are unchanged (a Handle carries
-// the generation of the slot it cancels, so a stale handle to a recycled
-// slot is a no-op exactly like a handle to a fired event).
+// allocates nothing. Recycling is invisible to callers: event order and
+// FIFO tie-breaking are unchanged. An event, once scheduled, always fires;
+// nothing in the system cancels one.
 //
 // # One event form
 //
@@ -64,11 +63,6 @@ type event struct {
 	seq uint64
 	fn  func(any)
 	arg any
-	// gen distinguishes incarnations of a recycled event slot; Handles
-	// remember the generation they were issued for.
-	gen uint32
-	// canceled events stay in the heap but are skipped when popped.
-	canceled bool
 }
 
 // callFunc is the trampoline a closure event dispatches through: Schedule
@@ -113,31 +107,10 @@ func New() *Clock {
 // Now reports the current virtual time (elapsed since simulation start).
 func (c *Clock) Now() time.Duration { return c.now }
 
-// handleOwner is the backend half of a Handle: a scheduler that can cancel
-// the (slot, generation) pair it issued. Both the simulation Clock and
-// wall-clock backends implement it, so Handle is one concrete type across
-// every Scheduler implementation (returning an interface instead would box
-// on each schedule call, and scheduling is the hottest path in the system).
-type handleOwner interface {
-	cancelEvent(idx int32, gen uint32)
-}
-
-// Handle identifies a scheduled event and allows cancellation.
-type Handle struct {
-	c   handleOwner
-	idx int32
-	gen uint32
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op (the underlying slot may since have
-// been recycled for an unrelated event; the generation check makes the
-// stale cancel inert).
-func (h Handle) Cancel() {
-	if h.c != nil {
-		h.c.cancelEvent(h.idx, h.gen)
-	}
-}
+// Handle is what the schedule methods return. It carries nothing — an
+// event cannot be cancelled — and stays only as the result type of the
+// Scheduler methods, which implementations outside this package name.
+type Handle struct{}
 
 // arena is the event store both Scheduler backends are built on: the slab,
 // the (at, seq) min-heap of slab indices, the free list and the typed-code
@@ -216,9 +189,8 @@ func (a *arena) pop() int32 {
 
 // add takes an event slot from the free list (or grows the slab), stamps it
 // with (at, next sequence number) and the callback fn(arg), and pushes it
-// onto the heap. It returns the slot and the generation a Handle to it
-// carries.
-func (a *arena) add(at time.Duration, fn func(any), arg any) (int32, uint32) {
+// onto the heap. It returns the slot.
+func (a *arena) add(at time.Duration, fn func(any), arg any) int32 {
 	var i int32
 	if n := len(a.free); n > 0 {
 		i = a.free[n-1]
@@ -234,48 +206,19 @@ func (a *arena) add(at time.Duration, fn func(any), arg any) (int32, uint32) {
 	e.fn, e.arg = fn, arg
 	a.heap = append(a.heap, i)
 	a.siftUp(len(a.heap) - 1)
-	return i, e.gen
-}
-
-// recycle returns a consumed slot to the arena. The generation bump
-// invalidates any outstanding Handle to the finished incarnation.
-func (a *arena) recycle(i int32) {
-	e := &a.slab[i]
-	e.fn = nil
-	e.arg = nil
-	e.canceled = false
-	e.gen++
-	a.free = append(a.free, i)
+	return i
 }
 
 // take consumes the minimum heap event: it copies the callback out and
-// recycles the slot, so the callback's own scheduling can reuse it
-// immediately. The caller runs fn(arg) unless the event was canceled.
-func (a *arena) take() (fn func(any), arg any, canceled bool) {
+// returns the slot to the free list, so the callback's own scheduling can
+// reuse it immediately. The caller runs fn(arg).
+func (a *arena) take() (fn func(any), arg any) {
 	i := a.pop()
 	e := &a.slab[i]
-	fn, arg, canceled = e.fn, e.arg, e.canceled
-	a.recycle(i)
-	return fn, arg, canceled
-}
-
-// cancel marks the event in slot idx canceled if it is still the
-// incarnation gen names; canceled events stay in the heap until popped.
-func (a *arena) cancel(idx int32, gen uint32) {
-	if a.slab[idx].gen == gen {
-		a.slab[idx].canceled = true
-	}
-}
-
-// live counts the non-canceled events in the heap.
-func (a *arena) live() int {
-	n := 0
-	for _, i := range a.heap {
-		if !a.slab[i].canceled {
-			n++
-		}
-	}
-	return n
+	fn, arg = e.fn, e.arg
+	e.fn, e.arg = nil, nil
+	a.free = append(a.free, i)
+	return fn, arg
 }
 
 // newCode registers h in the handler table.
@@ -297,9 +240,6 @@ func (a *arena) checkCode(code Code) {
 	}
 }
 
-// cancelEvent implements handleOwner for the simulation clock.
-func (c *Clock) cancelEvent(idx int32, gen uint32) { c.cancel(idx, gen) }
-
 // add schedules one heap event. Scheduling in the past panics: it indicates
 // a logic error in the caller, and silently reordering time would corrupt
 // every downstream measurement.
@@ -307,8 +247,8 @@ func (c *Clock) add(at time.Duration, fn func(any), arg any) Handle {
 	if at < c.now {
 		panic(fmt.Sprintf("simclock: schedule at %v before now %v", at, c.now))
 	}
-	i, gen := c.arena.add(at, fn, arg)
-	return Handle{c, i, gen}
+	c.arena.add(at, fn, arg)
+	return Handle{}
 }
 
 // Schedule runs fn at absolute virtual time at (panics if at is in the past).
@@ -391,18 +331,9 @@ func (c *Clock) nextPeriodic() *periodic {
 	return best
 }
 
-// skipCanceled pops and recycles canceled events off the heap top,
-// mirroring the old behavior of consuming them without advancing time.
-func (c *Clock) skipCanceled() {
-	for len(c.heap) > 0 && c.slab[c.heap[0]].canceled {
-		c.recycle(c.pop())
-	}
-}
-
-// fireHeap consumes and dispatches the minimum heap event; next has
-// already skipped canceled ones.
+// fireHeap consumes and dispatches the minimum heap event.
 func (c *Clock) fireHeap() {
-	fn, arg, _ := c.take()
+	fn, arg := c.take()
 	fn(arg)
 }
 
@@ -431,7 +362,6 @@ func (c *Clock) firePeriodic(p *periodic) {
 // periodic lane. It returns (nil, -1) when nothing is pending; a heap pick
 // is (nil, index of heap top), a lane pick is (entry, -1).
 func (c *Clock) next() (*periodic, int32) {
-	c.skipCanceled()
 	p := c.nextPeriodic()
 	if len(c.heap) == 0 {
 		if p == nil {
@@ -496,8 +426,8 @@ done:
 	}
 }
 
-// Pending reports the number of live (non-cancelled) events in the queue,
-// counting each active ticker's pending occurrence.
+// Pending reports the number of events in the queue, counting each active
+// ticker's pending occurrence.
 func (c *Clock) Pending() int {
-	return len(c.periodics) + c.live()
+	return len(c.periodics) + len(c.heap)
 }

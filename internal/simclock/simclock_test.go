@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -98,31 +97,6 @@ func TestScheduleAfterNegativeClamps(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	c := New()
-	fired := false
-	h := c.Schedule(time.Millisecond, func() { fired = true })
-	h.Cancel()
-	c.Run(time.Second)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	// Double-cancel is a no-op.
-	h.Cancel()
-}
-
-func TestCancelOneOfTwo(t *testing.T) {
-	c := New()
-	var got []int
-	h := c.Schedule(time.Millisecond, func() { got = append(got, 1) })
-	c.Schedule(time.Millisecond, func() { got = append(got, 2) })
-	h.Cancel()
-	c.Run(time.Second)
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("got %v, want [2]", got)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	c := New()
 	var ticks []time.Duration
@@ -192,14 +166,16 @@ func TestStep(t *testing.T) {
 
 func TestPending(t *testing.T) {
 	c := New()
-	h1 := c.Schedule(time.Millisecond, func() {})
 	c.Schedule(time.Millisecond, func() {})
-	if c.Pending() != 2 {
-		t.Fatalf("Pending=%d, want 2", c.Pending())
+	c.Schedule(time.Millisecond, func() {})
+	stop := c.Ticker(time.Millisecond, func() {})
+	if c.Pending() != 3 {
+		t.Fatalf("Pending=%d, want 3", c.Pending())
 	}
-	h1.Cancel()
-	if c.Pending() != 1 {
-		t.Fatalf("Pending=%d after cancel, want 1", c.Pending())
+	stop()
+	c.Run(time.Second)
+	if c.Pending() != 0 {
+		t.Fatalf("Pending=%d after the run, want 0", c.Pending())
 	}
 }
 
@@ -238,39 +214,6 @@ func TestPropertyOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: a random interleaving of schedules and cancels fires exactly the
-// non-cancelled events.
-func TestPropertyCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 50; iter++ {
-		c := New()
-		fired := map[int]bool{}
-		var handles []Handle
-		n := 1 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			i := i
-			h := c.Schedule(time.Duration(rng.Intn(100))*time.Millisecond, func() { fired[i] = true })
-			handles = append(handles, h)
-		}
-		cancelled := map[int]bool{}
-		for i := range handles {
-			if rng.Intn(2) == 0 {
-				handles[i].Cancel()
-				cancelled[i] = true
-			}
-		}
-		c.Run(time.Second)
-		for i := 0; i < n; i++ {
-			if cancelled[i] && fired[i] {
-				t.Fatalf("iter %d: cancelled event %d fired", iter, i)
-			}
-			if !cancelled[i] && !fired[i] {
-				t.Fatalf("iter %d: live event %d did not fire", iter, i)
-			}
-		}
 	}
 }
 

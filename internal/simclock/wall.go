@@ -13,7 +13,7 @@ import (
 // session code written against Scheduler runs on either backend unchanged.
 //
 // Concurrency model: Schedule/ScheduleAfter/SchedulePayload/ScheduleCode/
-// NewCode/Ticker and Handle.Cancel are safe to call from any goroutine
+// NewCode/Ticker are safe to call from any goroutine
 // (socket reader goroutines inject received packets by scheduling their
 // handling), while every callback runs serialized on the single goroutine
 // executing Run — mirroring the simulation clock's one-goroutine discipline,
@@ -52,11 +52,10 @@ func (w *Wall) add(at time.Duration, fn func(any), arg any) Handle {
 	if now := w.Now(); at < now {
 		at = now
 	}
-	i, gen := w.arena.add(at, fn, arg)
-	if w.heap[0] == i {
+	if w.arena.add(at, fn, arg) == w.heap[0] {
 		w.signal()
 	}
-	return Handle{w, i, gen}
+	return Handle{}
 }
 
 func (w *Wall) signal() {
@@ -147,20 +146,6 @@ func (w *Wall) Ticker(period time.Duration, fn func()) (stop func()) {
 	return func() { t.stopped.Store(true) }
 }
 
-// cancelEvent implements handleOwner for the wall clock.
-func (w *Wall) cancelEvent(idx int32, gen uint32) {
-	w.mu.Lock()
-	w.cancel(idx, gen)
-	w.mu.Unlock()
-}
-
-// Pending reports the number of live (non-cancelled) scheduled events.
-func (w *Wall) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.live()
-}
-
 // Stop makes Run return as soon as possible. Events still in the heap are
 // kept (a subsequent Run would resume them); Stop is idempotent.
 func (w *Wall) Stop() {
@@ -186,11 +171,9 @@ func (w *Wall) Run(until time.Duration) {
 		now := w.Now()
 		// Fire every due event before considering sleep.
 		if len(w.heap) > 0 && w.slab[w.heap[0]].at <= now {
-			fn, arg, canceled := w.take()
+			fn, arg := w.take()
 			w.mu.Unlock()
-			if !canceled {
-				fn(arg)
-			}
+			fn(arg)
 			continue
 		}
 		if now >= until {

@@ -46,15 +46,6 @@ type foveaKernel struct {
 	inv  float64 // 1/step
 }
 
-// foveaRef is the reference weight: the literal Acos/Exp expression the
-// kernel approximates (and ROIPSNRScratch previously inlined). The
-// property test compares the kernel against this on a dense grid.
-func foveaRef(c, sigma float64) float64 {
-	c = math.Max(-1, math.Min(1, c))
-	d := math.Acos(c) * 180 / math.Pi
-	return math.Exp(-d * d / (2 * sigma * sigma))
-}
-
 // foveaRefDeriv is dG/dc = 2k·acos(c)/√(1−c²) · G(c). The ratio
 // acos(c)/√(1−c²) → 1 as c → 1, so the limit value at the endpoint is
 // 2k·G(1) = 2k; at c = −1 the true derivative diverges, but that endpoint

@@ -103,13 +103,14 @@ func TestROIPSNRMatchesScalarReference(t *testing.T) {
 		}
 		got := ef.ROIPSNR(cfg, actual, projection.DefaultFoV)
 
-		// Scalar reference: the pre-kernel computation, verbatim.
+		// Scalar reference: the pre-kernel computation, with the tile-center
+		// distance taken by the general AngularDistance (which the geometry
+		// tables reproduce bit for bit).
 		vis := g.VisibleTiles(actual, projection.DefaultFoV)
-		by, sinBp, cosBp := projection.OrientationTrig(actual)
 		twoSigmaSq := 2.0 * foveaSigma * foveaSigma
 		num, den := 0.0, 0.0
 		for _, tl := range vis {
-			d := ge.TileAngularDistance(tl, by, sinBp, cosBp)
+			d := projection.AngularDistance(g.Center(tl), actual)
 			w := ge.AreaW[tl.J] * math.Exp(-d*d/twoSigmaSq)
 			num += w * psnrForLevel(ef.LevelAt(g.Index(tl)))
 			den += w
@@ -140,4 +141,13 @@ func BenchmarkROIPSNR(b *testing.B) {
 		p, scratch = ef.ROIPSNRScratch(cfg, o, projection.DefaultFoV, scratch)
 		_ = p
 	}
+}
+
+// foveaRef is the reference weight: the literal Acos/Exp expression the
+// kernel approximates (and ROIPSNRScratch previously inlined). The
+// property test compares the kernel against this on a dense grid.
+func foveaRef(c, sigma float64) float64 {
+	c = math.Max(-1, math.Min(1, c))
+	d := math.Acos(c) * 180 / math.Pi
+	return math.Exp(-d * d / (2 * sigma * sigma))
 }

@@ -85,15 +85,6 @@ type Frame struct {
 	Jitter   float64   // content-difficulty offset in dB for this frame
 }
 
-// RawBits returns the total raw size of the frame in bits.
-func (f *Frame) RawBits() float64 {
-	s := 0.0
-	for _, b := range f.TileBits {
-		s += b
-	}
-	return s
-}
-
 // Source produces a deterministic synthetic 360° stream. It stands in for
 // the paper's v4l2loopback virtual webcam replaying a 4K capture: repeatable
 // traffic with spatially non-uniform, slowly wandering content complexity.
@@ -128,9 +119,6 @@ func NewSource(cfg Config) *Source {
 		colF:     make([]float64, cfg.Grid.W),
 	}
 }
-
-// Config returns the source configuration.
-func (s *Source) Config() Config { return s.cfg }
 
 // NextFrame produces the frame captured at time now. Frames are numbered
 // sequentially from 0.
@@ -238,17 +226,6 @@ func (ef *EncodedFrame) LevelAt(idx int) float64 {
 	return l * ef.Scale
 }
 
-// EffectiveLevels materializes the full effective-level matrix (one
-// LevelAt per tile) into a fresh slice. Diagnostics and tests only — hot
-// paths use LevelAt.
-func (ef *EncodedFrame) EffectiveLevels() []float64 {
-	out := make([]float64, len(ef.Spatial))
-	for idx := range ef.Spatial {
-		out[idx] = ef.LevelAt(idx)
-	}
-	return out
-}
-
 // Encode applies a spatial compression matrix (per-tile levels ≥ 1, indexed
 // by Grid.Index) and then, if the result still exceeds budgetBits, an
 // additional uniform encoder scale so the frame fits the rate controller's
@@ -289,20 +266,14 @@ func Encode(f *Frame, levels []float64, budgetBits float64, senderROI projection
 	}
 }
 
-// ROIPSNR returns the viewer-perceived PSNR of the region the viewer is
-// actually looking at: the solid-angle-weighted mean PSNR of the tiles
-// inside the viewer's FoV centered at actualROI. This mirrors the paper's
+// ROIPSNRScratch returns the viewer-perceived PSNR of the region the viewer
+// is actually looking at: the solid-angle-weighted mean PSNR of the tiles
+// inside the viewer's FoV centered at actual. This mirrors the paper's
 // measurement methodology (§5): the client dumps only its displayed ROI and
-// quality is compared there, not across the whole panorama.
-func (ef *EncodedFrame) ROIPSNR(cfg Config, actual projection.Orientation, fov projection.FoV) float64 {
-	p, _ := ef.ROIPSNRScratch(cfg, actual, fov, nil)
-	return p
-}
-
-// ROIPSNRScratch is ROIPSNR with a caller-owned scratch buffer for the
-// visible-tile list. It returns the PSNR and the (possibly grown) scratch
-// for reuse, so the per-displayed-frame hot path performs no allocation
-// once the scratch has reached the FoV's tile count.
+// quality is compared there, not across the whole panorama. scratch is a
+// caller-owned buffer for the visible-tile list; the (possibly grown)
+// scratch is returned for reuse, so the per-displayed-frame hot path
+// performs no allocation once it has reached the FoV's tile count.
 func (ef *EncodedFrame) ROIPSNRScratch(cfg Config, actual projection.Orientation, fov projection.FoV, scratch []projection.Tile) (float64, []projection.Tile) {
 	g := cfg.Grid
 	ge := projection.GeomFor(g)

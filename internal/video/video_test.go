@@ -278,3 +278,28 @@ func BenchmarkSourceNextFrame(b *testing.B) {
 		s.NextFrame(time.Duration(i) * 33 * time.Millisecond)
 	}
 }
+
+// RawBits returns the total raw size of the frame in bits.
+func (f *Frame) RawBits() float64 {
+	s := 0.0
+	for _, b := range f.TileBits {
+		s += b
+	}
+	return s
+}
+
+// EffectiveLevels materializes the full effective-level matrix (one
+// LevelAt per tile) into a fresh slice.
+func (ef *EncodedFrame) EffectiveLevels() []float64 {
+	out := make([]float64, len(ef.Spatial))
+	for idx := range ef.Spatial {
+		out[idx] = ef.LevelAt(idx)
+	}
+	return out
+}
+
+// ROIPSNR is ROIPSNRScratch without a scratch buffer.
+func (ef *EncodedFrame) ROIPSNR(cfg Config, actual projection.Orientation, fov projection.FoV) float64 {
+	p, _ := ef.ROIPSNRScratch(cfg, actual, fov, nil)
+	return p
+}

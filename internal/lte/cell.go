@@ -132,21 +132,22 @@ func (c UEConfig) Validate() error {
 //     grows with the UE's own buffer occupancy while contention is folded
 //     into the scalar BackgroundLoad — bit-for-bit the legacy Uplink.
 //   - With two or more UEs each subframe runs a true proportional-fair
-//     allocation: UEs are ranked by instantaneous achievable rate divided
-//     by their EWMA served rate, where the achievable rate is buffer-aware
-//     as in the paper's Fig. 5 (capacity × min(1, B/knee) — the eNB sizes
-//     grants to the reported BSR), and the subframe's capacity is
-//     waterfilled down the ranking. Contention *emerges*: a UE that
-//     backlogs its firmware buffer is ranked (and granted) more, exactly
-//     the cross-layer property FBCC exploits, while long-served UEs yield
-//     to starved ones through the EWMA denominator.
+//     allocation: the PF metric of a UE is its instantaneous achievable
+//     rate divided by its EWMA served rate, where the achievable rate is
+//     buffer-aware as in the paper's Fig. 5 (capacity × min(1, B/knee) —
+//     the eNB sizes grants to the reported BSR), and the subframe's
+//     capacity is waterfilled over the UEs in metric order, best first.
+//     Contention *emerges*: a UE that backlogs its firmware buffer scores
+//     (and is granted) more, exactly the cross-layer property FBCC
+//     exploits, while long-served UEs yield to starved ones through the
+//     EWMA denominator.
 type Cell struct {
 	clk simclock.Scheduler
 	cfg CellConfig
 	rng *seeds.SplitMix
 
 	ues     []*UE
-	order   []int // scratch: PF ranking of backlogged UEs per subframe
+	order   []int // scratch: the backlogged rows of a PF subframe, ascending id
 	cap     capacityProcess
 	started bool
 	// stop cancels the subframe ticker; nil while the cell sleeps (started,
@@ -177,7 +178,7 @@ type Cell struct {
 	diagNext int64
 
 	// bufTotal is the summed firmware-buffer occupancy of the active rows.
-	// A multi-UE subframe with bufTotal == 0 has nothing to rank, grant or
+	// A multi-UE subframe with bufTotal == 0 has nothing to pick, grant or
 	// serve — the only PF state that still moves is the served-rate EWMA
 	// decay, which pfIdle defers (counted per idle subframe) and the next
 	// pfGrant replays exactly. Between video frames most subframes are
@@ -325,7 +326,7 @@ func (c *Cell) DetachUE(u *UE) int {
 	u.credit = 0
 	// Drop the row from the active list (order-preserving, so the PF
 	// metric loop keeps visiting rows in ascending id order — the
-	// deterministic tie-break of the ranking).
+	// deterministic tie-break of the PF winner).
 	for k, id := range c.active {
 		if int(id) == u.id {
 			copy(c.active[k:], c.active[k+1:])
@@ -470,32 +471,33 @@ func (c *Cell) stochasticGrant(u *UE) {
 //	r_i      = capacity · min(1, B_i/knee)     (buffer-aware, Fig. 5)
 //	T_i      = EWMA of the served rate over pfWindow
 //
-// Backlogged UEs are ranked by metric (ties to the lower UE id, so the
-// allocation is deterministic) and the subframe's transport capacity is
-// waterfilled down the ranking: each UE takes at most its buffer-aware
-// share r_i·1ms, the remainder flows to the next UE. Granted TBS carries
-// the same multiplicative noise as the legacy discipline.
+// The subframe's transport capacity is waterfilled over the backlogged UEs
+// in metric order (ties to the lower UE id, so the allocation is
+// deterministic): each UE takes at most its buffer-aware share r_i·1ms, the
+// remainder flows to the next best UE. Granted TBS carries the same
+// multiplicative noise as the legacy discipline.
 func (c *Cell) pfGrant() {
 	// One fused pass over the active rows does three jobs: it settles each
 	// row's EWMA (the served-rate update the cell's *previous* busy
 	// subframe deferred via pfPend, then any idle-subframe decay deferred
 	// via pfIdle — replayed as the exact per-subframe updates, so values
 	// are bit-identical to running the bookkeeping loop every subframe),
-	// computes the PF metric against the settled value, and ranks the
-	// backlogged rows. The classic shape — metric pass, waterfill, then a
-	// separate EWMA pass — walked every row twice per subframe.
+	// computes the PF metric against the settled value, lists the
+	// backlogged rows and picks the best of them. The classic shape —
+	// metric pass, waterfill, then a separate EWMA pass — walked every row
+	// twice per subframe.
 	s := &c.soa
 	alpha := float64(Subframe) / float64(pfWindow)
 	k := c.pfIdle
 	c.pfIdle = 0
 	pend := c.pfPend
 	capNow := c.cap.current
-	// The ranking writes into c.order's full backing array (capacity kept
+	// The list writes into c.order's full backing array (capacity kept
 	// ≥ len(ues) by admit) with an explicit count, sidestepping append's
 	// per-entry capacity check in the hottest loop of the simulation.
 	ord := c.order[:cap(c.order)]
 	met := s.pfMetric
-	n := 0
+	n, w, best := 0, 0, 0.0 // w: position in ord of the best row
 	for _, id := range c.active {
 		i := int(id)
 		e := s.ewma[i]
@@ -525,43 +527,52 @@ func (c *Cell) pfGrant() {
 		}
 		m := ach / e
 		met[i] = m
-		// Insertion sort by metric descending, UE id ascending on ties:
-		// populations are small (the per-cell UE count), and the stable
-		// deterministic order matters more than asymptotics. The shift is a
-		// manual loop — with one to four entries a memmove call costs more
-		// than the moves.
-		pos := n
-		for pos > 0 && met[ord[pos-1]] < m {
-			pos--
+		// Strict >: rows come in ascending id order, so the lowest id
+		// wins a tie.
+		if n == 0 || m > best {
+			w, best = n, m
 		}
-		for q := n; q > pos; q-- {
-			ord[q] = ord[q-1]
-		}
-		ord[pos] = i
+		ord[n] = i
 		n++
 	}
 	c.pfPend = true
 
+	// Waterfill in metric order by selection, not by sorting: in
+	// saturation (occupancy ≥ knee) the first grant takes the whole
+	// subframe, so the next best is looked for only while capacity is left.
 	remaining := capNow * subframeSec // bits this subframe
-	for _, idx := range ord[:n] {
-		if remaining <= 0 {
-			break
+	for n > 0 && remaining > 0 {
+		if w < 0 { // the next best of the rows left
+			w = 0
+			for q := 1; q < n; q++ {
+				if met[ord[q]] > met[ord[w]] {
+					w = q
+				}
+			}
 		}
+		idx := ord[w]
 		u := c.ues[idx]
 		tbs := s.pfAchiev[idx] * subframeSec
 		if remaining < tbs {
 			tbs = remaining
 		}
-		if tbs <= 0 {
-			continue
+		if tbs > 0 {
+			remaining -= tbs
+			noise := 1 + u.rng.NormFloat64()*tbsNoise
+			if noise < 0.1 {
+				noise = 0.1
+			}
+			tbs *= noise
+			s.pfServed[idx] = u.serve(tbs)
 		}
-		remaining -= tbs
-		noise := 1 + u.rng.NormFloat64()*tbsNoise
-		if noise < 0.1 {
-			noise = 0.1
+		// Order-preserving removal keeps ord in ascending id order for
+		// the tie-break of the next selection. The shift is a manual loop:
+		// copy would call memmove even for the empty shift of the last row.
+		n--
+		for q := w; q < n; q++ {
+			ord[q] = ord[q+1]
 		}
-		tbs *= noise
-		s.pfServed[idx] = u.serve(tbs)
+		w = -1
 	}
 }
 

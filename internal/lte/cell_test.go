@@ -1,6 +1,7 @@
 package lte
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -118,7 +119,7 @@ func TestCellDeterministic(t *testing.T) {
 	}
 }
 
-// The PF served-rate EWMA the ranking divides by must be positive and
+// The PF served-rate EWMA the metric divides by must be positive and
 // finite for every UE after a long backlogged run.
 func TestServedRateFiniteAndPositive(t *testing.T) {
 	clk, cell, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10})
@@ -287,5 +288,41 @@ func TestCellAlwaysPFSingleUE(t *testing.T) {
 	}
 	if pf2 := run(true); pf2 != pf {
 		t.Fatalf("AlwaysPF path nondeterministic: %g vs %g", pf, pf2)
+	}
+}
+
+// BenchmarkPFSubframe times one subframe (ns/op) of a city-configured cell
+// whose 1, 4 or 16 UEs are each fed one 4-packet video frame every 1/30 s,
+// the shape of the benchmark's lte.pf_ns_per_subframe rows.
+func BenchmarkPFSubframe(b *testing.B) {
+	for _, n := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("u%d", n), func(b *testing.B) {
+			clk := simclock.New()
+			cfg := DefaultCellConfig(ProfileCampus)
+			cfg.Profile.Seed = 1
+			cfg.AlwaysPF = true
+			cfg.CapacityStride = 10
+			cell, err := NewCell(clk, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ues := make([]*UE, n)
+			for i := range ues {
+				if ues[i], err = cell.AddUE(DefaultUEConfig(int64(i+1)), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cell.Start()
+			clk.Ticker(time.Second/30, func() {
+				for _, u := range ues {
+					for k := 0; k < 4; k++ {
+						u.Enqueue(Packet{Bytes: 1200})
+					}
+				}
+			})
+			clk.Run(time.Second)
+			b.ResetTimer()
+			clk.Run(clk.Now() + time.Duration(b.N)*Subframe)
+		})
 	}
 }

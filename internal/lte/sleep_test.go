@@ -14,7 +14,7 @@ import (
 // subframes it slept through at the next attach (or capacityNow read). The
 // oracle for "the replay is exact" is the same production cell kept awake
 // for the whole run by a placeholder UE that never enqueues: an
-// unbacklogged row is never ranked or granted and draws nothing, so it
+// unbacklogged row is never picked or granted and draws nothing, so it
 // changes nothing about the cell but len(active) — the always-ticking
 // behaviour survives only here, as the reference.
 

@@ -30,10 +30,9 @@
 // # Periodic lane
 //
 // Tickers — the single densest event class (the 1 ms LTE subframe tick
-// alone is ~30 000 events per session) — bypass the heap entirely. Each
-// Ticker occupies one slot in a small "periodic lane"; the run loop merges
-// the lane with the heap by (time, sequence), and a fired ticker reuses its
-// lane slot for the next occurrence instead of a heap push/pop pair. Lane
+// alone is ~30 000 events per session) — bypass the heap entirely. The run
+// loop merges a small "periodic lane" with the heap by (time, sequence),
+// and a fired ticker re-arms in place instead of a heap push/pop pair. Lane
 // entries consume sequence numbers at exactly the points a self-re-arming
 // heap closure would (one at registration, one after each callback
 // returns), so the merged firing order is bit-identical to scheduling every
@@ -43,6 +42,22 @@
 // bit-identical but ran the session-grid benchmark 21 % slower (shared-cell
 // 6 %) — most of a session's events are ticks, and a lane fire is one slot
 // update where a heap tick is a push and a pop.
+//
+// Tickers that share a period form a class: a ring of its members in firing
+// order, and only the class head, the member due first, holds a lane slot.
+// The ring never needs sorting because a member always joins and re-arms as
+// the last of its class: it takes now+period and the newest sequence
+// number, while every other member was armed at or before now, so it is
+// due at or before now+period with an older number. Re-arming therefore
+// moves the head to the next member, a registration into an existing class
+// leaves the lane minimum alone, and the head scan costs O(distinct
+// periods), not O(tickers): the 16-UE shared cell's 65 tickers are 4
+// classes (1 ms, 5 ms, 33.3 ms, 1 s), and a fire there costs ≈ 20 ns where
+// the per-ticker scan cost ≈ 110 ns (BenchmarkTickerLane). A one-member
+// class — both tickers of a city shard; a session's subframe, pacer and
+// viewer tickers — pays one branch more than a plain slot. A stopped ticker
+// stays in its ring until its pending occurrence comes up, and only then
+// leaves.
 package simclock
 
 import (
@@ -69,16 +84,21 @@ type event struct {
 // stores the closure itself as the event's argument.
 func callFunc(f any) { f.(func())() }
 
-// periodic is one Ticker's lane slot: the pending occurrence (at, seq) plus
-// the rescheduling state. A stopped entry keeps its pending occurrence
-// until the run loop reaches it — mirroring the old closure ticker, whose
-// already-scheduled no-op event stayed in the heap after stop().
+// periodic is one Ticker: the pending occurrence (at, seq) plus the
+// rescheduling state. Tickers with the same period form a class, a
+// circular doubly-linked ring (next, prev) in firing order; only the class
+// head, the member due first, sits in the lane. A stopped entry (fn nil)
+// keeps its pending occurrence until the run loop reaches it — mirroring
+// the old closure ticker, whose already-scheduled no-op event stayed in
+// the heap after stop(). It is kept at six words (a 48-byte allocation):
+// stop clears fn instead of setting a flag, and the head's lane slot is
+// remembered by the scan (Clock.pslot), not stored here.
 type periodic struct {
-	at      time.Duration
-	seq     uint64
-	period  time.Duration
-	fn      func()
-	stopped bool
+	at         time.Duration
+	seq        uint64
+	period     time.Duration
+	fn         func()
+	next, prev *periodic
 }
 
 // Clock is a discrete-event simulation clock. The zero value is not usable;
@@ -87,16 +107,21 @@ type Clock struct {
 	now time.Duration
 	// arena holds the heap events; its seq is shared with the ticker lane.
 	arena
-	// periodics is the ticker lane. Entries are removed (swap-delete) only
-	// after their final pending occurrence has been consumed; stop
-	// functions capture the *periodic, so reordering is safe.
+	// periodics is the ticker lane: one class head per distinct period.
+	// A class leaves (swap-delete) only when it empties; stop functions
+	// capture the *periodic, so reordering is safe.
 	periodics []*periodic
-	// pmin caches the lane entry with the smallest (at, seq); pdirty marks
-	// it stale. The lane order only changes when an entry is added, removed,
-	// or rescheduled after firing — Step itself can reuse the cached pick,
-	// so the lane scan runs once per ticker fire instead of once per event.
-	pmin   *periodic
-	pdirty bool
+	// pmin caches the lane head with the smallest (at, seq) and pslot its
+	// index in periodics; pdirty marks them stale. The lane order only
+	// changes when a class is added or removed or its head fires — Step
+	// itself can reuse the cached pick, so the head scan runs once per
+	// ticker fire instead of once per event. tickers counts the members of
+	// every class. pslot and tickers are int32 to keep Clock in the
+	// 160-byte allocation size class.
+	pmin    *periodic
+	pslot   int32
+	tickers int32
+	pdirty  bool
 }
 
 // New returns a Clock positioned at virtual time zero with no pending events.
@@ -288,45 +313,54 @@ func (c *Clock) ScheduleAfter(d time.Duration, fn func()) Handle {
 // Ticker invokes fn every period, starting one period from now, until the
 // returned stop function is called. fn observes the tick time via Clock.Now.
 func (c *Clock) Ticker(period time.Duration, fn func()) (stop func()) {
-	if period <= 0 {
-		panic("simclock: ticker period must be positive")
+	return c.register(period, fn).stop
+}
+
+// stop only clears fn: the pending occurrence keeps its (at, seq) place in
+// the merge order, so the cached minimum stays valid.
+func (p *periodic) stop() { p.fn = nil }
+
+// register arms a new ticker one period from now and adds it to the class
+// of its period, or opens a class. It is Ticker's body out of line, so that
+// Ticker inlines and a caller that drops the stop function does not
+// allocate the method value.
+func (c *Clock) register(period time.Duration, fn func()) *periodic {
+	if period <= 0 || fn == nil {
+		panic("simclock: ticker needs a positive period and a callback")
 	}
 	p := &periodic{at: c.now + period, seq: c.seq, period: period, fn: fn}
 	c.seq++
-	c.periodics = append(c.periodics, p)
-	c.pdirty = true
-	// Stopping only flags the entry: its pending occurrence keeps its
-	// (at, seq) slot in the merge order, so the cached minimum stays valid.
-	return func() { p.stopped = true }
-}
-
-// removePeriodic swap-deletes p from the lane once its last pending
-// occurrence has been consumed.
-func (c *Clock) removePeriodic(p *periodic) {
-	for i, q := range c.periodics {
-		if q == p {
-			n := len(c.periodics) - 1
-			c.periodics[i] = c.periodics[n]
-			c.periodics[n] = nil
-			c.periodics = c.periodics[:n]
-			c.pdirty = true
-			return
+	c.tickers++
+	for _, h := range c.periodics {
+		if h.period == period {
+			// p is due last in its class (see the package doc): it joins
+			// the ring's tail, just before the head, and the lane minimum
+			// is unchanged.
+			p.next, p.prev = h, h.prev
+			h.prev.next = p
+			h.prev = p
+			return p
 		}
 	}
+	p.next, p.prev = p, p
+	c.periodics = append(c.periodics, p)
+	c.pdirty = true
+	return p
 }
 
-// nextPeriodic returns the lane entry with the smallest (at, seq), or nil.
+// nextPeriodic returns the lane head with the smallest (at, seq), or nil.
 func (c *Clock) nextPeriodic() *periodic {
 	if !c.pdirty {
 		return c.pmin
 	}
 	var best *periodic
-	for _, p := range c.periodics {
+	var slot int32
+	for i, p := range c.periodics {
 		if best == nil || p.at < best.at || (p.at == best.at && p.seq < best.seq) {
-			best = p
+			best, slot = p, int32(i)
 		}
 	}
-	c.pmin = best
+	c.pmin, c.pslot = best, slot
 	c.pdirty = false
 	return best
 }
@@ -337,25 +371,46 @@ func (c *Clock) fireHeap() {
 	fn(arg)
 }
 
-// firePeriodic consumes a lane entry's pending occurrence. A stopped entry
-// is retired without running its callback (the old closure ticker fired a
-// no-op event here); a live one runs fn and then reschedules, consuming the
-// next sequence number only after fn returns — exactly where the old
-// ticker's ScheduleAfter sat.
+// firePeriodic consumes the pending occurrence of p, the lane pick of
+// nextPeriodic, whose slot is pslot (fn may add classes, which appends and
+// moves no slot). A stopped entry is retired without running its callback
+// (the old closure ticker fired a no-op event here); a live one runs fn
+// and then reschedules, consuming the next sequence number only after fn
+// returns — exactly where the old ticker's ScheduleAfter sat. The re-armed
+// p is last of its class, so the ring stays as it is and the head moves on
+// to p.next.
 func (c *Clock) firePeriodic(p *periodic) {
-	if p.stopped {
-		c.removePeriodic(p)
-		return
+	if p.fn != nil {
+		p.fn()
 	}
-	p.fn()
-	if p.stopped {
-		c.removePeriodic(p)
+	c.pdirty = true
+	if p.fn == nil {
+		c.retire(p)
 		return
 	}
 	p.at = c.now + p.period
 	p.seq = c.seq
 	c.seq++
-	c.pdirty = true
+	if q := p.next; q != p {
+		c.periodics[c.pslot] = q
+	}
+}
+
+// retire removes p, the class head at pslot, once its last pending
+// occurrence has been consumed: p.next heads the class, or, if p was
+// alone, the class leaves the lane.
+func (c *Clock) retire(p *periodic) {
+	slot := c.pslot
+	c.tickers--
+	if q := p.next; q != p {
+		p.prev.next, q.prev = q, p.prev
+		c.periodics[slot] = q
+		return
+	}
+	n := len(c.periodics) - 1
+	c.periodics[slot] = c.periodics[n]
+	c.periodics[n] = nil
+	c.periodics = c.periodics[:n]
 }
 
 // next selects the earliest pending occurrence across the heap and the
@@ -426,8 +481,9 @@ done:
 	}
 }
 
-// Pending reports the number of events in the queue, counting each active
-// ticker's pending occurrence.
+// Pending reports the number of pending events: every heap event plus one
+// occurrence per ticker. A stopped ticker still counts until the run loop
+// reaches its last pending occurrence and retires it.
 func (c *Clock) Pending() int {
-	return len(c.periodics) + len(c.heap)
+	return int(c.tickers) + len(c.heap)
 }

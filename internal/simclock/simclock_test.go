@@ -102,9 +102,6 @@ func TestTicker(t *testing.T) {
 	var ticks []time.Duration
 	stop := c.Ticker(10*time.Millisecond, func() {
 		ticks = append(ticks, c.Now())
-		if len(ticks) == 3 {
-			// stop from within the callback
-		}
 	})
 	c.Run(35 * time.Millisecond)
 	stop()
@@ -173,6 +170,10 @@ func TestPending(t *testing.T) {
 		t.Fatalf("Pending=%d, want 3", c.Pending())
 	}
 	stop()
+	// A stopped ticker counts until its pending occurrence comes up.
+	if c.Pending() != 3 {
+		t.Fatalf("Pending=%d after stop, want 3", c.Pending())
+	}
 	c.Run(time.Second)
 	if c.Pending() != 0 {
 		t.Fatalf("Pending=%d after the run, want 0", c.Pending())
@@ -214,6 +215,62 @@ func TestPropertyOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tickerMix registers a benchmark workload's ticker population on c: a city
+// shard (cell subframe, resident frame tick), a session (uplink subframe,
+// pacer, two frame tickers, viewer stats) or the 16-UE shared cell (its
+// subframe, then 16 sessions' four tickers each: 65 tickers in 4 classes).
+func tickerMix(c *Clock, mix string) {
+	frame := time.Second / 30
+	session := []time.Duration{5 * time.Millisecond, frame, frame, time.Second}
+	var periods []time.Duration
+	switch mix {
+	case "city":
+		periods = []time.Duration{time.Millisecond, frame}
+	case "session":
+		periods = append([]time.Duration{time.Millisecond}, session...)
+	case "shared16":
+		periods = []time.Duration{time.Millisecond}
+		for i := 0; i < 16; i++ {
+			periods = append(periods, session...)
+		}
+	}
+	fired := 0
+	for _, p := range periods {
+		c.Ticker(p, func() { fired++ })
+	}
+}
+
+// TestClockTickAllocFree holds the simulation lane to no allocation per
+// ticker fire on the shared-cell population (re-arming moves a class head,
+// it builds nothing).
+func TestClockTickAllocFree(t *testing.T) {
+	c := New()
+	tickerMix(c, "shared16")
+	if c.Pending() != 65 {
+		t.Fatalf("Pending=%d, want 65 tickers", c.Pending())
+	}
+	c.Run(2 * time.Second) // warm-up: every class has fired
+	if n := testing.AllocsPerRun(10000, func() { c.Step() }); n != 0 {
+		t.Fatalf("%g allocations per ticker fire, want 0", n)
+	}
+}
+
+// BenchmarkTickerLane times one ticker fire (ns/op) on the lane populations
+// of the city, session and shared-cell workloads (2, 5 and 65 tickers).
+func BenchmarkTickerLane(b *testing.B) {
+	for _, mix := range []string{"city", "session", "shared16"} {
+		b.Run(mix, func(b *testing.B) {
+			c := New()
+			tickerMix(c, mix)
+			c.Run(2 * time.Second)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Step()
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package lte
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -16,6 +17,9 @@ import (
 // short enough that the scheduler reacts to a UE's buffer within a video
 // frame interval.
 const pfWindow = 100 * time.Millisecond
+
+// pfAlpha is the EWMA's per-subframe weight.
+const pfAlpha = float64(Subframe) / float64(pfWindow)
 
 // grantProb is the legacy single-UE discipline's per-subframe probability
 // of receiving a grant when the buffer is saturated (at or beyond the
@@ -114,16 +118,12 @@ func (c UEConfig) Validate() error {
 }
 
 // Cell is one LTE cell whose uplink capacity is shared by the UEs admitted
-// with AddUE. Create with NewCell, attach UEs, then Start. All callbacks
-// run on the simulation clock's goroutine.
-//
-// A started cell with no attached UE sleeps: it holds no subframe ticker
-// and costs nothing until the next AddUE replays the subframes it slept
-// through — for an empty cell those are only the capacity process and the
-// subframe counter, whose state and draws depend on nothing outside the
-// cell, so the replay is exact (DESIGN.md §15).
-// Cells whose UEs are all admitted before Start and never detached — every
-// session and shared-cell use — never sleep.
+// with AddUE. Create with NewCell, attach UEs, then drive it with Start (a
+// 1 ms ticker; the population is then fixed) or Advance (the city's driver;
+// UEs join and leave between calls), never both (DESIGN.md §15). An
+// advanced cell with no attached UE sleeps: its advance is the capacity
+// process and the subframe counter alone. Callbacks run on the driver's
+// goroutine and read their subframe's instant from UE.Now.
 //
 // Scheduling disciplines:
 //
@@ -146,14 +146,17 @@ type Cell struct {
 	cfg CellConfig
 	rng *seeds.SplitMix
 
-	ues     []*UE
-	order   []int // scratch: the backlogged rows of a PF subframe, ascending id
-	cap     capacityProcess
-	started bool
-	// stop cancels the subframe ticker; nil while the cell sleeps (started,
-	// no attached UE — see wake). startAt anchors the subframe grid.
-	stop    func()
-	startAt time.Duration
+	ues   []*UE
+	order []int // scratch: the backlogged rows of a PF subframe, ascending id
+	cap   capacityProcess
+	// started and advanced record the driver: Start, or Advance.
+	started, advanced bool
+	// anchor is the clock time of NewCell: subframe k of an advanced cell
+	// runs at anchor + k·Subframe.
+	anchor time.Duration
+	// probed marks a cell one of whose UEs was given a telemetry probe.
+	// Probes emit in subframe order, so its advances never run row by row.
+	probed bool
 
 	// active lists the attached (non-detached) rows in ascending id order.
 	// Rows are never deleted — UE ids index the SoA — but a city cell with
@@ -170,10 +173,10 @@ type Cell struct {
 	capStride    int
 	capCountdown int
 
-	// sfIndex counts subframes since Start; diagNext is the earliest
-	// subframe index at which any active row's diag report is due, so the
-	// subframe loop decides "any diag due?" with one comparison instead of
-	// walking every row every millisecond.
+	// sfIndex counts the subframes run; diagNext is the earliest subframe
+	// index at which any active row's diag report is due, so the subframe
+	// loop decides "any diag due?" with one comparison instead of walking
+	// every row every millisecond.
 	sfIndex  int64
 	diagNext int64
 
@@ -188,9 +191,10 @@ type Cell struct {
 	// pfPend marks that the last busy subframe's served-rate EWMA update
 	// is still deferred (folded into the next pfGrant pass).
 	pfPend bool
-	// now caches clk.Now() once per subframe: serve/emitDiag run only from
-	// the subframe path, and a cell serves a grant or two every millisecond
-	// — the per-grant Scheduler interface call was measurable at city scale.
+	// now is the instant of the subframe running, set once per subframe:
+	// serve and emitDiag run only from the subframe path, and a cell serves
+	// a grant or two every millisecond — the per-grant Scheduler interface
+	// call was measurable at city scale.
 	now time.Duration
 
 	// soa holds the per-UE state the subframe loop touches every
@@ -226,6 +230,22 @@ func (s *cellSoA) add(sfIndex int64) {
 	s.pfServed = append(s.pfServed, 0)
 }
 
+// settle applies row i's deferred served-rate EWMA updates — the last busy
+// subframe's, when pend, then k idle subframes' decay — replayed as the
+// exact per-subframe updates, and returns the settled value.
+func (s *cellSoA) settle(i int, pend bool, k int32) float64 {
+	e := s.ewma[i]
+	if pend {
+		e += pfAlpha * (s.pfServed[i]*invSubframeSec - e)
+		s.pfServed[i] = 0
+	}
+	for j := k; j > 0 && e != 0; j-- {
+		e += pfAlpha * (0 - e)
+	}
+	s.ewma[i] = e
+	return e
+}
+
 // NewCell builds a cell on clk. Attach UEs with AddUE.
 func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	if err := cfg.Validate(); err != nil {
@@ -239,6 +259,7 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 		clk:       clk,
 		cfg:       cfg,
 		rng:       rng,
+		anchor:    clk.Now(),
 		capStride: cfg.CapacityStride,
 		diagNext:  math.MaxInt64,
 	}
@@ -251,17 +272,17 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	return c, nil
 }
 
-// AddUE admits a UE to the cell, before or after Start. deliver (may be
-// nil) is invoked for each of this UE's packets that finishes transmission
-// over the air. After Start this is the handover re-attach the multi-cell
-// network layer uses to move UEs between cells mid-simulation: the new UE
-// starts with fresh PF/EWMA and diag state (a handed-over UE is a newcomer
-// to the target scheduler) and is picked up by the next subframe's
-// allocation.
-//
-// The attach that wakes a sleeping cell (started, no attached UE) must come
-// between clock runs, at an instant of the cell's subframe grid: see settle.
+// AddUE admits a UE to the cell. deliver (may be nil) is invoked for each
+// of this UE's packets that finishes transmission over the air. On an
+// advanced cell this is also the handover re-attach the city uses to move
+// UEs between cells mid-simulation: the new UE starts with fresh PF/EWMA
+// and diag state (a handed-over UE is a newcomer to the target scheduler)
+// and joins the allocation from the next subframe the cell runs, so the
+// caller advances the cell to the present first. A started cell refuses.
 func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
+	if c.started {
+		return nil, errors.New("lte: AddUE after Start (a ticked cell admits its UEs before it starts)")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -285,9 +306,6 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 		// that scale so the steady state never pays append's regrowth.
 		queue: make([]Packet, 0, 32),
 	}
-	if c.started && c.stop == nil {
-		c.wake() // before sfIndex stamps the row's diagLast
-	}
 	c.ues = append(c.ues, u)
 	c.soa.add(c.sfIndex)
 	c.active = append(c.active, int32(u.id))
@@ -306,8 +324,11 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 // the PF state is cleared so the row no longer shapes the allocation. It
 // returns the buffered bytes dropped. The row itself stays — UE ids index
 // the cell's SoA — and a detached UE must not be re-used: re-attach means
-// a fresh AddUE on the target cell.
+// a fresh AddUE on the target cell. A started cell panics.
 func (c *Cell) DetachUE(u *UE) int {
+	if c.started {
+		panic("lte: DetachUE on a Cell driven by Start")
+	}
 	if u.cell != c || u.detached {
 		return 0
 	}
@@ -334,65 +355,140 @@ func (c *Cell) DetachUE(u *UE) int {
 			break
 		}
 	}
-	if len(c.active) == 0 && c.stop != nil {
-		c.stop() // last UE gone: sleep
-		c.stop = nil
-	}
 	return dropped
 }
 
-// Start schedules the subframe timer. It must be called exactly once,
-// before running the clock.
+// Start drives the cell by a 1 ms ticker of its clock. It must be called
+// at most once, before running the clock, on a cell never advanced. A cell
+// started with no UE never gets one, so it holds no ticker.
 func (c *Cell) Start() {
-	if c.started {
-		panic("lte: Cell started twice")
+	if c.started || c.advanced {
+		panic("lte: Cell started twice, or after Advance")
 	}
 	c.started = true
-	c.startAt = c.clk.Now()
 	// Diag reports are emitted from the subframe loop itself so a report
 	// at t covers exactly the subframes in (t−DefaultDiagPeriod, t].
 	if len(c.active) > 0 {
-		c.stop = c.clk.Ticker(Subframe, c.subframe)
+		c.clk.Ticker(Subframe, func() { c.subframe(c.clk.Now()) })
 	}
 }
 
-// settle replays the subframes a sleeping cell skipped, up to and including
-// one due at this very instant. That is what a caller between clock runs
-// sees of a ticking cell — the tick at Now has fired — and the only place
-// settle may run from: inside a clock event on a subframe instant, whether
-// that tick came first is the heap's business and cannot be replayed. It
-// is a no-op on a ticking or unstarted cell. wake is its one caller.
-func (c *Cell) settle() {
-	if c.stop != nil || !c.started {
-		return
+// Advance runs every subframe of the cell's grid (the clock time of
+// NewCell plus k·Subframe, k ≥ 1) before to — or through to, if inclusive
+// — that has not run yet; the caller's clock has passed them. Inside a
+// call buffers only drain, so once the cell is uncontended the rest of the
+// call runs row by row, and until then subframe by subframe. Rows run in
+// any order: a delivery or diag callback may touch only its own UE's
+// state. A started cell panics.
+func (c *Cell) Advance(to time.Duration, inclusive bool) {
+	if c.started {
+		panic("lte: Advance on a Cell driven by Start")
 	}
-	for due := int64((c.clk.Now() - c.startAt) / Subframe); c.sfIndex < due; {
-		c.advance()
+	c.advanced = true
+	last := int64((to - c.anchor) / Subframe)
+	if !inclusive && c.at(last) == to {
+		last--
+	}
+	for c.sfIndex < last {
+		if c.uncontended() {
+			c.rows(last)
+			return
+		}
+		c.subframe(c.at(c.sfIndex + 1))
 	}
 }
 
-// wake ends a sleep: settle, then resume ticking. The ticker restarts in
-// phase only from an instant of the cell's own subframe grid (the city
-// attaches at epoch barriers), so anything else is a caller bug.
-func (c *Cell) wake() {
-	if (c.clk.Now()-c.startAt)%Subframe != 0 {
-		panic("lte: sleeping Cell woken off its subframe grid")
+// at is the instant of an advanced cell's subframe sf.
+func (c *Cell) at(sf int64) time.Duration { return c.anchor + time.Duration(sf)*Subframe }
+
+// uncontended reports whether the rest of an advance may run row by row:
+// the cell is on the PF discipline and never probed, and the backlogged
+// rows' buffer-aware shares fit the subframe — at most one is backlogged,
+// or Σ min(1, B/knee) sits a margin below 1 that the waterfill's float
+// rounding cannot eat. Then pfGrant never clips a grant, whatever the
+// metric order, and since buffers only drain inside an advance, the sum
+// only falls.
+func (c *Cell) uncontended() bool {
+	if c.probed || (len(c.ues) == 1 && !c.cfg.AlwaysPF) {
+		return false
 	}
-	c.settle()
-	c.stop = c.clk.Ticker(Subframe, c.subframe)
+	sum, n := 0.0, 0
+	for _, id := range c.active {
+		if b := c.soa.buf[id]; b > 0 {
+			sum += occupancy(b)
+			n++
+		}
+	}
+	return n <= 1 || sum <= 1-1e-9
 }
 
-// subframe runs once per millisecond: advance the capacity process, then
-// allocate the subframe's grants under the discipline matching the cell's
-// population. Per-row work only happens when a row can be affected: the
-// diag sweep runs when the earliest report is due (one comparison against
-// diagNext per subframe, with per-row "subframes covered" reconstructed
-// from sfIndex − diagLast), and a backlog-free PF cell defers its EWMA
-// decay (see bufTotal/pfIdle) — so the common idle subframe costs a few
-// counter updates regardless of population.
-func (c *Cell) subframe() {
-	c.advance()
-	c.now = c.clk.Now()
+// rows runs subframes sfIndex+1 … last of an uncontended advance, held
+// capacity by held capacity, one active row at a time (UE.run). It first
+// applies the EWMA updates pfPend and pfIdle deferred, and leaves nothing
+// deferred: the rows end settled.
+func (c *Cell) rows(last int64) {
+	for _, id := range c.active {
+		c.soa.settle(int(id), c.pfPend, c.pfIdle)
+	}
+	c.pfPend, c.pfIdle = false, 0
+	for c.sfIndex < last {
+		if c.capCountdown == 0 {
+			c.stepCapacity()
+		}
+		n := min(int64(c.capCountdown), last-c.sfIndex)
+		for _, id := range c.active {
+			c.ues[id].run(c.sfIndex+1, c.sfIndex+n)
+		}
+		c.capCountdown -= int(n)
+		c.sfIndex += n
+	}
+	c.diagSweep() // the rows took their reports: this only recomputes diagNext
+}
+
+// run is one row's subframes from … to of rows, at the capacity they hold.
+// Each subframe applies the served-rate EWMA update (an idle subframe's
+// decay is the same update with 0 served) and, when the row is backlogged,
+// draws the TBS noise from the row's own stream and serves its whole
+// buffer-aware share — pfGrant's expression, which no waterfill clips
+// here. A diag report due in the row's own subframe is emitted there.
+func (u *UE) run(from, to int64) {
+	c := u.cell
+	s := &c.soa
+	i := u.id
+	capNow := c.cap.current
+	e := s.ewma[i]
+	for sf := from; sf <= to; sf++ {
+		c.now = c.at(sf)
+		served := 0.0
+		if b := s.buf[i]; b > 0 {
+			if tbs := capNow * occupancy(b) * subframeSec; tbs > 0 {
+				served = u.serve(tbs * u.tbsNoise())
+			}
+		}
+		e += pfAlpha * (served*invSubframeSec - e)
+		if sf >= s.diagLast[i]+int64(s.diagEvery[i]) {
+			u.emitDiag(sf)
+		}
+	}
+	s.ewma[i] = e
+}
+
+// subframe is the body of one subframe, for both drivers: step the
+// capacity process when due, then allocate the subframe's grants under the
+// discipline matching the cell's population. Per-row work only happens when
+// a row can be affected: the diag sweep runs when the earliest report is
+// due (one comparison against diagNext per subframe, with per-row
+// "subframes covered" reconstructed from sfIndex − diagLast), and a
+// backlog-free PF cell defers its EWMA decay (see bufTotal/pfIdle) — so the
+// common idle subframe costs a few counter updates regardless of
+// population.
+func (c *Cell) subframe(now time.Duration) {
+	if c.capCountdown == 0 {
+		c.stepCapacity()
+	}
+	c.capCountdown--
+	c.sfIndex++
+	c.now = now
 	if len(c.ues) == 1 && !c.cfg.AlwaysPF {
 		if !c.ues[0].detached {
 			c.stochasticGrant(c.ues[0])
@@ -409,16 +505,18 @@ func (c *Cell) subframe() {
 	}
 }
 
-// advance is the subframe head — the capacity process and the subframe
-// counter — and all that a subframe of a UE-less cell does, so settle
-// replays slept subframes through it.
-func (c *Cell) advance() {
-	if c.capCountdown == 0 {
-		c.cap.step(c.rng, time.Duration(c.capStride)*Subframe)
-		c.capCountdown = c.capStride
+// occupancy is min(1, B/knee): the buffer-aware share of a PF row.
+func occupancy(b int) float64 {
+	if occ := float64(b) * invKnee; occ < 1 {
+		return occ
 	}
-	c.capCountdown--
-	c.sfIndex++
+	return 1
+}
+
+// stepCapacity draws the capacity the next capStride subframes hold.
+func (c *Cell) stepCapacity() {
+	c.cap.step(c.rng, time.Duration(c.capStride)*Subframe)
+	c.capCountdown = c.capStride
 }
 
 // diagSweep emits every due diag report and recomputes the next due
@@ -430,7 +528,7 @@ func (c *Cell) diagSweep() {
 		i := int(id)
 		due := s.diagLast[i] + int64(s.diagEvery[i])
 		if c.sfIndex >= due {
-			c.ues[i].emitDiag()
+			c.ues[i].emitDiag(c.sfIndex)
 			due = s.diagLast[i] + int64(s.diagEvery[i])
 		}
 		if due < next {
@@ -487,7 +585,6 @@ func (c *Cell) pfGrant() {
 	// metric pass, waterfill, then a separate EWMA pass — walked every row
 	// twice per subframe.
 	s := &c.soa
-	alpha := float64(Subframe) / float64(pfWindow)
 	k := c.pfIdle
 	c.pfIdle = 0
 	pend := c.pfPend
@@ -500,24 +597,12 @@ func (c *Cell) pfGrant() {
 	n, w, best := 0, 0, 0.0 // w: position in ord of the best row
 	for _, id := range c.active {
 		i := int(id)
-		e := s.ewma[i]
-		if pend {
-			e += alpha * (s.pfServed[i]*invSubframeSec - e)
-			s.pfServed[i] = 0
-		}
-		for j := k; j > 0 && e != 0; j-- {
-			e += alpha * (0 - e)
-		}
-		s.ewma[i] = e
+		e := s.settle(i, pend, k)
 		b := s.buf[i]
 		if b == 0 {
 			continue
 		}
-		occ := float64(b) * invKnee
-		if occ > 1 {
-			occ = 1
-		}
-		ach := capNow * occ
+		ach := capNow * occupancy(b)
 		s.pfAchiev[i] = ach
 		// max(ewma, floor) spelled as a comparison: math.Max is not
 		// intrinsified on every target and its NaN/±0 handling is dead
@@ -558,12 +643,7 @@ func (c *Cell) pfGrant() {
 		}
 		if tbs > 0 {
 			remaining -= tbs
-			noise := 1 + u.rng.NormFloat64()*tbsNoise
-			if noise < 0.1 {
-				noise = 0.1
-			}
-			tbs *= noise
-			s.pfServed[idx] = u.serve(tbs)
+			s.pfServed[idx] = u.serve(tbs * u.tbsNoise())
 		}
 		// Order-preserving removal keeps ord in ascending id order for
 		// the tie-break of the next selection. The shift is a manual loop:
@@ -574,6 +654,15 @@ func (c *Cell) pfGrant() {
 		}
 		w = -1
 	}
+}
+
+// tbsNoise draws a PF grant's multiplicative TBS noise from the UE's stream.
+func (u *UE) tbsNoise() float64 {
+	noise := 1 + u.rng.NormFloat64()*tbsNoise
+	if noise < 0.1 {
+		noise = 0.1
+	}
+	return noise
 }
 
 // invSubframeSec turns the per-subframe bits→bits/s conversion into a
@@ -616,7 +705,16 @@ type UE struct {
 
 // SetProbe installs this UE's telemetry probe (nil disables). The
 // transport layer wires it when a session enables observability.
-func (u *UE) SetProbe(p *obs.Probe) { u.probe = p }
+func (u *UE) SetProbe(p *obs.Probe) {
+	u.probe = p
+	u.cell.probed = u.cell.probed || p != nil
+}
+
+// Now is the instant of the subframe the UE's cell is running: inside a
+// delivery or diag callback, when the packet cleared the air or the report
+// was taken. An advanced cell runs its subframes after its clock has passed
+// them, so there the clock's Now is later.
+func (u *UE) Now() time.Duration { return u.cell.now }
 
 // SetDiagListener registers the consumer of this UE's 40 ms diagnostic
 // reports (FBCC's input). Only one listener is supported; later calls
@@ -721,16 +819,18 @@ func (u *UE) serve(tbsBits float64) float64 {
 	return served
 }
 
-func (u *UE) emitDiag() {
+// emitDiag takes the row's diag report at subframe sf, whose instant is
+// the cell's now.
+func (u *UE) emitDiag(sf int64) {
 	s := &u.cell.soa
 	rep := DiagReport{
 		At:          u.cell.now,
 		BufferBytes: s.buf[u.id],
 		SumTBSBits:  s.diagTBS[u.id],
-		Subframes:   int(u.cell.sfIndex - s.diagLast[u.id]),
+		Subframes:   int(sf - s.diagLast[u.id]),
 	}
 	s.diagTBS[u.id] = 0
-	s.diagLast[u.id] = u.cell.sfIndex
+	s.diagLast[u.id] = sf
 	stalled := u.cfg.DiagFault != nil && u.cfg.DiagFault(rep.At)
 	if u.probe != nil {
 		flag := 0.0

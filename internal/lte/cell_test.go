@@ -135,7 +135,9 @@ func TestServedRateFiniteAndPositive(t *testing.T) {
 // Handover support: a UE detached mid-run stops being scheduled, stops
 // emitting diag reports (the silence FBCC's watchdog keys on), discards
 // its buffered bytes, and refuses new traffic; the surviving UE keeps its
-// service. The detach must not disturb the cell's other trajectories.
+// service. The detach must not disturb the cell's other trajectories. The
+// cell is advanced, as the city's are: every event that touches it runs it
+// to the present first.
 func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	clk := simclock.New()
 	cfg := DefaultCellConfig(ProfileCampus)
@@ -158,6 +160,7 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	for _, u := range ues {
 		u := u
 		clk.Ticker(Subframe, func() {
+			cell.Advance(clk.Now(), false)
 			if !u.detached {
 				if want := 32<<10 - u.BufferBytes(); want > 0 {
 					u.Enqueue(Packet{Bytes: want})
@@ -165,15 +168,16 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 			}
 		})
 	}
-	cell.Start()
 
 	var droppedAtDetach int
 	var diagsAtDetach int
 	clk.Schedule(5*time.Second, func() {
+		cell.Advance(clk.Now(), false)
 		droppedAtDetach = cell.DetachUE(ues[0])
 		diagsAtDetach = diags[0]
 	})
 	clk.Run(10 * time.Second)
+	cell.Advance(10*time.Second, true)
 
 	if droppedAtDetach <= 0 {
 		t.Fatalf("detach of a backlogged UE dropped %d bytes, want > 0", droppedAtDetach)
@@ -199,8 +203,9 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	}
 }
 
-// Handover support: AddUE admits a UE to a running cell, and the
-// newcomer gets scheduled and reports diags from fresh state.
+// Handover support: AddUE admits a UE to a running (advanced) cell, and
+// the newcomer gets scheduled and reports diags from fresh state. A cell
+// driven by Start refuses: its population is fixed when it starts.
 func TestCellAttachUEAfterStart(t *testing.T) {
 	clk := simclock.New()
 	cfg := DefaultCellConfig(ProfileCampus)
@@ -213,8 +218,8 @@ func TestCellAttachUEAfterStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell.Start()
 	clk.Ticker(Subframe, func() {
+		cell.Advance(clk.Now(), false)
 		if !first.detached {
 			if want := 32<<10 - first.BufferBytes(); want > 0 {
 				first.Enqueue(Packet{Bytes: want})
@@ -225,19 +230,22 @@ func TestCellAttachUEAfterStart(t *testing.T) {
 	var late *UE
 	var lateDiags int
 	clk.Schedule(3*time.Second, func() {
+		cell.Advance(clk.Now(), false)
 		u, err := cell.AddUE(DefaultUEConfig(2000), nil)
 		if err != nil {
-			t.Fatalf("AddUE after Start: %v", err)
+			t.Fatalf("AddUE to a running cell: %v", err)
 		}
 		u.SetDiagListener(func(DiagReport) { lateDiags++ })
 		late = u
 		clk.Ticker(Subframe, func() {
+			cell.Advance(clk.Now(), false)
 			if want := 32<<10 - u.BufferBytes(); want > 0 {
 				u.Enqueue(Packet{Bytes: want})
 			}
 		})
 	})
 	clk.Run(8 * time.Second)
+	cell.Advance(8*time.Second, true)
 
 	if late == nil {
 		t.Fatal("late UE never attached")
@@ -250,6 +258,18 @@ func TestCellAttachUEAfterStart(t *testing.T) {
 	}
 	if first.TotalServedBits() <= late.TotalServedBits() {
 		t.Fatal("incumbent should out-serve the late joiner over the whole run")
+	}
+
+	started, err := NewCell(simclock.New(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := started.AddUE(DefaultUEConfig(1000), nil); err != nil {
+		t.Fatal(err)
+	}
+	started.Start()
+	if _, err := started.AddUE(DefaultUEConfig(2000), nil); err == nil {
+		t.Fatal("a started cell admitted a UE")
 	}
 }
 
@@ -292,37 +312,64 @@ func TestCellAlwaysPFSingleUE(t *testing.T) {
 }
 
 // BenchmarkPFSubframe times one subframe (ns/op) of a city-configured cell
-// whose 1, 4 or 16 UEs are each fed one 4-packet video frame every 1/30 s,
-// the shape of the benchmark's lte.pf_ns_per_subframe rows.
+// whose 1, 4 or 16 UEs are each fed one video frame every 1/30 s: u1, u4
+// and u16 four MTU packets per UE on a ticked cell, the shape of the
+// benchmark's lte.pf_ns_per_subframe rows (u4 sits at Σ occupancy 1.88,
+// contended); light one packet per UE, the city's uncontended shape;
+// advanced the city's driver, catching up before each feed (light: mostly
+// row by row; heavy: the per-subframe body until the buffers fit).
 func BenchmarkPFSubframe(b *testing.B) {
-	for _, n := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("u%d", n), func(b *testing.B) {
-			clk := simclock.New()
-			cfg := DefaultCellConfig(ProfileCampus)
-			cfg.Profile.Seed = 1
-			cfg.AlwaysPF = true
-			cfg.CapacityStride = 10
-			cell, err := NewCell(clk, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ues := make([]*UE, n)
-			for i := range ues {
-				if ues[i], err = cell.AddUE(DefaultUEConfig(int64(i+1)), nil); err != nil {
+	for _, v := range []struct {
+		name     string
+		advanced bool
+		pkts     int
+		ues      []int
+	}{
+		{"", false, 4, []int{1, 4, 16}},
+		{"light/", false, 1, []int{1, 4}},
+		{"advanced/", true, 1, []int{1, 4}},
+		{"advanced/heavy/", true, 4, []int{4}},
+	} {
+		for _, n := range v.ues {
+			b.Run(fmt.Sprintf("%su%d", v.name, n), func(b *testing.B) {
+				clk := simclock.New()
+				cfg := DefaultCellConfig(ProfileCampus)
+				cfg.Profile.Seed = 1
+				cfg.AlwaysPF = true
+				cfg.CapacityStride = 10
+				cell, err := NewCell(clk, cfg)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			cell.Start()
-			clk.Ticker(time.Second/30, func() {
-				for _, u := range ues {
-					for k := 0; k < 4; k++ {
-						u.Enqueue(Packet{Bytes: 1200})
+				ues := make([]*UE, n)
+				for i := range ues {
+					if ues[i], err = cell.AddUE(DefaultUEConfig(int64(i+1)), nil); err != nil {
+						b.Fatal(err)
 					}
 				}
+				if !v.advanced {
+					cell.Start()
+				}
+				clk.Ticker(time.Second/30, func() {
+					if v.advanced {
+						cell.Advance(clk.Now(), false)
+					}
+					for _, u := range ues {
+						for k := 0; k < v.pkts; k++ {
+							u.Enqueue(Packet{Bytes: 1200})
+						}
+					}
+				})
+				run := func(to time.Duration) {
+					clk.Run(to)
+					if v.advanced {
+						cell.Advance(to, true)
+					}
+				}
+				run(time.Second)
+				b.ResetTimer()
+				run(clk.Now() + time.Duration(b.N)*Subframe)
 			})
-			clk.Run(time.Second)
-			b.ResetTimer()
-			clk.Run(clk.Now() + time.Duration(b.N)*Subframe)
-		})
+		}
 	}
 }

@@ -11,6 +11,9 @@
 // UEs contend. Uplink is the legacy single-user facade: a 1-UE cell whose
 // in-cell contention is folded into the stochastic background-load
 // process, preserved bit-for-bit for existing callers.
+// A Cell is ticked every subframe (Start: sessions, the shared cell,
+// Uplink) or advanced to an instant its clock has passed (Advance: the
+// city), with the same grants, deliveries and diag reports to the bit.
 package lte
 
 import (

@@ -187,8 +187,9 @@ type pfScenario struct {
 
 func (sc pfScenario) ueSeed(i int) int64 { return int64(7000 + 31*i) }
 
-// runPFCell plays the scenario on a production Cell and returns its grants
-// (read off the lte.grant telemetry) and deliveries.
+// runPFCell plays the scenario on a production Cell on Start's ticker
+// (tickFromTest: the tapes detach mid-run) and returns its grants (read off
+// the lte.grant telemetry) and deliveries.
 func runPFCell(t *testing.T, sc pfScenario) ([]pfGrantRec, []pfDelivery) {
 	t.Helper()
 	clk := simclock.New()
@@ -208,7 +209,7 @@ func runPFCell(t *testing.T, sc pfScenario) ([]pfGrantRec, []pfDelivery) {
 		}
 		ues[i].SetProbe(bus.Probe(int32(i)))
 	}
-	cell.Start()
+	tickFromTest(cell)
 	for _, op := range sc.tape {
 		op := op
 		clk.Schedule(time.Duration(op.sf)*Subframe+Subframe/2, func() {

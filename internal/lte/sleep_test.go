@@ -10,19 +10,18 @@ import (
 	"poi360/internal/simclock"
 )
 
-// A started cell with no attached UE holds no ticker and replays the
-// subframes it slept through at the next attach (or capacityNow read). The
-// oracle for "the replay is exact" is the same production cell kept awake
-// for the whole run by a placeholder UE that never enqueues: an
-// unbacklogged row is never picked or granted and draws nothing, so it
-// changes nothing about the cell but len(active) — the always-ticking
-// behaviour survives only here, as the reference.
+// An advanced cell (Advance) with no attached UE sleeps: it holds no ticker
+// — no advanced cell does — and its advance through the empty stretch is the
+// capacity process and the subframe counter alone. The oracle for "the
+// advance is exact" is the same production cell on Start's 1 ms ticker
+// (tickFromTest), whose empty subframes run the same body; the tapes empty
+// the cell, refill it, and admit, detach and read it around and between
+// subframes, the way the city's barrier and endpoint tick do.
 
-// capacityNow reads the saturated PHY rate between clock runs, replaying
-// the subframes a sleeping cell skipped first (settle).
-func (c *Cell) capacityNow() float64 {
-	c.settle()
-	return c.cap.current
+// tickFromTest puts c on the ticker Start registers, without Start's
+// refusal of AddUE and DetachUE: the reference for an advanced cell.
+func tickFromTest(c *Cell) {
+	c.clk.Ticker(Subframe, func() { c.subframe(c.clk.Now()) })
 }
 
 // sleepOp is one step of a tape, applied between clock runs the way the
@@ -34,10 +33,12 @@ type sleepOp struct {
 	n    int
 }
 
-// playSleepTape runs tape on one cell and returns everything observable:
-// every delivery and diag report with its instant, every capacity read,
-// every detach's dropped bytes, and each residency's served bits.
-func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Duration, keepAwake bool) []string {
+// playSleepTape runs tape on one cell, ticked or advanced, and returns
+// everything observable: each residency's deliveries and diag reports with
+// their instants, in order, and its served bits; every capacity read and
+// every detach's dropped bytes. Within an advance the cell may run rows in
+// any order, so residencies keep separate logs.
+func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Duration, advanced bool) []string {
 	t.Helper()
 	clk := simclock.New()
 	cfg.Src = seeds.NewSource(cfg.Profile.Seed)
@@ -45,35 +46,39 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keepAwake {
-		ucfg := DefaultUEConfig(0)
-		ucfg.Src = seeds.NewSource(4242)
-		if _, err := cell.AddUE(ucfg, nil); err != nil {
-			t.Fatal(err)
+	if !advanced {
+		tickFromTest(cell)
+	}
+	run := func(to time.Duration) {
+		clk.Run(to)
+		if advanced {
+			cell.Advance(to, true)
 		}
 	}
-	cell.Start()
 
 	var log []string
+	var logs [][]string // by residency
 	var slots [3]*UE
 	var all []*UE
 	residency, pktID := 0, int64(0)
 	for _, op := range tape {
-		clk.Run(op.at)
+		run(op.at)
 		switch op.kind {
 		case 'a':
 			r := residency
 			residency++
+			logs = append(logs, nil)
 			ucfg := DefaultUEConfig(0)
 			ucfg.Src = seeds.NewSource(int64(1000 + r))
-			u, err := cell.AddUE(ucfg, func(p Packet) {
-				log = append(log, fmt.Sprintf("deliver r%d pkt %d enq %v at %v", r, p.ID, p.Enq, clk.Now()))
+			var u *UE
+			u, err = cell.AddUE(ucfg, func(p Packet) {
+				logs[r] = append(logs[r], fmt.Sprintf("deliver r%d pkt %d enq %v at %v", r, p.ID, p.Enq, u.Now()))
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			u.SetDiagListener(func(rep DiagReport) {
-				log = append(log, fmt.Sprintf("diag r%d %+v", r, rep))
+				logs[r] = append(logs[r], fmt.Sprintf("diag r%d %+v", r, rep))
 			})
 			slots[op.slot] = u
 			all = append(all, u)
@@ -86,21 +91,21 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 				slots[op.slot].Enqueue(Packet{ID: pktID, Bytes: 200 + int(pktID*37%1000)})
 			}
 		case 'c':
-			log = append(log, fmt.Sprintf("capacity at %v = %v", op.at, cell.capacityNow()))
+			log = append(log, fmt.Sprintf("capacity at %v = %v", op.at, cell.cap.current))
 		}
 	}
-	clk.Run(end)
+	run(end)
 	for r, u := range all {
+		log = append(log, logs[r]...)
 		log = append(log, fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.dropped))
 	}
-	log = append(log, fmt.Sprintf("capacity at end = %v", cell.capacityNow()))
+	log = append(log, fmt.Sprintf("capacity at end = %v", cell.cap.current))
 	return log
 }
 
 // randomSleepTape draws a tape over three slots whose population keeps
 // returning to zero. Most instants sit on the subframe grid (barriers do);
-// some do not, except an attach that wakes the cell, which must. It reports
-// how many attaches found the cell empty.
+// some do not. It reports how many attaches found the cell empty.
 func randomSleepTape(seed int64, end time.Duration) (tape []sleepOp, wakes int) {
 	rng := rand.New(rand.NewSource(seed))
 	var attached [3]bool
@@ -121,7 +126,6 @@ func randomSleepTape(seed int64, end time.Duration) (tape []sleepOp, wakes int) 
 		case !attached[slot] && (r < 5 || pop == 0):
 			if pop == 0 {
 				wakes++
-				at = (at + Subframe - 1).Truncate(Subframe)
 			}
 			attached[slot] = true
 			pop++
@@ -152,20 +156,20 @@ func TestSleepingCellMatchesTickingCell(t *testing.T) {
 			{at: 700 * ms, kind: 'd', slot: 0}, {at: 700 * ms, kind: 'a', slot: 1}, {at: 700 * ms, kind: 'e', slot: 1, n: 20},
 			{at: 900 * ms, kind: 'd', slot: 1}, {at: 2 * time.Second, kind: 'c'},
 		},
-		// The cell slept the whole run so far: started empty, woken late.
+		// The cell slept the whole run so far: empty from the start, joined late.
 		"wake-after-sleeping-since-start": {
 			{at: 4321 * ms, kind: 'a', slot: 2}, {at: 4321 * ms, kind: 'e', slot: 2, n: 60},
 			{at: 4400 * ms, kind: 'e', slot: 2, n: 60},
 		},
-		// Between two subframes a ticking cell admits and loses UEs and a
-		// sleeping one is read; only the wake itself is bound to the grid.
+		// Between two subframes the cell admits and loses UEs, is read
+		// asleep, and is joined again.
 		"off-grid-around-a-sleep": {
 			{at: 0, kind: 'a', slot: 0}, {at: 10*ms + 400*time.Microsecond, kind: 'a', slot: 1},
 			{at: 10*ms + 400*time.Microsecond, kind: 'e', slot: 1, n: 30}, {at: 10*ms + 700*time.Microsecond, kind: 'd', slot: 0},
 			{at: 300*ms + 900*time.Microsecond, kind: 'd', slot: 1}, {at: 2000*ms + 100*time.Microsecond, kind: 'c'},
 			{at: 2001 * ms, kind: 'a', slot: 2}, {at: 2001 * ms, kind: 'e', slot: 2, n: 30},
 		},
-		// Reads alone settle a sleeping cell, repeatedly.
+		// A sleeping cell read repeatedly, then joined and left.
 		"capacity-reads-while-asleep": {
 			{at: 1 * ms, kind: 'c'}, {at: 1500 * ms, kind: 'c'}, {at: 1500 * ms, kind: 'c'}, {at: 3999*ms + 1, kind: 'c'},
 			{at: 6 * time.Second, kind: 'a', slot: 0}, {at: 6 * time.Second, kind: 'e', slot: 0, n: 10}, {at: 6100 * ms, kind: 'd', slot: 0},
@@ -191,18 +195,18 @@ func TestSleepingCellMatchesTickingCell(t *testing.T) {
 					if faulted {
 						cfg.CapacityFault = fault
 					}
-					want := playSleepTape(t, cfg, tape, end, true)
-					got := playSleepTape(t, cfg, tape, end, false)
+					want := playSleepTape(t, cfg, tape, end, false)
+					got := playSleepTape(t, cfg, tape, end, true)
 					if len(want) < 3 {
 						t.Fatalf("reference observed only %d things", len(want))
 					}
 					for i := 0; i < len(want) && i < len(got); i++ {
 						if got[i] != want[i] {
-							t.Fatalf("observation %d:\n sleeping: %s\n  ticking: %s", i, got[i], want[i])
+							t.Fatalf("observation %d:\n advanced: %s\n  ticking: %s", i, got[i], want[i])
 						}
 					}
 					if len(got) != len(want) {
-						t.Fatalf("sleeping cell observed %d things, ticking cell %d", len(got), len(want))
+						t.Fatalf("advanced cell observed %d things, ticking cell %d", len(got), len(want))
 					}
 				})
 			}
@@ -210,45 +214,52 @@ func TestSleepingCellMatchesTickingCell(t *testing.T) {
 	}
 }
 
-// The ticker can only restart in phase from an instant of the cell's grid.
-func TestSleepingCellWokenOffGridPanics(t *testing.T) {
-	clk := simclock.New()
-	cell, err := NewCell(clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell.Start()
-	clk.Run(2*time.Millisecond + 400*time.Microsecond)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddUE woke a sleeping cell between two subframes without panicking")
-		}
-	}()
-	cell.AddUE(DefaultUEConfig(1), nil)
-}
-
-// A cell that sleeps holds nothing on the clock.
+// A sleeping cell holds nothing on the clock, nor does any advanced cell;
+// a started one holds its ticker, unless it was started empty (a started
+// cell admits no UE, so it would tick for nobody).
 func TestSleepingCellSchedulesNothing(t *testing.T) {
 	clk := simclock.New()
 	cell, err := NewCell(clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell.Start()
+	cell.Advance(3*time.Millisecond, true)
 	if n := clk.Pending(); n != 0 {
-		t.Fatalf("empty started cell holds %d pending events", n)
+		t.Fatalf("empty advanced cell holds %d pending events", n)
 	}
 	u, err := cell.AddUE(DefaultUEConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := clk.Pending(); n != 1 {
-		t.Fatalf("woken cell holds %d pending events, want its ticker", n)
-	}
+	u.Enqueue(Packet{Bytes: 5000})
 	clk.Run(50 * time.Millisecond)
-	cell.DetachUE(u)
-	clk.Run(60 * time.Millisecond) // consumes the stopped ticker's last occurrence
+	cell.Advance(50*time.Millisecond, true)
 	if n := clk.Pending(); n != 0 {
-		t.Fatalf("cell went back to sleep holding %d pending events", n)
+		t.Fatalf("populated advanced cell holds %d pending events", n)
+	}
+	if u.TotalServedBits() == 0 {
+		t.Fatal("the advance served nothing")
+	}
+	cell.DetachUE(u)
+	cell.Advance(60*time.Millisecond, true)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("advanced cell left asleep holds %d pending events", n)
+	}
+
+	for _, ues := range []int{0, 1} {
+		clk := simclock.New()
+		cell, err := NewCell(clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ues; i++ {
+			if _, err := cell.AddUE(DefaultUEConfig(1), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cell.Start()
+		if n := clk.Pending(); n != ues {
+			t.Fatalf("cell started with %d UEs holds %d pending events, want %d", ues, n, ues)
+		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 // cities that differ in what a barrier's due list looks like: a dense one
 // (16 cells, dwell 1.5 s) where most barriers touch a shard or two that
 // lag a few epochs; a sparse one — 256 cells for 32 UEs on a short dwell —
-// where handovers attach to shards that have never run and cells sleep and
-// wake at most barriers; and a lag one (64 × 256, dwell 3 s) where a
-// shard goes tens of epochs untouched and then covers them in one clock
-// run. `make race` runs all three once under the detector, so the pool's
+// where handovers attach to shards that have never run and to empty,
+// sleeping cells at most barriers; and a lag one (64 × 256, dwell 3 s)
+// where a shard goes tens of epochs untouched and then covers them in one
+// clock run. `make race` runs all three once under the detector, so the pool's
 // due-list hand-off is raced on short and long catch-ups alike. Each
 // sub-benchmark also reports what its barriers looked like — the mean
 // due-list length and how many of them per run went through the pool

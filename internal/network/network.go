@@ -5,15 +5,18 @@
 // # Shard/merge discipline
 //
 // Each cell is a shard — its own simclock event heap plus one lte.Cell and
-// the UE endpoints currently resident on it. A single-threaded coordinator
-// visits a barrier every 10 ms and processes it in UE-id order (mobility
-// decisions, handover starts/completions, obs emission). Shards interact
-// only there, so a shard's clock runs on demand: the coordinator brings a
-// shard to barrier T — alone or with helper goroutines draining an atomic
-// cursor over that barrier's due list — only if something at T is about to
-// touch it: a handover detaching from it, retiring from it or attaching to
-// it, the per-barrier flush of its telemetry bus, or the end of the run.
-// An untouched shard lags and later covers the gap in one clock run.
+// the UE endpoints currently resident on it. A shard's clock holds one
+// ticker, the endpoints' frame tick; the cell holds none, and the shard
+// advances it (lte.Cell.Advance) up to each frame tick and through each
+// barrier. A single-threaded coordinator visits a barrier every 10 ms and
+// processes it in UE-id order (mobility decisions, handover
+// starts/completions, obs emission). Shards interact only there, so a
+// shard's clock runs on demand: the coordinator brings a shard to barrier
+// T — alone or with helper goroutines draining an atomic cursor over that
+// barrier's due list — only if something at T is about to touch it: a
+// handover detaching from it, retiring from it or attaching to it, the
+// per-barrier flush of its telemetry bus, or the end of the run. An
+// untouched shard lags and later covers the gap in one clock run.
 // Because each UE's entire state is touched only by events on its resident
 // shard's clock between barriers, and only by the coordinator at barriers,
 // when a shard runs cannot show in the report, which is byte-identical at
@@ -21,7 +24,7 @@
 // engine's runBatches.
 //
 // A shard nobody resides on is never due — not even at the end of the run
-// — and its cell sleeps (see lte.Cell). The run's cost follows the
+// — and its empty cell sleeps (see lte.Cell). The run's cost follows the
 // population and its handovers, not the grid (DESIGN.md §15).
 //
 // # Handover state machine
@@ -319,7 +322,8 @@ func (r *Result) Fingerprint() string {
 // modem rows of every residency it ever hosted. residents is the shard's
 // endpoint engine: the ports currently living on this cell, ticked in
 // attach order by one shard-level ticker — replacing two heap tickers per
-// UE with a single periodic that sweeps a contiguous slice.
+// UE with a single periodic that sweeps a contiguous slice. That ticker is
+// the only one on the shard's clock: the cell is advanced, not ticked.
 type shard struct {
 	clk       *simclock.Clock
 	cell      *lte.Cell
@@ -331,13 +335,22 @@ type shard struct {
 
 // tickResidents is the shard's endpoint tick: one pass over the resident
 // ports per frame interval. The list is mutated only by the coordinator
-// at barriers, so the sweep never observes a concurrent change.
+// at barriers, so the sweep never observes a concurrent change. The cell
+// runs its subframes before this instant first (a tied one comes after).
 func (sh *shard) tickResidents() {
+	sh.cell.Advance(sh.clk.Now(), false)
 	for _, p := range sh.residents {
 		if p.u != nil {
 			p.u.tick(p)
 		}
 	}
+}
+
+// run brings the shard to the barrier at end: its clock, then its cell
+// through end, before the fold attaches or detaches there.
+func (sh *shard) run(end time.Duration) {
+	sh.clk.Run(end)
+	sh.cell.Advance(end, true)
 }
 
 type city struct {
@@ -421,7 +434,7 @@ func (p *epochPool) help() {
 
 func (p *epochPool) drain() {
 	for k := p.cursor.Add(1) - 1; k < int64(len(p.n.due)); k = p.cursor.Add(1) - 1 {
-		p.n.shards[p.n.due[k]].clk.Run(p.end)
+		p.n.shards[p.n.due[k]].run(p.end)
 	}
 }
 
@@ -513,7 +526,6 @@ func newCity(cfg Config) (*city, error) {
 		}
 		sh := &shard{clk: clk, cell: cell}
 		n.shards[c] = sh
-		cell.Start()
 		clk.Ticker(frameInterval, sh.tickResidents)
 	}
 
@@ -584,7 +596,7 @@ func (n *city) step(now time.Duration) time.Duration {
 		n.pool.run(end)
 	} else {
 		for _, c := range n.due {
-			n.shards[c].clk.Run(end)
+			n.shards[c].run(end)
 		}
 	}
 	if !final {

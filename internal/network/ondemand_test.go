@@ -25,7 +25,9 @@ func cityChurnFixture() Config {
 // shard with a resident is due at every barrier (the telemetry flush
 // touches it), and probes only observe — so the two runs must agree to
 // the byte. A catch-up missing from the due list (detach, retire or attach
-// shard) shows here as a diverged trajectory or a wake-off-grid panic.
+// shard) shows here as a diverged trajectory. Probes also keep every
+// subframe of the Agg run on the cells' per-subframe body, so the silent
+// run's row-by-row advances are held to it too.
 // Runs in -short: `make race` races the pool's due-list hand-off on it.
 func TestCityOnDemandMatchesLockstep(t *testing.T) {
 	for name, base := range map[string]Config{"dense": cityDenseFixture(), "sparse": citySparseFixture(), "churn": cityChurnFixture()} {

@@ -214,9 +214,9 @@ func (n *city) newUE(id int) (*ue, error) {
 // row (fresh PF/EWMA state under per-residency seeds), a new port, and a
 // slot on the shard's resident list, whose shard-level ticker drives the
 // endpoint. Called only from the single-threaded coordinator (admission
-// at t=0, handover completion at barriers), with the shard's clock at now:
-// the cell wakes against clk.Now(), and on a shard that had no resident the
-// frame ticks it skipped have fired as the no-ops they were, keeping the
+// at t=0, handover completion at barriers), with the shard's clock and
+// cell through now (shard.run): on a shard that had no resident the frame
+// ticks it skipped have fired as the no-ops they were, keeping the
 // ticker's phase.
 func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	sh := n.shards[cell]
@@ -419,9 +419,11 @@ func (u *ue) drain(p *port) {
 	}
 }
 
-// deliver runs on the shard's clock when a packet clears the air
-// interface; the last packet of a frame draws the core-path jitter and
-// queues the frame's arrival for the tick that covers it.
+// deliver runs inside the cell's advance when a packet clears the air
+// interface, stamped with that subframe's instant (the shard's clock has
+// moved on); the last packet of a frame draws the core-path jitter and
+// queues the frame's arrival for the tick that covers it. It touches only
+// this UE's state, as the advance contract requires.
 func (p *port) deliver(pkt lte.Packet) {
 	u := p.u
 	if u == nil || pkt.Payload == nil {
@@ -431,8 +433,7 @@ func (p *port) deliver(pkt lte.Packet) {
 	if !ok {
 		return
 	}
-	now := p.sh.clk.Now()
-	arr := now + coreBase + time.Duration(math.Abs(p.src.NormFloat64())*float64(coreJitterStd))
+	arr := p.link.Now() + coreBase + time.Duration(math.Abs(p.src.NormFloat64())*float64(coreJitterStd))
 	if arr < p.lastArr {
 		arr = p.lastArr
 	}

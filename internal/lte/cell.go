@@ -167,6 +167,11 @@ type Cell struct {
 	// and the iteration is unchanged.
 	active []int32
 
+	// spare holds the emptied firmware queues of detached rows (every
+	// Packet zeroed, length 0), reused LIFO by the next admit: a city
+	// handover then costs the target cell a row, not a queue.
+	spare [][]Packet
+
 	// capStride/capCountdown implement CellConfig.CapacityStride: the
 	// capacity process steps once every capStride subframes by the full
 	// stride interval.
@@ -290,11 +295,20 @@ func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 }
 
 // admit appends a UE row drawing from its own stream, cfg.Src or one seeded
-// from cfg.Seed.
+// from cfg.Seed, and queueing into the cell's last spare queue if it has one.
 func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 	rng := cfg.Src
 	if rng == nil {
 		rng = seeds.NewSource(cfg.Seed)
+	}
+	var queue []Packet
+	if k := len(c.spare) - 1; k >= 0 {
+		queue, c.spare[k] = c.spare[k], nil
+		c.spare = c.spare[:k]
+	} else {
+		// A video sender's backlog is tens of MTU-sized packets; start at
+		// that scale so the steady state never pays append's regrowth.
+		queue = make([]Packet, 0, 32)
 	}
 	u := &UE{
 		cell:    c,
@@ -302,9 +316,7 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 		cfg:     cfg,
 		rng:     rng,
 		deliver: deliver,
-		// A video sender's backlog is tens of MTU-sized packets; start at
-		// that scale so the steady state never pays append's regrowth.
-		queue: make([]Packet, 0, 32),
+		queue:   queue,
 	}
 	c.ues = append(c.ues, u)
 	c.soa.add(c.sfIndex)
@@ -324,7 +336,9 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 // the PF state is cleared so the row no longer shapes the allocation. It
 // returns the buffered bytes dropped. The row itself stays — UE ids index
 // the cell's SoA — and a detached UE must not be re-used: re-attach means
-// a fresh AddUE on the target cell. A started cell panics.
+// a fresh AddUE on the target cell. The row's firmware queue does not
+// stay: emptied and zeroed, it waits for this cell's next AddUE. A started
+// cell panics.
 func (c *Cell) DetachUE(u *UE) int {
 	if c.started {
 		panic("lte: DetachUE on a Cell driven by Start")
@@ -341,7 +355,11 @@ func (c *Cell) DetachUE(u *UE) int {
 	s.diagEvery[u.id] = math.MaxInt32 // never due again (row leaves active)
 	s.ewma[u.id] = 0
 	s.pfServed[u.id] = 0
-	u.queue = nil // rows are never deleted; do not pin the backing array
+	// Zero every row of the backing array, stale copies past the length
+	// included, so no payload stays reachable through the spare.
+	clear(u.queue[:cap(u.queue)])
+	c.spare = append(c.spare, u.queue[:0])
+	u.queue = nil
 	u.qhead = 0
 	u.headServed = 0
 	u.credit = 0

@@ -203,6 +203,82 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	}
 }
 
+// TestDetachRecyclesQueue: DetachUE hands the row's firmware queue to the
+// cell's spare list with every Packet zeroed — the live window, the served
+// prefix and the stale copies a compaction left past its length — so no
+// payload stays reachable, and the next AddUE on the cell starts on that
+// array, empty and at its full capacity. The detached UE stays gone.
+func TestDetachRecyclesQueue(t *testing.T) {
+	clk := simclock.New()
+	cell, err := NewCell(clk, DefaultCellConfig(ProfileCampus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := cell.AddUE(DefaultUEConfig(1000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := new(int)
+	pkt := Packet{Bytes: 1200, Payload: payload}
+	for i := 0; i < 100; i++ { // past the initial 32 rows: the queue regrows
+		u.Enqueue(pkt)
+	}
+	now := time.Duration(0)
+	for u.qhead < 2 { // serve a prefix
+		now += Subframe
+		cell.Advance(now, true)
+	}
+	for u.qhead > 0 { // the append that would regrow compacts instead
+		if !u.Enqueue(pkt) {
+			t.Fatal("the firmware buffer filled before the queue compacted")
+		}
+	}
+	if tail := u.queue[len(u.queue):cap(u.queue)]; len(tail) == 0 || tail[0] != pkt {
+		t.Fatal("no stale copy past the queue's length; the fixture no longer covers the tail")
+	}
+	backing, capacity := &u.queue[:1][0], cap(u.queue)
+
+	if dropped := cell.DetachUE(u); dropped == 0 {
+		t.Fatal("detach of a backlogged UE dropped nothing")
+	}
+	if len(cell.spare) != 1 {
+		t.Fatalf("%d spare queues after one detach, want 1", len(cell.spare))
+	}
+	spare := cell.spare[0]
+	if len(spare) != 0 || cap(spare) != capacity || &spare[:1][0] != backing {
+		t.Fatalf("spare is len %d cap %d, want the detached queue's array emptied (cap %d)", len(spare), cap(spare), capacity)
+	}
+	for i, p := range spare[:cap(spare)] {
+		if p != (Packet{}) {
+			t.Fatalf("spare row %d still holds %+v", i, p)
+		}
+	}
+	if u.Enqueue(pkt) {
+		t.Fatal("detached UE accepted a packet")
+	}
+	if b := u.BufferBytes(); b != 0 {
+		t.Fatalf("detached UE reports %d buffered bytes", b)
+	}
+
+	v, err := cell.AddUE(DefaultUEConfig(1001), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.queue) != 0 || cap(v.queue) != capacity || &v.queue[:1][0] != backing {
+		t.Fatalf("next AddUE's queue is len %d cap %d, want the spare (cap %d)", len(v.queue), cap(v.queue), capacity)
+	}
+	if len(cell.spare) != 0 {
+		t.Fatalf("%d spare queues left after the reuse", len(cell.spare))
+	}
+	w, err := cell.AddUE(DefaultUEConfig(1002), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.queue) != 32 || &w.queue[:1][0] == backing {
+		t.Fatalf("with no spare left, AddUE's queue has cap %d, want a fresh one of 32", cap(w.queue))
+	}
+}
+
 // Handover support: AddUE admits a UE to a running (advanced) cell, and
 // the newcomer gets scheduled and reports diags from fresh state. A cell
 // driven by Start refuses: its population is fixed when it starts.

@@ -94,16 +94,18 @@ func TestCitySparseStreamPinned(t *testing.T) {
 	}
 }
 
-// cityAlloc reports the bytes one sequential run of cfg allocates.
-func cityAlloc(t *testing.T, cfg Config) uint64 {
+// cityAlloc reports the bytes one sequential run of cfg allocates, and the
+// run's result.
+func cityAlloc(t *testing.T, cfg Config) (uint64, *Result) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Run(cfg); err != nil {
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, res
 }
 
 // TestCitySteadyStateAllocFree pins how much a static 16 × 64 city allocates
@@ -125,7 +127,8 @@ func cityAlloc(t *testing.T, cfg Config) uint64 {
 // a new record, which is what the ue comment means by allocation-free.
 func TestCitySteadyStateAllocFree(t *testing.T) {
 	at := func(d time.Duration) uint64 {
-		return cityAlloc(t, Config{Cells: 16, UEs: 64, Seed: 1, Workers: 1, Duration: d})
+		b, _ := cityAlloc(t, Config{Cells: 16, UEs: 64, Seed: 1, Workers: 1, Duration: d})
+		return b
 	}
 	a20, a40 := at(20*time.Second), at(40*time.Second)
 	t.Logf("TotalAlloc: 20 s %d B, 40 s %d B, difference %d B", a20, a40, int64(a40)-int64(a20))
@@ -139,6 +142,30 @@ func TestCitySteadyStateAllocFree(t *testing.T) {
 	t.Logf("TotalAlloc: 140 s %d B, 160 s %d B, difference %d B", a140, a160, int64(a160)-int64(a140))
 	if a160 > a140+64<<10 {
 		t.Errorf("sim-seconds 140–160 allocated %d B, budget 64 KiB", a160-a140)
+	}
+}
+
+// TestCityHandoverAllocBudget bounds what a handover allocates, measured as
+// the extra TotalAlloc of sim-seconds 20–40 of a 64 × 256 city at a 3 s mean
+// dwell over the extra handovers (≈ 1 500). A handover costs the target
+// cell a modem row, the residency its port and diag closure, and the
+// endpoint whatever its queues regrow: 3.2 KiB when every residency also
+// got a fresh 32-packet firmware queue, 1.5 KiB since a detached row's
+// queue is recycled by the cell's next admit.
+func TestCityHandoverAllocBudget(t *testing.T) {
+	at := func(d time.Duration) (uint64, int) {
+		b, res := cityAlloc(t, Config{Cells: 64, UEs: 256, Seed: 1, Workers: 1, MeanDwell: 3 * time.Second, Duration: d})
+		return b, res.Handovers
+	}
+	a20, h20 := at(20 * time.Second)
+	a40, h40 := at(40 * time.Second)
+	if h40 <= h20 {
+		t.Fatalf("%d handovers by 20 s, %d by 40 s; the window has none to measure", h20, h40)
+	}
+	per := float64(int64(a40)-int64(a20)) / float64(h40-h20)
+	t.Logf("sim-seconds 20–40: %d B over %d handovers, %.0f B per handover", int64(a40)-int64(a20), h40-h20, per)
+	if per > 2<<10 {
+		t.Errorf("%.0f B per handover, budget 2 KiB", per)
 	}
 }
 

@@ -26,6 +26,10 @@ const (
 	GCCMaxRate = 20e6
 	// gccWindow is how many recent frames feed the trendline filter.
 	gccWindow = 120
+	// gccRing is the frame window's row count: room for the gccWindow+1
+	// frames an append holds before the oldest leaves, rounded up to a
+	// power of two so a slot is a mask.
+	gccRing = 128
 	// gccBeta is the multiplicative decrease applied to the received rate
 	// on overuse (0.85 in GCC).
 	gccBeta = 0.85
@@ -114,28 +118,29 @@ type seqObs struct {
 type GCCReceiver struct {
 	cfg GCCConfig
 
-	// The frame window lives in parallel arrays (oldest first), each a
-	// fixed 2×gccWindow backing array indexed by [fstart, fend): when an
-	// append would run off the end, the window is compacted back to the
-	// front, so steady-state operation never grows a slice (amortized one
-	// entry-copy per frame). The split is structure-of-arrays on purpose —
-	// the two hot scans touch disjoint columns (the slope fit reads only
-	// fx/fy, the rate measurement only farr/fbits), and with an interleaved
-	// struct each scan dragged the other's fields through cache. fx/fy
-	// cache the trendline regressors (arrival seconds, smoothed delay ms)
-	// at observation time with exactly the conversions the fit used, so
-	// slopes are bit-identical to recomputing them in the scan.
-	farr         []time.Duration
-	fbits        []float64
+	// The frame window lives in parallel columns, each a ring of gccRing
+	// rows: [fstart, fend) are logical frame counters, and frame i sits in
+	// row slot(i), so a frame is written once and never moved. The split is
+	// structure-of-arrays on purpose — the two hot scans touch disjoint
+	// columns (the slope fit reads only fx/fy, the rate measurement only
+	// farr/fbits), and with an interleaved struct each scan dragged the
+	// other's fields through cache. fx/fy cache the trendline regressors
+	// (arrival seconds, smoothed delay ms) at observation time with exactly
+	// the conversions the fit used, so slopes are bit-identical to
+	// recomputing them in the scan. A scanning receiver writes fx/fy rows
+	// twice, at slot(i) and slot(i)+gccRing, so its window is always one
+	// contiguous run from slot(fstart): walking the ring's two segments, a
+	// split that moves with every frame, cost the per-packet live path
+	// about 6 % of its speed.
 	fx, fy       []float64
 	fstart, fend int
 
 	// rskip persists ReceivedRate's prefix cursor: every entry in
 	// [fstart, min(rskip, fend)) has already tested below a past cutoff,
 	// and cutoffs only grow, so those entries can never re-enter the rate
-	// window. The cursor is rebased on compaction and reset with the
-	// window, and ReceivedRate still applies the per-entry predicate past
-	// it — the returned sum is bit-identical to a full scan.
+	// window. The cursor is reset with the window, and ReceivedRate still
+	// applies the per-entry predicate past it — the returned sum is
+	// bit-identical to a full scan.
 	rskip int
 
 	// Incremental trendline sums over [fstart, fend) (only maintained
@@ -173,7 +178,15 @@ type GCCReceiver struct {
 	// probe, when non-nil, receives detector-verdict (gcc.usage) and
 	// AIMD state-transition (gcc.state) telemetry (internal/obs).
 	probe *obs.Probe
+
+	// The rate columns of the frame window, last so that the collector's
+	// scan of the struct's pointer words ends before them.
+	farr  [gccRing]time.Duration
+	fbits [gccRing]float64
 }
+
+// slot is the ring row of logical frame i (i ≥ 0).
+func slot(i int) int { return int(uint(i) % gccRing) }
 
 // SetProbe installs the telemetry probe (nil disables).
 func (g *GCCReceiver) SetProbe(p *obs.Probe) { g.probe = p }
@@ -183,12 +196,15 @@ func NewGCCReceiver(cfg GCCConfig) (*GCCReceiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	rows := 2 * gccRing
+	if cfg.IncrementalTrendline {
+		rows = gccRing
+	}
+	trend := make([]float64, 2*rows)
 	return &GCCReceiver{
 		cfg:       cfg,
-		farr:      make([]time.Duration, 2*gccWindow),
-		fbits:     make([]float64, 2*gccWindow),
-		fx:        make([]float64, 2*gccWindow),
-		fy:        make([]float64, 2*gccWindow),
+		fx:        trend[:rows:rows],
+		fy:        trend[rows:],
 		threshold: gccInitialThreshold,
 		state:     stateIncrease,
 		rate:      cfg.InitialRate,
@@ -206,25 +222,13 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 		g.smoothed += 0.15 * (d - g.smoothed)
 	}
 	smoothedDelay := time.Duration(g.smoothed * float64(time.Millisecond))
-	if g.fend == len(g.farr) {
-		// Backing arrays exhausted: slide the window home.
-		n := copy(g.farr, g.farr[g.fstart:g.fend])
-		copy(g.fbits, g.fbits[g.fstart:g.fend])
-		copy(g.fx, g.fx[g.fstart:g.fend])
-		copy(g.fy, g.fy[g.fstart:g.fend])
-		if g.rskip > g.fstart {
-			g.rskip -= g.fstart
-		} else {
-			g.rskip = 0
-		}
-		g.fstart, g.fend = 0, n
-	}
 	x := arrival.Seconds()
 	y := float64(smoothedDelay.Milliseconds())
-	g.farr[g.fend] = arrival
-	g.fbits[g.fend] = bits
-	g.fx[g.fend] = x
-	g.fy[g.fend] = y
+	k := slot(g.fend)
+	g.farr[k] = arrival
+	g.fbits[k] = bits
+	g.fx[k] = x
+	g.fy[k] = y
 	g.fend++
 	if g.cfg.IncrementalTrendline {
 		g.tsx += x
@@ -232,15 +236,20 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 		g.tsxx += x * x
 		g.tsxy += x * y
 		if g.fend-g.fstart > gccWindow {
-			ex, ey := g.fx[g.fstart], g.fy[g.fstart]
+			k := slot(g.fstart)
+			ex, ey := g.fx[k], g.fy[k]
 			g.tsx -= ex
 			g.tsy -= ey
 			g.tsxx -= ex * ex
 			g.tsxy -= ex * ey
 			g.fstart++
 		}
-	} else if g.fend-g.fstart > gccWindow {
-		g.fstart++
+	} else {
+		g.fx[k+gccRing] = x
+		g.fy[k+gccRing] = y
+		if g.fend-g.fstart > gccWindow {
+			g.fstart++
+		}
 	}
 	if arrival >= gccWarmup {
 		g.detect(arrival)
@@ -291,7 +300,8 @@ func (g *GCCReceiver) slope() float64 {
 	if g.cfg.IncrementalTrendline {
 		sx, sy, sxx, sxy = g.tsx, g.tsy, g.tsxx, g.tsxy
 	} else {
-		fx, fy := g.fx[g.fstart:g.fend], g.fy[g.fstart:g.fend]
+		s := slot(g.fstart)
+		fx, fy := g.fx[s:s+n], g.fy[s:s+n]
 		for i, x := range fx {
 			y := fy[i]
 			sx += x
@@ -358,14 +368,14 @@ func (g *GCCReceiver) ReceivedRate(now time.Duration) float64 {
 	if g.rskip > i {
 		i = g.rskip
 	}
-	for i < n && g.farr[i] < cutoff {
+	for i < n && g.farr[slot(i)] < cutoff {
 		i++
 	}
 	g.rskip = i
 	var bits float64
 	for ; i < n; i++ {
-		if now-g.farr[i] <= gccRateWindow {
-			bits += g.fbits[i]
+		if k := slot(i); now-g.farr[k] <= gccRateWindow {
+			bits += g.fbits[k]
 		}
 	}
 	return bits / gccRateWindow.Seconds()

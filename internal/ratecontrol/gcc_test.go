@@ -255,3 +255,52 @@ func TestGCCLossWindowMatchesCopyingReference(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkGCCReceiver times one received frame — OnFrame, then Update, as
+// a viewer's feedback tick does — on a full window, with the trendline
+// scanned (sessions and the live path) and kept incrementally (the city).
+// The delays drift on a seeded 4 096-frame tape, gently enough that the
+// detector never signals overuse, so no decrease empties the window and
+// every scan covers gccWindow frames.
+func BenchmarkGCCReceiver(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	d, ramp := 80*time.Millisecond, time.Duration(0)
+	for i := range delays {
+		if i%64 == 0 {
+			ramp = time.Duration(rng.Intn(3)-1) * time.Millisecond
+		}
+		d = min(max(d+ramp+time.Duration(rng.Intn(5)-2)*time.Millisecond, 40*time.Millisecond), 400*time.Millisecond)
+		delays[i] = d
+	}
+	for _, mode := range []struct {
+		name        string
+		incremental bool
+	}{{"scan", false}, {"incremental", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := DefaultGCCConfig()
+			cfg.IncrementalTrendline = mode.incremental
+			g, err := NewGCCReceiver(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			frame := 33 * time.Millisecond
+			for i := 0; i < 2*gccWindow; i++ { // fill the window
+				now := time.Duration(i) * frame
+				g.OnFrame(now, 80*time.Millisecond, 40e3)
+				g.Update(now)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := time.Duration(2*gccWindow+i) * frame
+				g.OnFrame(now, delays[i%len(delays)], 40e3)
+				g.Update(now)
+			}
+			b.StopTimer()
+			if n := g.fend - g.fstart; n != gccWindow {
+				b.Fatalf("window holds %d frames after the run, want %d", n, gccWindow)
+			}
+		})
+	}
+}

@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"poi360/internal/trace"
 )
 
 // quickOpts runs the smallest meaningful scale.
@@ -321,5 +327,71 @@ func TestCDFSeriesEndsOnceOnMax(t *testing.T) {
 			t.Fatalf("n=%d: final point (%v, %v), (max, 1) appears %d times, want once at the end",
 				n, s.X[last], s.Y[last], ends)
 		}
+	}
+}
+
+// reportDigest hashes everything a report carries: its tables as printed,
+// its series as the CLI's -csv writes them, and its Measured map in key
+// order with every value in the shortest form that round-trips.
+func reportDigest(t *testing.T, rep *Report) string {
+	h := sha256.New()
+	for _, tab := range rep.Tables {
+		h.Write([]byte(tab.String()))
+	}
+	if err := trace.WriteSeriesCSV(h, rep.Series...); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(rep.Measured))
+	for k := range rep.Measured {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		h.Write([]byte(k + "=" + strconv.FormatFloat(rep.Measured[k], 'g', -1, 64) + "\n"))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestExperimentReportsPinned pins the sha256 of every experiment's report
+// at a small scale, the experiments' counterpart of the city's
+// TestCityFingerprintsPinned: a refactor of the engine, the builders or the
+// aggregates must leave every digest as it is. A declared trajectory change
+// (DESIGN §18) re-pins them together with the city fingerprints.
+func TestExperimentReportsPinned(t *testing.T) {
+	want := map[string]string{
+		"fig5":        "d2a6cf1557eb9fad09c17d0871526fad2ddca820d08bfc0a00716ee1e9c5a785",
+		"fig6":        "94216911da91b7054933ecb11bd7dd2c66b06ecf4dfd62638d06767c2b86b28a",
+		"table1":      "890f46091ac4242cbd4d7e7ebf844c3e4c9caa27de19c7bf4d5f3818d81167a5",
+		"fig11":       "db55d5fe7687c1abeec38500c2ffb0c01e9decd14b84a290527277773659b420",
+		"fig12":       "5ca393f68a889d4e007cf664cc1558c1a8415e1dc441e42fbedde3ea5f80daa0",
+		"fig13":       "61583e2727413cacbe6928eede192c10a7ca57c11c5a9e67678d3c234758a050",
+		"fig14":       "c1b3874ccd2cb5a0670e1250b4f5d0785be47e965182c95933030a39113f5b6d",
+		"fig15":       "5cd1077179687b04283f1aa9e63198d0ee0fad03ed0f3e567230740c7bab5708",
+		"fig16a":      "322bd915c7a5cd6987f59f49f2e07ac5e8e16dd3d8cf65588756a8572ebd0dbd",
+		"fig16b":      "436197a8ba9081d93d915fd816f031012dda348ec73cfd0b9909968232386a7a",
+		"fig17ab":     "c67851c5f3eaec00c425acc3716b5029607d5efa8aab5b6c519ec7bb0a433676",
+		"fig17cd":     "e73909b504df78b189ba2c8549177c1ddb1fe1aefee244a599e07ad190b6be78",
+		"fig17ef":     "0708218f563bd17f69a8b1d571d0ba67a2c61c7b4c76946aceae15765a28e34f",
+		"abl-modes":   "b2ca5449a3be34160cdb73f66d7449be293fcd65388f141089f1b1b9a3654fde",
+		"abl-k":       "e0fc3a1c289daf384376bce50b7d85bed94c1e868f464b8da5a3f7ea838386e1",
+		"abl-rtp":     "076c706b4c7cc4d706d6eabc8a70a3b13a3981640b6f97c8cb13d25f42333327",
+		"abl-hold":    "1757d4042e340fb4ff2b81978f1f30f9f32a654c0f983959d29815314c1dd71d",
+		"faults":      "21c16b5cc7f01a6ed7824d26004b565d56d2a5010ecb190de754a8ad8e049f98",
+		"multiuser":   "8071660de92f75f7fe2575a71bb1c88b778c8615bdafe0e5af55f4559dc599a4",
+		"network":     "d5482977ba76ca0395389e1d82324368242914d3d5f08dcc2928218841bea68a",
+		"ext-predict": "4f6b9ee51d2fb42149cceb31d539716667ccbb6375406752a392772bb7cdf358",
+		"ext-edge":    "5acff01d975fa369e3dc2a9564b7087b43de4fe397d08141525c7e15ce9cb55f",
+	}
+	o := Options{Quick: true, SessionTime: 20 * time.Second, Workers: 2}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			rep, err := e.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reportDigest(t, rep); got != want[e.ID] {
+				t.Errorf("report sha256 %s, want %s", got, want[e.ID])
+			}
+		})
 	}
 }

@@ -47,11 +47,10 @@ var AblationNoModeSwitch = Experiment{
 			cfgs  []session.Config
 		)
 		for _, reg := range regimes {
-			base := session.Config{Network: session.Cellular, Cell: lte.ProfileBusy, RC: session.RCGCC, Path: reg.path}
-			adaptive := base
-			adaptive.Scheme = session.SchemeAdaptive
+			base := campus(session.RCGCC)
+			base.Cell, base.Path = lte.ProfileBusy, reg.path
 			names = append(names, reg.label+" adaptive (POI360)")
-			cfgs = append(cfgs, adaptive)
+			cfgs = append(cfgs, base)
 			for _, c := range []float64{1.8, 1.4, 1.1} {
 				fixed := base
 				fixed.Scheme = session.SchemeFixed
@@ -90,13 +89,8 @@ var AblationFBCCK = Experiment{
 		ks := []int{3, 10, 25}
 		cfgs := make([]session.Config, len(ks))
 		for i, k := range ks {
-			cfgs[i] = session.Config{
-				Network: session.Cellular,
-				Cell:    lte.ProfileCampus,
-				Scheme:  session.SchemeAdaptive,
-				RC:      session.RCFBCC,
-				FBCCK:   k,
-			}
+			cfgs[i] = campus(session.RCFBCC)
+			cfgs[i].FBCCK = k
 		}
 		aggs, err := runBatches(o, cfgs)
 		if err != nil {
@@ -125,38 +119,19 @@ var AblationNoRTPLoop = Experiment{
 		rep := newReport()
 		tab := trace.New("abl-rtp", "FBCC with and without the sweet-spot RTP loop (campus cell)",
 			"variant", "median buffer (KB)", "mean throughput", "freeze ratio")
-		variants := []struct {
-			name    string
-			disable bool
-		}{
-			{"full FBCC", false},
-			{"no Eq. 7 loop", true},
-		}
-		cfgs := make([]session.Config, len(variants))
-		for i, v := range variants {
-			cfgs[i] = session.Config{
-				Network:        session.Cellular,
-				Cell:           lte.ProfileCampus,
-				Scheme:         session.SchemeAdaptive,
-				RC:             session.RCFBCC,
-				DisableRTPLoop: v.disable,
-			}
-		}
-		aggs, err := runBatches(o, cfgs)
+		names := []string{"full FBCC", "no Eq. 7 loop"}
+		noLoop := campus(session.RCFBCC)
+		noLoop.DisableRTPLoop = true
+		aggs, err := runBatches(o, []session.Config{campus(session.RCFBCC), noLoop})
 		if err != nil {
 			return nil, err
 		}
 		for i, agg := range aggs {
-			v := variants[i]
-			var bufs []float64
-			for _, d := range agg.Diag {
-				bufs = append(bufs, float64(d.BufferBytes)/1024)
-			}
-			med := metrics.Summarize(bufs).Median
+			med := metrics.Summarize(agg.BufferKB()).Median
 			mean := metrics.Summarize(agg.Throughput).Mean
-			tab.Add(v.name, trace.F(med, 2), trace.Mbps(mean), trace.Pct(agg.FreezeRatio()))
-			rep.Measured[v.name+"_medianKB"] = med
-			rep.Measured[v.name+"_thr"] = mean
+			tab.Add(names[i], trace.F(med, 2), trace.Mbps(mean), trace.Pct(agg.FreezeRatio()))
+			rep.Measured[names[i]+"_medianKB"] = med
+			rep.Measured[names[i]+"_thr"] = mean
 		}
 		tab.Note("the strict Rrtp=Rv pacer (as §3.3 describes WebRTC) leaves transient backlog undrained; the Eq. 7 loop is what keeps the pipeline live")
 		rep.Tables = append(rep.Tables, tab)
@@ -178,13 +153,8 @@ var AblationHold = Experiment{
 		holds := []float64{0.25, 2, 6}
 		cfgs := make([]session.Config, len(holds))
 		for i, h := range holds {
-			cfgs[i] = session.Config{
-				Network:      session.Cellular,
-				Cell:         lte.ProfileCampus,
-				Scheme:       session.SchemeAdaptive,
-				RC:           session.RCFBCC,
-				FBCCHoldRTTs: h,
-			}
+			cfgs[i] = campus(session.RCFBCC)
+			cfgs[i].FBCCHoldRTTs = h
 		}
 		aggs, err := runBatches(o, cfgs)
 		if err != nil {

@@ -39,23 +39,19 @@ type Options struct {
 	Users int
 	// Repeats overrides per-user session repetitions (0 = default).
 	Repeats int
-	// Progress, when non-nil, receives one line per completed session.
-	// Lines are emitted in deterministic (user, repeat) order regardless
-	// of how many workers run the batch.
+	// Progress, when non-nil, receives one line per completed work item (a
+	// session, a shared-cell scenario or a city run), in grid order
+	// whatever the number of workers.
 	Progress io.Writer
-	// Workers bounds how many sessions of a batch run concurrently.
-	// 0 means GOMAXPROCS; 1 forces the sequential path. For a fixed Seed
-	// every Workers value produces byte-identical experiment output —
-	// sessions are independent simulations and results are folded back in
-	// (user, repeat) order.
+	// Workers bounds how many work items of an experiment run at once: 0
+	// means GOMAXPROCS, 1 runs them on the calling goroutine. For a fixed
+	// Seed every value produces byte-identical output (see runGrid).
 	Workers int
-	// Obs, when non-nil, collects per-batch FBCC congestion-episode
-	// statistics across every batch an experiment runs. Instrumentation is
-	// a side channel: each FBCC session gets a private retention-free bus
-	// whose episode tracker streams into the batch aggregate, and nothing
-	// reaches Report — so enabling Obs
-	// cannot change a single byte of experiment output (probes observe,
-	// never steer; see internal/obs).
+	// Obs, when non-nil, collects one congestion-episode row per FBCC batch
+	// an experiment uses. It is a side channel: each FBCC session streams
+	// into a private retention-free bus and nothing reaches Report, so
+	// enabling Obs cannot change a byte of experiment output (probes
+	// observe, never steer; see internal/obs).
 	Obs *obs.ExperimentAgg
 }
 
@@ -71,10 +67,7 @@ func (o Options) sessionTime() time.Duration {
 
 func (o Options) users() int {
 	if o.Users > 0 {
-		if o.Users > 5 {
-			return 5
-		}
-		return o.Users
+		return min(o.Users, 5)
 	}
 	if o.Quick {
 		return 2
@@ -169,6 +162,9 @@ type sessionAgg struct {
 	Degradations  int   // FBCC diag-staleness watchdog firings
 	StaleFeedback int   // feedback messages discarded by the staleness guard
 	DiagStalled   int64 // diag reports suppressed by the fault script
+	// episodes are the FBCC congestion episodes of an Options.Obs run, in
+	// grid order.
+	episodes []obs.Episode
 }
 
 func (a *sessionAgg) fold(res *session.Result) {
@@ -212,8 +208,30 @@ func (a *sessionAgg) Delay() metrics.Summary { return metrics.Summarize(a.Delays
 // Stability summarizes the Fig. 12 window-std metric.
 func (a *sessionAgg) Stability() metrics.Summary { return metrics.Summarize(a.Stab) }
 
-// progressBuffer reorders per-session progress lines: workers complete in
-// arbitrary order, but lines reach the writer in batch index order, each
+// BufferKB is the firmware-buffer level of every diag sample, in KB.
+func (a *sessionAgg) BufferKB() []float64 {
+	kb := make([]float64, len(a.Diag))
+	for i, d := range a.Diag {
+		kb[i] = float64(d.BufferBytes) / 1024
+	}
+	return kb
+}
+
+// MeanMismatch is the mean ROI mismatch M in seconds, summed in sample
+// order (metrics.Summarize may sum in another order and round differently).
+func (a *sessionAgg) MeanMismatch() float64 {
+	if len(a.Mismatch) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, m := range a.Mismatch {
+		sum += m
+	}
+	return sum / float64(len(a.Mismatch))
+}
+
+// progressBuffer reorders per-item progress lines: workers complete in
+// arbitrary order, but lines reach the writer in grid index order, each
 // flushed as soon as its contiguous prefix is complete (so a -v run stays
 // live under parallel workers instead of dumping everything at the end).
 type progressBuffer struct {
@@ -268,55 +286,91 @@ func batchLabel(base session.Config) string {
 	return l
 }
 
-// runBatches runs several batches' session grids through ONE bounded worker
-// pool and returns the per-batch aggregates in input order. Flattening an
-// experiment's batches into a single work list keeps every core busy across
-// batch boundaries: with B sequential single-batch pools, each batch's last
-// stragglers leave workers idle B times; with one pool the only ramp-down is
-// at the very end of the experiment.
+// runGrid runs rows × per independent work items on one bounded pool and
+// returns their results in grid order: item i = row·per + k is run(row, k)
+// and lands in slot i. It is the one engine every experiment runs on:
 //
-// The engine guarantees are unchanged from the single-batch pool:
-//
-//   - Work item i = (batch b, user u, repeat r) with i = (b·users+u)·repeats+r.
-//     Each item is an independent discrete-event simulation whose randomness
-//     derives only from its collision-free per-session seed — the same
-//     session.DeriveSeed(o.Seed, u, r) per batch as sequential single-batch
-//     calls would use.
-//   - Results fold back strictly in (batch, user, repeat) order, so for a
-//     fixed Options.Seed the aggregates — and every table, CDF, and report
-//     built from them — are byte-identical no matter how many workers ran.
-//   - Progress lines flush in flattened-index order, which is exactly the
-//     order B sequential batches would have printed.
-//   - Errors surface from the lowest flattened index, matching what the
-//     sequential path would have reported first.
-//   - Options.Obs episode batches are recorded per batch, in batch order,
-//     after the pool drains.
-func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
-	if len(bases) == 0 {
-		return nil, nil
-	}
-	users, repeats := o.users(), o.repeats()
-	per := users * repeats
-	total := len(bases) * per
-	prepared := make([]session.Config, len(bases))
-	for b, base := range bases {
-		base.Duration = o.sessionTime()
-		// Skip the rate controller's start-up ramp (and the backlog it
-		// leaves) so batches measure steady state, like the paper's
-		// 5-minute sessions.
-		base.StatsWarmup = batchWarmup
-		prepared[b] = base
-	}
-	results := make([]*session.Result, total)
-	var progress *progressBuffer
+//   - min(o.workers(), rows·per) goroutines claim items from a shared
+//     cursor; the calling goroutine is one of them, so Workers 1 starts
+//     none. run must write only state addressed by its own item.
+//   - Results come back in grid order whatever the completion order, so
+//     for a fixed Options.Seed anything folded from them is byte-identical
+//     at any worker count.
+//   - With Options.Progress set, line(row, k, r) renders item i's progress
+//     line; lines flush in grid order (a failed item contributes "", so
+//     the ordered flush moves past it).
+//   - After a failure no further item is handed out, and the error
+//     returned is that of the lowest failing index — the one a sequential
+//     run would have reported.
+func runGrid[R any](o Options, rows, per int, run func(row, k int) (R, error), line func(row, k int, r R) string) ([]R, error) {
+	total := rows * per
+	out := make([]R, total)
+	errs := make([]error, total)
+	var (
+		progress *progressBuffer
+		cursor   atomic.Int64
+		aborted  atomic.Bool
+		wg       sync.WaitGroup
+	)
 	if o.Progress != nil {
 		progress = newProgressBuffer(o.Progress)
 	}
+	work := func() {
+		for {
+			i := int(cursor.Add(1) - 1)
+			if i >= total || aborted.Load() {
+				return
+			}
+			r, err := run(i/per, i%per)
+			if err != nil {
+				errs[i] = err
+				aborted.Store(true)
+				progress.emit(i, "")
+				return
+			}
+			out[i] = r
+			if progress != nil {
+				progress.emit(i, line(i/per, i%per, r))
+			}
+		}
+	}
+	for w := 1; w < min(o.workers(), total); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// record adds agg's episode row to Options.Obs if base is an FBCC batch.
+func (o Options) record(base session.Config, agg *sessionAgg) {
+	if o.Obs != nil && base.RC == session.RCFBCC {
+		o.Obs.AddBatch(batchLabel(base), o.users()*o.repeats(), agg.episodes)
+	}
+}
+
+// runBatchGrid runs several batches' users × repeats session grids as one
+// runGrid, so one pool keeps every core busy across batch boundaries and
+// the only ramp-down is at the end. Item (b, j) is user u = j/repeats,
+// repeat r = j%repeats of batch b, seeded session.DeriveSeed(o.Seed, u, r):
+// the seed a lone batch would use. Aggregates come back in input order.
+func runBatchGrid(o Options, bases []session.Config) ([]*sessionAgg, error) {
+	repeats := o.repeats()
+	per := o.users() * repeats
 	// One streaming episode aggregate per batch: every instrumented
-	// session binds a retention-free bus under its within-batch grid
-	// index, so episodes accumulate as they are emitted and concatenate
-	// in grid order at the fold — byte-identical to the retained-stream
-	// engine at any worker count, without holding a single event.
+	// session binds a private retention-free bus under its within-batch
+	// grid index, so episodes accumulate as they are emitted and
+	// concatenate in grid order — at any worker count, without holding a
+	// single event.
 	var epAggs []*obs.ShardAgg
 	if o.Obs != nil {
 		epAggs = make([]*obs.ShardAgg, len(bases))
@@ -324,19 +378,13 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 			epAggs[b] = obs.NewShardAgg()
 		}
 	}
-
-	// runOne executes flattened cell i into its slot.
-	runOne := func(i int) error {
-		b, j := i/per, i%per
+	results, err := runGrid(o, len(bases), per, func(b, j int) (*session.Result, error) {
 		u, r := j/repeats, j%repeats
-		cfg := prepared[b]
+		cfg := bases[b]
+		cfg.Duration, cfg.StatsWarmup = o.sessionTime(), batchWarmup
 		cfg.User = userProfile(u)
 		cfg.Seed = session.DeriveSeed(o.Seed, u, r)
 		if o.Obs != nil && cfg.RC == session.RCFBCC {
-			// Private per-session bus (no cross-worker sharing), streaming
-			// into the batch's episode aggregate under the within-batch
-			// grid index — same probe id as single-batch runs, zero event
-			// retention.
 			bus := obs.NewBus()
 			bus.DisableRetention()
 			epAggs[b].Bind(int32(j), bus)
@@ -344,38 +392,44 @@ func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
 		}
 		res, err := session.Run(cfg)
 		if err != nil {
-			progress.emit(i, "") // keep the ordered flush moving past the failed slot
-			return fmt.Errorf("session (user=%d, repeat=%d): %w", u, r, err)
+			return nil, fmt.Errorf("session (user=%d, repeat=%d): %w", u, r, err)
 		}
-		results[i] = res
-		if progress != nil {
-			progress.emit(i, fmt.Sprintf("  %s/%s user=%s rep=%d: PSNR %.1f dB, FR %.2f%%\n",
-				cfg.Scheme, cfg.Network, cfg.User.Name, r,
-				res.PSNRSummary().Mean, 100*res.FreezeRatio()))
-		}
-		return nil
-	}
-
-	if err := fanOut(o.workers(), total, runOne); err != nil {
+		return res, nil
+	}, func(b, j int, res *session.Result) string {
+		return fmt.Sprintf("  %s/%s user=%s rep=%d: PSNR %.1f dB, FR %.2f%%\n",
+			bases[b].Scheme, bases[b].Network, userProfile(j/repeats).Name, j%repeats,
+			res.PSNRSummary().Mean, 100*res.FreezeRatio())
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Deterministic fold: flattened order regardless of completion order.
 	aggs := make([]*sessionAgg, len(bases))
 	for b := range bases {
-		agg := &sessionAgg{}
-		for j := 0; j < per; j++ {
-			agg.fold(results[b*per+j])
+		aggs[b] = &sessionAgg{}
+		for _, res := range results[b*per : (b+1)*per] {
+			aggs[b].fold(res)
 		}
-		aggs[b] = agg
-		if o.Obs != nil && prepared[b].RC == session.RCFBCC {
-			// ShardAgg.Episodes concatenates in ascending shard id — the
-			// within-batch grid index — so the experiment-level table is
-			// byte-identical at any worker count, exactly as the old
-			// retained-stream fold was.
-			o.Obs.AddBatch(batchLabel(prepared[b]), per, epAggs[b].Episodes())
+		if epAggs != nil && bases[b].RC == session.RCFBCC {
+			aggs[b].episodes = epAggs[b].Episodes()
 		}
 	}
 	return aggs, nil
+}
+
+// runBatches is runBatchGrid that records every FBCC batch's episodes in
+// Options.Obs, in input order.
+func runBatches(o Options, bases []session.Config) ([]*sessionAgg, error) {
+	aggs, err := runBatchGrid(o, bases)
+	for b, agg := range aggs {
+		o.record(bases[b], agg)
+	}
+	return aggs, err
+}
+
+// campus is the adaptive-compression session on the campus cell under rc:
+// the base every single-knob study varies one field of.
+func campus(rc session.RCKind) session.Config {
+	return session.Config{Network: session.Cellular, Cell: lte.ProfileCampus, Scheme: session.SchemeAdaptive, RC: rc}
 }
 
 // gridBatch names one batch of the campus-cell comparison grid the paper's
@@ -387,9 +441,10 @@ type gridBatch struct {
 }
 
 // batchKey identifies a memoized batch: the grid cell plus the options
-// that scale it. It deliberately excludes Options.Workers: worker count
-// never changes a batch's aggregate (see runBatches), so memoized results
-// are valid across parallelism settings.
+// that scale it, and whether its episodes were collected. It deliberately
+// excludes Options.Workers: worker count never changes a batch's outcome
+// (see runGrid), so memoized results are valid across parallelism
+// settings.
 type batchKey struct {
 	gridBatch
 	quick   bool
@@ -397,10 +452,11 @@ type batchKey struct {
 	dur     time.Duration
 	users   int
 	repeats int
+	obs     bool
 }
 
-// batchMemo holds every grid batch run so far in this process. Aggregates
-// are treated as immutable after insertion.
+// batchMemo holds every grid batch run so far in this process. Entries are
+// treated as immutable after insertion.
 var (
 	batchMu   sync.Mutex
 	batchMemo = map[batchKey]*sessionAgg{}
@@ -408,29 +464,29 @@ var (
 
 // memoBatches is runBatches behind the memo: batches already run under
 // the same scale options are recalled, the rest run through one shared
-// worker pool and are remembered. Aggregates come back in specs order.
+// worker pool and are remembered. Every FBCC spec records its episode row
+// in Options.Obs, in specs order, whether it ran now or was recalled, and
+// aggregates come back in specs order.
 func memoBatches(o Options, specs []gridBatch) ([]*sessionAgg, error) {
 	keys := make([]batchKey, len(specs))
+	bases := make([]session.Config, len(specs))
 	aggs := make([]*sessionAgg, len(specs))
 	var (
-		todo  []int
-		bases []session.Config
+		todo    []int
+		pending []session.Config
 	)
 	batchMu.Lock()
 	for i, sp := range specs {
-		keys[i] = batchKey{sp, o.Quick, o.Seed, o.sessionTime(), o.users(), o.repeats()}
+		keys[i] = batchKey{sp, o.Quick, o.Seed, o.sessionTime(), o.users(), o.repeats(), o.Obs != nil}
+		bases[i] = campus(sp.rc)
+		bases[i].Network, bases[i].Scheme = sp.network, sp.scheme
 		if aggs[i] = batchMemo[keys[i]]; aggs[i] == nil {
 			todo = append(todo, i)
-			bases = append(bases, session.Config{
-				Network: sp.network,
-				Cell:    lte.ProfileCampus,
-				Scheme:  sp.scheme,
-				RC:      sp.rc,
-			})
+			pending = append(pending, bases[i])
 		}
 	}
 	batchMu.Unlock()
-	ran, err := runBatches(o, bases)
+	ran, err := runBatchGrid(o, pending)
 	if err != nil {
 		return nil, err
 	}
@@ -440,54 +496,10 @@ func memoBatches(o Options, specs []gridBatch) ([]*sessionAgg, error) {
 		batchMemo[keys[i]] = ran[j]
 	}
 	batchMu.Unlock()
+	for i, agg := range aggs {
+		o.record(bases[i], agg)
+	}
 	return aggs, nil
-}
-
-// fanOut calls fn(i) for every i in [0, total) on min(workers, total)
-// goroutines that claim indices from a shared cursor; with one worker it is
-// a plain loop that stops at the first error. fn must write only state
-// addressed by i. After a failure no further index is handed out, and the
-// error returned is that of the lowest failing index — the one a sequential
-// run would have reported.
-func fanOut(workers, total int, fn func(i int) error) error {
-	if workers = min(workers, total); workers <= 1 {
-		for i := 0; i < total; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		errs    = make([]error, total)
-		cursor  atomic.Int64
-		aborted atomic.Bool
-		wg      sync.WaitGroup
-	)
-	cursor.Store(-1)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1))
-				if i >= total || aborted.Load() {
-					return
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					aborted.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // cdfSeries converts samples into an empirical CDF curve, downsampled to

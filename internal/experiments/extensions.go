@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"poi360/internal/lte"
 	"poi360/internal/netsim"
 	"poi360/internal/session"
 	"poi360/internal/trace"
@@ -21,42 +20,19 @@ var ExtPrediction = Experiment{
 		rep := newReport()
 		tab := trace.New("ext-predict", "POI360 with and without the ~120 ms motion predictor (campus cell)",
 			"variant", "mean PSNR", "P10 PSNR", "mean mismatch M")
-		variants := []struct {
-			name    string
-			predict bool
-		}{
-			{"no prediction", false},
-			{"with prediction", true},
-		}
-		cfgs := make([]session.Config, len(variants))
-		for i, v := range variants {
-			cfgs[i] = session.Config{
-				Network:       session.Cellular,
-				Cell:          lte.ProfileCampus,
-				Scheme:        session.SchemeAdaptive,
-				RC:            session.RCGCC,
-				ROIPrediction: v.predict,
-			}
-		}
-		aggs, err := runBatches(o, cfgs)
+		names := []string{"no prediction", "with prediction"}
+		predict := campus(session.RCGCC)
+		predict.ROIPrediction = true
+		aggs, err := runBatches(o, []session.Config{campus(session.RCGCC), predict})
 		if err != nil {
 			return nil, err
 		}
 		for i, agg := range aggs {
-			v := variants[i]
-			var mSum float64
-			for _, m := range agg.Mismatch {
-				mSum += m
-			}
-			meanM := 0.0
-			if len(agg.Mismatch) > 0 {
-				meanM = mSum / float64(len(agg.Mismatch))
-			}
-			p := agg.PSNR()
-			tab.Add(v.name, trace.DB(p.Mean), trace.DB(p.P10), trace.F(meanM*1000, 0)+" ms")
-			rep.Measured[v.name+"_psnr"] = p.Mean
-			rep.Measured[v.name+"_p10"] = p.P10
-			rep.Measured[v.name+"_m"] = meanM
+			p, meanM := agg.PSNR(), agg.MeanMismatch()
+			tab.Add(names[i], trace.DB(p.Mean), trace.DB(p.P10), trace.F(meanM*1000, 0)+" ms")
+			rep.Measured[names[i]+"_psnr"] = p.Mean
+			rep.Measured[names[i]+"_p10"] = p.P10
+			rep.Measured[names[i]+"_m"] = meanM
 		}
 		tab.Note("prediction is clamped to the 120 ms horizon the paper cites; end-to-end staleness is several times that")
 		rep.Tables = append(rep.Tables, tab)
@@ -88,41 +64,19 @@ var ExtEdgeRelay = Experiment{
 		rep := newReport()
 		tab := trace.New("ext-edge", "POI360 via the Internet core vs an edge relay (campus cell)",
 			"path", "mean PSNR", "mean mismatch M", "median delay")
-		variants := []struct {
-			name string
-			path netsim.PathProfile
-		}{
-			{"internet core", netsim.CellularPath},
-			{"edge relay", EdgePath},
-		}
-		cfgs := make([]session.Config, len(variants))
-		for i, v := range variants {
-			cfgs[i] = session.Config{
-				Network: session.Cellular,
-				Cell:    lte.ProfileCampus,
-				Scheme:  session.SchemeAdaptive,
-				RC:      session.RCGCC,
-				Path:    v.path,
-			}
-		}
-		aggs, err := runBatches(o, cfgs)
+		names := []string{"internet core", "edge relay"}
+		edge := campus(session.RCGCC)
+		edge.Path = EdgePath
+		aggs, err := runBatches(o, []session.Config{campus(session.RCGCC), edge})
 		if err != nil {
 			return nil, err
 		}
 		for i, agg := range aggs {
-			v := variants[i]
-			var mSum float64
-			for _, m := range agg.Mismatch {
-				mSum += m
-			}
-			meanM := 0.0
-			if len(agg.Mismatch) > 0 {
-				meanM = mSum / float64(len(agg.Mismatch))
-			}
-			tab.Add(v.name, trace.DB(agg.PSNR().Mean), trace.F(meanM*1000, 0)+" ms", trace.Ms(agg.Delay().Median))
-			rep.Measured[v.name+"_psnr"] = agg.PSNR().Mean
-			rep.Measured[v.name+"_m"] = meanM
-			rep.Measured[v.name+"_delay"] = agg.Delay().Median
+			meanM := agg.MeanMismatch()
+			tab.Add(names[i], trace.DB(agg.PSNR().Mean), trace.F(meanM*1000, 0)+" ms", trace.Ms(agg.Delay().Median))
+			rep.Measured[names[i]+"_psnr"] = agg.PSNR().Mean
+			rep.Measured[names[i]+"_m"] = meanM
+			rep.Measured[names[i]+"_delay"] = agg.Delay().Median
 		}
 		rep.Tables = append(rep.Tables, tab)
 		return rep, nil

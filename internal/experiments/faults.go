@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"poi360/internal/faults"
-	"poi360/internal/lte"
 	"poi360/internal/metrics"
 	"poi360/internal/session"
 	"poi360/internal/trace"
@@ -35,14 +34,9 @@ var FaultsTable = Experiment{
 		)
 		addRow := func(scenario, label string, watchdog int, script faults.Script) {
 			rows = append(rows, row{scenario, label})
-			cfgs = append(cfgs, session.Config{
-				Network:             session.Cellular,
-				Cell:                lte.ProfileCampus,
-				Scheme:              session.SchemeAdaptive,
-				RC:                  session.RCFBCC,
-				Faults:              script,
-				FBCCWatchdogReports: watchdog,
-			})
+			cfg := campus(session.RCFBCC)
+			cfg.Faults, cfg.FBCCWatchdogReports = script, watchdog
+			cfgs = append(cfgs, cfg)
 		}
 
 		// Clean baseline: no disturbances, watchdog armed (it must be

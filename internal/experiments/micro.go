@@ -82,10 +82,7 @@ var Fig06 = Experiment{
 		if err != nil {
 			return nil, err
 		}
-		var bufs []float64
-		for _, d := range aggs[0].Diag {
-			bufs = append(bufs, float64(d.BufferBytes)/1024)
-		}
+		bufs := aggs[0].BufferKB()
 		s := metrics.Summarize(bufs)
 		lowUsage := metrics.CDFAt(bufs, 4) // the Fig. 15 low-usage region (<~2 Mbps of grant)
 		empty := metrics.CDFAt(bufs, 0.25)
@@ -173,10 +170,7 @@ var Fig15 = Experiment{
 		tab := trace.New("fig15", "Firmware buffer occupancy while streaming (campus cell)",
 			"controller", "median buffer (KB)", "P90 buffer (KB)", "fraction < 2 KB", "fraction 2–16 KB", "fraction > 16 KB")
 		classify := func(agg *sessionAgg, name string) {
-			var bufs []float64
-			for _, d := range agg.Diag {
-				bufs = append(bufs, float64(d.BufferBytes)/1024)
-			}
+			bufs := agg.BufferKB()
 			s := metrics.Summarize(bufs)
 			low := metrics.CDFAt(bufs, 2)
 			high := metrics.CDFAt(bufs, 16)
@@ -212,15 +206,13 @@ var Fig16a = Experiment{
 		}
 		tab := trace.New("fig16a", "Throughput / freeze ratio (campus cell, adaptive compression)",
 			"controller", "mean throughput", "throughput std", "freeze ratio")
-		for _, e := range []struct {
-			name string
-			agg  *sessionAgg
-		}{{"FBCC", fbcc}, {"GCC", gcc}} {
-			ts := metrics.Summarize(e.agg.Throughput)
-			tab.Add(e.name, trace.Mbps(ts.Mean), trace.Mbps(ts.Std), trace.Pct(e.agg.FreezeRatio()))
-			rep.Measured[e.name+"_thr"] = ts.Mean
-			rep.Measured[e.name+"_std"] = ts.Std
-			rep.Measured[e.name+"_fr"] = e.agg.FreezeRatio()
+		names := []string{"FBCC", "GCC"}
+		for i, agg := range []*sessionAgg{fbcc, gcc} {
+			ts := metrics.Summarize(agg.Throughput)
+			tab.Add(names[i], trace.Mbps(ts.Mean), trace.Mbps(ts.Std), trace.Pct(agg.FreezeRatio()))
+			rep.Measured[names[i]+"_thr"] = ts.Mean
+			rep.Measured[names[i]+"_std"] = ts.Std
+			rep.Measured[names[i]+"_fr"] = agg.FreezeRatio()
 		}
 		rep.Measured["fbcc_overuses"] = float64(fbcc.Overuses)
 		rep.Tables = append(rep.Tables, tab)
@@ -241,15 +233,13 @@ var Fig16b = Experiment{
 		}
 		tab := trace.New("fig16b", "MOS PDF (campus cell, adaptive compression)",
 			"controller", "Bad", "Poor", "Fair", "Good", "Excellent")
-		for _, e := range []struct {
-			name string
-			agg  *sessionAgg
-		}{{"FBCC", fbcc}, {"GCC", gcc}} {
-			pdf := e.agg.MOSPDF()
-			tab.Add(append([]string{e.name}, mosRow(pdf)...)...)
-			rep.Measured[e.name+"_good"] = pdf[metrics.Good]
-			rep.Measured[e.name+"_exc"] = pdf[metrics.Excellent]
-			rep.Measured[e.name+"_fairOrWorse"] = pdf[metrics.Fair] + pdf[metrics.Poor] + pdf[metrics.Bad]
+		names := []string{"FBCC", "GCC"}
+		for i, agg := range []*sessionAgg{fbcc, gcc} {
+			pdf := agg.MOSPDF()
+			tab.Add(append([]string{names[i]}, mosRow(pdf)...)...)
+			rep.Measured[names[i]+"_good"] = pdf[metrics.Good]
+			rep.Measured[names[i]+"_exc"] = pdf[metrics.Excellent]
+			rep.Measured[names[i]+"_fairOrWorse"] = pdf[metrics.Fair] + pdf[metrics.Poor] + pdf[metrics.Bad]
 		}
 		rep.Tables = append(rep.Tables, tab)
 		return rep, nil

@@ -16,19 +16,13 @@ var multiUserSizes = []int{2, 4, 8}
 // everyone GCC, or an alternating half-and-half cell.
 var multiUserMixes = []string{"fbcc", "gcc", "half"}
 
-// multiUserRC assigns user i's controller under a mix.
+// multiUserRC assigns user i's controller under a mix (half: even users
+// FBCC, odd users GCC).
 func multiUserRC(mix string, i int) session.RCKind {
-	switch mix {
-	case "fbcc":
-		return session.RCFBCC
-	case "gcc":
-		return session.RCGCC
-	default: // half: even users FBCC, odd users GCC
-		if i%2 == 0 {
-			return session.RCFBCC
-		}
+	if mix == "gcc" || mix == "half" && i%2 == 1 {
 		return session.RCGCC
 	}
+	return session.RCFBCC
 }
 
 // multiUserScenario builds the N-user shared-cell scenario for one
@@ -129,10 +123,8 @@ var MultiUser = Experiment{
 		tab := trace.New("multiuser", "N sessions in one campus cell (PF uplink scheduler), per-population splits",
 			"users", "mix", "Jain", "share min", "share max", "FBCC thrpt", "GCC thrpt", "freeze ratio", "mean PSNR")
 
-		// The (size × mix) × repeats grid, flattened. Each grid cell is one
-		// RunShared scenario — itself a whole N-user simulation — so the
-		// worker pool fans out over scenarios, and results fold back in
-		// grid order for byte-identical reports at any Workers value.
+		// The (size × mix) × repeats grid: each item is one RunShared
+		// scenario — itself a whole N-user simulation — folded back per row.
 		type rowKey struct {
 			n   int
 			mix string
@@ -144,43 +136,27 @@ var MultiUser = Experiment{
 			}
 		}
 		repeats := o.repeats()
-		total := len(rows) * repeats
-		slots := make([][]*session.Result, total)
-		var progress *progressBuffer
-		if o.Progress != nil {
-			progress = newProgressBuffer(o.Progress)
-		}
-
-		runOne := func(i int) error {
-			row, rp := i/repeats, i%repeats
+		slots, err := runGrid(o, len(rows), repeats, func(row, rp int) ([]*session.Result, error) {
 			rk := rows[row]
-			mc := multiUserScenario(o, row, rp, rk.n, rk.mix)
-			results, err := session.RunShared(mc)
+			results, err := session.RunShared(multiUserScenario(o, row, rp, rk.n, rk.mix))
 			if err != nil {
-				progress.emit(i, "")
-				return fmt.Errorf("multiuser (n=%d, mix=%s, repeat=%d): %w", rk.n, rk.mix, rp, err)
+				return nil, fmt.Errorf("multiuser (n=%d, mix=%s, repeat=%d): %w", rk.n, rk.mix, rp, err)
 			}
-			slots[i] = results
-			if progress != nil {
-				shares := make([]float64, len(results))
-				for j, r := range results {
-					shares[j] = r.ThroughputSummary().Mean
-				}
-				progress.emit(i, fmt.Sprintf("  n=%d mix=%s rep=%d: Jain %.3f\n",
-					rk.n, rk.mix, rp, metrics.JainFairness(shares)))
+			return results, nil
+		}, func(row, rp int, results []*session.Result) string {
+			shares := make([]float64, len(results))
+			for j, r := range results {
+				shares[j] = r.ThroughputSummary().Mean
 			}
-			return nil
-		}
-
-		if err := fanOut(o.workers(), total, runOne); err != nil {
+			return fmt.Sprintf("  n=%d mix=%s rep=%d: Jain %.3f\n", rows[row].n, rows[row].mix, rp, metrics.JainFairness(shares))
+		})
+		if err != nil {
 			return nil, err
 		}
-
-		// Deterministic fold, grid order.
 		for row, rk := range rows {
 			agg := newMultiUserAgg()
-			for rp := 0; rp < repeats; rp++ {
-				agg.fold(slots[row*repeats+rp])
+			for _, results := range slots[row*repeats : (row+1)*repeats] {
+				agg.fold(results)
 			}
 			psnr := metrics.Summarize(agg.psnrs).Mean
 			tab.Add(fmt.Sprint(rk.n), rk.mix,

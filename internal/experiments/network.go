@@ -113,49 +113,33 @@ var Network = Experiment{
 
 		rows := cityRows(o.Quick)
 		repeats := o.repeats()
-		duration := cityDuration(o)
-		total := len(rows) * repeats
-		slots := make([]*network.Result, total)
-		var progress *progressBuffer
-		if o.Progress != nil {
-			progress = newProgressBuffer(o.Progress)
-		}
-
-		// The worker pool fans out over city runs; each run keeps its
-		// internal shard pool at 1 so an experiment batch never
-		// oversubscribes the machine. Determinism is unconditional either
-		// way (the city layer is byte-identical at any Workers value).
-		runOne := func(i int) error {
-			row, rp := i/repeats, i%repeats
+		// Each item is one city run with its internal shard pool at 1, so
+		// the grid never oversubscribes the machine (the city is
+		// byte-identical at any Workers value either way).
+		slots, err := runGrid(o, len(rows), repeats, func(row, rp int) (*network.Result, error) {
 			rk := rows[row]
 			res, err := network.Run(network.Config{
 				Cells:     rk.cells,
 				UEs:       rk.ues,
-				Duration:  duration,
+				Duration:  cityDuration(o),
 				Seed:      session.DeriveSeed(o.Seed, row, rp),
 				MeanDwell: rk.dwell,
 				Workers:   1,
 			})
 			if err != nil {
-				progress.emit(i, "")
-				return fmt.Errorf("network (cells=%d, ues=%d, repeat=%d): %w", rk.cells, rk.ues, rp, err)
+				return nil, fmt.Errorf("network (cells=%d, ues=%d, repeat=%d): %w", rk.cells, rk.ues, rp, err)
 			}
-			slots[i] = res
-			if progress != nil {
-				progress.emit(i, fmt.Sprintf("  %s\n", res.Summarize()))
-			}
-			return nil
-		}
-
-		if err := fanOut(o.workers(), total, runOne); err != nil {
+			return res, nil
+		}, func(_, _ int, res *network.Result) string {
+			return fmt.Sprintf("  %s\n", res.Summarize())
+		})
+		if err != nil {
 			return nil, err
 		}
-
-		// Deterministic fold, grid order.
 		for row, rk := range rows {
 			agg := &cityAgg{}
-			for rp := 0; rp < repeats; rp++ {
-				agg.fold(slots[row*repeats+rp])
+			for _, res := range slots[row*repeats : (row+1)*repeats] {
+				agg.fold(res)
 			}
 			dwell := "static"
 			if rk.dwell > 0 {

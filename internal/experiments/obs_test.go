@@ -103,3 +103,27 @@ func TestBatchLabel(t *testing.T) {
 		t.Fatalf("watchdog-off label %q", l)
 	}
 }
+
+// TestObsEpisodesSurviveMemo: Figs. 15 and 16a share the FBCC batch through
+// the memo, so the episode table of whichever experiment recalls it must
+// carry the same row as the one that ran it.
+func TestObsEpisodesSurviveMemo(t *testing.T) {
+	o := Options{Quick: true, Users: 2, Repeats: 1, SessionTime: 30 * time.Second, Seed: 41}
+	tables := make([]string, 2)
+	for i, e := range []Experiment{Fig15, Fig16a} {
+		o.Obs = obs.NewExperimentAgg()
+		if _, err := e.Run(o); err != nil {
+			t.Fatal(err)
+		}
+		if o.Obs.Rows() != 1 {
+			t.Fatalf("%s: episode agg has %d rows, want 1", e.ID, o.Obs.Rows())
+		}
+		tables[i] = o.Obs.Table().String()
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("fig16a's episode table differs from fig15's:\n--- fig15 ---\n%s\n--- fig16a ---\n%s", tables[0], tables[1])
+	}
+	if !strings.Contains(tables[0], "POI360/FBCC/cellular") {
+		t.Fatalf("batch label missing:\n%s", tables[0])
+	}
+}

@@ -378,7 +378,7 @@ func TestExperimentReportsPinned(t *testing.T) {
 		"abl-hold":    "1757d4042e340fb4ff2b81978f1f30f9f32a654c0f983959d29815314c1dd71d",
 		"faults":      "21c16b5cc7f01a6ed7824d26004b565d56d2a5010ecb190de754a8ad8e049f98",
 		"multiuser":   "8071660de92f75f7fe2575a71bb1c88b778c8615bdafe0e5af55f4559dc599a4",
-		"network":     "d5482977ba76ca0395389e1d82324368242914d3d5f08dcc2928218841bea68a",
+		"network":     "5aad22220e46129716f4b83e1dccb73c5ac314b38eecb9736056c0c5f5e35ed3",
 		"ext-predict": "4f6b9ee51d2fb42149cceb31d539716667ccbb6375406752a392772bb7cdf358",
 		"ext-edge":    "5acff01d975fa369e3dc2a9564b7087b43de4fe397d08141525c7e15ce9cb55f",
 	}

@@ -108,7 +108,7 @@ var Network = Experiment{
 	Paper: "§6.2 drives through real cells and reports handover stalls killing GCC while FBCC's watchdog degrades and recovers; this table reproduces that dynamic at city scale with hundreds of cells and emergent (not scripted) handovers",
 	Run: func(o Options) (*Report, error) {
 		rep := newReport()
-		tab := trace.New("network", "deterministic multi-cell city runs (lockstep cell shards, PF uplinks, grid-walk mobility)",
+		tab := trace.New("network", "deterministic multi-cell city runs (on-demand cell shards, PF uplinks, grid-walk mobility)",
 			"cells", "UEs", "dwell", "HO/UE", "outage", "wdog ↓/↑", "freeze fbcc", "freeze gcc", "Jain", "cell Jain", "aggregate")
 
 		rows := cityRows(o.Quick)

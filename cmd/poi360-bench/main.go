@@ -59,6 +59,10 @@ func run() int {
 		memProf = flag.String("memprofile", "", "write a heap profile (after GC) to this file at exit")
 	)
 	flag.Parse()
+	if err := checkScale(*users, *repeats, *secs, *workers); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -159,6 +163,23 @@ func run() int {
 	}
 	fmt.Printf("completed %d experiments in %.1fs\n", len(todo), time.Since(start).Seconds())
 	return 0
+}
+
+// checkScale rejects scale flags the experiments would otherwise clamp or
+// quietly replace with their defaults: 0 means "default" for each of them,
+// and -users names at most the five user profiles.
+func checkScale(users, repeats, secs, workers int) error {
+	switch {
+	case users < 0 || users > 5:
+		return fmt.Errorf("-users must be 1-5 (0 = default), got %d", users)
+	case repeats < 0:
+		return fmt.Errorf("-repeats must not be negative (0 = default), got %d", repeats)
+	case secs < 0:
+		return fmt.Errorf("-session-seconds must not be negative (0 = default), got %d", secs)
+	case workers < 0:
+		return fmt.Errorf("-workers must not be negative (0 = GOMAXPROCS), got %d", workers)
+	}
+	return nil
 }
 
 func dumpSeries(dir, id string, series []trace.Series) error {

@@ -20,8 +20,9 @@ test:
 ## race: the suite under the race detector in short mode — every test but
 ## the five that honour -short, so the fault-injection, shared-cell and city
 ## subsystems are raced here — plus a full-mode pass over the experiment
-## engine's sharding tests (the cross-batch worker pool, the byte-identity
-## contracts it must keep, and the two multi-user tests -short skips), two
+## engine's tests (the grid runner's worker pool, the byte-identity
+## contracts it must keep, the pinned report digests, the memo's episode
+## rows, and the two multi-user tests -short skips), two
 ## more passes of the city's epoch-barrier tests with GOMAXPROCS 1 and 2 in
 ## the environment — the hand-off's yield path and its park path raced on
 ## one P and on two, whatever the runner's core count (-count=1: the test
@@ -30,7 +31,7 @@ test:
 ## -short too and run in plain `make test`.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch|MultiUserMeasured' ./internal/experiments
+	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch|MultiUserMeasured|Pinned|SurviveMemo' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network

@@ -21,11 +21,13 @@
 // shard's clock between barriers, and only by the coordinator at barriers,
 // when a shard runs cannot show in the report, which is byte-identical at
 // any Workers value — the same ordered-fold discipline as the experiment
-// engine's runBatches.
+// engine's runGrid.
 //
 // A shard nobody resides on is never due — not even at the end of the run
-// — and its empty cell sleeps (see lte.Cell). The run's cost follows the
-// population and its handovers, not the grid (DESIGN.md §15).
+// — and a due shard's empty cell is advanced by its capacity step: one
+// held-capacity stretch at a time, with no per-subframe work (see
+// lte.Cell.Advance). The run's cost follows the population and its
+// handovers, not the grid (DESIGN.md §15).
 //
 // # Handover state machine
 //

@@ -68,7 +68,8 @@ func TestCityFingerprintsPinned(t *testing.T) {
 
 // citySparseFixture is the cells ≫ UEs counterpart of the dense identity
 // fixtures: most shards are dormant at any instant and, with a short dwell,
-// cells fall asleep and wake all run long.
+// cells empty and refill all run long (an empty advanced cell is advanced
+// by its capacity step).
 func citySparseFixture() Config {
 	return Config{
 		Cells:     64,

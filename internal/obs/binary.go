@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -139,20 +140,51 @@ func (enc *EventEncoder) Reset() { enc.last = 0 }
 // AppendEvent appends one event record. Panics with ErrBinMarshal on an
 // invalid kind or a negative timestamp (no simulation clock produces one).
 func (enc *EventEncoder) AppendEvent(dst []byte, e *Event) []byte {
-	if e.Kind >= NumKinds || e.At < 0 {
+	return enc.appendEvent(dst, e.At, e.Kind, e.Sub, e.A, e.B, e.C, e.D)
+}
+
+// maxEventRecord is the longest event record: the body length (one byte,
+// as every body is below 128), the tag, a 32-bit sub's varint, a 64-bit
+// delta's and four values.
+const maxEventRecord = 2 + binary.MaxVarintLen32 + binary.MaxVarintLen64 + 4*8
+
+// appendEvent is the encoder behind AppendEvent and a spilling bus's emit,
+// which calls it with the fields and builds no Event. One capacity check
+// covers the longest record; all four values are stored unconditionally
+// behind the varints, and the record's length keeps only the kind's named
+// ones, so the stores need no branch on the kind.
+func (enc *EventEncoder) appendEvent(dst []byte, at time.Duration, k Kind, sub int32, a, b, c, d float64) []byte {
+	if k >= NumKinds || at < 0 {
 		panic(ErrBinMarshal)
 	}
-	at := len(dst)
-	dst = append(dst, 0, byte(e.Kind)) // bodyLen patched below (body ≤ 48 bytes)
-	dst = binary.AppendVarint(dst, int64(e.Sub))
-	dst = binary.AppendVarint(dst, int64(e.At-enc.last))
-	enc.last = e.At
-	vals := [4]float64{e.A, e.B, e.C, e.D}
-	for i := 0; i < int(fieldCount[e.Kind]); i++ {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(vals[i]))
+	n := len(dst)
+	if cap(dst)-n < maxEventRecord {
+		dst = slices.Grow(dst, maxEventRecord)
 	}
-	dst[at] = byte(len(dst) - at - 1)
-	return dst
+	r := dst[n : n+maxEventRecord]
+	r[1] = byte(k)
+	i := 2 + putVarint(r[2:], int64(sub))
+	i += putVarint(r[i:], int64(at-enc.last))
+	enc.last = at
+	f := r[i : i+32]
+	binary.LittleEndian.PutUint64(f[0:], math.Float64bits(a))
+	binary.LittleEndian.PutUint64(f[8:], math.Float64bits(b))
+	binary.LittleEndian.PutUint64(f[16:], math.Float64bits(c))
+	binary.LittleEndian.PutUint64(f[24:], math.Float64bits(d))
+	i += 8 * int(fieldCount[k])
+	r[0] = byte(i - 1)
+	return dst[:n+i]
+}
+
+// putVarint is binary.PutVarint with the one-byte form — a small sub, a
+// zero delta — inlined.
+func putVarint(b []byte, v int64) int {
+	ux := uint64(v)<<1 ^ uint64(v>>63)
+	if ux < 1<<7 {
+		b[0] = byte(ux)
+		return 1
+	}
+	return binary.PutUvarint(b, ux)
 }
 
 // RecTag discriminates decoded records.

@@ -43,10 +43,11 @@ type shardState struct {
 func NewShardAgg() *ShardAgg { return &ShardAgg{} }
 
 // Bind attaches bus as shard id's stream. The bus gains a stream
-// observer feeding the shard's episode tracker, so episode statistics
-// accumulate without event retention (pair with Bus.DisableRetention for
-// bounded memory). Each shard id binds exactly one bus; binding twice
-// panics — shard identity is what makes the merge order deterministic.
+// observer feeding the shard's episode tracker the fbcc.* kinds it reads,
+// so episode statistics accumulate without event retention (pair with
+// Bus.DisableRetention for bounded memory). Each shard id binds exactly
+// one bus; binding twice panics — shard identity is what makes the merge
+// order deterministic.
 func (a *ShardAgg) Bind(shard int32, b *Bus) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -58,7 +59,7 @@ func (a *ShardAgg) Bind(shard int32, b *Bus) {
 	}
 	st := &shardState{bus: b}
 	a.shards[shard] = st
-	b.observe(st.tracker.Observe)
+	b.observe(st.tracker.Observe, FBCCTrigger, FBCCPin, FBCCRelease, FBCCWatchdog)
 }
 
 func (a *ShardAgg) sortedIDs() []int32 {

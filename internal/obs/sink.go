@@ -146,17 +146,9 @@ func (b *Bus) FinishSpill() {
 
 // binPending opens a flush unit: the first record after every flush is
 // the bus's shard marker, so the decoder always knows whose chain the
-// following records extend.
+// following records extend. Bus.record makes the same test inline.
 func (b *Bus) binPending() {
 	if len(b.binbuf) == 0 {
 		b.binbuf = AppendShardMarker(b.binbuf, b.shard)
-	}
-}
-
-func (b *Bus) spill(e *Event) {
-	b.binPending()
-	b.binbuf = b.enc.AppendEvent(b.binbuf, e)
-	if b.flushAt > 0 && len(b.binbuf) >= b.flushAt {
-		b.Flush()
 	}
 }

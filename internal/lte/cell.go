@@ -154,9 +154,6 @@ type Cell struct {
 	// anchor is the clock time of NewCell: subframe k of an advanced cell
 	// runs at anchor + k·Subframe.
 	anchor time.Duration
-	// probed marks a cell one of whose UEs was given a telemetry probe.
-	// Probes emit in subframe order, so its advances never run row by row.
-	probed bool
 
 	// active lists the attached (non-detached) rows in ascending id order.
 	// Rows are never deleted — UE ids index the SoA — but a city cell with
@@ -397,7 +394,8 @@ func (c *Cell) Start() {
 // call buffers only drain, so once the cell is uncontended the rest of the
 // call runs row by row, and until then subframe by subframe. Rows run in
 // any order: a delivery or diag callback may touch only its own UE's
-// state. A started cell panics.
+// state, and a UE's telemetry comes in its own time order, not interleaved
+// with its cell mates' by subframe. A started cell panics.
 func (c *Cell) Advance(to time.Duration, inclusive bool) {
 	if c.started {
 		panic("lte: Advance on a Cell driven by Start")
@@ -420,14 +418,14 @@ func (c *Cell) Advance(to time.Duration, inclusive bool) {
 func (c *Cell) at(sf int64) time.Duration { return c.anchor + time.Duration(sf)*Subframe }
 
 // uncontended reports whether the rest of an advance may run row by row:
-// the cell is on the PF discipline and never probed, and the backlogged
-// rows' buffer-aware shares fit the subframe — at most one is backlogged,
-// or Σ min(1, B/knee) sits a margin below 1 that the waterfill's float
-// rounding cannot eat. Then pfGrant never clips a grant, whatever the
-// metric order, and since buffers only drain inside an advance, the sum
-// only falls.
+// the cell is on the PF discipline, and the backlogged rows' buffer-aware
+// shares fit the subframe — at most one is backlogged, or Σ min(1, B/knee)
+// sits a margin below 1 that the waterfill's float rounding cannot eat.
+// Then pfGrant never clips a grant, whatever the metric order, and since
+// buffers only drain inside an advance, the sum only falls. Probes do not
+// matter: a probed row reports the metric pfGrant would have emitted.
 func (c *Cell) uncontended() bool {
-	if c.probed || (len(c.ues) == 1 && !c.cfg.AlwaysPF) {
+	if len(c.ues) == 1 && !c.cfg.AlwaysPF {
 		return false
 	}
 	sum, n := 0.0, 0
@@ -468,7 +466,9 @@ func (c *Cell) rows(last int64) {
 // decay is the same update with 0 served) and, when the row is backlogged,
 // draws the TBS noise from the row's own stream and serves its whole
 // buffer-aware share — pfGrant's expression, which no waterfill clips
-// here. A diag report due in the row's own subframe is emitted there.
+// here. A probed row's grant carries the PF metric pfGrant would have
+// ranked it by, against the EWMA before this subframe's update. A diag
+// report due in the row's own subframe is emitted there.
 func (u *UE) run(from, to int64) {
 	c := u.cell
 	s := &c.soa
@@ -479,8 +479,17 @@ func (u *UE) run(from, to int64) {
 		c.now = c.at(sf)
 		served := 0.0
 		if b := s.buf[i]; b > 0 {
-			if tbs := capNow * occupancy(b) * subframeSec; tbs > 0 {
-				served = u.serve(tbs * u.tbsNoise())
+			ach := capNow * occupancy(b)
+			if tbs := ach * subframeSec; tbs > 0 {
+				metric := 0.0
+				if u.probe != nil {
+					t := e // pfGrant's max(ewma, floor), spelled as it is there
+					if t < pfRateFloor {
+						t = pfRateFloor
+					}
+					metric = ach / t
+				}
+				served = u.serve(tbs*u.tbsNoise(), metric)
 			}
 		}
 		e += pfAlpha * (served*invSubframeSec - e)
@@ -576,7 +585,7 @@ func (c *Cell) stochasticGrant(u *UE) {
 	if u.rng.Float64() <= grantProb*occupancy {
 		tbsBits := c.cap.current * subframeSec / grantProb
 		tbsBits *= math.Max(0.1, 1+u.rng.NormFloat64()*tbsNoise)
-		u.serve(tbsBits)
+		u.serve(tbsBits, 0)
 	}
 }
 
@@ -661,7 +670,7 @@ func (c *Cell) pfGrant() {
 		}
 		if tbs > 0 {
 			remaining -= tbs
-			s.pfServed[idx] = u.serve(tbs * u.tbsNoise())
+			s.pfServed[idx] = u.serve(tbs*u.tbsNoise(), met[idx])
 		}
 		// Order-preserving removal keeps ord in ascending id order for
 		// the tie-break of the next selection. The shift is a manual loop:
@@ -723,10 +732,7 @@ type UE struct {
 
 // SetProbe installs this UE's telemetry probe (nil disables). The
 // transport layer wires it when a session enables observability.
-func (u *UE) SetProbe(p *obs.Probe) {
-	u.probe = p
-	u.cell.probed = u.cell.probed || p != nil
-}
+func (u *UE) SetProbe(p *obs.Probe) { u.probe = p }
 
 // Now is the instant of the subframe the UE's cell is running: inside a
 // delivery or diag callback, when the packet cleared the air or the report
@@ -778,9 +784,10 @@ func (u *UE) TotalServedBits() float64 { return u.totalServedBits }
 func (u *UE) DiagStalled() int64 { return u.diagStalled }
 
 // serve transmits up to tbsBits from the head of the firmware buffer,
-// delivering packets whose last byte goes out this subframe. It returns
+// delivering packets whose last byte goes out this subframe, and reports
+// the grant, with the PF metric that won it, to the UE's probe. It returns
 // the bits actually served (at most tbsBits, less when the buffer drains).
-func (u *UE) serve(tbsBits float64) float64 {
+func (u *UE) serve(tbsBits, metric float64) float64 {
 	// Fractional grant bytes accumulate as credit so that tiny service
 	// rates (near-empty buffer) still drain the queue instead of being
 	// floored away subframe after subframe.
@@ -804,7 +811,7 @@ func (u *UE) serve(tbsBits float64) float64 {
 	// Telemetry: one event per actual grant service — served bits, the
 	// buffer left behind, and the PF metric that won the subframe (0 under
 	// the legacy single-UE stochastic discipline).
-	u.probe.Emit(u.cell.now, obs.LTEGrant, served, float64(buf), s.pfMetric[u.id], 0)
+	u.probe.Emit(u.cell.now, obs.LTEGrant, served, float64(buf), metric, 0)
 	for bytes > 0 && u.qhead < len(u.queue) {
 		head := &u.queue[u.qhead]
 		remaining := head.Bytes - u.headServed

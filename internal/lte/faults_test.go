@@ -123,7 +123,7 @@ func TestUplinkCreditClearedOnDrain(t *testing.T) {
 	}
 	// Serve a packet with a grant that leaves fractional credit behind.
 	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(100*8 + 7) // 100 bytes + 7 bits of fractional credit
+	u.ue.serve(100*8+7, 0) // 100 bytes + 7 bits of fractional credit
 	if u.BufferBytes() != 0 {
 		t.Fatalf("buffer should have drained, has %d bytes", u.BufferBytes())
 	}
@@ -136,7 +136,7 @@ func TestUplinkCreditClearedOnDrain(t *testing.T) {
 	// credit.
 	before := u.TotalServedBits()
 	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(100 * 8)
+	u.ue.serve(100*8, 0)
 	if got := u.TotalServedBits() - before; got != 800 {
 		t.Fatalf("second busy period served %v bits, want exactly 800", got)
 	}
@@ -154,11 +154,11 @@ func TestUplinkCreditAccumulatesWhileBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(4) // half a byte
+	u.ue.serve(4, 0) // half a byte
 	if u.ue.credit != 0.5 {
 		t.Fatalf("credit = %v, want 0.5", u.ue.credit)
 	}
-	u.ue.serve(4) // second half → one whole byte served
+	u.ue.serve(4, 0) // second half → one whole byte served
 	if u.ue.credit != 0 {
 		t.Fatalf("credit = %v, want 0 after the byte completes", u.ue.credit)
 	}

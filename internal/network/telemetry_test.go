@@ -124,9 +124,10 @@ func cityBinaryTelemetryByteIdentity(t *testing.T, fixture Config) {
 }
 
 // cityBudgetStreamSHA256 is the P6T stream of cityBudgetRun, re-recorded
-// when every stream moved to seeds.SplitMix drawn directly: making
+// when probed advanced cells began running uncontended stretches row by
+// row, which reorders one cell's UEs' records among themselves: making
 // telemetry cheaper must not add, drop, reorder or re-encode one record.
-const cityBudgetStreamSHA256 = "2dc8da037c42ec07b7a91a358566f7a279852d9d5185a6d264a27281425a57e4"
+const cityBudgetStreamSHA256 = "323be4ae0ddf333b473590ab2b606bc497a7ddb4b74a966fea99d6b348e4ae52"
 
 // cityBudgetRun runs a 16-cell / 64-UE / 2 s city, silent or with the
 // city-telemetry wiring (a ShardAgg plus a binary sink over a hashing

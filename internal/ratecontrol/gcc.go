@@ -131,7 +131,9 @@ type GCCReceiver struct {
 	// twice, at slot(i) and slot(i)+gccRing, so its window is always one
 	// contiguous run from slot(fstart): walking the ring's two segments, a
 	// split that moves with every frame, cost the per-packet live path
-	// about 6 % of its speed.
+	// about 6 % of its speed. An incremental receiver reads a row's x only
+	// when the row leaves the window, and x is farr's Seconds() — the same
+	// conversion of the same value — so it keeps no fx column (nil).
 	fx, fy       []float64
 	fstart, fend int
 
@@ -196,19 +198,19 @@ func NewGCCReceiver(cfg GCCConfig) (*GCCReceiver, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rows := 2 * gccRing
-	if cfg.IncrementalTrendline {
-		rows = gccRing
-	}
-	trend := make([]float64, 2*rows)
-	return &GCCReceiver{
+	g := &GCCReceiver{
 		cfg:       cfg,
-		fx:        trend[:rows:rows],
-		fy:        trend[rows:],
 		threshold: gccInitialThreshold,
 		state:     stateIncrease,
 		rate:      cfg.InitialRate,
-	}, nil
+	}
+	if cfg.IncrementalTrendline {
+		g.fy = make([]float64, gccRing)
+	} else {
+		trend := make([]float64, 4*gccRing)
+		g.fx, g.fy = trend[:2*gccRing:2*gccRing], trend[2*gccRing:]
+	}
+	return g, nil
 }
 
 // OnFrame records one received frame: its arrival time, one-way delay, and
@@ -227,7 +229,6 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 	k := slot(g.fend)
 	g.farr[k] = arrival
 	g.fbits[k] = bits
-	g.fx[k] = x
 	g.fy[k] = y
 	g.fend++
 	if g.cfg.IncrementalTrendline {
@@ -237,7 +238,7 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 		g.tsxy += x * y
 		if g.fend-g.fstart > gccWindow {
 			k := slot(g.fstart)
-			ex, ey := g.fx[k], g.fy[k]
+			ex, ey := g.farr[k].Seconds(), g.fy[k]
 			g.tsx -= ex
 			g.tsy -= ey
 			g.tsxx -= ex * ex
@@ -245,6 +246,7 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 			g.fstart++
 		}
 	} else {
+		g.fx[k] = x
 		g.fx[k+gccRing] = x
 		g.fy[k+gccRing] = y
 		if g.fend-g.fstart > gccWindow {

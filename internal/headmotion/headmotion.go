@@ -197,8 +197,13 @@ func smoothstep(u float64) float64 {
 }
 
 // shortestYawDelta returns the signed yaw change from a to b in (-180, 180].
+// A difference inside (−360, 360) skips math.Mod, which would return it
+// unchanged (projection.NormalizeYaw takes the same fast path).
 func shortestYawDelta(a, b float64) float64 {
-	d := math.Mod(b-a, 360)
+	d := b - a
+	if !(d > -360 && d < 360) {
+		d = math.Mod(d, 360)
+	}
 	if d > 180 {
 		d -= 360
 	}

@@ -2,6 +2,7 @@ package headmotion
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -198,5 +199,52 @@ func BenchmarkStochasticAt(b *testing.B) {
 	m := NewStochastic(Users[1], 1)
 	for i := 0; i < b.N; i++ {
 		m.At(time.Duration(i) * 33 * time.Millisecond)
+	}
+}
+
+// refShortestYawDelta is shortestYawDelta as first written: the difference
+// always goes through math.Mod.
+func refShortestYawDelta(a, b float64) float64 {
+	d := math.Mod(b-a, 360)
+	if d > 180 {
+		d -= 360
+	}
+	if d <= -180 {
+		d += 360
+	}
+	return d
+}
+
+func TestShortestYawDeltaMatchesModReference(t *testing.T) {
+	neg0 := math.Copysign(0, -1)
+	below360 := math.Nextafter(360, 0)
+	diffs := []float64{
+		0, neg0, 360, -360, below360, -below360, 720, -720,
+		1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1), 180, -180,
+	}
+	type pair struct{ a, b float64 }
+	var pairs []pair
+	for _, d := range diffs {
+		pairs = append(pairs, pair{0, d}, pair{-d, 0})
+	}
+	pairs = append(pairs, pair{0, neg0}, pair{neg0, 0}, pair{math.Inf(1), math.Inf(1)})
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 20000; k++ {
+		a := rng.Float64() * 360
+		switch k % 3 {
+		case 0:
+			pairs = append(pairs, pair{a, rng.Float64() * 360})
+		case 1:
+			pairs = append(pairs, pair{a, (rng.Float64()*2 - 1) * 1080})
+		default:
+			pairs = append(pairs, pair{a, math.Float64frombits(rng.Uint64())})
+		}
+	}
+	for _, p := range pairs {
+		got, want := shortestYawDelta(p.a, p.b), refShortestYawDelta(p.a, p.b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("shortestYawDelta(%v, %v) = %v (%#x), reference %v (%#x)",
+				p.a, p.b, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

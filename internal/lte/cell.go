@@ -584,7 +584,7 @@ func (c *Cell) stochasticGrant(u *UE) {
 	}
 	if u.rng.Float64() <= grantProb*occupancy {
 		tbsBits := c.cap.current * subframeSec / grantProb
-		tbsBits *= math.Max(0.1, 1+u.rng.NormFloat64()*tbsNoise)
+		tbsBits *= u.tbsNoise()
 		u.serve(tbsBits, 0)
 	}
 }
@@ -683,7 +683,7 @@ func (c *Cell) pfGrant() {
 	}
 }
 
-// tbsNoise draws a PF grant's multiplicative TBS noise from the UE's stream.
+// tbsNoise draws a grant's multiplicative TBS noise from the UE's stream.
 func (u *UE) tbsNoise() float64 {
 	noise := 1 + u.rng.NormFloat64()*tbsNoise
 	if noise < 0.1 {

@@ -259,8 +259,8 @@ func (cp *capacityProcess) init(p CellProfile) {
 
 func (cp *capacityProcess) recompute() {
 	load := cp.loadState
-	if cp.now < cp.burstUntil {
-		load = math.Max(load, cp.burstLoad)
+	if cp.now < cp.burstUntil && cp.burstLoad > load {
+		load = cp.burstLoad
 	}
 	if load > 0.95 {
 		load = 0.95

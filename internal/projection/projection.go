@@ -61,18 +61,35 @@ type Orientation struct {
 	Pitch float64 // degrees, clamped to [-90, +90]
 }
 
-// NormalizeYaw maps an arbitrary yaw to [0, 360).
+// NormalizeYaw maps an arbitrary yaw to [0, 360). A yaw inside (−360, 360)
+// skips math.Mod, which is exact and returns such an argument unchanged
+// (−0 included); NaN and ±Inf still reach Mod and come back NaN. A
+// negative yaw so small that adding 360 rounds to 360 maps to 0.
 func NormalizeYaw(yaw float64) float64 {
-	y := math.Mod(yaw, 360)
+	y := yaw
+	if !(y > -360 && y < 360) {
+		y = math.Mod(y, 360)
+	}
 	if y < 0 {
 		y += 360
+		if y == 360 {
+			y = 0
+		}
 	}
 	return y
 }
 
-// ClampPitch limits pitch to [-90, 90].
+// ClampPitch limits pitch to [-90, 90]. The clamp is written as
+// comparisons, not math.Max/Min (calls on amd64); −0 stays −0 and a NaN
+// stays NaN either way.
 func ClampPitch(p float64) float64 {
-	return math.Max(-90, math.Min(90, p))
+	if p > 90 {
+		p = 90
+	}
+	if p < -90 {
+		p = -90
+	}
+	return p
 }
 
 // Normalized returns o with yaw in [0,360) and pitch in [-90,90].
@@ -213,7 +230,7 @@ type Geometry struct {
 	CenterPitch []float64
 	// AreaW[j] is Grid.AreaWeight(j).
 	AreaW []float64
-	// yawRad[i], sinPitch[j], cosPitch[j] feed FillColumnCos and
+	// yawRad[i], sinPitch[j], cosPitch[j] feed ColumnCos and
 	// TileCosFromCol.
 	yawRad   []float64
 	sinPitch []float64
@@ -267,7 +284,7 @@ func GeomFor(g Grid) *Geometry {
 }
 
 // OrientationTrig precomputes the viewer-side terms of the spherical law of
-// cosines for FillColumnCos and TileCosFromCol: the normalized
+// cosines for ColumnCos and TileCosFromCol: the normalized
 // orientation's yaw in radians and the sine/cosine of its pitch.
 func OrientationTrig(o Orientation) (byRad, sinBp, cosBp float64) {
 	b := o.Normalized()
@@ -276,33 +293,38 @@ func OrientationTrig(o Orientation) (byRad, sinBp, cosBp float64) {
 	return byRad, math.Sin(bp), math.Cos(bp)
 }
 
-// FillColumnCos fills dst[i] = cos(yawRad_i − byRad) for every column of
-// the grid (dst must have length ≥ W). The column term of the spherical
-// law of cosines depends only on the tile column, so a consumer scanning
-// many tiles of one orientation evaluates W cosines here instead of one
-// per tile; each entry is the exact Cos argument AngularDistance uses for
-// a tile center of that column.
-func (ge *Geometry) FillColumnCos(dst []float64, byRad float64) {
-	for i, yr := range ge.yawRad {
-		dst[i] = math.Cos(yr - byRad)
-	}
+// ColumnCos returns cos(yawRad_i − byRad), the column term of the
+// spherical law of cosines for column i: the exact Cos argument
+// AngularDistance uses for a tile center of that column. It depends only on
+// the column, so a consumer scanning many tiles of one orientation
+// evaluates it once per column it visits.
+func (ge *Geometry) ColumnCos(i int, byRad float64) float64 {
+	return math.Cos(ge.yawRad[i] - byRad)
 }
 
 // TileCosFromCol returns the clamped spherical cosine between the viewer
 // orientation and the center of a tile in row j whose column cosine (from
-// FillColumnCos) is colCos. It is AngularDistance between the tile center
+// ColumnCos) is colCos. It is AngularDistance between the tile center
 // and the orientation stopped before the Acos — same operand grouping,
 // same clamp — for consumers (the fovea kernel) that operate on the cosine
-// domain directly.
+// domain directly. The clamp is written as comparisons, not math.Max/Min
+// (calls on amd64); −0 stays −0 and a NaN stays NaN either way.
 func (ge *Geometry) TileCosFromCol(j int, colCos, sinBp, cosBp float64) float64 {
 	c := ge.sinPitch[j]*sinBp + ge.cosPitch[j]*cosBp*colCos
-	return math.Max(-1, math.Min(1, c))
+	if c > 1 {
+		c = 1
+	}
+	if c < -1 {
+		c = -1
+	}
+	return c
 }
 
 // AppendVisibleTiles is Grid.AppendVisibleTiles on the memoized geometry:
 // the FoV box test is separable (the yaw test depends only on the column,
 // the pitch test only on the row), so it evaluates W+H comparisons instead
-// of W·H and emits the same tiles in the same row-major order.
+// of W·H, scans only the visible rows plus the centre tile, and emits the
+// same tiles in the same row-major order.
 func (ge *Geometry) AppendVisibleTiles(dst []Tile, o Orientation, fov FoV) []Tile {
 	g := ge.g
 	if g.W > 64 || g.H > 64 {
@@ -325,9 +347,14 @@ func (ge *Geometry) AppendVisibleTiles(dst []Tile, o Orientation, fov FoV) []Til
 	}
 	out := dst[:0]
 	for j := 0; j < g.H; j++ {
-		rv := rowVis[j]
+		if !rowVis[j] {
+			if j == center.J {
+				out = append(out, center)
+			}
+			continue
+		}
 		for i := 0; i < g.W; i++ {
-			if (rv && colVis[i]) || (i == center.I && j == center.J) {
+			if colVis[i] || (i == center.I && j == center.J) {
 				out = append(out, Tile{I: i, J: j})
 			}
 		}

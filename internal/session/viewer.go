@@ -142,8 +142,12 @@ func (v *Viewer) display(cf rtp.CompletedFrame) {
 	now := cf.Arrived
 	delay := now - cf.Frame.Capture + cfg.PipelineDelay
 	actual := v.user.At(now)
+	// The PSNR is recorded only after the warm-up and emitted only to a
+	// probe; before the warm-up of an unprobed viewer nothing reads it.
 	var psnr float64
-	psnr, v.visScratch = cf.Frame.ROIPSNRScratch(cfg.Video, actual, projection.DefaultFoV, v.visScratch)
+	if now >= cfg.StatsWarmup || v.probe != nil {
+		psnr, v.visScratch = cf.Frame.ROIPSNRScratch(cfg.Video, actual, projection.DefaultFoV, v.visScratch)
+	}
 	level := cf.Frame.ROILevel(g, actual)
 	spatial := level / cf.Frame.Scale
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"poi360/internal/compress"
 	"poi360/internal/projection"
 )
 
@@ -124,21 +125,34 @@ func TestROIPSNRMatchesScalarReference(t *testing.T) {
 	}
 }
 
+// BenchmarkROIPSNR measures the viewer's per-frame quality path on the
+// traffic it sees: real Eq. 1 matrices of every mode, an encoder scale
+// above 1, and a gaze that has moved a little since the sender chose the
+// matrix's ROI.
 func BenchmarkROIPSNR(b *testing.B) {
 	cfg := DefaultConfig()
 	g := cfg.Grid
-	levels := make([]float64, g.Tiles())
-	for i := range levels {
-		levels[i] = 1 + float64(i%9)
+	cs := compress.DefaultModeCs()
+	const ring = 64
+	var frames [ring]EncodedFrame
+	var gaze [ring]projection.Orientation
+	for k := range frames {
+		gaze[k] = projection.Orientation{Yaw: float64(k) * 5.7, Pitch: 25 * math.Sin(float64(k)/5)}
+		stale := projection.Orientation{Yaw: gaze[k].Yaw - 12, Pitch: gaze[k].Pitch - 4}
+		frames[k] = EncodedFrame{
+			Spatial: compress.SharedModeMatrix(g, g.TileAt(stale), cs[k%len(cs)]),
+			Scale:   1.2 + 0.15*float64(k%4),
+			Jitter:  0.3 * float64(k%7-3),
+		}
 	}
-	ef := EncodedFrame{Spatial: levels, Scale: 2}
-	var scratch []projection.Tile
+	// The viewer keeps its scratch and the shared geometry across frames:
+	// warm both before timing.
+	_, scratch := frames[0].ROIPSNRScratch(cfg, gaze[0], projection.DefaultFoV, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := projection.Orientation{Yaw: float64(i % 360), Pitch: float64(i%90) - 45}
 		var p float64
-		p, scratch = ef.ROIPSNRScratch(cfg, o, projection.DefaultFoV, scratch)
+		p, scratch = frames[i%ring].ROIPSNRScratch(cfg, gaze[i%ring], projection.DefaultFoV, scratch)
 		_ = p
 	}
 }

@@ -177,14 +177,24 @@ func (s *Source) NextFrame(now time.Duration) Frame {
 }
 
 // psnrForLevel maps an effective compression level (≥1) to PSNR in dB
-// under the quality curve, before per-frame content jitter.
+// under the quality curve, before per-frame content jitter. The floor is a
+// comparison, not math.Max (a call on amd64): a NaN stays NaN either way.
 func psnrForLevel(level float64) float64 {
 	if level < 1 {
 		level = 1
 	}
 	p := psnrMax - gamma*10*math.Log10(level)
-	return math.Max(psnrMin, p)
+	if p < psnrMin {
+		p = psnrMin
+	}
+	return p
 }
+
+// levelMemoSize bounds ROIPSNRScratch's per-call memo of psnrForLevel. A
+// displayed frame's visible tiles carry at most 7 distinct levels on the
+// simulator's traffic (Eq. 1 matrices times one encoder scale); levels past
+// the eighth distinct one are evaluated without the memo.
+const levelMemoSize = 8
 
 // EncodedFrame is a frame after spatial compression (the per-tile level
 // matrix) and bitrate-targeted encoding (the uniform scale applied by the
@@ -279,28 +289,50 @@ func (ef *EncodedFrame) ROIPSNRScratch(cfg Config, actual projection.Orientation
 	ge := projection.GeomFor(g)
 	vis := ge.AppendVisibleTiles(scratch, actual, fov)
 	// The viewer-side trigonometry of the angular distance is shared by
-	// every visible tile; the tile side comes from the geometry tables,
-	// and the column cosine — the only per-tile trig input — is hoisted
-	// to one evaluation per column. The foveation weight itself comes
-	// from the fixed-grid kernel (fovea.go): no Acos/Exp per tile.
+	// every visible tile; the tile side comes from the geometry tables.
+	// The column cosine — the only per-tile trig input — is evaluated on
+	// the first visible tile of its column (a FoV spans about 4 of 12),
+	// and psnrForLevel once per distinct level of the call. Both memos
+	// hold exactly the value the uncached expression returns. The
+	// foveation weight comes from the fixed-grid kernel (fovea.go): no
+	// Acos/Exp per tile.
 	by, sinBp, cosBp := projection.OrientationTrig(actual)
 	fk := fovea
-	var colBuf [64]float64
-	var colCos []float64
-	if g.W <= len(colBuf) {
-		colCos = colBuf[:g.W]
-		ge.FillColumnCos(colCos, by)
-	}
+	var colCos [64]float64
+	var colHave uint64
+	var memoLevel, memoPSNR [levelMemoSize]float64
+	memoN := 0
 	num, den := 0.0, 0.0
 	for _, tl := range vis {
-		var c float64
-		if colCos != nil {
-			c = ge.TileCosFromCol(tl.J, colCos[tl.I], sinBp, cosBp)
+		var cc float64
+		if tl.I < len(colCos) {
+			if bit := uint64(1) << uint(tl.I); colHave&bit == 0 {
+				colCos[tl.I] = ge.ColumnCos(tl.I, by)
+				colHave |= bit
+			}
+			cc = colCos[tl.I]
 		} else {
-			c = ge.TileCosFromCol(tl.J, math.Cos(ge.CenterYaw[tl.I]*math.Pi/180-by), sinBp, cosBp)
+			cc = ge.ColumnCos(tl.I, by)
 		}
-		w := ge.AreaW[tl.J] * fk.eval(c)
-		num += w * psnrForLevel(ef.LevelAt(g.Index(tl)))
+		w := ge.AreaW[tl.J] * fk.eval(ge.TileCosFromCol(tl.J, cc, sinBp, cosBp))
+
+		level := ef.LevelAt(g.Index(tl))
+		k := 0
+		for k < memoN && memoLevel[k] != level {
+			k++
+		}
+		var psnr float64
+		switch {
+		case k < memoN:
+			psnr = memoPSNR[k]
+		case memoN < levelMemoSize:
+			psnr = psnrForLevel(level)
+			memoLevel[memoN], memoPSNR[memoN] = level, psnr
+			memoN++
+		default:
+			psnr = psnrForLevel(level)
+		}
+		num += w * psnr
 		den += w
 	}
 	if den == 0 {

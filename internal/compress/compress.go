@@ -11,6 +11,7 @@ import (
 	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/projection"
 )
 
@@ -195,10 +196,8 @@ type MismatchEstimator struct {
 	g      projection.Grid
 	window time.Duration
 
-	samples []struct {
-		at time.Duration
-		m  time.Duration
-	}
+	samples fifo.Queue[struct{ at, m time.Duration }]
+	sum     time.Duration // of the samples' m: integer, so exact in any order
 
 	init     bool
 	lastTile projection.Tile
@@ -253,26 +252,11 @@ func (e *MismatchEstimator) Observe(now time.Duration, actualROI projection.Tile
 		m = frameDelay
 	}
 
-	e.samples = append(e.samples, struct {
-		at time.Duration
-		m  time.Duration
-	}{now, m})
-	// Evict samples older than the window. Compacting in place (instead of
-	// re-slicing the head away) keeps one stable backing array: the window
-	// holds a bounded number of samples, so after warm-up the estimator
-	// never allocates again.
-	cut := 0
-	for cut < len(e.samples) && now-e.samples[cut].at > e.window {
-		cut++
+	e.samples.Push(struct{ at, m time.Duration }{now, m})
+	e.sum += m
+	// Evict samples older than the window; the one just pushed stays.
+	for now-e.samples.Front().at > e.window {
+		e.sum -= e.samples.Pop().m
 	}
-	if cut > 0 {
-		n := copy(e.samples, e.samples[cut:])
-		e.samples = e.samples[:n]
-	}
-
-	var sum time.Duration
-	for _, s := range e.samples {
-		sum += s.m
-	}
-	return sum / time.Duration(len(e.samples))
+	return e.sum / time.Duration(e.samples.Len())
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/obs"
 	"poi360/internal/seeds"
 	"poi360/internal/simclock"
@@ -164,10 +165,10 @@ type Cell struct {
 	// and the iteration is unchanged.
 	active []int32
 
-	// spare holds the emptied firmware queues of detached rows (every
-	// Packet zeroed, length 0), reused LIFO by the next admit: a city
-	// handover then costs the target cell a row, not a queue.
-	spare [][]Packet
+	// spare holds the emptied firmware queues of detached rows, reused
+	// LIFO by the next admit: a city handover then costs the target cell a
+	// row, not a queue.
+	spare []fifo.Queue[Packet]
 
 	// capStride/capCountdown implement CellConfig.CapacityStride: the
 	// capacity process steps once every capStride subframes by the full
@@ -298,22 +299,20 @@ func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
 	if rng == nil {
 		rng = seeds.NewSource(cfg.Seed)
 	}
-	var queue []Packet
-	if k := len(c.spare) - 1; k >= 0 {
-		queue, c.spare[k] = c.spare[k], nil
-		c.spare = c.spare[:k]
-	} else {
-		// A video sender's backlog is tens of MTU-sized packets; start at
-		// that scale so the steady state never pays append's regrowth.
-		queue = make([]Packet, 0, 32)
-	}
 	u := &UE{
 		cell:    c,
 		id:      len(c.ues),
 		cfg:     cfg,
 		rng:     rng,
 		deliver: deliver,
-		queue:   queue,
+	}
+	if k := len(c.spare) - 1; k >= 0 {
+		u.queue, c.spare[k] = c.spare[k], fifo.Queue[Packet]{}
+		c.spare = c.spare[:k]
+	} else {
+		// A video sender's backlog is tens of MTU-sized packets; start at
+		// that scale so the steady state never regrows.
+		u.queue = fifo.New[Packet](32)
 	}
 	c.ues = append(c.ues, u)
 	c.soa.add(c.sfIndex)
@@ -352,12 +351,9 @@ func (c *Cell) DetachUE(u *UE) int {
 	s.diagEvery[u.id] = math.MaxInt32 // never due again (row leaves active)
 	s.ewma[u.id] = 0
 	s.pfServed[u.id] = 0
-	// Zero every row of the backing array, stale copies past the length
-	// included, so no payload stays reachable through the spare.
-	clear(u.queue[:cap(u.queue)])
-	c.spare = append(c.spare, u.queue[:0])
-	u.queue = nil
-	u.qhead = 0
+	u.queue.Reset() // no payload stays reachable through the spare
+	c.spare = append(c.spare, u.queue)
+	u.queue = fifo.Queue[Packet]{}
 	u.headServed = 0
 	u.credit = 0
 	// Drop the row from the active list (order-preserving, so the PF
@@ -707,15 +703,11 @@ type UE struct {
 	deliver func(Packet)
 	onDiag  func(DiagReport)
 
-	// Firmware buffer: FIFO with partial-packet service. queue[qhead:] is
-	// the live window; serve advances qhead instead of re-slicing the front
-	// away so the backing array is compacted and reused (see Enqueue)
-	// rather than abandoned to the allocator on every packet served.
-	// Occupancy in bytes lives in the cell's SoA (cell.soa.buf[id]), as do
-	// the diag accumulators and PF scheduler state the subframe loop reads.
-	queue      []Packet
-	qhead      int
-	headServed int     // bytes of queue[qhead] already transmitted
+	// Firmware buffer: FIFO with partial-packet service. Occupancy in
+	// bytes lives in the cell's SoA (cell.soa.buf[id]), as do the diag
+	// accumulators and PF scheduler state the subframe loop reads.
+	queue      fifo.Queue[Packet]
+	headServed int     // bytes of the front packet already transmitted
 	credit     float64 // fractional bytes of grant not yet applied
 	dropped    int64
 	detached   bool // handed over away; excluded from scheduling and diag
@@ -760,14 +752,7 @@ func (u *UE) Enqueue(p Packet) bool {
 		return false
 	}
 	p.Enq = u.cell.clk.Now()
-	// Reclaim the served prefix before growing past capacity, keeping one
-	// stable backing array in steady state.
-	if u.qhead > 0 && len(u.queue)+1 > cap(u.queue) {
-		n := copy(u.queue, u.queue[u.qhead:])
-		u.queue = u.queue[:n]
-		u.qhead = 0
-	}
-	u.queue = append(u.queue, p)
+	u.queue.Push(p)
 	*buf += p.Bytes
 	u.cell.bufTotal += p.Bytes
 	return true
@@ -812,27 +797,18 @@ func (u *UE) serve(tbsBits, metric float64) float64 {
 	// buffer left behind, and the PF metric that won the subframe (0 under
 	// the legacy single-UE stochastic discipline).
 	u.probe.Emit(u.cell.now, obs.LTEGrant, served, float64(buf), metric, 0)
-	for bytes > 0 && u.qhead < len(u.queue) {
-		head := &u.queue[u.qhead]
-		remaining := head.Bytes - u.headServed
+	for bytes > 0 && u.queue.Len() > 0 {
+		remaining := u.queue.Front().Bytes - u.headServed
 		if bytes < remaining {
 			u.headServed += bytes
-			bytes = 0
 			break
 		}
 		bytes -= remaining
-		done := u.queue[u.qhead]
-		u.queue[u.qhead] = Packet{} // release any payload reference
-		u.qhead++
+		done := u.queue.Pop()
 		u.headServed = 0
 		if u.deliver != nil {
 			u.deliver(done)
 		}
-	}
-	if u.qhead == len(u.queue) {
-		// Drained: rewind onto the same backing array.
-		u.queue = u.queue[:0]
-		u.qhead = 0
 	}
 	// A drained buffer forfeits leftover fractional grant bytes: the credit
 	// models sub-byte remainders of grants actually spent on queued data,

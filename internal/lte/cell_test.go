@@ -203,11 +203,11 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 	}
 }
 
-// TestDetachRecyclesQueue: DetachUE hands the row's firmware queue to the
-// cell's spare list with every Packet zeroed — the live window, the served
-// prefix and the stale copies a compaction left past its length — so no
-// payload stays reachable, and the next AddUE on the cell starts on that
-// array, empty and at its full capacity. The detached UE stays gone.
+// TestDetachRecyclesQueue: DetachUE empties the row's firmware queue —
+// every slot zeroed, the wrapped part of the live window and the served
+// slots included — and hands its ring to the cell's spare list, and the
+// next AddUE on the cell starts on that ring, empty and at its full
+// capacity. The detached UE stays gone.
 func TestDetachRecyclesQueue(t *testing.T) {
 	clk := simclock.New()
 	cell, err := NewCell(clk, DefaultCellConfig(ProfileCampus))
@@ -220,23 +220,24 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	}
 	payload := new(int)
 	pkt := Packet{Bytes: 1200, Payload: payload}
-	for i := 0; i < 100; i++ { // past the initial 32 rows: the queue regrows
+	for i := 0; i < 100; i++ { // past the initial 32 slots: the queue regrows
 		u.Enqueue(pkt)
 	}
+	capacity := u.queue.Cap()
+	slot0 := u.queue.At(0) // nothing popped yet: the front is slot 0
 	now := time.Duration(0)
-	for u.qhead < 2 { // serve a prefix
+	for u.queue.Len() > 98 { // serve a prefix
 		now += Subframe
 		cell.Advance(now, true)
 	}
-	for u.qhead > 0 { // the append that would regrow compacts instead
+	for u.queue.Len() < capacity-1 { // refill past the ring's end
 		if !u.Enqueue(pkt) {
-			t.Fatal("the firmware buffer filled before the queue compacted")
+			t.Fatal("the firmware buffer filled before the queue wrapped")
 		}
 	}
-	if tail := u.queue[len(u.queue):cap(u.queue)]; len(tail) == 0 || tail[0] != pkt {
-		t.Fatal("no stale copy past the queue's length; the fixture no longer covers the tail")
+	if u.queue.Cap() != capacity || *slot0 != pkt {
+		t.Fatal("the live window does not wrap into slot 0; the fixture no longer covers it")
 	}
-	backing, capacity := &u.queue[:1][0], cap(u.queue)
 
 	if dropped := cell.DetachUE(u); dropped == 0 {
 		t.Fatal("detach of a backlogged UE dropped nothing")
@@ -244,14 +245,11 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if len(cell.spare) != 1 {
 		t.Fatalf("%d spare queues after one detach, want 1", len(cell.spare))
 	}
-	spare := cell.spare[0]
-	if len(spare) != 0 || cap(spare) != capacity || &spare[:1][0] != backing {
-		t.Fatalf("spare is len %d cap %d, want the detached queue's array emptied (cap %d)", len(spare), cap(spare), capacity)
+	if spare := &cell.spare[0]; spare.Len() != 0 || spare.Cap() != capacity {
+		t.Fatalf("spare holds %d of %d, want the detached queue's ring emptied (cap %d)", spare.Len(), spare.Cap(), capacity)
 	}
-	for i, p := range spare[:cap(spare)] {
-		if p != (Packet{}) {
-			t.Fatalf("spare row %d still holds %+v", i, p)
-		}
+	if *slot0 != (Packet{}) {
+		t.Fatalf("the spare's slot 0 still holds %+v", *slot0)
 	}
 	if u.Enqueue(pkt) {
 		t.Fatal("detached UE accepted a packet")
@@ -264,18 +262,26 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.queue) != 0 || cap(v.queue) != capacity || &v.queue[:1][0] != backing {
-		t.Fatalf("next AddUE's queue is len %d cap %d, want the spare (cap %d)", len(v.queue), cap(v.queue), capacity)
+	if v.queue.Len() != 0 || v.queue.Cap() != capacity {
+		t.Fatalf("next AddUE's queue holds %d of %d, want the spare (cap %d)", v.queue.Len(), v.queue.Cap(), capacity)
 	}
 	if len(cell.spare) != 0 {
 		t.Fatalf("%d spare queues left after the reuse", len(cell.spare))
+	}
+	v.Enqueue(pkt)
+	if v.queue.Front() != slot0 {
+		t.Fatal("next AddUE's queue is not on the detached ring")
 	}
 	w, err := cell.AddUE(DefaultUEConfig(1002), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(w.queue) != 32 || &w.queue[:1][0] == backing {
-		t.Fatalf("with no spare left, AddUE's queue has cap %d, want a fresh one of 32", cap(w.queue))
+	if w.queue.Cap() != 32 {
+		t.Fatalf("with no spare left, AddUE's queue has cap %d, want a fresh one of 32", w.queue.Cap())
+	}
+	w.Enqueue(pkt)
+	if w.queue.Front() == slot0 {
+		t.Fatal("with no spare left, AddUE reused the detached ring")
 	}
 }
 

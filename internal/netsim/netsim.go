@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/lte"
 	"poi360/internal/obs"
 	"poi360/internal/seeds"
@@ -122,9 +123,8 @@ type Queue struct {
 	// code is the queue's typed drain event. Completion times are
 	// monotonic (busyUntil never decreases), so coded events fire in FIFO
 	// order and each one pops the head of pend — no per-packet closure.
-	code  simclock.Code
-	pend  []queued
-	phead int
+	code simclock.Code
+	pend fifo.Queue[queued]
 
 	// probe, when non-nil, receives net.queue.drop telemetry.
 	probe *obs.Probe
@@ -151,13 +151,7 @@ func NewQueue(clk simclock.Scheduler, rateBps float64, capBytes int, deliver fun
 
 // drain completes transmission of the head-of-line message.
 func (q *Queue) drain(any) {
-	e := q.pend[q.phead]
-	q.pend[q.phead] = queued{}
-	q.phead++
-	if q.phead == len(q.pend) {
-		q.pend = q.pend[:0]
-		q.phead = 0
-	}
+	e := q.pend.Pop()
 	q.bytes -= e.bytes
 	if q.deliver != nil {
 		q.deliver(e.payload)
@@ -179,7 +173,7 @@ func (q *Queue) Send(bytes int, payload any) bool {
 	}
 	finish := start + time.Duration(float64(bytes)*8/q.rateBps*float64(time.Second))
 	q.busyUntil = finish
-	q.pend = append(q.pend, queued{bytes: bytes, payload: payload})
+	q.pend.Push(queued{bytes: bytes, payload: payload})
 	q.clk.ScheduleCode(finish, q.code, nil)
 	return true
 }

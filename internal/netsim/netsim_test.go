@@ -101,6 +101,44 @@ func TestQueueDelay(t *testing.T) {
 	}
 }
 
+// TestQueueBusyStorageBounded keeps a queue busy through 20 000 messages
+// without ever letting it empty: each delivery sends the next message, so
+// the backlog stays at a handful. The queue's storage must stay within
+// twice the largest live backlog, not grow with every message accepted
+// while it is busy.
+func TestQueueBusyStorageBounded(t *testing.T) {
+	const total, backlog = 20000, 5
+	clk := simclock.New()
+	var q *Queue
+	sent, delivered, peak := 0, 0, 0
+	send := func() {
+		if !q.Send(1000, nil) {
+			t.Fatal("send dropped")
+		}
+		sent++
+		peak = max(peak, q.pend.Len())
+	}
+	q = NewQueue(clk, 8e6, 1<<20, func(any) {
+		delivered++
+		if sent < total {
+			send()
+		}
+		if q.pend.Len() == 0 && delivered < total {
+			t.Fatalf("the queue emptied after %d deliveries", delivered)
+		}
+	})
+	for i := 0; i < backlog; i++ {
+		send()
+	}
+	clk.Run(time.Minute)
+	if delivered != total {
+		t.Fatalf("delivered %d of %d", delivered, total)
+	}
+	if c := q.pend.Cap(); c > 2*peak {
+		t.Fatalf("storage holds %d messages for a peak backlog of %d", c, peak)
+	}
+}
+
 func TestQueueInvalidPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

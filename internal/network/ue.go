@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/lte"
 	"poi360/internal/metrics"
 	"poi360/internal/obs"
@@ -59,7 +60,7 @@ type pendFrame struct {
 // stats are pure functions of the arrival arguments, and the first
 // consumer of either is the receiver-side Update at the next tick. The
 // core-path FIFO clamp makes arrival times monotone per port, so the
-// ring is consumed strictly from the head.
+// ring is consumed strictly from the front.
 type arrival struct {
 	arr     time.Duration
 	capture time.Duration
@@ -81,13 +82,13 @@ type feedback struct {
 // of a single uplink video call, resident on one shard at a time.
 //
 // Endpoints do not churn memory. The application queue, the pending-frame
-// window, and the arrival/feedback queues reclaim their consumed prefix
-// before they would grow (see reclaim), so a queue allocates only when its
-// live backlog sets a new record and nothing allocates once backlogs have
-// peaked — which, in a static city whose senders fill their firmware
-// buffers, takes minutes (TestCitySteadyStateAllocFree). The three per-UE
-// RNG streams (mobility, core path, modem) are 8-byte SplitMix slots that
-// a handover reseeds in place instead of reallocating.
+// window, and the arrival/feedback queues are fifo rings, so a queue
+// allocates only when its live backlog sets a new record and nothing
+// allocates once backlogs have peaked — which, in a static city whose
+// senders fill their firmware buffers, takes minutes
+// (TestCitySteadyStateAllocFree). The three per-UE RNG streams (mobility,
+// core path, modem) are 8-byte SplitMix slots that a handover reseeds in
+// place instead of reallocating.
 type ue struct {
 	id  int
 	rc  RC
@@ -126,21 +127,17 @@ type ue struct {
 
 	// sender pipeline
 	frameID   int64
-	appq      []appPkt
-	apphead   int
+	appq      fifo.Queue[appPkt]
 	appqBytes int
 	credit    float64 // pacing bytes available
 
 	// receiver pipeline
-	pend     []pendFrame
-	pendHead int
+	pend fifo.Queue[pendFrame]
 
 	// core-path arrivals and reverse-path feedback in flight, both
 	// monotone in due time (see type comments).
-	arrQ    []arrival
-	arrHead int
-	fbQ     []feedback
-	fbHead  int
+	arrQ fifo.Queue[arrival]
+	fbQ  fifo.Queue[feedback]
 
 	probe *obs.Probe
 	stats UEStats
@@ -160,10 +157,10 @@ func (n *city) newUE(id int) (*ue, error) {
 		// of packets in flight, one feedback epoch, the ⌈revDelay/frame⌉+1
 		// estimates in flight); a queue regrows only when its live backlog
 		// outgrows them, as pend does while a firmware buffer fills up.
-		appq: make([]appPkt, 0, 32),
-		arrQ: make([]arrival, 0, 32),
-		fbQ:  make([]feedback, 0, 8),
-		pend: make([]pendFrame, 0, 16),
+		appq: fifo.New[appPkt](32),
+		arrQ: fifo.New[arrival](32),
+		fbQ:  fifo.New[feedback](8),
+		pend: fifo.New[pendFrame](16),
 	}
 	switch cfg.Mix {
 	case MixFBCC:
@@ -272,16 +269,12 @@ func (u *ue) retire() {
 			break
 		}
 	}
-	u.pend = u.pend[:0]
-	u.pendHead = 0
-	u.appq = u.appq[:0]
-	u.apphead = 0
+	u.pend.Reset()
+	u.appq.Reset()
 	u.appqBytes = 0
 	u.credit = 0
-	u.arrQ = u.arrQ[:0]
-	u.arrHead = 0
-	u.fbQ = u.fbQ[:0]
-	u.fbHead = 0
+	u.arrQ.Reset()
+	u.fbQ.Reset()
 }
 
 // tick is the merged endpoint tick, run once per frameInterval by the
@@ -296,16 +289,14 @@ func (u *ue) tick(p *port) {
 
 	// Reverse-path feedback due by now, oldest first: the sender sees
 	// exactly the rate a scheduled application would have left in place.
-	for u.fbHead < len(u.fbQ) && u.fbQ[u.fbHead].due <= now {
-		u.rgcc = u.fbQ[u.fbHead].rate
-		u.fbHead++
+	for u.fbQ.Len() > 0 && u.fbQ.Front().due <= now {
+		u.rgcc = u.fbQ.Pop().rate
 	}
 
 	// Core-path arrivals due by now, in arrival order (the ring is
 	// monotone), before the receiver half reads the GCC window.
-	for u.arrHead < len(u.arrQ) && u.arrQ[u.arrHead].arr <= now {
-		a := u.arrQ[u.arrHead]
-		u.arrHead++
+	for u.arrQ.Len() > 0 && u.arrQ.Front().arr <= now {
+		a := u.arrQ.Pop()
 		delay := a.arr - a.capture
 		u.gccRx.OnFrame(a.arr, delay, a.bits)
 		if a.counted {
@@ -321,20 +312,7 @@ func (u *ue) tick(p *port) {
 	u.senderHalf(p, now)
 
 	r := u.gccRx.Update(now)
-	u.fbQ, u.fbHead = reclaim(u.fbQ, u.fbHead)
-	u.fbQ = append(u.fbQ, feedback{due: now + revDelay, rate: r})
-}
-
-// reclaim drops q's consumed prefix q[:head] once the queue has drained or
-// the next append would otherwise grow the backing array, returning the
-// queue and its new head. Every endpoint queue appends through it, so none
-// outgrows its high-water live size however long the residency (the rules
-// lte.UE applies to the firmware queue). Values and order are untouched.
-func reclaim[T any](q []T, head int) ([]T, int) {
-	if head > 0 && (head == len(q) || len(q) == cap(q)) {
-		return q[:copy(q, q[head:])], 0
-	}
-	return q, head
+	u.fbQ.Push(feedback{due: now + revDelay, rate: r})
 }
 
 // senderHalf captures one frame at the controller's video rate and drains
@@ -374,15 +352,13 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 		u.stats.FramesSent++
 	}
 	if u.appqBytes <= maxBacklogBytes {
-		u.pend, u.pendHead = reclaim(u.pend, u.pendHead)
-		u.pend = append(u.pend, pendFrame{id: u.frameID, capture: now, bits: bits, counted: counted})
+		u.pend.Push(pendFrame{id: u.frameID, capture: now, bits: bits, counted: counted})
 		for off := 0; off < frameBytes; off += rtp.MTU {
 			sz := frameBytes - off
 			if sz > rtp.MTU {
 				sz = rtp.MTU
 			}
-			u.appq, u.apphead = reclaim(u.appq, u.apphead)
-			u.appq = append(u.appq, appPkt{frame: u.frameID, bytes: sz, last: off+rtp.MTU >= frameBytes})
+			u.appq.Push(appPkt{frame: u.frameID, bytes: sz, last: off+rtp.MTU >= frameBytes})
 			u.appqBytes += sz
 		}
 	}
@@ -401,12 +377,11 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 // credit allows. With the radio detached (or the modem queue full) the
 // packet is spent and its frame is lost.
 func (u *ue) drain(p *port) {
-	for u.apphead < len(u.appq) {
-		pkt := u.appq[u.apphead]
-		if float64(pkt.bytes) > u.credit {
+	for u.appq.Len() > 0 {
+		if float64(u.appq.Front().bytes) > u.credit {
 			break
 		}
-		u.apphead++
+		pkt := u.appq.Pop()
 		u.appqBytes -= pkt.bytes
 		u.credit -= float64(pkt.bytes)
 		var payload any
@@ -438,23 +413,15 @@ func (p *port) deliver(pkt lte.Packet) {
 		arr = p.lastArr
 	}
 	p.lastArr = arr
-	u.arrQ, u.arrHead = reclaim(u.arrQ, u.arrHead)
-	u.arrQ = append(u.arrQ, arrival{arr: arr, capture: e.capture, bits: e.bits, counted: e.counted})
+	u.arrQ.Push(arrival{arr: arr, capture: e.capture, bits: e.bits, counted: e.counted})
 }
 
 // takePend removes and returns the pending entry for a frame id. Frames
-// complete near-FIFO, so the scan from pendHead is effectively O(1).
+// complete near-FIFO, so the scan from the front is effectively O(1).
 func (u *ue) takePend(id int64) (pendFrame, bool) {
-	for i := u.pendHead; i < len(u.pend); i++ {
-		if u.pend[i].id == id {
-			e := u.pend[i]
-			if i == u.pendHead {
-				u.pendHead++
-			} else {
-				copy(u.pend[i:], u.pend[i+1:])
-				u.pend = u.pend[:len(u.pend)-1]
-			}
-			return e, true
+	for i := 0; i < u.pend.Len(); i++ {
+		if u.pend.At(i).id == id {
+			return u.pend.Remove(i), true
 		}
 	}
 	return pendFrame{}, false

@@ -2,9 +2,9 @@ package ratecontrol
 
 import (
 	"fmt"
-	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/lte"
 	"poi360/internal/metrics"
 	"poi360/internal/obs"
@@ -108,7 +108,7 @@ type FBCC struct {
 	congestedAt time.Duration
 
 	// Eq. 4 window of diag reports.
-	tbsWindow []lte.DiagReport
+	tbsWindow fifo.Queue[lte.DiagReport]
 
 	// Eq. 5/6 state.
 	rbw       float64 // measured uplink bandwidth at last overuse
@@ -142,7 +142,7 @@ func NewFBCC(cfg FBCCConfig) (*FBCC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &FBCC{cfg: cfg, rtpRate: initialRTPRate, tbsWindow: make([]lte.DiagReport, 0, bandwidthWindow)}, nil
+	return &FBCC{cfg: cfg, rtpRate: initialRTPRate, tbsWindow: fifo.New[lte.DiagReport](bandwidthWindow)}, nil
 }
 
 // OnDiag consumes one chipset diagnostic report. It must be called in
@@ -169,14 +169,10 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	f.haveLast = true
 
 	// --- Eq. 4 window -------------------------------------------------
-	if w := f.tbsWindow; len(w) == bandwidthWindow {
-		// Slide in place on the one backing array, oldest first: Eq. 4/5
-		// are float sums and must keep adding in report order.
-		copy(w, w[1:])
-		w[len(w)-1] = rep
-	} else {
-		f.tbsWindow = append(w, rep)
+	if f.tbsWindow.Len() == bandwidthWindow {
+		f.tbsWindow.Pop()
 	}
+	f.tbsWindow.Push(rep)
 
 	// Sweet-spot learning happens on every report.
 	dur := time.Duration(rep.Subframes) * lte.Subframe
@@ -222,7 +218,7 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 		if vr := f.videoRate * 1.05; vr > floor {
 			floor = vr
 		}
-		f.rtpRate = math.Max(floor, math.Min(maxRTPRate, f.rtpRate))
+		f.rtpRate = clamp(f.rtpRate, floor, maxRTPRate)
 	}
 }
 
@@ -237,12 +233,11 @@ func (f *FBCC) SetVideoRate(rv float64) {
 // BandwidthEstimate returns the Eq. 4 windowed PHY throughput (ΣTBS over
 // the report window divided by its duration), the paper's Rphy.
 func (f *FBCC) BandwidthEstimate() float64 {
-	if len(f.tbsWindow) == 0 {
-		return 0
-	}
+	// Eq. 4/5 are float sums: add in report order, oldest first.
 	var bits float64
 	var sub int
-	for _, r := range f.tbsWindow {
+	for i := 0; i < f.tbsWindow.Len(); i++ {
+		r := f.tbsWindow.At(i)
 		bits += r.SumTBSBits
 		sub += r.Subframes
 	}
@@ -269,7 +264,7 @@ func (f *FBCC) VideoRate(now time.Duration, rgcc float64) float64 {
 	} else {
 		r = rgcc
 	}
-	return math.Max(minVideoRate, r)
+	return max(minVideoRate, r)
 }
 
 // CheckWatchdog evaluates the diag-staleness watchdog at now and reports
@@ -305,7 +300,7 @@ func (f *FBCC) CheckWatchdog(now time.Duration) bool {
 		f.haveLast = false
 		// Reset Eq. 4: windowed TBS from before the stall is not current
 		// bandwidth.
-		f.tbsWindow = f.tbsWindow[:0]
+		f.tbsWindow.Reset()
 		// Re-seed Eq. 7 so the pacing loop restarts from a sane rate when
 		// the feed returns instead of integrating from a stale one.
 		f.rtpRate = initialRTPRate

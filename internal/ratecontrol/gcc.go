@@ -11,6 +11,7 @@ import (
 	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/obs"
 )
 
@@ -171,11 +172,9 @@ type GCCReceiver struct {
 	growElapsed time.Duration
 	growFactor  float64
 
-	// seqs[seqHead:] is the loss window: the packet sequence numbers of
-	// the last gccRateWindow. Expiry advances seqHead; the consumed prefix is
-	// slid out only when the next append would otherwise grow the array.
-	seqs    []seqObs
-	seqHead int
+	// seqs is the loss window: the packet sequence numbers of the last
+	// gccRateWindow.
+	seqs fifo.Queue[seqObs]
 
 	// probe, when non-nil, receives detector-verdict (gcc.usage) and
 	// AIMD state-transition (gcc.state) telemetry (internal/obs).
@@ -186,6 +185,10 @@ type GCCReceiver struct {
 	farr  [gccRing]time.Duration
 	fbits [gccRing]float64
 }
+
+// clamp is math.Max(lo, math.Min(hi, x)) without the calls (assembly on
+// amd64). For finite lo and hi it is the same float64 up to a NaN payload.
+func clamp(x, lo, hi float64) float64 { return max(lo, min(hi, x)) }
 
 // slot is the ring row of logical frame i (i ≥ 0).
 func slot(i int) int { return int(uint(i) % gccRing) }
@@ -262,29 +265,25 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 // number, enabling the loss-based controller (RTCP-receiver-report style).
 func (g *GCCReceiver) OnPacket(arrival, delay time.Duration, bits float64, seq int64) {
 	g.OnFrame(arrival, delay, bits)
-	if g.seqHead > 0 && len(g.seqs) == cap(g.seqs) {
-		g.seqs = g.seqs[:copy(g.seqs, g.seqs[g.seqHead:])]
-		g.seqHead = 0
-	}
-	g.seqs = append(g.seqs, seqObs{arrival: arrival, seq: seq})
-	// The entry just appended never expires, so the scan ends inside seqs.
-	for arrival-g.seqs[g.seqHead].arrival > gccRateWindow {
-		g.seqHead++
+	g.seqs.Push(seqObs{arrival: arrival, seq: seq})
+	// The entry just pushed never expires, so the scan ends inside seqs.
+	for arrival-g.seqs.Front().arrival > gccRateWindow {
+		g.seqs.Pop()
 	}
 }
 
 // LossRatio estimates the fraction of packets lost over the rate window
 // from sequence-number gaps.
 func (g *GCCReceiver) LossRatio() float64 {
-	win := g.seqs[g.seqHead:]
-	if len(win) < 2 {
+	n := g.seqs.Len()
+	if n < 2 {
 		return 0
 	}
-	span := win[len(win)-1].seq - win[0].seq + 1
+	span := g.seqs.Back().seq - g.seqs.Front().seq + 1
 	if span <= 0 {
 		return 0
 	}
-	lost := span - int64(len(win))
+	lost := span - int64(n)
 	if lost <= 0 {
 		return 0
 	}
@@ -334,7 +333,7 @@ func (g *GCCReceiver) detect(now time.Duration) {
 		k = 0.002
 	}
 	g.threshold += k * (abs - g.threshold)
-	g.threshold = math.Max(70, math.Min(600, g.threshold))
+	g.threshold = clamp(g.threshold, 70, 600)
 
 	prev := g.usage
 	switch {
@@ -414,7 +413,7 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 		if recv > 0 {
 			// Decrease relative to what actually arrived, but never raise
 			// the rate on an overuse signal.
-			target = math.Min(gccBeta*recv, g.rate)
+			target = min(gccBeta*recv, g.rate)
 		}
 		g.rate = target
 		// One decrease per overuse signal: reset the trendline so stale
@@ -435,7 +434,7 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 		// GCC never lets the estimate run away from reality: the target is
 		// capped at 1.5× the observed incoming rate.
 		if recv := g.ReceivedRate(now); recv > 0 {
-			g.rate = math.Min(g.rate, 1.5*recv+20e3)
+			g.rate = min(g.rate, 1.5*recv+20e3)
 		}
 	case stateHold:
 		// Keep the rate.
@@ -448,7 +447,7 @@ func (g *GCCReceiver) Update(now time.Duration) float64 {
 		g.rate *= 1 - 0.5*loss
 	}
 
-	g.rate = math.Max(GCCMinRate, math.Min(GCCMaxRate, g.rate))
+	g.rate = clamp(g.rate, GCCMinRate, GCCMaxRate)
 	if g.state != prevState {
 		g.probe.Emit(now, obs.GCCState, float64(g.state), g.rate, 0, 0)
 	}

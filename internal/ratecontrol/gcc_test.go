@@ -3,7 +3,6 @@ package ratecontrol
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 )
@@ -226,20 +225,28 @@ func TestGCCLossWindowMatchesCopyingReference(t *testing.T) {
 		peak := 0
 		for i, at := range arrivals {
 			delay := time.Duration(rng.Intn(40)) * time.Millisecond
-			head, length, capacity := got.seqHead, len(got.seqs), cap(got.seqs)
+			length, capacity := got.seqs.Len(), got.seqs.Cap()
 			got.OnPacket(at, delay, 9600, seqs[i])
-			if cap(got.seqs) != capacity && (head != 0 || length != capacity) {
-				t.Fatalf("seed %d pkt %d: seqs grew %d -> %d with head %d, len %d (room to reclaim)",
-					seed, i, capacity, cap(got.seqs), head, length)
+			if got.seqs.Cap() != capacity && length != capacity {
+				t.Fatalf("seed %d pkt %d: seqs grew %d -> %d holding %d (room left)",
+					seed, i, capacity, got.seqs.Cap(), length)
 			}
 			// The reference is the same controller reading the copying window.
 			ref.OnFrame(at, delay, 9600)
 			win.add(at, seqs[i])
-			ref.seqs, ref.seqHead = win.seqs, 0
+			ref.seqs.Reset()
+			for _, o := range win.seqs {
+				ref.seqs.Push(o)
+			}
 			peak = max(peak, len(win.seqs))
 
-			if live := got.seqs[got.seqHead:]; !slices.Equal(live, win.seqs) {
-				t.Fatalf("seed %d pkt %d @%v: live window has %d entries, reference %d", seed, i, at, len(live), len(win.seqs))
+			if got.seqs.Len() != len(win.seqs) {
+				t.Fatalf("seed %d pkt %d @%v: live window has %d entries, reference %d", seed, i, at, got.seqs.Len(), len(win.seqs))
+			}
+			for k, o := range win.seqs {
+				if *got.seqs.At(k) != o {
+					t.Fatalf("seed %d pkt %d @%v: window entry %d = %v, reference %v", seed, i, at, k, *got.seqs.At(k), o)
+				}
 			}
 			if g, w := got.LossRatio(), ref.LossRatio(); g != w {
 				t.Fatalf("seed %d pkt %d @%v: LossRatio %v, reference %v", seed, i, at, g, w)
@@ -248,10 +255,10 @@ func TestGCCLossWindowMatchesCopyingReference(t *testing.T) {
 				t.Fatalf("seed %d pkt %d @%v: Update %v, reference %v", seed, i, at, g, w)
 			}
 		}
-		// Growth stops once the window has peaked: the array never holds
-		// more than append's doubling of the largest live window.
-		if c := cap(got.seqs); c > 2*peak+4 {
-			t.Fatalf("seed %d: cap(seqs) = %d for a peak window of %d", seed, c, peak)
+		// Growth stops once the window has peaked: the ring never holds
+		// more than a doubling of the largest live window.
+		if c := got.seqs.Cap(); c > 2*peak+4 {
+			t.Fatalf("seed %d: seqs holds %d for a peak window of %d", seed, c, peak)
 		}
 	}
 }

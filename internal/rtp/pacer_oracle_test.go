@@ -224,8 +224,8 @@ func TestPacerMatchesHeadIndexedReference(t *testing.T) {
 					rate := pp.got.Rate()
 					pp.setRate(1e9)
 					pp.advance(time.Second)
-					if pp.got.nruns != 0 || len(pp.ref.queue) != 0 {
-						t.Fatalf("step %d: not drained: %d runs, reference %d packets", step, pp.got.nruns, len(pp.ref.queue))
+					if pp.got.runs.Len() != 0 || len(pp.ref.queue) != 0 {
+						t.Fatalf("step %d: not drained: %d runs, reference %d packets", step, pp.got.runs.Len(), len(pp.ref.queue))
 					}
 					pp.setRate(rate)
 				default:

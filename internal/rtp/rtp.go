@@ -10,6 +10,7 @@ import (
 	"math"
 	"time"
 
+	"poi360/internal/fifo"
 	"poi360/internal/simclock"
 	"poi360/internal/video"
 )
@@ -64,13 +65,9 @@ type Pacer struct {
 	tickSec float64 // tick.Seconds(), hoisted off the per-tick path
 	rate    float64 // bits/s
 	send    func(Packet) bool
-	// The video buffer is a FIFO of nruns runs in a power-of-two ring,
-	// the i-th oldest at ring[(head+i)&(len(ring)-1)]. A frame's packets
-	// form one run, so a backlog costs one entry per frame, not per
-	// packet. The ring doubles only when full and never compacts.
-	ring   []run
-	head   int
-	nruns  int
+	// The video buffer is a FIFO of runs. A frame's packets form one run,
+	// so a backlog costs one entry per frame, not per packet.
+	runs   fifo.Queue[run]
 	credit float64 // bits
 	drops  int64
 	seq    int64
@@ -138,33 +135,18 @@ func (p *Pacer) Rate() float64 { return p.rate }
 func (p *Pacer) Enqueue(pkts []Packet) {
 	for i := range pkts {
 		pkt := &pkts[i]
-		if p.nruns > 0 {
-			if r := &p.ring[(p.head+p.nruns-1)&(len(p.ring)-1)]; r.absorbs(pkt) {
-				r.size = int32(r.last)
-				r.last = pkt.Bytes
-				r.n++
-				continue
-			}
+		if p.runs.Len() > 0 && p.runs.Back().absorbs(pkt) {
+			r := p.runs.Back()
+			r.size = int32(r.last)
+			r.last = pkt.Bytes
+			r.n++
+			continue
 		}
-		if p.nruns == len(p.ring) {
-			p.grow()
-		}
-		p.ring[(p.head+p.nruns)&(len(p.ring)-1)] = run{
+		p.runs.Push(run{
 			frame: pkt.Frame, frameSeq: pkt.FrameSeq, index: pkt.Index, count: pkt.Count,
 			last: pkt.Bytes, n: 1,
-		}
-		p.nruns++
+		})
 	}
-}
-
-// grow doubles the ring (the first call makes one slot), moving the runs
-// to the front in FIFO order.
-func (p *Pacer) grow() {
-	ring := make([]run, max(2*len(p.ring), 1))
-	for i := 0; i < p.nruns; i++ {
-		ring[i] = p.ring[(p.head+i)&(len(p.ring)-1)]
-	}
-	p.ring, p.head = ring, 0
 }
 
 // Drops reports packets rejected by the transport at send time.
@@ -177,8 +159,8 @@ func (p *Pacer) onTick() {
 	if p.credit > maxCredit {
 		p.credit = maxCredit
 	}
-	for p.nruns > 0 {
-		r := &p.ring[p.head]
+	for p.runs.Len() > 0 {
+		r := p.runs.Front()
 		bytes := r.last
 		if r.n > 1 {
 			bytes = int(r.size)
@@ -192,9 +174,7 @@ func (p *Pacer) onTick() {
 		if r.n--; r.n > 0 {
 			r.index++
 		} else {
-			*r = run{} // release the frame reference
-			p.head = (p.head + 1) & (len(p.ring) - 1)
-			p.nruns--
+			p.runs.Pop()
 		}
 		pkt.SentAt = p.clk.Now()
 		pkt.Seq = p.seq
@@ -203,7 +183,7 @@ func (p *Pacer) onTick() {
 			p.drops++
 		}
 	}
-	if p.nruns == 0 && p.credit > float64(MTU*8) {
+	if p.runs.Len() == 0 && p.credit > float64(MTU*8) {
 		p.credit = MTU * 8
 	}
 }

@@ -65,8 +65,8 @@ func TestPropertyPacketize(t *testing.T) {
 // queuedBits sums the bits still waiting in p's video buffer.
 func queuedBits(p *Pacer) float64 {
 	bits := 0.0
-	for i := 0; i < p.nruns; i++ {
-		r := p.ring[(p.head+i)&(len(p.ring)-1)]
+	for i := 0; i < p.runs.Len(); i++ {
+		r := p.runs.At(i)
 		bits += 8 * (float64(r.n-1)*float64(r.size) + float64(r.last))
 	}
 	return bits
@@ -281,10 +281,10 @@ func runBacklog(frames []video.EncodedFrame, scratch []Packet) int {
 }
 
 // TestPacerBacklogAllocBudget bounds what a backlogged pacer allocates: a
-// ring that doubles when full has allocated less than twice its final
-// size, which is less than twice the most runs it held. Each queued frame
-// is one run, and the backlog only grows here, so that peak is the number
-// of frames queued at the end.
+// ring that grows only when full, doubling up to 256 slots and by about a
+// quarter after, has allocated a small multiple of the most runs it held
+// (under three times here). Each queued frame is one run, and the backlog
+// only grows here, so that peak is the number of frames queued at the end.
 func TestPacerBacklogAllocBudget(t *testing.T) {
 	frames := newBacklogFrames()
 	scratch := make([]Packet, 0, backlogPackets)

@@ -209,3 +209,38 @@ func TestPSNRForLevelMatchesMaxReference(t *testing.T) {
 		}
 	}
 }
+
+// TestROIPSNRClampMatchesMathForm sweeps a frame's jitter so ROIPSNRScratch's
+// last line sees each bound of its clamp and its neighbours, ±0, ±Inf, NaN
+// and seeded random values, and holds it to the math.Max / math.Min form of
+// refROIPSNR. A NaN stays NaN in both; only its payload may differ.
+func TestROIPSNRClampMatchesMathForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	cfg := DefaultConfig()
+	ef := EncodedFrame{Spatial: roiOracleMatrices(cfg.Grid, rng)[0], Scale: 1.37}
+	o := projection.Orientation{Yaw: 15, Pitch: 10}
+	base, _ := ef.ROIPSNRScratch(cfg, o, projection.DefaultFoV, nil)
+	if base <= psnrMin || base >= psnrMax+3 {
+		t.Fatalf("base PSNR %v is clamped; the fixture no longer reaches both bounds", base)
+	}
+	neg0 := math.Copysign(0, -1)
+	jitters := []float64{0, neg0, -base, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
+	for _, bound := range []float64{psnrMin, psnrMax + 3} {
+		j := bound - base
+		jitters = append(jitters, j, math.Nextafter(j, math.Inf(1)), math.Nextafter(j, math.Inf(-1)))
+	}
+	for i := 0; i < 100; i++ {
+		jitters = append(jitters, rng.NormFloat64()*40)
+	}
+	for _, j := range jitters {
+		ef.Jitter = j
+		got, _ := ef.ROIPSNRScratch(cfg, o, projection.DefaultFoV, nil)
+		want, _ := refROIPSNR(&ef, cfg, o, projection.DefaultFoV)
+		if math.IsNaN(got) && math.IsNaN(want) {
+			continue
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("jitter %v: ROIPSNRScratch = %v, reference %v", j, got, want)
+		}
+	}
+}

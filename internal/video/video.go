@@ -338,8 +338,7 @@ func (ef *EncodedFrame) ROIPSNRScratch(cfg Config, actual projection.Orientation
 	if den == 0 {
 		return psnrMin, vis
 	}
-	p := num/den + ef.Jitter
-	return math.Max(psnrMin, math.Min(psnrMax+3, p)), vis
+	return max(psnrMin, min(psnrMax+3, num/den+ef.Jitter)), vis
 }
 
 // ROILevel returns the effective compression level at the viewer's actual

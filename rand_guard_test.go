@@ -248,6 +248,7 @@ func TestInternalAPIHasCallers(t *testing.T) {
 var apiTestHooks = map[string]string{
 	"simclock.Clock.Pending": "lte and realnet tests check that the engine is idle",
 	"simclock.Wall.Stop":     "realnet's loopback test ends a wall-clock Run with it",
+	"fifo.Queue.Cap":         "lte, netsim and ratecontrol tests bound a queue's storage by its live backlog",
 }
 
 // typeRef names a type declared under internal/ by package and type name.

@@ -19,7 +19,8 @@ export LC_ALL=C # sort and comm must agree on the collation
 cd "$(dirname "$0")/.."
 allow=scripts/escape_allow.txt
 pkgs="./internal/obs ./internal/lte ./internal/simclock ./internal/network
-./internal/ratecontrol ./internal/rtp ./internal/netsim ./internal/realnet"
+./internal/ratecontrol ./internal/rtp ./internal/netsim ./internal/realnet
+./internal/fifo ./internal/compress"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

@@ -142,11 +142,15 @@ bench-check:
 	$(GO) test -C benchmark ./...
 	bash benchmark/run.sh -check
 
-## escape-check: no new heap-escaping local in the per-event packages
-## (obs, lte, simclock, network, ratecontrol, rtp, netsim). Diffs the
-## compiler's `moved to heap` diagnostics, keyed by file and variable,
-## against scripts/escape_allow.txt; a new key fails with the offending
-## line. An escaping local on an emit path is one allocation per event.
+## escape-check: no new heap-escaping local and no lost inlining in the
+## per-event packages (obs, lte, simclock, network, ratecontrol, rtp,
+## netsim, realnet, fifo, compress, seeds). One -gcflags=-m=2 build:
+## its `moved to heap` diagnostics, keyed by file and variable, are diffed
+## against scripts/escape_allow.txt, and every function listed in
+## scripts/inline_must.txt must be reported `can inline`. A new escape or
+## a listed function the compiler no longer inlines fails with the
+## compiler's line. An escaping local on an emit path is one allocation
+## per event; a hot function over the inline budget is one call per event.
 escape-check:
 	sh scripts/escape_check.sh
 

@@ -1,11 +1,11 @@
 // Package fifo holds the simulator's one first-in-first-out queue.
 package fifo
 
-// Queue is a FIFO on a ring of slots. It grows only when full, as append
-// grows a full slice, with the entries moved to the front in FIFO order,
-// and never compacts, so a queue stops allocating once it has held its
-// largest backlog. Every slot it vacates is zeroed, so nothing popped or
-// reset stays reachable through it. The zero Queue is empty and ready.
+// Queue is a FIFO on a ring of slots. It grows only when full, at least
+// as append grows a full slice (see Push), and never compacts, so a queue
+// stops allocating once it has held its largest backlog. Every slot it
+// vacates is zeroed, so nothing popped or reset stays reachable through
+// it. The zero Queue is empty and ready.
 type Queue[T any] struct {
 	buf []T
 	// head is the slot of the oldest entry and n the entries held, 32-bit
@@ -30,28 +30,32 @@ func (q *Queue[T]) slot(i int) int {
 	return i
 }
 
-// Push appends v at the back.
+// Push appends v at the back. A full queue grows in the same step: its
+// entries are buf[head:] then buf[:head], so appending a copy of
+// buf[:head] and then v makes them one run from head, and the stale
+// copies left in buf[:head] are zeroed. That is append's growth of a full
+// slice (twice its size below 256 slots, about a quarter more above, the
+// whole block the allocator rounds the request up to) by head+1 entries
+// instead of 1, the same below 256 slots and never less. The growth is
+// inline rather than a call because a call alone costs 57 of the
+// inliner's budget of 80, and Push is on every enqueue of every queue
+// (scripts/inline_must.txt).
 func (q *Queue[T]) Push(v T) {
-	if int(q.n) == len(q.buf) {
-		q.grow()
+	n := int(q.n)
+	if n == len(q.buf) {
+		if n > 1<<29 {
+			panic("fifo: queue outgrew its 32-bit indices")
+		}
+		buf := append(append(q.buf, q.buf[:q.head]...), v)
+		clear(buf[:q.head])
+		q.buf = buf[:cap(buf)]
+	} else {
+		if n += int(q.head); n >= len(q.buf) {
+			n -= len(q.buf)
+		}
+		q.buf[n] = v
 	}
-	q.buf[q.slot(int(q.n))] = v
 	q.n++
-}
-
-// grow enlarges the ring as append enlarges a full slice: to twice its
-// size below 256 slots, by about a quarter above, and always to the whole
-// block the allocator rounds the request up to. The queue is full, so its
-// entries are buf[head:] then buf[:head]; they move to the front in order.
-func (q *Queue[T]) grow() {
-	if len(q.buf) > 1<<29 {
-		panic("fifo: queue outgrew its 32-bit indices")
-	}
-	buf := append(q.buf, *new(T)) // len(buf) == cap(buf): a new block
-	buf = buf[:cap(buf)]
-	k := copy(buf, q.buf[q.head:])
-	copy(buf[k:], q.buf[:q.head])
-	q.buf, q.head = buf, 0
 }
 
 // Pop removes and returns the front entry. It panics on an empty queue.

@@ -195,11 +195,7 @@ func (n *city) newUE(id int) (*ue, error) {
 		}
 		u.fbcc = f
 	}
-	// City receivers run the O(1) trendline (the city trajectory is
-	// versioned; sessions keep the bit-exact scanned fit).
-	gcfg := ratecontrol.DefaultGCCConfig()
-	gcfg.IncrementalTrendline = true
-	g, err := ratecontrol.NewGCCReceiver(gcfg)
+	g, err := ratecontrol.NewGCCReceiver(ratecontrol.DefaultGCCConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -10,8 +10,10 @@ package projection
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Grid describes the tile layout of an equirectangular 360° frame.
@@ -237,27 +239,28 @@ type Geometry struct {
 	cosPitch []float64
 }
 
+// geomCache publishes the memoized geometries as an immutable map: a hit
+// is one atomic load and a map read, with no lock and no reader count for
+// every grid worker to write. A miss copies the map under geomMu, adds the
+// new grid and publishes the copy.
 var (
-	geomMu    sync.RWMutex
-	geomCache = map[Grid]*Geometry{}
+	geomMu    sync.Mutex
+	geomCache atomic.Pointer[map[Grid]*Geometry]
 )
 
 // GeomFor returns the memoized Geometry of g (building it on first use).
 // Safe for concurrent use; sessions running on different goroutines share
 // the read-only tables.
 func GeomFor(g Grid) *Geometry {
-	geomMu.RLock()
-	ge := geomCache[g]
-	geomMu.RUnlock()
-	if ge != nil {
+	if ge := cachedGeom(g); ge != nil {
 		return ge
 	}
 	geomMu.Lock()
 	defer geomMu.Unlock()
-	if ge = geomCache[g]; ge != nil {
+	if ge := cachedGeom(g); ge != nil {
 		return ge
 	}
-	ge = &Geometry{
+	ge := &Geometry{
 		g:           g,
 		CenterYaw:   make([]float64, g.W),
 		CenterPitch: make([]float64, g.H),
@@ -279,8 +282,20 @@ func GeomFor(g Grid) *Geometry {
 		ge.sinPitch[j] = math.Sin(p)
 		ge.cosPitch[j] = math.Cos(p)
 	}
-	geomCache[g] = ge
+	m := map[Grid]*Geometry{g: ge}
+	if old := geomCache.Load(); old != nil {
+		maps.Copy(m, *old)
+	}
+	geomCache.Store(&m)
 	return ge
+}
+
+// cachedGeom is the published Geometry of g, or nil.
+func cachedGeom(g Grid) *Geometry {
+	if m := geomCache.Load(); m != nil {
+		return (*m)[g]
+	}
+	return nil
 }
 
 // OrientationTrig precomputes the viewer-side terms of the spherical law of

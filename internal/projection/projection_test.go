@@ -2,6 +2,7 @@ package projection
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -229,5 +230,40 @@ func BenchmarkVisibleTiles(b *testing.B) {
 	o := Orientation{Yaw: 123, Pitch: -20}
 	for i := 0; i < b.N; i++ {
 		g.VisibleTiles(o, DefaultFoV)
+	}
+}
+
+// TestGeomForSharesOneGeometryPerGrid asks for several grids from
+// concurrent goroutines, each in its own order, so that misses on
+// different grids race to publish their copies of the cache: every caller
+// must get the one Geometry of each grid, built for that grid, and none
+// may be lost by a later publication.
+func TestGeomForSharesOneGeometryPerGrid(t *testing.T) {
+	grids := []Grid{{W: 3, H: 2}, {W: 5, H: 3}, {W: 7, H: 5}, {W: 9, H: 4}, {W: 11, H: 6}}
+	const workers = 4
+	got := make([][]*Geometry, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*Geometry, len(grids))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range grids {
+				k := (i + w) % len(grids)
+				got[w][k] = GeomFor(grids[k])
+			}
+		}()
+	}
+	wg.Wait()
+	for k, g := range grids {
+		ge := GeomFor(g)
+		if ge.g != g || len(ge.CenterYaw) != g.W || len(ge.AreaW) != g.H {
+			t.Fatalf("GeomFor(%v) built the tables of %v", g, ge.g)
+		}
+		for w := range got {
+			if got[w][k] != ge {
+				t.Fatalf("worker %d got a second Geometry of %v", w, g)
+			}
+		}
 	}
 }

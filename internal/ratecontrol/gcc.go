@@ -58,16 +58,17 @@ type GCCConfig struct {
 	// IncrementalTrendline maintains the trendline regression sums
 	// incrementally (O(1) per frame) instead of re-scanning the whole
 	// window on every frame. The fitted slope differs from the scanned
-	// fit only in floating-point summation order. The population-scale
-	// city runs enable it (their trajectory is versioned against exactly
-	// this class of change); the single-session paths leave it off and
-	// keep the bit-exact scan.
+	// fit only in floating-point summation order, within the bound
+	// TestIncrementalTrendlineTracksScan holds it to. DefaultGCCConfig
+	// sets it, so every receiver (sessions, the live path, the city)
+	// fits in O(1); the scan is left only as the A/B arm of the
+	// benchmark's GCC row and as the oracle of the tests.
 	IncrementalTrendline bool
 }
 
 // DefaultGCCConfig returns the parameters used by the evaluation.
 func DefaultGCCConfig() GCCConfig {
-	return GCCConfig{InitialRate: 1.0e6}
+	return GCCConfig{InitialRate: 1.0e6, IncrementalTrendline: true}
 }
 
 // Validate reports an error for incoherent configurations.
@@ -133,8 +134,9 @@ type GCCReceiver struct {
 	// contiguous run from slot(fstart): walking the ring's two segments, a
 	// split that moves with every frame, cost the per-packet live path
 	// about 6 % of its speed. An incremental receiver reads a row's x only
-	// when the row leaves the window, and x is farr's Seconds() — the same
-	// conversion of the same value — so it keeps no fx column (nil).
+	// when the row leaves the window or at a re-sum, and x is farr's
+	// Seconds() — the same conversion of the same value — so it keeps no
+	// fx column (nil).
 	fx, fy       []float64
 	fstart, fend int
 
@@ -248,6 +250,9 @@ func (g *GCCReceiver) OnFrame(arrival, delay time.Duration, bits float64) {
 			g.tsxy -= ex * ey
 			g.fstart++
 		}
+		if g.fend%gccRing == 0 {
+			g.resum()
+		}
 	} else {
 		g.fx[k] = x
 		g.fx[k+gccRing] = x
@@ -288,6 +293,25 @@ func (g *GCCReceiver) LossRatio() float64 {
 		return 0
 	}
 	return float64(lost) / float64(span)
+}
+
+// resum recomputes the incremental trendline sums from the window's rows,
+// oldest first, as the scan adds them. Called once every gccRing appends
+// (amortized O(1)), it bounds the sums' rounding error to that of the
+// appends and evictions since the last re-sum: without it the error of a
+// call that never decreases grows with every packet, and so do x and x²
+// with the arrival seconds (TestIncrementalTrendlineTracksScan).
+func (g *GCCReceiver) resum() {
+	var sx, sy, sxx, sxy float64
+	for i := g.fstart; i < g.fend; i++ {
+		k := slot(i)
+		x, y := g.farr[k].Seconds(), g.fy[k]
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
+	}
+	g.tsx, g.tsy, g.tsxx, g.tsxy = sx, sy, sxx, sxy
 }
 
 // slope returns the least-squares delay slope in ms per second over the

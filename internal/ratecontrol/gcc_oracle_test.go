@@ -1,6 +1,7 @@
 package ratecontrol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,6 +23,7 @@ type compactingGCC struct {
 	rskip        int
 
 	tsx, tsy, tsxx, tsxy float64
+	off                  int // the ring's frame counter of array row 0, for the re-sum
 
 	smoothed     float64
 	haveSmoothed bool
@@ -71,6 +73,7 @@ func (g *compactingGCC) OnFrame(arrival, delay time.Duration, bits float64) {
 		} else {
 			g.rskip = 0
 		}
+		g.off += g.fstart
 		g.fstart, g.fend = 0, n
 	}
 	x := arrival.Seconds()
@@ -92,6 +95,16 @@ func (g *compactingGCC) OnFrame(arrival, delay time.Duration, bits float64) {
 			g.tsxx -= ex * ex
 			g.tsxy -= ex * ey
 			g.fstart++
+		}
+		if (g.off+g.fend)%gccRing == 0 {
+			g.tsx, g.tsy, g.tsxx, g.tsxy = 0, 0, 0, 0
+			for i := g.fstart; i < g.fend; i++ {
+				x, y := g.fx[i], g.fy[i]
+				g.tsx += x
+				g.tsy += y
+				g.tsxx += x * x
+				g.tsxy += x * y
+			}
 		}
 	} else if g.fend-g.fstart > gccWindow {
 		g.fstart++
@@ -325,4 +338,133 @@ func TestGCCWindowMatchesCompactingReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// trendlinePair is an incremental receiver and a scanning one fed the same
+// observations, with the largest slope gap seen and the detector verdicts
+// on which they disagreed.
+type trendlinePair struct {
+	inc, scan *GCCReceiver
+	maxGap    float64
+	maxSlope  float64
+	verdicts  int
+	disagree  int
+}
+
+func newTrendlinePair(t *testing.T) *trendlinePair {
+	t.Helper()
+	scanCfg := DefaultGCCConfig()
+	scanCfg.IncrementalTrendline = false
+	inc, err := NewGCCReceiver(DefaultGCCConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := NewGCCReceiver(scanCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &trendlinePair{inc: inc, scan: scan}
+}
+
+// compare records the slope gap and the verdicts after an observation.
+func (p *trendlinePair) compare(now time.Duration) {
+	s := p.scan.slope()
+	p.maxGap = max(p.maxGap, math.Abs(p.inc.slope()-s))
+	p.maxSlope = max(p.maxSlope, math.Abs(s))
+	if now >= gccWarmup {
+		p.verdicts++
+		if p.inc.usage != p.scan.usage {
+			p.disagree++
+		}
+	}
+}
+
+// trendDelay draws a one-way delay that follows a trend of −300…300 ms/s,
+// redrawn every few seconds, with ±3 ms of jitter, inside [20, 800] ms.
+type trendDelay struct {
+	rng        *rand.Rand
+	base, rate float64 // ms, ms/s
+	until      time.Duration
+}
+
+func (d *trendDelay) at(now, step time.Duration) time.Duration {
+	if now >= d.until {
+		d.rate = float64(d.rng.Intn(601) - 300)
+		d.until = now + time.Duration(1+d.rng.Intn(8))*time.Second
+	}
+	d.base = min(max(d.base+d.rate*step.Seconds(), 20), 800)
+	return time.Duration((d.base + 6*d.rng.Float64() - 3) * float64(time.Millisecond))
+}
+
+// TestIncrementalTrendlineTracksScan bounds the versioned change of the
+// default trendline (DESIGN §18): the O(1) running sums, whose summation
+// order differs from the scan's, must fit the slope within 1e-2 ms/s of
+// the scanned fit over the same window, against a detector threshold that
+// never drops below 70 ms/s. Two kinds of tape:
+//   - a live call: one packet every 10 ms (±2 ms) for 6 simulated hours
+//     (1 hour under -short) and no Update, so no decrease ever resets the
+//     sums and their rounding error can only accumulate while the
+//     arrival seconds, and with them x and x², grow;
+//   - per-frame tapes at 30 frames/s, where a forced decrease empties the
+//     window at random frames and the sums restart from zero.
+//
+// The usage verdicts on which the two receivers disagree are logged.
+func TestIncrementalTrendlineTracksScan(t *testing.T) {
+	const bound = 1e-2 // ms/s
+	hours := 6
+	if testing.Short() {
+		hours = 1
+	}
+	check := func(t *testing.T, name string, p *trendlinePair) {
+		t.Logf("%s: max |Δslope| %.3g ms/s (max |slope| %.0f ms/s), %d of %d verdicts disagree",
+			name, p.maxGap, p.maxSlope, p.disagree, p.verdicts)
+		if p.maxGap > bound {
+			t.Errorf("%s: incremental slope strays %.3g ms/s from the scanned fit, bound %g",
+				name, p.maxGap, bound)
+		}
+		if p.maxSlope < 250 {
+			t.Errorf("%s: slopes stay below %.0f ms/s; the tape is too tame", name, p.maxSlope)
+		}
+	}
+
+	t.Run("live-call", func(t *testing.T) {
+		p := newTrendlinePair(t)
+		rng := rand.New(rand.NewSource(1))
+		d := &trendDelay{rng: rng, base: 80}
+		end := time.Duration(hours) * time.Hour
+		var seq int64
+		for now := time.Duration(0); now < end; {
+			step := time.Duration(8000+rng.Intn(4001)) * time.Microsecond
+			now += step
+			delay := d.at(now, step)
+			seq++
+			p.inc.OnPacket(now, delay, 9600, seq)
+			p.scan.OnPacket(now, delay, 9600, seq)
+			p.compare(now)
+		}
+		check(t, fmt.Sprintf("live call, %d h", hours), p)
+	})
+
+	t.Run("frames-with-decreases", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			p := newTrendlinePair(t)
+			rng := rand.New(rand.NewSource(seed))
+			d := &trendDelay{rng: rng, base: 80}
+			const frame = 33 * time.Millisecond
+			decreases := 0
+			for now := time.Duration(0); now < 30*time.Minute; now += frame {
+				delay := d.at(now, frame)
+				p.inc.OnFrame(now, delay, 40e3)
+				p.scan.OnFrame(now, delay, 40e3)
+				p.compare(now)
+				if rng.Intn(200) == 0 {
+					p.inc.usage, p.scan.usage = Overuse, Overuse
+					p.inc.Update(now)
+					p.scan.Update(now)
+					decreases++
+				}
+			}
+			check(t, fmt.Sprintf("frames, seed %d, %d decreases", seed, decreases), p)
+		}
+	})
 }

@@ -17,21 +17,22 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the suite under the race detector in short mode — every test but
-## the five that honour -short, so the fault-injection, shared-cell and city
-## subsystems are raced here — plus a full-mode pass over the experiment
-## engine's tests (the grid runner's worker pool, the byte-identity
-## contracts it must keep, the pinned report digests, the memo's episode
-## rows, and the two multi-user tests -short skips), two
-## more passes of the city's epoch-barrier tests with GOMAXPROCS 1 and 2 in
-## the environment — the hand-off's yield path and its park path raced on
-## one P and on two, whatever the runner's core count (-count=1: the test
-## cache does not key on GOMAXPROCS) — and one raced pass of the city epoch
-## loop at 1/2/4/8 workers. The two full-scale city acceptance tests honour
-## -short too and run in plain `make test`.
+## race: the suite under the race detector in short mode — the
+## fault-injection, shared-cell, city, observability and live-transport
+## subsystems are all raced here. Five tests skip under -short (the session
+## allocation gate, the two full-scale city acceptance runs and the two
+## multi-user experiment tests) and three shorten (TestCityFingerprintsPinned's
+## long case, TestCitySteadyStateAllocFree's second window,
+## TestIncrementalTrendlineTracksScan from 6 h to 1 h); plain `make test`
+## runs them in full. Then a full-mode raced pass of the two multi-user
+## experiment tests, two more passes of the city's epoch-barrier tests with
+## GOMAXPROCS 1 and 2 in the environment — the hand-off's yield path and
+## its park path raced on one P and on two, whatever the runner's core
+## count (-count=1: the test cache does not key on GOMAXPROCS) — and one
+## raced pass of the city epoch loop at 1/2/4/8 workers.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'BytesIdentical|Parallel|CrossBatch|MultiUserMeasured|Pinned|SurviveMemo' ./internal/experiments
+	$(GO) test -race -run '^TestMultiUser(BytesIdentical|Measured)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network
@@ -59,29 +60,19 @@ fmt:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./...
 
-## obs-smoke: the observability subsystem under the race detector —
-## nil-probe safety, episode semantics on the busy cell, the JSONL
-## rendering, the P6T codec round-trip and the replayer on cut and hostile
-## input (the fuzz seed corpora, then 15 s of coverage-guided fuzzing of
-## each target), the streaming shard aggregation, the enabled-emit
-## contract (no allocation on emit, spill or replay; the exact bucket
-## rule; non-finite fields), the byte-identity of instrumented experiment
-## reports and poi360-trace's write-error handling — then an end-to-end
-## CLI pass over the one trace format: one FBCC session on the busy cell
-## (with a capacity-step fault so congestion episodes actually fire
-## inside 60 s) streamed through -obs, checking that the episode stats are
-## non-empty, that poi360-trace decodes the file into well-formed JSONL
-## lines, and that its -view episodes line is the one the simulator
-## printed. Also runs the Emit-cost benchmarks once, which fail loudly if
-## the nil-probe path ever starts allocating.
+## obs-smoke: 15 s of coverage-guided fuzzing of each observability
+## target (the P6T codec round-trip and the replayer on cut and hostile
+## input), then an end-to-end CLI pass over the one trace format: one FBCC
+## session on the busy cell (with a capacity-step fault so congestion
+## episodes actually fire inside 60 s) streamed through -obs, checking that
+## the episode stats are non-empty, that poi360-trace decodes the file into
+## well-formed JSONL lines, and that its -view episodes line is the one the
+## simulator printed. The subsystem's unit tests and fuzz seed corpora run
+## raced in `make race`, its Emit-cost benchmarks in `make bench-smoke`.
 JSONL_LINE := ^\{"t":[0-9]+(\.[0-9]+)?,"kind":"[a-z0-9_.]+","sub":-?[0-9]+(,"[a-z0-9_]+":-?[0-9]+(\.[0-9]+)?)*\}$$
 obs-smoke:
-	$(GO) test -race -run 'Obs|Episode|JSONL|Telemetry|Binary|ShardAgg|Replay|BinWriter|FinishSpill|EmitZeroAlloc|BucketOf|NonFinite|Decode' \
-		./internal/obs ./internal/experiments ./cmd/poi360-trace
-	$(GO) test -run 'Fuzz(EventBinaryRoundTrip|ReplayerFeed)' ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzEventBinaryRoundTrip$$' -fuzztime 15s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayerFeed$$' -fuzztime 15s ./internal/obs
-	$(GO) test -bench 'Obs(Disabled|Enabled)$$' -benchtime 1x -run '^$$' .
 	@out="$$(mktemp -d)"; trap 'rm -rf "$$out"' EXIT; \
 	$(GO) build -o "$$out" ./cmd/poi360-sim ./cmd/poi360-trace || exit 1; \
 	"$$out/poi360-sim" -rc fbcc -cell busy -faults capacity-step \
@@ -100,26 +91,20 @@ obs-smoke:
 		     cat "$$out/episodes.txt"; exit 1; }; \
 	echo "obs-smoke: ok"
 
-## live-smoke: the real-transport backend under the race detector — the
-## fuzz corpora of the media and report codecs (then 15 s of
-## coverage-guided fuzzing of each), the jitter buffer against
-## its always-heap oracle, the per-packet allocation gates and the pooled
-## socket reader, the sender transport's
-## synthesized diag feed, the wall-clock scheduler, and the live wiring of
-## the session halves on virtual time (a whole call, forged peers, the seed
-## corpora of the two endpoint fuzz targets and then 15 s of fuzzing each:
-## report bytes into a Sender, media bytes into a Viewer) — then
-## two real ~2 s
-## sessions, one under FBCC and one under GCC, between a sender and a
-## receiver process over loopback UDP (scripts/live_smoke.sh), with both
-## processes enforcing minimum media and feedback progress and the script
-## checking that the JSON summaries keep their keys.
+## live-smoke: 15 s of coverage-guided fuzzing of each real-transport
+## target (the media and report codecs; report bytes into a Sender, media
+## bytes into a Viewer) — then two real ~2 s sessions, one under FBCC and
+## one under GCC, between a sender and a receiver process over loopback
+## UDP (scripts/live_smoke.sh), with both processes enforcing minimum media
+## and feedback progress and the script checking that the JSON summaries
+## keep their keys. The backend's unit tests (the jitter buffer against its
+## always-heap oracle, the per-packet allocation gates, the pooled socket
+## reader, the synthesized diag feed, the wall-clock scheduler, the live
+## wiring of the session halves on virtual time) and the fuzz seed corpora
+## run raced in `make race`.
 live-smoke:
-	$(GO) test -race ./internal/realnet ./internal/simclock
-	$(GO) test -race -run 'Wire|Reassembler' ./internal/rtp
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketWireRoundTrip$$' -fuzztime 15s ./internal/rtp
 	$(GO) test -run '^$$' -fuzz '^FuzzReportRoundTrip$$' -fuzztime 15s ./internal/realnet
-	$(GO) test -race -run 'LiveCall|Forged|Fuzz(SenderReports|ViewerDatagrams)' ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzSenderReports$$' -fuzztime 15s ./internal/session
 	$(GO) test -run '^$$' -fuzz '^FuzzViewerDatagrams$$' -fuzztime 15s ./internal/session
 	sh scripts/live_smoke.sh

@@ -43,21 +43,19 @@ type familyKey struct {
 	c    float64
 }
 
-// cropKey identifies one memoized Conduit crop-mask family.
-type cropKey struct {
-	w, h, ring int
-	nonROI     float64
-}
+// conduitKey identifies the memoized Conduit crop-mask family of one grid.
+// It is a type of its own, so it never equals a familyKey in familyCache.
+type conduitKey projection.Grid
 
-var (
-	familyCache sync.Map // familyKey → *ModeFamily
-	cropCache   sync.Map // cropKey → *cropFamily
-)
+// familyCache holds every memoized family: familyKey → *ModeFamily for
+// Eq. 1, conduitKey → *ModeFamily for Conduit's masks.
+var familyCache sync.Map
 
-// ModeFamily is the memoized Eq. 1 matrix family of one (grid, C) pair:
-// one shared read-only Matrix per possible ROI center. Obtain with
-// FamilyFor; families are cached process-wide and safe for concurrent use
-// once built (they are immutable after construction).
+// ModeFamily is a memoized matrix family of one grid: one shared
+// read-only Matrix per possible ROI center. FamilyFor returns the Eq. 1
+// family of a mode constant C; NewConduit holds the family of Conduit's
+// two-level crop masks. Families are cached process-wide and safe for
+// concurrent use once built (they are immutable after construction).
 type ModeFamily struct {
 	g    projection.Grid
 	mats []Matrix // indexed by g.Index(roi); each of length g.Tiles()
@@ -73,33 +71,47 @@ func FamilyFor(g projection.Grid, C float64) *ModeFamily {
 	if f, ok := familyCache.Load(key); ok {
 		return f.(*ModeFamily)
 	}
-	f := buildFamily(g, C)
-	// Concurrent first builds race benignly: both produce identical
-	// immutable values and LoadOrStore keeps exactly one.
-	actual, _ := familyCache.LoadOrStore(key, f)
-	return actual.(*ModeFamily)
-}
-
-// buildFamily materializes every ROI center's matrix for (g, C). The level
-// depends only on the clamped tile distance d = max(0, dx+dy−plateau), so
-// the expensive part — one math.Pow per distinct d, the same expression
-// ModeMatrix evaluates per tile — runs once into a level-by-distance row
-// and the W·H matrices are filled by indexed lookup.
-func buildFamily(g projection.Grid, C float64) *ModeFamily {
 	if C <= 1 {
 		panic(fmt.Sprintf("compress: mode constant C must exceed 1, got %g", C))
 	}
-	// Maximum clamped distance on the grid: the cyclic yaw distance peaks
-	// at ⌊W/2⌋ and the pitch distance at H−1.
-	maxD := g.W/2 + (g.H - 1) - ModePlateau
-	if maxD < 0 {
-		maxD = 0
-	}
-	byDist := make([]float64, maxD+1)
+	// The level depends only on the clamped tile distance
+	// d = max(0, dx+dy−plateau), so the expensive part — one math.Pow per
+	// distinct d, the same expression ModeMatrix evaluates per tile — runs
+	// once into a level-by-distance row. The cyclic yaw distance peaks at
+	// ⌊W/2⌋ and the pitch distance at H−1.
+	byDist := make([]float64, max(0, g.W/2+(g.H-1)-ModePlateau)+1)
 	for d := range byDist {
 		byDist[d] = math.Min(LevelCap, math.Pow(C, float64(d)))
 	}
+	return buildFamily(key, g, func(dx, dy int) float64 {
+		return byDist[max(0, dx+dy-ModePlateau)]
+	})
+}
 
+// conduitFamily returns the memoized family of Conduit's crop masks: the
+// ROI tile and ConduitCropRing rings around it at LMin, every other tile
+// at ConduitNonROILevel.
+func conduitFamily(g projection.Grid) *ModeFamily {
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	key := conduitKey(g)
+	if f, ok := familyCache.Load(key); ok {
+		return f.(*ModeFamily)
+	}
+	return buildFamily(key, g, func(dx, dy int) float64 {
+		if dx <= ConduitCropRing && dy <= ConduitCropRing {
+			return LMin
+		}
+		return ConduitNonROILevel
+	})
+}
+
+// buildFamily materializes every ROI center's matrix on g — tile t of the
+// matrix centered on roi holds level(g.Distance(t, roi)) — and caches the
+// family under key. Concurrent first builds race benignly: both produce
+// identical immutable values and LoadOrStore keeps exactly one.
+func buildFamily(key any, g projection.Grid, level func(dx, dy int) float64) *ModeFamily {
 	f := &ModeFamily{g: g, mats: make([]Matrix, g.Tiles())}
 	backing := make([]float64, g.Tiles()*g.Tiles()) // one block, W·H matrices
 	for rj := 0; rj < g.H; rj++ {
@@ -110,21 +122,17 @@ func buildFamily(g projection.Grid, C float64) *ModeFamily {
 			for j := 0; j < g.H; j++ {
 				for i := 0; i < g.W; i++ {
 					t := projection.Tile{I: i, J: j}
-					dx, dy := g.Distance(t, roi)
-					d := dx + dy - ModePlateau
-					if d < 0 {
-						d = 0
-					}
-					m[g.Index(t)] = byDist[d]
+					m[g.Index(t)] = level(g.Distance(t, roi))
 				}
 			}
 			f.mats[g.Index(roi)] = m
 		}
 	}
-	return f
+	actual, _ := familyCache.LoadOrStore(key, f)
+	return actual.(*ModeFamily)
 }
 
-// Matrix returns the shared read-only Eq. 1 matrix for ROI center roi.
+// Matrix returns the family's shared read-only matrix for ROI center roi.
 // The call performs no allocation; callers must not mutate the result.
 func (f *ModeFamily) Matrix(roi projection.Tile) Matrix {
 	return f.mats[f.g.Index(roi)]
@@ -136,51 +144,4 @@ func (f *ModeFamily) Matrix(roi projection.Tile) Matrix {
 // still prefer FamilyFor + Matrix to skip the cache lookup per call.
 func SharedModeMatrix(g projection.Grid, roi projection.Tile, C float64) Matrix {
 	return FamilyFor(g, C).Matrix(roi)
-}
-
-// cropFamily memoizes Conduit's two-level crop masks: one shared matrix
-// per ROI center for a (grid, ring, nonROI) triple.
-type cropFamily struct {
-	g    projection.Grid
-	mats []Matrix
-}
-
-// cropFamilyFor returns the memoized crop-mask family, building on first
-// use (same benign-race discipline as FamilyFor).
-func cropFamilyFor(g projection.Grid, ring int, nonROI float64) *cropFamily {
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	key := cropKey{w: g.W, h: g.H, ring: ring, nonROI: nonROI}
-	if f, ok := cropCache.Load(key); ok {
-		return f.(*cropFamily)
-	}
-	f := &cropFamily{g: g, mats: make([]Matrix, g.Tiles())}
-	backing := make([]float64, g.Tiles()*g.Tiles())
-	for rj := 0; rj < g.H; rj++ {
-		for ri := 0; ri < g.W; ri++ {
-			roi := projection.Tile{I: ri, J: rj}
-			m := Matrix(backing[:g.Tiles():g.Tiles()])
-			backing = backing[g.Tiles():]
-			for j := 0; j < g.H; j++ {
-				for i := 0; i < g.W; i++ {
-					t := projection.Tile{I: i, J: j}
-					dx, dy := g.Distance(t, roi)
-					if dx <= ring && dy <= ring {
-						m[g.Index(t)] = LMin
-					} else {
-						m[g.Index(t)] = nonROI
-					}
-				}
-			}
-			f.mats[g.Index(roi)] = m
-		}
-	}
-	actual, _ := cropCache.LoadOrStore(key, f)
-	return actual.(*cropFamily)
-}
-
-// matrix returns the shared read-only crop mask for ROI center roi.
-func (f *cropFamily) matrix(roi projection.Tile) Matrix {
-	return f.mats[f.g.Index(roi)]
 }

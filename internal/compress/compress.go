@@ -110,7 +110,7 @@ func (a *Adaptive) ObserveMismatch(m time.Duration) {
 // only that; to avoid blank regions the evaluation still sends non-ROI
 // tiles at the lowest possible quality (§6.1.1). Two levels only.
 type Conduit struct {
-	fam *cropFamily
+	fam *ModeFamily
 }
 
 // ConduitCropRing is how many tile rings around the ROI tile the crop
@@ -128,14 +128,14 @@ const ConduitNonROILevel = LevelCap
 
 // NewConduit builds the Conduit benchmark controller.
 func NewConduit(g projection.Grid) *Conduit {
-	return &Conduit{fam: cropFamilyFor(g, ConduitCropRing, ConduitNonROILevel)}
+	return &Conduit{fam: conduitFamily(g)}
 }
 
 // Levels implements Controller: the cropped ROI region at LMin, everything
 // else at the floor quality. The returned mask is a shared read-only view
 // from the memoized crop family; callers must not mutate it.
 func (c *Conduit) Levels(roi projection.Tile) (Matrix, int) {
-	return c.fam.matrix(roi), 0
+	return c.fam.Matrix(roi), 0
 }
 
 // ObserveMismatch implements Controller; Conduit never adapts (§6.1.1:

@@ -258,9 +258,9 @@ func Merge(scripts ...Script) Script {
 
 // Periodic lays out windows of the given kind every period from start until
 // horizon: [start, start+width), [start+period, start+period+width), …
-// Factor and extra are forwarded to each event. It is the building block of
-// the named scenarios.
-func Periodic(k Kind, start, period, width, horizon time.Duration, factor float64, extra time.Duration) Script {
+// Extra is forwarded to each event. It is the building block of the named
+// scenarios.
+func Periodic(k Kind, start, period, width, horizon, extra time.Duration) Script {
 	var s Script
 	if period <= 0 || width <= 0 {
 		return s
@@ -270,7 +270,7 @@ func Periodic(k Kind, start, period, width, horizon time.Duration, factor float6
 		if until > horizon {
 			until = horizon
 		}
-		s.Events = append(s.Events, Event{Kind: k, From: at, Until: until, Factor: factor, Extra: extra})
+		s.Events = append(s.Events, Event{Kind: k, From: at, Until: until, Extra: extra})
 	}
 	return s
 }

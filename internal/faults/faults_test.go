@@ -111,7 +111,7 @@ func TestFaultMergeSortsDeterministically(t *testing.T) {
 }
 
 func TestFaultPeriodicLayout(t *testing.T) {
-	s := Periodic(DiagStall, 20*time.Second, 12*time.Second, 2*time.Second, 60*time.Second, 0, 0)
+	s := Periodic(DiagStall, 20*time.Second, 12*time.Second, 2*time.Second, 60*time.Second, 0)
 	if len(s.Events) != 4 { // 20, 32, 44, 56
 		t.Fatalf("got %d windows, want 4: %v", len(s.Events), s.Events)
 	}
@@ -119,11 +119,11 @@ func TestFaultPeriodicLayout(t *testing.T) {
 		t.Fatalf("last window %v", s.Events[3])
 	}
 	// Width clipped at the horizon.
-	c := Periodic(DiagStall, 59*time.Second, 12*time.Second, 2*time.Second, 60*time.Second, 0, 0)
+	c := Periodic(DiagStall, 59*time.Second, 12*time.Second, 2*time.Second, 60*time.Second, 0)
 	if len(c.Events) != 1 || c.Events[0].Until != 60*time.Second {
 		t.Fatalf("horizon clip failed: %v", c.Events)
 	}
-	if !Periodic(DiagStall, 0, 0, time.Second, time.Minute, 0, 0).Empty() {
+	if !Periodic(DiagStall, 0, 0, time.Second, time.Minute, 0).Empty() {
 		t.Fatal("non-positive period should yield the empty script")
 	}
 }

@@ -17,12 +17,12 @@ var scenarios = map[string]func(d time.Duration) Script{
 	// diag-stall: the modem diag feed goes silent for 2 s windows every
 	// 12 s — the FBCC watchdog's reason to exist.
 	"diag-stall": func(d time.Duration) Script {
-		return Periodic(DiagStall, scenarioStart(d), 12*time.Second, 2*time.Second, d, 0, 0)
+		return Periodic(DiagStall, scenarioStart(d), 12*time.Second, 2*time.Second, d, 0)
 	},
 	// feedback-loss: the reverse path drops every feedback message for
 	// 1.5 s windows every 10 s (ROI, M and GCC rate all go stale).
 	"feedback-loss": func(d time.Duration) Script {
-		return Periodic(FeedbackDrop, scenarioStart(d), 10*time.Second, 1500*time.Millisecond, d, 0, 0)
+		return Periodic(FeedbackDrop, scenarioStart(d), 10*time.Second, 1500*time.Millisecond, d, 0)
 	},
 	// feedback-storm: duplicated and late feedback — every message in the
 	// window is doubled and held an extra 600 ms (downlink bufferbloat
@@ -30,15 +30,15 @@ var scenarios = map[string]func(d time.Duration) Script{
 	// guard, which must refuse to integrate the late copies.
 	"feedback-storm": func(d time.Duration) Script {
 		return Merge(
-			Periodic(FeedbackDup, scenarioStart(d), 11*time.Second, 2*time.Second, d, 0, 0),
-			Periodic(FeedbackDelay, scenarioStart(d), 11*time.Second, 2*time.Second, d, 0, 600*time.Millisecond),
+			Periodic(FeedbackDup, scenarioStart(d), 11*time.Second, 2*time.Second, d, 0),
+			Periodic(FeedbackDelay, scenarioStart(d), 11*time.Second, 2*time.Second, d, 600*time.Millisecond),
 		)
 	},
 	// handover: 800 ms near-total radio outages every 15 s, the scripted
 	// (deterministic) version of the vehicular handover events the
 	// stochastic capacity process only produces at speed.
 	"handover": func(d time.Duration) Script {
-		return Periodic(Outage, scenarioStart(d), 15*time.Second, 800*time.Millisecond, d, 0, 0)
+		return Periodic(Outage, scenarioStart(d), 15*time.Second, 800*time.Millisecond, d, 0)
 	},
 	// capacity-step: the cell's achievable uplink rate halves from one
 	// third of the session to the end — sustained congestion elsewhere.
@@ -48,16 +48,16 @@ var scenarios = map[string]func(d time.Duration) Script{
 	// roi-freeze: the sender's ROI belief sticks for 2 s windows every
 	// 12 s while the viewer keeps moving.
 	"roi-freeze": func(d time.Duration) Script {
-		return Periodic(ROIFreeze, scenarioStart(d), 12*time.Second, 2*time.Second, d, 0, 0)
+		return Periodic(ROIFreeze, scenarioStart(d), 12*time.Second, 2*time.Second, d, 0)
 	},
 	// storm: everything at once — stalled diag, lossy late feedback, and
 	// handover outages overlapping. The kitchen-sink robustness check.
 	"storm": func(d time.Duration) Script {
 		return Merge(
-			Periodic(DiagStall, scenarioStart(d), 13*time.Second, 2*time.Second, d, 0, 0),
-			Periodic(FeedbackDrop, scenarioStart(d)+3*time.Second, 13*time.Second, 1200*time.Millisecond, d, 0, 0),
-			Periodic(FeedbackDelay, scenarioStart(d)+5*time.Second, 13*time.Second, 1500*time.Millisecond, d, 0, 600*time.Millisecond),
-			Periodic(Outage, scenarioStart(d)+7*time.Second, 13*time.Second, 700*time.Millisecond, d, 0, 0),
+			Periodic(DiagStall, scenarioStart(d), 13*time.Second, 2*time.Second, d, 0),
+			Periodic(FeedbackDrop, scenarioStart(d)+3*time.Second, 13*time.Second, 1200*time.Millisecond, d, 0),
+			Periodic(FeedbackDelay, scenarioStart(d)+5*time.Second, 13*time.Second, 1500*time.Millisecond, d, 600*time.Millisecond),
+			Periodic(Outage, scenarioStart(d)+7*time.Second, 13*time.Second, 700*time.Millisecond, d, 0),
 		)
 	},
 }

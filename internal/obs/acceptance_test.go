@@ -48,7 +48,7 @@ func TestEpisodeSemanticsOnCellBusy(t *testing.T) {
 		k                   = 10        // Eq. 3 K (paper default)
 		minCongestionBuffer = 10 * 1024 // DefaultFBCCConfig gate
 	)
-	hold := 2 * netsim.CellularPath.NominalRTT() // Eq. 6: HoldRTTs × RTT
+	hold := 2 * netsim.CellularPath.NominalRTT() // Eq. 6: a 2-RTT hold
 	diag := lte.DefaultDiagPeriod
 
 	// Every raw trigger event satisfies Eq. 3.

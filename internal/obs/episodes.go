@@ -34,7 +34,7 @@ type Episode struct {
 	// RphyBps is the Eq. 4/5 bandwidth the encoder was pinned to at the
 	// last pin.
 	RphyBps float64
-	// HoldS is the scheduled hold (seconds) of the last pin — HoldRTTs×RTT.
+	// HoldS is the scheduled hold (seconds) of the last pin — FBCCConfig.Hold.
 	HoldS float64
 	// Complete is true when the episode closed inside the stream.
 	Complete bool

@@ -34,25 +34,23 @@ const (
 	initialRTPRate = 3e6
 	// minVideoRate floors the encoder rate even under deep congestion.
 	minVideoRate = 150e3
+	// detectorSlack is how many non-increasing transitions the Eq. 3
+	// detector tolerates inside a streak before it resets (capped at K−1,
+	// so a streak is never all slack). The paper's condition is strict,
+	// but per-subframe grant noise makes one-sample dips routine on a
+	// sampled buffer, so a small slack keeps the detector usable.
+	detectorSlack = 2
 )
 
 // FBCCConfig parameterizes Firmware-Buffer-aware Congestion Control: the
-// knobs the session ablations vary and the path's RTT.
+// knobs the session ablations vary.
 type FBCCConfig struct {
 	// K is the number of consecutive buffer-growth reports required by the
 	// congestion test of Eq. 3 (the paper uses 10).
 	K int
-	// Slack allows this many non-increasing transitions inside the K-report
-	// window before the streak resets; the paper's condition is strict, but
-	// per-subframe grant noise makes one-sample dips routine on a sampled
-	// buffer, so a small slack keeps the detector usable. Slack 0 restores
-	// the strict test.
-	Slack int
-	// HoldRTTs is how long (in RTTs) the encoding rate stays pinned to the
-	// measured bandwidth after an overuse, per Eq. 6 (the paper uses 2).
-	HoldRTTs float64
-	// RTT is the nominal end-to-end round trip used for the hold.
-	RTT time.Duration
+	// Hold is how long the encoding rate stays pinned to the measured
+	// bandwidth after an overuse, per Eq. 6 (the paper uses 2 RTTs).
+	Hold time.Duration
 	// WatchdogReports arms the diag-staleness watchdog: when no diagnostic
 	// report has arrived for WatchdogReports × lte.DefaultDiagPeriod, the
 	// controller unpins from the measured Rphy, falls back to the embedded
@@ -63,13 +61,12 @@ type FBCCConfig struct {
 	WatchdogReports int
 }
 
-// DefaultFBCCConfig returns the paper's parameters.
+// DefaultFBCCConfig returns the paper's parameters on a path whose
+// nominal round trip is rtt.
 func DefaultFBCCConfig(rtt time.Duration) FBCCConfig {
 	return FBCCConfig{
 		K:               10,
-		Slack:           2,
-		HoldRTTs:        2,
-		RTT:             rtt,
+		Hold:            time.Duration(2 * float64(rtt)),
 		WatchdogReports: 5,
 	}
 }
@@ -79,11 +76,8 @@ func (c FBCCConfig) Validate() error {
 	if c.K < 2 {
 		return fmt.Errorf("ratecontrol: FBCC K %d too small", c.K)
 	}
-	if c.Slack < 0 || c.Slack >= c.K {
-		return fmt.Errorf("ratecontrol: FBCC slack %d outside [0, K)", c.Slack)
-	}
-	if c.HoldRTTs <= 0 || c.RTT <= 0 {
-		return fmt.Errorf("ratecontrol: FBCC hold requires positive RTT")
+	if c.Hold <= 0 {
+		return fmt.Errorf("ratecontrol: FBCC hold %v must be positive", c.Hold)
 	}
 	if c.WatchdogReports < 0 {
 		return fmt.Errorf("ratecontrol: FBCC watchdog reports must be non-negative, got %d", c.WatchdogReports)
@@ -158,7 +152,7 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 	if f.haveLast {
 		if rep.BufferBytes > f.lastBuffer {
 			f.streak++
-		} else if f.slackUsed < f.cfg.Slack && f.streak > 0 {
+		} else if f.slackUsed < min(detectorSlack, f.cfg.K-1) && f.streak > 0 {
 			f.slackUsed++ // tolerate an isolated dip inside the streak
 		} else {
 			f.streak = 0
@@ -187,7 +181,7 @@ func (f *FBCC) OnDiag(rep lte.DiagReport) {
 		f.rbw = f.BandwidthEstimate()
 		f.congested = true
 		f.congestedAt = rep.At
-		f.holdUntil = rep.At + time.Duration(f.cfg.HoldRTTs*float64(f.cfg.RTT))
+		f.holdUntil = rep.At + f.cfg.Hold
 		f.overuses++
 		// Telemetry: the Eq. 3 inputs (streak before its reset) and the
 		// Eq. 5/6 pin that follows.

@@ -27,10 +27,8 @@ func TestFBCCConfigValidate(t *testing.T) {
 	}
 	muts := []func(*FBCCConfig){
 		func(c *FBCCConfig) { c.K = 1 },
-		func(c *FBCCConfig) { c.Slack = -1 },
-		func(c *FBCCConfig) { c.Slack = c.K },
-		func(c *FBCCConfig) { c.RTT = 0 },
-		func(c *FBCCConfig) { c.HoldRTTs = 0 },
+		func(c *FBCCConfig) { c.Hold = 0 },
+		func(c *FBCCConfig) { c.Hold = -time.Millisecond },
 		func(c *FBCCConfig) { c.WatchdogReports = -1 },
 	}
 	for i, m := range muts {
@@ -68,28 +66,60 @@ func TestFBCCDetectsMonotoneGrowth(t *testing.T) {
 	}
 }
 
-// The streak must reset after too many dips (beyond slack).
+// The streak must reset on the dip after the slack is spent: a sawtooth
+// of three increases and a dip reaches a streak of 9 (two dips absorbed)
+// and is reset by the third dip, so K = 10 never fires.
 func TestFBCCDipsResetStreak(t *testing.T) {
-	cfg := DefaultFBCCConfig(150 * time.Millisecond)
-	cfg.Slack = 0 // strict, as printed in the paper
-	f, err := NewFBCC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defFBCC(t)
 	at := time.Duration(0)
 	buf := 2000
+	maxStreak := 0
 	for i := 0; i < 200; i++ {
 		at += 40 * time.Millisecond
-		// Sawtooth: 4 increases then a dip — never 10 consecutive.
-		if i%5 == 4 {
-			buf -= 3000
+		if i%4 == 3 {
+			buf -= 2000
 		} else {
-			buf += 1000
+			buf += 1500
 		}
 		f.OnDiag(report(at, buf, 1.6e5))
+		maxStreak = max(maxStreak, f.streak)
 	}
-	if f.congested {
-		t.Fatal("sawtooth should not trigger the strict detector")
+	if f.congested || f.Overuses() != 0 {
+		t.Fatal("a dip every fourth report should never let the streak reach K")
+	}
+	if maxStreak != 9 {
+		t.Fatalf("longest streak %d, want 9 (slack of 2 dips, reset by the third)", maxStreak)
+	}
+}
+
+// With K = 2 the slack is capped at K−1 = 1: one dip between two increases
+// is absorbed, a second one resets the streak.
+func TestFBCCSlackCappedBelowK(t *testing.T) {
+	for _, tc := range []struct {
+		bufs []int
+		fire bool
+	}{
+		{[]int{30000, 25000, 35000}, true},         // +, dip, +
+		{[]int{30000, 25000, 24000, 35000}, false}, // +, dip, dip, +
+	} {
+		cfg := DefaultFBCCConfig(150 * time.Millisecond)
+		cfg.K = 2
+		f, err := NewFBCC(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := time.Duration(0)
+		for i := 0; i < 50; i++ {
+			at += 40 * time.Millisecond
+			f.OnDiag(report(at, 20000, 1.6e5))
+		}
+		for _, b := range tc.bufs {
+			at += 40 * time.Millisecond
+			f.OnDiag(report(at, b, 1.6e5))
+		}
+		if got := f.Overuses() == 1; got != tc.fire {
+			t.Errorf("K=2, buffers %v: fired=%v, want %v", tc.bufs, got, tc.fire)
+		}
 	}
 }
 

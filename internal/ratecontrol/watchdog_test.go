@@ -35,7 +35,7 @@ func TestFaultWatchdogRecoversToGCCWithinTwoTimeouts(t *testing.T) {
 	rgcc := 5e6
 	mk := func(watchdogReports int) (*FBCC, time.Duration) {
 		cfg := DefaultFBCCConfig(150 * time.Millisecond)
-		cfg.HoldRTTs = 20 // 3 s hold: the stall happens mid-hold
+		cfg.Hold = 3 * time.Second // the stall happens mid-hold
 		cfg.WatchdogReports = watchdogReports
 		f, err := NewFBCC(cfg)
 		if err != nil {
@@ -170,15 +170,9 @@ func TestFBCCHoldBoundaryInstantConsistent(t *testing.T) {
 }
 
 // Satellite: flat (non-increasing) samples inside a growth run consume
-// slack exactly like dips do, and the slack budget resets after the
-// detector fires.
+// slack exactly like dips do.
 func TestFBCCFlatSamplesConsumeSlack(t *testing.T) {
-	cfg := DefaultFBCCConfig(150 * time.Millisecond)
-	cfg.Slack = 1
-	f, err := NewFBCC(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := defFBCC(t)
 	at := time.Duration(0)
 	feed := func(buf int) {
 		at += 40 * time.Millisecond
@@ -187,35 +181,34 @@ func TestFBCCFlatSamplesConsumeSlack(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		feed(1000)
 	}
-	// Growth with two flat samples: the second flat one exhausts slack and
-	// resets the streak, so the detector must NOT fire despite 14 reports
-	// of net growth.
+	// 12 reports with a flat sample every fourth: the first two are
+	// absorbed, the third exhausts the slack and resets the streak at 9,
+	// so the detector must NOT fire despite 9 reports of net growth.
 	buf := 1000
-	for i := 1; i <= 14; i++ {
-		if i == 5 || i == 9 {
-			// flat: repeat the previous level
-		} else {
+	for i := 1; i <= 12; i++ {
+		if i%4 != 0 { // i%4 == 0: flat, repeat the previous level
 			buf += 2000
 		}
 		feed(buf)
 	}
-	if f.congested {
-		t.Fatal("two flat samples with Slack=1 should have reset the streak")
+	if f.congested || f.streak != 0 {
+		t.Fatalf("three flat samples should have reset the streak: congested=%v streak=%d", f.congested, f.streak)
 	}
-	// A single flat sample inside a fresh run is absorbed by slack.
-	for i := 1; i <= 14; i++ {
-		if i != 5 {
+	// Two flat samples inside a fresh run are absorbed: the detector fires
+	// on the 10th increase, the run's 12th report, and not before.
+	for i := 1; i <= 12; i++ {
+		if i != 4 && i != 8 {
 			buf += 2000
 		}
 		feed(buf)
-	}
-	if f.Overuses() != 1 {
-		t.Fatalf("one flat sample with Slack=1 should not prevent detection: overuses=%d", f.Overuses())
+		if want := i / 12; f.Overuses() != want {
+			t.Fatalf("report %d of the fresh run: overuses=%d, want %d", i, f.Overuses(), want)
+		}
 	}
 }
 
 func TestFBCCSlackResetsAfterFiring(t *testing.T) {
-	f := defFBCC(t) // Slack = 2
+	f := defFBCC(t) // slack 2
 	at := time.Duration(0)
 	feed := func(buf int) {
 		at += 40 * time.Millisecond

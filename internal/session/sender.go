@@ -92,12 +92,9 @@ func newSender(cfg Config, res *Result) (*Sender, error) {
 		fcfg := ratecontrol.DefaultFBCCConfig(cfg.Path.NominalRTT())
 		if cfg.FBCCK > 0 {
 			fcfg.K = cfg.FBCCK
-			if fcfg.Slack >= fcfg.K {
-				fcfg.Slack = fcfg.K - 1
-			}
 		}
 		if cfg.FBCCHoldRTTs > 0 {
-			fcfg.HoldRTTs = cfg.FBCCHoldRTTs
+			fcfg.Hold = time.Duration(cfg.FBCCHoldRTTs * float64(cfg.Path.NominalRTT()))
 		}
 		switch {
 		case cfg.FBCCWatchdogReports > 0:
@@ -138,6 +135,14 @@ func (s *Sender) recycle(p *rtp.Packet) {
 	s.pktFree = append(s.pktFree, p)
 }
 
+// feedbackStaleAfter is the session-level feedback-staleness guard: a
+// reverse-path message older than this when it arrives is discarded (the
+// sender holds its last ROI belief, mismatch estimate and GCC rate)
+// instead of being integrated as if current. 500 ms is comfortably above
+// the worst natural reverse-path latency, below the disturbance delays
+// worth guarding against.
+const feedbackStaleAfter = 500 * time.Millisecond
+
 // OnFeedback is the reverse-path terminus: invoke it (on the scheduler
 // goroutine) with each feedback message arriving at the sender.
 func (s *Sender) OnFeedback(fb Feedback) {
@@ -156,7 +161,7 @@ func (s *Sender) OnFeedback(fb Feedback) {
 	// Integrating its M into the mode controller or adopting its ROI
 	// would steer on garbage — hold the last belief instead and wait
 	// for a fresh message (the degradation the fault scripts probe).
-	if s.cfg.FeedbackStaleAfter > 0 && now-fb.SentAt > s.cfg.FeedbackStaleAfter {
+	if now-fb.SentAt > feedbackStaleAfter {
 		s.res.StaleFeedback++
 		s.probe.Emit(now, obs.FeedbackStale, (now - fb.SentAt).Seconds(), 0, 0, 0)
 		return

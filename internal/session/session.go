@@ -127,15 +127,6 @@ type Config struct {
 	// faulted session is exactly as deterministic as an unfaulted one.
 	Faults faults.Script
 
-	// FeedbackStaleAfter is the session-level feedback-staleness guard: a
-	// reverse-path message older than this when it arrives is discarded
-	// (the sender holds its last ROI belief, mismatch estimate and GCC
-	// rate) instead of being integrated as if current. Zero means the
-	// default of 500 ms — comfortably above the worst natural reverse-path
-	// latency, below the disturbance delays worth guarding against; a
-	// negative value disables the guard.
-	FeedbackStaleAfter time.Duration
-
 	// Ablation knobs (zero values keep the paper's design).
 	FBCCK          int     // override Eq. 3 K
 	FBCCHoldRTTs   float64 // override the 2-RTT hold
@@ -188,12 +179,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.PipelineDelay < 0 {
 		c.PipelineDelay = 0 // explicit zero-delay pipeline
-	}
-	if c.FeedbackStaleAfter == 0 {
-		c.FeedbackStaleAfter = 500 * time.Millisecond
-	}
-	if c.FeedbackStaleAfter < 0 {
-		c.FeedbackStaleAfter = 0 // guard disabled
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return c, fmt.Errorf("session: %w", err)

@@ -327,11 +327,11 @@ func TestConfigKnobs(t *testing.T) {
 		"lte.Config":             "Profile BufferCapBytes CapacityFault DiagFault",
 		"lte.UEConfig":           "BufferCapBytes Seed Src DiagFault",
 		"network.Config":         "Cells UEs Duration Seed MeanDwell Workers Mix Obs Agg Sink",
-		"ratecontrol.FBCCConfig": "K Slack HoldRTTs RTT WatchdogReports",
+		"ratecontrol.FBCCConfig": "K Hold WatchdogReports",
 		"ratecontrol.GCCConfig":  "InitialRate IncrementalTrendline",
 		"realnet.ReceiverConfig": "SSRC Hold Deliver SendReport AppFeedback Probe",
 		"session.Config": "Duration Network Cell Path Video Scheme FixedC RC User UserModel Seed " +
-			"PipelineDelay StatsWarmup ROIPrediction Faults FeedbackStaleAfter FBCCK FBCCHoldRTTs " +
+			"PipelineDelay StatsWarmup ROIPrediction Faults FBCCK FBCCHoldRTTs " +
 			"DisableRTPLoop FBCCWatchdogReports Obs",
 		"session.MultiConfig": "Duration Cell Path Seed Faults Sessions Obs",
 		"video.Config":        "Grid FPS MaxScale Seed",

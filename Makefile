@@ -129,7 +129,8 @@ bench-check:
 
 ## escape-check: no new heap-escaping local and no lost inlining in the
 ## per-event packages (obs, lte, simclock, network, ratecontrol, rtp,
-## netsim, realnet, fifo, compress, seeds). One -gcflags=-m=2 build:
+## netsim, realnet, fifo, compress, seeds) and the per-frame media path
+## (session, video, projection, headmotion). One -gcflags=-m=2 build:
 ## its `moved to heap` diagnostics, keyed by file and variable, are diffed
 ## against scripts/escape_allow.txt, and every function listed in
 ## scripts/inline_must.txt must be reported `can inline`. A new escape or

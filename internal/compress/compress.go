@@ -48,6 +48,10 @@ type Controller interface {
 	// callers must not mutate it, and it stays valid indefinitely (frame
 	// metadata may carry it to the receiver).
 	Levels(roi projection.Tile) (Matrix, int)
+	// Family returns the matrix family Levels uses under label, and false
+	// for a label it never returns. A receiver holding only a frame's
+	// label and ROI rebuilds the frame's matrix through it.
+	Family(label int) (*ModeFamily, bool)
 	// ObserveMismatch feeds the latest window-averaged mismatch time M.
 	ObserveMismatch(m time.Duration)
 }
@@ -92,6 +96,14 @@ func (a *Adaptive) Levels(roi projection.Tile) (Matrix, int) {
 	return a.fams[a.mode-1].Matrix(roi), a.mode
 }
 
+// Family implements Controller: labels 1..8 are the modes.
+func (a *Adaptive) Family(label int) (*ModeFamily, bool) {
+	if label < 1 || label > len(a.fams) {
+		return nil, false
+	}
+	return a.fams[label-1], true
+}
+
 // ObserveMismatch implements Controller: selects the compression mode from
 // the measured mismatch time.
 func (a *Adaptive) ObserveMismatch(m time.Duration) {
@@ -105,13 +117,27 @@ func (a *Adaptive) ObserveMismatch(m time.Duration) {
 	a.mode = im
 }
 
-// Conduit is the aggressive benchmark [1 in the paper]: it crops the ROI
-// region — the ROI tile plus a CropRing-wide neighborhood — and streams
-// only that; to avoid blank regions the evaluation still sends non-ROI
-// tiles at the lowest possible quality (§6.1.1). Two levels only.
-type Conduit struct {
+// Static is a controller that never adapts (§6.1.1: the benchmarks are
+// "incapable of dynamically adapting the compression modes"): one matrix
+// family, chosen at construction, labelled 0, with M ignored. NewConduit,
+// NewPyramid and NewFixed build the three schemes it serves.
+type Static struct {
 	fam *ModeFamily
 }
+
+// Levels implements Controller. The returned matrix is a shared read-only
+// memoized view; callers must not mutate it.
+func (s *Static) Levels(roi projection.Tile) (Matrix, int) {
+	return s.fam.Matrix(roi), 0
+}
+
+// Family implements Controller: label 0 is the one family.
+func (s *Static) Family(label int) (*ModeFamily, bool) {
+	return s.fam, label == 0
+}
+
+// ObserveMismatch implements Controller; a static scheme never adapts.
+func (s *Static) ObserveMismatch(time.Duration) {}
 
 // ConduitCropRing is how many tile rings around the ROI tile the crop
 // keeps at full quality. 0 means the crop is exactly the reported ROI
@@ -126,68 +152,34 @@ const ConduitCropRing = 0
 // tiles: the spatial level cap, whose PSNR lands in the Bad band.
 const ConduitNonROILevel = LevelCap
 
-// NewConduit builds the Conduit benchmark controller.
-func NewConduit(g projection.Grid) *Conduit {
-	return &Conduit{fam: conduitFamily(g)}
-}
-
-// Levels implements Controller: the cropped ROI region at LMin, everything
-// else at the floor quality. The returned mask is a shared read-only view
-// from the memoized crop family; callers must not mutate it.
-func (c *Conduit) Levels(roi projection.Tile) (Matrix, int) {
-	return c.fam.Matrix(roi), 0
-}
-
-// ObserveMismatch implements Controller; Conduit never adapts (§6.1.1:
-// "incapable of dynamically adapting the compression modes").
-func (c *Conduit) ObserveMismatch(time.Duration) {}
-
-// Pyramid is the conservative benchmark [7 in the paper]: the frame is
-// centered at the ROI with quality decaying smoothly toward the corners —
-// a fixed Eq. 1 mode with a small C, never adapted.
-type Pyramid struct {
-	fam *ModeFamily
+// NewConduit builds the aggressive benchmark [1 in the paper]: it crops
+// the ROI region — the ROI tile plus a ConduitCropRing-wide neighborhood —
+// at LMin and streams only that; to avoid blank regions the evaluation
+// still sends non-ROI tiles at the lowest possible quality (§6.1.1). Two
+// levels only.
+func NewConduit(g projection.Grid) *Static {
+	return &Static{fam: conduitFamily(g)}
 }
 
 // PyramidC is the fixed smooth-decay constant of the Pyramid benchmark,
 // chosen at the conservative end of the mode family.
 const PyramidC = 1.2
 
-// NewPyramid builds the Pyramid benchmark controller.
-func NewPyramid(g projection.Grid) *Pyramid {
-	return &Pyramid{fam: FamilyFor(g, PyramidC)}
+// NewPyramid builds the conservative benchmark [7 in the paper]: the frame
+// is centered at the ROI with quality decaying smoothly toward the corners
+// — a fixed Eq. 1 mode with a small C, never adapted.
+func NewPyramid(g projection.Grid) *Static {
+	return &Static{fam: FamilyFor(g, PyramidC)}
 }
 
-// Levels implements Controller. The returned matrix is a shared read-only
-// memoized view; callers must not mutate it.
-func (p *Pyramid) Levels(roi projection.Tile) (Matrix, int) {
-	return p.fam.Matrix(roi), 0
-}
-
-// ObserveMismatch implements Controller; Pyramid never adapts.
-func (p *Pyramid) ObserveMismatch(time.Duration) {}
-
-// Fixed pins one Eq. 1 mode forever — the no-mode-switch ablation.
-type Fixed struct {
-	fam *ModeFamily
-}
-
-// NewFixed builds a non-adaptive controller using constant C.
-func NewFixed(g projection.Grid, c float64) *Fixed {
+// NewFixed pins one Eq. 1 mode of constant c forever — the no-mode-switch
+// ablation.
+func NewFixed(g projection.Grid, c float64) *Static {
 	if c <= 1 {
 		panic(fmt.Sprintf("compress: fixed C %g must exceed 1", c))
 	}
-	return &Fixed{fam: FamilyFor(g, c)}
+	return &Static{fam: FamilyFor(g, c)}
 }
-
-// Levels implements Controller. The returned matrix is a shared read-only
-// memoized view; callers must not mutate it.
-func (f *Fixed) Levels(roi projection.Tile) (Matrix, int) {
-	return f.fam.Matrix(roi), 0
-}
-
-// ObserveMismatch implements Controller.
-func (f *Fixed) ObserveMismatch(time.Duration) {}
 
 // MismatchEstimator measures the ROI mismatch time M at the client per
 // Eq. 2 and maintains the sliding-window average that is fed back to the

@@ -223,6 +223,41 @@ func TestBenchmarksDoNotAdapt(t *testing.T) {
 	}
 }
 
+// TestFamilyResolvesLevelsLabel checks that every label Levels returns
+// names, through Family, the very matrix Levels returned, and that labels
+// a controller never returns resolve to nothing.
+func TestFamilyResolvesLevelsLabel(t *testing.T) {
+	roi := projection.Tile{I: 7, J: 1}
+	a := NewAdaptive(g)
+	ctrls := []Controller{NewConduit(g), NewPyramid(g), NewFixed(g, 1.5), a}
+	for k := 1; k <= len(DefaultModeCs()); k++ {
+		m := NewAdaptive(g)
+		m.ObserveMismatch(time.Duration(k) * ModeQuantum)
+		ctrls = append(ctrls, m)
+	}
+	for i, ctrl := range ctrls {
+		m, label := ctrl.Levels(roi)
+		fam, ok := ctrl.Family(label)
+		if !ok || &fam.Matrix(roi)[0] != &m[0] {
+			t.Fatalf("controller %d: Family(%d) does not hold the matrix Levels returned", i, label)
+		}
+	}
+	for _, label := range []int{-1, 9, 77} {
+		if _, ok := a.Family(label); ok {
+			t.Fatalf("Adaptive answered label %d", label)
+		}
+		if _, ok := ctrls[0].Family(label); ok {
+			t.Fatalf("Conduit answered label %d", label)
+		}
+	}
+	if _, ok := a.Family(0); ok {
+		t.Fatal("Adaptive answered the static label 0")
+	}
+	if _, ok := ctrls[1].Family(1); ok {
+		t.Fatal("Pyramid answered an adaptive mode label")
+	}
+}
+
 func TestFixedBadCPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

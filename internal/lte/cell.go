@@ -751,7 +751,6 @@ func (u *UE) Enqueue(p Packet) bool {
 		u.probe.Emit(u.cell.clk.Now(), obs.LTEDrop, float64(p.Bytes), float64(*buf), 0, 0)
 		return false
 	}
-	p.Enq = u.cell.clk.Now()
 	u.queue.Push(p)
 	*buf += p.Bytes
 	u.cell.bufTotal += p.Bytes

@@ -152,7 +152,6 @@ func (c Config) Validate() error {
 type Packet struct {
 	ID      int64
 	Bytes   int
-	Enq     time.Duration
 	Payload any
 }
 

@@ -72,7 +72,7 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 			ucfg.Src = seeds.NewSource(int64(1000 + r))
 			var u *UE
 			u, err = cell.AddUE(ucfg, func(p Packet) {
-				logs[r] = append(logs[r], fmt.Sprintf("deliver r%d pkt %d enq %v at %v", r, p.ID, p.Enq, u.Now()))
+				logs[r] = append(logs[r], fmt.Sprintf("deliver r%d pkt %d at %v", r, p.ID, u.Now()))
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -111,34 +111,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// LazySummary memoizes Summarize for a sample slice that grows by append
-// and is then read repeatedly — the Result pattern: record during a run,
-// summarize many times while rendering tables. The cache is keyed by the
-// slice length, so appending more samples transparently recomputes on the
-// next read, while repeated reads of a settled slice return the cached
-// Summary with zero allocations and zero sorting.
-//
-// Mutating recorded samples in place (same length, different values) after
-// a read is NOT detected and yields the stale Summary; that usage is
-// unsupported. The zero value is ready to use.
-type LazySummary struct {
-	n     int // sample count the cached Summary was computed from
-	valid bool
-	sum   Summary
-}
-
-// Of returns Summarize(xs), cached: the copy+sort runs only when xs has
-// changed length since the previous call.
-func (l *LazySummary) Of(xs []float64) Summary {
-	if l.valid && l.n == len(xs) {
-		return l.sum
-	}
-	l.sum = Summarize(xs)
-	l.n = len(xs)
-	l.valid = true
-	return l.sum
-}
-
 // Percentile interpolates the p-quantile (p in [0,1]) of an ascending
 // sorted slice.
 func Percentile(sorted []float64, p float64) float64 {

@@ -78,16 +78,12 @@ import (
 	"poi360/internal/simclock"
 )
 
-// Core-path model of the city layer (the netsim.CellularPath figures,
-// inlined so endpoints stay allocation-lean): forward frames cross the
-// core after CoreBase plus folded-normal jitter; receiver rate feedback
-// returns after a fixed RevDelay (reverse jitter is second-order for the
-// rate loop and omitted — the session layer models it in full).
+// The city's core path is netsim.CellularPath, cut down: forward frames
+// cross the core after its CoreBase plus folded-normal jitter of
+// CoreJitterStd; receiver rate feedback returns after a fixed RevBase
+// (reverse jitter and both paths' spikes are second-order for the rate
+// loop and omitted — the session layer models them in full).
 const (
-	coreBase      = 35 * time.Millisecond
-	coreJitterStd = 10 * time.Millisecond
-	revDelay      = 80 * time.Millisecond
-
 	// capacityStride is how many subframes a city cell holds one draw of
 	// its fading/capacity process: the OU correlation time (≈200 ms for
 	// the campus profile) is far longer than 10 ms, so the coarser step

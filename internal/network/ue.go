@@ -7,6 +7,7 @@ import (
 	"poi360/internal/fifo"
 	"poi360/internal/lte"
 	"poi360/internal/metrics"
+	"poi360/internal/netsim"
 	"poi360/internal/obs"
 	"poi360/internal/ratecontrol"
 	"poi360/internal/rtp"
@@ -154,7 +155,7 @@ func (n *city) newUE(id int) (*ue, error) {
 		pathSrc: seeds.NewSource(0),
 		lteSrc:  seeds.NewSource(0),
 		// Initial capacities cover an uncongested sender (a frame's worth
-		// of packets in flight, one feedback epoch, the ⌈revDelay/frame⌉+1
+		// of packets in flight, one feedback epoch, the ⌈RevBase/frame⌉+1
 		// estimates in flight); a queue regrows only when its live backlog
 		// outgrows them, as pend does while a firmware buffer fills up.
 		appq: fifo.New[appPkt](32),
@@ -188,7 +189,7 @@ func (n *city) newUE(id int) (*ue, error) {
 		// One-way core + reverse feedback + a capture interval on each
 		// side approximates the control loop's RTT (sizes the Eq. 6 hold
 		// and the watchdog timeout base).
-		rtt := coreBase + revDelay + 2*frameInterval
+		rtt := netsim.CellularPath.CoreBase + netsim.CellularPath.RevBase + 2*frameInterval
 		f, err := ratecontrol.NewFBCC(ratecontrol.DefaultFBCCConfig(rtt))
 		if err != nil {
 			return nil, err
@@ -308,7 +309,7 @@ func (u *ue) tick(p *port) {
 	u.senderHalf(p, now)
 
 	r := u.gccRx.Update(now)
-	u.fbQ.Push(feedback{due: now + revDelay, rate: r})
+	u.fbQ.Push(feedback{due: now + netsim.CellularPath.RevBase, rate: r})
 }
 
 // senderHalf captures one frame at the controller's video rate and drains
@@ -404,7 +405,8 @@ func (p *port) deliver(pkt lte.Packet) {
 	if !ok {
 		return
 	}
-	arr := p.link.Now() + coreBase + time.Duration(math.Abs(p.src.NormFloat64())*float64(coreJitterStd))
+	core := &netsim.CellularPath
+	arr := p.link.Now() + core.CoreBase + time.Duration(math.Abs(p.src.NormFloat64())*float64(core.CoreJitterStd))
 	if arr < p.lastArr {
 		arr = p.lastArr
 	}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"poi360/internal/compress"
+	"poi360/internal/headmotion"
 	"poi360/internal/netsim"
 	"poi360/internal/projection"
 	"poi360/internal/ratecontrol"
@@ -298,11 +300,69 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 	}
 }
 
+// TestViewerRebuildsStaticSchemeFrames feeds a viewer of each static
+// scheme one frame off the wire, which carries the scheme's label 0 and
+// the sender's ROI but not the matrix, while the viewer looks three tiles
+// away. The level recorded at the gaze must be the scheme's own matrix
+// there, times the frame's scale, not an uncompressed 1·scale.
+func TestViewerRebuildsStaticSchemeFrames(t *testing.T) {
+	grid := video.DefaultConfig().Grid
+	senderROI := projection.Tile{I: 2, J: 4}
+	gaze := projection.Tile{I: 5, J: 4}
+	const scale = 2.0
+	for _, tc := range []struct {
+		scheme session.SchemeKind
+		ctrl   compress.Controller
+	}{
+		{session.SchemeConduit, compress.NewConduit(grid)},
+		{session.SchemePyramid, compress.NewPyramid(grid)},
+		{session.SchemeFixed, compress.NewFixed(grid, 1.5)},
+	} {
+		t.Run(tc.scheme.String(), func(t *testing.T) {
+			clk := simclock.New()
+			viewer, err := session.NewViewer(session.Config{
+				Duration: time.Second, StatsWarmup: -1, Scheme: tc.scheme, FixedC: 1.5,
+				UserModel: &headmotion.Scripted{Keys: []headmotion.Key{{Orientation: grid.Center(gaze)}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := viewer.Attach(clk); err != nil {
+				t.Fatal(err)
+			}
+			rx := realnet.NewReceiver(clk, realnet.ReceiverConfig{
+				Deliver: func(pkt *rtp.Packet, _ time.Duration) { viewer.OnPacket(pkt) },
+			})
+			m, label := tc.ctrl.Levels(senderROI)
+			clk.Schedule(50*time.Millisecond, func() {
+				f := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: scale, SenderROI: senderROI, Mode: label}
+				for i := 0; i < 2; i++ {
+					pkt := rtp.Packet{Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: 20 * time.Millisecond, Seq: int64(i)}
+					rx.HandleDatagram(pkt.AppendWire(nil, 9))
+				}
+			})
+			clk.Run(time.Second)
+
+			res := viewer.Result()
+			if len(res.ROILevels) != 1 {
+				t.Fatalf("%d frames displayed, want 1", len(res.ROILevels))
+			}
+			want := m[grid.Index(gaze)] * scale
+			if want == scale {
+				t.Fatalf("the %v matrix is flat at the gaze: the test shows nothing", tc.scheme)
+			}
+			if got := res.ROILevels[0].V; got != want {
+				t.Fatalf("level at the gaze %v, want the scheme's %v", got, want)
+			}
+		})
+	}
+}
+
 // TestViewerRejectsForgedPackets feeds a viewer, after one legal frame,
 // media datagrams whose metadata no sender produces: rtp.ParseWire accepts
-// any ROI byte pair and any non-negative scale. Mode labels outside the
-// Eq. 1 set stay legal — the two-level and pyramid schemes carry none —
-// and read as uncompressed. A frame whose sequence jumps far ahead never
+// any ROI byte pair and any non-negative scale. A label outside the
+// viewer's scheme stays legal and reads as uncompressed. A frame whose
+// sequence jumps far ahead never
 // reaches the viewer: the receiver discards its first datagram, and the
 // second alone (a resync) completes no frame.
 func TestViewerRejectsForgedPackets(t *testing.T) {

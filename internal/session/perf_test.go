@@ -7,9 +7,9 @@ import (
 	"poi360/internal/metrics"
 )
 
-// perfResult builds a Result with enough synthetic samples to make the
-// summary caches do real work.
-func perfResult() *Result {
+// summaryResult builds a Result with synthetic samples in every series
+// a summary reads.
+func summaryResult() *Result {
 	r := &Result{}
 	for i := 0; i < 2000; i++ {
 		d := time.Duration(100+((i*37)%500)) * time.Millisecond
@@ -19,96 +19,36 @@ func perfResult() *Result {
 	for i := 0; i < 60; i++ {
 		r.Throughput = append(r.Throughput, float64(1_000_000+i*10_000))
 	}
-	r.FramesLost = 17
 	return r
 }
 
-// TestPerfSummaryMemoized pins the Result summary cache contract: repeated
-// DelaySummary / PSNRSummary / ThroughputSummary / FreezeRatio calls on a
-// settled result return values identical to the first call and perform
-// zero allocations — report rendering may call them per table cell without
-// re-sorting anything. (Mutating recorded samples in place after a read is
-// documented as unsupported; appending is covered below.)
-func TestPerfSummaryMemoized(t *testing.T) {
-	r := perfResult()
-
-	// First reads compute and cache.
-	delay0 := r.DelaySummary()
-	psnr0 := r.PSNRSummary()
-	thr0 := r.ThroughputSummary()
-	fr0 := r.FreezeRatio()
-
-	for i := 0; i < 5; i++ {
-		if got := r.DelaySummary(); got != delay0 {
-			t.Fatalf("DelaySummary changed between reads: %+v vs %+v", got, delay0)
+// TestSummariesMatchSummarize pins each Result summary to metrics.Summarize
+// of its sample slice (delays in milliseconds), also after more samples
+// are appended to a result already read.
+func TestSummariesMatchSummarize(t *testing.T) {
+	r := summaryResult()
+	check := func(when string) {
+		t.Helper()
+		ms := make([]float64, len(r.FrameDelays))
+		for i, d := range r.FrameDelays {
+			ms[i] = float64(d) / float64(time.Millisecond)
 		}
-		if got := r.PSNRSummary(); got != psnr0 {
-			t.Fatalf("PSNRSummary changed between reads: %+v vs %+v", got, psnr0)
+		if got, want := r.DelaySummary(), metrics.Summarize(ms); got != want {
+			t.Fatalf("%s: DelaySummary %+v, want %+v", when, got, want)
 		}
-		if got := r.ThroughputSummary(); got != thr0 {
-			t.Fatalf("ThroughputSummary changed between reads: %+v vs %+v", got, thr0)
+		if got, want := r.PSNRSummary(), metrics.Summarize(r.ROIPSNRs); got != want {
+			t.Fatalf("%s: PSNRSummary %+v, want %+v", when, got, want)
 		}
-		if got := r.FreezeRatio(); got != fr0 {
-			t.Fatalf("FreezeRatio changed between reads: %v vs %v", got, fr0)
+		if got, want := r.ThroughputSummary(), metrics.Summarize(r.Throughput); got != want {
+			t.Fatalf("%s: ThroughputSummary %+v, want %+v", when, got, want)
 		}
 	}
-
-	var sink metrics.Summary
-	var sinkF float64
-	if allocs := testing.AllocsPerRun(100, func() {
-		sink = r.DelaySummary()
-		sink = r.PSNRSummary()
-		sink = r.ThroughputSummary()
-		sinkF = r.FreezeRatio()
-	}); allocs != 0 {
-		t.Fatalf("repeated summary reads: %.1f allocs/op, want 0", allocs)
-	}
-	_, _ = sink, sinkF
-
-	// Sanity: the memoized values match a direct Summarize.
-	if want := metrics.Summarize(r.ROIPSNRs); psnr0 != want {
-		t.Fatalf("memoized PSNRSummary %+v != direct %+v", psnr0, want)
-	}
-}
-
-// TestPerfSummaryInvalidatesOnAppend verifies the cache is keyed by sample
-// count: delivering more frames after a read transparently recomputes.
-func TestPerfSummaryInvalidatesOnAppend(t *testing.T) {
-	r := perfResult()
-	before := r.DelaySummary()
+	check("settled")
 	r.FrameDelays = append(r.FrameDelays, 5*time.Second)
-	after := r.DelaySummary()
-	if after == before {
-		t.Fatalf("DelaySummary did not recompute after append")
-	}
-	if after.N != before.N+1 {
-		t.Fatalf("recomputed N = %d, want %d", after.N, before.N+1)
-	}
-	if after.Max != 5000 {
-		t.Fatalf("recomputed Max = %v ms, want 5000", after.Max)
-	}
-
-	r2 := perfResult()
-	beforeP := r2.PSNRSummary()
-	r2.ROIPSNRs = append(r2.ROIPSNRs, 55)
-	if got := r2.PSNRSummary(); got.N != beforeP.N+1 || got.Max != 55 {
-		t.Fatalf("PSNRSummary did not recompute after append: %+v", got)
-	}
-}
-
-// TestPerfLazySummaryZeroValue checks the metrics.LazySummary zero value
-// against empty and growing inputs.
-func TestPerfLazySummaryZeroValue(t *testing.T) {
-	var l metrics.LazySummary
-	if got := l.Of(nil); got != (metrics.Summary{}) {
-		t.Fatalf("empty summary = %+v, want zero", got)
-	}
-	xs := []float64{3, 1, 2}
-	s := l.Of(xs)
-	if s.N != 3 || s.Min != 1 || s.Max != 3 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if again := l.Of(xs); again != s {
-		t.Fatalf("cached read differs: %+v vs %+v", again, s)
+	r.ROIPSNRs = append(r.ROIPSNRs, 55)
+	r.Throughput = append(r.Throughput, 9e6)
+	check("after append")
+	if d := r.DelaySummary(); d.N != 2001 || d.Max != 5000 {
+		t.Fatalf("DelaySummary after append: N %d, Max %v ms; want 2001, 5000", d.N, d.Max)
 	}
 }

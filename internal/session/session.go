@@ -248,19 +248,6 @@ type Result struct {
 	// DiagStalled counts modem diagnostic reports suppressed by the fault
 	// script (cellular only).
 	DiagStalled int64
-
-	// Memoized derived statistics (DESIGN.md §13): report rendering calls
-	// DelaySummary/PSNRSummary/ThroughputSummary many times per result,
-	// and each used to copy and sort the full sample slice. The caches
-	// invalidate by sample-slice length, so results still being recorded
-	// stay correct; mutating recorded samples in place after a summary
-	// read is unsupported (the stale cached value is returned). All cache
-	// fields are zero-valued on fresh results, keeping reflect.DeepEqual
-	// comparisons of two untouched runs meaningful.
-	delaySummary metrics.LazySummary
-	psnrSummary  metrics.LazySummary
-	thrptSummary metrics.LazySummary
-	delayMs      []float64 // FrameDelays converted to ms, for delaySummary
 }
 
 // FreezeRatio returns the fraction of frames frozen per the paper's
@@ -279,26 +266,19 @@ func (r *Result) FreezeRatio() float64 {
 	return float64(n) / float64(total)
 }
 
-// PSNRSummary summarizes the per-frame ROI PSNR. The summary is memoized:
-// repeated calls on a settled result are allocation-free.
-func (r *Result) PSNRSummary() metrics.Summary { return r.psnrSummary.Of(r.ROIPSNRs) }
+// PSNRSummary summarizes the per-frame ROI PSNR.
+func (r *Result) PSNRSummary() metrics.Summary { return metrics.Summarize(r.ROIPSNRs) }
 
 // MOSPDF returns the MOS band distribution of delivered frames.
 func (r *Result) MOSPDF() [5]float64 { return metrics.MOSPDF(r.ROIPSNRs) }
 
-// DelaySummary summarizes per-frame delays in milliseconds. Both the
-// millisecond conversion and the sorted summary are memoized (invalidated
-// when more frames are delivered), so repeated calls on a settled result
-// are allocation-free.
+// DelaySummary summarizes per-frame delays in milliseconds.
 func (r *Result) DelaySummary() metrics.Summary {
-	if len(r.delayMs) != len(r.FrameDelays) {
-		ms := r.delayMs[:0]
-		for _, d := range r.FrameDelays {
-			ms = append(ms, float64(d)/float64(time.Millisecond))
-		}
-		r.delayMs = ms
+	ms := make([]float64, len(r.FrameDelays))
+	for i, d := range r.FrameDelays {
+		ms[i] = float64(d) / float64(time.Millisecond)
 	}
-	return r.delaySummary.Of(r.delayMs)
+	return metrics.Summarize(ms)
 }
 
 // LevelStability returns the Fig. 12 metric: per-frame std of the displayed
@@ -307,9 +287,8 @@ func (r *Result) LevelStability() []float64 {
 	return metrics.WindowStd(r.ROILevels, 2*time.Second)
 }
 
-// ThroughputSummary summarizes the per-second received throughput
-// (memoized like DelaySummary).
-func (r *Result) ThroughputSummary() metrics.Summary { return r.thrptSummary.Of(r.Throughput) }
+// ThroughputSummary summarizes the per-second received throughput.
+func (r *Result) ThroughputSummary() metrics.Summary { return metrics.Summarize(r.Throughput) }
 
 // obsEventsPerSecond is the event-stream capacity hint per simulated
 // second used when a sender reserves bus storage at Attach: roughly one

@@ -34,9 +34,11 @@ type Viewer struct {
 	mismatch *compress.MismatchEstimator
 	gccRx    *ratecontrol.GCCReceiver
 	lastM    time.Duration
-	// cs is the Eq. 1 mode set and flat the all-ones level map, for frames
-	// that arrive without their matrix (see OnPacket).
-	cs, flat []float64
+	// scheme is the sender's compression scheme and flat the all-ones
+	// level map, for frames that arrive without their matrix (see
+	// OnPacket). The viewer only resolves labels through scheme.
+	scheme compress.Controller
+	flat   []float64
 
 	reasm      *rtp.Reassembler
 	lostSeen   int64 // reasm.Lost() already accounted for
@@ -62,16 +64,19 @@ func NewViewer(cfg Config) (*Viewer, error) {
 // newViewer builds the viewer on an already resolved cfg, recording into
 // res (a Session shares one Result between its two halves).
 func newViewer(cfg Config, res *Result) (*Viewer, error) {
-	v := &Viewer{cfg: cfg, res: res, probe: cfg.Obs, cs: compress.DefaultModeCs(), flat: make([]float64, cfg.Video.Grid.Tiles())}
+	v := &Viewer{cfg: cfg, res: res, probe: cfg.Obs, flat: make([]float64, cfg.Video.Grid.Tiles())}
 	for i := range v.flat {
 		v.flat[i] = 1
+	}
+	var err error
+	if v.scheme, err = makeController(cfg, cfg.Video.Grid); err != nil {
+		return nil, err
 	}
 	v.user = cfg.UserModel
 	if v.user == nil {
 		v.user = headmotion.NewStochastic(cfg.User, DeriveStream(cfg.Seed, "headmotion"))
 	}
 	v.mismatch = compress.NewMismatchEstimator(cfg.Video.Grid, mismatchWindow)
-	var err error
 	v.gccRx, err = ratecontrol.NewGCCReceiver(ratecontrol.DefaultGCCConfig())
 	if err != nil {
 		return nil, err
@@ -117,12 +122,11 @@ func (v *Viewer) OnPacket(pkt *rtp.Packet) {
 		return
 	}
 	if f.Spatial == nil {
-		// Rebuilt from the wire (rtp.WireHeader.Materialize): the Eq. 1
-		// matrix is a pure function of (grid, mode C, ROI), so it never
-		// travels. A mode label outside the set — the two-level and
-		// pyramid schemes carry none — reads as uncompressed.
-		if f.Mode >= 1 && f.Mode <= len(v.cs) {
-			f.Spatial = compress.SharedModeMatrix(g, f.SenderROI, v.cs[f.Mode-1])
+		// Rebuilt from the wire (rtp.WireHeader.Materialize): the matrix
+		// is a pure function of (scheme, label, ROI), so it never travels.
+		// A label outside the scheme reads as uncompressed.
+		if fam, ok := v.scheme.Family(f.Mode); ok {
+			f.Spatial = fam.Matrix(f.SenderROI)
 		} else {
 			f.Spatial = v.flat
 		}
@@ -213,14 +217,8 @@ func (v *Viewer) Result() *Result {
 		v.probe.SetGauge("frames_delivered", float64(res.FramesDelivered))
 		v.probe.SetGauge("frames_lost", float64(res.FramesLost))
 		v.probe.SetGauge("freeze_ratio", res.FreezeRatio())
-		// Summarize directly (not via the memoized PSNRSummary /
-		// ThroughputSummary): the gauge path runs only on traced sessions,
-		// and warming the caches here would make a traced Result's
-		// unexported cache fields differ from an untraced one's — breaking
-		// the obs acceptance contract that observability leaves the Result
-		// deeply identical.
-		v.probe.SetGauge("psnr_mean_db", metrics.Summarize(res.ROIPSNRs).Mean)
-		v.probe.SetGauge("throughput_mean_bps", metrics.Summarize(res.Throughput).Mean)
+		v.probe.SetGauge("psnr_mean_db", res.PSNRSummary().Mean)
+		v.probe.SetGauge("throughput_mean_bps", res.ThroughputSummary().Mean)
 	}
 	return res
 }

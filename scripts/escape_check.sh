@@ -30,7 +30,8 @@ allow=scripts/escape_allow.txt
 must=scripts/inline_must.txt
 pkgs="./internal/obs ./internal/lte ./internal/simclock ./internal/network
 ./internal/ratecontrol ./internal/rtp ./internal/netsim ./internal/realnet
-./internal/fifo ./internal/compress ./internal/seeds"
+./internal/fifo ./internal/compress ./internal/seeds ./internal/session
+./internal/video ./internal/projection ./internal/headmotion"
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

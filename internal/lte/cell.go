@@ -269,7 +269,7 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 	if c.capStride < 1 {
 		c.capStride = 1
 	}
-	c.cap.init(cfg.Profile)
+	c.cap.init(cfg.Profile, time.Duration(c.capStride)*Subframe)
 	c.cap.fault = cfg.CapacityFault
 	c.cap.recompute() // apply any scripted factor active at t=0
 	return c, nil
@@ -538,7 +538,7 @@ func occupancy(b int) float64 {
 
 // stepCapacity draws the capacity the next capStride subframes hold.
 func (c *Cell) stepCapacity() {
-	c.cap.step(c.rng, time.Duration(c.capStride)*Subframe)
+	c.cap.step(c.rng)
 	c.capCountdown = c.capStride
 }
 

@@ -227,13 +227,9 @@ type capacityProcess struct {
 	speedMph float64
 	now      time.Duration
 
-	// sigma is the load diffusion coefficient, fixed by the profile.
-	sigma float64
-	// Per-dt hoisted terms, valid while dt == lastDt (the subframe loop
-	// always steps by 1 ms, so these are computed once per cell). Each is
-	// the exact product the step formulas used inline, so trajectories are
-	// bit-identical.
-	lastDt        time.Duration
+	// dt is the fixed step, the cell's capacity stride. The terms below
+	// depend only on it and the profile, so init computes them once.
+	dt            time.Duration
 	sec           float64 // dt.Seconds()
 	diffC         float64 // sigma * sqrt(sec)
 	burstRateSec  float64 // (0.02 + 0.25*loadTarget) * sec
@@ -245,14 +241,20 @@ type capacityProcess struct {
 	fault func(now time.Duration) float64
 }
 
-func (cp *capacityProcess) init(p CellProfile) {
+// init sets the process up for profile p, stepped every dt.
+func (cp *capacityProcess) init(p CellProfile, dt time.Duration) {
 	cp.base = BaseCapacity(p.RSSdBm)
 	cp.loadTarget = p.BackgroundLoad
 	cp.loadState = p.BackgroundLoad
 	cp.speedMph = p.SpeedMph
 	cp.fadeFactor = 1
-	cp.sigma = 0.25 * math.Sqrt(math.Max(cp.loadTarget, 0.02))
-	cp.lastDt = -1
+	cp.dt = dt
+	cp.sec = dt.Seconds()
+	sigma := 0.25 * math.Sqrt(math.Max(cp.loadTarget, 0.02)) // load diffusion coefficient
+	cp.diffC = sigma * math.Sqrt(cp.sec)
+	cp.burstRateSec = (0.02 + 0.25*cp.loadTarget) * cp.sec
+	cp.fadeRateSec = (0.06 * cp.speedMph / 15) * cp.sec
+	cp.outageRateSec = (0.004 * cp.speedMph / 30) * cp.sec
 	cp.recompute()
 }
 
@@ -284,19 +286,9 @@ func (cp *capacityProcess) recompute() {
 	cp.current = c
 }
 
-func (cp *capacityProcess) step(rng *seeds.SplitMix, dt time.Duration) {
-	cp.now += dt
-	if dt != cp.lastDt {
-		// Hoist the dt-dependent coefficients; the groupings match the
-		// inline expressions they replace, keeping trajectories
-		// bit-identical.
-		cp.lastDt = dt
-		cp.sec = dt.Seconds()
-		cp.diffC = cp.sigma * math.Sqrt(cp.sec)
-		cp.burstRateSec = (0.02 + 0.25*cp.loadTarget) * cp.sec
-		cp.fadeRateSec = (0.06 * cp.speedMph / 15) * cp.sec
-		cp.outageRateSec = (0.004 * cp.speedMph / 30) * cp.sec
-	}
+// step advances the process by its fixed step.
+func (cp *capacityProcess) step(rng *seeds.SplitMix) {
+	cp.now += cp.dt
 	sec := cp.sec
 
 	// Background load mean-reverts with diffusion proportional to load.

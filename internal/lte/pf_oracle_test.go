@@ -55,7 +55,7 @@ type pfDelivery struct {
 
 func newPFOracle(cfg CellConfig, ueSeeds []int64) *pfOracle {
 	o := &pfOracle{rng: seeds.NewSource(cfg.Profile.Seed), stride: max(cfg.CapacityStride, 1)}
-	o.cap.init(cfg.Profile)
+	o.cap.init(cfg.Profile, time.Duration(o.stride)*Subframe)
 	o.cap.fault = cfg.CapacityFault
 	o.cap.recompute()
 	for _, s := range ueSeeds {
@@ -81,7 +81,7 @@ func (o *pfOracle) detach(i int) {
 // every attached row's EWMA.
 func (o *pfOracle) subframe(sf int64) {
 	if o.countdown == 0 {
-		o.cap.step(o.rng, time.Duration(o.stride)*Subframe)
+		o.cap.step(o.rng)
 		o.countdown = o.stride
 	}
 	o.countdown--

@@ -32,11 +32,12 @@ type jbEntry struct {
 
 // JitterBuffer reorders parsed media packets by transport sequence. It is
 // scheduler-driven — deterministic on the simulated clock, live on Wall —
-// and must only be touched from the scheduler goroutine.
+// and must only be touched from the scheduler goroutine. The header
+// deliver receives is valid only during the call.
 type JitterBuffer struct {
 	clk     simclock.Scheduler
 	hold    time.Duration
-	deliver func(h rtp.WireHeader, arrived time.Duration)
+	deliver func(h *rtp.WireHeader, arrived time.Duration)
 	code    simclock.Code
 
 	started bool
@@ -46,6 +47,7 @@ type JitterBuffer struct {
 	// for duplicate detection while a sequence sits in the buffer.
 	heap     []jbEntry
 	buffered map[int64]struct{}
+	out      jbEntry // the held entry being delivered, off the heap
 
 	late    int64 // arrived below next: duplicate or hopeless straggler
 	dups    int64 // duplicate of a sequence still buffered
@@ -62,7 +64,7 @@ func (jb *JitterBuffer) SetProbe(p *obs.Probe) { jb.probe = p }
 // NewJitterBuffer creates a buffer delivering released packets, in
 // sequence order, to deliver on the scheduler goroutine. hold <= 0 uses
 // DefaultHold.
-func NewJitterBuffer(clk simclock.Scheduler, hold time.Duration, deliver func(rtp.WireHeader, time.Duration)) *JitterBuffer {
+func NewJitterBuffer(clk simclock.Scheduler, hold time.Duration, deliver func(*rtp.WireHeader, time.Duration)) *JitterBuffer {
 	if hold <= 0 {
 		hold = DefaultHold
 	}
@@ -73,7 +75,8 @@ func NewJitterBuffer(clk simclock.Scheduler, hold time.Duration, deliver func(rt
 
 // Push ingests one parsed packet and reports whether the buffer accepted
 // it: false for a late arrival or a duplicate, which is dropped and counted.
-func (jb *JitterBuffer) Push(h rtp.WireHeader) bool {
+// *h is read during the call only.
+func (jb *JitterBuffer) Push(h *rtp.WireHeader) bool {
 	if jb.started && h.Seq < jb.next {
 		jb.late++
 		jb.probe.Emit(jb.clk.Now(), obs.NetJitter, 1, 0, 0, 0)
@@ -101,7 +104,7 @@ func (jb *JitterBuffer) Push(h rtp.WireHeader) bool {
 		jb.next = h.Seq
 	}
 	now := jb.clk.Now()
-	jb.push(jbEntry{h: h, arrived: now, due: now + jb.hold})
+	jb.push(jbEntry{h: *h, arrived: now, due: now + jb.hold})
 	jb.buffered[h.Seq] = struct{}{}
 	if len(jb.heap) > jb.depth {
 		jb.depth = len(jb.heap)
@@ -120,7 +123,7 @@ func (jb *JitterBuffer) Push(h rtp.WireHeader) bool {
 func (jb *JitterBuffer) drain() {
 	now := jb.clk.Now()
 	for len(jb.heap) > 0 {
-		head := jb.heap[0]
+		head := &jb.heap[0]
 		if head.h.Seq != jb.next && head.due > now {
 			return // out of order and still inside its hold
 		}
@@ -129,9 +132,10 @@ func (jb *JitterBuffer) drain() {
 			jb.probe.Emit(now, obs.NetJitter, 0, 0, float64(head.h.Seq-jb.next), 0)
 		}
 		jb.next = head.h.Seq + 1
-		jb.pop()
 		delete(jb.buffered, head.h.Seq)
-		jb.deliver(head.h, head.arrived)
+		jb.out = *head
+		jb.pop()
+		jb.deliver(&jb.out.h, jb.out.arrived)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 type refJitter struct {
 	clk     *simclock.Clock
 	hold    time.Duration
-	deliver func(rtp.WireHeader, time.Duration)
+	deliver func(*rtp.WireHeader, time.Duration)
 	code    simclock.Code
 	probe   *obs.Probe
 
@@ -32,13 +32,13 @@ type refJitter struct {
 	depth               int
 }
 
-func newRefJitter(clk *simclock.Clock, hold time.Duration, deliver func(rtp.WireHeader, time.Duration)) *refJitter {
+func newRefJitter(clk *simclock.Clock, hold time.Duration, deliver func(*rtp.WireHeader, time.Duration)) *refJitter {
 	r := &refJitter{clk: clk, hold: hold, deliver: deliver}
 	r.code = clk.NewCode(func(any) { r.drain() })
 	return r
 }
 
-func (r *refJitter) Push(h rtp.WireHeader) bool {
+func (r *refJitter) Push(h *rtp.WireHeader) bool {
 	now := r.clk.Now()
 	if r.started && h.Seq < r.next {
 		r.late++
@@ -57,7 +57,7 @@ func (r *refJitter) Push(h rtp.WireHeader) bool {
 	}
 	r.held = append(r.held, jbEntry{})
 	copy(r.held[i+1:], r.held[i:])
-	r.held[i] = jbEntry{h: h, arrived: now, due: now + r.hold}
+	r.held[i] = jbEntry{h: *h, arrived: now, due: now + r.hold}
 	r.depth = max(r.depth, len(r.held))
 	r.drain()
 	if len(r.held) > 0 {
@@ -79,7 +79,7 @@ func (r *refJitter) drain() {
 		}
 		r.next = head.h.Seq + 1
 		r.held = r.held[1:]
-		r.deliver(head.h, head.arrived)
+		r.deliver(&head.h, head.arrived)
 	}
 }
 
@@ -101,13 +101,13 @@ type jbSide struct {
 	bus      *obs.Bus
 	out      []release
 	accepted []bool
-	push     func(rtp.WireHeader) bool
+	push     func(*rtp.WireHeader) bool
 	state    func() [5]int64 // buffered, late, dups, skipped, max depth
 }
 
 func newJBSide(hold time.Duration, reference bool) *jbSide {
 	s := &jbSide{clk: simclock.New(), bus: obs.NewBus()}
-	deliver := func(h rtp.WireHeader, arrived time.Duration) {
+	deliver := func(h *rtp.WireHeader, arrived time.Duration) {
 		s.out = append(s.out, release{h.Seq, arrived, s.clk.Now()})
 	}
 	if reference {

@@ -9,8 +9,8 @@ import (
 )
 
 // hdr builds a minimal wire header with the given transport sequence.
-func hdr(seq int64) rtp.WireHeader {
-	return rtp.WireHeader{Seq: seq, Count: 1, Marker: true}
+func hdr(seq int64) *rtp.WireHeader {
+	return &rtp.WireHeader{Seq: seq, Count: 1, Marker: true}
 }
 
 type jbHarness struct {
@@ -23,7 +23,7 @@ type jbHarness struct {
 func newJBHarness(t *testing.T, hold time.Duration) *jbHarness {
 	t.Helper()
 	h := &jbHarness{clk: simclock.New()}
-	h.jb = NewJitterBuffer(h.clk, hold, func(w rtp.WireHeader, arrived time.Duration) {
+	h.jb = NewJitterBuffer(h.clk, hold, func(w *rtp.WireHeader, arrived time.Duration) {
 		h.seqs = append(h.seqs, w.Seq)
 		h.gaps = append(h.gaps, h.clk.Now()-arrived)
 	})

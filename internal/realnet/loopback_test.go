@@ -29,7 +29,6 @@ func TestLoopbackEndToEnd(t *testing.T) {
 	var completed int64
 	reasm := rtp.NewReassembler(rxWall, func(rtp.CompletedFrame) { completed++ })
 	rx := NewReceiver(rxWall, ReceiverConfig{
-		SSRC:       ssrc,
 		Hold:       10 * time.Millisecond,
 		Deliver:    func(pkt *rtp.Packet, _ time.Duration) { reasm.OnPacket(*pkt) },
 		SendReport: rxLink.Write,

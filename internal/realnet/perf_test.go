@@ -11,9 +11,9 @@ import (
 )
 
 // inOrderFeed is a started Receiver plus one full-MTU datagram of its
-// (already cached) frame whose transport sequence next() advances in place,
-// so every HandleDatagram is the steady-state packet: in order, nothing
-// held, no per-frame work.
+// current frame whose transport sequence next() advances in place, so
+// every HandleDatagram is the steady-state packet: in order, nothing held,
+// no per-frame work.
 type inOrderFeed struct {
 	rx        *Receiver
 	wire      []byte
@@ -29,7 +29,7 @@ func newInOrderFeed() *inOrderFeed {
 	pkt := mediaPacket(0, 0)
 	pkt.Count = 2 // never the frame's last packet: the marker stays clear
 	f.wire = pkt.AppendWire(nil, 1)
-	f.rx.HandleDatagram(f.wire) // locks the stream and caches the frame
+	f.rx.HandleDatagram(f.wire) // locks the stream and builds the frame record
 	return f
 }
 
@@ -51,7 +51,7 @@ func TestPerfLivePacketPath(t *testing.T) {
 
 	feed := newInOrderFeed()
 	if n := testing.AllocsPerRun(200, feed.next); n != 0 {
-		t.Errorf("in-order HandleDatagram of a cached frame: %v allocs/op, want 0", n)
+		t.Errorf("in-order HandleDatagram of the current frame: %v allocs/op, want 0", n)
 	}
 	if st := feed.rx.Stats(); st.Packets != 202 || st.Late+st.Duplicates+st.ParseErrors != 0 || feed.delivered != 202*rtp.MTU {
 		t.Fatalf("feed skewed: %+v, %d payload bytes delivered", st, feed.delivered)

@@ -15,7 +15,7 @@ import (
 func TestJitterProbeEmitsPathologies(t *testing.T) {
 	clk := simclock.New()
 	bus := obs.NewBus()
-	jb := NewJitterBuffer(clk, 30*time.Millisecond, func(rtp.WireHeader, time.Duration) {})
+	jb := NewJitterBuffer(clk, 30*time.Millisecond, func(*rtp.WireHeader, time.Duration) {})
 	jb.SetProbe(bus.Probe(0))
 
 	push := func(d time.Duration, seq int64) {

@@ -1,8 +1,8 @@
 // The receiver half of the live backend: SSRC validation, the jitter
 // buffer, per-frame metadata reconstruction, and the periodic reverse
 // report. Released packets come out in transport-sequence order carrying a
-// shared *video.EncodedFrame per frame — the same delivery contract the
-// simulated forward path gives session.Viewer.OnPacket.
+// shared *video.EncodedFrame per run of one frame's packets — the same
+// delivery contract the simulated forward path gives session.Viewer.OnPacket.
 
 package realnet
 
@@ -28,23 +28,17 @@ const DefaultReportEvery = 40 * time.Millisecond
 // past every genuine packet behind it.
 const maxDropout = 3000
 
-// frameCacheMax bounds the frame-metadata cache; when exceeded, frames
-// more than frameCachePrune behind the newest are dropped.
-const (
-	frameCacheMax   = 96
-	frameCachePrune = 48
-)
-
 // ReceiverConfig configures a live Receiver.
 type ReceiverConfig struct {
-	// SSRC locks the stream; 0 adopts the first packet's SSRC.
-	SSRC uint32
 	// Hold is the jitter-buffer hold (0 = DefaultHold).
 	Hold time.Duration
 	// Deliver receives each released packet in sequence order, with its
-	// receipt instant (receiver clock). Packets of one frame share one
-	// *video.EncodedFrame, so per-frame state (a reconstructed Spatial
-	// matrix, say) can hang off the frame. The *rtp.Packet is receiver-
+	// receipt instant (receiver clock). Consecutive packets of one frame
+	// share one *video.EncodedFrame, so per-frame state (a reconstructed
+	// Spatial matrix, a capture instant moved onto the local clock) can
+	// hang off the frame; a packet of another frame gets a fresh record
+	// rebuilt from its header. rtp.Pacer sends a frame's packets back to
+	// back, so each frame gets one record. The *rtp.Packet is receiver-
 	// owned storage reused across calls: it is only valid within the call,
 	// so copy it (*pkt) to keep it. Required.
 	Deliver func(pkt *rtp.Packet, arrived time.Duration)
@@ -59,8 +53,10 @@ type ReceiverConfig struct {
 	Probe *obs.Probe
 }
 
-// Receiver is the live receive pipeline. All methods must run on the
-// scheduler goroutine (Link.Pump delivers datagrams there).
+// Receiver is the live receive pipeline. It locks to the SSRC of the first
+// datagram it parses, and keeps one frame record: the frame of the last
+// released packet. All methods must run on the scheduler goroutine
+// (Link.Pump delivers datagrams there).
 type Receiver struct {
 	clk simclock.Scheduler
 	cfg ReceiverConfig
@@ -80,8 +76,9 @@ type Receiver struct {
 	recvPkts   uint64
 	highestSeq int64
 
-	frames map[int]*video.EncodedFrame
-	pkt    rtp.Packet // the delivered packet view, rebuilt per release
+	hdr   rtp.WireHeader      // the datagram being handled, parsed in place
+	frame *video.EncodedFrame // the last released packet's frame record
+	pkt   rtp.Packet          // the delivered packet view, rebuilt per release
 
 	reportSeq  uint32
 	reportErrs int64
@@ -97,11 +94,8 @@ func NewReceiver(clk simclock.Scheduler, cfg ReceiverConfig) *Receiver {
 	r := &Receiver{
 		clk:        clk,
 		cfg:        cfg,
-		ssrc:       cfg.SSRC,
-		ssrcLocked: cfg.SSRC != 0,
 		highestSeq: -1,
 		badSeq:     -1,
-		frames:     map[int]*video.EncodedFrame{},
 		scratch:    make([]byte, 0, ReportLen),
 	}
 	r.jb = NewJitterBuffer(clk, cfg.Hold, r.release)
@@ -115,8 +109,8 @@ func NewReceiver(clk simclock.Scheduler, cfg ReceiverConfig) *Receiver {
 // HandleDatagram ingests one media datagram (scheduler goroutine; wire it
 // as the receiver Pump's handler).
 func (r *Receiver) HandleDatagram(b []byte) {
-	h, err := rtp.ParseWire(b)
-	if err != nil {
+	h := &r.hdr
+	if err := h.Unmarshal(b); err != nil {
 		r.parseErrs++
 		return
 	}
@@ -143,29 +137,14 @@ func (r *Receiver) HandleDatagram(b []byte) {
 }
 
 // release is the jitter buffer's delivery point: rebuild the packet view
-// around the frame's shared metadata and hand it to the consumer.
-func (r *Receiver) release(h rtp.WireHeader, arrived time.Duration) {
-	f, ok := r.frames[h.FrameSeq]
-	if !ok {
-		f = new(video.EncodedFrame)
-		h.Materialize(f)
-		r.frames[h.FrameSeq] = f
-		if len(r.frames) > frameCacheMax {
-			for seq := range r.frames {
-				if seq < h.FrameSeq-frameCachePrune {
-					delete(r.frames, seq)
-				}
-			}
-		}
-	}
-	r.pkt = rtp.Packet{
-		FrameSeq: h.FrameSeq,
-		Index:    h.Index,
-		Count:    h.Count,
-		Bytes:    h.Bytes,
-		Frame:    f,
-		SentAt:   h.SentAt,
-		Seq:      h.Seq,
+// around the current frame record, or a fresh one when h starts another
+// frame, and hand it to the consumer.
+func (r *Receiver) release(h *rtp.WireHeader, arrived time.Duration) {
+	if r.frame == nil || r.frame.Seq != h.FrameSeq {
+		r.frame = new(video.EncodedFrame)
+		r.pkt = h.Materialize(r.frame)
+	} else {
+		r.pkt = h.Packet(r.frame)
 	}
 	r.cfg.Deliver(&r.pkt, arrived)
 }

@@ -1,6 +1,7 @@
 package realnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,6 +89,39 @@ func TestReceiverDuplicatesNotAcked(t *testing.T) {
 	clk.Run(100 * time.Millisecond)
 	if !equalSeqs(delivered, []int64{0, 1, 2, 5}) {
 		t.Fatalf("delivered %v, want [0 1 2 5]", delivered)
+	}
+}
+
+// TestReceiverHoldsOneFrameRecord: datagrams whose transport sequence
+// rises while their frame sequence falls are each released in order and
+// each start another frame. The receiver keeps the current frame's record
+// only, so the heap it retains does not grow with the stream.
+func TestReceiverHoldsOneFrameRecord(t *testing.T) {
+	clk := simclock.New()
+	var delivered, skewed int
+	r := NewReceiver(clk, ReceiverConfig{
+		Deliver: func(pkt *rtp.Packet, _ time.Duration) {
+			delivered++
+			if pkt.Frame.Seq != pkt.FrameSeq {
+				skewed++
+			}
+		},
+	})
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 20000
+	for i := 0; i < n; i++ {
+		r.HandleDatagram(wireFrame(n-1-i, 1, int64(i), 42)[0])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	if delivered != n || skewed != 0 {
+		t.Fatalf("delivered %d of %d packets, %d with another frame's record", delivered, n, skewed)
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 64<<10 {
+		t.Fatalf("receiver retains %d more heap bytes after %d frames, want one frame record", grew, n)
 	}
 }
 

@@ -154,3 +154,52 @@ func TestReassemblerInterleavedReorder(t *testing.T) {
 		t.Errorf("Late() = %d, want 1", r.Late())
 	}
 }
+
+// TestReassemblerBoundsPartialFrames floods the reassembler with forged
+// packets, each opening a new frame of 65 535 packets (an 8 KB receipt
+// bitmap): the frames it holds partly received stay capped at
+// maxPartials, each frame pushed out counts lost once, and its stragglers
+// are late.
+func TestReassemblerBoundsPartialFrames(t *testing.T) {
+	clk := simclock.New()
+	var done []CompletedFrame
+	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
+	forged := func(frameSeq int) Packet {
+		return Packet{FrameSeq: frameSeq, Count: 65535, Bytes: 1, Frame: &video.EncodedFrame{Seq: frameSeq}}
+	}
+	const n = 10000
+	for seq := 1; seq <= n; seq++ {
+		r.OnPacket(forged(seq))
+		if len(r.partial) > maxPartials {
+			t.Fatalf("%d partial frames after %d forged packets, want at most %d", len(r.partial), seq, maxPartials)
+		}
+	}
+	if want := int64(n - maxPartials); r.Lost() != want {
+		t.Fatalf("Lost() = %d, want %d", r.Lost(), want)
+	}
+	straggler := forged(n - maxPartials)
+	straggler.Index = 1
+	r.OnPacket(straggler) // its frame was pushed out: late, not reopened
+	if r.Late() != 1 || r.Lost() != n-maxPartials || len(r.partial) != maxPartials {
+		t.Fatalf("straggler of a pushed-out frame: late %d, lost %d, %d partials", r.Late(), r.Lost(), len(r.partial))
+	}
+
+	// A newcomer below every frame in flight is itself the one pushed out.
+	low := NewReassembler(clk, func(CompletedFrame) {})
+	for seq := n; seq > n-maxPartials; seq-- {
+		low.OnPacket(forged(seq))
+	}
+	low.OnPacket(forged(1))
+	low.OnPacket(forged(1)) // at the floor now: late
+	if low.Lost() != 1 || low.Late() != 1 || len(low.partial) != maxPartials {
+		t.Fatalf("lowest newcomer: lost %d, late %d, %d partials", low.Lost(), low.Late(), len(low.partial))
+	}
+
+	// An honest frame still completes, abandoning every partial below it.
+	for _, p := range mkPackets(n+1, 2, time.Second) {
+		r.OnPacket(p)
+	}
+	if len(done) != 1 || r.Lost() != n || len(r.partial) != 0 {
+		t.Fatalf("after an honest frame: %d completed, lost %d, %d partials", len(done), r.Lost(), len(r.partial))
+	}
+}

@@ -196,9 +196,15 @@ type CompletedFrame struct {
 	Bits    float64
 }
 
+// maxPartials caps the frames a Reassembler holds partly received: an
+// honest stream holds one, a forged one could open a frame (and a receipt
+// bitmap of up to 65 535 bits) per datagram.
+const maxPartials = 32
+
 // Reassembler collects packets into frames and invokes the completion
 // callback once per frame. Frames whose packets never all arrive (modem
-// drops) are abandoned when a newer frame completes and reported as lost.
+// drops) are abandoned when a newer frame completes, or when a packet
+// would open a partial frame past maxPartials, and reported as lost.
 //
 // The reassembler is safe against the arrival patterns of a real network
 // path, not just the in-order in-memory simulation: duplicated packets are
@@ -240,9 +246,7 @@ func (pf *partialFrame) reset(pkt Packet) {
 		seen = make([]uint64, words)
 	} else {
 		seen = seen[:words]
-		for i := range seen {
-			seen[i] = 0
-		}
+		clear(seen)
 	}
 	*pf = partialFrame{count: pkt.Count, frame: pkt.Frame, firstSent: pkt.SentAt, seen: seen}
 }
@@ -275,6 +279,19 @@ func (r *Reassembler) OnPacket(pkt Packet) {
 	}
 	pf := r.partial[pkt.FrameSeq]
 	if pf == nil {
+		if len(r.partial) == maxPartials {
+			// One frame more than an honest stream ever holds: abandon
+			// the lowest in flight, this one counted.
+			low := pkt.FrameSeq
+			for seq := range r.partial {
+				low = min(low, seq)
+			}
+			r.abandonThrough(low)
+			if low == pkt.FrameSeq {
+				r.lost++
+				return
+			}
+		}
 		if n := len(r.free); n > 0 {
 			pf = r.free[n-1]
 			r.free = r.free[:n-1]
@@ -302,21 +319,28 @@ func (r *Reassembler) OnPacket(pkt Packet) {
 	}
 	delete(r.partial, pkt.FrameSeq)
 	// Frames older than this one that are still partial will never
-	// complete in FIFO delivery: count them lost and forget them.
-	for seq, op := range r.partial {
-		if seq < pkt.FrameSeq {
-			r.lost++
-			delete(r.partial, seq)
-			op.frame = nil
-			r.free = append(r.free, op)
-		}
-	}
+	// complete in FIFO delivery.
+	r.abandonThrough(pkt.FrameSeq)
 	r.complete++
-	r.floor = pkt.FrameSeq
 	done := CompletedFrame{Frame: pf.frame, Arrived: r.clk.Now(), Sent: pf.firstSent, Bits: pf.bits}
 	pf.frame = nil
 	r.free = append(r.free, pf)
 	r.onFrame(done)
+}
+
+// abandonThrough counts every partial frame at or below seq lost, recycles
+// it, and raises the floor to seq, so stragglers of those frames are late
+// rather than reopening them.
+func (r *Reassembler) abandonThrough(seq int) {
+	for s, pf := range r.partial {
+		if s <= seq {
+			r.lost++
+			delete(r.partial, s)
+			pf.frame = nil
+			r.free = append(r.free, pf)
+		}
+	}
+	r.floor = seq
 }
 
 // Lost reports frames abandoned due to packet loss.

@@ -91,19 +91,21 @@ func wireTimestamp(capture time.Duration) uint32 {
 // slice. It is the zero-alloc marshal path: with dst capacity already at
 // WireHeaderLen+p.Bytes nothing is allocated and the payload costs one
 // clear of the reused bytes, so a packet marshals in about the time it
-// parses. Fields that cannot be
+// parses. A packet without a frame, or with fields that cannot be
 // represented (negative or >16-bit counts, a tile outside a byte, a
-// negative capture instant) panic with ErrWireMarshal: the sender pipeline
-// never produces them, so hitting one is a programming error upstream.
+// negative capture instant), panics with ErrWireMarshal: the sender
+// pipeline never produces one, so hitting one is a programming error
+// upstream.
 func (p *Packet) AppendWire(dst []byte, ssrc uint32) []byte {
-	if p.FrameSeq < 0 || p.FrameSeq > math.MaxUint32 ||
+	f := p.Frame
+	if f == nil || p.FrameSeq < 0 || p.FrameSeq > math.MaxUint32 ||
 		p.Count <= 0 || p.Count > math.MaxUint16 ||
 		p.Index < 0 || p.Index >= p.Count ||
 		p.Bytes < 0 || p.Bytes > math.MaxUint16 ||
-		p.Seq < 0 || p.Capture() < 0 || p.SentAt < 0 ||
-		p.roi().I < 0 || p.roi().I > math.MaxUint8 ||
-		p.roi().J < 0 || p.roi().J > math.MaxUint8 ||
-		p.mode() < 0 || p.mode() > math.MaxUint8 {
+		p.Seq < 0 || f.Capture < 0 || p.SentAt < 0 ||
+		f.SenderROI.I < 0 || f.SenderROI.I > math.MaxUint8 ||
+		f.SenderROI.J < 0 || f.SenderROI.J > math.MaxUint8 ||
+		f.Mode < 0 || f.Mode > math.MaxUint8 {
 		panic(fmt.Errorf("%w: %+v", ErrWireMarshal, *p))
 	}
 	b0 := byte(WireVersion<<6) | 0x10 // V=2, P=0, X=1, CC=0
@@ -113,21 +115,21 @@ func (p *Packet) AppendWire(dst []byte, ssrc uint32) []byte {
 	}
 	dst = append(dst, b0, b1)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(p.Seq))
-	dst = binary.BigEndian.AppendUint32(dst, wireTimestamp(p.Capture()))
+	dst = binary.BigEndian.AppendUint32(dst, wireTimestamp(f.Capture))
 	dst = binary.BigEndian.AppendUint32(dst, ssrc)
 	// Extension header + POI360 extension body.
 	dst = binary.BigEndian.AppendUint16(dst, wireExtProfile)
 	dst = binary.BigEndian.AppendUint16(dst, wireExtWords)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Seq))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(p.Capture().Nanoseconds()))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(f.Capture.Nanoseconds()))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(p.SentAt.Nanoseconds()))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(p.FrameSeq))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(p.Index))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(p.Count))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(p.Bytes))
-	dst = append(dst, byte(p.roi().I), byte(p.roi().J), byte(p.mode()), 0)
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.scale())))
-	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(p.jitter())))
+	dst = append(dst, byte(f.SenderROI.I), byte(f.SenderROI.J), byte(f.Mode), 0)
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(f.Scale)))
+	dst = binary.BigEndian.AppendUint32(dst, math.Float32bits(float32(f.Jitter)))
 	dst = binary.BigEndian.AppendUint16(dst, 0) // reserved, must be zero
 	// Synthetic media payload: the declared size in zero bytes. Cleared
 	// (one memclr) even on a reused buffer, so the padding region is
@@ -138,127 +140,96 @@ func (p *Packet) AppendWire(dst []byte, ssrc uint32) []byte {
 	return dst
 }
 
-// Frame metadata accessors tolerating a nil Frame (a packet rebuilt from
-// the wire at an intermediate hop carries flat metadata only).
-func (p *Packet) Capture() time.Duration {
-	if p.Frame == nil {
-		return 0
-	}
-	return p.Frame.Capture
+// ParseWire strictly unmarshals one wire packet (see Unmarshal).
+func ParseWire(b []byte) (WireHeader, error) {
+	var h WireHeader
+	err := h.Unmarshal(b)
+	return h, err
 }
 
-func (p *Packet) roi() projection.Tile {
-	if p.Frame == nil {
-		return projection.Tile{}
-	}
-	return p.Frame.SenderROI
-}
-
-func (p *Packet) mode() int {
-	if p.Frame == nil {
-		return 0
-	}
-	return p.Frame.Mode
-}
-
-func (p *Packet) scale() float64 {
-	if p.Frame == nil {
-		return 1
-	}
-	return p.Frame.Scale
-}
-
-func (p *Packet) jitter() float64 {
-	if p.Frame == nil {
-		return 0
-	}
-	return p.Frame.Jitter
-}
-
-// ParseWire strictly unmarshals one wire packet. The datagram must be
+// Unmarshal strictly parses one wire packet into h. The datagram must be
 // exactly header plus the declared payload; every reserved field and both
 // redundant encodings (seq16, 90 kHz timestamp) must be consistent.
 // Corrupt or truncated input returns an error — never a panic, never a
-// silently skewed header.
-func ParseWire(b []byte) (WireHeader, error) {
-	var h WireHeader
+// silently skewed header — and leaves h partly overwritten.
+func (h *WireHeader) Unmarshal(b []byte) error {
 	if len(b) < WireHeaderLen {
-		return h, fmt.Errorf("%w: %d bytes, header needs %d", ErrWireShort, len(b), WireHeaderLen)
+		return fmt.Errorf("%w: %d bytes, header needs %d", ErrWireShort, len(b), WireHeaderLen)
 	}
 	if v := b[0] >> 6; v != WireVersion {
-		return h, fmt.Errorf("%w: version %d", ErrWireHeader, v)
+		return fmt.Errorf("%w: version %d", ErrWireHeader, v)
 	}
 	if b[0]&0x3F != 0x10 { // P=0, X=1, CC=0
-		return h, fmt.Errorf("%w: flags %#02x", ErrWireHeader, b[0])
+		return fmt.Errorf("%w: flags %#02x", ErrWireHeader, b[0])
 	}
 	if pt := b[1] & 0x7F; pt != WireMediaPT {
-		return h, fmt.Errorf("%w: payload type %d", ErrWireHeader, pt)
+		return fmt.Errorf("%w: payload type %d", ErrWireHeader, pt)
 	}
 	h.Marker = b[1]&0x80 != 0
 	seq16 := binary.BigEndian.Uint16(b[2:])
 	ts := binary.BigEndian.Uint32(b[4:])
 	h.SSRC = binary.BigEndian.Uint32(b[8:])
 	if prof := binary.BigEndian.Uint16(b[12:]); prof != wireExtProfile {
-		return h, fmt.Errorf("%w: extension profile %#04x", ErrWireHeader, prof)
+		return fmt.Errorf("%w: extension profile %#04x", ErrWireHeader, prof)
 	}
 	if words := binary.BigEndian.Uint16(b[14:]); words != wireExtWords {
-		return h, fmt.Errorf("%w: extension length %d words", ErrWireHeader, words)
+		return fmt.Errorf("%w: extension length %d words", ErrWireHeader, words)
 	}
 	seq := binary.BigEndian.Uint64(b[16:])
 	if seq > math.MaxInt64 {
-		return h, fmt.Errorf("%w: sequence %d", ErrWireRange, seq)
+		return fmt.Errorf("%w: sequence %d", ErrWireRange, seq)
 	}
 	h.Seq = int64(seq)
 	if uint16(h.Seq) != seq16 {
-		return h, fmt.Errorf("%w: seq16 %d != low bits of seq %d", ErrWireHeader, seq16, h.Seq)
+		return fmt.Errorf("%w: seq16 %d != low bits of seq %d", ErrWireHeader, seq16, h.Seq)
 	}
 	capNS := binary.BigEndian.Uint64(b[24:])
 	sentNS := binary.BigEndian.Uint64(b[32:])
 	if capNS > math.MaxInt64 || sentNS > math.MaxInt64 {
-		return h, fmt.Errorf("%w: negative instant", ErrWireRange)
+		return fmt.Errorf("%w: negative instant", ErrWireRange)
 	}
 	h.Capture = time.Duration(capNS)
 	h.SentAt = time.Duration(sentNS)
 	if ts != wireTimestamp(h.Capture) {
-		return h, fmt.Errorf("%w: timestamp %d inconsistent with capture %v", ErrWireHeader, ts, h.Capture)
+		return fmt.Errorf("%w: timestamp %d inconsistent with capture %v", ErrWireHeader, ts, h.Capture)
 	}
 	h.FrameSeq = int(binary.BigEndian.Uint32(b[40:]))
 	h.Index = int(binary.BigEndian.Uint16(b[44:]))
 	h.Count = int(binary.BigEndian.Uint16(b[46:]))
 	if h.Count == 0 || h.Index >= h.Count {
-		return h, fmt.Errorf("%w: packet %d of %d", ErrWireRange, h.Index, h.Count)
+		return fmt.Errorf("%w: packet %d of %d", ErrWireRange, h.Index, h.Count)
 	}
 	if h.Marker != (h.Index == h.Count-1) {
-		return h, fmt.Errorf("%w: marker %v at packet %d of %d", ErrWireHeader, h.Marker, h.Index, h.Count)
+		return fmt.Errorf("%w: marker %v at packet %d of %d", ErrWireHeader, h.Marker, h.Index, h.Count)
 	}
 	h.Bytes = int(binary.BigEndian.Uint16(b[48:]))
 	h.ROI = projection.Tile{I: int(b[50]), J: int(b[51])}
 	h.Mode = int(b[52])
 	if b[53] != 0 {
-		return h, fmt.Errorf("%w: reserved flag byte %#02x", ErrWireHeader, b[53])
+		return fmt.Errorf("%w: reserved flag byte %#02x", ErrWireHeader, b[53])
 	}
 	h.Scale = float64(math.Float32frombits(binary.BigEndian.Uint32(b[54:])))
 	h.Jitter = float64(math.Float32frombits(binary.BigEndian.Uint32(b[58:])))
 	if rsv := binary.BigEndian.Uint16(b[62:]); rsv != 0 {
-		return h, fmt.Errorf("%w: reserved trailer %#04x", ErrWireHeader, rsv)
+		return fmt.Errorf("%w: reserved trailer %#04x", ErrWireHeader, rsv)
 	}
 	if len(b) != WireHeaderLen+h.Bytes {
-		return h, fmt.Errorf("%w: datagram %d bytes, header declares %d of payload",
+		return fmt.Errorf("%w: datagram %d bytes, header declares %d of payload",
 			ErrWireLength, len(b), h.Bytes)
 	}
 	if f32 := h.Scale; math.IsNaN(f32) || math.IsInf(f32, 0) || f32 < 0 {
-		return h, fmt.Errorf("%w: scale %v", ErrWireRange, f32)
+		return fmt.Errorf("%w: scale %v", ErrWireRange, f32)
 	}
 	if j := h.Jitter; math.IsNaN(j) || math.IsInf(j, 0) {
-		return h, fmt.Errorf("%w: jitter %v", ErrWireRange, j)
+		return fmt.Errorf("%w: jitter %v", ErrWireRange, j)
 	}
-	return h, nil
+	return nil
 }
 
 // Materialize rebuilds the receiver-side Packet view of this header,
 // filling f with the frame-level metadata (capture instant, ROI, mode,
 // scale, jitter; no spatial matrix — the wire carries transport metadata,
-// not the per-tile level map) and returning a Packet that references it.
+// not the per-tile level map) and returning h.Packet(f).
 func (h *WireHeader) Materialize(f *video.EncodedFrame) Packet {
 	*f = video.EncodedFrame{
 		Seq:       h.FrameSeq,
@@ -268,6 +239,12 @@ func (h *WireHeader) Materialize(f *video.EncodedFrame) Packet {
 		SenderROI: h.ROI,
 		Mode:      h.Mode,
 	}
+	return h.Packet(f)
+}
+
+// Packet returns the Packet view of this header around f, a frame record
+// Materialize filled from a header of the same frame.
+func (h *WireHeader) Packet(f *video.EncodedFrame) Packet {
 	return Packet{
 		FrameSeq: h.FrameSeq,
 		Index:    h.Index,

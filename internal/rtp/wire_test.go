@@ -196,6 +196,7 @@ func TestWireMarshalPanicsOutOfRange(t *testing.T) {
 		"negative-seq":   func(p *Packet) { p.Seq = -1 },
 		"huge-bytes":     func(p *Packet) { p.Bytes = 1 << 16 },
 		"wide-roi":       func(p *Packet) { p.Frame.SenderROI.I = 300 },
+		"no-frame":       func(p *Packet) { p.Frame = nil },
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -83,20 +84,54 @@ func FuzzSenderReports(f *testing.F) {
 	})
 }
 
+// lengthPrefixed frames datagrams the way FuzzViewerDatagrams cuts its
+// input: each behind its length as a 2-byte big-endian prefix.
+func lengthPrefixed(datagrams ...[]byte) []byte {
+	var out []byte
+	for _, d := range datagrams {
+		out = binary.BigEndian.AppendUint16(out, uint16(len(d)))
+		out = append(out, d...)
+	}
+	return out
+}
+
+// hostileStreams are two datagram streams with legal metadata that once
+// cost the receive path memory per datagram: frame sequences falling
+// while transport sequences rise (a frame record each), and packets each
+// opening a new 65 535-packet frame (a partial frame each).
+func hostileStreams() [][]byte {
+	grid := video.DefaultConfig().Grid
+	var falling, opening [][]byte
+	for i := 0; i < 8; i++ {
+		fr := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: 2, SenderROI: projection.Tile{I: grid.W - 1, J: grid.H - 1}, Mode: 3}
+		pkt := rtp.Packet{FrameSeq: 7 - i, Count: 1, Bytes: 100, Frame: fr, SentAt: 20 * time.Millisecond, Seq: int64(i)}
+		falling = append(falling, pkt.AppendWire(nil, 9))
+		pkt = rtp.Packet{FrameSeq: i, Count: 65535, Frame: fr, SentAt: 20 * time.Millisecond, Seq: int64(i)}
+		opening = append(opening, pkt.AppendWire(nil, 9))
+	}
+	return [][]byte{lengthPrefixed(falling...), lengthPrefixed(opening...)}
+}
+
 // FuzzViewerDatagrams feeds arbitrary media bytes through
 // realnet.Receiver.HandleDatagram into a Viewer, with the receiver's
-// reports built from Viewer.Feedback as cmd/poi360-live builds them.
-// Whatever arrives, nothing panics, the viewer rejects exactly the
-// packets whose frame metadata no sender produces, and every report on
-// the wire carries an on-grid ROI and a rate inside the GCC bounds.
+// reports built from Viewer.Feedback as cmd/poi360-live builds them. The
+// input is cut into up to 8 datagrams, each behind a 2-byte length, one
+// every 10 ms. Whatever arrives, nothing panics, every packet carries its
+// own frame's record, the viewer rejects exactly the packets whose frame
+// metadata no sender produces, and every report on the wire carries an
+// on-grid ROI and a rate inside the GCC bounds.
 func FuzzViewerDatagrams(f *testing.F) {
 	for _, tc := range forgedPackets() {
 		fr := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
 		pkt := rtp.Packet{Count: 1, Bytes: 100, Frame: fr, SentAt: 20 * time.Millisecond, Seq: tc.seq}
-		f.Add(pkt.AppendWire(nil, 9))
+		f.Add(lengthPrefixed(pkt.AppendWire(nil, 9)))
+	}
+	for _, stream := range hostileStreams() {
+		f.Add(stream)
 	}
 	grid := video.DefaultConfig().Grid
 	f.Fuzz(func(t *testing.T, data []byte) {
+		const maxDatagrams = 8
 		clk := simclock.New()
 		viewer, err := session.NewViewer(session.Config{Duration: 300 * time.Millisecond, StatsWarmup: -1})
 		if err != nil {
@@ -109,6 +144,9 @@ func FuzzViewerDatagrams(f *testing.F) {
 		reports := 0
 		rx := realnet.NewReceiver(clk, realnet.ReceiverConfig{
 			Deliver: func(pkt *rtp.Packet, _ time.Duration) {
+				if pkt.Frame.Seq != pkt.FrameSeq {
+					t.Fatalf("packet of frame %d delivered with frame %d's record", pkt.FrameSeq, pkt.Frame.Seq)
+				}
 				delivered++
 				if grid.Contains(pkt.Frame.SenderROI) && pkt.Frame.Scale >= 1 {
 					legal++
@@ -134,7 +172,15 @@ func FuzzViewerDatagrams(f *testing.F) {
 				return fb.ROI, fb.Mismatch, fb.GCCRate
 			},
 		})
-		clk.Schedule(50*time.Millisecond, func() { rx.HandleDatagram(data) })
+		at := 50 * time.Millisecond
+		for n := 0; len(data) >= 2 && n < maxDatagrams; n++ {
+			size := int(binary.BigEndian.Uint16(data))
+			data = data[2:]
+			d := data[:min(len(data), size)]
+			data = data[len(d):]
+			clk.Schedule(at, func() { rx.HandleDatagram(d) })
+			at += 10 * time.Millisecond
+		}
 		clk.Run(300 * time.Millisecond)
 
 		res := viewer.Result()

@@ -329,7 +329,7 @@ func TestConfigKnobs(t *testing.T) {
 		"network.Config":         "Cells UEs Duration Seed MeanDwell Workers Mix Obs Agg Sink",
 		"ratecontrol.FBCCConfig": "K Hold WatchdogReports",
 		"ratecontrol.GCCConfig":  "InitialRate IncrementalTrendline",
-		"realnet.ReceiverConfig": "SSRC Hold Deliver SendReport AppFeedback Probe",
+		"realnet.ReceiverConfig": "Hold Deliver SendReport AppFeedback Probe",
 		"session.Config": "Duration Network Cell Path Video Scheme FixedC RC User UserModel Seed " +
 			"PipelineDelay StatsWarmup ROIPrediction Faults FBCCK FBCCHoldRTTs " +
 			"DisableRTPLoop FBCCWatchdogReports Obs",

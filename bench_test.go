@@ -27,11 +27,14 @@ func benchOpts() ExperimentOptions {
 // selected measured values as custom metrics.
 func runExperimentBench(b *testing.B, id string, metrics map[string]string) {
 	b.Helper()
+	// One memo and a fixed seed let repeated iterations recall the
+	// experiment's campus-grid batches, so the benchmark measures
+	// regeneration of the figure rather than compounding fresh multi-minute
+	// session fleets.
+	memo := NewExperimentMemo()
 	for i := 0; i < b.N; i++ {
-		// A fixed seed lets repeated iterations hit the experiment-batch
-		// cache, so the benchmark measures regeneration of the figure
-		// rather than compounding fresh multi-minute session fleets.
 		opts := benchOpts()
+		opts.Memo = memo
 		rep, err := RunExperiment(id, opts)
 		if err != nil {
 			b.Fatal(err)

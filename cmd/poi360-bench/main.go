@@ -105,6 +105,9 @@ func run() int {
 		Users:   *users,
 		Repeats: *repeats,
 		Workers: *workers,
+		// One memo for the invocation: experiments that compare the same
+		// campus-grid batch run it once.
+		Memo: poi360.NewExperimentMemo(),
 	}
 	if *secs > 0 {
 		opts.SessionTime = time.Duration(*secs) * time.Second

@@ -53,6 +53,11 @@ type Options struct {
 	// enabling Obs cannot change a byte of experiment output (probes
 	// observe, never steer; see internal/obs).
 	Obs *obs.ExperimentAgg
+	// Memo, when non-nil, shares campus-grid batches between the
+	// experiments run with it: a batch already run under the same scale
+	// options is recalled instead of run again. Recall cannot change a
+	// report, only its wall time; nil runs every batch.
+	Memo *Memo
 }
 
 func (o Options) sessionTime() time.Duration {
@@ -455,14 +460,39 @@ type batchKey struct {
 	obs     bool
 }
 
-// batchMemo holds every grid batch run so far in this process. Entries are
-// treated as immutable after insertion.
-var (
-	batchMu   sync.Mutex
-	batchMemo = map[batchKey]*sessionAgg{}
-)
+// Memo holds the grid batches the experiments of one run have run (see
+// Options.Memo), for several goroutines at once. Entries are treated as
+// immutable after insertion.
+type Memo struct {
+	mu      sync.Mutex
+	batches map[batchKey]*sessionAgg
+}
 
-// memoBatches is runBatches behind the memo: batches already run under
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{batches: map[batchKey]*sessionAgg{}} }
+
+// recall returns the batch remembered under k: nil if there is none, or no
+// memo.
+func (m *Memo) recall(k batchKey) *sessionAgg {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.batches[k]
+}
+
+// remember stores a batch under k, if there is a memo.
+func (m *Memo) remember(k batchKey, agg *sessionAgg) {
+	if m == nil {
+		return
+	}
+	m.mu.Lock()
+	m.batches[k] = agg
+	m.mu.Unlock()
+}
+
+// memoBatches is runBatches behind Options.Memo: batches already run under
 // the same scale options are recalled, the rest run through one shared
 // worker pool and are remembered. Every FBCC spec records its episode row
 // in Options.Obs, in specs order, whether it ran now or was recalled, and
@@ -475,27 +505,23 @@ func memoBatches(o Options, specs []gridBatch) ([]*sessionAgg, error) {
 		todo    []int
 		pending []session.Config
 	)
-	batchMu.Lock()
 	for i, sp := range specs {
 		keys[i] = batchKey{sp, o.Quick, o.Seed, o.sessionTime(), o.users(), o.repeats(), o.Obs != nil}
 		bases[i] = campus(sp.rc)
 		bases[i].Network, bases[i].Scheme = sp.network, sp.scheme
-		if aggs[i] = batchMemo[keys[i]]; aggs[i] == nil {
+		if aggs[i] = o.Memo.recall(keys[i]); aggs[i] == nil {
 			todo = append(todo, i)
 			pending = append(pending, bases[i])
 		}
 	}
-	batchMu.Unlock()
 	ran, err := runBatchGrid(o, pending)
 	if err != nil {
 		return nil, err
 	}
-	batchMu.Lock()
 	for j, i := range todo {
 		aggs[i] = ran[j]
-		batchMemo[keys[i]] = ran[j]
+		o.Memo.remember(keys[i], ran[j])
 	}
-	batchMu.Unlock()
 	for i, agg := range aggs {
 		o.record(bases[i], agg)
 	}

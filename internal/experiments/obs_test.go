@@ -104,30 +104,12 @@ func TestBatchLabel(t *testing.T) {
 	}
 }
 
-// freshMemo gives the test an empty batch memo and puts the process's
-// memo back when it ends, so what earlier tests ran cannot turn this one's
-// first run of a batch into a recall. No test in this package calls
-// t.Parallel, so the swap races with nothing.
-func freshMemo(t *testing.T) {
-	t.Helper()
-	batchMu.Lock()
-	saved := batchMemo
-	batchMemo = map[batchKey]*sessionAgg{}
-	batchMu.Unlock()
-	t.Cleanup(func() {
-		batchMu.Lock()
-		batchMemo = saved
-		batchMu.Unlock()
-	})
-}
-
 // TestObsEpisodesSurviveMemo: Figs. 15 and 16a share the FBCC batch through
 // the memo, so the episode table of whichever experiment recalls it must
-// carry the same row as the one that ran it. On an empty memo fig15 runs
-// the batch and fig16a recalls it.
+// carry the same row as the one that ran it. On the test's own empty memo
+// fig15 runs the batch and fig16a recalls it.
 func TestObsEpisodesSurviveMemo(t *testing.T) {
-	freshMemo(t)
-	o := Options{Quick: true, Users: 2, Repeats: 1, SessionTime: 30 * time.Second, Seed: 41}
+	o := Options{Quick: true, Users: 2, Repeats: 1, SessionTime: 30 * time.Second, Memo: NewMemo()}
 	tables := make([]string, 2)
 	for i, e := range []Experiment{Fig15, Fig16a} {
 		o.Obs = obs.NewExperimentAgg()

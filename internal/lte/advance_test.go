@@ -52,8 +52,10 @@ func settledEWMA(c *Cell, i int) float64 {
 // is empty until then), each feed enqueues pkts packets per UE — the last
 // of several UEs only every sixteenth feed unless the feed is split, so
 // that its buffer runs dry and it idles with a served rate to decay — UE 0
-// is detached at 1.7003 s and a fresh UE joins at 2.2003 s. An advanced cell
-// runs to each feed exclusive of it and to the end inclusive.
+// is detached at 1.7003 s and a fresh UE joins at 2.2003 s, in UE 0's row.
+// UE 0's end state is taken at its detach, before its handle passes to the
+// newcomer. An advanced cell runs to each feed exclusive of it and to the
+// end inclusive.
 func playAdvScenario(t *testing.T, sc advScenario, advanced bool) advRun {
 	t.Helper()
 	const end = 3 * time.Second
@@ -77,7 +79,12 @@ func playAdvScenario(t *testing.T, sc advScenario, advanced bool) advRun {
 		tickFromTest(cell)
 	}
 	var run advRun
-	var ues []*UE
+	var ues []*UE // nil once detached
+	endState := func(k int, u *UE) string {
+		return fmt.Sprintf("ue %d buf %d ewma %v credit %v served %v dropped %d",
+			k, cell.soa.buf[u.id], settledEWMA(cell, u.id), u.credit, u.TotalServedBits(), u.dropped)
+	}
+	var detachedEnd string
 	bus := obs.NewBus()
 	join := func() {
 		k := len(ues)
@@ -123,6 +130,8 @@ func playAdvScenario(t *testing.T, sc advScenario, advanced bool) advRun {
 	clk.Schedule(1700*time.Millisecond+300*time.Microsecond, func() {
 		catchUp()
 		cell.DetachUE(ues[0])
+		detachedEnd = endState(0, ues[0])
+		ues[0] = nil
 	})
 	clk.Schedule(2200*time.Millisecond+300*time.Microsecond, func() {
 		catchUp()
@@ -133,6 +142,9 @@ func playAdvScenario(t *testing.T, sc advScenario, advanced bool) advRun {
 		catchUp()
 		feed++
 		for k, u := range ues {
+			if u == nil {
+				continue
+			}
 			if k == len(ues)-1 && k > 0 && !sc.split && feed%16 != 0 {
 				continue
 			}
@@ -155,9 +167,12 @@ func playAdvScenario(t *testing.T, sc advScenario, advanced bool) advRun {
 	if advanced {
 		cell.Advance(end, true)
 	}
-	for i, u := range ues {
-		run.end = append(run.end, fmt.Sprintf("ue %d buf %d ewma %v credit %v served %v dropped %d",
-			i, cell.soa.buf[i], settledEWMA(cell, i), u.credit, u.TotalServedBits(), u.dropped))
+	for k, u := range ues {
+		if u == nil {
+			run.end = append(run.end, detachedEnd)
+			continue
+		}
+		run.end = append(run.end, endState(k, u))
 	}
 	run.end = append(run.end, fmt.Sprintf("capacity %v", cell.cap.current))
 	run.events = make([][]obs.Event, len(ues))

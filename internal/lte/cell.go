@@ -94,8 +94,8 @@ type UEConfig struct {
 	Seed int64
 	// Src is the UE's grant/TBS generator; nil means seeds.NewSource(Seed).
 	// The city layer reseeds one per UE slot for each residency: a
-	// detached UE's row never draws again (detached rows are excluded from
-	// scheduling), so the next residency cannot interleave streams with it.
+	// detached UE's row never draws again until the cell admits a UE into
+	// it, with that UE's Src, so residencies cannot interleave streams.
 	Src *seeds.SplitMix
 	// DiagFault, when non-nil, suppresses the diagnostic report due at the
 	// given instant when it returns true (a stalled chipset diag feed).
@@ -126,13 +126,19 @@ func (c UEConfig) Validate() error {
 // process and the subframe counter alone. Callbacks run on the driver's
 // goroutine and read their subframe's instant from UE.Now.
 //
+// A UE is a row of the cell. DetachUE frees the row and the next AddUE
+// reuses it — its *UE, its hot state and its firmware ring — so a cell
+// holds no more rows than its peak concurrent population, however many
+// UEs pass through it. Rows are scheduled in attach order.
+//
 // Scheduling disciplines:
 //
-//   - With exactly one UE the cell keeps the calibrated stochastic grant
-//     process of the original single-user model: the grant *frequency*
-//     grows with the UE's own buffer occupancy while contention is folded
-//     into the scalar BackgroundLoad — bit-for-bit the legacy Uplink.
-//   - With two or more UEs each subframe runs a true proportional-fair
+//   - With exactly one row (one UE at a time) the cell keeps the
+//     calibrated stochastic grant process of the original single-user
+//     model: the grant *frequency* grows with the UE's own buffer
+//     occupancy while contention is folded into the scalar
+//     BackgroundLoad — bit-for-bit the legacy Uplink.
+//   - With two or more rows each subframe runs a true proportional-fair
 //     allocation: the PF metric of a UE is its instantaneous achievable
 //     rate divided by its EWMA served rate, where the achievable rate is
 //     buffer-aware as in the paper's Fig. 5 (capacity × min(1, B/knee) —
@@ -148,7 +154,7 @@ type Cell struct {
 	rng *seeds.SplitMix
 
 	ues   []*UE
-	order []int // scratch: the backlogged rows of a PF subframe, ascending id
+	order []int // scratch: the backlogged rows of a PF subframe, attach order
 	cap   capacityProcess
 	// started and advanced record the driver: Start, or Advance.
 	started, advanced bool
@@ -156,19 +162,13 @@ type Cell struct {
 	// runs at anchor + k·Subframe.
 	anchor time.Duration
 
-	// active lists the attached (non-detached) rows in ascending id order.
-	// Rows are never deleted — UE ids index the SoA — but a city cell with
-	// population churn accumulates dead rows, and the subframe loop used
-	// to walk all of them every millisecond. Detached rows are inert by
-	// construction (buf 0, ewma 0, diag never due), so skipping them is
-	// behaviour-identical; for cells that never detach, active == all rows
-	// and the iteration is unchanged.
+	// active lists the attached rows in attach order: a reused row goes
+	// to the back, behind every row attached before it. That order breaks
+	// PF ties (pfGrant) and orders every row walk, so a cell that reuses a
+	// row runs exactly as one that appended a fresh row would have.
 	active []int32
-
-	// spare holds the emptied firmware queues of detached rows, reused
-	// LIFO by the next admit: a city handover then costs the target cell a
-	// row, not a queue.
-	spare []fifo.Queue[Packet]
+	// free lists the detached rows, reused newest first by admit.
+	free []int32
 
 	// capStride/capCountdown implement CellConfig.CapacityStride: the
 	// capacity process steps once every capStride subframes by the full
@@ -220,17 +220,29 @@ type cellSoA struct {
 	pfServed  []float64 // scratch: bits served this subframe
 }
 
-// add appends one UE's row; the caller stamps diagLast with the current
-// subframe index.
-func (s *cellSoA) add(sfIndex int64) {
+// grow appends one row's slots, for init to fill.
+func (s *cellSoA) grow() {
 	s.buf = append(s.buf, 0)
-	s.diagLast = append(s.diagLast, sfIndex)
-	s.diagEvery = append(s.diagEvery, int32(DefaultDiagPeriod/Subframe))
+	s.diagLast = append(s.diagLast, 0)
+	s.diagEvery = append(s.diagEvery, 0)
 	s.diagTBS = append(s.diagTBS, 0)
 	s.ewma = append(s.ewma, 0)
 	s.pfMetric = append(s.pfMetric, 0)
 	s.pfAchiev = append(s.pfAchiev, 0)
 	s.pfServed = append(s.pfServed, 0)
+}
+
+// init gives row i a newcomer's state admitted at subframe sfIndex: empty
+// buffer, no PF history, a diag period starting now.
+func (s *cellSoA) init(i int, sfIndex int64) {
+	s.buf[i] = 0
+	s.diagLast[i] = sfIndex
+	s.diagEvery[i] = int32(DefaultDiagPeriod / Subframe)
+	s.diagTBS[i] = 0
+	s.ewma[i] = 0
+	s.pfMetric[i] = 0
+	s.pfAchiev[i] = 0
+	s.pfServed[i] = 0
 }
 
 // settle applies row i's deferred served-rate EWMA updates — the last busy
@@ -281,7 +293,10 @@ func NewCell(clk simclock.Scheduler, cfg CellConfig) (*Cell, error) {
 // UEs between cells mid-simulation: the new UE starts with fresh PF/EWMA
 // and diag state (a handed-over UE is a newcomer to the target scheduler)
 // and joins the allocation from the next subframe the cell runs, so the
-// caller advances the cell to the present first. A started cell refuses.
+// caller advances the cell to the present first. The UE takes the row of
+// the cell's most recently detached UE when there is one: the *UE returned
+// may be a handle DetachUE was given, which then belongs to the new UE.
+// A started cell refuses.
 func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	if c.started {
 		return nil, errors.New("lte: AddUE after Start (a ticked cell admits its UEs before it starts)")
@@ -292,49 +307,53 @@ func (c *Cell) AddUE(cfg UEConfig, deliver func(Packet)) (*UE, error) {
 	return c.admit(cfg, deliver), nil
 }
 
-// admit appends a UE row drawing from its own stream, cfg.Src or one seeded
-// from cfg.Seed, and queueing into the cell's last spare queue if it has one.
+// admit puts a UE in the cell's newest free row, or in a row appended when
+// none is free, and makes it the last row of the attach order.
 func (c *Cell) admit(cfg UEConfig, deliver func(Packet)) *UE {
-	rng := cfg.Src
-	if rng == nil {
-		rng = seeds.NewSource(cfg.Seed)
-	}
-	u := &UE{
-		cell:    c,
-		id:      len(c.ues),
-		cfg:     cfg,
-		rng:     rng,
-		deliver: deliver,
-	}
-	if k := len(c.spare) - 1; k >= 0 {
-		u.queue, c.spare[k] = c.spare[k], fifo.Queue[Packet]{}
-		c.spare = c.spare[:k]
+	var u *UE
+	if k := len(c.free) - 1; k >= 0 {
+		u = c.ues[c.free[k]]
+		c.free = c.free[:k]
 	} else {
 		// A video sender's backlog is tens of MTU-sized packets; start at
 		// that scale so the steady state never regrows.
-		u.queue = fifo.New[Packet](32)
+		u = &UE{id: len(c.ues), queue: fifo.New[Packet](32)}
+		c.ues = append(c.ues, u)
+		c.soa.grow()
+		if cap(c.order) < len(c.ues) {
+			c.order = append(c.order[:cap(c.order)], 0) // scratch: grow geometrically
+		}
 	}
-	c.ues = append(c.ues, u)
-	c.soa.add(c.sfIndex)
+	c.initRow(u, cfg, deliver)
 	c.active = append(c.active, int32(u.id))
-	if cap(c.order) < len(c.ues) {
-		c.order = append(c.order[:cap(c.order)], 0) // scratch: grow geometrically
-	}
 	if due := c.sfIndex + int64(c.soa.diagEvery[u.id]); due < c.diagNext || len(c.active) == 1 {
 		c.diagNext = due
 	}
 	return u
 }
 
+// initRow makes row u a newly admitted UE drawing from its own stream,
+// cfg.Src or one seeded from cfg.Seed: every field but the row's id and its
+// (empty) firmware ring starts at its zero or admission value, whether the
+// row was just appended or is reused.
+func (c *Cell) initRow(u *UE, cfg UEConfig, deliver func(Packet)) {
+	rng := cfg.Src
+	if rng == nil {
+		rng = seeds.NewSource(cfg.Seed)
+	}
+	*u = UE{cell: c, id: u.id, cfg: cfg, rng: rng, deliver: deliver, queue: u.queue}
+	c.soa.init(u.id, c.sfIndex)
+}
+
 // DetachUE removes a UE from scheduling (handover detach): the firmware
 // buffer is discarded (the bytes lost size the handover transfer), diag
 // reports stop (the silence is what trips FBCC's staleness watchdog), and
-// the PF state is cleared so the row no longer shapes the allocation. It
-// returns the buffered bytes dropped. The row itself stays — UE ids index
-// the cell's SoA — and a detached UE must not be re-used: re-attach means
-// a fresh AddUE on the target cell. The row's firmware queue does not
-// stay: emptied and zeroed, it waits for this cell's next AddUE. A started
-// cell panics.
+// the row leaves the allocation. It returns the buffered bytes dropped.
+// The row — the *UE, its hot state and its emptied firmware ring — goes on
+// the cell's free list; re-attach means an AddUE on the target cell. The
+// handle answers as a detached UE (refusing packets, keeping its served
+// bits) until this cell's next AddUE, which may reuse the row: from then
+// on the handle is the new UE's. A started cell panics.
 func (c *Cell) DetachUE(u *UE) int {
 	if c.started {
 		panic("lte: DetachUE on a Cell driven by Start")
@@ -343,22 +362,12 @@ func (c *Cell) DetachUE(u *UE) int {
 		return 0
 	}
 	u.detached = true
-	s := &c.soa
-	dropped := s.buf[u.id]
-	s.buf[u.id] = 0
+	dropped := c.soa.buf[u.id]
+	c.soa.buf[u.id] = 0
 	c.bufTotal -= dropped
-	s.diagTBS[u.id] = 0
-	s.diagEvery[u.id] = math.MaxInt32 // never due again (row leaves active)
-	s.ewma[u.id] = 0
-	s.pfServed[u.id] = 0
-	u.queue.Reset() // no payload stays reachable through the spare
-	c.spare = append(c.spare, u.queue)
-	u.queue = fifo.Queue[Packet]{}
-	u.headServed = 0
-	u.credit = 0
-	// Drop the row from the active list (order-preserving, so the PF
-	// metric loop keeps visiting rows in ascending id order — the
-	// deterministic tie-break of the PF winner).
+	u.queue.Reset() // no payload stays reachable through the free row
+	// Drop the row from the active list, order-preserving: the rows left
+	// keep their attach order.
 	for k, id := range c.active {
 		if int(id) == u.id {
 			copy(c.active[k:], c.active[k+1:])
@@ -366,6 +375,7 @@ func (c *Cell) DetachUE(u *UE) int {
 			break
 		}
 	}
+	c.free = append(c.free, int32(u.id))
 	return dropped
 }
 
@@ -593,7 +603,7 @@ func (c *Cell) stochasticGrant(u *UE) {
 //	T_i      = EWMA of the served rate over pfWindow
 //
 // The subframe's transport capacity is waterfilled over the backlogged UEs
-// in metric order (ties to the lower UE id, so the allocation is
+// in metric order (ties to the earlier-attached row, so the allocation is
 // deterministic): each UE takes at most its buffer-aware share r_i·1ms, the
 // remainder flows to the next best UE. Granted TBS carries the same
 // multiplicative noise as the legacy discipline.
@@ -635,8 +645,8 @@ func (c *Cell) pfGrant() {
 		}
 		m := ach / e
 		met[i] = m
-		// Strict >: rows come in ascending id order, so the lowest id
-		// wins a tie.
+		// Strict >: rows come in attach order, so the earliest-attached
+		// row wins a tie.
 		if n == 0 || m > best {
 			w, best = n, m
 		}
@@ -668,8 +678,8 @@ func (c *Cell) pfGrant() {
 			remaining -= tbs
 			s.pfServed[idx] = u.serve(tbs*u.tbsNoise(), met[idx])
 		}
-		// Order-preserving removal keeps ord in ascending id order for
-		// the tie-break of the next selection. The shift is a manual loop:
+		// Order-preserving removal keeps ord in attach order for the
+		// tie-break of the next selection. The shift is a manual loop:
 		// copy would call memmove even for the empty shift of the last row.
 		n--
 		for q := w; q < n; q++ {

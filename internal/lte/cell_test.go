@@ -205,9 +205,10 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 
 // TestDetachRecyclesQueue: DetachUE empties the row's firmware queue —
 // every slot zeroed, the wrapped part of the live window and the served
-// slots included — and hands its ring to the cell's spare list, and the
-// next AddUE on the cell starts on that ring, empty and at its full
-// capacity. The detached UE stays gone.
+// slots included — and the ring stays with the row, which the next AddUE
+// on the cell reuses: the same *UE, its queue empty and at its full
+// capacity. Until then the handle answers as the detached UE. With no row
+// free, AddUE appends one with a fresh queue.
 func TestDetachRecyclesQueue(t *testing.T) {
 	clk := simclock.New()
 	cell, err := NewCell(clk, DefaultCellConfig(ProfileCampus))
@@ -242,14 +243,14 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if dropped := cell.DetachUE(u); dropped == 0 {
 		t.Fatal("detach of a backlogged UE dropped nothing")
 	}
-	if len(cell.spare) != 1 {
-		t.Fatalf("%d spare queues after one detach, want 1", len(cell.spare))
+	if len(cell.free) != 1 || cell.free[0] != int32(u.id) {
+		t.Fatalf("free rows %v after detaching row %d, want just it", cell.free, u.id)
 	}
-	if spare := &cell.spare[0]; spare.Len() != 0 || spare.Cap() != capacity {
-		t.Fatalf("spare holds %d of %d, want the detached queue's ring emptied (cap %d)", spare.Len(), spare.Cap(), capacity)
+	if u.queue.Len() != 0 || u.queue.Cap() != capacity {
+		t.Fatalf("the detached row's queue holds %d of %d, want its ring emptied (cap %d)", u.queue.Len(), u.queue.Cap(), capacity)
 	}
 	if *slot0 != (Packet{}) {
-		t.Fatalf("the spare's slot 0 still holds %+v", *slot0)
+		t.Fatalf("the detached ring's slot 0 still holds %+v", *slot0)
 	}
 	if u.Enqueue(pkt) {
 		t.Fatal("detached UE accepted a packet")
@@ -262,11 +263,11 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.queue.Len() != 0 || v.queue.Cap() != capacity {
-		t.Fatalf("next AddUE's queue holds %d of %d, want the spare (cap %d)", v.queue.Len(), v.queue.Cap(), capacity)
+	if v != u || len(cell.ues) != 1 || len(cell.free) != 0 {
+		t.Fatalf("next AddUE did not reuse the free row (same handle %v, %d rows, %d free)", v == u, len(cell.ues), len(cell.free))
 	}
-	if len(cell.spare) != 0 {
-		t.Fatalf("%d spare queues left after the reuse", len(cell.spare))
+	if v.queue.Len() != 0 || v.queue.Cap() != capacity {
+		t.Fatalf("next AddUE's queue holds %d of %d, want the detached ring (cap %d)", v.queue.Len(), v.queue.Cap(), capacity)
 	}
 	v.Enqueue(pkt)
 	if v.queue.Front() != slot0 {
@@ -276,12 +277,12 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.queue.Cap() != 32 {
-		t.Fatalf("with no spare left, AddUE's queue has cap %d, want a fresh one of 32", w.queue.Cap())
+	if w == v || len(cell.ues) != 2 || w.queue.Cap() != 32 {
+		t.Fatalf("with no row free, AddUE gave %d rows and a queue of cap %d, want a second row with a fresh one of 32", len(cell.ues), w.queue.Cap())
 	}
 	w.Enqueue(pkt)
 	if w.queue.Front() == slot0 {
-		t.Fatal("with no spare left, AddUE reused the detached ring")
+		t.Fatal("with no row free, AddUE reused the detached ring")
 	}
 }
 

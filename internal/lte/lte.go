@@ -14,6 +14,10 @@
 // A Cell is ticked every subframe (Start: sessions, the shared cell,
 // Uplink) or advanced to an instant its clock has passed (Advance: the
 // city), with the same grants, deliveries and diag reports to the bit.
+// Each UE is a row of its cell, and a detached UE's row — handle included
+// — is reused by the cell's next AddUE: a detached handle is invalid once
+// its cell admits again, and a cell holds no more rows than its peak
+// concurrent population.
 package lte
 
 import (

@@ -14,9 +14,10 @@ import (
 // pfOracle is a naive proportional-fair cell, the reference Cell.pfGrant
 // must equal grant for grant. It updates every row's served-rate EWMA every
 // subframe (no pfIdle/pfPend deferral), sorts the backlogged rows by
-// (metric descending, id ascending) with a full stable sort and waterfills
-// down the sorted list. It shares with Cell only the capacity process and
-// the per-UE generator seeds; its firmware queue is a plain FIFO of its own.
+// (metric descending, attach order ascending) with a full stable sort and
+// waterfills down the sorted list. It never reuses a row: a UE's index is
+// its attach order. It shares with Cell only the capacity process and the
+// per-UE generator seeds; its firmware queue is a plain FIFO of its own.
 type pfOracle struct {
 	cap       capacityProcess
 	rng       *seeds.SplitMix
@@ -75,6 +76,10 @@ func (o *pfOracle) enqueue(i int, p Packet) {
 
 func (o *pfOracle) detach(i int) {
 	o.ues[i] = &oracleUE{detached: true}
+}
+
+func (o *pfOracle) attach(seed int64) {
+	o.ues = append(o.ues, &oracleUE{rng: seeds.NewSource(seed)})
 }
 
 // subframe runs subframe sf: capacity step, metric, sort, waterfill, then
@@ -168,13 +173,14 @@ func (o *pfOracle) serve(sf int64, i int, tbsBits float64) float64 {
 }
 
 // pfOp is one step of a scenario's tape, applied half a subframe after
-// subframe sf: an enqueue of bytes on ue, or its detach.
+// subframe sf: an enqueue of bytes on ue, its detach, or its attach (ue is
+// then the number of UEs attached before it).
 type pfOp struct {
-	sf     int64
-	ue     int
-	bytes  int
-	id     int64
-	detach bool
+	sf             int64
+	ue             int
+	bytes          int
+	id             int64
+	detach, attach bool
 }
 
 type pfScenario struct {
@@ -188,8 +194,10 @@ type pfScenario struct {
 func (sc pfScenario) ueSeed(i int) int64 { return int64(7000 + 31*i) }
 
 // runPFCell plays the scenario on a production Cell on Start's ticker
-// (tickFromTest: the tapes detach mid-run) and returns its grants (read off
-// the lte.grant telemetry) and deliveries.
+// (tickFromTest: the tapes detach and attach mid-run) and returns its
+// grants (read off the lte.grant telemetry) and deliveries. A detached UE's
+// handle is dropped (the cell may hand its row to the next attach); the
+// tape's packets for it are refused, as the oracle refuses them.
 func runPFCell(t *testing.T, sc pfScenario) ([]pfGrantRec, []pfDelivery) {
 	t.Helper()
 	clk := simclock.New()
@@ -199,23 +207,32 @@ func runPFCell(t *testing.T, sc pfScenario) ([]pfGrantRec, []pfDelivery) {
 	}
 	bus := obs.NewBus()
 	var delivered []pfDelivery
-	ues := make([]*UE, sc.ues)
-	for i := range ues {
-		i := i
-		if ues[i], err = cell.AddUE(DefaultUEConfig(sc.ueSeed(i)), func(p Packet) {
+	var ues []*UE
+	attach := func() {
+		i := len(ues)
+		u, err := cell.AddUE(DefaultUEConfig(sc.ueSeed(i)), func(p Packet) {
 			delivered = append(delivered, pfDelivery{i, p.ID})
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		ues[i].SetProbe(bus.Probe(int32(i)))
+		u.SetProbe(bus.Probe(int32(i)))
+		ues = append(ues, u)
+	}
+	for range sc.ues {
+		attach()
 	}
 	tickFromTest(cell)
 	for _, op := range sc.tape {
 		op := op
 		clk.Schedule(time.Duration(op.sf)*Subframe+Subframe/2, func() {
-			if op.detach {
+			switch {
+			case op.attach:
+				attach()
+			case op.detach:
 				cell.DetachUE(ues[op.ue])
-			} else {
+				ues[op.ue] = nil
+			case op.ue < len(ues) && ues[op.ue] != nil:
 				ues[op.ue].Enqueue(Packet{ID: op.id, Bytes: op.bytes})
 			}
 		})
@@ -240,9 +257,12 @@ func runPFOracle(sc pfScenario) *pfOracle {
 	k := 0
 	apply := func(sf int64) {
 		for ; k < len(sc.tape) && sc.tape[k].sf == sf; k++ {
-			if op := sc.tape[k]; op.detach {
+			switch op := sc.tape[k]; {
+			case op.attach:
+				o.attach(sc.ueSeed(len(o.ues)))
+			case op.detach:
 				o.detach(op.ue)
-			} else {
+			case op.ue < len(o.ues):
 				o.enqueue(op.ue, Packet{ID: op.id, Bytes: op.bytes})
 			}
 		}
@@ -304,19 +324,31 @@ func TestPFGrantMatchesNaiveOracle(t *testing.T) {
 			ties.tape = append(ties.tape, pfOp{sf: sf, ue: i, bytes: 3000, id: id})
 		}
 	}
+	// The same, and after 100 subframes UE 0 leaves and UE 8 takes its row:
+	// the newest arrival, it must lose every tie to the rows before it.
+	reties := pfScenario{name: "ties+reattach", cfg: cityCfg(0), ues: 8, subframes: 5000,
+		tape: []pfOp{{sf: 100, ue: 0, detach: true}, {sf: 100, ue: 8, attach: true}}}
+	for sf, id := int64(1200), int64(0); sf < reties.subframes; sf += 1200 {
+		for i := 1; i <= reties.ues; i++ {
+			id++
+			reties.tape = append(reties.tape, pfOp{sf: sf, ue: i, bytes: 3000, id: id})
+		}
+	}
 	// A scripted outage at factor 0 over backlogged UEs, then a detach of
-	// two backlogged UEs mid-run.
+	// two backlogged UEs mid-run, each followed by an attach into its row
+	// (UEs 6 and 7, whose packets the tape offers from the start).
 	faulted := pfScenario{name: "fault+detach", cfg: cityCfg(0), ues: 6, subframes: 4000,
-		tape: lightTape(99, 6, 4000, ProfileCampus)}
+		tape: lightTape(99, 8, 4000, ProfileCampus)}
 	faulted.cfg.CapacityFault = func(now time.Duration) float64 {
 		if now >= time.Second && now < 1300*time.Millisecond {
 			return 0
 		}
 		return 1
 	}
-	faulted.tape = append(faulted.tape, pfOp{sf: 1500, ue: 2, detach: true}, pfOp{sf: 2200, ue: 5, detach: true})
+	faulted.tape = append([]pfOp{{sf: 1500, ue: 2, detach: true}, {sf: 1700, ue: 6, attach: true},
+		{sf: 2200, ue: 5, detach: true}, {sf: 2200, ue: 7, attach: true}}, faulted.tape...)
 	sort.SliceStable(faulted.tape, func(a, b int) bool { return faulted.tape[a].sf < faulted.tape[b].sf })
-	scenarios = append(scenarios, ties, faulted)
+	scenarios = append(scenarios, ties, reties, faulted)
 
 	var deep, tied, dead int
 	for _, sc := range scenarios {

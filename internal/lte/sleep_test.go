@@ -37,7 +37,8 @@ type sleepOp struct {
 // everything observable: each residency's deliveries and diag reports with
 // their instants, in order, and its served bits; every capacity read and
 // every detach's dropped bytes. Within an advance the cell may run rows in
-// any order, so residencies keep separate logs.
+// any order, so residencies keep separate logs. A residency's served bits
+// are read at its detach, before the cell may hand its row to the next.
 func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Duration, advanced bool) []string {
 	t.Helper()
 	clk := simclock.New()
@@ -59,8 +60,11 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 	var log []string
 	var logs [][]string // by residency
 	var slots [3]*UE
-	var all []*UE
+	var slotRes [3]int // the residency in each slot
 	residency, pktID := 0, int64(0)
+	final := func(r int, u *UE) {
+		logs[r] = append(logs[r], fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.dropped))
+	}
 	for _, op := range tape {
 		run(op.at)
 		switch op.kind {
@@ -81,9 +85,10 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 				logs[r] = append(logs[r], fmt.Sprintf("diag r%d %+v", r, rep))
 			})
 			slots[op.slot] = u
-			all = append(all, u)
+			slotRes[op.slot] = r
 		case 'd':
 			log = append(log, fmt.Sprintf("detach at %v dropped %d", op.at, cell.DetachUE(slots[op.slot])))
+			final(slotRes[op.slot], slots[op.slot])
 			slots[op.slot] = nil
 		case 'e':
 			for k := 0; k < op.n; k++ {
@@ -95,9 +100,13 @@ func playSleepTape(t *testing.T, cfg CellConfig, tape []sleepOp, end time.Durati
 		}
 	}
 	run(end)
-	for r, u := range all {
-		log = append(log, logs[r]...)
-		log = append(log, fmt.Sprintf("r%d served %v dropped %d", r, u.TotalServedBits(), u.dropped))
+	for k, u := range slots {
+		if u != nil {
+			final(slotRes[k], u)
+		}
+	}
+	for _, l := range logs {
+		log = append(log, l...)
 	}
 	log = append(log, fmt.Sprintf("capacity at end = %v", cell.cap.current))
 	return log

@@ -40,12 +40,12 @@
 // against a now-silent diag feed and degrades to its embedded GCC exactly
 // as §4.3.2 prescribes, an emergent watchdog trip rather than a scripted
 // DiagStall. At the first boundary past the outage the coordinator retires
-// the old residency (port indirection: the old port's UE pointer is nulled
-// so stale in-flight events no-op) and re-attaches on the target cell with
-// a fresh modem row, fresh PF/EWMA state, and fresh per-residency seeds
-// from seeds.Grid(base, cell, ue, attachSeq). Diag reports resume within
-// one lte.DefaultDiagPeriod and OnDiag clears the degradation — the
-// recovery the Result counts.
+// the old residency (the UE's port leaves the old shard's resident list)
+// and re-attaches on the target cell — in the modem row the cell's latest
+// departure freed, or a new one — with fresh PF/EWMA state and fresh
+// per-residency seeds from seeds.Grid(base, cell, ue, attachSeq). Diag
+// reports resume within one lte.DefaultDiagPeriod and OnDiag clears the
+// degradation — the recovery the Result counts.
 //
 // # UE endpoints
 //
@@ -317,16 +317,21 @@ func (r *Result) Fingerprint() string {
 }
 
 // shard is one cell's event domain: its own clock, its lte.Cell, and the
-// modem rows of every residency it ever hosted. residents is the shard's
-// endpoint engine: the ports currently living on this cell, ticked in
-// attach order by one shard-level ticker — replacing two heap tickers per
-// UE with a single periodic that sweeps a contiguous slice. That ticker is
-// the only one on the shard's clock: the cell is advanced, not ticked.
+// radio-served bits of every residency it ever hosted. residents is the
+// shard's endpoint engine: the ports currently living on this cell, ticked
+// in attach order by one shard-level ticker — replacing two heap tickers
+// per UE with a single periodic that sweeps a contiguous slice. That
+// ticker is the only one on the shard's clock: the cell is advanced, not
+// ticked.
 type shard struct {
-	clk       *simclock.Clock
-	cell      *lte.Cell
-	links     []*lte.UE // one per residency, for per-cell fairness
-	residents []*port   // live residencies, mutated only at barriers
+	clk  *simclock.Clock
+	cell *lte.Cell
+	// served holds each residency's radio-served bits in attach order, for
+	// per-cell fairness: taken from the modem row at detach (the cell may
+	// hand the row to its next arrival) and by finalize for the residencies
+	// still attached. A residency's entry is its ue.slot.
+	served    []float64
+	residents []*port // live residencies, mutated only at barriers
 	// dueAt is the last barrier whose due list holds this shard (touch).
 	dueAt time.Duration
 }
@@ -338,9 +343,7 @@ type shard struct {
 func (sh *shard) tickResidents() {
 	sh.cell.Advance(sh.clk.Now(), false)
 	for _, p := range sh.residents {
-		if p.u != nil {
-			p.u.tick(p)
-		}
+		p.u.tick(p)
 	}
 }
 
@@ -678,7 +681,9 @@ func (n *city) fold(now time.Duration, start, complete func(*ue, time.Duration))
 
 func (n *city) startHandover(u *ue, now time.Duration) {
 	sh := n.shards[u.serving]
-	dropped := sh.cell.DetachUE(u.link)
+	link := u.port.link
+	sh.served[u.slot] = link.TotalServedBits()
+	dropped := sh.cell.DetachUE(link)
 	u.port.link = nil // radio gone; in-flight core deliveries still land
 	u.hoFrom = u.serving
 	u.serving = -1
@@ -755,14 +760,14 @@ func (n *city) finalize() *Result {
 	}
 	res.JainGlobal = metrics.JainFairness(perUEBits)
 
-	served := make([]float64, 0, 64)
-	for c, sh := range n.shards {
-		served = served[:0]
-		for _, l := range sh.links {
-			served = append(served, l.TotalServedBits())
+	for _, u := range n.ues {
+		if u.serving >= 0 {
+			n.shards[u.serving].served[u.slot] = u.port.link.TotalServedBits()
 		}
-		res.PerCellJain[c] = metrics.JainFairness(served)
-		res.occupied[c] = len(sh.links) > 0
+	}
+	for c, sh := range n.shards {
+		res.PerCellJain[c] = metrics.JainFairness(sh.served)
+		res.occupied[c] = len(sh.served) > 0
 	}
 	return res
 }

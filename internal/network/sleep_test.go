@@ -208,11 +208,13 @@ func TestCitySteadyStateAllocFree(t *testing.T) {
 
 // TestCityHandoverAllocBudget bounds what a handover allocates, measured as
 // the extra TotalAlloc of sim-seconds 20–40 of a 64 × 256 city at a 3 s mean
-// dwell over the extra handovers (≈ 1 500). A handover costs the target
-// cell a modem row, the residency its port and diag closure, and the
-// endpoint whatever its queues regrow: 3.2 KiB when every residency also
-// got a fresh 32-packet firmware queue, 1.5 KiB since a detached row's
-// queue is recycled by the cell's next admit.
+// dwell over the extra handovers (≈ 1 500). A handover into a cell with a
+// free modem row takes that row, firmware ring included, and the UE keeps
+// its port and radio callbacks, so what is left is growth: a cell's first
+// arrival beyond its peak population appends a row, the per-cell list of
+// residencies' served bits grows by one entry, and queues whose live
+// backlog sets a record regrow. That measures 937 B per handover; the bound
+// is 1 KiB, 87 B (9 %) above it.
 func TestCityHandoverAllocBudget(t *testing.T) {
 	at := func(d time.Duration) (uint64, int) {
 		b, res := cityAlloc(t, Config{Cells: 64, UEs: 256, Seed: 1, Workers: 1, MeanDwell: 3 * time.Second, Duration: d})
@@ -225,8 +227,8 @@ func TestCityHandoverAllocBudget(t *testing.T) {
 	}
 	per := float64(int64(a40)-int64(a20)) / float64(h40-h20)
 	t.Logf("sim-seconds 20–40: %d B over %d handovers, %.0f B per handover", int64(a40)-int64(a20), h40-h20, per)
-	if per > 2<<10 {
-		t.Errorf("%.0f B per handover, budget 2 KiB", per)
+	if per > 1<<10 {
+		t.Errorf("%.0f B per handover, budget 1 KiB", per)
 	}
 }
 

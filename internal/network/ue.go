@@ -18,18 +18,19 @@ import (
 // layer's opaque payload slot (one shared sentinel, no per-packet alloc).
 var lastOfFrame any = new(struct{})
 
-// port is one residency of a UE on a shard — the indirection that makes
-// cross-epoch migration race-free. Everything a residency does reaches
-// the UE through its port; when the coordinator retires the residency at
-// a barrier it nulls port.u and unlinks the port from the shard's
-// resident list, so nothing on the old shard can touch UE state again.
-// Ports are written only at single-threaded barriers, so shard workers
-// never race on them.
+// port is a UE's place on the shard it resides on: what its residency
+// runs through there. Each UE has one for its whole life; the coordinator
+// points it at the target shard and modem row when it attaches, and
+// unlinks it from the old shard's resident list when it retires the
+// residency, so nothing on the old shard reaches the UE again. A retired
+// residency has no other way in: its modem row was detached (no delivery,
+// no diag report) and its frames in flight were dropped with it. Ports are
+// written only at single-threaded barriers, so shard workers never race
+// on them.
 type port struct {
 	u    *ue
 	sh   *shard
-	src  *seeds.SplitMix // per-residency core-path jitter stream
-	link *lte.UE         // nil once detached (radio gone, core path still live)
+	link *lte.UE // nil once detached (radio gone, core path still live)
 	// lastArr enforces core-path FIFO: a delivery never overtakes the
 	// previous one despite independent jitter draws.
 	lastArr time.Duration
@@ -89,7 +90,9 @@ type feedback struct {
 // senders fill their firmware buffers, takes minutes
 // (TestCitySteadyStateAllocFree). The three per-UE RNG streams (mobility,
 // core path, modem) are 8-byte SplitMix slots that a handover reseeds in
-// place instead of reallocating.
+// place instead of reallocating, and the port and the two radio callbacks
+// are made once: a handover into a cell that has a free modem row
+// allocates nothing.
 type ue struct {
 	id  int
 	rc  RC
@@ -102,15 +105,20 @@ type ue struct {
 
 	// residency
 	serving   int // current cell, -1 during a handover outage
-	port      *port
-	link      *lte.UE
+	slot      int // the residency's entry in its cell's shard.served
+	port      port
 	attachSeq int
+	// onAir and onDiag are the modem row's callbacks (port.deliver and,
+	// for FBCC UEs, FBCC.OnDiag), bound once for every residency.
+	onAir  func(lte.Packet)
+	onDiag func(lte.DiagReport)
 
 	// Persistent per-UE RNG stream slots: reseeded (one store) per
 	// residency with the seeds.Grid/Stream derivation of that residency.
 	// The previous residency's consumers never draw again once retired —
-	// detached modem rows are excluded from scheduling and retired ports
-	// are unreachable — so reuse cannot interleave streams.
+	// a detached modem row draws only for the UE the cell admits into it
+	// next, and a retired port is on no resident list — so reuse cannot
+	// interleave streams.
 	pathSrc *seeds.SplitMix
 	lteSrc  *seeds.SplitMix
 
@@ -163,6 +171,8 @@ func (n *city) newUE(id int) (*ue, error) {
 		fbQ:  fifo.New[feedback](8),
 		pend: fifo.New[pendFrame](16),
 	}
+	u.port.u = u
+	u.onAir = u.port.deliver
 	switch cfg.Mix {
 	case MixFBCC:
 		u.rc = RCFBCC
@@ -195,6 +205,7 @@ func (n *city) newUE(id int) (*ue, error) {
 			return nil, err
 		}
 		u.fbcc = f
+		u.onDiag = f.OnDiag
 	}
 	g, err := ratecontrol.NewGCCReceiver(ratecontrol.DefaultGCCConfig())
 	if err != nil {
@@ -204,24 +215,23 @@ func (n *city) newUE(id int) (*ue, error) {
 	return u, nil
 }
 
-// attach creates a fresh residency for u on the given cell: a new modem
-// row (fresh PF/EWMA state under per-residency seeds), a new port, and a
-// slot on the shard's resident list, whose shard-level ticker drives the
-// endpoint. Called only from the single-threaded coordinator (admission
-// at t=0, handover completion at barriers), with the shard's clock and
-// cell through now (shard.run): on a shard that had no resident the frame
-// ticks it skipped have fired as the no-ops they were, keeping the
-// ticker's phase.
+// attach starts a residency of u on the given cell: a modem row (fresh
+// PF/EWMA state under per-residency seeds), its port pointed at the shard,
+// and a slot on the shard's resident list, whose shard-level ticker drives
+// the endpoint. Called only from the single-threaded coordinator
+// (admission at t=0, handover completion at barriers), with the shard's
+// clock and cell through now (shard.run): on a shard that had no resident
+// the frame ticks it skipped have fired as the no-ops they were, keeping
+// the ticker's phase.
 func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	sh := n.shards[cell]
 	grid := seeds.Grid(n.cfg.Seed, cell, u.id, u.attachSeq)
 	u.attachSeq++
 	u.pathSrc.Seed(seeds.Stream(grid, "path"))
 	u.lteSrc.Seed(seeds.Stream(grid, "lte"))
-	p := &port{u: u, sh: sh, src: u.pathSrc, lastArr: now}
 	ucfg := lte.DefaultUEConfig(0)
 	ucfg.Src = u.lteSrc
-	link, err := sh.cell.AddUE(ucfg, p.deliver)
+	link, err := sh.cell.AddUE(ucfg, u.onAir)
 	if err != nil {
 		return err
 	}
@@ -231,17 +241,12 @@ func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 		// on their own shard's stream.
 		link.SetProbe(n.radio[cell].Probe(int32(u.id)))
 	}
-	link.SetDiagListener(func(rep lte.DiagReport) {
-		if p.u == nil || u.fbcc == nil {
-			return
-		}
-		u.fbcc.OnDiag(rep)
-	})
-	p.link = link
-	u.port = p
-	u.link = link
+	link.SetDiagListener(u.onDiag)
+	p := &u.port
+	p.sh, p.link, p.lastArr = sh, link, now
 	u.serving = cell
-	sh.links = append(sh.links, link)
+	u.slot = len(sh.served)
+	sh.served = append(sh.served, 0) // filled at detach, or by finalize
 	sh.residents = append(sh.residents, p)
 	ho := 0.0
 	if handover {
@@ -252,12 +257,10 @@ func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 }
 
 // retire ends the current residency: the port is unlinked from the old
-// shard's resident list (and its UE pointer nulled, so anything still
-// holding the port no-ops), and frames still queued or in flight are
+// shard's resident list, and frames still queued or in flight are
 // abandoned — they count as lost because they are never delivered.
 func (u *ue) retire() {
-	p := u.port
-	p.u = nil
+	p := &u.port
 	res := p.sh.residents
 	for i, q := range res {
 		if q == p {
@@ -398,7 +401,7 @@ func (u *ue) drain(p *port) {
 // this UE's state, as the advance contract requires.
 func (p *port) deliver(pkt lte.Packet) {
 	u := p.u
-	if u == nil || pkt.Payload == nil {
+	if pkt.Payload == nil {
 		return
 	}
 	e, ok := u.takePend(pkt.ID)
@@ -406,7 +409,7 @@ func (p *port) deliver(pkt lte.Packet) {
 		return
 	}
 	core := &netsim.CellularPath
-	arr := p.link.Now() + core.CoreBase + time.Duration(math.Abs(p.src.NormFloat64())*float64(core.CoreJitterStd))
+	arr := p.link.Now() + core.CoreBase + time.Duration(math.Abs(u.pathSrc.NormFloat64())*float64(core.CoreJitterStd))
 	if arr < p.lastArr {
 		arr = p.lastArr
 	}

@@ -193,6 +193,14 @@ func MOSForPSNR(psnr float64) MOS { return metrics.MOSForPSNR(psnr) }
 // reports; results are folded in deterministic (user, repeat) order.
 type ExperimentOptions = experiments.Options
 
+// ExperimentMemo lets the experiments of one run share the campus-grid
+// batches several of them compare (ExperimentOptions.Memo): a batch is run
+// once per scale and recalled after, which changes no report.
+type ExperimentMemo = experiments.Memo
+
+// NewExperimentMemo builds an empty batch memo.
+func NewExperimentMemo() *ExperimentMemo { return experiments.NewMemo() }
+
 // DeriveSeed maps a base seed and a non-negative (lane, step) coordinate
 // to a collision-free per-session seed (SplitMix64 finalizer). The
 // experiment engine seeds grid cell (user, repeat) of a batch with

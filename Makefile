@@ -29,16 +29,18 @@ test:
 ## GOMAXPROCS 1 and 2 in the environment — the hand-off's yield path and
 ## its park path raced on one P and on two, whatever the runner's core
 ## count (-count=1: the test cache does not key on GOMAXPROCS) — one
-## pass of the row-reuse tests with GOMAXPROCS 2, where the city's
-## coordinator hands freed modem rows to new residencies between pooled
-## advances at Workers 2 and 4 — and one raced pass of the city epoch loop
-## at 1/2/4/8 workers.
+## pass of the row-reuse tests and the city's two Workers byte-identity
+## tests with GOMAXPROCS 2, where the city's coordinator hands freed
+## modem rows to new residencies, folds departing residencies into the
+## shards' fairness sums and rebinds radio probes to target buses between
+## pooled advances — and one raced pass of the city epoch loop at 1/2/4/8
+## workers.
 race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run '^TestMultiUser(BytesIdentical|Measured)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
-	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'RowReuse|ReusedRow|DetachRecycles' ./internal/network ./internal/lte
+	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'RowReuse|ReusedRow|DetachRecycles|CityByteIdentityAcrossWorkers|CityBinaryTelemetryByteIdentity' ./internal/network ./internal/lte
 	$(GO) test -race -bench 'CityWorkers' -benchtime 1x -run '^$$' ./internal/network
 
 ## lint: gofmt cleanliness (vet is its own target so the CI matrix can

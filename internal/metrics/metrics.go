@@ -234,16 +234,20 @@ func (r *Running) Mean() float64 { return r.mean }
 // aggregates in the network layer. Perfect fairness is the limit Jain's
 // index takes for any equal allocation, vacuous ones included.
 func JainFairness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
 	var sum, sumSq float64
 	for _, x := range xs {
 		sum += x
 		sumSq += x * x
 	}
-	if sumSq == 0 {
+	return JainFromSums(len(xs), sum, sumSq)
+}
+
+// JainFromSums is JainFairness of an allocation of n shares kept as running
+// sums, Σx and Σx², under the same degenerate-allocation convention: a
+// caller that folds shares in as they become known needs no slice of them.
+func JainFromSums(n int, sum, sumSq float64) float64 {
+	if sumSq == 0 { // n = 0, or every share zero
 		return 1
 	}
-	return sum * sum / (float64(len(xs)) * sumSq)
+	return sum * sum / (float64(n) * sumSq)
 }

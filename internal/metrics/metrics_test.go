@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -228,6 +229,42 @@ func TestJainFairness(t *testing.T) {
 	}
 	if math.Abs(JainFairness([]float64{1, 2, 4})-JainFairness([]float64{10, 20, 40})) > 1e-12 {
 		t.Fatal("scale dependence")
+	}
+}
+
+// TestJainFromSumsMatchesSlice holds the sums form to JainFairness on the
+// degenerate allocations and on random whole-byte allocations (multiples of
+// 8 bits, as a modem row serves them) folded in a shuffled order: a caller
+// that adds shares as they become known sums them in another order than the
+// slice, and for such shares below 2^26 bits both sums are exact, so the two
+// forms must agree bit for bit.
+func TestJainFromSumsMatchesSlice(t *testing.T) {
+	fold := func(xs []float64) float64 {
+		var sum, sumSq float64
+		for _, x := range xs {
+			sum += x
+			sumSq += x * x
+		}
+		return JainFromSums(len(xs), sum, sumSq)
+	}
+	for _, xs := range [][]float64{nil, {}, {0}, {0, 0, 0}} {
+		if got, want := fold(xs), JainFairness(xs); got != want || got != 1 {
+			t.Fatalf("%v: sums form %g, slice form %g, want 1", xs, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := range 2000 {
+		xs := make([]float64, 1+rng.Intn(64))
+		for i := range xs {
+			if rng.Intn(8) > 0 { // some residencies serve nothing
+				xs[i] = 8 * float64(rng.Intn(1<<23))
+			}
+		}
+		want := JainFairness(xs)
+		rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+		if got := fold(xs); got != want {
+			t.Fatalf("trial %d, %d shares: sums form %v in shuffled order, slice form %v", trial, len(xs), got, want)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@
 //
 // # Shard/merge discipline
 //
-// Each cell is a shard — its own simclock event heap plus one lte.Cell and
-// the UE endpoints currently resident on it. A shard's clock holds one
+// Each cell is one record, its shard: its own simclock event heap, one
+// lte.Cell, the UE endpoints currently resident on it, its radio telemetry
+// bus and its fairness sums. Each UE is one record too, its current
+// residency included (resident cell, modem row). A shard's clock holds one
 // ticker, the endpoints' frame tick; the cell holds none, and the shard
 // advances it (lte.Cell.Advance) up to each frame tick and through each
 // barrier. A single-threaded coordinator visits a barrier every 10 ms and
@@ -18,10 +20,10 @@
 // per-barrier flush of its telemetry bus, or the end of the run. An
 // untouched shard lags and later covers the gap in one clock run.
 // Because each UE's entire state is touched only by events on its resident
-// shard's clock between barriers, and only by the coordinator at barriers,
-// when a shard runs cannot show in the report, which is byte-identical at
-// any Workers value — the same ordered-fold discipline as the experiment
-// engine's runGrid.
+// shard's clock between barriers, and only by the coordinator (which alone
+// moves residencies and folds fairness sums) at barriers, when a shard runs
+// cannot show in the report, which is byte-identical at any Workers value —
+// the same ordered-fold discipline as the experiment engine's runGrid.
 //
 // A shard nobody resides on is never due — not even at the end of the run
 // — and a due shard's empty cell is advanced by its capacity step: one
@@ -40,8 +42,8 @@
 // against a now-silent diag feed and degrades to its embedded GCC exactly
 // as §4.3.2 prescribes, an emergent watchdog trip rather than a scripted
 // DiagStall. At the first boundary past the outage the coordinator retires
-// the old residency (the UE's port leaves the old shard's resident list)
-// and re-attaches on the target cell — in the modem row the cell's latest
+// the old residency (the UE leaves the old shard's resident list) and
+// re-attaches on the target cell — in the modem row the cell's latest
 // departure freed, or a new one — with fresh PF/EWMA state and fresh
 // per-residency seeds from seeds.Grid(base, cell, ue, attachSeq). Diag
 // reports resume within one lte.DefaultDiagPeriod and OnDiag clears the
@@ -185,6 +187,9 @@ type Config struct {
 // warmup is the startup transient excluded from frame/throughput stats.
 func (c Config) warmup() time.Duration { return min(2*time.Second, c.Duration/4) }
 
+// radio reports whether the cells get radio telemetry buses.
+func (c Config) radio() bool { return c.Agg != nil || c.Sink != nil }
+
 func (c Config) withDefaults() Config {
 	if c.Mix == "" {
 		c.Mix = MixSplit
@@ -316,35 +321,51 @@ func (r *Result) Fingerprint() string {
 	return b.String()
 }
 
-// shard is one cell's event domain: its own clock, its lte.Cell, and the
-// radio-served bits of every residency it ever hosted. residents is the
-// shard's endpoint engine: the ports currently living on this cell, ticked
-// in attach order by one shard-level ticker — replacing two heap tickers
-// per UE with a single periodic that sweeps a contiguous slice. That
-// ticker is the only one on the shard's clock: the cell is advanced, not
-// ticked.
+// shard is one cell's record: its event domain (its own clock and its
+// lte.Cell), its radio telemetry bus, and its fairness tally. residents is
+// the shard's endpoint engine: the UEs currently living on this cell,
+// ticked in attach order by one shard-level ticker — replacing two heap
+// tickers per UE with a single periodic that sweeps a contiguous slice.
+// That ticker is the only one on the shard's clock: the cell is advanced,
+// not ticked.
 type shard struct {
-	clk  *simclock.Clock
-	cell *lte.Cell
-	// served holds each residency's radio-served bits in attach order, for
-	// per-cell fairness: taken from the modem row at detach (the cell may
-	// hand the row to its next arrival) and by finalize for the residencies
-	// still attached. A residency's entry is its ue.slot.
-	served    []float64
-	residents []*port // live residencies, mutated only at barriers
+	clk       *simclock.Clock
+	cell      *lte.Cell
+	residents []*ue // live residencies, mutated only at barriers
+	// radio is the cell's private telemetry bus (nil unless Config.Agg or
+	// Config.Sink enabled it), touched only by the shard's advance and by
+	// the coordinator at barriers — the shard's own isolation discipline.
+	radio *obs.Bus
+	// residencies, servedSum and servedSq fold in each residency the cell
+	// hosted — its radio-served bits, taken from the modem row at detach
+	// (the cell may hand the row to its next arrival) or by finalize — for
+	// per-cell fairness (metrics.JainFromSums). Served bits are whole
+	// bytes, so the sums are exact in any order, detach order included,
+	// while servedSq stays below 2^59.
+	residencies         int
+	servedSum, servedSq float64
 	// dueAt is the last barrier whose due list holds this shard (touch).
 	dueAt time.Duration
 }
 
 // tickResidents is the shard's endpoint tick: one pass over the resident
-// ports per frame interval. The list is mutated only by the coordinator
-// at barriers, so the sweep never observes a concurrent change. The cell
-// runs its subframes before this instant first (a tied one comes after).
+// UEs per frame interval. The list is mutated only by the coordinator at
+// barriers, so the sweep never observes a concurrent change. The cell runs
+// its subframes before this instant first (a tied one comes after).
 func (sh *shard) tickResidents() {
-	sh.cell.Advance(sh.clk.Now(), false)
-	for _, p := range sh.residents {
-		p.u.tick(p)
+	now := sh.clk.Now()
+	sh.cell.Advance(now, false)
+	for _, u := range sh.residents {
+		u.tick(now)
 	}
+}
+
+// tally folds one residency's radio-served bits into the fairness sums.
+func (sh *shard) tally(link *lte.UE) {
+	bits := link.TotalServedBits()
+	sh.residencies++
+	sh.servedSum += bits
+	sh.servedSq += bits * bits
 }
 
 // run brings the shard to the barrier at end: its clock, then its cell
@@ -366,11 +387,6 @@ type city struct {
 	pool *epochPool
 	// Tallies of step's barriers, the pooled ones, and due-list lengths.
 	barriers, pooled, dueSum int64
-	// radio holds the per-cell telemetry buses (nil unless Config.Agg or
-	// Config.Sink enabled them). Each bus is touched only by its shard's
-	// clock goroutine during an advance and only by the coordinator at
-	// barriers — the same isolation discipline as the shards themselves.
-	radio []*obs.Bus
 }
 
 // parkAfterYields bounds a helper's wait by yielding. At ≈ 0.1 µs a yield
@@ -490,8 +506,8 @@ func (n *city) run() *Result {
 	// Seal the spill streams: gauges (none today on city buses) and any
 	// pending bytes, coordinator first, then shards in id order.
 	n.cfg.Obs.FinishSpill()
-	for _, rb := range n.radio {
-		rb.FinishSpill()
+	for _, sh := range n.shards {
+		sh.radio.FinishSpill()
 	}
 
 	return n.finalize()
@@ -528,21 +544,15 @@ func newCity(cfg Config) (*city, error) {
 		sh := &shard{clk: clk, cell: cell}
 		n.shards[c] = sh
 		clk.Ticker(frameInterval, sh.tickResidents)
-	}
-
-	// --- Per-cell radio telemetry shards ------------------------------
-	if cfg.Agg != nil || cfg.Sink != nil {
-		n.radio = make([]*obs.Bus, cfg.Cells)
-		for c := range n.radio {
-			rb := obs.NewBus()
-			rb.DisableRetention()
+		if cfg.radio() {
+			sh.radio = obs.NewBus()
+			sh.radio.DisableRetention()
 			if cfg.Sink != nil {
-				rb.SpillTo(cfg.Sink, int32(c), 0)
+				sh.radio.SpillTo(cfg.Sink, int32(c), 0)
 			}
 			if cfg.Agg != nil {
-				cfg.Agg.Bind(int32(c), rb)
+				cfg.Agg.Bind(int32(c), sh.radio)
 			}
-			n.radio[c] = rb
 		}
 	}
 
@@ -554,7 +564,7 @@ func newCity(cfg Config) (*city, error) {
 			return nil, err
 		}
 		n.ues[i] = u
-		if err := n.attach(u, u.cur, 0, false); err != nil {
+		if err := n.attach(u, u.cur, 0); err != nil {
 			return nil, err
 		}
 		u.stats.HomeCell = u.cur
@@ -580,7 +590,7 @@ func (n *city) step(now time.Duration) time.Duration {
 		n.planMobility(end)
 		n.fold(end, n.touchStart, n.touchComplete)
 	}
-	if final || n.radio != nil {
+	if final || n.cfg.radio() {
 		// The end of the run, and the flush below (it hands every radio
 		// bus's bytes to the sink barrier by barrier), touch every shard
 		// with a resident: a city with radio buses advances in lockstep.
@@ -618,10 +628,10 @@ func (n *city) touch(cell int, end time.Duration) {
 // touchStart and touchComplete mark the shards startHandover and
 // completeHandover reach into: the one detached from; the one retired
 // from and the one attached to (the same, if the UE walked back).
-func (n *city) touchStart(u *ue, end time.Duration) { n.touch(u.serving, end) }
+func (n *city) touchStart(u *ue, end time.Duration) { n.touch(u.cell, end) }
 
 func (n *city) touchComplete(u *ue, end time.Duration) {
-	n.touch(u.hoFrom, end)
+	n.touch(u.cell, end)
 	n.touch(u.cur, end)
 }
 
@@ -635,12 +645,12 @@ func (n *city) touchComplete(u *ue, end time.Duration) {
 // Untelemetered runs skip the sweep entirely (the common benchmark
 // configuration has neither bus).
 func (n *city) flushTelemetry() {
-	if n.cfg.Obs == nil && n.radio == nil {
+	if n.cfg.Obs == nil && !n.cfg.radio() {
 		return
 	}
 	n.cfg.Obs.Flush()
-	for _, rb := range n.radio {
-		rb.Flush()
+	for _, sh := range n.shards {
+		sh.radio.Flush()
 	}
 	n.cfg.Sink.Sync()
 	n.cfg.Obs.Sync() // a no-op unless Obs spills to a sink of its own
@@ -671,39 +681,37 @@ func (n *city) planMobility(now time.Duration) {
 func (n *city) fold(now time.Duration, start, complete func(*ue, time.Duration)) {
 	for _, u := range n.ues {
 		switch {
-		case u.serving >= 0 && u.serving != u.cur:
+		case u.link != nil && u.cell != u.cur:
 			start(u, now)
-		case u.serving < 0 && now >= u.outageUntil:
+		case u.link == nil && now >= u.outageUntil:
 			complete(u, now)
 		}
 	}
 }
 
 func (n *city) startHandover(u *ue, now time.Duration) {
-	sh := n.shards[u.serving]
-	link := u.port.link
-	sh.served[u.slot] = link.TotalServedBits()
-	dropped := sh.cell.DetachUE(link)
-	u.port.link = nil // radio gone; in-flight core deliveries still land
-	u.hoFrom = u.serving
-	u.serving = -1
+	sh := n.shards[u.cell]
+	sh.tally(u.link)
+	dropped := sh.cell.DetachUE(u.link)
+	u.link = nil // radio gone; in-flight core deliveries still land
 	u.detachAt = now
 	transfer := time.Duration(float64(dropped) * 8 / transferRate * float64(time.Second))
 	u.outageUntil = now + handoverBase + transfer
-	u.probe.Emit(now, obs.NetDetach, float64(u.hoFrom), float64(dropped), 0, 0)
+	u.probe.Emit(now, obs.NetDetach, float64(u.cell), float64(dropped), 0, 0)
 }
 
 func (n *city) completeHandover(u *ue, now time.Duration) {
-	u.retire()
+	from := u.cell
+	u.retire(n.shards[from])
 	outage := now - u.detachAt
-	if err := n.attach(u, u.cur, now, true); err != nil {
+	if err := n.attach(u, u.cur, now); err != nil {
 		// AddUE only fails on config validation, which passed at
 		// admission; a failure here is a programming error.
 		panic(err)
 	}
 	u.stats.Handovers++
 	u.stats.OutageTotal += outage
-	u.probe.Emit(now, obs.NetHandover, float64(u.hoFrom), float64(u.cur), outage.Seconds(), 0)
+	u.probe.Emit(now, obs.NetHandover, float64(from), float64(u.cur), outage.Seconds(), 0)
 }
 
 func (n *city) finalize() *Result {
@@ -761,13 +769,13 @@ func (n *city) finalize() *Result {
 	res.JainGlobal = metrics.JainFairness(perUEBits)
 
 	for _, u := range n.ues {
-		if u.serving >= 0 {
-			n.shards[u.serving].served[u.slot] = u.port.link.TotalServedBits()
+		if u.link != nil {
+			n.shards[u.cell].tally(u.link)
 		}
 	}
 	for c, sh := range n.shards {
-		res.PerCellJain[c] = metrics.JainFairness(sh.served)
-		res.occupied[c] = len(sh.served) > 0
+		res.PerCellJain[c] = metrics.JainFromSums(sh.residencies, sh.servedSum, sh.servedSq)
+		res.occupied[c] = sh.residencies > 0
 	}
 	return res
 }

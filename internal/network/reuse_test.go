@@ -39,16 +39,20 @@ func TestCityRowReuse(t *testing.T) {
 		// order, the fold's, and collects the rows of the residencies.
 		observe := func() {
 			for i, u := range n.ues {
-				switch from, to := prev[i], u.serving; {
+				serving := -1 // in a handover outage
+				if u.link != nil {
+					serving = u.cell
+				}
+				switch from, to := prev[i], serving; {
 				case from >= 0 && to < 0:
 					pop[from]--
 				case from < 0 && to >= 0:
 					pop[to]++
 					peak[to] = max(peak[to], pop[to])
 				}
-				prev[i] = u.serving
-				if u.serving >= 0 {
-					rows[u.serving][u.port.link] = true
+				prev[i] = serving
+				if serving >= 0 {
+					rows[serving][u.link] = true
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"poi360/internal/fifo"
@@ -17,24 +18,6 @@ import (
 // lastOfFrame marks the final RTP packet of a frame through the lte
 // layer's opaque payload slot (one shared sentinel, no per-packet alloc).
 var lastOfFrame any = new(struct{})
-
-// port is a UE's place on the shard it resides on: what its residency
-// runs through there. Each UE has one for its whole life; the coordinator
-// points it at the target shard and modem row when it attaches, and
-// unlinks it from the old shard's resident list when it retires the
-// residency, so nothing on the old shard reaches the UE again. A retired
-// residency has no other way in: its modem row was detached (no delivery,
-// no diag report) and its frames in flight were dropped with it. Ports are
-// written only at single-threaded barriers, so shard workers never race
-// on them.
-type port struct {
-	u    *ue
-	sh   *shard
-	link *lte.UE // nil once detached (radio gone, core path still live)
-	// lastArr enforces core-path FIFO: a delivery never overtakes the
-	// previous one despite independent jitter draws.
-	lastArr time.Duration
-}
 
 // appPkt is one packetized RTP payload waiting in the application send
 // queue for pacing credit.
@@ -61,7 +44,7 @@ type pendFrame struct {
 // a frame arrival between ticks: GCCReceiver.OnFrame and the delivery
 // stats are pure functions of the arrival arguments, and the first
 // consumer of either is the receiver-side Update at the next tick. The
-// core-path FIFO clamp makes arrival times monotone per port, so the
+// core-path FIFO clamp makes arrival times monotone per UE, so the
 // ring is consumed strictly from the front.
 type arrival struct {
 	arr     time.Duration
@@ -81,7 +64,14 @@ type feedback struct {
 
 // ue is one endpoint of the city: the sender half (frame capture, pacing,
 // rate control) and the receiver half (arrival bookkeeping, GCC feedback)
-// of a single uplink video call, resident on one shard at a time.
+// of a single uplink video call, resident on one shard at a time — the
+// one record of the UE, its residency included. The coordinator moves the
+// residency (cell, link, the radio probe's bus) only at single-threaded
+// barriers: attach points it at the target cell, and retire takes the UE
+// off the old shard's resident list, so nothing on the old shard reaches
+// it again. A retired residency has no other way in: its modem row was
+// detached (no delivery, no diag report) and its frames in flight were
+// dropped with it.
 //
 // Endpoints do not churn memory. The application queue, the pending-frame
 // window, and the arrival/feedback queues are fifo rings, so a queue
@@ -90,9 +80,9 @@ type feedback struct {
 // senders fill their firmware buffers, takes minutes
 // (TestCitySteadyStateAllocFree). The three per-UE RNG streams (mobility,
 // core path, modem) are 8-byte SplitMix slots that a handover reseeds in
-// place instead of reallocating, and the port and the two radio callbacks
-// are made once: a handover into a cell that has a free modem row
-// allocates nothing.
+// place instead of reallocating, and the two radio callbacks and the radio
+// probe are made once: a handover into a cell that has a free modem row
+// allocates nothing, telemetered or not.
 type ue struct {
 	id  int
 	rc  RC
@@ -103,27 +93,33 @@ type ue struct {
 	cur      int // trace position (target cell)
 	nextMove time.Duration
 
-	// residency
-	serving   int // current cell, -1 during a handover outage
-	slot      int // the residency's entry in its cell's shard.served
-	port      port
-	attachSeq int
-	// onAir and onDiag are the modem row's callbacks (port.deliver and,
-	// for FBCC UEs, FBCC.OnDiag), bound once for every residency.
+	// residency: the resident cell — the serving one, and through a
+	// handover outage the old one, until re-attach — and its modem row,
+	// nil during the outage (radio gone, core path still live)
+	cell      int
+	link      *lte.UE
+	attachSeq int // residencies so far; past the first, each is a handover
+	// lastArr enforces core-path FIFO: a delivery never overtakes the
+	// previous one despite independent jitter draws.
+	lastArr time.Duration
+	// onAir and onDiag are the modem row's callbacks (deliver and, for
+	// FBCC UEs, FBCC.OnDiag), bound once for every residency; radio is the
+	// row's telemetry probe (nil unless the cells have radio buses), made
+	// once and rebound to the resident cell's bus at attach.
 	onAir  func(lte.Packet)
 	onDiag func(lte.DiagReport)
+	radio  *obs.Probe
 
 	// Persistent per-UE RNG stream slots: reseeded (one store) per
 	// residency with the seeds.Grid/Stream derivation of that residency.
 	// The previous residency's consumers never draw again once retired —
 	// a detached modem row draws only for the UE the cell admits into it
-	// next, and a retired port is on no resident list — so reuse cannot
+	// next, and a retired UE is on no resident list — so reuse cannot
 	// interleave streams.
 	pathSrc *seeds.SplitMix
 	lteSrc  *seeds.SplitMix
 
 	// handover bookkeeping
-	hoFrom      int
 	detachAt    time.Duration
 	outageUntil time.Duration
 
@@ -156,9 +152,9 @@ func (n *city) newUE(id int) (*ue, error) {
 	cfg := &n.cfg
 	u := &ue{
 		id:      id,
-		serving: -1,
 		rgcc:    ratecontrol.DefaultGCCConfig().InitialRate,
 		probe:   cfg.Obs.Probe(int32(id)),
+		radio:   n.shards[0].radio.Probe(int32(id)), // attach rebinds it
 		cfg:     cfg,
 		pathSrc: seeds.NewSource(0),
 		lteSrc:  seeds.NewSource(0),
@@ -171,8 +167,7 @@ func (n *city) newUE(id int) (*ue, error) {
 		fbQ:  fifo.New[feedback](8),
 		pend: fifo.New[pendFrame](16),
 	}
-	u.port.u = u
-	u.onAir = u.port.deliver
+	u.onAir = u.deliver
 	switch cfg.Mix {
 	case MixFBCC:
 		u.rc = RCFBCC
@@ -216,15 +211,16 @@ func (n *city) newUE(id int) (*ue, error) {
 }
 
 // attach starts a residency of u on the given cell: a modem row (fresh
-// PF/EWMA state under per-residency seeds), its port pointed at the shard,
+// PF/EWMA state under per-residency seeds) probed on the cell's radio bus,
 // and a slot on the shard's resident list, whose shard-level ticker drives
 // the endpoint. Called only from the single-threaded coordinator
 // (admission at t=0, handover completion at barriers), with the shard's
 // clock and cell through now (shard.run): on a shard that had no resident
 // the frame ticks it skipped have fired as the no-ops they were, keeping
 // the ticker's phase.
-func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
+func (n *city) attach(u *ue, cell int, now time.Duration) error {
 	sh := n.shards[cell]
+	handover := float64(min(u.attachSeq, 1))
 	grid := seeds.Grid(n.cfg.Seed, cell, u.id, u.attachSeq)
 	u.attachSeq++
 	u.pathSrc.Seed(seeds.Stream(grid, "path"))
@@ -235,40 +231,24 @@ func (n *city) attach(u *ue, cell int, now time.Duration, handover bool) error {
 	if err != nil {
 		return err
 	}
-	if n.radio != nil {
-		// Radio telemetry rides the shard's private bus (per-UE sub), so
-		// grant/diag/drop emissions during concurrent shard advance stay
-		// on their own shard's stream.
-		link.SetProbe(n.radio[cell].Probe(int32(u.id)))
-	}
+	// Radio telemetry rides the shard's private bus (per-UE sub), so
+	// grant/diag/drop emissions during concurrent shard advance stay on
+	// their own shard's stream.
+	u.radio.Rebind(sh.radio)
+	link.SetProbe(u.radio)
 	link.SetDiagListener(u.onDiag)
-	p := &u.port
-	p.sh, p.link, p.lastArr = sh, link, now
-	u.serving = cell
-	u.slot = len(sh.served)
-	sh.served = append(sh.served, 0) // filled at detach, or by finalize
-	sh.residents = append(sh.residents, p)
-	ho := 0.0
-	if handover {
-		ho = 1
-	}
-	u.probe.Emit(now, obs.NetAttach, float64(cell), ho, 0, 0)
+	u.cell, u.link, u.lastArr = cell, link, now
+	sh.residents = append(sh.residents, u)
+	u.probe.Emit(now, obs.NetAttach, float64(cell), handover, 0, 0)
 	return nil
 }
 
-// retire ends the current residency: the port is unlinked from the old
-// shard's resident list, and frames still queued or in flight are
-// abandoned — they count as lost because they are never delivered.
-func (u *ue) retire() {
-	p := &u.port
-	res := p.sh.residents
-	for i, q := range res {
-		if q == p {
-			copy(res[i:], res[i+1:])
-			p.sh.residents = res[:len(res)-1]
-			break
-		}
-	}
+// retire ends the residency on sh: the UE leaves the shard's resident
+// list, and frames still queued or in flight are abandoned — they count as
+// lost because they are never delivered.
+func (u *ue) retire(sh *shard) {
+	i := slices.Index(sh.residents, u)
+	sh.residents = slices.Delete(sh.residents, i, i+1)
 	u.pend.Reset()
 	u.appq.Reset()
 	u.appqBytes = 0
@@ -281,12 +261,10 @@ func (u *ue) retire() {
 // resident shard's ticker: apply due reverse-path feedback, land due
 // core-path arrivals, run the sender half (capture + pacing), then the
 // receiver half (GCC estimate + feedback departure). During a handover
-// outage the radio is gone (port.link nil) but the tick keeps running on
-// the old shard — this is what lets the FBCC watchdog trip on the
-// genuinely silent diag feed.
-func (u *ue) tick(p *port) {
-	now := p.sh.clk.Now()
-
+// outage the radio is gone (link nil) but the tick keeps running on the
+// old shard — this is what lets the FBCC watchdog trip on the genuinely
+// silent diag feed.
+func (u *ue) tick(now time.Duration) {
 	// Reverse-path feedback due by now, oldest first: the sender sees
 	// exactly the rate a scheduled application would have left in place.
 	for u.fbQ.Len() > 0 && u.fbQ.Front().due <= now {
@@ -309,7 +287,7 @@ func (u *ue) tick(p *port) {
 		}
 	}
 
-	u.senderHalf(p, now)
+	u.senderHalf(now)
 
 	r := u.gccRx.Update(now)
 	u.fbQ.Push(feedback{due: now + netsim.CellularPath.RevBase, rate: r})
@@ -317,7 +295,7 @@ func (u *ue) tick(p *port) {
 
 // senderHalf captures one frame at the controller's video rate and drains
 // the application queue at the pacing rate.
-func (u *ue) senderHalf(p *port, now time.Duration) {
+func (u *ue) senderHalf(now time.Duration) {
 	interval := frameInterval.Seconds()
 
 	var rv, pace float64
@@ -370,13 +348,13 @@ func (u *ue) senderHalf(p *port, now time.Duration) {
 	if limit := 4 * float64(maxBacklogBytes); u.credit > limit {
 		u.credit = limit
 	}
-	u.drain(p)
+	u.drain()
 }
 
 // drain moves application packets into the firmware buffer as pacing
 // credit allows. With the radio detached (or the modem queue full) the
 // packet is spent and its frame is lost.
-func (u *ue) drain(p *port) {
+func (u *ue) drain() {
 	for u.appq.Len() > 0 {
 		if float64(u.appq.Front().bytes) > u.credit {
 			break
@@ -388,7 +366,7 @@ func (u *ue) drain(p *port) {
 		if pkt.last {
 			payload = lastOfFrame
 		}
-		if p.link == nil || !p.link.Enqueue(lte.Packet{ID: pkt.frame, Bytes: pkt.bytes, Payload: payload}) {
+		if u.link == nil || !u.link.Enqueue(lte.Packet{ID: pkt.frame, Bytes: pkt.bytes, Payload: payload}) {
 			u.dropPend(pkt.frame)
 		}
 	}
@@ -399,8 +377,7 @@ func (u *ue) drain(p *port) {
 // moved on); the last packet of a frame draws the core-path jitter and
 // queues the frame's arrival for the tick that covers it. It touches only
 // this UE's state, as the advance contract requires.
-func (p *port) deliver(pkt lte.Packet) {
-	u := p.u
+func (u *ue) deliver(pkt lte.Packet) {
 	if pkt.Payload == nil {
 		return
 	}
@@ -409,11 +386,11 @@ func (p *port) deliver(pkt lte.Packet) {
 		return
 	}
 	core := &netsim.CellularPath
-	arr := p.link.Now() + core.CoreBase + time.Duration(math.Abs(u.pathSrc.NormFloat64())*float64(core.CoreJitterStd))
-	if arr < p.lastArr {
-		arr = p.lastArr
+	arr := u.link.Now() + core.CoreBase + time.Duration(math.Abs(u.pathSrc.NormFloat64())*float64(core.CoreJitterStd))
+	if arr < u.lastArr {
+		arr = u.lastArr
 	}
-	p.lastArr = arr
+	u.lastArr = arr
 	u.arrQ.Push(arrival{arr: arr, capture: e.capture, bits: e.bits, counted: e.counted})
 }
 

@@ -275,6 +275,16 @@ func (p *Probe) With(sub int32) *Probe {
 	return &Probe{bus: p.bus, sub: sub}
 }
 
+// Rebind points the probe, keeping its sub-stream id, at another bus (a
+// city UE's radio probe follows it from cell to cell this way), so an
+// emitter that moves between buses holds one probe for life. The caller
+// must not rebind while the probe emits. Safe on a nil probe.
+func (p *Probe) Rebind(b *Bus) {
+	if p != nil {
+		p.bus = b
+	}
+}
+
 // Sub reports the probe's sub-stream id (0 for a nil probe).
 func (p *Probe) Sub() int32 {
 	if p == nil {

@@ -16,6 +16,7 @@ func TestNilSafety(t *testing.T) {
 	var p *Probe
 	p.Emit(time.Second, FBCCTrigger, 1, 2, 3, 4)
 	p.SetGauge("x", 1)
+	p.Rebind(NewBus())
 	if q := p.With(7); q != nil {
 		t.Fatalf("nil probe With() = %v, want nil", q)
 	}
@@ -48,6 +49,22 @@ func TestBusRecordsAndCounts(t *testing.T) {
 	}
 	if ev[1].At != 20*time.Millisecond {
 		t.Fatalf("timestamp mangled: %v", ev[1].At)
+	}
+}
+
+// TestProbeRebind: a rebound probe emits on its new bus under the same
+// sub-stream id, and its old bus sees nothing more.
+func TestProbeRebind(t *testing.T) {
+	a, b := NewBus(), NewBus()
+	p := a.Probe(5)
+	p.Emit(time.Millisecond, FrameEncode, 1, 2, 3, 0)
+	p.Rebind(b)
+	p.Emit(2*time.Millisecond, FrameEncode, 4, 5, 6, 0)
+	if a.Len() != 1 || b.Len() != 1 {
+		t.Fatalf("old bus holds %d events, new bus %d; want 1 and 1", a.Len(), b.Len())
+	}
+	if e := b.Events()[0]; e.Sub != 5 || e.A != 4 {
+		t.Fatalf("rebound emission mangled: %+v", e)
 	}
 }
 

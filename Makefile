@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint vet fmt bench-smoke obs-smoke live-smoke bench-check escape-check bench-profile ci
+.PHONY: all build test race lint vet fmt bench-smoke obs-smoke live-smoke bench-check escape-check bench-profile mutants ci
 
 all: build
 
@@ -19,13 +19,15 @@ test:
 
 ## race: the suite under the race detector in short mode — the
 ## fault-injection, shared-cell, city, observability and live-transport
-## subsystems are all raced here. Five tests skip under -short (the session
-## allocation gate, the two full-scale city acceptance runs and the two
-## multi-user experiment tests) and three shorten (TestCityFingerprintsPinned's
+## subsystems are all raced here. Five tests or rows skip under -short (the
+## session allocation gate, the two full-scale city acceptance runs, the
+## multiuser row of TestWorkersByteIdentical and TestMultiUserMeasured) and
+## three shorten (TestCityFingerprintsPinned's
 ## long case, TestCitySteadyStateAllocFree's second window,
 ## TestIncrementalTrendlineTracksScan from 6 h to 1 h); plain `make test`
-## runs them in full. Then a full-mode raced pass of the two multi-user
-## experiment tests, two more passes of the city's epoch-barrier tests with
+## runs them in full. Then a full-mode raced pass of TestWorkersByteIdentical
+## (every worker-count identity row, the multi-user one included) and
+## TestMultiUserMeasured, two more passes of the city's epoch-barrier tests with
 ## GOMAXPROCS 1 and 2 in the environment — the hand-off's yield path and
 ## its park path raced on one P and on two, whatever the runner's core
 ## count (-count=1: the test cache does not key on GOMAXPROCS) — one
@@ -37,7 +39,7 @@ test:
 ## workers.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run '^TestMultiUser(BytesIdentical|Measured)$$' ./internal/experiments
+	$(GO) test -race -run '^(TestWorkersByteIdentical|TestMultiUserMeasured)$$' ./internal/experiments
 	GOMAXPROCS=1 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'EpochBarrier|RunLeavesNoHelpers' ./internal/network
 	GOMAXPROCS=2 $(GO) test -race -short -count=1 -run 'RowReuse|ReusedRow|DetachRecycles|CityByteIdentityAcrossWorkers|CityBinaryTelemetryByteIdentity' ./internal/network ./internal/lte
@@ -146,10 +148,24 @@ bench-check:
 escape-check:
 	sh scripts/escape_check.sh
 
+## mutants: the mutation gate. First every -run/-bench/-fuzz regex the
+## Makefile and the verify skill give `go test` must still select a test
+## (scripts/check_run_patterns.sh: a renamed test otherwise turns a check
+## into a silent no-op). Then every row of scripts/mutants.txt — a file, an
+## exact fragment, its replacement, a package and a -run regex — is applied
+## to a copy of the checkout in .mutants_build/ (scripts/mutants.sh): the
+## named tests must pass on the copy and fail on the mutant. A fragment not
+## found exactly once, a mutant that does not build or a surviving mutant
+## fails the target. Each differential oracle has a row, so an oracle that
+## stops comparing anything shows here. About 3 minutes on 2 cores.
+mutants:
+	bash scripts/check_run_patterns.sh
+	bash scripts/mutants.sh
+
 ## ci: the umbrella target the GitHub workflow fans out over. Runs every
 ## target even after a failure and reports the full list of failed targets
 ## in the trailer, so one red gate doesn't hide another.
-CI_TARGETS := build lint vet test race bench-smoke obs-smoke live-smoke bench-check escape-check
+CI_TARGETS := build lint vet test race bench-smoke obs-smoke live-smoke bench-check escape-check mutants
 ci:
 	@failed=""; \
 	for t in $(CI_TARGETS); do \

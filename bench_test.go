@@ -49,141 +49,38 @@ func runExperimentBench(b *testing.B, id string, metrics map[string]string) {
 	}
 }
 
-// BenchmarkFig05BufferVsTBS regenerates Fig. 5: the buffer→TBS relation of
-// the proportional-fair LTE uplink.
-func BenchmarkFig05BufferVsTBS(b *testing.B) {
-	runExperimentBench(b, "fig5", map[string]string{
-		"capacity": "cap_bps",
-		"12KB":     "tbs@12KB_bps",
-	})
-}
-
-// BenchmarkFig06GCCBufferCDF regenerates Fig. 6: buffer-level distribution
-// under WebRTC/GCC rate control.
-func BenchmarkFig06GCCBufferCDF(b *testing.B) {
-	runExperimentBench(b, "fig6", map[string]string{
-		"lowUsage": "lowusage_frac",
-		"medianKB": "median_KB",
-	})
+// BenchmarkPaper regenerates each figure and ablation of the paper's
+// evaluation, one sub-benchmark per experiment id, reporting the headline
+// measured values as custom metrics.
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range []struct {
+		id      string
+		metrics map[string]string
+	}{
+		{"fig5", map[string]string{"capacity": "cap_bps", "12KB": "tbs@12KB_bps"}},
+		{"fig6", map[string]string{"lowUsage": "lowusage_frac", "medianKB": "median_KB"}},
+		{"fig11", map[string]string{"cellular_POI360_psnr": "poi360_dB", "cellular_Conduit_psnr": "conduit_dB", "cellular_Pyramid_psnr": "pyramid_dB"}},
+		{"fig12", map[string]string{"cellular_POI360_stab": "poi360_std", "cellular_Conduit_stab": "conduit_std"}},
+		{"fig13", map[string]string{"cellular_POI360_median": "poi360_ms", "cellular_Pyramid_median": "pyramid_ms"}},
+		{"fig14", map[string]string{"cellular_POI360_fr": "poi360_fr", "cellular_Pyramid_fr": "pyramid_fr"}},
+		{"fig15", map[string]string{"FBCC_medianKB": "fbcc_KB", "GCC_medianKB": "gcc_KB"}},
+		{"fig16a", map[string]string{"FBCC_fr": "fbcc_fr", "GCC_fr": "gcc_fr", "FBCC_thr": "fbcc_bps", "GCC_thr": "gcc_bps"}},
+		{"fig16b", map[string]string{"FBCC_good": "fbcc_good", "GCC_good": "gcc_good"}},
+		{"fig17ab", map[string]string{"idle (early morning)_fr": "idle_fr", "busy (campus noon)_fr": "busy_fr"}},
+		{"fig17cd", map[string]string{"weak (-115 dBm garage)_psnr": "weak_dB", "strong (-73 dBm open)_psnr": "strong_dB"}},
+		{"fig17ef", map[string]string{"15 mph residential_fr": "mph15_fr", "50 mph highway_fr": "mph50_fr"}},
+		{"abl-modes", map[string]string{"short path adaptive (POI360)_psnr": "adaptive_dB", "short path fixed C=1.1_fr": "fixedC1.1_fr"}},
+		{"abl-k", map[string]string{"K3_overuses": "k3_overuses", "K25_overuses": "k25_overuses"}},
+		{"abl-rtp", map[string]string{"full FBCC_medianKB": "with_KB", "no Eq. 7 loop_medianKB": "without_KB"}},
+		{"abl-hold", map[string]string{"2_fr": "hold2_fr"}},
+	} {
+		b.Run(e.id, func(b *testing.B) { runExperimentBench(b, e.id, e.metrics) })
+	}
 }
 
 // BenchmarkTable1MOSMapping regenerates Table 1.
 func BenchmarkTable1MOSMapping(b *testing.B) {
 	runExperimentBench(b, "table1", nil)
-}
-
-// BenchmarkFig11ROIPSNR regenerates Figs. 11a–11d: ROI quality per scheme.
-func BenchmarkFig11ROIPSNR(b *testing.B) {
-	runExperimentBench(b, "fig11", map[string]string{
-		"cellular_POI360_psnr":  "poi360_dB",
-		"cellular_Conduit_psnr": "conduit_dB",
-		"cellular_Pyramid_psnr": "pyramid_dB",
-	})
-}
-
-// BenchmarkFig12QualityStability regenerates Figs. 12a/12b.
-func BenchmarkFig12QualityStability(b *testing.B) {
-	runExperimentBench(b, "fig12", map[string]string{
-		"cellular_POI360_stab":  "poi360_std",
-		"cellular_Conduit_stab": "conduit_std",
-	})
-}
-
-// BenchmarkFig13FrameDelay regenerates Figs. 13a/13b.
-func BenchmarkFig13FrameDelay(b *testing.B) {
-	runExperimentBench(b, "fig13", map[string]string{
-		"cellular_POI360_median":  "poi360_ms",
-		"cellular_Pyramid_median": "pyramid_ms",
-	})
-}
-
-// BenchmarkFig14FreezeRatio regenerates Figs. 14a/14b.
-func BenchmarkFig14FreezeRatio(b *testing.B) {
-	runExperimentBench(b, "fig14", map[string]string{
-		"cellular_POI360_fr":  "poi360_fr",
-		"cellular_Pyramid_fr": "pyramid_fr",
-	})
-}
-
-// BenchmarkFig15SweetSpot regenerates Fig. 15.
-func BenchmarkFig15SweetSpot(b *testing.B) {
-	runExperimentBench(b, "fig15", map[string]string{
-		"FBCC_medianKB": "fbcc_KB",
-		"GCC_medianKB":  "gcc_KB",
-	})
-}
-
-// BenchmarkFig16aThroughputFreeze regenerates Fig. 16a.
-func BenchmarkFig16aThroughputFreeze(b *testing.B) {
-	runExperimentBench(b, "fig16a", map[string]string{
-		"FBCC_fr":  "fbcc_fr",
-		"GCC_fr":   "gcc_fr",
-		"FBCC_thr": "fbcc_bps",
-		"GCC_thr":  "gcc_bps",
-	})
-}
-
-// BenchmarkFig16bMOSPDF regenerates Fig. 16b.
-func BenchmarkFig16bMOSPDF(b *testing.B) {
-	runExperimentBench(b, "fig16b", map[string]string{
-		"FBCC_good": "fbcc_good",
-		"GCC_good":  "gcc_good",
-	})
-}
-
-// BenchmarkFig17abBackgroundLoad regenerates Figs. 17a/17b.
-func BenchmarkFig17abBackgroundLoad(b *testing.B) {
-	runExperimentBench(b, "fig17ab", map[string]string{
-		"idle (early morning)_fr": "idle_fr",
-		"busy (campus noon)_fr":   "busy_fr",
-	})
-}
-
-// BenchmarkFig17cdSignalStrength regenerates Figs. 17c/17d.
-func BenchmarkFig17cdSignalStrength(b *testing.B) {
-	runExperimentBench(b, "fig17cd", map[string]string{
-		"weak (-115 dBm garage)_psnr": "weak_dB",
-		"strong (-73 dBm open)_psnr":  "strong_dB",
-	})
-}
-
-// BenchmarkFig17efMobility regenerates Figs. 17e/17f.
-func BenchmarkFig17efMobility(b *testing.B) {
-	runExperimentBench(b, "fig17ef", map[string]string{
-		"15 mph residential_fr": "mph15_fr",
-		"50 mph highway_fr":     "mph50_fr",
-	})
-}
-
-// BenchmarkAblationNoModeSwitch: fixed modes vs adaptive switching.
-func BenchmarkAblationNoModeSwitch(b *testing.B) {
-	runExperimentBench(b, "abl-modes", map[string]string{
-		"short path adaptive (POI360)_psnr": "adaptive_dB",
-		"short path fixed C=1.1_fr":         "fixedC1.1_fr",
-	})
-}
-
-// BenchmarkAblationK: FBCC detection window sweep.
-func BenchmarkAblationK(b *testing.B) {
-	runExperimentBench(b, "abl-k", map[string]string{
-		"K3_overuses":  "k3_overuses",
-		"K25_overuses": "k25_overuses",
-	})
-}
-
-// BenchmarkAblationNoRTPLoop: FBCC without the Eq. 7 sweet-spot loop.
-func BenchmarkAblationNoRTPLoop(b *testing.B) {
-	runExperimentBench(b, "abl-rtp", map[string]string{
-		"full FBCC_medianKB":     "with_KB",
-		"no Eq. 7 loop_medianKB": "without_KB",
-	})
-}
-
-// BenchmarkAblationHold2RTT: the Eq. 6 post-overuse hold sweep.
-func BenchmarkAblationHold2RTT(b *testing.B) {
-	runExperimentBench(b, "abl-hold", map[string]string{
-		"2_fr": "hold2_fr",
-	})
 }
 
 // BenchmarkObsDisabled measures the cost of an Emit call on a nil probe —

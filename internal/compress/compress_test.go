@@ -10,14 +10,6 @@ import (
 
 var g = projection.DefaultGrid
 
-func TestModeMatrixCenterIsLMin(t *testing.T) {
-	roi := projection.Tile{I: 5, J: 3}
-	m := ModeMatrix(g, roi, 1.5)
-	if got := m[g.Index(roi)]; got != LMin {
-		t.Fatalf("ROI center level %v, want %v", got, LMin)
-	}
-}
-
 func TestModeMatrixEq1(t *testing.T) {
 	roi := projection.Tile{I: 0, J: 0}
 	C := 1.4
@@ -33,22 +25,10 @@ func TestModeMatrixEq1(t *testing.T) {
 	}
 }
 
-func TestModeMatrixMonotoneInDistance(t *testing.T) {
+// The farthest tile from the ROI holds the deepest level.
+func TestModeMatrixDeepestLevel(t *testing.T) {
 	roi := projection.Tile{I: 6, J: 4}
 	m := ModeMatrix(g, roi, 1.3)
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			t1 := projection.Tile{I: i, J: j}
-			dx, dy := g.Distance(t1, roi)
-			for _, t2 := range []projection.Tile{{I: i, J: j}} {
-				dx2, dy2 := g.Distance(t2, roi)
-				if dx+dy < dx2+dy2 && m[g.Index(t1)] > m[g.Index(t2)] {
-					t.Fatalf("closer tile has higher level")
-				}
-			}
-		}
-	}
-	// The farthest possible tile has the deepest level.
 	deep := m[g.Index(roi)]
 	for idx := range m {
 		if m[idx] > deep {
@@ -61,15 +41,6 @@ func TestModeMatrixMonotoneInDistance(t *testing.T) {
 	if deep != want {
 		t.Fatalf("max level %v, want %v", deep, want)
 	}
-}
-
-func TestModeMatrixBadCPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("C=1 did not panic")
-		}
-	}()
-	ModeMatrix(g, projection.Tile{}, 1.0)
 }
 
 func TestCompressedFraction(t *testing.T) {
@@ -258,111 +229,72 @@ func TestFamilyResolvesLevelsLabel(t *testing.T) {
 	}
 }
 
-func TestFixedBadCPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+// TestMismatchEstimator feeds each row's segments — n observations, step
+// apart from start, of one ROI at one level with one frame delay — and
+// holds M after each segment to its check.
+func TestMismatchEstimator(t *testing.T) {
+	ms := time.Millisecond
+	a, b, c := projection.Tile{I: 5, J: 4}, projection.Tile{I: 8, J: 4}, projection.Tile{I: 1, J: 1}
+	type seg struct {
+		n           int
+		start, step time.Duration
+		roi         projection.Tile
+		level       float64
+		dv          time.Duration
+		ok          func(m time.Duration) bool
+	}
+	is := func(want time.Duration) func(time.Duration) bool {
+		return func(m time.Duration) bool { return m == want }
+	}
+	above := func(d time.Duration) func(time.Duration) bool { return func(m time.Duration) bool { return m > d } }
+	for _, r := range []struct {
+		name   string
+		window time.Duration
+		segs   []seg
+	}{
+		// At the lowest level the mismatch is the frame delay.
+		{"steady state", time.Second, []seg{{60, 0, 33 * ms, a, LMin, 120 * ms, is(120 * ms)}}},
+		// During an ROI change M grows past the frame delay, and returns to
+		// it once the new ROI converges.
+		{"ROI change", 500 * ms, []seg{{30, 0, 33 * ms, a, LMin, 100 * ms, is(100 * ms)}, {15, 990 * ms, 33 * ms, b, 1.5, 100 * ms, above(100 * ms)},
+			{40, 1485 * ms, 33 * ms, b, LMin, 100 * ms, is(100 * ms)}}},
+		// A second switch restarts the clock.
+		{"consecutive switches", 200 * ms, []seg{{10, 0, 33 * ms, c, LMin, 50 * ms, nil}, {1, 330 * ms, 0, projection.Tile{I: 4, J: 4}, 2, 50 * ms, nil},
+			{1, 660 * ms, 0, projection.Tile{I: 7, J: 4}, 2, 50 * ms, func(m time.Duration) bool { return m <= 330*ms }}}},
+		// Persistent low quality without a switch counts too.
+		{"low quality, no switch", 300 * ms, []seg{{10, 0, 33 * ms, a, 3, 50 * ms, above(50 * ms)}}},
+		// M is the window's mean.
+		{"window mean", time.Second, []seg{{1, 0, 0, c, LMin, 100 * ms, is(100 * ms)}, {1, 33 * ms, 0, c, LMin, 300 * ms, is(200 * ms)}}},
+	} {
+		e := NewMismatchEstimator(g, r.window)
+		for k, sg := range r.segs {
+			var m time.Duration
+			for i := 0; i < sg.n; i++ {
+				m = e.Observe(sg.start+time.Duration(i)*sg.step, sg.roi, sg.level, sg.dv)
+			}
+			if sg.ok != nil && !sg.ok(m) {
+				t.Fatalf("%s: segment %d leaves M = %v", r.name, k, m)
+			}
 		}
-	}()
-	NewFixed(g, 0.9)
-}
-
-func TestMismatchSteadyStateIsFrameDelay(t *testing.T) {
-	e := NewMismatchEstimator(g, time.Second)
-	roi := projection.Tile{I: 5, J: 4}
-	dv := 120 * time.Millisecond
-	var m time.Duration
-	for i := 0; i < 60; i++ {
-		now := time.Duration(i) * 33 * time.Millisecond
-		m = e.Observe(now, roi, LMin, dv)
-	}
-	if m != dv {
-		t.Fatalf("steady-state M = %v, want %v", m, dv)
 	}
 }
 
-func TestMismatchGrowsDuringROIChange(t *testing.T) {
-	e := NewMismatchEstimator(g, 500*time.Millisecond)
-	dv := 100 * time.Millisecond
-	roiA := projection.Tile{I: 5, J: 4}
-	roiB := projection.Tile{I: 8, J: 4}
-	// Converged on A for a while.
-	for i := 0; i < 30; i++ {
-		e.Observe(time.Duration(i)*33*time.Millisecond, roiA, LMin, dv)
+// Mode constants at or below 1 and a non-positive window are refused.
+func TestBadArgsPanic(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"ModeMatrix C=1":             func() { ModeMatrix(g, projection.Tile{}, 1.0) },
+		"NewFixed C=0.9":             func() { NewFixed(g, 0.9) },
+		"NewMismatchEstimator(g, 0)": func() { NewMismatchEstimator(g, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
-	// Switch to B; sender still compresses for A, so level at B is high.
-	base := 30 * 33 * time.Millisecond
-	var m time.Duration
-	for i := 0; i < 15; i++ {
-		now := base + time.Duration(i)*33*time.Millisecond
-		m = e.Observe(now, roiB, 1.5, dv)
-	}
-	if m <= dv {
-		t.Fatalf("M during mismatch = %v, should exceed dv %v", m, dv)
-	}
-	// Sender catches up: level at B returns to LMin; M decays toward dv.
-	base += 15 * 33 * time.Millisecond
-	for i := 0; i < 40; i++ {
-		now := base + time.Duration(i)*33*time.Millisecond
-		m = e.Observe(now, roiB, LMin, dv)
-	}
-	if m != dv {
-		t.Fatalf("M after convergence = %v, want %v", m, dv)
-	}
-}
-
-func TestMismatchConsecutiveSwitchesRestartClock(t *testing.T) {
-	e := NewMismatchEstimator(g, 200*time.Millisecond)
-	dv := 50 * time.Millisecond
-	// Converge.
-	for i := 0; i < 10; i++ {
-		e.Observe(time.Duration(i)*33*time.Millisecond, projection.Tile{I: 1, J: 1}, LMin, dv)
-	}
-	// Switch at t=330ms, never converges, keeps switching.
-	m1 := e.Observe(330*time.Millisecond, projection.Tile{I: 4, J: 4}, 2, dv)
-	m2 := e.Observe(660*time.Millisecond, projection.Tile{I: 7, J: 4}, 2, dv)
-	_ = m1
-	// After the second switch the clock restarted at 660ms, so the raw M
-	// there is dv, not 330ms.
-	if m2 > 330*time.Millisecond {
-		t.Fatalf("consecutive switch M = %v, restart expected", m2)
-	}
-}
-
-func TestMismatchLowQualityWithoutSwitchCounts(t *testing.T) {
-	e := NewMismatchEstimator(g, 300*time.Millisecond)
-	dv := 50 * time.Millisecond
-	roi := projection.Tile{I: 5, J: 4}
-	// First frames arrive already mismatched (e.g. lost feedback).
-	var m time.Duration
-	for i := 0; i < 10; i++ {
-		m = e.Observe(time.Duration(i)*33*time.Millisecond, roi, 3.0, dv)
-	}
-	if m <= dv {
-		t.Fatalf("persistent low quality M = %v, should grow beyond dv", m)
-	}
-}
-
-func TestMismatchWindowAverages(t *testing.T) {
-	e := NewMismatchEstimator(g, time.Second)
-	roi := projection.Tile{I: 0, J: 0}
-	m1 := e.Observe(0, roi, LMin, 100*time.Millisecond)
-	m2 := e.Observe(33*time.Millisecond, roi, LMin, 300*time.Millisecond)
-	if m1 != 100*time.Millisecond {
-		t.Fatalf("m1 = %v", m1)
-	}
-	if m2 != 200*time.Millisecond {
-		t.Fatalf("m2 = %v, want mean 200ms", m2)
-	}
-}
-
-func TestMismatchEstimatorBadWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewMismatchEstimator(g, 0)
 }
 
 func BenchmarkModeMatrix(b *testing.B) {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,218 +50,125 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestFig05Shape(t *testing.T) {
-	rep, err := Fig05.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
+// claim is a complaint when ok is false, else "".
+func claim(ok bool, format string, args ...any) string {
+	if ok {
+		return ""
 	}
-	// Linear region below the knee, saturation above.
-	low := rep.Measured["2KB"]
-	mid := rep.Measured["6KB"]
-	sat1 := rep.Measured["12KB"]
-	sat2 := rep.Measured["20KB"]
-	if !(low < mid && mid < sat1) {
-		t.Fatalf("fig5 not increasing below knee: %v %v %v", low, mid, sat1)
+	return fmt.Sprintf(format, args...)
+}
+
+// TestPaperClaims runs each experiment at quick scale (users as given) and
+// holds its measured map to the paper's qualitative claim.
+func TestPaperClaims(t *testing.T) {
+	type M = map[string]float64
+	rows := []struct {
+		e     Experiment
+		users int
+		claim func(m M) string
+	}{
+		// Linear region below the knee, saturation above.
+		{Fig05, 3, func(m M) string {
+			low, mid, sat1, sat2 := m["2KB"], m["6KB"], m["12KB"], m["20KB"]
+			return claim(low < mid && mid < sat1 && math.Abs(sat2-sat1)/sat1 <= 0.12,
+				"fig5 not linear then saturating: 2KB %v 6KB %v 12KB %v 20KB %v", low, mid, sat1, sat2)
+		}},
+		{Table1, 0, func(m M) string {
+			for band, ok := range m {
+				if ok != 1 {
+					return "MOS band " + band + " mapped wrong"
+				}
+			}
+			return ""
+		}},
+		// GCC leaves the buffer in the low-usage region a nontrivial
+		// fraction of the time (the §3.3 underutilization motivation).
+		{Fig06, 3, func(m M) string {
+			return claim(m["lowUsage"] >= 0.15, "GCC low-usage fraction %v implausibly small", m["lowUsage"])
+		}},
+		{Fig11, 3, func(m M) string {
+			poi, conduit, pyramid := m["cellular_POI360_psnr"], m["cellular_Conduit_psnr"], m["cellular_Pyramid_psnr"]
+			return claim(poi > pyramid && poi-conduit >= 3 && m["wireline_POI360_psnr"] >= 35,
+				"PSNR: cellular POI360 %v Conduit %v Pyramid %v (a 3 dB margin), wireline POI360 %v (≥ 35)",
+				poi, conduit, pyramid, m["wireline_POI360_psnr"])
+		}},
+		{Fig12, 3, func(m M) string {
+			return claim(m["cellular_Conduit_stab"] >= 3*m["cellular_POI360_stab"],
+				"Conduit stability %v should be ≫ POI360 %v", m["cellular_Conduit_stab"], m["cellular_POI360_stab"])
+		}},
+		// Pyramid freezes more than POI360 on cellular; wireline all < 2 %.
+		{Fig14, 3, func(m M) string {
+			return claim(m["cellular_Pyramid_fr"] > m["cellular_POI360_fr"] && max(m["wireline_POI360_fr"],
+				m["wireline_Conduit_fr"], m["wireline_Pyramid_fr"]) <= 0.02, "freeze ratios %v", m)
+		}},
+		// FBCC freezes no more than GCC at a mean throughput within 30 %
+		// (paper: nearly identical).
+		{Fig16a, 3, func(m M) string {
+			r := m["FBCC_thr"] / m["GCC_thr"]
+			return claim(m["FBCC_fr"] <= m["GCC_fr"]+1e-9 && m["GCC_thr"] > 0 && r >= 0.7 && r <= 1.4,
+				"FBCC freeze %v vs GCC %v, throughput ratio %v", m["FBCC_fr"], m["GCC_fr"], r)
+		}},
+		{Fig15, 3, func(m M) string {
+			return claim(m["FBCC_medianKB"] > m["GCC_medianKB"], "FBCC median buffer %v should exceed GCC %v (sweet spot)",
+				m["FBCC_medianKB"], m["GCC_medianKB"])
+		}},
+		{Fig17cd, 3, func(m M) string {
+			weak, strong := m["weak (-115 dBm garage)_psnr"], m["strong (-73 dBm open)_psnr"]
+			return claim(weak < strong, "weak-signal PSNR %v should be below strong %v", weak, strong)
+		}},
+		{AblationNoRTPLoop, 1, func(m M) string {
+			return claim(m["full FBCC_medianKB"] >= m["no Eq. 7 loop_medianKB"], "Eq. 7 loop should raise the buffer level: %v vs %v",
+				m["full FBCC_medianKB"], m["no Eq. 7 loop_medianKB"])
+		}},
+		{ExtEdgeRelay, 2, func(m M) string {
+			return claim(m["edge relay_m"] < m["internet core_m"], "edge relay mismatch %v should be below internet core %v",
+				m["edge relay_m"], m["internet core_m"])
+		}},
+		// The §8 claim: prediction reduces M somewhat, but its horizon is
+		// too short to transform quality (±1.5 dB band).
+		{ExtPrediction, 2, func(m M) string {
+			d := m["with prediction_psnr"] - m["no prediction_psnr"]
+			return claim(m["with prediction_m"] < m["no prediction_m"] && math.Abs(d) <= 1.5,
+				"prediction: M %v vs %v, PSNR moved %v dB", m["with prediction_m"], m["no prediction_m"], d)
+		}},
 	}
-	if diff := (sat2 - sat1) / sat1; diff > 0.12 || diff < -0.12 {
-		t.Fatalf("fig5 not saturating: 12KB=%v 20KB=%v", sat1, sat2)
-	}
-	if len(rep.Series) == 0 || rep.Series[0].Len() < 10 {
-		t.Fatal("fig5 series missing")
+	for _, r := range rows {
+		t.Run(r.e.ID, func(t *testing.T) {
+			o := quickOpts()
+			if o.Users = r.users; r.users == 0 {
+				o = Options{}
+			}
+			rep, err := r.e.Run(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := r.claim(rep.Measured); msg != "" {
+				t.Fatal(msg)
+			}
+			if r.e.ID == "fig5" && (len(rep.Series) == 0 || rep.Series[0].Len() < 10) {
+				t.Fatal("fig5 series missing")
+			}
+		})
 	}
 }
 
-func TestTable1AllCorrect(t *testing.T) {
-	rep, err := Table1.Run(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for band, ok := range rep.Measured {
-		if ok != 1 {
-			t.Fatalf("MOS band %s mapped wrong", band)
-		}
-	}
-}
-
-func TestFig06LowUsage(t *testing.T) {
-	rep, err := Fig06.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// GCC must leave the buffer in the low-usage region a nontrivial
-	// fraction of the time (the §3.3 underutilization motivation).
-	if rep.Measured["lowUsage"] < 0.15 {
-		t.Fatalf("GCC low-usage fraction %v implausibly small", rep.Measured["lowUsage"])
-	}
-}
-
-func TestFig11Ordering(t *testing.T) {
-	rep, err := Fig11.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	poi := rep.Measured["cellular_POI360_psnr"]
-	conduit := rep.Measured["cellular_Conduit_psnr"]
-	pyramid := rep.Measured["cellular_Pyramid_psnr"]
-	if !(poi > conduit && poi > pyramid) {
-		t.Fatalf("cellular PSNR ordering broken: POI360 %v Conduit %v Pyramid %v", poi, conduit, pyramid)
-	}
-	if poi-conduit < 3 {
-		t.Fatalf("POI360's cellular margin over Conduit too small: %v vs %v", poi, conduit)
-	}
-	wlPoi := rep.Measured["wireline_POI360_psnr"]
-	if wlPoi < 35 {
-		t.Fatalf("wireline POI360 PSNR %v too low", wlPoi)
-	}
-}
-
-func TestFig12ConduitLeastStable(t *testing.T) {
-	rep, err := Fig12.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	poi := rep.Measured["cellular_POI360_stab"]
-	conduit := rep.Measured["cellular_Conduit_stab"]
-	if conduit < 3*poi {
-		t.Fatalf("Conduit stability %v should be ≫ POI360 %v", conduit, poi)
-	}
-}
-
-func TestFig14FreezeOrdering(t *testing.T) {
-	rep, err := Fig14.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	poi := rep.Measured["cellular_POI360_fr"]
-	pyramid := rep.Measured["cellular_Pyramid_fr"]
-	if pyramid <= poi {
-		t.Fatalf("Pyramid freeze %v should exceed POI360 %v", pyramid, poi)
-	}
-	for _, k := range []string{"wireline_POI360_fr", "wireline_Conduit_fr", "wireline_Pyramid_fr"} {
-		if rep.Measured[k] > 0.02 {
-			t.Fatalf("%s = %v, wireline should be <2%%", k, rep.Measured[k])
-		}
-	}
-}
-
-func TestFig16FBCCBeatsGCC(t *testing.T) {
-	rep, err := Fig16a.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Measured["FBCC_fr"] > rep.Measured["GCC_fr"]+1e-9 {
-		t.Fatalf("FBCC freeze %v should not exceed GCC %v",
-			rep.Measured["FBCC_fr"], rep.Measured["GCC_fr"])
-	}
-	// Mean throughput within 30% of each other (paper: nearly identical).
-	g, f := rep.Measured["GCC_thr"], rep.Measured["FBCC_thr"]
-	if g <= 0 || f <= 0 {
-		t.Fatal("throughput missing")
-	}
-	ratio := f / g
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Fatalf("throughput ratio %v outside tolerance", ratio)
-	}
-}
-
-func TestFig15BufferContrast(t *testing.T) {
-	rep, err := Fig15.Run(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Measured["FBCC_medianKB"] <= rep.Measured["GCC_medianKB"] {
-		t.Fatalf("FBCC median buffer %v should exceed GCC %v (sweet spot)",
-			rep.Measured["FBCC_medianKB"], rep.Measured["GCC_medianKB"])
-	}
-}
-
-func TestFig17TablesRender(t *testing.T) {
+// The Fig. 17 experiments render two tables with percentages, and each
+// ablation at least two comparison rows.
+func TestTablesRender(t *testing.T) {
 	o := quickOpts()
 	o.Users = 1
-	for _, e := range []Experiment{Fig17ab, Fig17cd, Fig17ef} {
-		rep, err := e.Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Tables) != 2 {
-			t.Fatalf("%s tables = %d", e.ID, len(rep.Tables))
-		}
-		out := rep.Tables[0].String()
-		if !strings.Contains(out, "%") {
-			t.Fatalf("%s table lacks percentages:\n%s", e.ID, out)
-		}
-	}
-}
-
-func TestFig17cdQualityFollowsRSS(t *testing.T) {
-	o := quickOpts()
-	rep, err := Fig17cd.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weak := rep.Measured["weak (-115 dBm garage)_psnr"]
-	strong := rep.Measured["strong (-73 dBm open)_psnr"]
-	if weak >= strong {
-		t.Fatalf("weak-signal PSNR %v should be below strong %v", weak, strong)
-	}
-}
-
-func TestAblationsRun(t *testing.T) {
-	o := quickOpts()
-	o.Users = 1
-	for _, e := range []Experiment{AblationNoModeSwitch, AblationFBCCK, AblationNoRTPLoop, AblationHold} {
+	for _, e := range []Experiment{Fig17ab, Fig17cd, Fig17ef, AblationNoModeSwitch, AblationFBCCK, AblationNoRTPLoop, AblationHold} {
 		rep, err := e.Run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) < 2 {
-			t.Fatalf("%s produced no comparison rows", e.ID)
+		if strings.HasPrefix(e.ID, "abl") {
+			if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) < 2 {
+				t.Fatalf("%s produced no comparison rows", e.ID)
+			}
+		} else if out := rep.Tables[0].String(); len(rep.Tables) != 2 || !strings.Contains(out, "%") {
+			t.Fatalf("%s: %d tables, the first lacking percentages:\n%s", e.ID, len(rep.Tables), out)
 		}
-	}
-}
-
-func TestAblationRTPLoopRaisesBuffer(t *testing.T) {
-	o := quickOpts()
-	o.Users = 1
-	rep, err := AblationNoRTPLoop.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Measured["full FBCC_medianKB"] < rep.Measured["no Eq. 7 loop_medianKB"] {
-		t.Fatalf("Eq. 7 loop should raise the buffer level: %v vs %v",
-			rep.Measured["full FBCC_medianKB"], rep.Measured["no Eq. 7 loop_medianKB"])
-	}
-}
-
-func TestExtensionEdgeRelayShortensMismatch(t *testing.T) {
-	o := quickOpts()
-	o.Users = 2
-	rep, err := ExtEdgeRelay.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Measured["edge relay_m"] >= rep.Measured["internet core_m"] {
-		t.Fatalf("edge relay mismatch %v should be below internet core %v",
-			rep.Measured["edge relay_m"], rep.Measured["internet core_m"])
-	}
-}
-
-func TestExtensionPredictionShavesMismatchOnly(t *testing.T) {
-	o := quickOpts()
-	o.Users = 2
-	rep, err := ExtPrediction.Run(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The §8 claim: prediction reduces M somewhat…
-	if rep.Measured["with prediction_m"] >= rep.Measured["no prediction_m"] {
-		t.Fatalf("prediction should reduce M: %v vs %v",
-			rep.Measured["with prediction_m"], rep.Measured["no prediction_m"])
-	}
-	// …but its horizon is too short to transform quality (±1.5 dB band).
-	d := rep.Measured["with prediction_psnr"] - rep.Measured["no prediction_psnr"]
-	if d > 1.5 || d < -1.5 {
-		t.Fatalf("prediction moved PSNR by %v dB — horizon should bound the effect", d)
 	}
 }
 

@@ -33,114 +33,122 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestParallelEqualsSequential is the engine's core guarantee: for a fixed
-// seed, the parallel worker pool folds the session grid into an aggregate
-// deeply identical to the sequential path's.
-func TestParallelEqualsSequential(t *testing.T) {
-	o := Options{Quick: true, Users: 3, Repeats: 2, SessionTime: 30 * time.Second, Seed: 11, Workers: 1}
-	seq, err := runBatch(o, parallelBase())
-	if err != nil {
-		t.Fatal(err)
+// render is a report's tables as the CLI prints them.
+func render(rep *Report, err error) (string, error) {
+	var sb bytes.Buffer
+	for _, tab := range rep.Tables {
+		sb.WriteString(tab.String())
 	}
-	for _, workers := range []int{2, 8} {
-		o.Workers = workers
-		par, err := runBatch(o, parallelBase())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq, par) {
-			t.Fatalf("Workers=%d aggregate differs from sequential", workers)
-		}
-	}
+	return sb.String(), err
 }
 
-// TestParallelReportBytesIdentical renders a full experiment report with
-// Workers=1 and Workers=8 and requires byte-identical tables — the
-// figure-regeneration contract the CLI exposes.
-func TestParallelReportBytesIdentical(t *testing.T) {
-	render := func(workers int) string {
-		o := Options{Quick: true, Users: 2, Repeats: 2, SessionTime: 30 * time.Second, Seed: 4, Workers: workers}
-		rep, err := Fig17ab.Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, tab := range rep.Tables {
-			sb.WriteString(tab.String())
-		}
-		return sb.String()
-	}
-	seq, par := render(1), render(8)
-	if seq != par {
-		t.Fatalf("report bytes differ between Workers=1 and Workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "%") {
-		t.Fatalf("report suspiciously empty:\n%s", seq)
-	}
-}
-
-// TestCrossBatchShardingEqualsSequential pins the cross-batch worker pool:
-// running several heterogeneous batches through one flattened runBatches
-// pool must produce, at any worker count, exactly the aggregates that
-// separate sequential runBatch calls produce, in input order.
-func TestCrossBatchShardingEqualsSequential(t *testing.T) {
+// TestWorkersByteIdentical is the engine's core guarantee: for a fixed
+// seed, what a run produces at any worker count is deeply identical to
+// Workers=1 (or to ref, run at Workers=1). The rows: a session grid's
+// aggregate; a full experiment report's bytes, the figure-regeneration
+// contract the CLI exposes; several heterogeneous batches through one
+// flattened runBatches pool, against separate sequential runBatch calls in
+// input order; the -v per-session lines, in (user, repeat) order however
+// the workers interleave; and the shared-cell scenarios' table, each an
+// independent N-user simulation whose randomness derives only from its
+// grid seed, folded back in grid order.
+func TestWorkersByteIdentical(t *testing.T) {
 	bases := []session.Config{
 		{Network: session.Cellular, Cell: lte.ProfileCampus, Scheme: session.SchemeAdaptive, RC: session.RCGCC},
 		{Network: session.Cellular, Cell: lte.ProfileBusy, Scheme: session.SchemeAdaptive, RC: session.RCFBCC},
 		{Network: session.Cellular, Cell: lte.ProfileCampus, Scheme: session.SchemeAdaptive, RC: session.RCFBCC},
 	}
-	o := Options{Quick: true, Users: 2, Repeats: 2, SessionTime: 30 * time.Second, Seed: 17, Workers: 1}
-	want := make([]*sessionAgg, len(bases))
-	for i, base := range bases {
-		agg, err := runBatch(o, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = agg
+	var progress bytes.Buffer
+	rows := []struct {
+		name     string
+		o        Options
+		workers  []int
+		run, ref func(o Options) (any, error)
+		check    func(want any) string // a complaint about the Workers=1 artifact
+	}{
+		{name: "batch", o: Options{Users: 3, Repeats: 2, Seed: 11}, workers: []int{2, 8},
+			run: func(o Options) (any, error) { return runBatch(o, parallelBase()) }},
+		{name: "report", o: Options{Users: 2, Repeats: 2, Seed: 4}, workers: []int{8},
+			run: func(o Options) (any, error) { return render(Fig17ab.Run(o)) },
+			check: func(want any) string {
+				if !strings.Contains(want.(string), "%") {
+					return "report suspiciously empty"
+				}
+				return ""
+			}},
+		{name: "cross-batch", o: Options{Users: 2, Repeats: 2, Seed: 17}, workers: []int{1, 3, 8},
+			run: func(o Options) (any, error) { return runBatches(o, bases) },
+			ref: func(o Options) (any, error) {
+				want := make([]*sessionAgg, len(bases))
+				for i, base := range bases {
+					agg, err := runBatch(o, base)
+					if err != nil {
+						return nil, err
+					}
+					want[i] = agg
+				}
+				return want, nil
+			}},
+		{name: "progress", o: Options{Users: 3, Repeats: 2, Seed: 9}, workers: []int{8},
+			run: func(o Options) (any, error) {
+				progress.Reset()
+				o.Progress = &progress
+				_, err := runBatch(o, parallelBase())
+				return progress.String(), err
+			},
+			check: func(want any) string {
+				lines := strings.Split(strings.TrimRight(want.(string), "\n"), "\n")
+				if len(lines) != 6 {
+					return fmt.Sprintf("%d progress lines, want 6", len(lines))
+				}
+				for i, line := range lines {
+					if rep := fmt.Sprintf("rep=%d:", i%2); !strings.Contains(line, rep) {
+						return fmt.Sprintf("line %d out of order (%q lacks %q)", i, line, rep)
+					}
+				}
+				return ""
+			}},
+		{name: "multiuser", o: Options{Repeats: 1, SessionTime: 20 * time.Second, Seed: 9}, workers: []int{8},
+			run: func(o Options) (any, error) { return render(MultiUser.Run(o)) },
+			check: func(want any) string {
+				if !strings.Contains(want.(string), "Jain") {
+					return "multiuser report missing fairness column"
+				}
+				return ""
+			}},
 	}
-	for _, workers := range []int{1, 3, 8} {
-		o.Workers = workers
-		got, err := runBatches(o, bases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("Workers=%d: got %d aggregates, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if !reflect.DeepEqual(want[i], got[i]) {
-				t.Fatalf("Workers=%d: batch %d aggregate differs from its sequential runBatch", workers, i)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.name == "multiuser" && testing.Short() {
+				t.Skip("multi-user grid is heavy")
 			}
-		}
-	}
-}
-
-// TestProgressOrderedUnderParallelWorkers: the -v per-session lines must
-// come out in (user, repeat) order and byte-identical to a sequential run,
-// no matter how the workers interleave.
-func TestProgressOrderedUnderParallelWorkers(t *testing.T) {
-	capture := func(workers int) string {
-		var buf bytes.Buffer
-		o := Options{Quick: true, Users: 3, Repeats: 2, SessionTime: 30 * time.Second, Seed: 9,
-			Workers: workers, Progress: &buf}
-		if _, err := runBatch(o, parallelBase()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	seq, par := capture(1), capture(8)
-	if seq != par {
-		t.Fatalf("progress output differs under parallel workers:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	lines := strings.Split(strings.TrimRight(seq, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("expected 6 progress lines, got %d:\n%s", len(lines), seq)
-	}
-	for i, line := range lines {
-		wantRep := fmt.Sprintf("rep=%d:", i%2)
-		if !strings.Contains(line, wantRep) {
-			t.Fatalf("line %d out of order (%q lacks %q)", i, line, wantRep)
-		}
+			o := r.o
+			o.Quick, o.Workers = true, 1
+			if o.SessionTime == 0 {
+				o.SessionTime = 30 * time.Second
+			}
+			if r.ref == nil {
+				r.ref = r.run
+			}
+			want, err := r.ref(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.check != nil {
+				if msg := r.check(want); msg != "" {
+					t.Fatalf("%s:\n%v", msg, want)
+				}
+			}
+			for _, o.Workers = range r.workers {
+				got, err := r.run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Workers=%d differs from Workers=1:\n--- Workers=1 ---\n%v\n--- Workers=%d ---\n%v", o.Workers, want, o.Workers, got)
+				}
+			}
+		})
 	}
 }
 
@@ -221,35 +229,6 @@ func BenchmarkRunBatchWorkers(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestMultiUserBytesIdentical extends the engine invariant to shared-cell
-// scenarios: the multiuser table renders byte-identically at any worker
-// count, because each scenario is an independent N-user simulation whose
-// randomness derives only from its grid seed, folded back in grid order.
-func TestMultiUserBytesIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-user grid is heavy")
-	}
-	render := func(workers int) string {
-		o := Options{Quick: true, Repeats: 1, SessionTime: 20 * time.Second, Seed: 9, Workers: workers}
-		rep, err := MultiUser.Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, tab := range rep.Tables {
-			sb.WriteString(tab.String())
-		}
-		return sb.String()
-	}
-	seq, par := render(1), render(8)
-	if seq != par {
-		t.Fatalf("multiuser report differs between Workers=1 and Workers=8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
-	}
-	if !strings.Contains(seq, "Jain") {
-		t.Fatalf("multiuser report missing fairness column:\n%s", seq)
 	}
 }
 

@@ -128,24 +128,29 @@ func TestFaultPeriodicLayout(t *testing.T) {
 	}
 }
 
+// Every named scenario materializes, at session lengths under and over
+// two seconds, into a non-empty script whose windows are non-empty and lie
+// inside the session; the 60 s handover timeline keeps its first window
+// at 20 s; an unknown name or a zero duration errs.
 func TestFaultScenariosMaterialize(t *testing.T) {
 	names := ScenarioNames()
 	if len(names) < 6 {
 		t.Fatalf("suspiciously few scenarios: %v", names)
 	}
 	for _, n := range names {
-		for _, d := range []time.Duration{30 * time.Second, 60 * time.Second, 150 * time.Second} {
+		for _, d := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 1900 * time.Millisecond, 2 * time.Second,
+			2500 * time.Millisecond, 30 * time.Second, 60 * time.Second, 150 * time.Second} {
 			s, err := MakeScenario(n, d)
-			if err != nil {
-				t.Fatalf("%s @ %v: %v", n, d, err)
-			}
-			if s.Empty() {
-				t.Fatalf("%s @ %v produced an empty script", n, d)
+			if err != nil || s.Empty() {
+				t.Fatalf("%s @ %v: %v, or an empty script", n, d, err)
 			}
 			for i, e := range s.Events {
-				if e.Until > d {
-					t.Fatalf("%s @ %v: event %d ends past the session: %v", n, d, i, e)
+				if e.From >= d || e.Until > d || e.From >= e.Until {
+					t.Fatalf("%s @ %v: event %d is not a window inside the session: %v", n, d, i, e)
 				}
+			}
+			if n == "handover" && d == 60*time.Second && s.Events[0].From != 20*time.Second {
+				t.Fatalf("60 s handover timeline moved: first window at %v, want 20s", s.Events[0].From)
 			}
 		}
 	}
@@ -154,45 +159,6 @@ func TestFaultScenariosMaterialize(t *testing.T) {
 	}
 	if _, err := MakeScenario("diag-stall", 0); err == nil {
 		t.Fatal("zero duration accepted")
-	}
-}
-
-// Regression: scenarioStart used to floor at 2 s unconditionally, so any
-// session shorter than ~3 s got windows starting at/after its own end —
-// Periodic produced zero events and the "faulted" session ran clean.
-// Sub-2 s sessions must now materialize at least one in-session window
-// (or error loudly; silence is the bug).
-func TestFaultScenariosSubTwoSecondSessions(t *testing.T) {
-	for _, d := range []time.Duration{500 * time.Millisecond, 1500 * time.Millisecond, 1900 * time.Millisecond, 2 * time.Second, 2500 * time.Millisecond} {
-		for _, n := range ScenarioNames() {
-			s, err := MakeScenario(n, d)
-			if err != nil {
-				t.Fatalf("%s @ %v: %v", n, d, err)
-			}
-			if s.Empty() {
-				t.Fatalf("%s @ %v silently produced an empty script", n, d)
-			}
-			for i, e := range s.Events {
-				if e.From >= d {
-					t.Fatalf("%s @ %v: event %d starts at/after session end: %v", n, d, i, e)
-				}
-				if e.Until > d {
-					t.Fatalf("%s @ %v: event %d ends past the session: %v", n, d, i, e)
-				}
-				if e.From >= e.Until {
-					t.Fatalf("%s @ %v: event %d has an empty window: %v", n, d, i, e)
-				}
-			}
-		}
-	}
-	// Timelines at the supported experiment lengths are untouched by the
-	// clip: the first window of a 60 s scenario still opens at 20 s.
-	s, err := MakeScenario("handover", 60*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Events[0].From != 20*time.Second {
-		t.Fatalf("60 s handover timeline moved: first window at %v, want 20s", s.Events[0].From)
 	}
 }
 

@@ -9,59 +9,35 @@ import (
 	"poi360/internal/projection"
 )
 
-func TestUserByName(t *testing.T) {
-	for _, p := range Users {
-		got, err := UserByName(p.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Name != p.Name {
-			t.Fatalf("UserByName(%q) = %q", p.Name, got.Name)
-		}
-	}
-	if _, err := UserByName("nobody"); err == nil {
-		t.Fatal("unknown user did not error")
-	}
-}
-
-func TestFiveDistinctUsers(t *testing.T) {
-	if len(Users) != 5 {
-		t.Fatalf("want 5 user profiles, got %d", len(Users))
-	}
+// Five users with distinct names, each found by UserByName; an unknown
+// name errs.
+func TestUsers(t *testing.T) {
 	seen := map[string]bool{}
 	for _, p := range Users {
-		if seen[p.Name] {
-			t.Fatalf("duplicate profile %q", p.Name)
+		if got, err := UserByName(p.Name); err != nil || got.Name != p.Name || seen[p.Name] {
+			t.Fatalf("UserByName(%q) = %q, %v (a duplicate: %v)", p.Name, got.Name, err, seen[p.Name])
 		}
 		seen[p.Name] = true
 	}
+	if _, err := UserByName("nobody"); err == nil || len(Users) != 5 {
+		t.Fatalf("%d users; an unknown user gave error %v", len(Users), err)
+	}
 }
 
+// A stochastic trace is a pure function of its seed, and another seed
+// gives another trace.
 func TestStochasticDeterministic(t *testing.T) {
-	a := NewStochastic(Users[1], 42)
-	b := NewStochastic(Users[1], 42)
-	for ms := 0; ms < 10000; ms += 33 {
+	a, b, c := NewStochastic(Users[1], 42), NewStochastic(Users[1], 42), NewStochastic(Users[1], 2)
+	differ := false
+	for ms := 0; ms < 30000; ms += 33 {
 		tt := time.Duration(ms) * time.Millisecond
 		oa, ob := a.At(tt), b.At(tt)
 		if oa != ob {
 			t.Fatalf("t=%v: %v vs %v", tt, oa, ob)
 		}
+		differ = differ || projection.AngularDistance(oa, c.At(tt)) >= 1
 	}
-}
-
-func TestStochasticSeedsDiffer(t *testing.T) {
-	a := NewStochastic(Users[1], 1)
-	b := NewStochastic(Users[1], 2)
-	same := 0
-	n := 0
-	for ms := 0; ms < 30000; ms += 100 {
-		tt := time.Duration(ms) * time.Millisecond
-		if projection.AngularDistance(a.At(tt), b.At(tt)) < 1 {
-			same++
-		}
-		n++
-	}
-	if same == n {
+	if !differ {
 		t.Fatal("different seeds produced identical traces")
 	}
 }

@@ -8,79 +8,35 @@ import (
 	"poi360/internal/projection"
 )
 
-func TestPredictorNoSamples(t *testing.T) {
-	p := NewPredictor()
-	if p.Predict(time.Second) != (projection.Orientation{}) {
-		t.Fatal("empty predictor should return zero orientation")
-	}
-}
-
-func TestPredictorSingleSampleHolds(t *testing.T) {
-	p := NewPredictor()
-	o := projection.Orientation{Yaw: 90, Pitch: 10}
-	p.Observe(time.Second, o)
-	got := p.Predict(2 * time.Second)
-	if got != o.Normalized() {
-		t.Fatalf("single-sample prediction %v, want hold %v", got, o)
-	}
-}
-
-func TestPredictorLinearExtrapolation(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(0, projection.Orientation{Yaw: 100})
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 110}) // 100°/s
-	got := p.Predict(200 * time.Millisecond)
-	if math.Abs(got.Yaw-120) > 1e-9 {
-		t.Fatalf("predicted yaw %v, want 120", got.Yaw)
-	}
-}
-
-func TestPredictorHorizonClamped(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(0, projection.Orientation{Yaw: 0})
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 10}) // 100°/s
-	// Ask 1 s ahead: extrapolation must stop at 120 ms → 10 + 12°.
-	got := p.Predict(1100 * time.Millisecond)
-	if math.Abs(got.Yaw-22) > 1e-9 {
-		t.Fatalf("clamped prediction yaw %v, want 22", got.Yaw)
-	}
-}
-
-func TestPredictorWrapAround(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(0, projection.Orientation{Yaw: 355})
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 5}) // +100°/s across the seam
-	got := p.Predict(200 * time.Millisecond)
-	if math.Abs(got.Yaw-15) > 1e-9 {
-		t.Fatalf("wrap prediction yaw %v, want 15", got.Yaw)
-	}
-}
-
-func TestPredictorIgnoresStaleSamples(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 50})
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 90}) // duplicate timestamp: ignored
-	p.Observe(50*time.Millisecond, projection.Orientation{Yaw: 90})  // older: ignored
-	if got := p.Predict(200 * time.Millisecond); got.Yaw != 50 {
-		t.Fatalf("stale samples should be ignored, got yaw %v", got.Yaw)
-	}
-}
-
-func TestPredictorPastTargetReturnsCurrent(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(0, projection.Orientation{Yaw: 0})
-	p.Observe(100*time.Millisecond, projection.Orientation{Yaw: 10})
-	if got := p.Predict(50 * time.Millisecond); got.Yaw != 10 {
-		t.Fatalf("past-target prediction should hold current, got %v", got.Yaw)
-	}
-}
-
-func TestPredictorPitchClamped(t *testing.T) {
-	p := NewPredictor()
-	p.Observe(0, projection.Orientation{Pitch: 80})
-	p.Observe(100*time.Millisecond, projection.Orientation{Pitch: 89})
-	got := p.Predict(200 * time.Millisecond) // 89° + 9°, inside the horizon
-	if got.Pitch > 90 {
-		t.Fatalf("pitch %v exceeds pole", got.Pitch)
+// TestPredictor feeds each row's samples (instant in ms, yaw, pitch) to a
+// fresh predictor and holds its prediction for the target instant.
+func TestPredictor(t *testing.T) {
+	type sample struct{ ms, yaw, pitch float64 }
+	for _, r := range []struct {
+		name     string
+		samples  []sample
+		targetMs float64
+		want     projection.Orientation
+	}{
+		{"no samples: zero orientation", nil, 1000, projection.Orientation{}},
+		{"one sample holds", []sample{{1000, 90, 10}}, 2000, projection.Orientation{Yaw: 90, Pitch: 10}},
+		{"linear extrapolation at 100°/s", []sample{{0, 100, 0}, {100, 110, 0}}, 200, projection.Orientation{Yaw: 120}},
+		// 100°/s, but only predictionHorizon (120 ms) ahead.
+		{"horizon clamped", []sample{{0, 0, 0}, {100, 10, 0}}, 1100, projection.Orientation{Yaw: 22}},
+		{"across the yaw seam", []sample{{0, 355, 0}, {100, 5, 0}}, 200, projection.Orientation{Yaw: 15}},
+		// A duplicate timestamp and an older sample are ignored.
+		{"stale samples", []sample{{100, 50, 0}, {100, 90, 0}, {50, 90, 0}}, 200, projection.Orientation{Yaw: 50}},
+		{"a target in the past holds the present", []sample{{0, 0, 0}, {100, 10, 0}}, 50, projection.Orientation{Yaw: 10}},
+		// 89° + 9°, inside the horizon: clamped at the pole.
+		{"pitch clamped", []sample{{0, 0, 80}, {100, 0, 89}}, 200, projection.Orientation{Pitch: 90}},
+	} {
+		p := NewPredictor()
+		for _, s := range r.samples {
+			p.Observe(time.Duration(s.ms*float64(time.Millisecond)), projection.Orientation{Yaw: s.yaw, Pitch: s.pitch})
+		}
+		got := p.Predict(time.Duration(r.targetMs * float64(time.Millisecond)))
+		if math.Abs(got.Yaw-r.want.Yaw) > 1e-9 || math.Abs(got.Pitch-r.want.Pitch) > 1e-9 {
+			t.Fatalf("%s: predicted %+v, want %+v", r.name, got, r.want)
+		}
 	}
 }

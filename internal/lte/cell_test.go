@@ -7,34 +7,21 @@ import (
 	"testing"
 	"time"
 
+	"poi360/internal/obs"
+	"poi360/internal/seeds"
 	"poi360/internal/simclock"
 )
 
-// testCell builds an n-UE cell on a fresh clock. refill keeps each UE's
-// buffer topped up to the given byte level every millisecond, modeling a
-// saturating (backlogged) or lightly loaded source.
+// testCell starts a cell of len(levels) UEs on a fresh clock, UE i's
+// buffer topped up to levels[i] bytes every subframe.
 func testCell(t *testing.T, prof CellProfile, levels []int) (*simclock.Clock, *Cell, []*UE) {
 	t.Helper()
 	clk := simclock.New()
-	cell, err := NewCell(clk, DefaultCellConfig(prof))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := newCell(t, clk, DefaultCellConfig(prof))
 	ues := make([]*UE, len(levels))
 	for i := range levels {
-		u, err := cell.AddUE(DefaultUEConfig(int64(1000+i)), func(Packet) {})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ues[i] = u
-	}
-	for i, u := range ues {
-		u, level := u, levels[i]
-		clk.Ticker(Subframe, func() {
-			if want := level - u.BufferBytes(); want > 0 {
-				u.Enqueue(Packet{Bytes: want})
-			}
-		})
+		ues[i] = addUE(t, cell, DefaultUEConfig(int64(1000+i)), func(Packet) {})
+		fillTo(clk, ues[i], levels[i])
 	}
 	cell.Start()
 	return clk, cell, ues
@@ -132,74 +119,63 @@ func TestServedRateFiniteAndPositive(t *testing.T) {
 	}
 }
 
-// Handover support: a UE detached mid-run stops being scheduled, stops
+// Handover support on an advanced cell, which every event that touches
+// runs to the present first, as the city's are. AddUE admits a UE to the
+// running cell (at 3 s), which is scheduled and reports diags from fresh
+// state; a UE detached mid-run (at 5 s) stops being scheduled, stops
 // emitting diag reports (the silence FBCC's watchdog keys on), discards
-// its buffered bytes, and refuses new traffic; the surviving UE keeps its
-// service. The detach must not disturb the cell's other trajectories. The
-// cell is advanced, as the city's are: every event that touches it runs it
-// to the present first.
-func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
+// its buffered bytes and refuses new traffic, while the others keep their
+// service. A cell driven by Start refuses AddUE: its population is fixed
+// when it starts.
+func TestCellHandover(t *testing.T) {
 	clk := simclock.New()
 	cfg := DefaultCellConfig(ProfileCampus)
 	cfg.AlwaysPF = true
-	cell, err := NewCell(clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var diags [2]int
-	ues := make([]*UE, 2)
-	for i := range ues {
-		u, err := cell.AddUE(DefaultUEConfig(int64(1000+i)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := i
-		u.SetDiagListener(func(DiagReport) { diags[i]++ })
-		ues[i] = u
-	}
-	for _, u := range ues {
-		u := u
+	cell := newCell(t, clk, cfg)
+	var diags [3]int
+	ues := make([]*UE, 3)
+	join := func(i int) {
+		ues[i] = addUE(t, cell, DefaultUEConfig(int64(1000*(1+i/2)+i%2)), nil)
+		ues[i].SetDiagListener(func(DiagReport) { diags[i]++ })
+		u := ues[i]
 		clk.Ticker(Subframe, func() {
 			cell.Advance(clk.Now(), false)
-			if !u.detached {
-				if want := 32<<10 - u.BufferBytes(); want > 0 {
-					u.Enqueue(Packet{Bytes: want})
-				}
+			if want := 32<<10 - u.BufferBytes(); !u.detached && want > 0 {
+				u.Enqueue(Packet{Bytes: want})
 			}
 		})
 	}
-
-	var droppedAtDetach int
-	var diagsAtDetach int
+	join(0)
+	join(1)
+	clk.Schedule(3*time.Second, func() {
+		cell.Advance(clk.Now(), false)
+		join(2)
+	})
+	var dropped, diagsAtDetach int
 	clk.Schedule(5*time.Second, func() {
 		cell.Advance(clk.Now(), false)
-		droppedAtDetach = cell.DetachUE(ues[0])
-		diagsAtDetach = diags[0]
+		dropped, diagsAtDetach = cell.DetachUE(ues[0]), diags[0]
 	})
 	clk.Run(10 * time.Second)
 	cell.Advance(10*time.Second, true)
 
-	if droppedAtDetach <= 0 {
-		t.Fatalf("detach of a backlogged UE dropped %d bytes, want > 0", droppedAtDetach)
+	if dropped <= 0 || diags[0] != diagsAtDetach || ues[0].BufferBytes() != 0 || ues[0].Enqueue(Packet{Bytes: 100}) {
+		t.Fatalf("detach dropped %d bytes; the detached UE then reported %d more diags, buffers %d bytes and accepts packets",
+			dropped, diags[0]-diagsAtDetach, ues[0].BufferBytes())
 	}
-	if diags[0] != diagsAtDetach {
-		t.Fatalf("detached UE kept emitting diag reports: %d at detach, %d at end", diagsAtDetach, diags[0])
+	if diags[1] < 200 || diags[2] < 150 {
+		t.Fatalf("diag reports: incumbent %d, late joiner %d; want ≥ 200 and ≈175", diags[1], diags[2])
 	}
-	if diags[1] < 200 {
-		t.Fatalf("surviving UE starved of diag reports: %d", diags[1])
+	served := [3]float64{ues[0].TotalServedBits(), ues[1].TotalServedBits(), ues[2].TotalServedBits()}
+	if served[0] <= 0 || served[2] <= 0 || served[1] <= served[0] || served[1] <= served[2] {
+		t.Fatalf("served bits %v: the surviving incumbent should out-serve the half-session UE and the late joiner", served)
 	}
-	if ues[0].BufferBytes() != 0 {
-		t.Fatalf("detached UE still buffers %d bytes", ues[0].BufferBytes())
-	}
-	if ues[0].Enqueue(Packet{Bytes: 100}) {
-		t.Fatal("detached UE accepted a packet")
-	}
-	servedAtEnd := ues[0].TotalServedBits()
-	if servedAtEnd <= 0 {
-		t.Fatal("UE was never served before the detach")
-	}
-	if ues[1].TotalServedBits() <= servedAtEnd {
-		t.Fatal("surviving UE should out-serve the half-session UE")
+
+	started := newCell(t, simclock.New(), cfg)
+	addUE(t, started, DefaultUEConfig(1000), nil)
+	started.Start()
+	if _, err := started.AddUE(DefaultUEConfig(2000), nil); err == nil {
+		t.Fatal("a started cell admitted a UE")
 	}
 }
 
@@ -211,14 +187,8 @@ func TestCellDetachUEStopsServiceAndDiag(t *testing.T) {
 // free, AddUE appends one with a fresh queue.
 func TestDetachRecyclesQueue(t *testing.T) {
 	clk := simclock.New()
-	cell, err := NewCell(clk, DefaultCellConfig(ProfileCampus))
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := cell.AddUE(DefaultUEConfig(1000), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cell := newCell(t, clk, DefaultCellConfig(ProfileCampus))
+	u := addUE(t, cell, DefaultUEConfig(1000), nil)
 	payload := new(int)
 	pkt := Packet{Bytes: 1200, Payload: payload}
 	for i := 0; i < 100; i++ { // past the initial 32 slots: the queue regrows
@@ -259,10 +229,7 @@ func TestDetachRecyclesQueue(t *testing.T) {
 		t.Fatalf("detached UE reports %d buffered bytes", b)
 	}
 
-	v, err := cell.AddUE(DefaultUEConfig(1001), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := addUE(t, cell, DefaultUEConfig(1001), nil)
 	if v != u || len(cell.ues) != 1 || len(cell.free) != 0 {
 		t.Fatalf("next AddUE did not reuse the free row (same handle %v, %d rows, %d free)", v == u, len(cell.ues), len(cell.free))
 	}
@@ -273,86 +240,13 @@ func TestDetachRecyclesQueue(t *testing.T) {
 	if v.queue.Front() != slot0 {
 		t.Fatal("next AddUE's queue is not on the detached ring")
 	}
-	w, err := cell.AddUE(DefaultUEConfig(1002), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := addUE(t, cell, DefaultUEConfig(1002), nil)
 	if w == v || len(cell.ues) != 2 || w.queue.Cap() != 32 {
 		t.Fatalf("with no row free, AddUE gave %d rows and a queue of cap %d, want a second row with a fresh one of 32", len(cell.ues), w.queue.Cap())
 	}
 	w.Enqueue(pkt)
 	if w.queue.Front() == slot0 {
 		t.Fatal("with no row free, AddUE reused the detached ring")
-	}
-}
-
-// Handover support: AddUE admits a UE to a running (advanced) cell, and
-// the newcomer gets scheduled and reports diags from fresh state. A cell
-// driven by Start refuses: its population is fixed when it starts.
-func TestCellAttachUEAfterStart(t *testing.T) {
-	clk := simclock.New()
-	cfg := DefaultCellConfig(ProfileCampus)
-	cfg.AlwaysPF = true
-	cell, err := NewCell(clk, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := cell.AddUE(DefaultUEConfig(1000), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clk.Ticker(Subframe, func() {
-		cell.Advance(clk.Now(), false)
-		if !first.detached {
-			if want := 32<<10 - first.BufferBytes(); want > 0 {
-				first.Enqueue(Packet{Bytes: want})
-			}
-		}
-	})
-
-	var late *UE
-	var lateDiags int
-	clk.Schedule(3*time.Second, func() {
-		cell.Advance(clk.Now(), false)
-		u, err := cell.AddUE(DefaultUEConfig(2000), nil)
-		if err != nil {
-			t.Fatalf("AddUE to a running cell: %v", err)
-		}
-		u.SetDiagListener(func(DiagReport) { lateDiags++ })
-		late = u
-		clk.Ticker(Subframe, func() {
-			cell.Advance(clk.Now(), false)
-			if want := 32<<10 - u.BufferBytes(); want > 0 {
-				u.Enqueue(Packet{Bytes: want})
-			}
-		})
-	})
-	clk.Run(8 * time.Second)
-	cell.Advance(8*time.Second, true)
-
-	if late == nil {
-		t.Fatal("late UE never attached")
-	}
-	if late.TotalServedBits() <= 0 {
-		t.Fatal("late-attached UE was never served")
-	}
-	if lateDiags < 100 {
-		t.Fatalf("late-attached UE reported %d diags, want ≈125", lateDiags)
-	}
-	if first.TotalServedBits() <= late.TotalServedBits() {
-		t.Fatal("incumbent should out-serve the late joiner over the whole run")
-	}
-
-	started, err := NewCell(simclock.New(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := started.AddUE(DefaultUEConfig(1000), nil); err != nil {
-		t.Fatal(err)
-	}
-	started.Start()
-	if _, err := started.AddUE(DefaultUEConfig(2000), nil); err == nil {
-		t.Fatal("a started cell admitted a UE")
 	}
 }
 
@@ -365,14 +259,8 @@ func TestCellAlwaysPFSingleUE(t *testing.T) {
 		clk := simclock.New()
 		cfg := DefaultCellConfig(ProfileCampus)
 		cfg.AlwaysPF = alwaysPF
-		cell, err := NewCell(clk, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := cell.AddUE(DefaultUEConfig(1000), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cell := newCell(t, clk, cfg)
+		u := addUE(t, cell, DefaultUEConfig(1000), nil)
 		clk.Ticker(Subframe, func() {
 			if want := 32<<10 - u.BufferBytes(); want > 0 {
 				u.Enqueue(Packet{Bytes: want})
@@ -453,6 +341,151 @@ func BenchmarkPFSubframe(b *testing.B) {
 				b.ResetTimer()
 				run(clk.Now() + time.Duration(b.N)*Subframe)
 			})
+		}
+	}
+}
+
+// TestReusedRowLosesPFTie: a UE admitted into a low row freed by a detach is
+// the newest arrival, and loses an exact PF tie to every UE attached before
+// it. Rows 1 and 2 were never served and the newcomer in row 0 starts with
+// no PF history, so on backlog all three score the newcomer boost,
+// capacity / pfRateFloor; the grants go to rows 1, 2 and then 0, one whole
+// subframe each.
+func TestReusedRowLosesPFTie(t *testing.T) {
+	clk := simclock.New()
+	cell := newCell(t, clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true, CapacityStride: 1})
+	bus := obs.NewBus()
+	add := func(sub int32) *UE {
+		u := addUE(t, cell, DefaultUEConfig(int64(100+sub)), nil)
+		u.SetProbe(bus.Probe(sub))
+		return u
+	}
+	var caps []float64 // the capacity subframe k ran at, at index k-1
+	run := func(n int) {
+		for range n {
+			cell.subframe(cell.at(cell.sfIndex + 1))
+			caps = append(caps, cell.cap.current)
+		}
+	}
+	a, b, c := add(0), add(1), add(2)
+	a.Enqueue(Packet{Bytes: 40 << 10})
+	run(50) // a alone is served: its row's served rate is far above the floor
+	if cell.soa.ewma[a.id] <= 10*pfRateFloor {
+		t.Fatalf("the leaver's served rate is %g, not far above the floor", cell.soa.ewma[a.id])
+	}
+	cell.DetachUE(a)
+	d := add(3)
+	if d != a || d.id != 0 || len(cell.ues) != 3 {
+		t.Fatalf("the newcomer took row %d of %d, want the leaver's row 0", d.id, len(cell.ues))
+	}
+	start := len(bus.Events())
+	for _, u := range []*UE{d, c, b} { // backlogged past the knee
+		u.Enqueue(Packet{Bytes: 20 << 10})
+	}
+	run(3)
+	var grants []obs.Event
+	for _, e := range bus.Events()[start:] {
+		if e.Kind == obs.LTEGrant {
+			grants = append(grants, e)
+		}
+	}
+	if len(grants) != 3 {
+		t.Fatalf("%d grants in the three tied subframes, want one each", len(grants))
+	}
+	for k, e := range grants {
+		sf := int64(e.At / Subframe)
+		if want := int32(k + 1); e.Sub != want {
+			t.Fatalf("grant %d went to sub %d, want sub %d (attach order)", k, e.Sub, want)
+		}
+		if boost := caps[sf-1] / pfRateFloor; e.C != boost {
+			t.Fatalf("sub %d won at metric %g, want the newcomer boost %g", e.Sub, e.C, boost)
+		}
+	}
+}
+
+// TestRowReuseAllocFree: a detach followed by an admit into the freed row
+// allocates nothing, on an advanced cell whose UEs bring their generators.
+func TestRowReuseAllocFree(t *testing.T) {
+	clk := simclock.New()
+	cell := newCell(t, clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true, CapacityStride: 10})
+	ucfg := DefaultUEConfig(0)
+	ucfg.Src = seeds.NewSource(1)
+	deliver := func(Packet) {}
+	u := addUE(t, cell, ucfg, deliver)
+	now, err := time.Duration(0), error(nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		u.Enqueue(Packet{Bytes: 1200})
+		now += 5 * Subframe
+		cell.Advance(now, true)
+		cell.DetachUE(u)
+		if u, err = cell.AddUE(ucfg, deliver); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || len(cell.ues) != 1 {
+		t.Fatalf("a detach and an admit allocate %v times and leave %d rows, want 0 and 1", allocs, len(cell.ues))
+	}
+}
+
+// A cell is driven one way: Start after Advance panics, and so do Advance
+// and DetachUE after Start.
+func TestCellDrivenOneWay(t *testing.T) {
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	cfg := CellConfig{Profile: ProfileCampus, AlwaysPF: true}
+	advanced := newCell(t, simclock.New(), cfg)
+	advanced.Advance(5*time.Millisecond, true)
+	mustPanic("Start on an advanced cell", advanced.Start)
+
+	started := newCell(t, simclock.New(), cfg)
+	u := addUE(t, started, DefaultUEConfig(1), nil)
+	started.Start()
+	mustPanic("Advance on a started cell", func() { started.Advance(5*time.Millisecond, true) })
+	mustPanic("DetachUE on a started cell", func() { started.DetachUE(u) })
+}
+
+// A sleeping cell holds nothing on the clock, nor does any advanced cell;
+// a started one holds its ticker, unless it was started empty (a started
+// cell admits no UE, so it would tick for nobody).
+func TestSleepingCellSchedulesNothing(t *testing.T) {
+	clk := simclock.New()
+	cell := newCell(t, clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
+	cell.Advance(3*time.Millisecond, true)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("empty advanced cell holds %d pending events", n)
+	}
+	u := addUE(t, cell, DefaultUEConfig(1), nil)
+	u.Enqueue(Packet{Bytes: 5000})
+	clk.Run(50 * time.Millisecond)
+	cell.Advance(50*time.Millisecond, true)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("populated advanced cell holds %d pending events", n)
+	}
+	if u.TotalServedBits() == 0 {
+		t.Fatal("the advance served nothing")
+	}
+	cell.DetachUE(u)
+	cell.Advance(60*time.Millisecond, true)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("advanced cell left asleep holds %d pending events", n)
+	}
+
+	for _, ues := range []int{0, 1} {
+		clk := simclock.New()
+		cell := newCell(t, clk, CellConfig{Profile: ProfileCampus, AlwaysPF: true})
+		for i := 0; i < ues; i++ {
+			addUE(t, cell, DefaultUEConfig(1), nil)
+		}
+		cell.Start()
+		if n := clk.Pending(); n != ues {
+			t.Fatalf("cell started with %d UEs holds %d pending events, want %d", ues, n, ues)
 		}
 	}
 }

@@ -26,133 +26,59 @@ func TestMOSForPSNRTable1(t *testing.T) {
 	}
 }
 
-func TestMOSString(t *testing.T) {
-	if Excellent.String() != "Excellent" || Bad.String() != "Bad" {
+// MOS names, the MOS PDF (empty: all zero), the summary statistics,
+// percentiles (monotone; NaN when empty) and the empirical CDF.
+func TestSummaries(t *testing.T) {
+	if Excellent.String() != "Excellent" || Bad.String() != "Bad" || MOS(42).String() != "MOS(42)" {
 		t.Fatal("MOS names wrong")
 	}
-	if MOS(42).String() != "MOS(42)" {
-		t.Fatal("out-of-range MOS formatting")
-	}
-}
-
-func TestMOSPDFSumsToOne(t *testing.T) {
 	pdf := MOSPDF([]float64{40, 35, 28, 22, 10, 39})
-	sum := 0.0
-	for _, p := range pdf {
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("PDF sums to %v", sum)
-	}
-	if pdf[Excellent] != 2.0/6 || pdf[Bad] != 1.0/6 {
+	if sum := pdf[0] + pdf[1] + pdf[2] + pdf[3] + pdf[4]; math.Abs(sum-1) > 1e-12 || pdf[Excellent] != 2.0/6 || pdf[Bad] != 1.0/6 {
 		t.Fatalf("pdf = %v", pdf)
 	}
-}
-
-func TestMOSPDFEmpty(t *testing.T) {
-	if MOSPDF(nil) != [5]float64{} {
-		t.Fatal("empty PDF not zero")
+	if MOSPDF(nil) != [5]float64{} || Summarize(nil).N != 0 || CDF(nil) != nil {
+		t.Fatal("empty PDF, summary or CDF not zero")
 	}
-}
-
-func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
+	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 || math.Abs(s.Std-math.Sqrt(2)) > 1e-12 {
 		t.Fatalf("%+v", s)
 	}
-	want := math.Sqrt(2)
-	if math.Abs(s.Std-want) > 1e-12 {
-		t.Fatalf("Std = %v, want %v", s.Std, want)
+	s = Summarize([]float64{5, 1, 9, 3, 7, 2})
+	if !(s.P10 <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.P90 && s.P90 <= s.P99) {
+		t.Fatalf("percentiles not monotone: %+v", s)
 	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary")
+	xs := []float64{10, 20, 30, 40}
+	if Percentile(xs, 0) != 10 || Percentile(xs, 1) != 40 || Percentile(xs, 0.5) != 25 || !math.IsNaN(Percentile(nil, 0.5)) {
+		t.Fatal("Percentile wrong")
 	}
-}
-
-func TestPercentile(t *testing.T) {
-	s := []float64{10, 20, 30, 40}
-	if Percentile(s, 0) != 10 || Percentile(s, 1) != 40 {
-		t.Fatal("extremes wrong")
+	if pts := CDF([]float64{3, 1, 2}); len(pts) != 3 || pts[0].X != 1 || math.Abs(pts[0].P-1.0/3) > 1e-12 || pts[2].X != 3 || pts[2].P != 1 {
+		t.Fatalf("CDF %+v", pts)
 	}
-	if got := Percentile(s, 0.5); got != 25 {
-		t.Fatalf("P50 = %v, want 25", got)
-	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("empty percentile should be NaN")
+	xs = []float64{1, 2, 3, 4}
+	if CDFAt(xs, 2.5) != 0.5 || CDFAt(xs, 0) != 0 || !math.IsNaN(CDFAt(nil, 1)) {
+		t.Fatal("CDFAt wrong")
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2})
-	if len(pts) != 3 {
-		t.Fatal("len")
-	}
-	if pts[0].X != 1 || math.Abs(pts[0].P-1.0/3) > 1e-12 {
-		t.Fatalf("first point %+v", pts[0])
-	}
-	if pts[2].X != 3 || pts[2].P != 1 {
-		t.Fatalf("last point %+v", pts[2])
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := CDFAt(xs, 2.5); got != 0.5 {
-		t.Fatalf("CDFAt = %v", got)
-	}
-	if got := CDFAt(xs, 0); got != 0 {
-		t.Fatalf("CDFAt below min = %v", got)
-	}
-	if !math.IsNaN(CDFAt(nil, 1)) {
-		t.Fatal("empty CDFAt should be NaN")
-	}
-}
-
-func TestWindowStdConstantIsZero(t *testing.T) {
-	var samples []TimedSample
-	for i := 0; i < 100; i++ {
-		samples = append(samples, TimedSample{At: time.Duration(i) * 33 * time.Millisecond, V: 7})
-	}
-	for i, s := range WindowStd(samples, 2*time.Second) {
-		if s != 0 {
-			t.Fatalf("sample %d std %v", i, s)
-		}
-	}
-}
-
-func TestWindowStdDetectsOscillation(t *testing.T) {
+// The 2 s window std of 33 ms samples is zero on a constant series and
+// large on one flipping between 1 and 9; a spike at t=0 stays in the
+// window at 1 s and has left it by 5 s.
+func TestWindowStd(t *testing.T) {
 	var flat, osc []TimedSample
 	for i := 0; i < 300; i++ {
 		at := time.Duration(i) * 33 * time.Millisecond
-		flat = append(flat, TimedSample{At: at, V: 1})
-		v := 1.0
-		if i%2 == 0 {
-			v = 9
-		}
-		osc = append(osc, TimedSample{At: at, V: v})
+		flat = append(flat, TimedSample{At: at, V: 7})
+		osc = append(osc, TimedSample{At: at, V: float64(1 + 8*(1-i%2))})
 	}
-	sf := Summarize(WindowStd(flat, 2*time.Second))
-	so := Summarize(WindowStd(osc, 2*time.Second))
-	if so.Mean <= sf.Mean+1 {
-		t.Fatalf("oscillating std %v should dwarf flat %v", so.Mean, sf.Mean)
+	if sf, so := Summarize(WindowStd(flat, 2*time.Second)), Summarize(WindowStd(osc, 2*time.Second)); sf.Max != 0 || so.Mean <= 1 {
+		t.Fatalf("window std: constant series up to %v, oscillating mean %v", sf.Max, so.Mean)
 	}
-}
-
-func TestWindowStdRespectsWindow(t *testing.T) {
-	// A single early spike must leave the window after 2 s.
 	samples := []TimedSample{{At: 0, V: 100}}
 	for i := 1; i <= 100; i++ {
 		samples = append(samples, TimedSample{At: time.Duration(i) * 100 * time.Millisecond, V: 1})
 	}
-	out := WindowStd(samples, 2*time.Second)
-	if out[10] == 0 { // t=1s: spike still in window
-		t.Fatal("spike should still be in the 2s window at t=1s")
-	}
-	if out[50] != 0 { // t=5s: window is all ones
-		t.Fatalf("window std at t=5s = %v, want 0", out[50])
+	if out := WindowStd(samples, 2*time.Second); out[10] == 0 || out[50] != 0 {
+		t.Fatalf("window std at 1 s %v (want > 0), at 5 s %v (want 0)", out[10], out[50])
 	}
 }
 
@@ -178,15 +104,6 @@ func TestRunningMatchesSummarize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: percentile is monotone in p.
-func TestPropertyPercentileMonotone(t *testing.T) {
-	xs := []float64{5, 1, 9, 3, 7, 2}
-	s := Summarize(xs)
-	if !(s.P10 <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.P90 && s.P90 <= s.P99) {
-		t.Fatalf("percentiles not monotone: %+v", s)
 	}
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -57,47 +58,23 @@ func TestDelayLinkNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestQueueRateLimits(t *testing.T) {
+// A 1000 B/s queue serves its messages back to back, a second each, and
+// drops at its byte cap.
+func TestQueueRateAndDropTail(t *testing.T) {
 	clk := simclock.New()
 	var times []time.Duration
-	q := NewQueue(clk, 8000, 1<<20, func(any) { times = append(times, clk.Now()) }) // 1000 B/s
-	q.Send(1000, nil)
+	q := NewQueue(clk, 8000, 1500, func(any) { times = append(times, clk.Now()) })
+	if q.busyUntil != 0 || !q.Send(1000, nil) || q.busyUntil != time.Second {
+		t.Fatalf("busy until %v after one message, want 1s", q.busyUntil)
+	}
+	if q.Send(1000, nil) || q.Dropped() != 1 || q.bytes != 1000 {
+		t.Fatalf("over-cap send: dropped %d, %d bytes queued", q.Dropped(), q.bytes)
+	}
+	clk.Run(time.Second + time.Millisecond)
 	q.Send(1000, nil)
 	clk.Run(10 * time.Second)
-	if len(times) != 2 {
-		t.Fatalf("delivered %d", len(times))
-	}
-	if times[0] != time.Second || times[1] != 2*time.Second {
-		t.Fatalf("delivery times %v, want [1s 2s]", times)
-	}
-}
-
-func TestQueueDropTail(t *testing.T) {
-	clk := simclock.New()
-	q := NewQueue(clk, 8000, 1500, nil)
-	if !q.Send(1000, nil) {
-		t.Fatal("first send rejected")
-	}
-	if q.Send(1000, nil) {
-		t.Fatal("over-cap send accepted")
-	}
-	if q.Dropped() != 1 {
-		t.Fatalf("Dropped = %d", q.Dropped())
-	}
-	if q.bytes != 1000 {
-		t.Fatalf("Bytes = %d", q.bytes)
-	}
-}
-
-func TestQueueDelay(t *testing.T) {
-	clk := simclock.New()
-	q := NewQueue(clk, 8000, 1<<20, nil)
-	if q.busyUntil != 0 {
-		t.Fatal("idle queue has delay")
-	}
-	q.Send(1000, nil) // 1s of service
-	if d := q.busyUntil - clk.Now(); d != time.Second {
-		t.Fatalf("Delay = %v, want 1s", d)
+	if !slices.Equal(times, []time.Duration{time.Second, time.Second + time.Millisecond + time.Second}) {
+		t.Fatalf("delivery times %v", times)
 	}
 }
 
@@ -148,90 +125,52 @@ func TestQueueInvalidPanics(t *testing.T) {
 	NewQueue(simclock.New(), 0, 10, nil)
 }
 
-func TestCellularTransportEndToEnd(t *testing.T) {
-	clk := simclock.New()
-	var fwd, rev []any
-	c, err := NewCellular(clk, lte.DefaultConfig(lte.ProfileStrongIdle), CellularPath,
-		func(p any) { fwd = append(fwd, p) },
-		func(p any) { rev = append(rev, p) })
-	if err != nil {
-		t.Fatal(err)
+// Both transports carry media forward and feedback back; only the
+// cellular one relays diag reports (25 a second); wireline delivers
+// sooner and its nominal RTT is shorter.
+func TestTransports(t *testing.T) {
+	type transport interface {
+		Send(int, any) bool
+		SendFeedback(any)
+		SetDiagListener(func(lte.DiagReport))
 	}
-	if !c.Send(1200, "media") {
-		t.Fatal("send rejected")
-	}
-	c.SendFeedback("fb")
-	clk.Run(2 * time.Second)
-	if len(fwd) != 1 || fwd[0] != "media" {
-		t.Fatalf("forward delivery %v", fwd)
-	}
-	if len(rev) != 1 || rev[0] != "fb" {
-		t.Fatalf("reverse delivery %v", rev)
-	}
-}
-
-func TestCellularDiagPassthrough(t *testing.T) {
-	clk := simclock.New()
-	c, err := NewCellular(clk, lte.DefaultConfig(lte.ProfileStrongIdle), CellularPath, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	c.SetDiagListener(func(lte.DiagReport) { n++ })
-	clk.Run(time.Second)
-	if n != 25 {
-		t.Fatalf("diag reports = %d, want 25", n)
-	}
-	if c.UE.BufferBytes() != 0 {
-		t.Fatal("buffer should be empty")
-	}
-}
-
-func TestWirelineTransportEndToEnd(t *testing.T) {
-	clk := simclock.New()
-	var fwd, rev []any
-	w := NewWireline(clk, 1, WirelinePath,
-		func(p any) { fwd = append(fwd, p) },
-		func(p any) { rev = append(rev, p) })
-	w.SetDiagListener(func(lte.DiagReport) { t.Fatal("wireline diag fired") })
-	w.Send(1200, "media")
-	w.SendFeedback("fb")
-	clk.Run(time.Second)
-	if len(fwd) != 1 || len(rev) != 1 {
-		t.Fatalf("fwd=%v rev=%v", fwd, rev)
-	}
-	if w.q.bytes != 0 {
-		t.Fatal("queue should have drained")
-	}
-}
-
-func TestWirelineFasterThanCellular(t *testing.T) {
-	oneWay := func(build func(clk *simclock.Clock, deliver func(any)) func(int, any) bool) time.Duration {
+	var oneWay [2]time.Duration
+	for k, build := range []func(clk *simclock.Clock, fwd, rev func(any)) transport{
+		func(clk *simclock.Clock, fwd, rev func(any)) transport {
+			return NewWireline(clk, 1, WirelinePath, fwd, rev)
+		},
+		func(clk *simclock.Clock, fwd, rev func(any)) transport {
+			c, err := NewCellular(clk, lte.DefaultConfig(lte.ProfileStrongIdle), CellularPath, fwd, rev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		},
+	} {
 		clk := simclock.New()
-		var arrived time.Duration
-		send := build(clk, func(any) { arrived = clk.Now() })
-		send(1200, "x")
-		clk.Run(5 * time.Second)
-		return arrived
-	}
-	wl := oneWay(func(clk *simclock.Clock, d func(any)) func(int, any) bool {
-		w := NewWireline(clk, 1, WirelinePath, d, nil)
-		return w.Send
-	})
-	cell := oneWay(func(clk *simclock.Clock, d func(any)) func(int, any) bool {
-		c, err := NewCellular(clk, lte.DefaultConfig(lte.ProfileStrongIdle), CellularPath, d, nil)
-		if err != nil {
-			t.Fatal(err)
+		var fwd, rev []any
+		tr := build(clk, func(p any) {
+			fwd = append(fwd, p)
+			oneWay[k] = clk.Now()
+		}, func(p any) { rev = append(rev, p) })
+		diags := 0
+		tr.SetDiagListener(func(lte.DiagReport) { diags++ })
+		if !tr.Send(1200, "media") {
+			t.Fatal("send rejected")
 		}
-		return c.Send
-	})
-	if wl >= cell {
-		t.Fatalf("wireline %v should beat cellular %v", wl, cell)
+		tr.SendFeedback("fb")
+		clk.Run(time.Second)
+		if len(fwd) != 1 || fwd[0] != "media" || len(rev) != 1 || rev[0] != "fb" || diags != 25*k {
+			t.Fatalf("transport %d: forward %v, reverse %v, %d diag reports", k, fwd, rev, diags)
+		}
+		if w, ok := tr.(*Wireline); ok && w.q.bytes != 0 {
+			t.Fatal("wireline queue should have drained")
+		}
+		if c, ok := tr.(*Cellular); ok && c.UE.BufferBytes() != 0 {
+			t.Fatal("cellular buffer should be empty")
+		}
 	}
-}
-
-func TestNominalRTT(t *testing.T) {
-	if CellularPath.NominalRTT() <= WirelinePath.NominalRTT() {
-		t.Fatal("cellular RTT should exceed wireline")
+	if oneWay[0] >= oneWay[1] || CellularPath.NominalRTT() <= WirelinePath.NominalRTT() {
+		t.Fatalf("wireline %v should beat cellular %v, and its nominal RTT too", oneWay[0], oneWay[1])
 	}
 }

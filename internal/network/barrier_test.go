@@ -48,12 +48,12 @@ func onOneP(t *testing.T) {
 func TestEpochBarrierHandoverStorm(t *testing.T) {
 	t.Run("workers-2-3-8", func(t *testing.T) {
 		failAfter(t, 2*time.Minute)
-		cityByteIdentityAcrossWorkers(t, cityStormFixture(), 2, 3, 8)
+		identicalAcrossWorkers(t, cityStormFixture(), 2, 3, 8)
 	})
 	t.Run("one-P-workers-4", func(t *testing.T) {
 		failAfter(t, 2*time.Minute)
 		onOneP(t)
-		cityByteIdentityAcrossWorkers(t, cityStormFixture(), 4)
+		identicalAcrossWorkers(t, cityStormFixture(), 4)
 	})
 }
 

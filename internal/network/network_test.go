@@ -7,71 +7,6 @@ import (
 	"poi360/internal/obs"
 )
 
-// TestCityByteIdentityAcrossWorkers is the network layer's determinism
-// contract: one config, any Workers value, byte-identical results — and
-// attaching a telemetry bus must not perturb the trajectory.
-func TestCityByteIdentityAcrossWorkers(t *testing.T) {
-	for name, base := range map[string]Config{"dense": cityDenseFixture(), "sparse": citySparseFixture()} {
-		t.Run(name, func(t *testing.T) { cityByteIdentityAcrossWorkers(t, base, 2, 4, 8) })
-	}
-}
-
-// cityDenseFixture is the UEs ≫ cells identity fixture: every shard is
-// populated all run long and a few handovers are in flight at any instant.
-func cityDenseFixture() Config {
-	return Config{
-		Cells:     9,
-		UEs:       24,
-		Duration:  6 * time.Second,
-		Seed:      7,
-		MeanDwell: 1500 * time.Millisecond,
-	}
-}
-
-// cityByteIdentityAcrossWorkers holds base's fingerprint and coordinator
-// event stream at each of the given worker counts to the Workers 1 run.
-func cityByteIdentityAcrossWorkers(t *testing.T, base Config, parallel ...int) {
-	run := func(workers int, bus *obs.Bus) *Result {
-		cfg := base
-		cfg.Workers = workers
-		cfg.Obs = bus
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
-		}
-		return res
-	}
-
-	refBus := obs.NewBus()
-	ref := run(1, refBus)
-	want := ref.Fingerprint()
-	if ref.Handovers == 0 {
-		t.Fatalf("identity fixture produced no handovers; weaken nothing — fix the config")
-	}
-
-	for _, workers := range parallel {
-		bus := obs.NewBus()
-		got := run(workers, bus)
-		if fp := got.Fingerprint(); fp != want {
-			t.Fatalf("workers=%d fingerprint diverged from workers=1:\n--- want ---\n%s\n--- got ---\n%s", workers, want, fp)
-		}
-		if a, b := refBus.Events(), bus.Events(); len(a) != len(b) {
-			t.Fatalf("workers=%d: %d obs events, want %d", workers, len(b), len(a))
-		} else {
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("workers=%d: obs event %d = %+v, want %+v", workers, i, b[i], a[i])
-				}
-			}
-		}
-	}
-
-	// Observation must not steer: the un-instrumented run matches too.
-	if fp := run(parallel[0], nil).Fingerprint(); fp != want {
-		t.Fatalf("running without obs changed the result:\n--- with ---\n%s\n--- without ---\n%s", want, fp)
-	}
-}
-
 // TestCityStaticPopulation pins the no-mobility degenerate case: UEs
 // stay home, no handovers, yet video flows and fairness is defined.
 func TestCityStaticPopulation(t *testing.T) {

@@ -70,49 +70,27 @@ func TestCityFingerprintsPinned(t *testing.T) {
 	}
 }
 
-// citySparseFixture is the cells ≫ UEs counterpart of the dense identity
-// fixtures: most shards are dormant at any instant and, with a short dwell,
-// cells empty and refill all run long (an empty advanced cell is advanced
-// by its capacity step).
-func citySparseFixture() Config {
-	return Config{
-		Cells:     64,
-		UEs:       10,
-		Duration:  6 * time.Second,
-		Seed:      7,
-		MeanDwell: 400 * time.Millisecond,
-	}
-}
-
 // TestCitySparseStreamPinned pins the sparse fixture's whole P6T stream —
 // coordinator events and every cell's radio telemetry, flushed per epoch
-// in shard-id order — to the digest re-recorded when probed advanced cells
-// began running uncontended stretches row by row (one cell's UEs then
-// interleave differently; TestCityStreamCanonicalPinned held every record
-// across that change). A dormant shard's bus has nothing pending, so
-// sweeping it flushes nothing and not one byte moves.
+// in shard-id order — twice. The raw digest was re-recorded when probed
+// advanced cells began running uncontended stretches row by row (one
+// cell's UEs then interleave differently); the canonical digest — every
+// event and gauge record decoded, stable-sorted by (shard, sub, At) and
+// hashed — held every record across that change: an advanced cell may
+// interleave one cell's UEs differently from subframe order but must not
+// add, drop, change or reorder a record of any one UE. A dormant shard's
+// bus has nothing pending, so sweeping it flushes nothing.
 func TestCitySparseStreamPinned(t *testing.T) {
-	const want = "ce0c3075bcbf236fce5039dcbea5ecfdbcf0c80f15927e631207eb9e7105da60"
+	const raw, canonical = "ce0c3075bcbf236fce5039dcbea5ecfdbcf0c80f15927e631207eb9e7105da60",
+		"815929ab6c795a7a3e1ff74285080271ba4e01ebbbe37455bf92ac7d64ef61f5"
 	for _, workers := range []int{1, 4} {
-		sum := sha256.Sum256(runCityWithTelemetry(t, citySparseFixture(), workers).file)
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("workers=%d stream sha256 %s, want %s", workers, got, want)
+		file := playCity(t, citySparseFixture(), workers, spilled).file
+		sum := sha256.Sum256(file)
+		if got := hex.EncodeToString(sum[:]); got != raw {
+			t.Errorf("workers=%d stream sha256 %s, want %s", workers, got, raw)
 		}
-	}
-}
-
-// TestCityStreamCanonicalPinned pins the sparse fixture's stream up to the
-// interleaving of its sub-streams: every event and gauge record decoded,
-// stable-sorted by (shard, sub, At) and hashed. An advanced cell may run
-// its rows one after another, which interleaves one cell's UEs differently
-// from subframe order but must not add, drop, change or reorder a record
-// of any one UE — so this digest holds where the raw stream digest above
-// may move.
-func TestCityStreamCanonicalPinned(t *testing.T) {
-	const want = "815929ab6c795a7a3e1ff74285080271ba4e01ebbbe37455bf92ac7d64ef61f5"
-	for _, workers := range []int{1, 4} {
-		if got := canonicalStreamDigest(t, runCityWithTelemetry(t, citySparseFixture(), workers).file); got != want {
-			t.Errorf("workers=%d canonical stream sha256 %s, want %s", workers, got, want)
+		if got := canonicalStreamDigest(t, file); got != canonical {
+			t.Errorf("workers=%d canonical stream sha256 %s, want %s", workers, got, canonical)
 		}
 	}
 }

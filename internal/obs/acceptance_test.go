@@ -103,62 +103,40 @@ func TestEpisodeSemanticsOnCellBusy(t *testing.T) {
 }
 
 // TestObsDoesNotChangeTrajectory is the determinism contract: the same
-// session with and without a bus produces deeply identical results.
+// session with and without a bus produces deeply identical results, and
+// two traced runs byte-identical JSONL whose every line parses with the
+// schema keys.
 func TestObsDoesNotChangeTrajectory(t *testing.T) {
-	d := 40 * time.Second
-	plain, err := session.Run(busyFBCC(d))
-	if err != nil {
-		t.Fatal(err)
+	run := func(bus *obs.Bus) (*session.Result, string) {
+		cfg := busyFBCC(40 * time.Second)
+		cfg.Obs = bus.Probe(0)
+		res, err := session.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The configs differ only in the probe pointer; null it before the
+		// deep comparison so the measurement payloads carry the test.
+		res.Config.Obs = nil
+		var out []byte
+		if bus != nil {
+			for _, e := range bus.Events() {
+				out = append(obs.AppendEventJSON(out, &e), '\n')
+			}
+		}
+		return res, string(out)
 	}
-	bus := obs.NewBus()
-	cfg := busyFBCC(d)
-	cfg.Obs = bus.Probe(0)
-	traced, err := session.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	plain, _ := run(nil)
+	traced, a := run(obs.NewBus())
+	if _, b := run(obs.NewBus()); a == "" || a != b {
+		t.Fatalf("telemetry stream is empty (%d bytes) or not deterministic", len(a))
 	}
-	if bus.Len() == 0 {
-		t.Fatalf("traced session emitted nothing")
-	}
-	// The configs differ only in the probe pointer; null it before the
-	// deep comparison so the measurement payloads carry the test.
-	traced.Config.Obs = nil
-	plain.Config.Obs = nil
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("observability changed the session trajectory")
 	}
-}
-
-// TestObsStreamDeterministic: two traced runs of the same config produce
-// byte-identical JSONL.
-func TestObsStreamDeterministic(t *testing.T) {
-	render := func() string {
-		bus := obs.NewBus()
-		cfg := busyFBCC(30 * time.Second)
-		cfg.Obs = bus.Probe(0)
-		if _, err := session.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-		var out []byte
-		for _, e := range bus.Events() {
-			out = append(obs.AppendEventJSON(out, &e), '\n')
-		}
-		return string(out)
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("telemetry stream is not deterministic")
-	}
-	// And every line parses as JSON with the schema keys.
 	for i, line := range strings.Split(strings.TrimRight(a, "\n"), "\n") {
 		var m map[string]any
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			t.Fatalf("line %d is not JSON: %v", i, err)
-		}
-		for _, key := range []string{"t", "kind", "sub"} {
-			if _, ok := m[key]; !ok {
-				t.Fatalf("line %d missing %q: %s", i, key, line)
-			}
+		if err := json.Unmarshal([]byte(line), &m); err != nil || m["t"] == nil || m["kind"] == nil || m["sub"] == nil {
+			t.Fatalf("line %d is not JSON with t, kind and sub (%v): %s", i, err, line)
 		}
 	}
 }

@@ -32,143 +32,18 @@ func encodeStream(t *testing.T, shard int32, events []Event) []byte {
 	return buf
 }
 
-func decodeAll(t *testing.T, buf []byte) []BinRecord {
-	t.Helper()
-	var dec EventDecoder
-	var out []BinRecord
-	for len(buf) > 0 {
-		var rec BinRecord
-		n, err := dec.Next(buf, &rec)
-		if err != nil {
-			t.Fatalf("Next: %v (with %d bytes left)", err, len(buf))
-		}
-		out = append(out, rec)
-		buf = buf[n:]
-	}
-	return out
-}
-
-func TestBinaryRoundTripSingleShard(t *testing.T) {
-	events := sampleEvents()
-	recs := decodeAll(t, encodeStream(t, 7, events))
-	if recs[0].Tag != RecHeader || recs[1].Tag != RecShard || recs[1].Shard != 7 {
-		t.Fatalf("stream preamble wrong: %+v", recs[:2])
-	}
-	recs = recs[2:]
-	if len(recs) != len(events) {
-		t.Fatalf("decoded %d events, want %d", len(recs), len(events))
-	}
-	for i, rec := range recs {
-		if rec.Tag != RecEvent || rec.Shard != 7 {
-			t.Fatalf("record %d: tag %v shard %d", i, rec.Tag, rec.Shard)
-		}
-		if rec.Event != events[i] {
-			t.Fatalf("event %d round-trip mismatch:\n got %+v\nwant %+v", i, rec.Event, events[i])
-		}
-	}
-}
-
-func TestBinaryRoundTripInterleavedShards(t *testing.T) {
-	// Two shards flushing alternately into one stream: each keeps its own
-	// timestamp-delta chain, so interleaving must not corrupt timestamps.
-	evA := []Event{
-		{At: 10 * time.Millisecond, Kind: LTEGrant, Sub: 1, A: 1000},
-		{At: 20 * time.Millisecond, Kind: LTEGrant, Sub: 1, A: 2000},
-	}
-	evB := []Event{
-		{At: 5 * time.Millisecond, Kind: LTEDrop, Sub: 2, A: 100, B: 8192},
-		{At: 25 * time.Millisecond, Kind: LTEDrop, Sub: 2, A: 200, B: 4096},
-	}
-	var encA, encB EventEncoder
-	buf := AppendBinaryHeader(nil)
-	buf = AppendShardMarker(buf, 0)
-	buf = encA.AppendEvent(buf, &evA[0])
-	buf = AppendShardMarker(buf, 1)
-	buf = encB.AppendEvent(buf, &evB[0])
-	buf = AppendShardMarker(buf, 0)
-	buf = encA.AppendEvent(buf, &evA[1])
-	buf = AppendShardMarker(buf, 1)
-	buf = encB.AppendEvent(buf, &evB[1])
-
-	var got []Event
-	for _, rec := range decodeAll(t, buf) {
-		if rec.Tag == RecEvent {
-			got = append(got, rec.Event)
-		}
-	}
-	want := []Event{evA[0], evB[0], evA[1], evB[1]}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("interleaved event %d mismatch:\n got %+v\nwant %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBinaryGaugeRoundTrip(t *testing.T) {
-	buf := AppendBinaryHeader(nil)
-	buf = AppendShardMarker(buf, 4)
-	buf = AppendGauge(buf, "psnr_mean_db", 38.25)
-	buf = AppendGauge(buf, "frames_sent", 900)
-	recs := decodeAll(t, buf)[2:]
-	want := []struct {
-		name string
-		v    float64
-	}{{"psnr_mean_db", 38.25}, {"frames_sent", 900}}
-	for i, rec := range recs {
-		if rec.Tag != RecGauge || rec.Shard != 4 || rec.Name != want[i].name || rec.Value != want[i].v {
-			t.Fatalf("gauge %d: %+v", i, rec)
-		}
-	}
-}
-
-func TestBinaryDecoderShortThenComplete(t *testing.T) {
-	// Feeding one byte at a time must yield exactly the same records: the
-	// decoder reports ErrBinShort (consuming nothing) until a record
-	// completes.
-	buf := encodeStream(t, 0, sampleEvents())
-	buf = AppendGauge(buf, "g", 1.5)
-	want := decodeAll(t, append([]byte(nil), buf...))
-
-	// A truncated prefix must report ErrBinShort without consuming bytes.
-	var dec EventDecoder
-	var rec BinRecord
-	if n, err := dec.Next(buf[:2], &rec); !errors.Is(err, ErrBinShort) || n != 0 {
-		t.Fatalf("truncated header: n=%d err=%v, want ErrBinShort", n, err)
-	}
-	if n, err := dec.Next(buf[:len(buf)-1], &rec); err != nil && !errors.Is(err, ErrBinShort) {
-		t.Fatalf("unexpected error on prefix: n=%d err=%v", n, err)
-	}
-
-	// Feeding the Replayer one byte at a time must still yield every event.
-	rep := NewReplayer(nil)
-	var events []Event
-	rep.OnEvent = func(_ int32, e *Event) { events = append(events, *e) }
-	for _, c := range buf {
-		if err := rep.Feed([]byte{c}); err != nil {
-			t.Fatalf("Feed: %v", err)
-		}
-	}
-	if err := rep.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	var wantEvents []Event
-	for _, rec := range want {
-		if rec.Tag == RecEvent {
-			wantEvents = append(wantEvents, rec.Event)
-		}
-	}
-	if len(events) != len(wantEvents) {
-		t.Fatalf("byte-by-byte replay yielded %d events, want %d", len(events), len(wantEvents))
-	}
-	for i := range events {
-		if events[i] != wantEvents[i] {
-			t.Fatalf("byte-by-byte event %d mismatch", i)
-		}
-	}
-}
-
+// A stream cut short reports ErrBinShort, consuming nothing; a corrupt one
+// ErrBinCorrupt.
 func TestBinaryDecoderRejectsCorrupt(t *testing.T) {
 	valid := encodeStream(t, 0, sampleEvents())
+	var dec EventDecoder
+	var rec BinRecord
+	if n, err := dec.Next(valid[:2], &rec); !errors.Is(err, ErrBinShort) || n != 0 {
+		t.Fatalf("truncated header: n=%d err=%v, want ErrBinShort", n, err)
+	}
+	if n, err := dec.Next(valid[:len(valid)-1], &rec); err != nil && !errors.Is(err, ErrBinShort) {
+		t.Fatalf("unexpected error on prefix: n=%d err=%v", n, err)
+	}
 	cases := []struct {
 		name string
 		mut  func([]byte) []byte
@@ -512,6 +387,8 @@ func TestBinWriterOneWritePerSync(t *testing.T) {
 	}
 }
 
+// FinishSpill spills the bus's gauges once, sorted by name, with their
+// values.
 func TestFinishSpillGaugesSortedAndOnce(t *testing.T) {
 	var file bytes.Buffer
 	bw := NewBinWriter(&file)
@@ -519,38 +396,16 @@ func TestFinishSpillGaugesSortedAndOnce(t *testing.T) {
 	b.SpillTo(bw, 9, 0)
 	b.SetGauge("zz", 26)
 	b.SetGauge("aa", 1)
-	b.SetGauge("mm", 13)
+	b.SetGauge("mm", 13.25)
 	b.FinishSpill()
 	b.FinishSpill() // idempotent: gauges spill once
-	var names []string
-	rep := NewReplayer(nil)
-	if err := rep.Feed(file.Bytes()); err != nil {
-		t.Fatalf("Feed: %v", err)
-	}
-	if err := rep.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	// Re-decode raw records to see gauge order on the wire.
-	var dec EventDecoder
-	buf := file.Bytes()
-	var rec BinRecord
-	for len(buf) > 0 {
-		n, err := dec.Next(buf, &rec)
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
+	var got []BinRecord
+	for _, rec := range decodeAll(t, file.Bytes()) {
 		if rec.Tag == RecGauge {
-			names = append(names, rec.Name)
-		}
-		buf = buf[n:]
-	}
-	want := []string{"aa", "mm", "zz"}
-	if len(names) != len(want) {
-		t.Fatalf("spilled %d gauges, want %d (%v)", len(names), len(want), names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("gauge order on the wire: %v, want %v", names, want)
+			got = append(got, rec)
 		}
 	}
+	want := []BinRecord{{Tag: RecGauge, Shard: 9, Name: "aa", Value: 1},
+		{Tag: RecGauge, Shard: 9, Name: "mm", Value: 13.25}, {Tag: RecGauge, Shard: 9, Name: "zz", Value: 26}}
+	firstDiff(t, "gauge on the wire", got, want)
 }

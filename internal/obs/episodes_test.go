@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,242 +12,94 @@ func mkEvent(at time.Duration, k Kind, sub int32, a, b, c float64) Event {
 	return Event{At: at, Kind: k, Sub: sub, A: a, B: b, C: c}
 }
 
-// TestEpisodesBasic: trigger → pin → release reconstructs one complete
-// episode with the detector inputs and pin parameters attached.
-func TestEpisodesBasic(t *testing.T) {
-	ev := []Event{
-		mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 11),
-		mkEvent(1*time.Second, FBCCPin, 0, 2.5e6, 0.23, 0),
-		mkEvent(1230*time.Millisecond, FBCCRelease, 0, 0.23, 2.5e6, 0),
-	}
-	eps := Episodes(ev)
-	if len(eps) != 1 {
-		t.Fatalf("got %d episodes, want 1", len(eps))
-	}
-	e := eps[0]
-	if !e.Complete || e.Aborted {
-		t.Fatalf("episode state wrong: %+v", e)
-	}
-	if e.Triggers != 1 || e.BufferBytes != 15000 || e.Gamma != 9000 || e.Streak != 11 {
-		t.Fatalf("detector inputs lost: %+v", e)
-	}
-	if e.RphyBps != 2.5e6 || e.HoldS != 0.23 {
-		t.Fatalf("pin parameters lost: %+v", e)
-	}
-	if e.Duration() != 230*time.Millisecond || e.Held() != 230*time.Millisecond {
-		t.Fatalf("duration/held wrong: %v / %v", e.Duration(), e.Held())
-	}
-}
-
-// TestEpisodesRetrigger: a trigger inside the latched hold extends the open
-// episode instead of opening a new one, and Held runs from the last trigger.
-func TestEpisodesRetrigger(t *testing.T) {
-	ev := []Event{
-		mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-		mkEvent(1*time.Second, FBCCPin, 0, 2e6, 0.23, 0),
-		mkEvent(1100*time.Millisecond, FBCCTrigger, 0, 18000, 9100, 10),
-		mkEvent(1100*time.Millisecond, FBCCPin, 0, 1.8e6, 0.23, 0),
-		mkEvent(1330*time.Millisecond, FBCCRelease, 0, 0.23, 1.8e6, 0),
-	}
-	eps := Episodes(ev)
-	if len(eps) != 1 {
-		t.Fatalf("retrigger split the episode: %d", len(eps))
-	}
-	e := eps[0]
-	if e.Triggers != 2 {
-		t.Fatalf("Triggers = %d, want 2", e.Triggers)
-	}
-	if e.TriggerAt != 1*time.Second || e.LastTriggerAt != 1100*time.Millisecond {
-		t.Fatalf("trigger anchors wrong: %+v", e)
-	}
-	if e.RphyBps != 1.8e6 {
-		t.Fatalf("pin must track the last pin: %g", e.RphyBps)
-	}
-	if e.Duration() != 330*time.Millisecond || e.Held() != 230*time.Millisecond {
-		t.Fatalf("duration/held wrong: %v / %v", e.Duration(), e.Held())
-	}
-}
-
-// TestEpisodesWatchdogAbort: the watchdog closes an open episode and marks
-// it aborted; an episode still open at stream end stays incomplete.
-func TestEpisodesWatchdogAbort(t *testing.T) {
-	ev := []Event{
-		mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-		mkEvent(1500*time.Millisecond, FBCCWatchdog, 0, 0.25, 0, 0),
-		mkEvent(5*time.Second, FBCCTrigger, 0, 20000, 9500, 12),
-	}
-	eps := Episodes(ev)
-	if len(eps) != 2 {
-		t.Fatalf("got %d episodes, want 2", len(eps))
-	}
-	if !eps[0].Complete || !eps[0].Aborted {
-		t.Fatalf("watchdog must close+abort: %+v", eps[0])
-	}
-	if eps[1].Complete {
-		t.Fatalf("open episode must stay incomplete: %+v", eps[1])
-	}
-	if eps[1].Duration() != 0 || eps[1].Held() != 0 {
-		t.Fatalf("incomplete episodes have no duration")
-	}
-}
-
-// TestEpisodesPerSub: sub-streams reconstruct independently (shared-cell
-// scenarios interleave several sessions on one bus).
-func TestEpisodesPerSub(t *testing.T) {
-	ev := []Event{
-		mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-		mkEvent(1100*time.Millisecond, FBCCTrigger, 1, 12000, 8000, 10),
-		mkEvent(1230*time.Millisecond, FBCCRelease, 0, 0.23, 2e6, 0),
-		mkEvent(1330*time.Millisecond, FBCCRelease, 1, 0.23, 1e6, 0),
-	}
-	eps := Episodes(ev)
-	if len(eps) != 2 {
-		t.Fatalf("got %d episodes, want 2", len(eps))
-	}
-	if eps[0].Sub != 0 || eps[1].Sub != 1 {
-		t.Fatalf("sub attribution wrong: %+v", eps)
-	}
-	for _, e := range eps {
-		if !e.Complete || e.Held() != 230*time.Millisecond {
-			t.Fatalf("per-sub reconstruction broke: %+v", e)
-		}
-	}
-	// A release with no open episode on its sub is ignored.
-	orphan := Episodes([]Event{mkEvent(time.Second, FBCCRelease, 4, 0, 0, 0)})
-	if len(orphan) != 0 {
-		t.Fatalf("orphan release created an episode")
-	}
-}
-
-// TestSummarizeEpisodes: counts, means, the aborted/held split, and the
-// release→next-trigger recovery gap.
-func TestSummarizeEpisodes(t *testing.T) {
-	if st := SummarizeEpisodes(nil); st.Count != 0 || st.MeanDuration != 0 {
-		t.Fatalf("empty summary not zero: %+v", st)
-	}
-	ev := []Event{
-		mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-		mkEvent(1230*time.Millisecond, FBCCRelease, 0, 0, 0, 0),
-		// 770 ms recovery, then a watchdog-aborted episode.
-		mkEvent(2*time.Second, FBCCTrigger, 0, 16000, 9000, 10),
-		mkEvent(2500*time.Millisecond, FBCCWatchdog, 0, 0.25, 0, 0),
-		// Still-open episode at stream end.
-		mkEvent(4*time.Second, FBCCTrigger, 0, 17000, 9000, 10),
-	}
-	st := SummarizeEpisodes(Episodes(ev))
-	if st.Count != 3 || st.Incomplete != 1 || st.Aborted != 1 || st.Triggers != 3 {
-		t.Fatalf("counts wrong: %+v", st)
-	}
-	if st.MeanDuration != (230+500)/2*time.Millisecond {
-		t.Fatalf("MeanDuration = %v", st.MeanDuration)
-	}
-	if st.MaxDuration != 500*time.Millisecond {
-		t.Fatalf("MaxDuration = %v", st.MaxDuration)
-	}
-	// MeanHeld covers only cleanly released episodes.
-	if st.MeanHeld != 230*time.Millisecond {
-		t.Fatalf("MeanHeld = %v", st.MeanHeld)
-	}
-	if st.Recoveries != 2 || st.MeanRecovery != (770+1500)/2*time.Millisecond {
-		t.Fatalf("recovery stats wrong: %+v", st)
-	}
-}
-
-// TestEpisodesEdgeCases: the analyzer's boundary behavior — streams that
-// end mid-episode, a watchdog trip inside the 2-RTT hold, and buses whose
-// filter leaves nothing to analyze.
-func TestEpisodesEdgeCases(t *testing.T) {
-	cases := []struct {
+// TestEpisodes reconstructs each stream's episodes, in batch (Episodes)
+// and streaming (EpisodeTracker), and holds them, their durations and
+// holds, and their summary to the expected ones.
+func TestEpisodes(t *testing.T) {
+	s, ms := time.Second, time.Millisecond
+	type ep = Episode
+	rows := []struct {
 		name   string
 		events []Event
-		check  func(t *testing.T, eps []Episode, st EpisodeStats)
+		want   []Episode
+		times  [][2]time.Duration // per episode: Duration, Held
+		stats  *EpisodeStats
 	}{
-		{
-			name: "trigger with no release at stream end",
-			events: []Event{
-				mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-				mkEvent(1*time.Second, FBCCPin, 0, 2e6, 0.23, 0),
-			},
-			check: func(t *testing.T, eps []Episode, st EpisodeStats) {
-				if len(eps) != 1 || eps[0].Complete || eps[0].Aborted {
-					t.Fatalf("want one open episode: %+v", eps)
-				}
-				if eps[0].RphyBps != 2e6 {
-					t.Fatalf("open episode must still carry its pin: %+v", eps[0])
-				}
-				if st.Count != 1 || st.Incomplete != 1 || st.MeanDuration != 0 || st.MeanHeld != 0 {
-					t.Fatalf("open-episode summary wrong: %+v", st)
-				}
-			},
-		},
-		{
-			name: "watchdog fires inside the 2-RTT hold",
-			events: []Event{
-				mkEvent(1*time.Second, FBCCTrigger, 0, 15000, 9000, 10),
-				mkEvent(1*time.Second, FBCCPin, 0, 2e6, 0.5, 0),
-				// The pin scheduled a 500 ms hold; the watchdog trips
-				// 120 ms in, well before the hold would have expired.
-				mkEvent(1120*time.Millisecond, FBCCWatchdog, 0, 0.25, 0, 0),
-			},
-			check: func(t *testing.T, eps []Episode, st EpisodeStats) {
-				if len(eps) != 1 || !eps[0].Complete || !eps[0].Aborted {
-					t.Fatalf("watchdog inside the hold must close+abort: %+v", eps)
-				}
-				if eps[0].Duration() != 120*time.Millisecond {
-					t.Fatalf("Duration = %v, want 120ms", eps[0].Duration())
-				}
-				// An aborted episode never contributes to MeanHeld — the
-				// hold was cut short, not honored.
-				if st.Aborted != 1 || st.MeanHeld != 0 {
-					t.Fatalf("aborted hold leaked into MeanHeld: %+v", st)
-				}
-				if st.MeanDuration != 120*time.Millisecond {
-					t.Fatalf("MeanDuration = %v", st.MeanDuration)
-				}
-			},
-		},
-		{
-			name:   "empty stream",
-			events: nil,
-			check: func(t *testing.T, eps []Episode, st EpisodeStats) {
-				if len(eps) != 0 || st != (EpisodeStats{}) {
-					t.Fatalf("empty stream produced state: %+v %+v", eps, st)
-				}
-			},
-		},
-		{
-			name: "watchdog with nothing open",
-			events: []Event{
-				mkEvent(1*time.Second, FBCCWatchdog, 0, 0.25, 0, 0),
-				mkEvent(2*time.Second, FBCCPin, 0, 2e6, 0.23, 0),
-			},
-			check: func(t *testing.T, eps []Episode, st EpisodeStats) {
-				if len(eps) != 0 || st.Count != 0 {
-					t.Fatalf("orphan watchdog/pin created episodes: %+v", eps)
-				}
-			},
-		},
+		// Trigger → pin → release: the detector inputs and pin parameters
+		// attached.
+		{"basic", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 11), mkEvent(s, FBCCPin, 0, 2.5e6, 0.23, 0),
+			mkEvent(1230*ms, FBCCRelease, 0, 0.23, 2.5e6, 0)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, ReleaseAt: 1230 * ms, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 11,
+				RphyBps: 2.5e6, HoldS: 0.23, Complete: true}}, [][2]time.Duration{{230 * ms, 230 * ms}}, nil},
+		// A trigger inside the latched hold extends the open episode, the
+		// pin tracks the last pin, and Held runs from the last trigger.
+		{"retrigger", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(s, FBCCPin, 0, 2e6, 0.23, 0),
+			mkEvent(1100*ms, FBCCTrigger, 0, 18000, 9100, 10), mkEvent(1100*ms, FBCCPin, 0, 1.8e6, 0.23, 0),
+			mkEvent(1330*ms, FBCCRelease, 0, 0.23, 1.8e6, 0)},
+			[]ep{{TriggerAt: s, LastTriggerAt: 1100 * ms, ReleaseAt: 1330 * ms, Triggers: 2, BufferBytes: 15000, Gamma: 9000, Streak: 10,
+				RphyBps: 1.8e6, HoldS: 0.23, Complete: true}}, [][2]time.Duration{{330 * ms, 230 * ms}}, nil},
+		// The watchdog closes an open episode and marks it aborted; one
+		// still open at stream end stays incomplete, with no duration.
+		{"watchdog abort", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(1500*ms, FBCCWatchdog, 0, 0.25, 0, 0),
+			mkEvent(5*s, FBCCTrigger, 0, 20000, 9500, 12)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, ReleaseAt: 1500 * ms, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 10,
+				Complete: true, Aborted: true}, {TriggerAt: 5 * s, LastTriggerAt: 5 * s, Triggers: 1, BufferBytes: 20000, Gamma: 9500, Streak: 12}},
+			[][2]time.Duration{{500 * ms, 500 * ms}, {0, 0}}, nil},
+		// Sub-streams reconstruct independently (shared-cell scenarios
+		// interleave several sessions on one bus); a release with no open
+		// episode on its sub is ignored.
+		{"per sub", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(1100*ms, FBCCTrigger, 1, 12000, 8000, 10),
+			mkEvent(1230*ms, FBCCRelease, 0, 0.23, 2e6, 0), mkEvent(1330*ms, FBCCRelease, 1, 0.23, 1e6, 0),
+			mkEvent(2*s, FBCCRelease, 4, 0, 0, 0)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, ReleaseAt: 1230 * ms, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 10, Complete: true},
+				{Sub: 1, TriggerAt: 1100 * ms, LastTriggerAt: 1100 * ms, ReleaseAt: 1330 * ms, Triggers: 1, BufferBytes: 12000, Gamma: 8000,
+					Streak: 10, Complete: true}}, [][2]time.Duration{{230 * ms, 230 * ms}, {230 * ms, 230 * ms}}, nil},
+		// Counts, means, the aborted/held split (MeanHeld covers only
+		// cleanly released episodes) and the release→next-trigger
+		// recovery gaps (770 ms, then 1.5 s).
+		{"summary", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(1230*ms, FBCCRelease, 0, 0, 0, 0),
+			mkEvent(2*s, FBCCTrigger, 0, 16000, 9000, 10), mkEvent(2500*ms, FBCCWatchdog, 0, 0.25, 0, 0),
+			mkEvent(4*s, FBCCTrigger, 0, 17000, 9000, 10)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, ReleaseAt: 1230 * ms, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 10, Complete: true},
+				{TriggerAt: 2 * s, LastTriggerAt: 2 * s, ReleaseAt: 2500 * ms, Triggers: 1, BufferBytes: 16000, Gamma: 9000, Streak: 10,
+					Complete: true, Aborted: true},
+				{TriggerAt: 4 * s, LastTriggerAt: 4 * s, Triggers: 1, BufferBytes: 17000, Gamma: 9000, Streak: 10}},
+			[][2]time.Duration{{230 * ms, 230 * ms}, {500 * ms, 500 * ms}, {0, 0}},
+			&EpisodeStats{Count: 3, Incomplete: 1, Aborted: 1, Triggers: 3, MeanDuration: 365 * ms, MaxDuration: 500 * ms,
+				MeanHeld: 230 * ms, Recoveries: 2, MeanRecovery: 1135 * ms}},
+		// A trigger with no release at stream end still carries its pin.
+		{"open at stream end", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(s, FBCCPin, 0, 2e6, 0.23, 0)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 10, RphyBps: 2e6, HoldS: 0.23}},
+			[][2]time.Duration{{0, 0}}, &EpisodeStats{Count: 1, Incomplete: 1, Triggers: 1}},
+		// The pin scheduled a 500 ms hold; the watchdog trips 120 ms in. An
+		// aborted episode never contributes to MeanHeld: the hold was cut
+		// short, not honored.
+		{"watchdog inside the hold", []Event{mkEvent(s, FBCCTrigger, 0, 15000, 9000, 10), mkEvent(s, FBCCPin, 0, 2e6, 0.5, 0),
+			mkEvent(1120*ms, FBCCWatchdog, 0, 0.25, 0, 0)},
+			[]ep{{TriggerAt: s, LastTriggerAt: s, ReleaseAt: 1120 * ms, Triggers: 1, BufferBytes: 15000, Gamma: 9000, Streak: 10,
+				RphyBps: 2e6, HoldS: 0.5, Complete: true, Aborted: true}}, [][2]time.Duration{{120 * ms, 120 * ms}},
+			&EpisodeStats{Count: 1, Aborted: 1, Triggers: 1, MeanDuration: 120 * ms, MaxDuration: 120 * ms}},
+		{"empty stream", nil, nil, nil, &EpisodeStats{}},
+		{"watchdog and pin with nothing open", []Event{mkEvent(s, FBCCWatchdog, 0, 0.25, 0, 0), mkEvent(2*s, FBCCPin, 0, 2e6, 0.23, 0)},
+			nil, nil, &EpisodeStats{}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			eps := Episodes(tc.events)
-			tc.check(t, eps, SummarizeEpisodes(eps))
-
-			// The streaming tracker must agree event for event.
-			var tr EpisodeTracker
-			for i := range tc.events {
-				tr.Observe(&tc.events[i])
+	for _, r := range rows {
+		eps := Episodes(r.events)
+		var tr EpisodeTracker
+		for i := range r.events {
+			tr.Observe(&r.events[i])
+		}
+		if !reflect.DeepEqual(eps, r.want) || !reflect.DeepEqual(tr.Episodes(), eps) {
+			t.Fatalf("%s: episodes\n got %+v\nwant %+v\nstreamed %+v", r.name, eps, r.want, tr.Episodes())
+		}
+		for i, e := range eps {
+			if got := [2]time.Duration{e.Duration(), e.Held()}; got != r.times[i] {
+				t.Fatalf("%s: episode %d Duration, Held %v, want %v", r.name, i, got, r.times[i])
 			}
-			streamed := tr.Episodes()
-			if len(streamed) != len(eps) {
-				t.Fatalf("tracker found %d episodes, batch found %d", len(streamed), len(eps))
-			}
-			for i := range eps {
-				if streamed[i] != eps[i] {
-					t.Fatalf("tracker episode %d differs: %+v vs %+v", i, streamed[i], eps[i])
-				}
-			}
-		})
+		}
+		if st := SummarizeEpisodes(eps); r.stats != nil && st != *r.stats {
+			t.Fatalf("%s: summary %+v, want %+v", r.name, st, *r.stats)
+		}
 	}
 }
 

@@ -29,85 +29,34 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-// TestBusRecordsAndCounts: an unfiltered bus records every kind and the
-// registry counts match.
-func TestBusRecordsAndCounts(t *testing.T) {
+// A bus records each emission with its probe's sub, counts and
+// histograms every kind, and keeps counters across Reset, which drops the
+// events; a rebound probe emits into its new bus.
+func TestBus(t *testing.T) {
 	b := NewBus()
 	p := b.Probe(3)
 	p.Emit(10*time.Millisecond, FrameEncode, 1, 2e6, 30000, 0)
 	p.Emit(20*time.Millisecond, FBCCTrigger, 15000, 9000, 11, 0)
 	p.Emit(30*time.Millisecond, FBCCTrigger, 16000, 9100, 12, 0)
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
+	p.With(4).Emit(40*time.Millisecond, LTEGrant, 5000, 2048, 1.5, 0)
+	want := []Event{{At: 10 * time.Millisecond, Kind: FrameEncode, Sub: 3, A: 1, B: 2e6, C: 30000},
+		{At: 20 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 15000, B: 9000, C: 11},
+		{At: 30 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 16000, B: 9100, C: 12},
+		{At: 40 * time.Millisecond, Kind: LTEGrant, Sub: 4, A: 5000, B: 2048, C: 1.5}}
+	firstDiff(t, "event", b.Events(), want)
+	if b.Len() != 4 || b.Count(FBCCTrigger) != 2 || b.Count(FrameEncode) != 1 || b.Hist(LTEGrant).N() != 1 {
+		t.Fatalf("Len %d, counts %d/%d, %d grants histogrammed", b.Len(), b.Count(FBCCTrigger), b.Count(FrameEncode), b.Hist(LTEGrant).N())
 	}
-	if got := b.Count(FBCCTrigger); got != 2 {
-		t.Fatalf("Count(FBCCTrigger) = %d, want 2", got)
-	}
-	ev := b.Events()
-	if ev[0].Kind != FrameEncode || ev[0].Sub != 3 || ev[0].B != 2e6 {
-		t.Fatalf("first event mangled: %+v", ev[0])
-	}
-	if ev[1].At != 20*time.Millisecond {
-		t.Fatalf("timestamp mangled: %v", ev[1].At)
-	}
-}
-
-// TestProbeRebind: a rebound probe emits on its new bus under the same
-// sub-stream id, and its old bus sees nothing more.
-func TestProbeRebind(t *testing.T) {
-	a, b := NewBus(), NewBus()
-	p := a.Probe(5)
-	p.Emit(time.Millisecond, FrameEncode, 1, 2, 3, 0)
-	p.Rebind(b)
-	p.Emit(2*time.Millisecond, FrameEncode, 4, 5, 6, 0)
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("old bus holds %d events, new bus %d; want 1 and 1", a.Len(), b.Len())
-	}
-	if e := b.Events()[0]; e.Sub != 5 || e.A != 4 {
-		t.Fatalf("rebound emission mangled: %+v", e)
-	}
-}
-
-// TestBusFiltering: the bus records every kind, so a consumer after a
-// subset filters the event slice; counters and histograms cover
-// everything.
-func TestBusFiltering(t *testing.T) {
-	b := NewBus()
-	p := b.Probe(0)
-	p.Emit(time.Millisecond, FrameEncode, 1, 2, 3, 0)
-	p.Emit(2*time.Millisecond, FBCCTrigger, 15000, 9000, 10, 0)
-	p.Emit(3*time.Millisecond, LTEGrant, 5000, 2048, 1.5, 0)
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	var kept []Event
-	for _, e := range b.Events() {
-		if e.Kind == FBCCTrigger || e.Kind == FBCCRelease {
-			kept = append(kept, e)
-		}
-	}
-	if len(kept) != 1 || kept[0].Kind != FBCCTrigger {
-		t.Fatalf("filtered stream = %+v, want the one trigger", kept)
-	}
-	if b.Count(FrameEncode) != 1 || b.Count(LTEGrant) != 1 {
-		t.Fatalf("counters must cover every kind")
-	}
-	if b.Hist(LTEGrant).N() != 1 {
-		t.Fatalf("histograms must cover every kind")
-	}
-}
-
-// TestBusReset drops the stream but keeps the registry.
-func TestBusReset(t *testing.T) {
-	b := NewBus()
-	b.Probe(0).Emit(time.Second, FrameEncode, 1, 2, 3, 0)
 	b.SetGauge("g", 42)
 	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("Reset left %d events", b.Len())
+	if b.Len() != 0 || b.Count(FrameEncode) != 1 {
+		t.Fatalf("Reset left %d events and %d frame.encode counted; want 0 and 1", b.Len(), b.Count(FrameEncode))
 	}
-	if b.Count(FrameEncode) != 1 {
-		t.Fatalf("Reset must not clear counters")
+	c := NewBus()
+	p.Rebind(c)
+	p.Emit(50*time.Millisecond, FrameEncode, 4, 5, 6, 0)
+	if b.Len() != 0 || c.Len() != 1 || c.Events()[0].Sub != 3 || c.Events()[0].A != 4 {
+		t.Fatalf("rebound probe: old bus %d events, new bus %v", b.Len(), c.Events())
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -130,105 +128,6 @@ func spillInterleaved(t testing.TB) (*ShardAgg, []byte) {
 		t.Fatalf("sink error: %v", err)
 	}
 	return live, file.Bytes()
-}
-
-func TestReplayRebuildsShardAgg(t *testing.T) {
-	// Replay an interleaved three-shard stream and require the decoded
-	// aggregate to render byte-identically to the live one.
-	live, stream := spillInterleaved(t)
-
-	replayed := NewShardAgg()
-	n, err := ReadBinary(bytes.NewReader(stream), replayed, nil)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if n == 0 {
-		t.Fatalf("no records replayed")
-	}
-	if got, want := replayed.Merged().Table().String(), live.Merged().Table().String(); got != want {
-		t.Fatalf("replayed registry differs from live:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	le, re := live.Episodes(), replayed.Episodes()
-	if len(le) != len(re) {
-		t.Fatalf("episodes: live %d, replayed %d", len(le), len(re))
-	}
-	for i := range le {
-		if le[i] != re[i] {
-			t.Fatalf("episode %d differs after replay:\n live %+v\n rep  %+v", i, le[i], re[i])
-		}
-	}
-	ls, rs := SummarizeEpisodes(le), SummarizeEpisodes(re)
-	if ls != rs {
-		t.Fatalf("episode summaries differ: %+v vs %+v", ls, rs)
-	}
-}
-
-func TestReplayerFeedChunkingInvariant(t *testing.T) {
-	// However a stream is cut into Feed calls — whole, one byte at a time,
-	// random chunk sizes — the replay must come out the same: registry,
-	// episodes, event sequence, Records and Pending. A stream cut short
-	// mid-record must buffer the same tail and fail Finish with ErrBinShort.
-	_, full := spillInterleaved(t)
-	type outcome struct {
-		table    string
-		episodes []Episode
-		events   []Event
-		records  int64
-		pending  int
-	}
-	replay := func(stream []byte, nextChunk func() int) (outcome, error) {
-		agg := NewShardAgg()
-		rep := NewReplayer(agg)
-		var o outcome
-		rep.OnEvent = func(_ int32, e *Event) { o.events = append(o.events, *e) }
-		for len(stream) > 0 {
-			n := min(nextChunk(), len(stream))
-			if err := rep.Feed(stream[:n]); err != nil {
-				t.Fatalf("Feed: %v", err)
-			}
-			stream = stream[n:]
-		}
-		o.table, o.episodes = agg.Merged().Table().String(), agg.Episodes()
-		o.records, o.pending = rep.Records(), rep.Pending()
-		return o, rep.Finish()
-	}
-	rng := rand.New(rand.NewSource(7))
-	chunkings := []struct {
-		name string
-		next func() int
-	}{
-		{"whole", func() int { return len(full) }},
-		{"bytewise", func() int { return 1 }},
-		{"random", func() int { return 1 + rng.Intn(97) }},
-	}
-	for _, tc := range []struct {
-		name    string
-		stream  []byte
-		wantErr error
-	}{
-		{"complete", full, nil},
-		{"truncated", full[:len(full)-3], ErrBinShort},
-	} {
-		var ref outcome
-		for i, ch := range chunkings {
-			got, err := replay(tc.stream, ch.next)
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("%s/%s: Finish = %v, want %v", tc.name, ch.name, err, tc.wantErr)
-			}
-			if i == 0 {
-				ref = got
-				if ref.records == 0 || (tc.wantErr == nil) != (ref.pending == 0) {
-					t.Fatalf("%s/%s: records %d, pending %d", tc.name, ch.name, ref.records, ref.pending)
-				}
-				continue
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s: %s replay differs from whole-stream replay:\n got %d records, %d pending, %d events\nwant %d records, %d pending, %d events\n%s\nvs\n%s",
-					tc.name, ch.name, got.records, got.pending, len(got.events),
-					ref.records, ref.pending, len(ref.events), got.table, ref.table)
-			}
-		}
-	}
 }
 
 // FuzzReplayerFeed holds the tailer's contract on hostile and cut input.

@@ -180,30 +180,10 @@ func (g Grid) VisibleTiles(o Orientation, fov FoV) []Tile {
 // AppendVisibleTiles is VisibleTiles with a caller-owned destination:
 // visible tiles are appended to dst[:0] and the (possibly grown) slice is
 // returned, so per-frame hot paths reuse one scratch buffer instead of
-// allocating the list anew every displayed frame.
+// allocating the list anew every displayed frame. It is the separable test
+// of Geometry.AppendVisibleTiles on the grid's memoized geometry.
 func (g Grid) AppendVisibleTiles(dst []Tile, o Orientation, fov FoV) []Tile {
-	o = o.Normalized()
-	center := g.TileAt(o)
-	out := dst[:0]
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			t := Tile{I: i, J: j}
-			if t == center {
-				out = append(out, t)
-				continue
-			}
-			c := g.Center(t)
-			dyaw := math.Abs(NormalizeYaw(c.Yaw - o.Yaw))
-			if dyaw > 180 {
-				dyaw = 360 - dyaw
-			}
-			dpitch := math.Abs(c.Pitch - o.Pitch)
-			if dyaw <= fov.H/2 && dpitch <= fov.V/2 {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
+	return GeomFor(g).AppendVisibleTiles(dst, o, fov)
 }
 
 // AreaWeight returns the fraction of sphere area covered by one tile in row
@@ -335,20 +315,25 @@ func (ge *Geometry) TileCosFromCol(j int, colCos, sinBp, cosBp float64) float64 
 	return c
 }
 
-// AppendVisibleTiles is Grid.AppendVisibleTiles on the memoized geometry:
-// the FoV box test is separable (the yaw test depends only on the column,
-// the pitch test only on the row), so it evaluates W+H comparisons instead
-// of W·H, scans only the visible rows plus the centre tile, and emits the
-// same tiles in the same row-major order.
+// AppendVisibleTiles appends the tiles of VisibleTiles to dst[:0]. The
+// FoV box test is separable (the yaw test depends only on the column, the
+// pitch test only on the row), so it evaluates W+H comparisons instead of
+// W·H, scans only the visible rows plus the centre tile, and emits the
+// tiles in row-major order. Grids up to 64 tiles a side keep the
+// per-column and per-row flags on the stack; larger ones allocate them.
 func (ge *Geometry) AppendVisibleTiles(dst []Tile, o Orientation, fov FoV) []Tile {
 	g := ge.g
-	if g.W > 64 || g.H > 64 {
-		return g.AppendVisibleTiles(dst, o, fov)
-	}
 	o = o.Normalized()
 	center := g.TileAt(o)
 	var colBuf, rowBuf [64]bool
-	colVis := colBuf[:g.W]
+	colVis, rowVis := colBuf[:], rowBuf[:]
+	if g.W > len(colBuf) {
+		colVis = make([]bool, g.W)
+	}
+	if g.H > len(rowBuf) {
+		rowVis = make([]bool, g.H)
+	}
+	colVis, rowVis = colVis[:g.W], rowVis[:g.H]
 	for i := range colVis {
 		dyaw := math.Abs(NormalizeYaw(ge.CenterYaw[i] - o.Yaw))
 		if dyaw > 180 {
@@ -356,7 +341,6 @@ func (ge *Geometry) AppendVisibleTiles(dst []Tile, o Orientation, fov FoV) []Til
 		}
 		colVis[i] = dyaw <= fov.H/2
 	}
-	rowVis := rowBuf[:g.H]
 	for j := range rowVis {
 		rowVis[j] = math.Abs(ge.CenterPitch[j]-o.Pitch) <= fov.V/2
 	}

@@ -7,42 +7,32 @@ import (
 	"testing/quick"
 )
 
-func TestGridValidate(t *testing.T) {
-	if err := DefaultGrid.Validate(); err != nil {
+// A grid validates only with both sides positive; Index and TileByIndex
+// are inverse on its tiles, and so are TileAt and Center.
+func TestGridIndexing(t *testing.T) {
+	g := DefaultGrid
+	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []Grid{{0, 8}, {12, 0}, {-1, -1}} {
-		if err := g.Validate(); err == nil {
-			t.Fatalf("grid %+v validated", g)
+	for _, bad := range []Grid{{0, 8}, {12, 0}, {-1, -1}} {
+		if bad.Validate() == nil {
+			t.Fatalf("grid %+v validated", bad)
 		}
 	}
-}
-
-func TestIndexRoundTrip(t *testing.T) {
-	g := DefaultGrid
 	for idx := 0; idx < g.Tiles(); idx++ {
 		tl := g.TileByIndex(idx)
-		if !g.Contains(tl) {
-			t.Fatalf("TileByIndex(%d)=%v out of grid", idx, tl)
-		}
-		if g.Index(tl) != idx {
-			t.Fatalf("Index(TileByIndex(%d)) = %d", idx, g.Index(tl))
+		if !g.Contains(tl) || g.Index(tl) != idx || g.TileAt(g.Center(tl)) != tl {
+			t.Fatalf("tile %d is %v: contained %v, Index %d, TileAt(Center) %v", idx, tl, g.Contains(tl), g.Index(tl), g.TileAt(g.Center(tl)))
 		}
 	}
 }
 
-func TestNormalizeYaw(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0}, {360, 0}, {-90, 270}, {450, 90}, {720.5, 0.5},
-	}
-	for _, c := range cases {
+func TestNormalizeYawAndClampPitch(t *testing.T) {
+	for _, c := range []struct{ in, want float64 }{{0, 0}, {360, 0}, {-90, 270}, {450, 90}, {720.5, 0.5}} {
 		if got := NormalizeYaw(c.in); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("NormalizeYaw(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
-}
-
-func TestClampPitch(t *testing.T) {
 	if ClampPitch(120) != 90 || ClampPitch(-120) != -90 || ClampPitch(10) != 10 {
 		t.Fatal("ClampPitch wrong")
 	}
@@ -60,18 +50,6 @@ func TestTileAtCorners(t *testing.T) {
 	tl := g.TileAt(Orientation{Yaw: 180, Pitch: 0})
 	if tl.I != 6 || tl.J != 4 {
 		t.Fatalf("equator mid = %v, want {6 4}", tl)
-	}
-}
-
-func TestCenterTileAtRoundTrip(t *testing.T) {
-	g := DefaultGrid
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			tl := Tile{I: i, J: j}
-			if got := g.TileAt(g.Center(tl)); got != tl {
-				t.Fatalf("TileAt(Center(%v)) = %v", tl, got)
-			}
-		}
 	}
 }
 
@@ -119,44 +97,27 @@ func TestAngularDistance(t *testing.T) {
 	}
 }
 
-func TestVisibleTilesIncludesCenter(t *testing.T) {
+// The visible set holds the ROI centre tile and, looking at yaw ≈ 0,
+// tiles on both frame edges (the box wraps in yaw), but not every tile.
+func TestVisibleTiles(t *testing.T) {
 	g := DefaultGrid
-	o := Orientation{Yaw: 45, Pitch: 10}
-	center := g.TileAt(o)
-	vis := g.VisibleTiles(o, DefaultFoV)
-	found := false
-	for _, tl := range vis {
-		if tl == center {
-			found = true
+	for _, o := range []Orientation{{Yaw: 45, Pitch: 10}, {Yaw: 2, Pitch: 0}} {
+		vis := g.VisibleTiles(o, DefaultFoV)
+		center, left, right := false, false, false
+		for _, tl := range vis {
+			center = center || tl == g.TileAt(o)
+			left = left || tl.I == 0
+			right = right || tl.I == g.W-1
 		}
-	}
-	if !found {
-		t.Fatal("ROI center tile not visible")
-	}
-	if len(vis) == 0 || len(vis) >= g.Tiles() {
-		t.Fatalf("visible count %d implausible for %v FoV", len(vis), DefaultFoV)
+		if !center || len(vis) >= g.Tiles() || o.Yaw == 2 && !(left && right) {
+			t.Fatalf("%+v: visible %v (centre %v, left edge %v, right edge %v)", o, vis, center, left, right)
+		}
 	}
 }
 
-func TestVisibleTilesWrapAround(t *testing.T) {
-	g := DefaultGrid
-	// Looking at yaw ~0 must include tiles on both frame edges.
-	vis := g.VisibleTiles(Orientation{Yaw: 2, Pitch: 0}, DefaultFoV)
-	hasLeft, hasRight := false, false
-	for _, tl := range vis {
-		if tl.I == 0 {
-			hasLeft = true
-		}
-		if tl.I == g.W-1 {
-			hasRight = true
-		}
-	}
-	if !hasLeft || !hasRight {
-		t.Fatalf("FoV at yaw 0 should wrap: left=%v right=%v (%v)", hasLeft, hasRight, vis)
-	}
-}
-
-func TestAreaWeightsSumToOne(t *testing.T) {
+// Area weights are positive, sum to 1 over the grid, and are largest at
+// the equator.
+func TestAreaWeights(t *testing.T) {
 	g := DefaultGrid
 	sum := 0.0
 	for j := 0; j < g.H; j++ {
@@ -166,17 +127,8 @@ func TestAreaWeightsSumToOne(t *testing.T) {
 		}
 		sum += w * float64(g.W)
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("area weights sum to %v, want 1", sum)
-	}
-}
-
-func TestAreaWeightEquatorLargest(t *testing.T) {
-	g := DefaultGrid
-	eq := g.AreaWeight(g.H / 2)
-	pole := g.AreaWeight(0)
-	if eq <= pole {
-		t.Fatalf("equator weight %v should exceed pole weight %v", eq, pole)
+	if math.Abs(sum-1) > 1e-9 || g.AreaWeight(g.H/2) <= g.AreaWeight(0) {
+		t.Fatalf("area weights sum to %v; equator %v, pole %v", sum, g.AreaWeight(g.H/2), g.AreaWeight(0))
 	}
 }
 

@@ -40,139 +40,102 @@ func TestFBCCConfigValidate(t *testing.T) {
 	}
 }
 
-// Eq. 3: K consecutive buffer increases with B above its long-term mean
-// fires the detector.
-func TestFBCCDetectsMonotoneGrowth(t *testing.T) {
-	f := defFBCC(t)
-	at := time.Duration(0)
-	// Establish a low long-term mean.
-	for i := 0; i < 50; i++ {
+// feedDiag feeds f one diag report per buffer level, 40 ms apart after
+// at, each carrying tbsBits, and returns the last report's instant.
+func feedDiag(f *FBCC, at time.Duration, tbsBits float64, bufs ...int) time.Duration {
+	for _, b := range bufs {
 		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 2000, 1.6e5))
+		f.OnDiag(report(at, b, tbsBits))
 	}
-	if f.congested {
-		t.Fatal("flat buffer should not congest")
-	}
-	// Monotone growth through the mean.
-	for i := 1; i <= 15; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 2000+i*1500, 1.6e5))
-	}
-	if !f.congested {
-		t.Fatal("monotone growth did not trigger congestion")
-	}
-	if f.Overuses() == 0 {
-		t.Fatal("overuse counter did not move")
-	}
+	return at
 }
 
-// The streak must reset on the dip after the slack is spent: a sawtooth
-// of three increases and a dip reaches a streak of 9 (two dips absorbed)
-// and is reset by the third dip, so K = 10 never fires.
-func TestFBCCDipsResetStreak(t *testing.T) {
-	f := defFBCC(t)
-	at := time.Duration(0)
-	buf := 2000
-	maxStreak := 0
-	for i := 0; i < 200; i++ {
-		at += 40 * time.Millisecond
+// levels is n reports at buffer level b, then each of the more.
+func levels(n, b int, more ...int) []int {
+	out := make([]int, n, n+len(more))
+	for i := range out {
+		out[i] = b
+	}
+	return append(out, more...)
+}
+
+// TestFBCCDetector feeds Eq. 3's detector a warm-up at a flat level, which
+// must not congest it, then a tape of buffer levels (reports every 40 ms,
+// 4 Mbit/s granted), and holds it to whether it congests, how often it
+// fires and, where given, its longest rising streak.
+func TestFBCCDetector(t *testing.T) {
+	ramp := func(from, step, n int) (out []int) {
+		for i := 1; i <= n; i++ {
+			out = append(out, from+i*step)
+		}
+		return out
+	}
+	var dips, isolated []int
+	for i, buf := 0, 2000; i < 200; i++ {
 		if i%4 == 3 {
 			buf -= 2000
 		} else {
 			buf += 1500
 		}
-		f.OnDiag(report(at, buf, 1.6e5))
-		maxStreak = max(maxStreak, f.streak)
+		dips = append(dips, buf)
 	}
-	if f.congested || f.Overuses() != 0 {
-		t.Fatal("a dip every fourth report should never let the streak reach K")
+	for i, buf := 1, 1000; i <= 16; i++ {
+		if i == 7 {
+			buf -= 200
+		} else {
+			buf += 1500
+		}
+		isolated = append(isolated, buf)
 	}
-	if maxStreak != 9 {
-		t.Fatalf("longest streak %d, want 9 (slack of 2 dips, reset by the third)", maxStreak)
-	}
-}
-
-// With K = 2 the slack is capped at K−1 = 1: one dip between two increases
-// is absorbed, a second one resets the streak.
-func TestFBCCSlackCappedBelowK(t *testing.T) {
-	for _, tc := range []struct {
-		bufs []int
-		fire bool
+	for _, r := range []struct {
+		name      string
+		k         int
+		warm      []int
+		tape      []int
+		congested bool
+		overuses  int // -1: any positive count
+		streak    int // 0: not checked
 	}{
-		{[]int{30000, 25000, 35000}, true},         // +, dip, +
-		{[]int{30000, 25000, 24000, 35000}, false}, // +, dip, dip, +
+		{"monotone growth", 0, levels(50, 2000), ramp(2000, 1500, 15), true, -1, 0},
+		// A dip every fourth report: the slack of 2 dips lets the streak
+		// reach 9, and the third resets it before K.
+		{"dips reset the streak", 0, nil, dips, false, 0, 9},
+		// The slack stays below K: with K = 2 one dip is tolerated, two
+		// are not.
+		{"K=2, one dip", 2, levels(50, 20000), []int{30000, 25000, 35000}, true, 1, 0},
+		{"K=2, two dips", 2, levels(50, 20000), []int{30000, 25000, 24000, 35000}, false, 0, 0},
+		{"an isolated dip is tolerated", 0, levels(50, 1000), isolated, true, -1, 0},
+		{"growth below Γ", 0, levels(100, 50000), ramp(100, 10, 15), false, 0, 0},
 	} {
 		cfg := DefaultFBCCConfig(150 * time.Millisecond)
-		cfg.K = 2
+		if r.k > 0 {
+			cfg.K = r.k
+		}
 		f, err := NewFBCC(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := time.Duration(0)
-		for i := 0; i < 50; i++ {
-			at += 40 * time.Millisecond
-			f.OnDiag(report(at, 20000, 1.6e5))
+		at := feedDiag(f, 0, 1.6e5, r.warm...)
+		if f.congested {
+			t.Fatalf("%s: the flat warm-up congested", r.name)
 		}
-		for _, b := range tc.bufs {
-			at += 40 * time.Millisecond
-			f.OnDiag(report(at, b, 1.6e5))
+		streak := 0
+		for _, b := range r.tape {
+			at = feedDiag(f, at, 1.6e5, b)
+			streak = max(streak, f.streak)
 		}
-		if got := f.Overuses() == 1; got != tc.fire {
-			t.Errorf("K=2, buffers %v: fired=%v, want %v", tc.bufs, got, tc.fire)
+		if f.congested != r.congested || r.overuses >= 0 && f.Overuses() != r.overuses || r.overuses < 0 && f.Overuses() == 0 ||
+			r.streak > 0 && streak != r.streak {
+			t.Fatalf("%s: congested %v, %d overuses, longest streak %d; want %v, %d, %d", r.name, f.congested, f.Overuses(), streak,
+				r.congested, r.overuses, r.streak)
 		}
-	}
-}
-
-// With slack, an isolated dip inside an otherwise growing run still fires.
-func TestFBCCSlackToleratesIsolatedDip(t *testing.T) {
-	f := defFBCC(t)
-	at := time.Duration(0)
-	for i := 0; i < 50; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 1000, 1.6e5))
-	}
-	buf := 1000
-	for i := 1; i <= 16; i++ {
-		at += 40 * time.Millisecond
-		if i == 7 {
-			buf -= 200 // isolated dip
-		} else {
-			buf += 1500
-		}
-		f.OnDiag(report(at, buf, 1.6e5))
-	}
-	if !f.congested {
-		t.Fatal("slack detector should tolerate one dip")
-	}
-}
-
-// Buffer growth below the long-term average Γ must not fire (Eq. 3's
-// second condition).
-func TestFBCCRequiresAboveAverage(t *testing.T) {
-	f := defFBCC(t)
-	at := time.Duration(0)
-	// Long history at a very high level pushes Γ up.
-	for i := 0; i < 100; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 50000, 1.6e5))
-	}
-	// Small growth far below Γ.
-	for i := 1; i <= 15; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 100+i*10, 1.6e5))
-	}
-	if f.congested {
-		t.Fatal("growth below Γ should not congest")
 	}
 }
 
 func TestFBCCBandwidthEstimate(t *testing.T) {
 	f := defFBCC(t)
 	at := time.Duration(0)
-	for i := 0; i < 10; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 5000, 1.2e5)) // 1.2e5 bits / 40ms = 3 Mbps
-	}
+	at = feedDiag(f, at, 1.2e5, levels(10, 5000)...)
 	got := f.BandwidthEstimate()
 	if math.Abs(got-3e6) > 1e3 {
 		t.Fatalf("bandwidth estimate %v, want 3e6", got)
@@ -190,18 +153,7 @@ func TestFBCCBandwidthEstimateEmpty(t *testing.T) {
 // after it the GCC rate applies again.
 func TestFBCCVideoRateHold(t *testing.T) {
 	f := defFBCC(t)
-	at := time.Duration(0)
-	for i := 0; i < 50; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 2000, 1.2e5)) // 3 Mbps
-	}
-	for i := 1; i <= 15; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 2000+i*2000, 1.2e5))
-	}
-	if !f.congested {
-		t.Fatal("setup failed to congest")
-	}
+	at := congest(t, f) // at 3 Mbit/s
 	rgcc := 5e6
 	during := f.VideoRate(at, rgcc)
 	if math.Abs(during-3e6) > 2e5 {
@@ -238,10 +190,7 @@ func TestFBCCRTPRateSteering(t *testing.T) {
 	}
 	// Sustained bloat cannot push the pacing rate below the video bitrate.
 	at := 120 * time.Millisecond
-	for i := 0; i < 50; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 1<<20, 0))
-	}
+	at = feedDiag(f, at, 0, levels(50, 1<<20)...)
 	if f.RTPRate() < 1e6 {
 		t.Fatalf("RTP rate %v fell below the video-rate floor", f.RTPRate())
 	}
@@ -250,10 +199,7 @@ func TestFBCCRTPRateSteering(t *testing.T) {
 func TestFBCCRTPRateClamped(t *testing.T) {
 	f := defFBCC(t)
 	at := time.Duration(0)
-	for i := 0; i < 100; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 0, 0))
-	}
+	at = feedDiag(f, at, 0, levels(100, 0)...)
 	if f.RTPRate() > maxRTPRate {
 		t.Fatalf("RTP rate %v exceeds cap", f.RTPRate())
 	}

@@ -12,11 +12,7 @@ import (
 // then monotone buffer growth. Returns the time of the last report.
 func congest(t *testing.T, f *FBCC) time.Duration {
 	t.Helper()
-	at := time.Duration(0)
-	for i := 0; i < 50; i++ {
-		at += 40 * time.Millisecond
-		f.OnDiag(report(at, 2000, 1.2e5)) // 3 Mbps
-	}
+	at := feedDiag(f, 0, 1.2e5, levels(50, 2000)...)
 	for i := 1; i <= 15; i++ {
 		at += 40 * time.Millisecond
 		f.OnDiag(report(at, 2000+i*2000, 1.2e5))

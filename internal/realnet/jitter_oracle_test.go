@@ -83,6 +83,11 @@ func (r *refJitter) drain() {
 	}
 }
 
+// hdr builds a minimal wire header with the given transport sequence.
+func hdr(seq int64) *rtp.WireHeader {
+	return &rtp.WireHeader{Seq: seq, Count: 1, Marker: true}
+}
+
 // arrival is one tape entry: sequence seq reaches the buffer at instant at.
 type arrival struct {
 	at  time.Duration
@@ -182,27 +187,42 @@ func randomJitterTape(rng *rand.Rand, hold time.Duration) []arrival {
 	return tape
 }
 
+// TestJitterBypassMatchesHeapPath holds the jitter buffer to refJitter on
+// six hand-written tapes, each with the releases (sequence, arrival,
+// release instant) and late/duplicate/skipped counts it must produce, and
+// on 240 random tapes: after every arrival the same state, pending timers
+// and deliveries, and at the end the same Push verdicts and net.jitter
+// events.
 func TestJitterBypassMatchesHeapPath(t *testing.T) {
 	type tc struct {
 		name string
 		hold time.Duration
 		tape []arrival
+		want []release // nil for a random tape
+		lds  [3]int64  // late, duplicates, skipped
 	}
 	ms := time.Millisecond
-	// The six tapes of jitter_test.go, then the random ones.
 	cases := []tc{
-		{"in-order", 30 * ms, []arrival{{0, 0}, {1 * ms, 1}, {2 * ms, 2}, {3 * ms, 3}, {4 * ms, 4}}},
-		{"reorder-within-hold", 30 * ms, []arrival{{0, 0}, {1 * ms, 2}, {5 * ms, 1}}},
-		{"gap-expires", 30 * ms, []arrival{{0, 0}, {2 * ms, 3}}},
-		{"duplicate-and-late", 30 * ms, []arrival{{0, 0}, {1 * ms, 2}, {2 * ms, 2}, {3 * ms, 1}, {10 * ms, 0}}},
+		{"in-order", 30 * ms, []arrival{{0, 0}, {1 * ms, 1}, {2 * ms, 2}, {3 * ms, 3}, {4 * ms, 4}},
+			[]release{{0, 0, 0}, {1, ms, ms}, {2, 2 * ms, 2 * ms}, {3, 3 * ms, 3 * ms}, {4, 4 * ms, 4 * ms}}, [3]int64{}},
+		// Packet 2 waits from 1 ms until packet 1 fills the gap at 5 ms.
+		{"reorder-within-hold", 30 * ms, []arrival{{0, 0}, {1 * ms, 2}, {5 * ms, 1}},
+			[]release{{0, 0, 0}, {1, 5 * ms, 5 * ms}, {2, ms, 5 * ms}}, [3]int64{}},
+		// 1 and 2 never arrive: 3 waits the full hold.
+		{"gap-expires", 30 * ms, []arrival{{0, 0}, {2 * ms, 3}}, []release{{0, 0, 0}, {3, 2 * ms, 32 * ms}}, [3]int64{0, 0, 2}},
+		// A duplicate of a buffered sequence, then of a released one.
+		{"duplicate-and-late", 30 * ms, []arrival{{0, 0}, {1 * ms, 2}, {2 * ms, 2}, {3 * ms, 1}, {10 * ms, 0}},
+			[]release{{0, 0, 0}, {1, 3 * ms, 3 * ms}, {2, ms, 3 * ms}}, [3]int64{1, 1, 0}},
+		// The first arrival locks the stream: 9 goes at once, 8..0 are late.
 		{"deep-reorder", 50 * ms, []arrival{{0, 9}, {1 * ms, 8}, {2 * ms, 7}, {3 * ms, 6}, {4 * ms, 5},
-			{5 * ms, 4}, {6 * ms, 3}, {7 * ms, 2}, {8 * ms, 1}, {9 * ms, 0}}},
-		{"mid-stream", 30 * ms, []arrival{{0, 100}, {1 * ms, 101}}},
+			{5 * ms, 4}, {6 * ms, 3}, {7 * ms, 2}, {8 * ms, 1}, {9 * ms, 0}}, []release{{9, 0, 0}}, [3]int64{9, 0, 0}},
+		// Joining an in-progress stream: the first sequence is the floor.
+		{"mid-stream", 30 * ms, []arrival{{0, 100}, {1 * ms, 101}}, []release{{100, 0, 0}, {101, ms, ms}}, [3]int64{}},
 	}
 	for seed := int64(1); seed <= 240; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		hold := []time.Duration{5 * ms, 10 * ms, 30 * ms}[rng.Intn(3)]
-		cases = append(cases, tc{fmt.Sprintf("random-%d", seed), hold, randomJitterTape(rng, hold)})
+		cases = append(cases, tc{name: fmt.Sprintf("random-%d", seed), hold: hold, tape: randomJitterTape(rng, hold)})
 	}
 
 	var bypassed, held int
@@ -236,6 +256,9 @@ func TestJitterBypassMatchesHeapPath(t *testing.T) {
 		}
 		if got.clk.Pending() != 0 {
 			t.Fatalf("%s: %d events left after the last hold", c.name, got.clk.Pending())
+		}
+		if st := got.state(); c.want != nil && (!reflect.DeepEqual(got.out, c.want) || [3]int64(st[1:4]) != c.lds) {
+			t.Fatalf("%s: released %v with late/dups/skipped %v, want %v and %v", c.name, got.out, st[1:4], c.want, c.lds)
 		}
 		for _, r := range want.out {
 			if r.released == r.arrived {

@@ -2,6 +2,7 @@ package realnet
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,11 +84,11 @@ func TestReceiverDuplicatesNotAcked(t *testing.T) {
 	if st.Packets != 4 || st.Bytes != 656 || st.Duplicates != 1 || st.HighestSeq != 5 {
 		t.Fatalf("held packet and its duplicate: %+v, want Packets 4, Bytes 656, Duplicates 1, HighestSeq 5", st)
 	}
-	if !equalSeqs(delivered, []int64{0, 1, 2}) {
+	if !slices.Equal(delivered, []int64{0, 1, 2}) {
 		t.Fatalf("delivered %v before the hold expires, want [0 1 2]", delivered)
 	}
 	clk.Run(100 * time.Millisecond)
-	if !equalSeqs(delivered, []int64{0, 1, 2, 5}) {
+	if !slices.Equal(delivered, []int64{0, 1, 2, 5}) {
 		t.Fatalf("delivered %v, want [0 1 2 5]", delivered)
 	}
 }

@@ -1,6 +1,7 @@
 package rtp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -26,132 +27,60 @@ func mkPackets(frameSeq, count int, base time.Duration) []Packet {
 	return pkts
 }
 
-// TestReassemblerDuplicates feeds UDP-style duplicated packets: the frame
-// must complete exactly once, and only after every distinct index arrived —
-// duplicates must not inflate the received count toward early completion.
-func TestReassemblerDuplicates(t *testing.T) {
-	clk := simclock.New()
-	var done []CompletedFrame
-	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
-
-	pkts := mkPackets(0, 3, 0)
-	r.OnPacket(pkts[0])
-	r.OnPacket(pkts[0]) // duplicate
-	r.OnPacket(pkts[1])
-	r.OnPacket(pkts[1]) // duplicate
-	if len(done) != 0 {
-		t.Fatalf("frame completed after 2 distinct of 3 packets (duplicates double-counted)")
+// TestReassemblerTapes feeds each tape's packets — packet i of frame f,
+// frame f having n packets of MTU bytes sent a millisecond apart from
+// 33f ms, Seq numbering all — to a reassembler and holds it to the
+// frames it completes (their sequence numbers, bits, earliest send and
+// arrival at the clock's present, the clock moving 10 ms per packet)
+// and its completed, duplicate, late and lost counts.
+func TestReassemblerTapes(t *testing.T) {
+	type pkt struct{ f, n, i int }
+	rows := []struct {
+		name     string
+		tape     []pkt
+		done     []int
+		counts   [4]int64 // completed, duplicates, late, lost
+		bits, at []float64
+	}{
+		// A frame's duplicates neither complete it nor add bits; one after
+		// its completion is late, not lost.
+		{"duplicates", []pkt{{0, 3, 0}, {0, 3, 0}, {0, 3, 1}, {0, 3, 1}, {0, 3, 2}, {0, 3, 1}, {1, 2, 0}, {1, 2, 1}},
+			[]int{0, 1}, [4]int64{2, 2, 1, 0}, []float64{3 * MTU * 8, 2 * MTU * 8}, []float64{0, 33}},
+		// Reversed packets complete the frame, sent at its first departure.
+		{"out of order", []pkt{{0, 4, 3}, {0, 4, 2}, {0, 4, 1}, {0, 4, 0}}, []int{0}, [4]int64{1, 0, 0, 0}, []float64{4 * MTU * 8}, []float64{0}},
+		// A newer frame's completion abandons an older partial one (lost
+		// once), whose stragglers are then late.
+		{"abandons older partials", []pkt{{0, 3, 0}, {1, 2, 0}, {1, 2, 1}, {0, 3, 1}, {2, 2, 0}, {2, 2, 1}},
+			[]int{1, 2}, [4]int64{2, 0, 1, 1}, []float64{2 * MTU * 8, 2 * MTU * 8}, []float64{33, 66}},
+		{"interleaved reorder", []pkt{{0, 2, 0}, {1, 2, 1}, {1, 2, 0}, {0, 2, 1}}, []int{1}, [4]int64{1, 0, 1, 1}, []float64{2 * MTU * 8}, []float64{33}},
 	}
-	r.OnPacket(pkts[2])
-	if len(done) != 1 || r.Completed() != 1 {
-		t.Fatalf("completions = %d (counter %d), want 1", len(done), r.Completed())
-	}
-	if got := done[0].Bits; got != 3*MTU*8 {
-		t.Errorf("completed bits %g, want %d (duplicates must not add bits)", got, 3*MTU*8)
-	}
-	if r.Duplicates() != 2 {
-		t.Errorf("Duplicates() = %d, want 2", r.Duplicates())
-	}
-
-	// A duplicate arriving after its frame completed must not seed a ghost
-	// partial (which a later completion would count as a lost frame).
-	r.OnPacket(pkts[1])
-	for _, p := range mkPackets(1, 2, 40*time.Millisecond) {
-		r.OnPacket(p)
-	}
-	if r.Lost() != 0 {
-		t.Errorf("Lost() = %d after post-completion duplicate, want 0", r.Lost())
-	}
-	if r.Late() != 1 {
-		t.Errorf("Late() = %d, want 1", r.Late())
-	}
-	if r.Completed() != 2 {
-		t.Errorf("Completed() = %d, want 2", r.Completed())
-	}
-}
-
-// TestReassemblerOutOfOrder delivers a frame's packets fully reversed —
-// the in-memory simulation never reorders, UDP will.
-func TestReassemblerOutOfOrder(t *testing.T) {
-	clk := simclock.New()
-	var done []CompletedFrame
-	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
-
-	pkts := mkPackets(0, 4, 10*time.Millisecond)
-	for i := len(pkts) - 1; i >= 0; i-- {
-		r.OnPacket(pkts[i])
-	}
-	if len(done) != 1 {
-		t.Fatalf("completions = %d, want 1", len(done))
-	}
-	if done[0].Sent != pkts[0].SentAt {
-		t.Errorf("Sent = %v, want the earliest pacer departure %v", done[0].Sent, pkts[0].SentAt)
-	}
-	if r.Duplicates() != 0 || r.Late() != 0 || r.Lost() != 0 {
-		t.Errorf("counters dup=%d late=%d lost=%d, want all 0",
-			r.Duplicates(), r.Late(), r.Lost())
-	}
-}
-
-// TestReassemblerStragglerNotDoubleLost pins the double-count fix: a frame
-// abandoned as lost whose straggler packet later arrives (reordering past a
-// frame boundary) must stay counted lost exactly once.
-func TestReassemblerStragglerNotDoubleLost(t *testing.T) {
-	clk := simclock.New()
-	r := NewReassembler(clk, func(CompletedFrame) {})
-
-	f0 := mkPackets(0, 3, 0)
-	r.OnPacket(f0[0]) // f0 partial: packet 1 delayed, packet 2 dropped
-	for _, p := range mkPackets(1, 2, 33*time.Millisecond) {
-		r.OnPacket(p)
-	}
-	if r.Lost() != 1 {
-		t.Fatalf("Lost() = %d after newer frame completed, want 1", r.Lost())
-	}
-	// The straggler arrives after its frame was abandoned. Before the
-	// floor check it re-opened a partial for frame 0, which the next
-	// completion abandoned again: the same frame counted lost twice.
-	r.OnPacket(f0[1])
-	for _, p := range mkPackets(2, 2, 66*time.Millisecond) {
-		r.OnPacket(p)
-	}
-	if r.Lost() != 1 {
-		t.Fatalf("Lost() = %d after straggler, want 1 (frame 0 double-counted)", r.Lost())
-	}
-	if r.Late() != 1 {
-		t.Errorf("Late() = %d, want 1", r.Late())
-	}
-	if r.Completed() != 2 {
-		t.Errorf("Completed() = %d, want 2", r.Completed())
-	}
-}
-
-// TestReassemblerInterleavedReorder interleaves two frames with the later
-// frame finishing first: FIFO-abandon counts the older frame lost, and its
-// remaining packets are dropped as late rather than resurrecting it.
-func TestReassemblerInterleavedReorder(t *testing.T) {
-	clk := simclock.New()
-	var done []CompletedFrame
-	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
-
-	f0 := mkPackets(0, 2, 0)
-	f1 := mkPackets(1, 2, 33*time.Millisecond)
-	r.OnPacket(f0[0])
-	r.OnPacket(f1[1])
-	r.OnPacket(f1[0]) // frame 1 completes; frame 0 abandoned
-	if len(done) != 1 || done[0].Frame.Seq != 1 {
-		t.Fatalf("want frame 1 completed first, got %d completions", len(done))
-	}
-	if r.Lost() != 1 {
-		t.Fatalf("Lost() = %d, want 1 (frame 0 abandoned)", r.Lost())
-	}
-	r.OnPacket(f0[1]) // frame 0's last packet — too late
-	if r.Completed() != 1 || r.Lost() != 1 {
-		t.Errorf("completed=%d lost=%d after late completion attempt, want 1/1",
-			r.Completed(), r.Lost())
-	}
-	if r.Late() != 1 {
-		t.Errorf("Late() = %d, want 1", r.Late())
+	for _, r := range rows {
+		var done []CompletedFrame
+		clk := simclock.New()
+		re := NewReassembler(clk, func(cf CompletedFrame) {
+			if cf.Arrived != clk.Now() {
+				t.Fatalf("%s: frame %d arrived at %v, completed at %v", r.name, cf.Frame.Seq, cf.Arrived, clk.Now())
+			}
+			done = append(done, cf)
+		})
+		frames := map[int][]Packet{}
+		for k, p := range r.tape {
+			if frames[p.f] == nil {
+				frames[p.f] = mkPackets(p.f, p.n, time.Duration(33*p.f)*time.Millisecond)
+			}
+			clk.Run(time.Duration(k+1) * 10 * time.Millisecond)
+			re.OnPacket(frames[p.f][p.i])
+		}
+		var seqs []int
+		for k, cf := range done {
+			seqs = append(seqs, cf.Frame.Seq)
+			if cf.Bits != r.bits[k] || cf.Sent != time.Duration(r.at[k])*time.Millisecond {
+				t.Fatalf("%s: completion %d carries %v bits sent at %v, want %v at %v ms", r.name, k, cf.Bits, cf.Sent, r.bits[k], r.at[k])
+			}
+		}
+		if got := [4]int64{re.Completed(), re.Duplicates(), re.Late(), re.Lost()}; !slices.Equal(seqs, r.done) || got != r.counts {
+			t.Fatalf("%s: completed frames %v, counts %v; want %v and %v", r.name, seqs, got, r.done, r.counts)
+		}
 	}
 }
 

@@ -72,68 +72,70 @@ func queuedBits(p *Pacer) float64 {
 	return bits
 }
 
-func TestPacerRateLimits(t *testing.T) {
+// sentBits is a pacer on a fresh clock that sends every packet (counting
+// its bits and keeping the last) or, with reject, refuses every one.
+func sentBits(rate float64, reject bool) (*simclock.Clock, *Pacer, *float64, *Packet) {
 	clk := simclock.New()
-	var sentBits float64
-	p := NewPacer(clk, DefaultPacerTick, 1e6, func(pkt Packet) bool {
-		sentBits += float64(pkt.Bytes) * 8
-		return true
+	bits, last := new(float64), new(Packet)
+	p := NewPacer(clk, DefaultPacerTick, rate, func(pkt Packet) bool {
+		*bits += float64(pkt.Bytes) * 8
+		*last = pkt
+		return !reject
 	})
-	// 5 Mbit of queued packets at 1 Mbps → ~1 Mbit sent per second.
-	p.Enqueue(AppendPackets(nil, frameOfBits(0, 5e6)))
-	clk.Run(time.Second)
-	if sentBits < 0.9e6 || sentBits > 1.15e6 {
-		t.Fatalf("sent %v bits in 1s at 1Mbps", sentBits)
-	}
-	if q := queuedBits(p); math.Abs(q-(5e6-sentBits)) > 1 {
-		t.Fatalf("queue accounting: %v", q)
-	}
+	return clk, p, bits, last
 }
 
-func TestPacerSetRate(t *testing.T) {
-	clk := simclock.New()
-	var sentBits float64
-	p := NewPacer(clk, DefaultPacerTick, 1e6, func(pkt Packet) bool {
-		sentBits += float64(pkt.Bytes) * 8
-		return true
-	})
+// The pacer sends at its rate, keeps the rest queued, follows SetRate and
+// ignores a rate that is not positive and finite.
+func TestPacerRateLimits(t *testing.T) {
+	clk, p, sent, _ := sentBits(1e6, false)
 	p.Enqueue(AppendPackets(nil, frameOfBits(0, 10e6)))
 	clk.Run(time.Second)
-	first := sentBits
-	p.SetRate(4e6)
-	if p.Rate() != 4e6 {
+	if *sent < 0.9e6 || *sent > 1.15e6 {
+		t.Fatalf("sent %v bits in 1s at 1Mbps", *sent)
+	}
+	if q := queuedBits(p); math.Abs(q-(10e6-*sent)) > 1 {
+		t.Fatalf("queue accounting: %v", q)
+	}
+	if p.SetRate(4e6); p.Rate() != 4e6 {
 		t.Fatal("SetRate ignored")
 	}
-	clk.Run(2 * time.Second)
-	second := sentBits - first
-	if second < 3.5e6 || second > 4.5e6 {
-		t.Fatalf("after rate change sent %v bits/s, want ≈4e6", second)
-	}
-	// Non-positive and non-finite rates are ignored rather than wedging
-	// the pacer or releasing its whole queue at once.
-	for _, bad := range []float64{0, -1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		p.SetRate(bad)
-		if p.Rate() != 4e6 {
-			t.Fatalf("rate %g should be ignored", bad)
+	for second := 2; second <= 3; second++ {
+		before := *sent
+		clk.Run(time.Duration(second) * time.Second)
+		if got := *sent - before; got < 3.5e6 || got > 4.5e6 {
+			t.Fatalf("second %d sent %v bits, want ≈4e6", second, got)
 		}
-	}
-	before := sentBits
-	clk.Run(3 * time.Second)
-	if got := sentBits - before; got < 3.5e6 || got > 4.5e6 {
-		t.Fatalf("after refused rates sent %v bits/s, want ≈4e6", got)
+		for _, bad := range []float64{0, -1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if p.SetRate(bad); p.Rate() != 4e6 {
+				t.Fatalf("rate %g should be ignored", bad)
+			}
+		}
 	}
 }
 
-func TestPacerSendFailureCountsDrop(t *testing.T) {
-	clk := simclock.New()
-	p := NewPacer(clk, DefaultPacerTick, 10e6, func(Packet) bool { return false })
+// A refused send is a drop and leaves the queue; every accepted packet
+// goes out, whole bytes, stamped with its send instant.
+func TestPacerDrainsExactly(t *testing.T) {
+	clk, p, _, _ := sentBits(10e6, true)
 	p.Enqueue(AppendPackets(nil, frameOfBits(0, 8e4)))
 	clk.Run(time.Second)
-	if p.Drops() == 0 {
-		t.Fatal("drops not counted")
+	if p.Drops() == 0 || queuedBits(p) != 0 {
+		t.Fatalf("%d drops counted, %v bits left queued", p.Drops(), queuedBits(p))
 	}
-	if queuedBits(p) != 0 {
-		t.Fatal("dropped packets should leave the queue")
+	clk, p, bits, last := sentBits(50e6, false)
+	clk.Run(100 * time.Millisecond)
+	want := 0.0
+	for i := 0; i < 10; i++ {
+		want += math.Ceil(1e5/8) * 8 // packetizer rounds to whole bytes
+		p.Enqueue(AppendPackets(nil, frameOfBits(i, 1e5)))
+	}
+	clk.Run(time.Second)
+	if q := queuedBits(p); q != 0 || *bits != want {
+		t.Fatalf("sent %v bits, want %v; %v left queued", *bits, want, q)
+	}
+	if last.FrameSeq != 9 || last.SentAt <= 100*time.Millisecond {
+		t.Fatalf("last packet sent %+v, want frame 9 after the enqueue", *last)
 	}
 }
 
@@ -153,96 +155,6 @@ func TestPacerBadArgsPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestPacerStampsSentAt(t *testing.T) {
-	clk := simclock.New()
-	var got Packet
-	p := NewPacer(clk, DefaultPacerTick, 10e6, func(pkt Packet) bool {
-		got = pkt
-		return true
-	})
-	clk.Run(100 * time.Millisecond)
-	p.Enqueue(AppendPackets(nil, frameOfBits(7, 800)))
-	clk.Run(200 * time.Millisecond)
-	if got.FrameSeq != 7 {
-		t.Fatal("packet not sent")
-	}
-	if got.SentAt <= 100*time.Millisecond {
-		t.Fatalf("SentAt = %v, want after enqueue", got.SentAt)
-	}
-}
-
-func TestReassemblerCompletesFrame(t *testing.T) {
-	clk := simclock.New()
-	var done []CompletedFrame
-	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
-	f := frameOfBits(3, 8*float64(3*MTU))
-	pkts := AppendPackets(nil, f)
-	for i, p := range pkts {
-		p.SentAt = time.Duration(i) * time.Millisecond
-		clk.Run(time.Duration(i+1) * 10 * time.Millisecond)
-		r.OnPacket(p)
-	}
-	if len(done) != 1 {
-		t.Fatalf("completed %d frames", len(done))
-	}
-	cf := done[0]
-	if cf.Frame != f || cf.Arrived != 30*time.Millisecond || cf.Sent != 0 {
-		t.Fatalf("completion: %+v", cf)
-	}
-	if cf.Bits != 8*float64(3*MTU) {
-		t.Fatalf("bits %v", cf.Bits)
-	}
-	if r.Completed() != 1 || r.Lost() != 0 {
-		t.Fatal("counters")
-	}
-}
-
-func TestReassemblerAbandonsOlderPartials(t *testing.T) {
-	clk := simclock.New()
-	var done []CompletedFrame
-	r := NewReassembler(clk, func(cf CompletedFrame) { done = append(done, cf) })
-	// Frame 0: 2 packets, only the first arrives (second dropped).
-	f0 := AppendPackets(nil, frameOfBits(0, 8*float64(2*MTU)))
-	r.OnPacket(f0[0])
-	// Frame 1 completes.
-	f1 := AppendPackets(nil, frameOfBits(1, 800))
-	r.OnPacket(f1[0])
-	if len(done) != 1 || done[0].Frame.Seq != 1 {
-		t.Fatalf("done: %+v", done)
-	}
-	if r.Lost() != 1 {
-		t.Fatalf("Lost = %d, want 1", r.Lost())
-	}
-	// A late packet of frame 0 now recreates a partial that can never
-	// complete (got resets), but must not double-complete frame 1.
-	r.OnPacket(f0[1])
-	if len(done) != 1 {
-		t.Fatal("stale packet completed something")
-	}
-}
-
-func TestPacerDrainsExactly(t *testing.T) {
-	clk := simclock.New()
-	var bits float64
-	p := NewPacer(clk, DefaultPacerTick, 50e6, func(pkt Packet) bool {
-		bits += float64(pkt.Bytes) * 8
-		return true
-	})
-	want := 0.0
-	for i := 0; i < 10; i++ {
-		f := frameOfBits(i, 1e5)
-		want += math.Ceil(1e5/8) * 8 // packetizer rounds to whole bytes
-		p.Enqueue(AppendPackets(nil, f))
-	}
-	clk.Run(time.Second)
-	if q := queuedBits(p); q != 0 {
-		t.Fatalf("queue not drained: %v", q)
-	}
-	if bits != want {
-		t.Fatalf("sent %v bits, want %v", bits, want)
 	}
 }
 

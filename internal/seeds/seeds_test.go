@@ -1,120 +1,75 @@
 package seeds
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// Derive is collision-free over a large coordinate grid and sensitive to
-// the base seed.
-func TestDeriveUniqueGrid(t *testing.T) {
-	seen := map[int64][2]int{}
+// unique fails t when two of the named seeds collide.
+func unique(t *testing.T, seeds map[string]int64) {
+	t.Helper()
+	seen := make(map[int64]string, len(seeds))
+	for name, s := range seeds {
+		if prev, ok := seen[s]; ok {
+			t.Fatalf("%s and %s collide on %d", prev, name, s)
+		}
+		seen[s] = name
+	}
+}
+
+// The seed packings are collision-free over their grids and sensitive to
+// the base seed, and stable: Derive over 128×128 coordinates; distinct
+// Stream tags, which also stay clear of the small-coordinate region of
+// Derive where experiment grids live; and Grid over a city-scale (cell,
+// ue, repeat) grid, whose seeds stay clear of the Derive region an
+// experiment would use under the same base — the packings share a
+// finalizer but not a coordinate space.
+func TestSeedPackingsUnique(t *testing.T) {
+	derive := map[string]int64{}
 	for lane := 0; lane < 128; lane++ {
 		for step := 0; step < 128; step++ {
-			s := Derive(42, lane, step)
-			if prev, ok := seen[s]; ok {
-				t.Fatalf("Derive collision: (%d,%d) and (%d,%d) -> %d",
-					prev[0], prev[1], lane, step, s)
-			}
-			seen[s] = [2]int{lane, step}
+			derive[fmt.Sprint("Derive", lane, step)] = Derive(42, lane, step)
 		}
 	}
-	if Derive(1, 3, 4) == Derive(2, 3, 4) {
-		t.Fatal("Derive ignores the base seed")
-	}
-}
-
-// Distinct stream tags yield distinct seeds; equal tags are stable; the
-// base seed matters; and streams do not collide with the small-coordinate
-// region of Derive where experiment grids live.
-func TestStreamTags(t *testing.T) {
+	unique(t, derive)
 	tags := []string{"video", "headmotion", "lte", "path", "core", "rev", "cell", "ue"}
-	seen := map[int64]string{}
-	for _, tag := range tags {
-		s := Stream(7, tag)
-		if prev, ok := seen[s]; ok {
-			t.Fatalf("Stream collision between tags %q and %q", prev, tag)
-		}
-		seen[s] = tag
-		if s != Stream(7, tag) {
-			t.Fatalf("Stream(%q) not stable", tag)
-		}
-		if s == Stream(8, tag) {
-			t.Fatalf("Stream(%q) ignores the base seed", tag)
-		}
-	}
-	grid := map[int64]bool{}
+	streams := map[string]int64{}
 	for lane := 0; lane < 64; lane++ {
 		for step := 0; step < 64; step++ {
-			grid[Derive(7, lane, step)] = true
+			streams[fmt.Sprint("Derive", lane, step)] = Derive(7, lane, step)
 		}
 	}
 	for _, tag := range tags {
-		if grid[Stream(7, tag)] {
-			t.Fatalf("Stream(%q) collides with the Derive grid", tag)
+		streams[tag] = Stream(7, tag)
+		if Stream(7, tag) != streams[tag] || Stream(8, tag) == streams[tag] {
+			t.Fatalf("Stream(%q) is not stable or ignores the base seed", tag)
 		}
 	}
-}
-
-// Grid is collision-free across a city-scale (cell, ue, repeat) grid, and
-// its seeds stay clear of the Derive coordinate region an experiment
-// would use under the same base — the two packings share a finalizer but
-// not a coordinate space.
-func TestGridUniqueCityScale(t *testing.T) {
-	const (
-		cells   = 128
-		ues     = 64
-		repeats = 4
-	)
-	seen := make(map[int64][3]int, cells*ues*repeats)
-	for c := 0; c < cells; c++ {
-		for u := 0; u < ues; u++ {
-			for r := 0; r < repeats; r++ {
-				s := Grid(42, c, u, r)
-				if prev, ok := seen[s]; ok {
-					t.Fatalf("Grid collision: (%d,%d,%d) and (%d,%d,%d) -> %d",
-						prev[0], prev[1], prev[2], c, u, r, s)
-				}
-				seen[s] = [3]int{c, u, r}
+	unique(t, streams)
+	grid := map[string]int64{}
+	for c := 0; c < 128; c++ {
+		for u := 0; u < 64; u++ {
+			for r := 0; r < 4; r++ {
+				grid[fmt.Sprint("Grid", c, u, r)] = Grid(42, c, u, r)
 			}
 		}
 	}
-	// The offset scheme Grid replaces: Derive(base, cell*K+ue, repeat)
-	// collides whenever cell₁·K+ue₁ == cell₂·K+ue₂. Grid's disjoint bit
-	// fields cannot: spot-check the canonical aliasing pair.
+	for lane := 0; lane < 64; lane++ {
+		for step := 0; step < 64; step++ {
+			grid[fmt.Sprint("Derive", lane, step)] = Derive(42, lane, step)
+		}
+	}
+	unique(t, grid)
+	if Derive(1, 3, 4) == Derive(2, 3, 4) || Grid(1, 3, 4, 5) == Grid(2, 3, 4, 5) || Grid(1, 3, 4, 5) != Grid(1, 3, 4, 5) {
+		t.Fatal("Derive or Grid ignores the base seed, or Grid is not stable")
+	}
+	// The additive (cell·1000 + ue) packing Grid replaced collided here.
 	if Grid(42, 1, 0, 3) == Grid(42, 0, 1000, 3) {
-		t.Fatal("Grid reproduces the additive (cell*1000+ue) collision")
+		t.Fatal("Grid reproduces the additive collision")
 	}
-	// Stays decorrelated from the experiment (lane, step) grid under the
-	// same base.
-	derive := map[int64]bool{}
-	for lane := 0; lane < 64; lane++ {
-		for step := 0; step < 64; step++ {
-			derive[Derive(42, lane, step)] = true
-		}
-	}
-	for c := 0; c < 16; c++ {
-		for u := 0; u < 16; u++ {
-			if derive[Grid(42, c, u, 0)] {
-				t.Fatalf("Grid(%d,%d,0) collides with the Derive grid", c, u)
-			}
-		}
-	}
-	if Grid(1, 3, 4, 5) == Grid(2, 3, 4, 5) {
-		t.Fatal("Grid ignores the base seed")
-	}
-	if Grid(1, 3, 4, 5) != Grid(1, 3, 4, 5) {
-		t.Fatal("Grid not stable")
-	}
-}
-
-// The old additive offsets collide across bases: seed+1 under base b
-// equals seed+1 under the same base only — but two *bases* one apart
-// shared entire streams. Stream must not have that property.
-func TestStreamDecorrelatesNeighbouringBases(t *testing.T) {
-	// Under the ad-hoc scheme, base 10's "lte" stream (10+1) equalled
-	// base 8's "video" stream (8+3). Spot-check the equivalent pairs.
-	if Stream(10, "lte") == Stream(8, "video") {
-		t.Fatal("neighbouring bases still share component streams")
-	}
-	if Stream(10, "lte") == Stream(11, "lte") {
-		t.Fatal("adjacent bases collide on the same tag")
+	// The old additive offsets made two bases one apart share entire
+	// streams. Stream must not have that property.
+	if Stream(10, "lte") == Stream(8, "video") || Stream(10, "lte") == Stream(11, "lte") {
+		t.Fatal("neighbouring bases share component streams")
 	}
 }

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -228,15 +229,21 @@ func TestCodedDispatchMatchesClosureGolden(t *testing.T) {
 			{"coded", runGoldenWorkload(seed, codesOnLane)},
 			{"heap-ticker", heap},
 		} {
-			if len(closure) != len(other.log) {
-				t.Fatalf("seed %d: closure run fired %d events, %s run %d", seed, len(closure), other.name, len(other.log))
-			}
-			for i := range closure {
-				if closure[i] != other.log[i] {
-					t.Fatalf("seed %d: event %d diverged: closure (%v, tag %d) vs %s (%v, tag %d)",
-						seed, i, closure[i].at, closure[i].tag, other.name, other.log[i].at, other.log[i].tag)
-				}
-			}
+			firstDiff(t, fmt.Sprintf("seed %d: %s run's event", seed, other.name), other.log, closure)
 		}
+	}
+}
+
+// firstDiff fails t at the first element where got and want differ, or
+// on their lengths.
+func firstDiff[T comparable](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s %d:\n got %+v\nwant %+v", what, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d of them, want %d", what, len(got), len(want))
 	}
 }

@@ -1,77 +1,87 @@
 package simclock
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestNowStartsAtZero(t *testing.T) {
-	c := New()
-	if c.Now() != 0 {
-		t.Fatalf("Now() = %v, want 0", c.Now())
+// TestClockFiresInOrder: each row schedules on a fresh clock (fire(tag)
+// is a handler logging Now and tag) and runs it to each of runs in turn.
+// The clock must fire exactly want, in order; during Run(u) no event past
+// u may fire, and after it Now is u.
+func TestClockFiresInOrder(t *testing.T) {
+	type fired struct {
+		at  time.Duration
+		tag int
 	}
-}
-
-func TestScheduleOrdering(t *testing.T) {
-	c := New()
-	var got []int
-	c.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	c.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	c.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
-	c.Run(time.Second)
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+	ms := time.Millisecond
+	rows := []struct {
+		name  string
+		setup func(c *Clock, fire func(tag int) func())
+		runs  []time.Duration
+		want  []fired
+	}{
+		{"time order", func(c *Clock, fire func(int) func()) {
+			c.Schedule(30*ms, fire(3))
+			c.Schedule(10*ms, fire(1))
+			c.Schedule(20*ms, fire(2))
+		}, []time.Duration{time.Second}, []fired{{10 * ms, 1}, {20 * ms, 2}, {30 * ms, 3}}},
+		{"FIFO tie-break", func(c *Clock, fire func(int) func()) {
+			for i := 0; i < 10; i++ {
+				c.Schedule(5*ms, fire(i))
+			}
+		}, []time.Duration{time.Second}, []fired{{5 * ms, 0}, {5 * ms, 1}, {5 * ms, 2}, {5 * ms, 3}, {5 * ms, 4},
+			{5 * ms, 5}, {5 * ms, 6}, {5 * ms, 7}, {5 * ms, 8}, {5 * ms, 9}}},
+		{"Run stops at until", func(c *Clock, fire func(int) func()) {
+			c.Schedule(42*ms, fire(0))
+			c.Schedule(2*time.Second, fire(1))
+		}, []time.Duration{time.Second, 3 * time.Second}, []fired{{42 * ms, 0}, {2 * time.Second, 1}}},
+		{"negative delay fires now", func(c *Clock, fire func(int) func()) {
+			c.ScheduleAfter(-time.Second, fire(0))
+		}, []time.Duration{0}, []fired{{0, 0}}},
+		{"nested event", func(c *Clock, fire func(int) func()) {
+			c.Schedule(ms, func() { c.ScheduleAfter(ms, fire(0)) })
+		}, []time.Duration{time.Second}, []fired{{2 * ms, 0}}},
+		{"ticker stopped by an event", func(c *Clock, fire func(int) func()) {
+			c.Schedule(35*ms, c.Ticker(10*ms, fire(0)))
+		}, []time.Duration{35 * ms, 100 * ms}, []fired{{10 * ms, 0}, {20 * ms, 0}, {30 * ms, 0}}},
+		{"ticker stopped from its callback", func(c *Clock, fire func(int) func()) {
+			n := 0
+			var stop func()
+			stop = c.Ticker(ms, func() {
+				fire(0)()
+				if n++; n == 2 {
+					stop()
+				}
+			})
+		}, []time.Duration{time.Second}, []fired{{ms, 0}, {2 * ms, 0}}},
+	}
+	for _, r := range rows {
+		c := New()
+		if c.Now() != 0 {
+			t.Fatalf("%s: a new clock reads %v", r.name, c.Now())
 		}
-	}
-}
-
-func TestFIFOTieBreak(t *testing.T) {
-	c := New()
-	var got []int
-	at := 5 * time.Millisecond
-	for i := 0; i < 10; i++ {
-		i := i
-		c.Schedule(at, func() { got = append(got, i) })
-	}
-	c.Run(time.Second)
-	for i := 0; i < 10; i++ {
-		if got[i] != i {
-			t.Fatalf("tie-break order = %v", got)
+		var got []fired
+		var until time.Duration
+		r.setup(c, func(tag int) func() {
+			return func() {
+				if c.Now() > until {
+					t.Fatalf("%s: event at %v fired in Run(%v)", r.name, c.Now(), until)
+				}
+				got = append(got, fired{c.Now(), tag})
+			}
+		})
+		for _, until = range r.runs {
+			if c.Run(until); c.Now() != until {
+				t.Fatalf("%s: after Run(%v) Now() = %v", r.name, until, c.Now())
+			}
 		}
-	}
-}
-
-func TestClockAdvancesToEventTime(t *testing.T) {
-	c := New()
-	var seen time.Duration
-	c.Schedule(42*time.Millisecond, func() { seen = c.Now() })
-	c.Run(time.Second)
-	if seen != 42*time.Millisecond {
-		t.Fatalf("event saw Now()=%v, want 42ms", seen)
-	}
-	if c.Now() != time.Second {
-		t.Fatalf("after Run, Now()=%v, want 1s", c.Now())
-	}
-}
-
-func TestRunStopsAtUntil(t *testing.T) {
-	c := New()
-	fired := false
-	c.Schedule(2*time.Second, func() { fired = true })
-	c.Run(time.Second)
-	if fired {
-		t.Fatal("event beyond until fired")
-	}
-	if c.Now() != time.Second {
-		t.Fatalf("Now()=%v, want 1s", c.Now())
-	}
-	c.Run(3 * time.Second)
-	if !fired {
-		t.Fatal("event did not fire on later Run")
+		if !slices.Equal(got, r.want) {
+			t.Fatalf("%s: fired %v, want %v", r.name, got, r.want)
+		}
 	}
 }
 
@@ -79,118 +89,41 @@ func TestSchedulePastPanics(t *testing.T) {
 	c := New()
 	c.Schedule(time.Second, func() {})
 	c.Run(time.Second)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	c.Schedule(500*time.Millisecond, func() {})
-}
-
-func TestScheduleAfterNegativeClamps(t *testing.T) {
-	c := New()
-	fired := false
-	c.ScheduleAfter(-time.Second, func() { fired = true })
-	c.Run(0)
-	if !fired {
-		t.Fatal("negative-delay event should fire immediately")
+	for name, fn := range map[string]func(){
+		"scheduling in the past": func() { c.Schedule(500*time.Millisecond, func() {}) },
+		"a zero ticker period":   func() { c.Ticker(0, func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }
 
-func TestTicker(t *testing.T) {
-	c := New()
-	var ticks []time.Duration
-	stop := c.Ticker(10*time.Millisecond, func() {
-		ticks = append(ticks, c.Now())
-	})
-	c.Run(35 * time.Millisecond)
-	stop()
-	c.Run(100 * time.Millisecond)
-	if len(ticks) != 3 {
-		t.Fatalf("got %d ticks, want 3 (%v)", len(ticks), ticks)
-	}
-	for i, at := range ticks {
-		want := time.Duration(i+1) * 10 * time.Millisecond
-		if at != want {
-			t.Fatalf("tick %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-func TestTickerStopFromCallback(t *testing.T) {
-	c := New()
-	n := 0
-	var stop func()
-	stop = c.Ticker(time.Millisecond, func() {
-		n++
-		if n == 2 {
-			stop()
-		}
-	})
-	c.Run(time.Second)
-	if n != 2 {
-		t.Fatalf("ticks = %d, want 2", n)
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero period did not panic")
-		}
-	}()
-	New().Ticker(0, func() {})
-}
-
-func TestStep(t *testing.T) {
+// Step fires one event; Pending counts events and tickers, a stopped
+// ticker until its pending occurrence comes up.
+func TestStepAndPending(t *testing.T) {
 	c := New()
 	n := 0
 	c.Schedule(time.Millisecond, func() { n++ })
 	c.Schedule(2*time.Millisecond, func() { n++ })
-	if !c.Step() {
-		t.Fatal("Step returned false with pending events")
-	}
-	if n != 1 || c.Now() != time.Millisecond {
-		t.Fatalf("after one step n=%d now=%v", n, c.Now())
-	}
-	if !c.Step() {
-		t.Fatal("second Step returned false")
-	}
-	if c.Step() {
-		t.Fatal("Step on empty queue returned true")
-	}
-}
-
-func TestPending(t *testing.T) {
-	c := New()
-	c.Schedule(time.Millisecond, func() {})
-	c.Schedule(time.Millisecond, func() {})
 	stop := c.Ticker(time.Millisecond, func() {})
 	if c.Pending() != 3 {
 		t.Fatalf("Pending=%d, want 3", c.Pending())
 	}
 	stop()
-	// A stopped ticker counts until its pending occurrence comes up.
 	if c.Pending() != 3 {
 		t.Fatalf("Pending=%d after stop, want 3", c.Pending())
 	}
-	c.Run(time.Second)
-	if c.Pending() != 0 {
-		t.Fatalf("Pending=%d after the run, want 0", c.Pending())
+	if !c.Step() || n != 1 || c.Now() != time.Millisecond {
+		t.Fatalf("after one step n=%d now=%v", n, c.Now())
 	}
-}
-
-func TestEventsScheduledDuringRun(t *testing.T) {
-	c := New()
-	var got []time.Duration
-	c.Schedule(time.Millisecond, func() {
-		c.ScheduleAfter(time.Millisecond, func() {
-			got = append(got, c.Now())
-		})
-	})
-	c.Run(time.Second)
-	if len(got) != 1 || got[0] != 2*time.Millisecond {
-		t.Fatalf("nested event fired at %v, want [2ms]", got)
+	if !c.Step() || !c.Step() || c.Step() || c.Pending() != 0 {
+		t.Fatalf("Step fired past the queue or left %d pending", c.Pending())
 	}
 }
 

@@ -3,6 +3,7 @@ package video
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"poi360/internal/compress"
@@ -144,13 +145,8 @@ func TestROIPSNRScratchMatchesReference(t *testing.T) {
 						t.Fatalf("grid %v matrix %d scale %v %+v fov %+v: ROIPSNRScratch = %v, reference %v (Δ=%g)",
 							g, mi, scale, o, fov, got, want, got-want)
 					}
-					if len(scratch) != len(wantVis) {
-						t.Fatalf("grid %v %+v fov %+v: %d visible tiles, reference %d", g, o, fov, len(scratch), len(wantVis))
-					}
-					for i := range wantVis {
-						if scratch[i] != wantVis[i] {
-							t.Fatalf("grid %v %+v fov %+v: visible tile %d = %v, reference %v", g, o, fov, i, scratch[i], wantVis[i])
-						}
+					if !slices.Equal(scratch, wantVis) {
+						t.Fatalf("grid %v %+v fov %+v: visible tiles %v, reference %v", g, o, fov, scratch, wantVis)
 					}
 					calls++
 				}
@@ -191,31 +187,36 @@ func roiOracleMatrices(g projection.Grid, rng *rand.Rand) [][]float64 {
 	return append(ms, cyc)
 }
 
-// TestPSNRForLevelMatchesMaxReference holds psnrForLevel's comparison floor
-// to math.Max on the curve's edges. A NaN stays NaN in both; only its
-// payload may differ.
-func TestPSNRForLevelMatchesMaxReference(t *testing.T) {
-	neg0 := math.Copysign(0, -1)
-	levels := []float64{0, neg0, 0.5, 1, math.Nextafter(1, 2), 1.37, 10, 12, 100,
-		math.Pow(10, (psnrMax-psnrMin)/(gamma*10)), 1e9, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(), -5}
-	for _, l := range levels {
-		got, want := psnrForLevel(l), refPSNRForLevel(l)
-		if math.IsNaN(got) && math.IsNaN(want) {
-			continue
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
+// probes sweeps each bound and its neighbours, ±0, ±Inf, NaN, ±MaxFloat64
+// and n seeded normal values of standard deviation sd.
+func probes(rng *rand.Rand, bounds []float64, n int, sd float64) []float64 {
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
+	for _, b := range bounds {
+		xs = append(xs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+	}
+	for range n {
+		xs = append(xs, rng.NormFloat64()*sd)
+	}
+	return xs
+}
+
+// same reports whether got is want to the bit, any two NaNs alike.
+func same(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || math.IsNaN(got) && math.IsNaN(want)
+}
+
+// TestROIPSNRClampMatchesMathForm holds the comparison clamps to their
+// math.Max / math.Min forms: psnrForLevel's floor on the curve's edges,
+// and ROIPSNRScratch's last line, whose input a frame's jitter sweeps over
+// each bound of its clamp. A NaN stays NaN in both; only its payload may
+// differ.
+func TestROIPSNRClampMatchesMathForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, l := range probes(rng, []float64{0.5, 1, 1.37, 10, 12, 100, math.Pow(10, (psnrMax-psnrMin)/(gamma*10)), 1e9, -5}, 0, 0) {
+		if got, want := psnrForLevel(l), refPSNRForLevel(l); !same(got, want) {
 			t.Fatalf("psnrForLevel(%v) = %v, reference %v", l, got, want)
 		}
 	}
-}
-
-// TestROIPSNRClampMatchesMathForm sweeps a frame's jitter so ROIPSNRScratch's
-// last line sees each bound of its clamp and its neighbours, ±0, ±Inf, NaN
-// and seeded random values, and holds it to the math.Max / math.Min form of
-// refROIPSNR. A NaN stays NaN in both; only its payload may differ.
-func TestROIPSNRClampMatchesMathForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
 	cfg := DefaultConfig()
 	ef := EncodedFrame{Spatial: roiOracleMatrices(cfg.Grid, rng)[0], Scale: 1.37}
 	o := projection.Orientation{Yaw: 15, Pitch: 10}
@@ -223,23 +224,10 @@ func TestROIPSNRClampMatchesMathForm(t *testing.T) {
 	if base <= psnrMin || base >= psnrMax+3 {
 		t.Fatalf("base PSNR %v is clamped; the fixture no longer reaches both bounds", base)
 	}
-	neg0 := math.Copysign(0, -1)
-	jitters := []float64{0, neg0, -base, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
-	for _, bound := range []float64{psnrMin, psnrMax + 3} {
-		j := bound - base
-		jitters = append(jitters, j, math.Nextafter(j, math.Inf(1)), math.Nextafter(j, math.Inf(-1)))
-	}
-	for i := 0; i < 100; i++ {
-		jitters = append(jitters, rng.NormFloat64()*40)
-	}
-	for _, j := range jitters {
+	for _, j := range probes(rng, []float64{psnrMin - base, psnrMax + 3 - base, -base}, 100, 40) {
 		ef.Jitter = j
 		got, _ := ef.ROIPSNRScratch(cfg, o, projection.DefaultFoV, nil)
-		want, _ := refROIPSNR(&ef, cfg, o, projection.DefaultFoV)
-		if math.IsNaN(got) && math.IsNaN(want) {
-			continue
-		}
-		if math.Float64bits(got) != math.Float64bits(want) {
+		if want, _ := refROIPSNR(&ef, cfg, o, projection.DefaultFoV); !same(got, want) {
 			t.Fatalf("jitter %v: ROIPSNRScratch = %v, reference %v", j, got, want)
 		}
 	}

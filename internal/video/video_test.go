@@ -9,88 +9,51 @@ import (
 	"poi360/internal/projection"
 )
 
-func TestDefaultConfigValid(t *testing.T) {
+// The default config validates, a zero FPS or grid does not, and
+// NewSource panics on an invalid one; at 25 fps a frame lasts 40 ms.
+func TestConfig(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestConfigValidateRejects(t *testing.T) {
-	base := DefaultConfig()
-	mutations := []func(*Config){
+	for i, m := range []func(*Config){
 		func(c *Config) { c.FPS = 0 },
 		func(c *Config) { c.Grid = projection.Grid{} },
-	}
-	for i, m := range mutations {
-		c := base
-		m(&c)
-		if err := c.Validate(); err == nil {
+	} {
+		c := DefaultConfig()
+		if m(&c); c.Validate() == nil {
 			t.Errorf("mutation %d validated", i)
 		}
 	}
-}
-
-func TestFrameInterval(t *testing.T) {
 	c := DefaultConfig()
-	c.FPS = 25
-	if got := c.FrameInterval(); got != 40*time.Millisecond {
-		t.Fatalf("FrameInterval = %v, want 40ms", got)
+	if c.FPS = 25; c.FrameInterval() != 40*time.Millisecond {
+		t.Fatalf("FrameInterval = %v, want 40ms", c.FrameInterval())
 	}
-}
-
-func TestSourceFrameBitsMatchRawRate(t *testing.T) {
-	cfg := DefaultConfig()
-	s := NewSource(cfg)
-	f := s.NextFrame(0)
-	want := RawBitsPerSec / float64(cfg.FPS)
-	if math.Abs(f.RawBits()-want)/want > 1e-9 {
-		t.Fatalf("frame raw bits %v, want %v", f.RawBits(), want)
-	}
-	if len(f.TileBits) != cfg.Grid.Tiles() {
-		t.Fatalf("tile count %d", len(f.TileBits))
-	}
-	for idx, b := range f.TileBits {
-		if b <= 0 {
-			t.Fatalf("tile %d has non-positive bits %v", idx, b)
-		}
-	}
-}
-
-func TestSourceSequencing(t *testing.T) {
-	s := NewSource(DefaultConfig())
-	for i := 0; i < 5; i++ {
-		f := s.NextFrame(time.Duration(i) * 33 * time.Millisecond)
-		if f.Seq != i {
-			t.Fatalf("frame %d has Seq %d", i, f.Seq)
-		}
-	}
-}
-
-func TestSourceDeterministic(t *testing.T) {
-	a, b := NewSource(DefaultConfig()), NewSource(DefaultConfig())
-	for i := 0; i < 10; i++ {
-		fa := a.NextFrame(time.Duration(i) * time.Millisecond * 33)
-		fb := b.NextFrame(time.Duration(i) * time.Millisecond * 33)
-		if fa.Jitter != fb.Jitter {
-			t.Fatalf("frame %d jitter differs: %v vs %v", i, fa.Jitter, fb.Jitter)
-		}
-		for idx := range fa.TileBits {
-			if fa.TileBits[idx] != fb.TileBits[idx] {
-				t.Fatalf("frame %d tile %d differs", i, idx)
-			}
-		}
-	}
-}
-
-func TestNewSourcePanicsOnInvalid(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewSource accepted invalid config")
 		}
 	}()
-	c := DefaultConfig()
 	c.FPS = -1
 	NewSource(c)
+}
+
+// A source numbers its frames, each carrying the raw rate's share in
+// positive per-tile bits, and two sources of one config agree bit for bit.
+func TestSource(t *testing.T) {
+	cfg := DefaultConfig()
+	a, b := NewSource(cfg), NewSource(cfg)
+	want := RawBitsPerSec / float64(cfg.FPS)
+	for i := 0; i < 10; i++ {
+		fa, fb := a.NextFrame(time.Duration(i)*33*time.Millisecond), b.NextFrame(time.Duration(i)*33*time.Millisecond)
+		if fa.Seq != i || math.Abs(fa.RawBits()-want)/want > 1e-9 || len(fa.TileBits) != cfg.Grid.Tiles() || fa.Jitter != fb.Jitter {
+			t.Fatalf("frame %d: Seq %d, raw bits %v (want %v), %d tiles, jitter %v vs %v", i, fa.Seq, fa.RawBits(), want, len(fa.TileBits), fa.Jitter, fb.Jitter)
+		}
+		for idx := range fa.TileBits {
+			if fa.TileBits[idx] <= 0 || fa.TileBits[idx] != fb.TileBits[idx] {
+				t.Fatalf("frame %d tile %d: %v vs %v bits", i, idx, fa.TileBits[idx], fb.TileBits[idx])
+			}
+		}
+	}
 }
 
 func TestPSNRForLevel(t *testing.T) {

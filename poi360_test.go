@@ -6,91 +6,52 @@ import (
 	"time"
 )
 
-func TestRunSessionDefaults(t *testing.T) {
-	res, err := RunSession(SessionConfig{Duration: 15 * time.Second, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FramesDelivered == 0 {
-		t.Fatal("no frames delivered")
-	}
-	s := Summary(res)
-	for _, want := range []string{"POI360", "cellular", "PSNR", "freeze"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q: %s", want, s)
+// The library surface runs sessions (its summary names the scheme, the
+// network, PSNR and freezes), both rate controllers included.
+func TestRunSession(t *testing.T) {
+	for _, cfg := range []SessionConfig{
+		{Duration: 15 * time.Second, Seed: 1},
+		{Duration: 15 * time.Second, Scheme: SchemeAdaptive, RC: RCFBCC, Cell: CellCampus, Seed: 2},
+	} {
+		res, err := RunSession(cfg)
+		if err != nil || res.FramesDelivered == 0 {
+			t.Fatalf("%+v: %v, or no frames delivered", cfg, err)
+		}
+		for _, want := range []string{"POI360", "cellular", "PSNR", "freeze"} {
+			if s := Summary(res); !strings.Contains(s, want) {
+				t.Fatalf("summary missing %q: %s", want, s)
+			}
 		}
 	}
 }
 
-func TestRunSessionFBCC(t *testing.T) {
-	res, err := RunSession(SessionConfig{
-		Duration: 15 * time.Second,
-		Scheme:   SchemeAdaptive,
-		RC:       RCFBCC,
-		Cell:     CellCampus,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FramesDelivered == 0 {
-		t.Fatal("no frames delivered")
-	}
-}
-
-func TestExperimentsRegistry(t *testing.T) {
+// Experiments are registered and run by id (an unknown one errs).
+func TestRunExperiment(t *testing.T) {
 	if len(Experiments()) < 15 {
 		t.Fatalf("only %d experiments registered", len(Experiments()))
 	}
-}
-
-func TestRunExperimentTable1(t *testing.T) {
 	rep, err := RunExperiment("table1", ExperimentOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(rep.Tables) != 1 || !strings.Contains(rep.Tables[0].String(), "Excellent") {
+		t.Fatalf("table1: %v, %+v", err, rep)
 	}
-	if len(rep.Tables) != 1 {
-		t.Fatal("table1 should yield one table")
-	}
-	out := rep.Tables[0].String()
-	if !strings.Contains(out, "Excellent") {
-		t.Fatalf("table1 output:\n%s", out)
-	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
 	if _, err := RunExperiment("figX", ExperimentOptions{}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
-func TestMOSForPSNR(t *testing.T) {
+// The re-exported mappings, users, profiles and configs are the internal
+// packages' own.
+func TestSurfaceExposed(t *testing.T) {
 	if MOSForPSNR(40) != MOSExcellent || MOSForPSNR(10) != MOSBad {
 		t.Fatal("MOS mapping broken")
 	}
-}
-
-func TestUserByName(t *testing.T) {
-	u, err := UserByName("scanner")
-	if err != nil || u.Name != "scanner" {
-		t.Fatalf("UserByName: %v %v", u, err)
+	if u, err := UserByName("scanner"); err != nil || u.Name != "scanner" || len(Users) != 5 {
+		t.Fatalf("UserByName: %v %v; %d users", u, err, len(Users))
 	}
-	if len(Users) != 5 {
-		t.Fatalf("users = %d", len(Users))
+	if CellWeak.RSSdBm >= CellStrongIdle.RSSdBm || PathCellular.NominalRTT() <= PathWireline.NominalRTT() {
+		t.Fatal("cell or path profiles inverted")
 	}
-}
-
-func TestProfilesExposed(t *testing.T) {
-	if CellWeak.RSSdBm >= CellStrongIdle.RSSdBm {
-		t.Fatal("cell profiles inverted")
-	}
-	if PathCellular.NominalRTT() <= PathWireline.NominalRTT() {
-		t.Fatal("path profiles inverted")
-	}
-	if DefaultGrid.W != 12 || DefaultGrid.H != 8 {
-		t.Fatal("grid mismatch")
-	}
-	if DefaultVideoConfig().FPS != 30 {
-		t.Fatal("video config mismatch")
+	if DefaultGrid.W != 12 || DefaultGrid.H != 8 || DefaultVideoConfig().FPS != 30 {
+		t.Fatal("grid or video config mismatch")
 	}
 }

@@ -19,43 +19,15 @@ import (
 // Nested modules (benchmark/) and hidden directories are not part of this
 // module and are skipped.
 func TestNoMathRandOutsideTests(t *testing.T) {
-	fset := token.NewFileSet()
 	checked := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == "." {
-				return nil
-			}
-			name := d.Name()
-			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
+	parseTree(t, token.NewFileSet(), ".", false, false, func(path string, f *ast.File) {
 		checked++
 		for _, imp := range f.Imports {
 			if p, _ := strconv.Unquote(imp.Path.Value); p == "math/rand" || p == "math/rand/v2" {
 				t.Errorf("%s imports %s; draw from a *seeds.SplitMix instead", path, p)
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if checked < 50 {
 		t.Fatalf("checked only %d non-test files; is the walk rooted at the module?", checked)
 	}
@@ -90,24 +62,7 @@ func TestInternalAPIHasCallers(t *testing.T) {
 	methodSpans := map[typeRef][][2]token.Pos{}
 	results := map[typeRef][]typeRef{}
 	var library []typeRef
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	parseTree(t, fset, ".", true, false, func(path string, f *ast.File) {
 		notUse := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -132,7 +87,7 @@ func TestInternalAPIHasCallers(t *testing.T) {
 			library = append(library, aliasTargets(f)...)
 		}
 		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			return nil
+			return
 		}
 		pkg := f.Name.Name
 		add := func(id *ast.Ident, name string, method bool, node ast.Node) {
@@ -180,11 +135,7 @@ func TestInternalAPIHasCallers(t *testing.T) {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) < 100 || len(library) < 10 {
 		t.Fatalf("found only %d exported declarations under internal/ and %d aliases in poi360.go; is the walk rooted at the module?", len(decls), len(library))
 	}
@@ -338,23 +289,7 @@ func TestConfigKnobs(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	got := map[string]string{}
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	parseTree(t, fset, "internal", false, false, func(path string, f *ast.File) {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -389,11 +324,7 @@ func TestConfigKnobs(t *testing.T) {
 				got[f.Name.Name+"."+ts.Name.Name] = strings.Join(fields, " ")
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) == 0 {
 		t.Fatal("found no …Config structs under internal/; is the walk rooted at the module?")
 	}
@@ -414,5 +345,39 @@ func TestConfigKnobs(t *testing.T) {
 		if _, ok := got[name]; !ok {
 			t.Errorf("%s is pinned but no longer declared", name)
 		}
+	}
+}
+
+// parseTree parses every Go file under root and hands it to fn. Hidden,
+// _-prefixed and testdata directories are skipped, and so are nested
+// modules (benchmark/) unless nested is set and _test.go files unless
+// tests is set.
+func parseTree(t *testing.T, fset *token.FileSet, root string, nested, tests bool, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && !nested {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			fn(path, f)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

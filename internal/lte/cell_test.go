@@ -27,95 +27,49 @@ func testCell(t *testing.T, prof CellProfile, levels []int) (*simclock.Clock, *C
 	return clk, cell, ues
 }
 
-// Two identical backlogged UEs must converge to near-equal long-run
-// service: the PF metric equalizes served-rate ratios when channels are
-// symmetric.
-func TestPFEqualBackloggedSharesConverge(t *testing.T) {
-	clk, _, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10})
-	clk.Run(30 * time.Second)
-	a, b := ues[0].TotalServedBits(), ues[1].TotalServedBits()
-	if a <= 0 || b <= 0 {
-		t.Fatalf("starved UE: a=%g b=%g", a, b)
-	}
-	ratio := a / b
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("unfair split between identical UEs: a=%g b=%g ratio=%g", a, b, ratio)
-	}
-}
-
-// A UE's served rate must grow with its own buffer occupancy (Fig. 5):
-// below the knee the grant is demand-limited, so a deeper buffer earns
-// more subframe bits even under contention.
-func TestPFServiceGrowsWithOwnBuffer(t *testing.T) {
-	// Low demand: ~2 KB standing buffer (well under the 10 KB knee).
-	_, lowServed := runTwoUE(t, 2<<10)
-	// High demand: 20 KB standing buffer (above the knee).
-	_, highServed := runTwoUE(t, 20<<10)
-	if highServed <= lowServed*1.5 {
-		t.Fatalf("served rate did not grow with own buffer: low=%g high=%g", lowServed, highServed)
-	}
-}
-
-// runTwoUE runs a 2-UE campus cell where UE 0 is backlogged and UE 1's
-// buffer is held at level; it returns (UE0, UE1) total served bits.
-func runTwoUE(t *testing.T, level int) (float64, float64) {
-	t.Helper()
-	clk, _, ues := testCell(t, ProfileCampus, []int{64 << 10, level})
-	clk.Run(20 * time.Second)
-	return ues[0].TotalServedBits(), ues[1].TotalServedBits()
-}
-
-// The cell must not grant more than its capacity allows: total served
-// bits across UEs stay within the nominal capacity budget (plus TBS-noise
-// headroom).
-func TestPFCellConservesCapacity(t *testing.T) {
-	dur := 20 * time.Second
-	clk, _, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10, 64 << 10, 64 << 10})
-	clk.Run(dur)
-	var total float64
+// served runs a started cell of len(levels) UEs (testCell) for d and
+// returns each UE's served bits and served-rate EWMA.
+func served(t *testing.T, prof CellProfile, d time.Duration, levels ...int) (bits, ewma []float64) {
+	clk, cell, ues := testCell(t, prof, levels)
+	clk.Run(d)
 	for _, u := range ues {
-		total += u.TotalServedBits()
+		bits = append(bits, u.TotalServedBits())
+		ewma = append(ewma, cell.soa.ewma[u.id])
 	}
-	prof := ProfileCampus
-	// Nominal budget: base capacity × (1 - background load) × duration.
-	// TBS noise is zero-mean but allow 30% slack for capacity-process
-	// excursions above base.
-	budget := BaseCapacity(prof.RSSdBm) * (1 - prof.BackgroundLoad) * dur.Seconds() * 1.3
-	if total > budget {
-		t.Fatalf("cell over-granted: served %g bits > budget %g", total, budget)
-	}
-	if total < budget*0.3 {
-		t.Fatalf("cell under-granted: served %g bits, budget %g", total, budget)
-	}
+	return bits, ewma
 }
 
-// A multi-UE cell is a pure function of its configuration: two runs with
-// identical seeds produce identical per-UE byte counters.
-func TestCellDeterministic(t *testing.T) {
-	run := func() []float64 {
-		clk, _, ues := testCell(t, ProfileModerate, []int{64 << 10, 8 << 10, 24 << 10})
-		clk.Run(10 * time.Second)
-		out := make([]float64, len(ues))
-		for i, u := range ues {
-			out[i] = u.TotalServedBits()
-		}
-		return out
+// The PF cell: two identical backlogged UEs converge to near-equal
+// long-run service (the metric equalizes served-rate ratios on symmetric
+// channels) with positive, finite served-rate EWMAs; a UE's service grows
+// with its own buffer occupancy under contention (Fig. 5: below the
+// 10 KB knee the grant is demand-limited); four backlogged UEs together
+// get no more than the nominal capacity (base × (1 − load) × duration,
+// with 30 % slack for the capacity process) and at least 30 % of it; and
+// a multi-UE cell is a pure function of its configuration.
+func TestPFCell(t *testing.T) {
+	bits, ewma := served(t, ProfileCampus, 30*time.Second, 64<<10, 64<<10)
+	if r := bits[0] / bits[1]; bits[0] <= 0 || bits[1] <= 0 || r < 0.9 || r > 1.1 {
+		t.Fatalf("unfair split between identical UEs: %v", bits)
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+	for i, e := range ewma {
+		if !(e > 0) || math.IsInf(e, 0) {
+			t.Fatalf("UE %d served-rate EWMA = %g", i, e)
+		}
+	}
+	low, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 2<<10)
+	high, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 20<<10)
+	if high[1] <= low[1]*1.5 {
+		t.Fatalf("served rate did not grow with own buffer: low=%g high=%g", low[1], high[1])
+	}
+	four, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 64<<10, 64<<10, 64<<10)
+	budget := BaseCapacity(ProfileCampus.RSSdBm) * (1 - ProfileCampus.BackgroundLoad) * 20 * 1.3
+	if total := four[0] + four[1] + four[2] + four[3]; total > budget || total < budget*0.3 {
+		t.Fatalf("cell served %g bits, budget %g", total, budget)
+	}
+	a, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10)
+	if b, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10); !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic cell: %v vs %v", a, b)
-	}
-}
-
-// The PF served-rate EWMA the metric divides by must be positive and
-// finite for every UE after a long backlogged run.
-func TestServedRateFiniteAndPositive(t *testing.T) {
-	clk, cell, ues := testCell(t, ProfileCampus, []int{64 << 10, 64 << 10})
-	clk.Run(5 * time.Second)
-	for i, u := range ues {
-		r := cell.soa.ewma[u.id]
-		if !(r > 0) || math.IsInf(r, 0) || math.IsNaN(r) {
-			t.Fatalf("UE %d served-rate EWMA = %g", i, r)
-		}
 	}
 }
 
@@ -308,15 +262,10 @@ func BenchmarkPFSubframe(b *testing.B) {
 				cfg.Profile.Seed = 1
 				cfg.AlwaysPF = true
 				cfg.CapacityStride = 10
-				cell, err := NewCell(clk, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
+				cell := newCell(b, clk, cfg)
 				ues := make([]*UE, n)
 				for i := range ues {
-					if ues[i], err = cell.AddUE(DefaultUEConfig(int64(i+1)), nil); err != nil {
-						b.Fatal(err)
-					}
+					ues[i] = addUE(b, cell, DefaultUEConfig(int64(i+1)), nil)
 				}
 				if !v.advanced {
 					cell.Start()

@@ -112,12 +112,18 @@ func TestBufferCapDrops(t *testing.T) {
 	}
 }
 
+// servedAt runs a started uplink of cfg, its buffer topped up to level
+// bytes every subframe, for d and returns the bits it served.
+func servedAt(t *testing.T, cfg Config, level int, d time.Duration) float64 {
+	clk, u := uplink(t, cfg, nil)
+	fillTo(clk, u, level)
+	clk.Run(d)
+	return u.TotalServedBits()
+}
+
 func TestFig5ThroughputVsBufferLevel(t *testing.T) {
 	measure := func(level int) float64 {
-		clk, u := uplink(t, DefaultConfig(ProfileStrongIdle), nil)
-		fillTo(clk, u, level)
-		clk.Run(20 * time.Second)
-		return u.TotalServedBits() / 20
+		return servedAt(t, DefaultConfig(ProfileStrongIdle), level, 20*time.Second) / 20
 	}
 	low, mid, sat1, sat2 := measure(2*1024), measure(5*1024), measure(12*1024), measure(20*1024)
 	if !(low < mid && mid < sat1) {
@@ -173,12 +179,7 @@ func TestDeterminism(t *testing.T) {
 // A weak signal serves well below a strong one, and a busy cell below an
 // idle one.
 func TestWeakSignalSlower(t *testing.T) {
-	served := func(p CellProfile) float64 {
-		clk, u := uplink(t, DefaultConfig(p), nil)
-		fillTo(clk, u, 20*1024)
-		clk.Run(10 * time.Second)
-		return u.TotalServedBits()
-	}
+	served := func(p CellProfile) float64 { return servedAt(t, DefaultConfig(p), 20*1024, 10*time.Second) }
 	strong, weak, busy := served(ProfileStrongIdle), served(ProfileWeak), served(ProfileBusy)
 	if weak >= strong*0.6 {
 		t.Fatalf("weak signal (%v) should be well below strong (%v)", weak, strong)
@@ -351,13 +352,8 @@ func TestByteConservation(t *testing.T) {
 // Work conservation bound: the uplink can never serve more than ~capacity
 // × time (allowing grant-noise slack).
 func TestServedBoundedByCapacity(t *testing.T) {
-	cfg := DefaultConfig(ProfileStrongIdle)
-	clk, u := uplink(t, cfg, nil)
-	fillTo(clk, u, 64*1024)
-	dur := 30 * time.Second
-	clk.Run(dur)
-	if bound := BaseCapacity(cfg.Profile.RSSdBm) * dur.Seconds() * 1.2; u.TotalServedBits() > bound {
-		t.Fatalf("served %v bits > capacity bound %v", u.TotalServedBits(), bound)
+	if got, bound := servedAt(t, DefaultConfig(ProfileStrongIdle), 64*1024, 30*time.Second), BaseCapacity(ProfileStrongIdle.RSSdBm)*30*1.2; got > bound {
+		t.Fatalf("served %v bits > capacity bound %v", got, bound)
 	}
 }
 

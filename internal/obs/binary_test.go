@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 	"time"
 )
@@ -120,48 +119,13 @@ func FuzzEventBinaryRoundTrip(f *testing.F) {
 		if atNs < 0 { // math.MinInt64
 			atNs = 0
 		}
-		// Canonicalize: unused trailing values are zero by the Emit
-		// contract, and the format does not carry them.
-		vals := [4]float64{a, b, c, d}
-		for i := int(fieldCount[k]); i < 4; i++ {
-			vals[i] = 0
-		}
-		ev := Event{At: time.Duration(atNs), Kind: k, Sub: sub, A: vals[0], B: vals[1], C: vals[2], D: vals[3]}
-
+		// Unused trailing values are zero by the Emit contract, and the
+		// format does not carry them; the values come back bit for bit.
+		ev := canonical(Event{At: time.Duration(atNs), Kind: k, Sub: sub, A: a, B: b, C: c, D: d})
 		var enc EventEncoder
-		buf := AppendBinaryHeader(nil)
-		buf = AppendShardMarker(buf, sub)
-		buf = enc.AppendEvent(buf, &ev)
-
-		var dec EventDecoder
-		rest := buf
-		var got *Event
-		var rec BinRecord
-		for len(rest) > 0 {
-			n, err := dec.Next(rest, &rec)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if rec.Tag == RecEvent {
-				e := rec.Event
-				got = &e
-				if rec.Shard != sub {
-					t.Fatalf("shard %d, want %d", rec.Shard, sub)
-				}
-			}
-			rest = rest[n:]
-		}
-		if got == nil {
-			t.Fatalf("no event decoded")
-		}
-		if got.At != ev.At || got.Kind != ev.Kind || got.Sub != ev.Sub {
-			t.Fatalf("round trip header mismatch: got %+v want %+v", got, ev)
-		}
-		gv := [4]float64{got.A, got.B, got.C, got.D}
-		for i := range vals {
-			if gv[i] != vals[i] && !(math.IsNaN(gv[i]) && math.IsNaN(vals[i])) {
-				t.Fatalf("value %d: got %v want %v", i, gv[i], vals[i])
-			}
+		recs := decodeAll(t, enc.AppendEvent(AppendShardMarker(AppendBinaryHeader(nil), sub), &ev))
+		if len(recs) != 3 || recs[2].Tag != RecEvent || recs[2].Shard != sub || bits(recs[2].Event) != bits(ev) {
+			t.Fatalf("round trip: %+v, want %+v in shard %d", recs, ev, sub)
 		}
 	})
 }

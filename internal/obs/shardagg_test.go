@@ -72,7 +72,6 @@ func TestShardAggMergeDeterministic(t *testing.T) {
 	}
 }
 
-
 func TestShardAggBindTwicePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -134,18 +134,12 @@ func TestFBCCDetector(t *testing.T) {
 
 func TestFBCCBandwidthEstimate(t *testing.T) {
 	f := defFBCC(t)
-	at := time.Duration(0)
-	at = feedDiag(f, at, 1.2e5, levels(10, 5000)...)
-	got := f.BandwidthEstimate()
-	if math.Abs(got-3e6) > 1e3 {
-		t.Fatalf("bandwidth estimate %v, want 3e6", got)
-	}
-}
-
-func TestFBCCBandwidthEstimateEmpty(t *testing.T) {
-	f := defFBCC(t)
 	if f.BandwidthEstimate() != 0 {
 		t.Fatal("empty estimate should be 0")
+	}
+	feedDiag(f, 0, 1.2e5, levels(10, 5000)...) // 1.2e5 bits per 40 ms
+	if got := f.BandwidthEstimate(); math.Abs(got-3e6) > 1e3 {
+		t.Fatalf("bandwidth estimate %v, want 3e6", got)
 	}
 }
 

@@ -76,15 +76,8 @@ func TestWireRoundTrip(t *testing.T) {
 	if !h2.Marker {
 		t.Error("marker clear on the last packet of a frame")
 	}
-}
-
-func TestWireMarshalZeroAlloc(t *testing.T) {
-	pkt, _ := wireTestPacket()
 	buf := make([]byte, 0, WireHeaderLen+MTU)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = pkt.AppendWire(buf[:0], 1)
-	})
-	if allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { buf = pkt.AppendWire(buf[:0], 1) }); allocs != 0 {
 		t.Fatalf("AppendWire on a warm buffer: %v allocs/op, want 0", allocs)
 	}
 }

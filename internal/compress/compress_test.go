@@ -266,16 +266,18 @@ func TestMismatchEstimator(t *testing.T) {
 		// M is the window's mean.
 		{"window mean", time.Second, []seg{{1, 0, 0, c, LMin, 100 * ms, is(100 * ms)}, {1, 33 * ms, 0, c, LMin, 300 * ms, is(200 * ms)}}},
 	} {
-		e := NewMismatchEstimator(g, r.window)
-		for k, sg := range r.segs {
-			var m time.Duration
-			for i := 0; i < sg.n; i++ {
-				m = e.Observe(sg.start+time.Duration(i)*sg.step, sg.roi, sg.level, sg.dv)
+		t.Run(r.name, func(t *testing.T) {
+			e := NewMismatchEstimator(g, r.window)
+			for k, sg := range r.segs {
+				var m time.Duration
+				for i := 0; i < sg.n; i++ {
+					m = e.Observe(sg.start+time.Duration(i)*sg.step, sg.roi, sg.level, sg.dv)
+				}
+				if sg.ok != nil && !sg.ok(m) {
+					t.Fatalf("%s: segment %d leaves M = %v", r.name, k, m)
+				}
 			}
-			if sg.ok != nil && !sg.ok(m) {
-				t.Fatalf("%s: segment %d leaves M = %v", r.name, k, m)
-			}
-		}
+		})
 	}
 }
 
@@ -286,14 +288,16 @@ func TestBadArgsPanic(t *testing.T) {
 		"NewFixed C=0.9":             func() { NewFixed(g, 0.9) },
 		"NewMismatchEstimator(g, 0)": func() { NewMismatchEstimator(g, 0) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
+		t.Run(name, func(t *testing.T) {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s did not panic", name)
+					}
+				}()
+				fn()
 			}()
-			fn()
-		}()
+		})
 	}
 }
 

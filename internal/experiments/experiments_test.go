@@ -158,17 +158,19 @@ func TestTablesRender(t *testing.T) {
 	o := quickOpts()
 	o.Users = 1
 	for _, e := range []Experiment{Fig17ab, Fig17cd, Fig17ef, AblationNoModeSwitch, AblationFBCCK, AblationNoRTPLoop, AblationHold} {
-		rep, err := e.Run(o)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-		if strings.HasPrefix(e.ID, "abl") {
-			if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) < 2 {
-				t.Fatalf("%s produced no comparison rows", e.ID)
+		t.Run(e.ID, func(t *testing.T) {
+			rep, err := e.Run(o)
+			if err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
 			}
-		} else if out := rep.Tables[0].String(); len(rep.Tables) != 2 || !strings.Contains(out, "%") {
-			t.Fatalf("%s: %d tables, the first lacking percentages:\n%s", e.ID, len(rep.Tables), out)
-		}
+			if strings.HasPrefix(e.ID, "abl") {
+				if len(rep.Tables) == 0 || len(rep.Tables[0].Rows) < 2 {
+					t.Fatalf("%s produced no comparison rows", e.ID)
+				}
+			} else if out := rep.Tables[0].String(); len(rep.Tables) != 2 || !strings.Contains(out, "%") {
+				t.Fatalf("%s: %d tables, the first lacking percentages:\n%s", e.ID, len(rep.Tables), out)
+			}
+		})
 	}
 }
 

@@ -12,16 +12,23 @@ import (
 // Five users with distinct names, each found by UserByName; an unknown
 // name errs.
 func TestUsers(t *testing.T) {
-	seen := map[string]bool{}
-	for _, p := range Users {
-		if got, err := UserByName(p.Name); err != nil || got.Name != p.Name || seen[p.Name] {
-			t.Fatalf("UserByName(%q) = %q, %v (a duplicate: %v)", p.Name, got.Name, err, seen[p.Name])
+	t.Run("FiveDistinct", func(t *testing.T) {
+		seen := map[string]bool{}
+		for _, p := range Users {
+			if got, err := UserByName(p.Name); err != nil || got.Name != p.Name || seen[p.Name] {
+				t.Fatalf("UserByName(%q) = %q, %v (a duplicate: %v)", p.Name, got.Name, err, seen[p.Name])
+			}
+			seen[p.Name] = true
 		}
-		seen[p.Name] = true
-	}
-	if _, err := UserByName("nobody"); err == nil || len(Users) != 5 {
-		t.Fatalf("%d users; an unknown user gave error %v", len(Users), err)
-	}
+		if len(Users) != 5 {
+			t.Fatalf("%d users, want 5", len(Users))
+		}
+	})
+	t.Run("UnknownErrs", func(t *testing.T) {
+		if _, err := UserByName("nobody"); err == nil {
+			t.Fatal("an unknown user gave no error")
+		}
+	})
 }
 
 // A stochastic trace is a pure function of its seed, and another seed

@@ -30,13 +30,15 @@ func TestPredictor(t *testing.T) {
 		// 89° + 9°, inside the horizon: clamped at the pole.
 		{"pitch clamped", []sample{{0, 0, 80}, {100, 0, 89}}, 200, projection.Orientation{Pitch: 90}},
 	} {
-		p := NewPredictor()
-		for _, s := range r.samples {
-			p.Observe(time.Duration(s.ms*float64(time.Millisecond)), projection.Orientation{Yaw: s.yaw, Pitch: s.pitch})
-		}
-		got := p.Predict(time.Duration(r.targetMs * float64(time.Millisecond)))
-		if math.Abs(got.Yaw-r.want.Yaw) > 1e-9 || math.Abs(got.Pitch-r.want.Pitch) > 1e-9 {
-			t.Fatalf("%s: predicted %+v, want %+v", r.name, got, r.want)
-		}
+		t.Run(r.name, func(t *testing.T) {
+			p := NewPredictor()
+			for _, s := range r.samples {
+				p.Observe(time.Duration(s.ms*float64(time.Millisecond)), projection.Orientation{Yaw: s.yaw, Pitch: s.pitch})
+			}
+			got := p.Predict(time.Duration(r.targetMs * float64(time.Millisecond)))
+			if math.Abs(got.Yaw-r.want.Yaw) > 1e-9 || math.Abs(got.Pitch-r.want.Pitch) > 1e-9 {
+				t.Fatalf("predicted %+v, want %+v", got, r.want)
+			}
+		})
 	}
 }

@@ -48,29 +48,37 @@ func served(t *testing.T, prof CellProfile, d time.Duration, levels ...int) (bit
 // with 30 % slack for the capacity process) and at least 30 % of it; and
 // a multi-UE cell is a pure function of its configuration.
 func TestPFCell(t *testing.T) {
-	bits, ewma := served(t, ProfileCampus, 30*time.Second, 64<<10, 64<<10)
-	if r := bits[0] / bits[1]; bits[0] <= 0 || bits[1] <= 0 || r < 0.9 || r > 1.1 {
-		t.Fatalf("unfair split between identical UEs: %v", bits)
-	}
-	for i, e := range ewma {
-		if !(e > 0) || math.IsInf(e, 0) {
-			t.Fatalf("UE %d served-rate EWMA = %g", i, e)
+	t.Run("EqualBackloggedSharesConverge", func(t *testing.T) {
+		bits, ewma := served(t, ProfileCampus, 30*time.Second, 64<<10, 64<<10)
+		if r := bits[0] / bits[1]; bits[0] <= 0 || bits[1] <= 0 || r < 0.9 || r > 1.1 {
+			t.Fatalf("unfair split between identical UEs: %v", bits)
 		}
-	}
-	low, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 2<<10)
-	high, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 20<<10)
-	if high[1] <= low[1]*1.5 {
-		t.Fatalf("served rate did not grow with own buffer: low=%g high=%g", low[1], high[1])
-	}
-	four, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 64<<10, 64<<10, 64<<10)
-	budget := BaseCapacity(ProfileCampus.RSSdBm) * (1 - ProfileCampus.BackgroundLoad) * 20 * 1.3
-	if total := four[0] + four[1] + four[2] + four[3]; total > budget || total < budget*0.3 {
-		t.Fatalf("cell served %g bits, budget %g", total, budget)
-	}
-	a, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10)
-	if b, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10); !reflect.DeepEqual(a, b) {
-		t.Fatalf("nondeterministic cell: %v vs %v", a, b)
-	}
+		for i, e := range ewma {
+			if !(e > 0) || math.IsInf(e, 0) {
+				t.Fatalf("UE %d served-rate EWMA = %g", i, e)
+			}
+		}
+	})
+	t.Run("ServiceGrowsWithOwnBuffer", func(t *testing.T) {
+		low, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 2<<10)
+		high, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 20<<10)
+		if high[1] <= low[1]*1.5 {
+			t.Fatalf("served rate did not grow with own buffer: low=%g high=%g", low[1], high[1])
+		}
+	})
+	t.Run("ConservesCapacity", func(t *testing.T) {
+		four, _ := served(t, ProfileCampus, 20*time.Second, 64<<10, 64<<10, 64<<10, 64<<10)
+		budget := BaseCapacity(ProfileCampus.RSSdBm) * (1 - ProfileCampus.BackgroundLoad) * 20 * 1.3
+		if total := four[0] + four[1] + four[2] + four[3]; total > budget || total < budget*0.3 {
+			t.Fatalf("cell served %g bits, budget %g", total, budget)
+		}
+	})
+	t.Run("Deterministic", func(t *testing.T) {
+		a, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10)
+		if b, _ := served(t, ProfileModerate, 10*time.Second, 64<<10, 8<<10, 24<<10); !reflect.DeepEqual(a, b) {
+			t.Fatalf("nondeterministic cell: %v vs %v", a, b)
+		}
+	})
 }
 
 // Handover support on an advanced cell, which every event that touches
@@ -125,12 +133,14 @@ func TestCellHandover(t *testing.T) {
 		t.Fatalf("served bits %v: the surviving incumbent should out-serve the half-session UE and the late joiner", served)
 	}
 
-	started := newCell(t, simclock.New(), cfg)
-	addUE(t, started, DefaultUEConfig(1000), nil)
-	started.Start()
-	if _, err := started.AddUE(DefaultUEConfig(2000), nil); err == nil {
-		t.Fatal("a started cell admitted a UE")
-	}
+	t.Run("StartedRefusesAddUE", func(t *testing.T) {
+		started := newCell(t, simclock.New(), cfg)
+		addUE(t, started, DefaultUEConfig(1000), nil)
+		started.Start()
+		if _, err := started.AddUE(DefaultUEConfig(2000), nil); err == nil {
+			t.Fatal("a started cell admitted a UE")
+		}
+	})
 }
 
 // TestDetachRecyclesQueue: DetachUE empties the row's firmware queue —
@@ -380,13 +390,14 @@ func TestRowReuseAllocFree(t *testing.T) {
 // and DetachUE after Start.
 func TestCellDrivenOneWay(t *testing.T) {
 	mustPanic := func(what string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", what)
-			}
-		}()
-		fn()
+		t.Run(what, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			fn()
+		})
 	}
 	cfg := CellConfig{Profile: ProfileCampus, AlwaysPF: true}
 	advanced := newCell(t, simclock.New(), cfg)

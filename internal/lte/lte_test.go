@@ -19,18 +19,22 @@ func TestBaseCapacityAnchors(t *testing.T) {
 			t.Errorf("BaseCapacity(%v) = %v, want %v", c.rss, got, c.want)
 		}
 	}
-	if BaseCapacity(-200) != BaseCapacity(-120) || BaseCapacity(0) != BaseCapacity(-60) {
-		t.Fatal("BaseCapacity does not clamp")
-	}
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return true
+	t.Run("Clamps", func(t *testing.T) {
+		if BaseCapacity(-200) != BaseCapacity(-120) || BaseCapacity(0) != BaseCapacity(-60) {
+			t.Fatal("BaseCapacity does not clamp")
 		}
-		return BaseCapacity(min(a, b)) <= BaseCapacity(max(a, b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatalf("BaseCapacity not monotone: %v", err)
-	}
+	})
+	t.Run("Monotone", func(t *testing.T) {
+		f := func(a, b float64) bool {
+			if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+				return true
+			}
+			return BaseCapacity(min(a, b)) <= BaseCapacity(max(a, b))
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatalf("BaseCapacity not monotone: %v", err)
+		}
+	})
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -293,27 +297,32 @@ func TestFaultDiagStallSuppressesReports(t *testing.T) {
 // but it accumulates across subframes while the buffer is non-empty (the
 // behaviour the credit exists for).
 func TestUplinkCredit(t *testing.T) {
-	_, u := uplink(t, DefaultConfig(ProfileStrongIdle), nil)
-	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(100*8+7, 0) // 100 bytes + 7 bits of fractional credit
-	if u.BufferBytes() != 0 || u.ue.credit != 0 {
-		t.Fatalf("after the drain: %d bytes buffered, credit %v; want 0 and 0", u.BufferBytes(), u.ue.credit)
-	}
-	before := u.TotalServedBits()
-	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(100*8, 0)
-	if got := u.TotalServedBits() - before; got != 800 || u.ue.credit != 0 {
-		t.Fatalf("second busy period served %v bits leaving credit %v, want exactly 800 and 0", got, u.ue.credit)
-	}
-	u.Enqueue(Packet{Bytes: 100})
-	u.ue.serve(4, 0) // half a byte
-	if u.ue.credit != 0.5 {
-		t.Fatalf("credit = %v, want 0.5", u.ue.credit)
-	}
-	u.ue.serve(4, 0) // second half → one whole byte served
-	if u.ue.credit != 0 || u.BufferBytes() != 99 {
-		t.Fatalf("credit %v, buffer %d; want 0 and 99 after the byte completes", u.ue.credit, u.BufferBytes())
-	}
+	t.Run("ClearedOnDrain", func(t *testing.T) {
+		_, u := uplink(t, DefaultConfig(ProfileStrongIdle), nil)
+		u.Enqueue(Packet{Bytes: 100})
+		u.ue.serve(100*8+7, 0) // 100 bytes + 7 bits of fractional credit
+		if u.BufferBytes() != 0 || u.ue.credit != 0 {
+			t.Fatalf("after the drain: %d bytes buffered, credit %v; want 0 and 0", u.BufferBytes(), u.ue.credit)
+		}
+		before := u.TotalServedBits()
+		u.Enqueue(Packet{Bytes: 100})
+		u.ue.serve(100*8, 0)
+		if got := u.TotalServedBits() - before; got != 800 || u.ue.credit != 0 {
+			t.Fatalf("second busy period served %v bits leaving credit %v, want exactly 800 and 0", got, u.ue.credit)
+		}
+	})
+	t.Run("AccumulatesWhileBusy", func(t *testing.T) {
+		_, u := uplink(t, DefaultConfig(ProfileStrongIdle), nil)
+		u.Enqueue(Packet{Bytes: 100})
+		u.ue.serve(4, 0) // half a byte
+		if u.ue.credit != 0.5 {
+			t.Fatalf("credit = %v, want 0.5", u.ue.credit)
+		}
+		u.ue.serve(4, 0) // second half → one whole byte served
+		if u.ue.credit != 0 || u.BufferBytes() != 99 {
+			t.Fatalf("credit %v, buffer %d; want 0 and 99 after the byte completes", u.ue.credit, u.BufferBytes())
+		}
+	})
 }
 
 // Conservation: enqueued bytes = delivered + still buffered + the head

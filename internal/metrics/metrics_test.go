@@ -29,35 +29,47 @@ func TestMOSForPSNRTable1(t *testing.T) {
 // MOS names, the MOS PDF (empty: all zero), the summary statistics,
 // percentiles (monotone; NaN when empty) and the empirical CDF.
 func TestSummaries(t *testing.T) {
-	if Excellent.String() != "Excellent" || Bad.String() != "Bad" || MOS(42).String() != "MOS(42)" {
-		t.Fatal("MOS names wrong")
-	}
-	pdf := MOSPDF([]float64{40, 35, 28, 22, 10, 39})
-	if sum := pdf[0] + pdf[1] + pdf[2] + pdf[3] + pdf[4]; math.Abs(sum-1) > 1e-12 || pdf[Excellent] != 2.0/6 || pdf[Bad] != 1.0/6 {
-		t.Fatalf("pdf = %v", pdf)
-	}
-	if MOSPDF(nil) != [5]float64{} || Summarize(nil).N != 0 || CDF(nil) != nil {
-		t.Fatal("empty PDF, summary or CDF not zero")
-	}
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 || math.Abs(s.Std-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("%+v", s)
-	}
-	s = Summarize([]float64{5, 1, 9, 3, 7, 2})
-	if !(s.P10 <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.P90 && s.P90 <= s.P99) {
-		t.Fatalf("percentiles not monotone: %+v", s)
-	}
-	xs := []float64{10, 20, 30, 40}
-	if Percentile(xs, 0) != 10 || Percentile(xs, 1) != 40 || Percentile(xs, 0.5) != 25 || !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("Percentile wrong")
-	}
-	if pts := CDF([]float64{3, 1, 2}); len(pts) != 3 || pts[0].X != 1 || math.Abs(pts[0].P-1.0/3) > 1e-12 || pts[2].X != 3 || pts[2].P != 1 {
-		t.Fatalf("CDF %+v", pts)
-	}
-	xs = []float64{1, 2, 3, 4}
-	if CDFAt(xs, 2.5) != 0.5 || CDFAt(xs, 0) != 0 || !math.IsNaN(CDFAt(nil, 1)) {
-		t.Fatal("CDFAt wrong")
-	}
+	t.Run("MOSString", func(t *testing.T) {
+		if Excellent.String() != "Excellent" || Bad.String() != "Bad" || MOS(42).String() != "MOS(42)" {
+			t.Fatal("MOS names wrong")
+		}
+	})
+	t.Run("MOSPDFSumsToOne", func(t *testing.T) {
+		pdf := MOSPDF([]float64{40, 35, 28, 22, 10, 39})
+		if sum := pdf[0] + pdf[1] + pdf[2] + pdf[3] + pdf[4]; math.Abs(sum-1) > 1e-12 || pdf[Excellent] != 2.0/6 || pdf[Bad] != 1.0/6 {
+			t.Fatalf("pdf = %v", pdf)
+		}
+	})
+	t.Run("Empty", func(t *testing.T) {
+		if MOSPDF(nil) != [5]float64{} || Summarize(nil).N != 0 || CDF(nil) != nil {
+			t.Fatal("empty PDF, summary or CDF not zero")
+		}
+	})
+	t.Run("Summarize", func(t *testing.T) {
+		s := Summarize([]float64{1, 2, 3, 4, 5})
+		if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 || math.Abs(s.Std-math.Sqrt(2)) > 1e-12 {
+			t.Fatalf("%+v", s)
+		}
+		s = Summarize([]float64{5, 1, 9, 3, 7, 2})
+		if !(s.P10 <= s.P25 && s.P25 <= s.Median && s.Median <= s.P75 && s.P75 <= s.P90 && s.P90 <= s.P99) {
+			t.Fatalf("percentiles not monotone: %+v", s)
+		}
+	})
+	t.Run("Percentile", func(t *testing.T) {
+		xs := []float64{10, 20, 30, 40}
+		if Percentile(xs, 0) != 10 || Percentile(xs, 1) != 40 || Percentile(xs, 0.5) != 25 || !math.IsNaN(Percentile(nil, 0.5)) {
+			t.Fatal("Percentile wrong")
+		}
+	})
+	t.Run("CDF", func(t *testing.T) {
+		if pts := CDF([]float64{3, 1, 2}); len(pts) != 3 || pts[0].X != 1 || math.Abs(pts[0].P-1.0/3) > 1e-12 || pts[2].X != 3 || pts[2].P != 1 {
+			t.Fatalf("CDF %+v", pts)
+		}
+		xs := []float64{1, 2, 3, 4}
+		if CDFAt(xs, 2.5) != 0.5 || CDFAt(xs, 0) != 0 || !math.IsNaN(CDFAt(nil, 1)) {
+			t.Fatal("CDFAt wrong")
+		}
+	})
 }
 
 // The 2 s window std of 33 ms samples is zero on a constant series and
@@ -70,16 +82,25 @@ func TestWindowStd(t *testing.T) {
 		flat = append(flat, TimedSample{At: at, V: 7})
 		osc = append(osc, TimedSample{At: at, V: float64(1 + 8*(1-i%2))})
 	}
-	if sf, so := Summarize(WindowStd(flat, 2*time.Second)), Summarize(WindowStd(osc, 2*time.Second)); sf.Max != 0 || so.Mean <= 1 {
-		t.Fatalf("window std: constant series up to %v, oscillating mean %v", sf.Max, so.Mean)
-	}
-	samples := []TimedSample{{At: 0, V: 100}}
-	for i := 1; i <= 100; i++ {
-		samples = append(samples, TimedSample{At: time.Duration(i) * 100 * time.Millisecond, V: 1})
-	}
-	if out := WindowStd(samples, 2*time.Second); out[10] == 0 || out[50] != 0 {
-		t.Fatalf("window std at 1 s %v (want > 0), at 5 s %v (want 0)", out[10], out[50])
-	}
+	t.Run("ConstantIsZero", func(t *testing.T) {
+		if sf := Summarize(WindowStd(flat, 2*time.Second)); sf.Max != 0 {
+			t.Fatalf("window std of a constant series up to %v", sf.Max)
+		}
+	})
+	t.Run("DetectsOscillation", func(t *testing.T) {
+		if so := Summarize(WindowStd(osc, 2*time.Second)); so.Mean <= 1 {
+			t.Fatalf("window std of an oscillating series has mean %v", so.Mean)
+		}
+	})
+	t.Run("RespectsWindow", func(t *testing.T) {
+		samples := []TimedSample{{At: 0, V: 100}}
+		for i := 1; i <= 100; i++ {
+			samples = append(samples, TimedSample{At: time.Duration(i) * 100 * time.Millisecond, V: 1})
+		}
+		if out := WindowStd(samples, 2*time.Second); out[10] == 0 || out[50] != 0 {
+			t.Fatalf("window std at 1 s %v (want > 0), at 5 s %v (want 0)", out[10], out[50])
+		}
+	})
 }
 
 func TestRunningMatchesSummarize(t *testing.T) {

@@ -147,28 +147,30 @@ func TestTransports(t *testing.T) {
 			return c
 		},
 	} {
-		clk := simclock.New()
-		var fwd, rev []any
-		tr := build(clk, func(p any) {
-			fwd = append(fwd, p)
-			oneWay[k] = clk.Now()
-		}, func(p any) { rev = append(rev, p) })
-		diags := 0
-		tr.SetDiagListener(func(lte.DiagReport) { diags++ })
-		if !tr.Send(1200, "media") {
-			t.Fatal("send rejected")
-		}
-		tr.SendFeedback("fb")
-		clk.Run(time.Second)
-		if len(fwd) != 1 || fwd[0] != "media" || len(rev) != 1 || rev[0] != "fb" || diags != 25*k {
-			t.Fatalf("transport %d: forward %v, reverse %v, %d diag reports", k, fwd, rev, diags)
-		}
-		if w, ok := tr.(*Wireline); ok && w.q.bytes != 0 {
-			t.Fatal("wireline queue should have drained")
-		}
-		if c, ok := tr.(*Cellular); ok && c.UE.BufferBytes() != 0 {
-			t.Fatal("cellular buffer should be empty")
-		}
+		t.Run([]string{"wireline", "cellular"}[k], func(t *testing.T) {
+			clk := simclock.New()
+			var fwd, rev []any
+			tr := build(clk, func(p any) {
+				fwd = append(fwd, p)
+				oneWay[k] = clk.Now()
+			}, func(p any) { rev = append(rev, p) })
+			diags := 0
+			tr.SetDiagListener(func(lte.DiagReport) { diags++ })
+			if !tr.Send(1200, "media") {
+				t.Fatal("send rejected")
+			}
+			tr.SendFeedback("fb")
+			clk.Run(time.Second)
+			if len(fwd) != 1 || fwd[0] != "media" || len(rev) != 1 || rev[0] != "fb" || diags != 25*k {
+				t.Fatalf("transport %d: forward %v, reverse %v, %d diag reports", k, fwd, rev, diags)
+			}
+			if w, ok := tr.(*Wireline); ok && w.q.bytes != 0 {
+				t.Fatal("wireline queue should have drained")
+			}
+			if c, ok := tr.(*Cellular); ok && c.UE.BufferBytes() != 0 {
+				t.Fatal("cellular buffer should be empty")
+			}
+		})
 	}
 	if oneWay[0] >= oneWay[1] || CellularPath.NominalRTT() <= WirelinePath.NominalRTT() {
 		t.Fatalf("wireline %v should beat cellular %v, and its nominal RTT too", oneWay[0], oneWay[1])

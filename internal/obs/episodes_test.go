@@ -84,22 +84,24 @@ func TestEpisodes(t *testing.T) {
 			nil, nil, &EpisodeStats{}},
 	}
 	for _, r := range rows {
-		eps := Episodes(r.events)
-		var tr EpisodeTracker
-		for i := range r.events {
-			tr.Observe(&r.events[i])
-		}
-		if !reflect.DeepEqual(eps, r.want) || !reflect.DeepEqual(tr.Episodes(), eps) {
-			t.Fatalf("%s: episodes\n got %+v\nwant %+v\nstreamed %+v", r.name, eps, r.want, tr.Episodes())
-		}
-		for i, e := range eps {
-			if got := [2]time.Duration{e.Duration(), e.Held()}; got != r.times[i] {
-				t.Fatalf("%s: episode %d Duration, Held %v, want %v", r.name, i, got, r.times[i])
+		t.Run(r.name, func(t *testing.T) {
+			eps := Episodes(r.events)
+			var tr EpisodeTracker
+			for i := range r.events {
+				tr.Observe(&r.events[i])
 			}
-		}
-		if st := SummarizeEpisodes(eps); r.stats != nil && st != *r.stats {
-			t.Fatalf("%s: summary %+v, want %+v", r.name, st, *r.stats)
-		}
+			if !reflect.DeepEqual(eps, r.want) || !reflect.DeepEqual(tr.Episodes(), eps) {
+				t.Fatalf("%s: episodes\n got %+v\nwant %+v\nstreamed %+v", r.name, eps, r.want, tr.Episodes())
+			}
+			for i, e := range eps {
+				if got := [2]time.Duration{e.Duration(), e.Held()}; got != r.times[i] {
+					t.Fatalf("%s: episode %d Duration, Held %v, want %v", r.name, i, got, r.times[i])
+				}
+			}
+			if st := SummarizeEpisodes(eps); r.stats != nil && st != *r.stats {
+				t.Fatalf("%s: summary %+v, want %+v", r.name, st, *r.stats)
+			}
+		})
 	}
 }
 

@@ -35,29 +35,35 @@ func TestNilSafety(t *testing.T) {
 func TestBus(t *testing.T) {
 	b := NewBus()
 	p := b.Probe(3)
-	p.Emit(10*time.Millisecond, FrameEncode, 1, 2e6, 30000, 0)
-	p.Emit(20*time.Millisecond, FBCCTrigger, 15000, 9000, 11, 0)
-	p.Emit(30*time.Millisecond, FBCCTrigger, 16000, 9100, 12, 0)
-	p.With(4).Emit(40*time.Millisecond, LTEGrant, 5000, 2048, 1.5, 0)
-	want := []Event{{At: 10 * time.Millisecond, Kind: FrameEncode, Sub: 3, A: 1, B: 2e6, C: 30000},
-		{At: 20 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 15000, B: 9000, C: 11},
-		{At: 30 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 16000, B: 9100, C: 12},
-		{At: 40 * time.Millisecond, Kind: LTEGrant, Sub: 4, A: 5000, B: 2048, C: 1.5}}
-	firstDiff(t, "event", b.Events(), want)
-	if b.Len() != 4 || b.Count(FBCCTrigger) != 2 || b.Count(FrameEncode) != 1 || b.Hist(LTEGrant).N() != 1 {
-		t.Fatalf("Len %d, counts %d/%d, %d grants histogrammed", b.Len(), b.Count(FBCCTrigger), b.Count(FrameEncode), b.Hist(LTEGrant).N())
-	}
-	b.SetGauge("g", 42)
-	b.Reset()
-	if b.Len() != 0 || b.Count(FrameEncode) != 1 {
-		t.Fatalf("Reset left %d events and %d frame.encode counted; want 0 and 1", b.Len(), b.Count(FrameEncode))
-	}
-	c := NewBus()
-	p.Rebind(c)
-	p.Emit(50*time.Millisecond, FrameEncode, 4, 5, 6, 0)
-	if b.Len() != 0 || c.Len() != 1 || c.Events()[0].Sub != 3 || c.Events()[0].A != 4 {
-		t.Fatalf("rebound probe: old bus %d events, new bus %v", b.Len(), c.Events())
-	}
+	t.Run("RecordsAndCounts", func(t *testing.T) {
+		p.Emit(10*time.Millisecond, FrameEncode, 1, 2e6, 30000, 0)
+		p.Emit(20*time.Millisecond, FBCCTrigger, 15000, 9000, 11, 0)
+		p.Emit(30*time.Millisecond, FBCCTrigger, 16000, 9100, 12, 0)
+		p.With(4).Emit(40*time.Millisecond, LTEGrant, 5000, 2048, 1.5, 0)
+		want := []Event{{At: 10 * time.Millisecond, Kind: FrameEncode, Sub: 3, A: 1, B: 2e6, C: 30000},
+			{At: 20 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 15000, B: 9000, C: 11},
+			{At: 30 * time.Millisecond, Kind: FBCCTrigger, Sub: 3, A: 16000, B: 9100, C: 12},
+			{At: 40 * time.Millisecond, Kind: LTEGrant, Sub: 4, A: 5000, B: 2048, C: 1.5}}
+		firstDiff(t, "event", b.Events(), want)
+		if b.Len() != 4 || b.Count(FBCCTrigger) != 2 || b.Count(FrameEncode) != 1 || b.Hist(LTEGrant).N() != 1 {
+			t.Fatalf("Len %d, counts %d/%d, %d grants histogrammed", b.Len(), b.Count(FBCCTrigger), b.Count(FrameEncode), b.Hist(LTEGrant).N())
+		}
+	})
+	t.Run("Reset", func(t *testing.T) {
+		b.SetGauge("g", 42)
+		b.Reset()
+		if b.Len() != 0 || b.Count(FrameEncode) != 1 {
+			t.Fatalf("Reset left %d events and %d frame.encode counted; want 0 and 1", b.Len(), b.Count(FrameEncode))
+		}
+	})
+	t.Run("ProbeRebind", func(t *testing.T) {
+		c := NewBus()
+		p.Rebind(c)
+		p.Emit(50*time.Millisecond, FrameEncode, 4, 5, 6, 0)
+		if b.Len() != 0 || c.Len() != 1 || c.Events()[0].Sub != 3 || c.Events()[0].A != 4 {
+			t.Fatalf("rebound probe: old bus %d events, new bus %v", b.Len(), c.Events())
+		}
+	})
 }
 
 // TestKindMetadata: names are unique and dotted, round-trip through

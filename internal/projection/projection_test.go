@@ -11,31 +11,39 @@ import (
 // are inverse on its tiles, and so are TileAt and Center.
 func TestGridIndexing(t *testing.T) {
 	g := DefaultGrid
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []Grid{{0, 8}, {12, 0}, {-1, -1}} {
-		if bad.Validate() == nil {
-			t.Fatalf("grid %+v validated", bad)
+	t.Run("Validate", func(t *testing.T) {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for idx := 0; idx < g.Tiles(); idx++ {
-		tl := g.TileByIndex(idx)
-		if !g.Contains(tl) || g.Index(tl) != idx || g.TileAt(g.Center(tl)) != tl {
-			t.Fatalf("tile %d is %v: contained %v, Index %d, TileAt(Center) %v", idx, tl, g.Contains(tl), g.Index(tl), g.TileAt(g.Center(tl)))
+		for _, bad := range []Grid{{0, 8}, {12, 0}, {-1, -1}} {
+			if bad.Validate() == nil {
+				t.Fatalf("grid %+v validated", bad)
+			}
 		}
-	}
+	})
+	t.Run("RoundTrips", func(t *testing.T) {
+		for idx := 0; idx < g.Tiles(); idx++ {
+			tl := g.TileByIndex(idx)
+			if !g.Contains(tl) || g.Index(tl) != idx || g.TileAt(g.Center(tl)) != tl {
+				t.Fatalf("tile %d is %v: contained %v, Index %d, TileAt(Center) %v", idx, tl, g.Contains(tl), g.Index(tl), g.TileAt(g.Center(tl)))
+			}
+		}
+	})
 }
 
 func TestNormalizeYawAndClampPitch(t *testing.T) {
-	for _, c := range []struct{ in, want float64 }{{0, 0}, {360, 0}, {-90, 270}, {450, 90}, {720.5, 0.5}} {
-		if got := NormalizeYaw(c.in); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("NormalizeYaw(%v) = %v, want %v", c.in, got, c.want)
+	t.Run("NormalizeYaw", func(t *testing.T) {
+		for _, c := range []struct{ in, want float64 }{{0, 0}, {360, 0}, {-90, 270}, {450, 90}, {720.5, 0.5}} {
+			if got := NormalizeYaw(c.in); math.Abs(got-c.want) > 1e-9 {
+				t.Errorf("NormalizeYaw(%v) = %v, want %v", c.in, got, c.want)
+			}
 		}
-	}
-	if ClampPitch(120) != 90 || ClampPitch(-120) != -90 || ClampPitch(10) != 10 {
-		t.Fatal("ClampPitch wrong")
-	}
+	})
+	t.Run("ClampPitch", func(t *testing.T) {
+		if ClampPitch(120) != 90 || ClampPitch(-120) != -90 || ClampPitch(10) != 10 {
+			t.Fatal("ClampPitch wrong")
+		}
+	})
 }
 
 func TestTileAtCorners(t *testing.T) {
@@ -101,17 +109,19 @@ func TestAngularDistance(t *testing.T) {
 // tiles on both frame edges (the box wraps in yaw), but not every tile.
 func TestVisibleTiles(t *testing.T) {
 	g := DefaultGrid
-	for _, o := range []Orientation{{Yaw: 45, Pitch: 10}, {Yaw: 2, Pitch: 0}} {
-		vis := g.VisibleTiles(o, DefaultFoV)
-		center, left, right := false, false, false
-		for _, tl := range vis {
-			center = center || tl == g.TileAt(o)
-			left = left || tl.I == 0
-			right = right || tl.I == g.W-1
-		}
-		if !center || len(vis) >= g.Tiles() || o.Yaw == 2 && !(left && right) {
-			t.Fatalf("%+v: visible %v (centre %v, left edge %v, right edge %v)", o, vis, center, left, right)
-		}
+	for name, o := range map[string]Orientation{"IncludesCenter": {Yaw: 45, Pitch: 10}, "WrapAround": {Yaw: 2, Pitch: 0}} {
+		t.Run(name, func(t *testing.T) {
+			vis := g.VisibleTiles(o, DefaultFoV)
+			center, left, right := false, false, false
+			for _, tl := range vis {
+				center = center || tl == g.TileAt(o)
+				left = left || tl.I == 0
+				right = right || tl.I == g.W-1
+			}
+			if !center || len(vis) >= g.Tiles() || o.Yaw == 2 && !(left && right) {
+				t.Fatalf("%+v: visible %v (centre %v, left edge %v, right edge %v)", o, vis, center, left, right)
+			}
+		})
 	}
 }
 

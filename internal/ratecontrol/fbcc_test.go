@@ -107,28 +107,30 @@ func TestFBCCDetector(t *testing.T) {
 		{"an isolated dip is tolerated", 0, levels(50, 1000), isolated, true, -1, 0},
 		{"growth below Γ", 0, levels(100, 50000), ramp(100, 10, 15), false, 0, 0},
 	} {
-		cfg := DefaultFBCCConfig(150 * time.Millisecond)
-		if r.k > 0 {
-			cfg.K = r.k
-		}
-		f, err := NewFBCC(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at := feedDiag(f, 0, 1.6e5, r.warm...)
-		if f.congested {
-			t.Fatalf("%s: the flat warm-up congested", r.name)
-		}
-		streak := 0
-		for _, b := range r.tape {
-			at = feedDiag(f, at, 1.6e5, b)
-			streak = max(streak, f.streak)
-		}
-		if f.congested != r.congested || r.overuses >= 0 && f.Overuses() != r.overuses || r.overuses < 0 && f.Overuses() == 0 ||
-			r.streak > 0 && streak != r.streak {
-			t.Fatalf("%s: congested %v, %d overuses, longest streak %d; want %v, %d, %d", r.name, f.congested, f.Overuses(), streak,
-				r.congested, r.overuses, r.streak)
-		}
+		t.Run(r.name, func(t *testing.T) {
+			cfg := DefaultFBCCConfig(150 * time.Millisecond)
+			if r.k > 0 {
+				cfg.K = r.k
+			}
+			f, err := NewFBCC(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := feedDiag(f, 0, 1.6e5, r.warm...)
+			if f.congested {
+				t.Fatalf("%s: the flat warm-up congested", r.name)
+			}
+			streak := 0
+			for _, b := range r.tape {
+				at = feedDiag(f, at, 1.6e5, b)
+				streak = max(streak, f.streak)
+			}
+			if f.congested != r.congested || r.overuses >= 0 && f.Overuses() != r.overuses || r.overuses < 0 && f.Overuses() == 0 ||
+				r.streak > 0 && streak != r.streak {
+				t.Fatalf("%s: congested %v, %d overuses, longest streak %d; want %v, %d, %d", r.name, f.congested, f.Overuses(), streak,
+					r.congested, r.overuses, r.streak)
+			}
+		})
 	}
 }
 

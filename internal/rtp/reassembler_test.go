@@ -55,32 +55,34 @@ func TestReassemblerTapes(t *testing.T) {
 		{"interleaved reorder", []pkt{{0, 2, 0}, {1, 2, 1}, {1, 2, 0}, {0, 2, 1}}, []int{1}, [4]int64{1, 0, 1, 1}, []float64{2 * MTU * 8}, []float64{33}},
 	}
 	for _, r := range rows {
-		var done []CompletedFrame
-		clk := simclock.New()
-		re := NewReassembler(clk, func(cf CompletedFrame) {
-			if cf.Arrived != clk.Now() {
-				t.Fatalf("%s: frame %d arrived at %v, completed at %v", r.name, cf.Frame.Seq, cf.Arrived, clk.Now())
+		t.Run(r.name, func(t *testing.T) {
+			var done []CompletedFrame
+			clk := simclock.New()
+			re := NewReassembler(clk, func(cf CompletedFrame) {
+				if cf.Arrived != clk.Now() {
+					t.Fatalf("%s: frame %d arrived at %v, completed at %v", r.name, cf.Frame.Seq, cf.Arrived, clk.Now())
+				}
+				done = append(done, cf)
+			})
+			frames := map[int][]Packet{}
+			for k, p := range r.tape {
+				if frames[p.f] == nil {
+					frames[p.f] = mkPackets(p.f, p.n, time.Duration(33*p.f)*time.Millisecond)
+				}
+				clk.Run(time.Duration(k+1) * 10 * time.Millisecond)
+				re.OnPacket(frames[p.f][p.i])
 			}
-			done = append(done, cf)
+			var seqs []int
+			for k, cf := range done {
+				seqs = append(seqs, cf.Frame.Seq)
+				if cf.Bits != r.bits[k] || cf.Sent != time.Duration(r.at[k])*time.Millisecond {
+					t.Fatalf("%s: completion %d carries %v bits sent at %v, want %v at %v ms", r.name, k, cf.Bits, cf.Sent, r.bits[k], r.at[k])
+				}
+			}
+			if got := [4]int64{re.Completed(), re.Duplicates(), re.Late(), re.Lost()}; !slices.Equal(seqs, r.done) || got != r.counts {
+				t.Fatalf("%s: completed frames %v, counts %v; want %v and %v", r.name, seqs, got, r.done, r.counts)
+			}
 		})
-		frames := map[int][]Packet{}
-		for k, p := range r.tape {
-			if frames[p.f] == nil {
-				frames[p.f] = mkPackets(p.f, p.n, time.Duration(33*p.f)*time.Millisecond)
-			}
-			clk.Run(time.Duration(k+1) * 10 * time.Millisecond)
-			re.OnPacket(frames[p.f][p.i])
-		}
-		var seqs []int
-		for k, cf := range done {
-			seqs = append(seqs, cf.Frame.Seq)
-			if cf.Bits != r.bits[k] || cf.Sent != time.Duration(r.at[k])*time.Millisecond {
-				t.Fatalf("%s: completion %d carries %v bits sent at %v, want %v at %v ms", r.name, k, cf.Bits, cf.Sent, r.bits[k], r.at[k])
-			}
-		}
-		if got := [4]int64{re.Completed(), re.Duplicates(), re.Late(), re.Lost()}; !slices.Equal(seqs, r.done) || got != r.counts {
-			t.Fatalf("%s: completed frames %v, counts %v; want %v and %v", r.name, seqs, got, r.done, r.counts)
-		}
 	}
 }
 

@@ -89,54 +89,62 @@ func sentBits(rate float64, reject bool) (*simclock.Clock, *Pacer, *float64, *Pa
 // ignores a rate that is not positive and finite.
 func TestPacerRateLimits(t *testing.T) {
 	clk, p, sent, _ := sentBits(1e6, false)
-	p.Enqueue(AppendPackets(nil, frameOfBits(0, 10e6)))
-	clk.Run(time.Second)
-	if *sent < 0.9e6 || *sent > 1.15e6 {
-		t.Fatalf("sent %v bits in 1s at 1Mbps", *sent)
-	}
-	if q := queuedBits(p); math.Abs(q-(10e6-*sent)) > 1 {
-		t.Fatalf("queue accounting: %v", q)
-	}
-	if p.SetRate(4e6); p.Rate() != 4e6 {
-		t.Fatal("SetRate ignored")
-	}
-	for second := 2; second <= 3; second++ {
-		before := *sent
-		clk.Run(time.Duration(second) * time.Second)
-		if got := *sent - before; got < 3.5e6 || got > 4.5e6 {
-			t.Fatalf("second %d sent %v bits, want ≈4e6", second, got)
+	t.Run("FirstSecond", func(t *testing.T) {
+		p.Enqueue(AppendPackets(nil, frameOfBits(0, 10e6)))
+		clk.Run(time.Second)
+		if *sent < 0.9e6 || *sent > 1.15e6 {
+			t.Fatalf("sent %v bits in 1s at 1Mbps", *sent)
 		}
-		for _, bad := range []float64{0, -1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
-			if p.SetRate(bad); p.Rate() != 4e6 {
-				t.Fatalf("rate %g should be ignored", bad)
+		if q := queuedBits(p); math.Abs(q-(10e6-*sent)) > 1 {
+			t.Fatalf("queue accounting: %v", q)
+		}
+	})
+	t.Run("SetRate", func(t *testing.T) {
+		if p.SetRate(4e6); p.Rate() != 4e6 {
+			t.Fatal("SetRate ignored")
+		}
+		for second := 2; second <= 3; second++ {
+			before := *sent
+			clk.Run(time.Duration(second) * time.Second)
+			if got := *sent - before; got < 3.5e6 || got > 4.5e6 {
+				t.Fatalf("second %d sent %v bits, want ≈4e6", second, got)
+			}
+			for _, bad := range []float64{0, -1e6, math.NaN(), math.Inf(1), math.Inf(-1)} {
+				if p.SetRate(bad); p.Rate() != 4e6 {
+					t.Fatalf("rate %g should be ignored", bad)
+				}
 			}
 		}
-	}
+	})
 }
 
 // A refused send is a drop and leaves the queue; every accepted packet
 // goes out, whole bytes, stamped with its send instant.
 func TestPacerDrainsExactly(t *testing.T) {
-	clk, p, _, _ := sentBits(10e6, true)
-	p.Enqueue(AppendPackets(nil, frameOfBits(0, 8e4)))
-	clk.Run(time.Second)
-	if p.Drops() == 0 || queuedBits(p) != 0 {
-		t.Fatalf("%d drops counted, %v bits left queued", p.Drops(), queuedBits(p))
-	}
-	clk, p, bits, last := sentBits(50e6, false)
-	clk.Run(100 * time.Millisecond)
-	want := 0.0
-	for i := 0; i < 10; i++ {
-		want += math.Ceil(1e5/8) * 8 // packetizer rounds to whole bytes
-		p.Enqueue(AppendPackets(nil, frameOfBits(i, 1e5)))
-	}
-	clk.Run(time.Second)
-	if q := queuedBits(p); q != 0 || *bits != want {
-		t.Fatalf("sent %v bits, want %v; %v left queued", *bits, want, q)
-	}
-	if last.FrameSeq != 9 || last.SentAt <= 100*time.Millisecond {
-		t.Fatalf("last packet sent %+v, want frame 9 after the enqueue", *last)
-	}
+	t.Run("SendFailureCountsDrop", func(t *testing.T) {
+		clk, p, _, _ := sentBits(10e6, true)
+		p.Enqueue(AppendPackets(nil, frameOfBits(0, 8e4)))
+		clk.Run(time.Second)
+		if p.Drops() == 0 || queuedBits(p) != 0 {
+			t.Fatalf("%d drops counted, %v bits left queued", p.Drops(), queuedBits(p))
+		}
+	})
+	t.Run("StampsSentAt", func(t *testing.T) {
+		clk, p, bits, last := sentBits(50e6, false)
+		clk.Run(100 * time.Millisecond)
+		want := 0.0
+		for i := 0; i < 10; i++ {
+			want += math.Ceil(1e5/8) * 8 // packetizer rounds to whole bytes
+			p.Enqueue(AppendPackets(nil, frameOfBits(i, 1e5)))
+		}
+		clk.Run(time.Second)
+		if q := queuedBits(p); q != 0 || *bits != want {
+			t.Fatalf("sent %v bits, want %v; %v left queued", *bits, want, q)
+		}
+		if last.FrameSeq != 9 || last.SentAt <= 100*time.Millisecond {
+			t.Fatalf("last packet sent %+v, want frame 9 after the enqueue", *last)
+		}
+	})
 }
 
 func TestPacerBadArgsPanics(t *testing.T) {

@@ -153,9 +153,11 @@ func TestSessionInvariants(t *testing.T) {
 		}},
 	}
 	for _, r := range rows {
-		if msg := r.check(run(t, r.cfg)); msg != "" {
-			t.Errorf("%s: %s", r.name, msg)
-		}
+		t.Run(r.name, func(t *testing.T) {
+			if msg := r.check(run(t, r.cfg)); msg != "" {
+				t.Error(msg)
+			}
+		})
 	}
 }
 

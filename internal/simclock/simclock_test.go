@@ -60,28 +60,30 @@ func TestClockFiresInOrder(t *testing.T) {
 		}, []time.Duration{time.Second}, []fired{{ms, 0}, {2 * ms, 0}}},
 	}
 	for _, r := range rows {
-		c := New()
-		if c.Now() != 0 {
-			t.Fatalf("%s: a new clock reads %v", r.name, c.Now())
-		}
-		var got []fired
-		var until time.Duration
-		r.setup(c, func(tag int) func() {
-			return func() {
-				if c.Now() > until {
-					t.Fatalf("%s: event at %v fired in Run(%v)", r.name, c.Now(), until)
+		t.Run(r.name, func(t *testing.T) {
+			c := New()
+			if c.Now() != 0 {
+				t.Fatalf("%s: a new clock reads %v", r.name, c.Now())
+			}
+			var got []fired
+			var until time.Duration
+			r.setup(c, func(tag int) func() {
+				return func() {
+					if c.Now() > until {
+						t.Fatalf("%s: event at %v fired in Run(%v)", r.name, c.Now(), until)
+					}
+					got = append(got, fired{c.Now(), tag})
 				}
-				got = append(got, fired{c.Now(), tag})
+			})
+			for _, until = range r.runs {
+				if c.Run(until); c.Now() != until {
+					t.Fatalf("%s: after Run(%v) Now() = %v", r.name, until, c.Now())
+				}
+			}
+			if !slices.Equal(got, r.want) {
+				t.Fatalf("%s: fired %v, want %v", r.name, got, r.want)
 			}
 		})
-		for _, until = range r.runs {
-			if c.Run(until); c.Now() != until {
-				t.Fatalf("%s: after Run(%v) Now() = %v", r.name, until, c.Now())
-			}
-		}
-		if !slices.Equal(got, r.want) {
-			t.Fatalf("%s: fired %v, want %v", r.name, got, r.want)
-		}
 	}
 }
 
@@ -93,14 +95,16 @@ func TestSchedulePastPanics(t *testing.T) {
 		"scheduling in the past": func() { c.Schedule(500*time.Millisecond, func() {}) },
 		"a zero ticker period":   func() { c.Ticker(0, func() {}) },
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
+		t.Run(name, func(t *testing.T) {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s did not panic", name)
+					}
+				}()
+				fn()
 			}()
-			fn()
-		}()
+		})
 	}
 }
 

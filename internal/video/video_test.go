@@ -12,29 +12,36 @@ import (
 // The default config validates, a zero FPS or grid does not, and
 // NewSource panics on an invalid one; at 25 fps a frame lasts 40 ms.
 func TestConfig(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range []func(*Config){
-		func(c *Config) { c.FPS = 0 },
-		func(c *Config) { c.Grid = projection.Grid{} },
-	} {
+	t.Run("Validate", func(t *testing.T) {
+		if err := DefaultConfig().Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range []func(*Config){
+			func(c *Config) { c.FPS = 0 },
+			func(c *Config) { c.Grid = projection.Grid{} },
+		} {
+			c := DefaultConfig()
+			if m(&c); c.Validate() == nil {
+				t.Errorf("mutation %d validated", i)
+			}
+		}
+	})
+	t.Run("FrameInterval", func(t *testing.T) {
 		c := DefaultConfig()
-		if m(&c); c.Validate() == nil {
-			t.Errorf("mutation %d validated", i)
+		if c.FPS = 25; c.FrameInterval() != 40*time.Millisecond {
+			t.Fatalf("FrameInterval = %v, want 40ms", c.FrameInterval())
 		}
-	}
-	c := DefaultConfig()
-	if c.FPS = 25; c.FrameInterval() != 40*time.Millisecond {
-		t.Fatalf("FrameInterval = %v, want 40ms", c.FrameInterval())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSource accepted invalid config")
-		}
-	}()
-	c.FPS = -1
-	NewSource(c)
+	})
+	t.Run("NewSourcePanicsOnInvalid", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("NewSource accepted invalid config")
+			}
+		}()
+		c := DefaultConfig()
+		c.FPS = -1
+		NewSource(c)
+	})
 }
 
 // A source numbers its frames, each carrying the raw rate's share in

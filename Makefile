@@ -148,18 +148,17 @@ bench-check:
 escape-check:
 	sh scripts/escape_check.sh
 
-## mutants: the mutation gate. First every -run/-bench/-fuzz regex the
-## Makefile and the verify skill give `go test` must still select a test
-## (scripts/check_run_patterns.sh: a renamed test otherwise turns a check
-## into a silent no-op). Then every row of scripts/mutants.txt — a file, an
-## exact fragment, its replacement, a package and a -run regex — is applied
-## to a copy of the checkout in .mutants_build/ (scripts/mutants.sh): the
-## named tests must pass on the copy and fail on the mutant. A fragment not
-## found exactly once, a mutant that does not build or a surviving mutant
-## fails the target. Each differential oracle has a row, so an oracle that
-## stops comparing anything shows here. About 3 minutes on 2 cores.
+## mutants: the mutation gate. Every row of scripts/mutants.txt — a file,
+## an exact fragment, its replacement, a package and a -run regex — is
+## applied to a copy of the checkout in .mutants_build/
+## (scripts/mutants.sh): the named tests must pass on the copy and fail on
+## the mutant. A fragment not found exactly once, a mutant that does not
+## build or a surviving mutant fails the target. Each differential oracle
+## has a row, so an oracle that stops comparing anything shows here. About
+## 3 minutes on 2 cores. (That every -run/-bench/-fuzz regex of this file
+## and of the verify skill still selects a test is tier 1:
+## TestRunPatternsSelectTests.)
 mutants:
-	bash scripts/check_run_patterns.sh
 	bash scripts/mutants.sh
 
 ## ci: the umbrella target the GitHub workflow fans out over. Runs every

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -106,4 +107,104 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("checked only %d identifiers; are the documents at the module root?", checked)
 	}
+}
+
+// TestRunPatternsSelectTests keeps the commands of the Makefile and the
+// verify skill live: `go test -run X` passes when X matches nothing, so a
+// renamed test would turn a check into a silent no-op. In every `go test`
+// command (a Makefile line, a line of a fenced block of the skill, or one
+// of its inline spans), each top-level alternative of a -run, -bench or
+// -fuzz regex must select a test of the kind the flag runs, declared in a
+// _test.go file of a package the command names. '^$' selects nothing on
+// purpose; a /subtest pattern is not checked.
+func TestRunPatternsSelectTests(t *testing.T) {
+	tests := map[string][]string{} // package directory → its test functions
+	parseTree(t, token.NewFileSet(), ".", false, true, func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasSuffix(path, "_test.go") {
+				dir := filepath.ToSlash(filepath.Dir(path))
+				tests[dir] = append(tests[dir], fn.Name.Name)
+			}
+		}
+	})
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var commands []string
+	for _, line := range strings.Split(string(makefile), "\n") {
+		commands = append(commands, strings.ReplaceAll(strings.ReplaceAll(line, "$$", "$"), "$(GO) test", "go test"))
+	}
+	skill, err := os.ReadFile(".claude/skills/verify/SKILL.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fence := regexp.MustCompile("(?sm)^```.*?^```")
+	for _, block := range fence.FindAllString(string(skill), -1) {
+		commands = append(commands, strings.Split(block, "\n")...)
+	}
+	commands = append(commands, regexp.MustCompile("`[^`]+`").FindAllString(fence.ReplaceAllString(string(skill), ""), -1)...)
+	kinds := map[string]string{"-run": "^(Test|Fuzz|Example)", "-bench": "^Benchmark", "-fuzz": "^Fuzz"}
+	word := regexp.MustCompile(`'[^']*'|"[^"]*"|[^\s'"]+`)
+	checked := 0
+	for _, cmd := range commands {
+		i := strings.Index(cmd, "go test")
+		if i < 0 {
+			continue
+		}
+		cmd, _, _ = strings.Cut(strings.Trim(cmd[i:], "`"), "#")
+		words := word.FindAllString(cmd, -1)
+		var names []string
+		pkgs := 0
+		for _, w := range words {
+			if w == "." || strings.HasPrefix(w, "./") {
+				pkgs++
+				for dir, fns := range tests {
+					if w == "./..." || w == "./"+dir || w == dir {
+						names = append(names, fns...)
+					}
+				}
+			}
+		}
+		if pkgs == 0 { // the package in the working directory
+			names = tests["."]
+		}
+		for k := 1; k < len(words); k++ {
+			kind, rx := kinds[words[k-1]], strings.Trim(words[k], `'"`)
+			if kind == "" || rx == "^$" {
+				continue
+			}
+			rx, _, _ = strings.Cut(rx, "/")
+			for _, alt := range topLevelAlternatives(rx) {
+				checked++
+				re, ok := regexp.MustCompile(alt), false
+				for _, n := range names {
+					ok = ok || regexp.MustCompile(kind).MatchString(n) && re.MatchString(n)
+				}
+				if !ok {
+					t.Errorf("%s %q selects nothing in %q", words[k-1], alt, cmd)
+				}
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("checked only %d patterns; are the Makefile and the skill at the module root?", checked)
+	}
+}
+
+// topLevelAlternatives splits rx at each | outside parentheses.
+func topLevelAlternatives(rx string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range rx {
+		switch {
+		case c == '(':
+			depth++
+		case c == ')':
+			depth--
+		case c == '|' && depth == 0:
+			alts, start = append(alts, rx[start:i]), i+1
+		}
+	}
+	return append(alts, rx[start:])
 }

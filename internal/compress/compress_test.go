@@ -25,8 +25,23 @@ func TestModeMatrixEq1(t *testing.T) {
 	}
 }
 
-// The farthest tile from the ROI holds the deepest level.
-func TestModeMatrixDeepestLevel(t *testing.T) {
+// A closer tile never gets a deeper level: in every mode's matrix for every
+// ROI, dx1+dy1 < dx2+dy2 implies m[t1] <= m[t2]. The farthest tile from
+// (6,4) holds the deepest level.
+func TestModeMatrixMonotoneInDistance(t *testing.T) {
+	for _, c := range DefaultModeCs() {
+		for r := range g.Tiles() {
+			roi, m := g.TileByIndex(r), FamilyFor(g, c).Matrix(g.TileByIndex(r))
+			for i1 := range m {
+				dx1, dy1 := g.Distance(g.TileByIndex(i1), roi)
+				for i2 := range m {
+					if dx2, dy2 := g.Distance(g.TileByIndex(i2), roi); dx1+dy1 < dx2+dy2 && m[i1] > m[i2] {
+						t.Fatalf("C=%v roi %v: tile %d (distance %d) deeper than tile %d (distance %d)", c, roi, i1, dx1+dy1, i2, dx2+dy2)
+					}
+				}
+			}
+		}
+	}
 	roi := projection.Tile{I: 6, J: 4}
 	m := ModeMatrix(g, roi, 1.3)
 	deep := m[g.Index(roi)]

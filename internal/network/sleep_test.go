@@ -79,20 +79,29 @@ func TestCityFingerprintsPinned(t *testing.T) {
 // hashed — held every record across that change: an advanced cell may
 // interleave one cell's UEs differently from subframe order but must not
 // add, drop, change or reorder a record of any one UE. A dormant shard's
-// bus has nothing pending, so sweeping it flushes nothing.
+// bus has nothing pending, so sweeping it flushes nothing. The two digests
+// are the subtests raw and canonical, so that a change that only reorders
+// one cell's UEs can run the canonical one alone.
 func TestCitySparseStreamPinned(t *testing.T) {
-	const raw, canonical = "ce0c3075bcbf236fce5039dcbea5ecfdbcf0c80f15927e631207eb9e7105da60",
-		"815929ab6c795a7a3e1ff74285080271ba4e01ebbbe37455bf92ac7d64ef61f5"
-	for _, workers := range []int{1, 4} {
-		file := playCity(t, citySparseFixture(), workers, spilled).file
-		sum := sha256.Sum256(file)
-		if got := hex.EncodeToString(sum[:]); got != raw {
-			t.Errorf("workers=%d stream sha256 %s, want %s", workers, got, raw)
-		}
-		if got := canonicalStreamDigest(t, file); got != canonical {
-			t.Errorf("workers=%d canonical stream sha256 %s, want %s", workers, got, canonical)
-		}
+	workers := []int{1, 4}
+	files := make([][]byte, len(workers))
+	for i, w := range workers {
+		files[i] = playCity(t, citySparseFixture(), w, spilled).file
 	}
+	pin := func(name, want string, digest func(t *testing.T, file []byte) string) {
+		t.Run(name, func(t *testing.T) {
+			for i, file := range files {
+				if got := digest(t, file); got != want {
+					t.Errorf("workers=%d %s stream sha256 %s, want %s", workers[i], name, got, want)
+				}
+			}
+		})
+	}
+	pin("raw", "ce0c3075bcbf236fce5039dcbea5ecfdbcf0c80f15927e631207eb9e7105da60", func(_ *testing.T, file []byte) string {
+		sum := sha256.Sum256(file)
+		return hex.EncodeToString(sum[:])
+	})
+	pin("canonical", "815929ab6c795a7a3e1ff74285080271ba4e01ebbbe37455bf92ac7d64ef61f5", canonicalStreamDigest)
 }
 
 // canonicalStreamDigest decodes a P6T stream and hashes its data records

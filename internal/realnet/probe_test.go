@@ -55,18 +55,11 @@ func TestJitterProbeEmitsPathologies(t *testing.T) {
 // previous accepted report, and the post-ack in-flight estimate —
 // while rejected (stale) reports emit nothing.
 func TestTransportProbeEmitsReports(t *testing.T) {
-	clk := simclock.New()
 	bus := obs.NewBus()
-	tr := NewTransport(clk, 1, func([]byte) error { return nil }, nil)
+	clk, tr, _ := reportTransport()
 	tr.SetProbe(bus.Probe(0))
-
-	wireBytes := rtp.WireHeaderLen + rtp.MTU
 	for i := int64(0); i < 10; i++ {
-		seq := i
-		clk.Schedule(time.Duration(i)*time.Millisecond, func() {
-			pkt := mediaPacket(seq, int(seq))
-			tr.Send(pkt.Bytes, pkt)
-		})
+		clk.Schedule(time.Duration(i)*time.Millisecond, func() { sendMedia(tr, i) })
 	}
 	report := func(d time.Duration, seq uint32, acked int) {
 		clk.Schedule(d, func() {

@@ -26,6 +26,14 @@ func wireFrame(frameSeq, count int, firstSeq int64, ssrc uint32) [][]byte {
 	return out
 }
 
+// seqReceiver is a receiver on a fresh clock, configured by cfg, that
+// records the transport sequence of each packet it delivers.
+func seqReceiver(cfg ReceiverConfig) (*simclock.Clock, *Receiver, *[]int64) {
+	clk, delivered := simclock.New(), new([]int64)
+	cfg.Deliver = func(pkt *rtp.Packet, _ time.Duration) { *delivered = append(*delivered, pkt.Seq) }
+	return clk, NewReceiver(clk, cfg), delivered
+}
+
 func TestReceiverDeliversSharedFrame(t *testing.T) {
 	clk := simclock.New()
 	var seqs []int64
@@ -59,11 +67,7 @@ func TestReceiverDeliversSharedFrame(t *testing.T) {
 // received once. Counting it twice would inflate CumBytes/CumPackets in
 // every later report and sink the sender's in-flight estimate for good.
 func TestReceiverDuplicatesNotAcked(t *testing.T) {
-	clk := simclock.New()
-	var delivered []int64
-	r := NewReceiver(clk, ReceiverConfig{
-		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
-	})
+	clk, r, delivered := seqReceiver(ReceiverConfig{})
 	wire := wireFrame(0, 6, 0, 42)
 	for _, d := range wire[:3] {
 		if len(d) != 164 {
@@ -84,12 +88,12 @@ func TestReceiverDuplicatesNotAcked(t *testing.T) {
 	if st.Packets != 4 || st.Bytes != 656 || st.Duplicates != 1 || st.HighestSeq != 5 {
 		t.Fatalf("held packet and its duplicate: %+v, want Packets 4, Bytes 656, Duplicates 1, HighestSeq 5", st)
 	}
-	if !slices.Equal(delivered, []int64{0, 1, 2}) {
-		t.Fatalf("delivered %v before the hold expires, want [0 1 2]", delivered)
+	if !slices.Equal(*delivered, []int64{0, 1, 2}) {
+		t.Fatalf("delivered %v before the hold expires, want [0 1 2]", *delivered)
 	}
 	clk.Run(100 * time.Millisecond)
-	if !slices.Equal(delivered, []int64{0, 1, 2, 5}) {
-		t.Fatalf("delivered %v, want [0 1 2 5]", delivered)
+	if !slices.Equal(*delivered, []int64{0, 1, 2, 5}) {
+		t.Fatalf("delivered %v, want [0 1 2 5]", *delivered)
 	}
 }
 
@@ -127,17 +131,13 @@ func TestReceiverHoldsOneFrameRecord(t *testing.T) {
 }
 
 func TestReceiverSSRCValidation(t *testing.T) {
-	clk := simclock.New()
-	var n int
-	r := NewReceiver(clk, ReceiverConfig{
-		Deliver: func(*rtp.Packet, time.Duration) { n++ },
-	})
+	clk, r, delivered := seqReceiver(ReceiverConfig{})
 	r.HandleDatagram(wireFrame(0, 1, 0, 7)[0]) // locks SSRC 7
 	r.HandleDatagram(wireFrame(1, 1, 1, 9)[0]) // wrong stream
 	r.HandleDatagram(wireFrame(2, 1, 2, 7)[0]) // right stream
 	r.HandleDatagram([]byte{0x90, 96, 0, 0})   // garbage
 	clk.Run(100 * time.Millisecond)
-	if n != 2 {
+	if n := len(*delivered); n != 2 {
 		t.Fatalf("delivered %d packets, want 2", n)
 	}
 	st := r.Stats()
@@ -190,11 +190,7 @@ func TestReceiverReportsAccountAndCarryAppFeedback(t *testing.T) {
 }
 
 func TestReceiverReportsWaitForPeer(t *testing.T) {
-	clk := simclock.New()
-	r := NewReceiver(clk, ReceiverConfig{
-		Deliver:    func(*rtp.Packet, time.Duration) {},
-		SendReport: func([]byte) error { return ErrNoPeer },
-	})
+	clk, r, _ := seqReceiver(ReceiverConfig{SendReport: func([]byte) error { return ErrNoPeer }})
 	clk.Run(200 * time.Millisecond)
 	st := r.Stats()
 	if st.ReportsSent != 0 {
@@ -219,11 +215,7 @@ func scheduleSeqs(clk *simclock.Clock, r *Receiver, from time.Duration, seqs ...
 // Hold and then move the jitter buffer's floor past every genuine sequence
 // before it, so each genuine packet after that would arrive "late".
 func TestReceiverDiscardsFarAheadSequence(t *testing.T) {
-	clk := simclock.New()
-	var delivered []int64
-	r := NewReceiver(clk, ReceiverConfig{
-		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
-	})
+	clk, r, got := seqReceiver(ReceiverConfig{})
 	genuine := make([]int64, 120)
 	for i := range genuine {
 		genuine[i] = int64(i)
@@ -232,6 +224,7 @@ func TestReceiverDiscardsFarAheadSequence(t *testing.T) {
 	scheduleSeqs(clk, r, 30*time.Millisecond, 30+1<<20) // forged
 	scheduleSeqs(clk, r, 31*time.Millisecond, genuine[30:]...)
 	clk.Run(time.Second)
+	delivered := *got
 
 	st := r.Stats()
 	if len(delivered) != len(genuine) || st.Late != 0 || st.Skipped != 0 {
@@ -252,11 +245,7 @@ func TestReceiverDiscardsFarAheadSequence(t *testing.T) {
 // the stream follows it: every packet after the first of the new run is
 // delivered in order, none late.
 func TestReceiverResyncsOnFarAheadSuccessor(t *testing.T) {
-	clk := simclock.New()
-	var delivered []int64
-	r := NewReceiver(clk, ReceiverConfig{
-		Deliver: func(pkt *rtp.Packet, _ time.Duration) { delivered = append(delivered, pkt.Seq) },
-	})
+	clk, r, got := seqReceiver(ReceiverConfig{})
 	const base = 1 << 20
 	var restarted []int64
 	for seq := int64(base); seq < base+20; seq++ {
@@ -265,6 +254,7 @@ func TestReceiverResyncsOnFarAheadSuccessor(t *testing.T) {
 	scheduleSeqs(clk, r, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	scheduleSeqs(clk, r, 10*time.Millisecond, restarted...)
 	clk.Run(time.Second)
+	delivered := *got
 
 	st := r.Stats()
 	tail := restarted[1:]

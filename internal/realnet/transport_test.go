@@ -18,6 +18,22 @@ func mediaPacket(seq int64, frameSeq int) *rtp.Packet {
 	}
 }
 
+// wireBytes is the datagram size of a full-MTU media packet.
+const wireBytes = rtp.WireHeaderLen + rtp.MTU
+
+// sendMedia sends the single-packet frame seq as transport sequence seq.
+func sendMedia(tr *Transport, seq int64) {
+	pkt := mediaPacket(seq, int(seq))
+	tr.Send(pkt.Bytes, pkt)
+}
+
+// reportTransport is a transport on a fresh clock that discards what it
+// sends and records each report it accepts.
+func reportTransport() (*simclock.Clock, *Transport, *[]Report) {
+	clk, got := simclock.New(), new([]Report)
+	return clk, NewTransport(clk, 1, func([]byte) error { return nil }, func(rep Report) { *got = append(*got, rep) }), got
+}
+
 func TestTransportSendMarshalsWire(t *testing.T) {
 	clk := simclock.New()
 	var wire [][]byte
@@ -57,13 +73,8 @@ func TestTransportReportDrivesInflightAndDiag(t *testing.T) {
 
 	// Send 10 packets during the first diag interval.
 	for i := int64(0); i < 10; i++ {
-		seq := i
-		clk.Schedule(time.Duration(i)*time.Millisecond, func() {
-			pkt := mediaPacket(seq, int(seq))
-			tr.Send(pkt.Bytes, pkt)
-		})
+		clk.Schedule(time.Duration(i)*time.Millisecond, func() { sendMedia(tr, i) })
 	}
-	wireBytes := rtp.WireHeaderLen + rtp.MTU
 
 	// A report acking 6 of them arrives at 35 ms.
 	clk.Schedule(35*time.Millisecond, func() {
@@ -97,12 +108,8 @@ func TestTransportReportDrivesInflightAndDiag(t *testing.T) {
 }
 
 func TestTransportStaleAndCorruptReports(t *testing.T) {
-	clk := simclock.New()
-	var got []Report
-	tr := NewTransport(clk, 1, func([]byte) error { return nil },
-		func(rep Report) { got = append(got, rep) })
-	pkt := mediaPacket(0, 0) // reports may ack only what was sent
-	tr.Send(pkt.Bytes, pkt)
+	_, tr, got := reportTransport()
+	sendMedia(tr, 0) // reports may ack only what was sent
 
 	fresh := Report{Seq: 5, CumBytes: 100, CumPackets: 1, HighestSeq: 0}
 	tr.HandleDatagram(fresh.AppendTo(nil))
@@ -110,7 +117,7 @@ func TestTransportStaleAndCorruptReports(t *testing.T) {
 	tr.HandleDatagram(stale.AppendTo(nil))
 	tr.HandleDatagram([]byte{1, 2, 3})
 
-	if len(got) != 1 || got[0].Seq != 5 {
+	if len(*got) != 1 || (*got)[0].Seq != 5 {
 		t.Fatalf("delivered %v, want only report 5", got)
 	}
 	if tr.StaleReports() != 1 {
@@ -122,13 +129,10 @@ func TestTransportStaleAndCorruptReports(t *testing.T) {
 }
 
 func TestTransportLossVacatesInflight(t *testing.T) {
-	clk := simclock.New()
-	tr := NewTransport(clk, 1, func([]byte) error { return nil }, nil)
-	for i := int64(0); i < 10; i++ {
-		pkt := mediaPacket(i, int(i))
-		tr.Send(pkt.Bytes, pkt)
+	_, tr, _ := reportTransport()
+	for i := range int64(10) {
+		sendMedia(tr, i)
 	}
-	wireBytes := rtp.WireHeaderLen + rtp.MTU
 	// 8 received, highest seq 9: sequences 8..9 in flight, but the two
 	// missing below 9 count as vacated at the stream's mean size.
 	rep := Report{Seq: 1, CumBytes: uint64(8 * wireBytes), CumPackets: 8, HighestSeq: 9}
@@ -159,9 +163,8 @@ func TestTransportInflightIgnoresDuplicates(t *testing.T) {
 			}
 			return nil
 		}, nil)
-		for i := int64(0); i < 10; i++ {
-			pkt := mediaPacket(i, int(i))
-			tr.Send(pkt.Bytes, pkt)
+		for i := range int64(10) {
+			sendMedia(tr, i)
 		}
 		clk.Run(100 * time.Millisecond)
 		if !tr.haveReport {
@@ -179,24 +182,20 @@ func TestTransportInflightIgnoresDuplicates(t *testing.T) {
 }
 
 func TestTransportFeedbackFaultGatesReports(t *testing.T) {
-	clk := simclock.New()
-	var got []Report
-	tr := NewTransport(clk, 1, func([]byte) error { return nil },
-		func(rep Report) { got = append(got, rep) })
-	pkt := mediaPacket(0, 0) // reports may ack only what was sent
-	tr.Send(pkt.Bytes, pkt)
+	_, tr, got := reportTransport()
+	sendMedia(tr, 0) // reports may ack only what was sent
 	dropAll := func(time.Duration) (bool, bool, time.Duration) { return true, false, 0 }
 	tr.SetFeedbackFault(dropAll)
 	rep := Report{Seq: 1}
 	tr.HandleDatagram(rep.AppendTo(nil))
-	if len(got) != 0 {
+	if len(*got) != 0 {
 		t.Fatal("dropped report delivered")
 	}
 	tr.SetFeedbackFault(nil)
 	rep.Seq = 2
 	tr.HandleDatagram(rep.AppendTo(nil))
-	if len(got) != 1 {
-		t.Fatalf("delivered %d reports after clearing the fault, want 1", len(got))
+	if len(*got) != 1 {
+		t.Fatalf("delivered %d reports after clearing the fault, want 1", len(*got))
 	}
 }
 
@@ -205,13 +204,10 @@ func TestTransportFeedbackFaultGatesReports(t *testing.T) {
 // the cumulative ack view — which never regresses — above everything sent,
 // and the synthesized firmware buffer would read 0 for the rest of the call.
 func TestTransportRejectsOverAckingReport(t *testing.T) {
-	clk := simclock.New()
-	tr := NewTransport(clk, 1, func([]byte) error { return nil }, nil)
-	for i := int64(0); i < 10; i++ {
-		pkt := mediaPacket(i, int(i))
-		tr.Send(pkt.Bytes, pkt)
+	_, tr, _ := reportTransport()
+	for i := range int64(10) {
+		sendMedia(tr, i)
 	}
-	wireBytes := rtp.WireHeaderLen + rtp.MTU
 	for _, forged := range []Report{
 		{Seq: 1, CumBytes: 1 << 40, CumPackets: 1, HighestSeq: 0},
 		{Seq: 2, CumBytes: uint64(wireBytes), CumPackets: 1 << 20, HighestSeq: 0},

@@ -35,34 +35,21 @@ func FuzzSenderReports(f *testing.F) {
 	grid := video.DefaultConfig().Grid
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxDatagrams = 8
-		clk := simclock.New()
-		sender, err := session.NewSender(session.Config{Duration: 400 * time.Millisecond, RC: session.RCGCC, StatsWarmup: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		bus := obs.NewBus()
 		sent := 0.0
-		tx := realnet.NewTransport(clk, 1, func(b []byte) error {
-			h, err := rtp.ParseWire(b)
-			if err != nil {
-				t.Fatalf("sender wrote an unparseable datagram: %v", err)
-			}
-			if !grid.Contains(h.ROI) {
-				t.Fatalf("frame on the wire compressed around off-grid ROI %v", h.ROI)
-			}
-			sent += float64(len(b))
-			return nil
-		}, func(rep realnet.Report) {
-			// The net.report event just emitted carries the acked view in bits.
-			if ev := bus.Events(); ev[len(ev)-1].D > 8*sent {
-				t.Fatalf("report %d left %g bytes acked of %g sent", rep.Seq, ev[len(ev)-1].D/8, sent)
-			}
-			sender.OnFeedback(session.Feedback{ROI: rep.ROI, Mismatch: rep.Mismatch, GCCRate: rep.GCCRate, SentAt: rep.SentAt})
-		})
+		clk, sender, tx := senderOnWire(t, session.Config{Duration: 400 * time.Millisecond, RC: session.RCGCC, StatsWarmup: -1},
+			func(h rtp.WireHeader, n int) {
+				if !grid.Contains(h.ROI) {
+					t.Fatalf("frame on the wire compressed around off-grid ROI %v", h.ROI)
+				}
+				sent += float64(n)
+			}, func(rep realnet.Report) {
+				// The net.report event just emitted carries the acked view in bits.
+				if ev := bus.Events(); ev[len(ev)-1].D > 8*sent {
+					t.Fatalf("report %d left %g bytes acked of %g sent", rep.Seq, ev[len(ev)-1].D/8, sent)
+				}
+			})
 		tx.SetProbe(bus.Probe(0))
-		if err := sender.Attach(clk, tx); err != nil {
-			t.Fatal(err)
-		}
 		at := 100 * time.Millisecond
 		for n := 0; len(data) > 0 && n < maxDatagrams; n++ {
 			d := data[:min(len(data), realnet.ReportLen)]

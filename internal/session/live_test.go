@@ -101,6 +101,60 @@ func (c *liveCall) run(d time.Duration) (sent, viewed *session.Result) {
 	return c.sender.Result(), c.viewer.Result()
 }
 
+// viewerOnWire is a viewer attached to a fresh clock behind a
+// realnet.Receiver.
+func viewerOnWire(t *testing.T, cfg session.Config) (*simclock.Clock, *session.Viewer, *realnet.Receiver) {
+	t.Helper()
+	clk := simclock.New()
+	viewer, err := session.NewViewer(cfg)
+	if err == nil {
+		err = viewer.Attach(clk)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk, viewer, realnet.NewReceiver(clk, realnet.ReceiverConfig{
+		Deliver: func(pkt *rtp.Packet, _ time.Duration) { viewer.OnPacket(pkt) },
+	})
+}
+
+// senderOnWire is a sender attached to a fresh clock in front of a
+// realnet.Transport: each datagram it writes must parse and goes, with its
+// length, to onWire; each report the transport accepts goes to onReport
+// and then, as feedback, to the sender.
+func senderOnWire(t *testing.T, cfg session.Config, onWire func(h rtp.WireHeader, n int), onReport func(realnet.Report)) (*simclock.Clock, *session.Sender, *realnet.Transport) {
+	t.Helper()
+	clk := simclock.New()
+	sender, err := session.NewSender(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := realnet.NewTransport(clk, 1, func(b []byte) error {
+		h, err := rtp.ParseWire(b)
+		if err != nil {
+			t.Fatalf("sender wrote an unparseable datagram: %v", err)
+		}
+		onWire(h, len(b))
+		return nil
+	}, func(rep realnet.Report) {
+		onReport(rep)
+		sender.OnFeedback(session.Feedback{ROI: rep.ROI, Mismatch: rep.Mismatch, GCCRate: rep.GCCRate, SentAt: rep.SentAt})
+	})
+	if err := sender.Attach(clk, tx); err != nil {
+		t.Fatal(err)
+	}
+	return clk, sender, tx
+}
+
+// sendFrame hands rx frame f as two 100-byte datagrams of stream 9 with
+// transport sequences seq and seq+1.
+func sendFrame(rx *realnet.Receiver, f *video.EncodedFrame, seq int64, sentAt time.Duration) {
+	for i := range 2 {
+		pkt := rtp.Packet{FrameSeq: f.Seq, Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: sentAt, Seq: seq + int64(i)}
+		rx.HandleDatagram(pkt.AppendWire(nil, 9))
+	}
+}
+
 // TestLiveCallDeterministic runs the live wiring — the shared endpoint
 // halves over the real-transport codec, jitter buffer, reports and
 // synthesized diag — on virtual time, under both rate controllers.
@@ -262,25 +316,9 @@ func TestSenderRejectsForgedReports(t *testing.T) {
 	grid := video.DefaultConfig().Grid
 	for _, tc := range forgedReports() {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := simclock.New()
-			sender, err := session.NewSender(session.Config{Duration: time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
 			var wireROI projection.Tile // what the frames on the wire were compressed around
-			tx := realnet.NewTransport(clk, 1, func(b []byte) error {
-				h, err := rtp.ParseWire(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wireROI = h.ROI
-				return nil
-			}, func(rep realnet.Report) {
-				sender.OnFeedback(session.Feedback{ROI: rep.ROI, Mismatch: rep.Mismatch, GCCRate: rep.GCCRate, SentAt: rep.SentAt})
-			})
-			if err := sender.Attach(clk, tx); err != nil {
-				t.Fatal(err)
-			}
+			clk, sender, tx := senderOnWire(t, session.Config{Duration: time.Second},
+				func(h rtp.WireHeader, _ int) { wireROI = h.ROI }, func(realnet.Report) {})
 			clk.Schedule(200*time.Millisecond, func() {
 				rep := realnet.Report{Seq: 1, SentAt: clk.Now(), ROI: tc.roi, GCCRate: tc.rate, CumBytes: tc.cumBytes}
 				tx.HandleDatagram(rep.AppendTo(nil))
@@ -319,27 +357,13 @@ func TestViewerRebuildsStaticSchemeFrames(t *testing.T) {
 		{session.SchemeFixed, compress.NewFixed(grid, 1.5)},
 	} {
 		t.Run(tc.scheme.String(), func(t *testing.T) {
-			clk := simclock.New()
-			viewer, err := session.NewViewer(session.Config{
+			clk, viewer, rx := viewerOnWire(t, session.Config{
 				Duration: time.Second, StatsWarmup: -1, Scheme: tc.scheme, FixedC: 1.5,
 				UserModel: &headmotion.Scripted{Keys: []headmotion.Key{{Orientation: grid.Center(gaze)}}},
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := viewer.Attach(clk); err != nil {
-				t.Fatal(err)
-			}
-			rx := realnet.NewReceiver(clk, realnet.ReceiverConfig{
-				Deliver: func(pkt *rtp.Packet, _ time.Duration) { viewer.OnPacket(pkt) },
-			})
 			m, label := tc.ctrl.Levels(senderROI)
 			clk.Schedule(50*time.Millisecond, func() {
-				f := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: scale, SenderROI: senderROI, Mode: label}
-				for i := 0; i < 2; i++ {
-					pkt := rtp.Packet{Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: 20 * time.Millisecond, Seq: int64(i)}
-					rx.HandleDatagram(pkt.AppendWire(nil, 9))
-				}
+				sendFrame(rx, &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: scale, SenderROI: senderROI, Mode: label}, 0, 20*time.Millisecond)
 			})
 			clk.Run(time.Second)
 
@@ -368,28 +392,10 @@ func TestViewerRebuildsStaticSchemeFrames(t *testing.T) {
 func TestViewerRejectsForgedPackets(t *testing.T) {
 	for _, tc := range forgedPackets() {
 		t.Run(tc.name, func(t *testing.T) {
-			clk := simclock.New()
-			viewer, err := session.NewViewer(session.Config{Duration: time.Second, StatsWarmup: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := viewer.Attach(clk); err != nil {
-				t.Fatal(err)
-			}
-			rx := realnet.NewReceiver(clk, realnet.ReceiverConfig{
-				Deliver: func(pkt *rtp.Packet, _ time.Duration) { viewer.OnPacket(pkt) },
-			})
+			clk, viewer, rx := viewerOnWire(t, session.Config{Duration: time.Second, StatsWarmup: -1})
 			clk.Schedule(50*time.Millisecond, func() {
-				legal := &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: 1, SenderROI: projection.Tile{I: 1, J: 1}, Mode: 3}
-				f := &video.EncodedFrame{Seq: 1, Capture: 43 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}
-				for i := 0; i < 2; i++ {
-					pkt := rtp.Packet{Index: i, Count: 2, Bytes: 100, Frame: legal, SentAt: 20 * time.Millisecond, Seq: int64(i)}
-					rx.HandleDatagram(pkt.AppendWire(nil, 9))
-				}
-				for i := 0; i < 2; i++ {
-					pkt := rtp.Packet{FrameSeq: 1, Index: i, Count: 2, Bytes: 100, Frame: f, SentAt: 45 * time.Millisecond, Seq: 2 + tc.seq + int64(i)}
-					rx.HandleDatagram(pkt.AppendWire(nil, 9))
-				}
+				sendFrame(rx, &video.EncodedFrame{Capture: 10 * time.Millisecond, Scale: 1, SenderROI: projection.Tile{I: 1, J: 1}, Mode: 3}, 0, 20*time.Millisecond)
+				sendFrame(rx, &video.EncodedFrame{Seq: 1, Capture: 43 * time.Millisecond, Scale: tc.scale, SenderROI: tc.roi, Mode: tc.mode}, 2+tc.seq, 45*time.Millisecond)
 			})
 			clk.Run(time.Second)
 

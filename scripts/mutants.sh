@@ -83,22 +83,17 @@ while IFS= read -r line; do
 	fi
 	# The fragments are written with \n and \t escapes; an empty
 	# replacement deletes the fragment.
-	if ! python3 - "$src/$file" "$old" "$new" <<'EOF'; then
-import sys
-path, old, new = sys.argv[1:]
-unesc = lambda s: s.replace("\\n", "\n").replace("\\t", "\t")
-old, new = unesc(old), unesc(new)
-text = open(path).read()
-if text.count(old) != 1:
-    print("fragment found %d times: %r" % (text.count(old), old))
-    sys.exit(1)
-open(path, "w").write(text.replace(old, new))
-EOF
-		echo "mutants: row $row: stale fragment"
+	old=${old//\\n/$'\n'} new=${new//\\n/$'\n'}
+	old=${old//\\t/$'\t'} new=${new//\\t/$'\t'}
+	text=$(cat "$src/$file" && echo .)
+	text=${text%.}
+	rest=${text#*"$old"}
+	if [ -z "$old" ] || [ "$rest" = "$text" ] || [[ $rest == *"$old"* ]]; then
+		echo "mutants: row $row: stale fragment (not found exactly once)"
 		failed=1
-		cp "$root/$file" "$src/$file"
 		continue
 	fi
+	printf '%s' "${text%%"$old"*}$new$rest" >"$src/$file"
 	res=$(runrow "$pkg" "$run")
 	cp "$root/$file" "$src/$file"
 	case "$res" in

@@ -17,47 +17,26 @@ func frameOfBits(seq int, bits float64) *video.EncodedFrame {
 	return &video.EncodedFrame{Seq: seq, Bits: bits, SenderROI: projection.Tile{}}
 }
 
-func TestPacketizeSizes(t *testing.T) {
-	f := frameOfBits(0, 8*float64(MTU*2+100))
-	pkts := AppendPackets(nil, f)
-	if len(pkts) != 3 {
-		t.Fatalf("packet count %d, want 3", len(pkts))
-	}
-	total := 0
-	for i, p := range pkts {
-		if p.FrameSeq != 0 || p.Index != i || p.Count != 3 || p.Frame != f {
-			t.Fatalf("packet %d metadata wrong: %+v", i, p)
-		}
-		total += p.Bytes
-	}
-	if total != MTU*2+100 {
-		t.Fatalf("total bytes %d", total)
-	}
-}
-
-func TestPacketizeTinyFrame(t *testing.T) {
-	pkts := AppendPackets(nil, frameOfBits(1, 4))
-	if len(pkts) != 1 || pkts[0].Bytes != 1 {
-		t.Fatalf("tiny frame: %+v", pkts)
-	}
-}
-
-// Property: packetize always partitions the frame into ≤MTU chunks that sum
-// to the frame size.
-func TestPropertyPacketize(t *testing.T) {
-	f := func(kb uint16) bool {
-		bytes := int(kb) + 1
-		pkts := AppendPackets(nil, frameOfBits(0, float64(bytes*8)))
+// AppendPackets partitions a frame into chunks of at most MTU bytes, each
+// carrying the frame, its index and the packet count, that sum to the
+// frame's size in whole bytes (4 bits take one byte).
+func TestPacketize(t *testing.T) {
+	partitions := func(bits float64, bytes, count int) bool {
+		f := frameOfBits(3, bits)
+		pkts := AppendPackets(nil, f)
 		sum := 0
-		for _, p := range pkts {
-			if p.Bytes <= 0 || p.Bytes > MTU {
+		for i, p := range pkts {
+			if p.Bytes <= 0 || p.Bytes > MTU || p.FrameSeq != 3 || p.Index != i || p.Count != len(pkts) || p.Frame != f {
 				return false
 			}
 			sum += p.Bytes
 		}
-		return sum == bytes && pkts[0].Count == len(pkts)
+		return sum == bytes && (count == 0 || len(pkts) == count)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if !partitions(8*float64(MTU*2+100), MTU*2+100, 3) || !partitions(4, 1, 1) {
+		t.Fatal("a frame of two MTUs and 100 bytes, or of 4 bits, packetized wrong")
+	}
+	if err := quick.Check(func(kb uint16) bool { return partitions(float64(int(kb)+1)*8, int(kb)+1, 0) }, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,8 @@
 #   - a mutant does not build,
 #   - the regex selects no test, or
 #   - the named tests pass on a mutant (the oracle is dead).
-# Before the mutants, each row's tests must pass on the unmutated copy.
+# Before the mutants, each row's tests must pass on the unmutated copy
+# (checked once per package and regex).
 #
 # Like benchmark/run.sh, it works inside <checkout>/.mutants_build (the
 # copy, the Go build cache and temp files), so it writes nothing outside the
@@ -53,6 +54,7 @@ runrow() {
 
 failed=0
 n=0
+declare -A clean # "package regex" pairs already seen passing unmutated
 tab=$'\t'
 while IFS= read -r line; do
 	case "$line" in '' | '#'*) continue ;; esac
@@ -75,11 +77,14 @@ while IFS= read -r line; do
 		continue
 	fi
 	cp "$root/$file" "$src/$file"
-	if [ "$(runrow "$pkg" "$run")" != pass ]; then
-		echo "mutants: row $row: the named tests do not pass unmutated"
-		tail -20 "$out/tmp/run.log"
-		failed=1
-		continue
+	if [ -z "${clean["$pkg $run"]:-}" ]; then
+		if [ "$(runrow "$pkg" "$run")" != pass ]; then
+			echo "mutants: row $row: the named tests do not pass unmutated"
+			tail -20 "$out/tmp/run.log"
+			failed=1
+			continue
+		fi
+		clean["$pkg $run"]=1 # the copy is the same for every row
 	fi
 	# The fragments are written with \n and \t escapes; an empty
 	# replacement deletes the fragment.
